@@ -1,14 +1,13 @@
 """Disk substrate (S4/S5): virtual disks with seek/rotation/transfer
-timing, request scheduling, mirroring, and fault injection."""
+timing, request scheduling, and mirroring. Fault injection lives in
+:mod:`repro.faults`."""
 
-from .faults import FaultInjector
 from .geometry import DiskGeometry
 from .mirror import MirroredDiskSet
 from .scheduler import ElevatorQueue, FcfsQueue, make_queue
 from .vdisk import DiskStats, VirtualDisk
 
 __all__ = [
-    "FaultInjector",
     "DiskGeometry",
     "MirroredDiskSet",
     "ElevatorQueue",

@@ -9,9 +9,8 @@ disk writes), so availability experiments (A6) replay bit-identically:
 same seed + same plan ⇒ the same trace of fault firings and client
 retry attempts.
 
-The old :class:`FaultInjector` survives as a compatibility shim (both
-here and at its historic home ``repro.disk.faults``), now event-driven
-rather than polling.
+The old :class:`FaultInjector` survives here as the imperative
+spelling for one-off disk faults, now event-driven rather than polling.
 """
 
 from .controller import FaultController

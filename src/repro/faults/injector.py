@@ -2,8 +2,7 @@
 
 :class:`FaultInjector` predates :class:`~repro.faults.FaultPlan`; it is
 kept as the convenient imperative spelling for one-off disk faults in
-tests and examples (and re-exported from its historic home,
-``repro.disk.faults``). ``fail_after_writes`` no longer polls the
+tests and examples. ``fail_after_writes`` no longer polls the
 simulation clock at ``seek_settle / 2`` granularity: it registers a
 completion hook on the disk and fires synchronously when the Nth write
 completes — exact by construction, and free when no fault is armed.

@@ -14,11 +14,13 @@ observe itself:
 * :func:`pair_spans` — request-scoped span reconstruction; spans flow
   RPC → server → cache → disk so a READ decomposes into its
   queue/cache/disk/net components.
-* ``repro.obs.bench`` — the bench emitter hooking
-  :mod:`repro.bench.harness` (imported lazily; it pulls in the whole
-  testbed). ``python -m repro.obs`` dumps a registry snapshot from an
-  example run, ``python -m repro.obs bench`` writes the trajectory
-  artifacts (``benchmarks/results/bench.json``, ``BENCH_PR4.json``).
+* ``repro.obs.bench`` — the bench plane over
+  :mod:`repro.bench.harness`: one ``EXPERIMENTS`` table of
+  ``name -> (run, artifact_path)`` with one ``write`` and one ``check``
+  (not imported here; it pulls in the whole testbed). ``python -m
+  repro.obs`` dumps a registry snapshot from an example run; ``python
+  -m repro.obs bench [NAME...|all] [--check]`` regenerates the
+  committed ``BENCH_PR*.json`` artifacts, or byte-compares against them.
 """
 
 from .export import render_json, render_text

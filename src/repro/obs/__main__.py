@@ -7,11 +7,14 @@ through the RPC plane, and dumps the shared metrics registry::
     python -m repro.obs --format json      # canonical JSON snapshot
     python -m repro.obs --seed 7           # different workload seed
 
-``bench`` runs the Figure 2/3 experiments and writes the canonical
-bench artifact (byte-identical across same-seed runs)::
+``bench`` regenerates the committed bench artifacts from the experiment
+table in :mod:`repro.obs.bench` (run it from the repository root)::
 
-    python -m repro.obs bench --seed 1989 \
-        --results benchmarks/results/bench.json --top BENCH_PR4.json
+    python -m repro.obs bench              # rewrite every artifact
+    python -m repro.obs bench coherence    # rewrite BENCH_PR10.json only
+    python -m repro.obs bench --check      # write nothing: byte-compare
+                                           # fresh runs against the
+                                           # committed files (diff, exit 1)
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 from ..bench import make_rig
 from ..sim import run_process
 from ..units import KB
+from .bench import EXPERIMENTS, check, write
 from .export import render_json, render_text
 
 #: The snapshot workload: whole files created, read twice (one cold,
@@ -53,102 +57,33 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="snapshot rendering")
     sub = parser.add_subparsers(dest="command")
-    bench = sub.add_parser("bench", help="run fig2/fig3 and write the "
-                                         "canonical bench JSON")
-    bench.add_argument("--seed", type=int, default=1989)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--results", default="benchmarks/results/bench.json",
-                       help="bench artifact path")
-    bench.add_argument("--top", default=None,
-                       help="optional second copy (e.g. BENCH_PR4.json)")
-    pr5 = sub.add_parser("bench-pr5", help="run the worker-scaling and "
-                                           "disk-discipline experiments")
-    pr5.add_argument("--seed", type=int, default=1989)
-    pr5.add_argument("--duration", type=float, default=2.0,
-                     help="closed-loop window per worker count (sim s)")
-    pr5.add_argument("--results",
-                     default="benchmarks/results/bench_pr5.json",
-                     help="bench artifact path")
-    pr5.add_argument("--top", default=None,
-                     help="optional second copy (e.g. BENCH_PR5.json)")
-    pr9 = sub.add_parser("bench-pr9", help="run the workstation-cache "
-                                           "scaling experiment")
-    pr9.add_argument("--seed", type=int, default=1989)
-    pr9.add_argument("--ops-per-client", type=int, default=150,
-                     help="reads each client process performs")
-    pr9.add_argument("--results",
-                     default="benchmarks/results/bench_pr9.json",
-                     help="bench artifact path")
-    pr9.add_argument("--top", default=None,
-                     help="optional second copy (e.g. BENCH_PR9.json)")
-    pr10 = sub.add_parser("bench-pr10", help="run the §5 coherence "
-                                             "traffic experiment")
-    pr10.add_argument("--seed", type=int, default=1989)
-    pr10.add_argument("--ops-per-workstation", type=int, default=120,
-                      help="open+read ops each workstation performs")
-    pr10.add_argument("--results",
-                      default="benchmarks/results/bench_pr10.json",
-                      help="bench artifact path")
-    pr10.add_argument("--top", default=None,
-                      help="optional second copy (e.g. BENCH_PR10.json)")
-    speedup = sub.add_parser(
-        "speedup", help="measure wall-clock speedup of the kernel fast "
-                        "paths against a pristine baseline checkout")
-    speedup.add_argument("--baseline-src", required=True,
-                         help="src/ directory of the pre-fast-path tree "
-                              "(e.g. a git worktree of the seed commit)")
-    speedup.add_argument("--seed", type=int, default=1989)
-    speedup.add_argument("--rounds", type=int, default=3,
-                         help="interleaved baseline/current rounds")
-    speedup.add_argument("--inner", type=int, default=2,
-                         help="timed repeats inside each child process")
-    speedup.add_argument("--results", default="BENCH_PR6.json",
-                         help="speedup artifact path")
+    bench = sub.add_parser("bench", help="regenerate the committed bench "
+                                         "artifacts (BENCH_PR*.json)")
+    bench.add_argument("names", nargs="*", metavar="NAME",
+                       help="experiments to run, or 'all' (the default)")
+    bench.add_argument("--check", action="store_true",
+                       help="write nothing: byte-compare each fresh run "
+                            "against its committed artifact, print a "
+                            "unified diff and exit 1 on any mismatch")
     args = parser.parse_args(argv)
 
     if args.command == "bench":
-        # Imported lazily: obs.bench pulls in repro.bench -> repro.core,
-        # which itself imports repro.obs.
-        from .bench import write_bench
-        write_bench(args.results, args.top,
-                    seed=args.seed, repeats=args.repeats)
-        print(f"wrote {args.results}"
-              + (f" and {args.top}" if args.top else ""))
-        return 0
-
-    if args.command == "bench-pr5":
-        from .bench import write_bench_pr5
-        write_bench_pr5(args.results, args.top,
-                        seed=args.seed, duration=args.duration)
-        print(f"wrote {args.results}"
-              + (f" and {args.top}" if args.top else ""))
-        return 0
-
-    if args.command == "bench-pr9":
-        from .bench import write_bench_pr9
-        write_bench_pr9(args.results, args.top, seed=args.seed,
-                        ops_per_client=args.ops_per_client)
-        print(f"wrote {args.results}"
-              + (f" and {args.top}" if args.top else ""))
-        return 0
-
-    if args.command == "bench-pr10":
-        from .bench import write_bench_pr10
-        write_bench_pr10(args.results, args.top, seed=args.seed,
-                         ops_per_workstation=args.ops_per_workstation)
-        print(f"wrote {args.results}"
-              + (f" and {args.top}" if args.top else ""))
-        return 0
-
-    if args.command == "speedup":
-        from .speedup import write_speedup
-        payload = write_speedup(args.results, args.baseline_src,
-                                seed=args.seed, rounds=args.rounds,
-                                inner=args.inner)
-        ratio = payload["speedup"]["combined"]
-        print(f"wrote {args.results}: combined speedup {ratio:.2f}x "
-              f"(events ratio {payload['events_ratio']:.2f}x)")
-        return 0
+        names = args.names
+        if not names or "all" in names:
+            names = list(EXPERIMENTS)
+        unknown = [name for name in names if name not in EXPERIMENTS]
+        if unknown:
+            parser.error(f"unknown experiment(s) {unknown}; choose from "
+                         f"{list(EXPERIMENTS)} or 'all'")
+        mismatch = False
+        for name in names:
+            if args.check:
+                diff = check(name)
+                print(diff or f"ok {name}\n", end="")
+                mismatch = mismatch or bool(diff)
+            else:
+                print(f"wrote {write(name)}")
+        return 1 if mismatch else 0
 
     print(_snapshot(args.seed, args.format), end="")
     return 0

@@ -1,39 +1,52 @@
-"""The bench emitter: one deterministic JSON artifact per bench run.
+"""The bench plane: a table of experiments, one committed artifact each.
 
-Runs the paper's Figure 2 / Figure 3 experiments (plus a small cache
-ablation) on the shared-registry rig and renders everything — delays,
-bandwidths, the full metrics snapshot, and the conservation invariants —
-as canonical JSON: keys sorted, floats via ``repr`` (what ``json``
-emits), trailing newline. Two runs with the same seed produce
-**byte-identical** files; CI diffs them to catch determinism
-regressions.
+An experiment is a function returning a payload, rendered as canonical
+JSON (keys sorted, floats via ``repr``, trailing newline) so that a run
+either reproduces its committed artifact **byte for byte** or something
+observable changed. :data:`EXPERIMENTS` maps each concept name to
+``(run, artifact_path)``; :func:`write` regenerates an artifact and
+:func:`check` compares a fresh run against the committed file. Adding
+an experiment is one table entry plus its artifact — CI and the tier-1
+tests loop over the table.
+
+Nothing here takes a seed or scale argument: an artifact is comparable
+to its committed copy only at the scale it was committed at, so the
+knobs are module constants. Paths are relative to the repository root,
+where ``python -m repro.obs bench`` is run from.
 
 This module imports :mod:`repro.bench` (which imports ``repro.core``,
 which imports :mod:`repro.obs`), so it is deliberately *not* imported
-from ``repro.obs.__init__`` — import it directly::
-
-    from repro.obs.bench import run_bench, write_bench
+from ``repro.obs.__init__`` — import it directly.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
-from typing import Optional
 
-from ..bench import (PAPER_SIZES, bullet_figure2, client_cache_scaling,
+from ..bench import (PAPER_SIZES, bullet_figure2,
                      coherence_policy_tradeoff, coherence_vs_workstations,
                      cold_read_disciplines, make_rig, nfs_figure3,
                      throughput_vs_workers)
+from ..bench import client_cache_scaling as sweep_client_cache
 from ..errors import ConsistencyError
 from ..units import KB, to_msec
 
-__all__ = ["run_bench", "run_bench_pr5", "run_bench_pr9", "run_bench_pr10",
-           "write_bench", "write_bench_pr5", "write_bench_pr9",
-           "write_bench_pr10", "canonical_json"]
+__all__ = ["EXPERIMENTS", "write", "check", "canonical_json"]
 
-#: Sizes used for the quick cache-policy ablation (kept small: the
-#: ablation is a smoke check, not a figure).
+#: The one seed every committed artifact was generated from.
+SEED = 1989
+
+PAPER = ("The Design of a High-Performance File Server "
+         "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)")
+
+#: Measurements averaged per Figure 2 / Figure 3 cell.
+REPEATS = 3
+
+#: Sizes and repeats used for the quick cache-policy ablation (kept
+#: small: the ablation is a smoke check, not a figure).
 ABLATION_SIZES = (1024, 65536)
+ABLATION_REPEATS = 2
 
 
 def canonical_json(payload: dict) -> str:
@@ -78,14 +91,14 @@ def _check_invariants(registry) -> dict:
     }
 
 
-def _ablation_cache_policy(seed: int, repeats: int) -> dict:
+def _ablation_cache_policy() -> dict:
     """Fig. 2 READ delay under LRU vs FIFO eviction (A3)."""
     out: dict = {}
     for policy in ("lru", "fifo"):
-        rig = make_rig(seed=seed, with_nfs=False, background_load=False,
+        rig = make_rig(seed=SEED, with_nfs=False, background_load=False,
                        cache_policy=policy)
         table = bullet_figure2(rig, sizes=list(ABLATION_SIZES),
-                               repeats=repeats)
+                               repeats=ABLATION_REPEATS)
         out[policy] = {
             str(size): to_msec(table.delay(size, "READ"))
             for size in sorted(table.rows)
@@ -93,40 +106,43 @@ def _ablation_cache_policy(seed: int, repeats: int) -> dict:
     return out
 
 
-def run_bench(seed: int = 1989, repeats: int = 3,
-              sizes: Optional[list] = None) -> dict:
-    """Run the figures on one shared-registry rig; return the payload."""
-    wanted = list(sizes) if sizes is not None else list(PAPER_SIZES)
-    rig = make_rig(seed=seed)
-    fig2 = bullet_figure2(rig, sizes=wanted, repeats=repeats)
-    fig3 = nfs_figure3(rig, sizes=wanted, repeats=repeats)
+def fig2_fig3() -> dict:
+    """The paper's Figure 2 (Bullet) and Figure 3 (NFS) on one
+    shared-registry rig, plus the cache-policy ablation, the full
+    metrics snapshot and the conservation invariants."""
+    sizes = list(PAPER_SIZES)
+    rig = make_rig(seed=SEED)
+    fig2 = bullet_figure2(rig, sizes=sizes, repeats=REPEATS)
+    fig3 = nfs_figure3(rig, sizes=sizes, repeats=REPEATS)
     return {
         "meta": {
-            "paper": "The Design of a High-Performance File Server "
-                     "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)",
-            "seed": seed,
-            "repeats": repeats,
-            "sizes": wanted,
+            "paper": PAPER,
+            "seed": SEED,
+            "repeats": REPEATS,
+            "sizes": sizes,
         },
         "fig2_bullet": _table_payload(fig2),
         "fig3_nfs": _table_payload(fig3),
         "ablations": {
-            "cache_policy_read_delay_ms":
-                _ablation_cache_policy(seed, min(repeats, 2)),
+            "cache_policy_read_delay_ms": _ablation_cache_policy(),
         },
         "invariants": _check_invariants(rig.metrics),
         "metrics": rig.metrics.snapshot(),
     }
 
 
-def run_bench_pr5(seed: int = 1989, duration: float = 2.0) -> dict:
-    """The PR 5 experiments: closed-loop cache-hit throughput as the
-    worker pool grows, and the cold-read storm under FCFS vs elevator
-    disk scheduling. Raises :class:`ConsistencyError` when scaling is
-    not strictly increasing, so CI fails loudly."""
+#: Closed-loop window per worker count, in simulated seconds.
+WORKER_WINDOW_S = 2.0
+
+
+def worker_scaling() -> dict:
+    """The concurrent service plane: closed-loop cache-hit throughput
+    as the worker pool grows, and the cold-read storm under FCFS vs
+    elevator disk scheduling. Raises :class:`ConsistencyError` when
+    scaling is not strictly increasing, so CI fails loudly."""
     worker_counts = (1, 2, 4)
     throughput = throughput_vs_workers(worker_counts=worker_counts,
-                                       duration=duration, seed=seed)
+                                       duration=WORKER_WINDOW_S, seed=SEED)
     ordered = [throughput[workers] for workers in worker_counts]
     if not all(a < b for a, b in zip(ordered, ordered[1:])):
         raise ConsistencyError(
@@ -136,16 +152,15 @@ def run_bench_pr5(seed: int = 1989, duration: float = 2.0) -> dict:
     # actually reorders (at larger counts the storm's stride pattern
     # degenerates to arrival order and both disciplines tie).
     storm_files = 24
-    disciplines = cold_read_disciplines(n_files=storm_files, seed=seed)
+    disciplines = cold_read_disciplines(n_files=storm_files, seed=SEED)
     return {
         "meta": {
-            "paper": "The Design of a High-Performance File Server "
-                     "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)",
+            "paper": PAPER,
             "experiment": "concurrent service plane: worker-pool "
                           "throughput scaling and disk-scheduler "
                           "disciplines under cold-read load",
-            "seed": seed,
-            "duration_s": duration,
+            "seed": SEED,
+            "duration_s": WORKER_WINDOW_S,
             "worker_counts": list(worker_counts),
             "storm_files": storm_files,
         },
@@ -159,14 +174,17 @@ def run_bench_pr5(seed: int = 1989, duration: float = 2.0) -> dict:
     }
 
 
-#: Workstation cache byte budgets swept by the PR 9 experiment. The hot
-#: set is 24 x 16 KB = 384 KB, so the sweep runs from thrashing (64 KB
-#: holds four files) to full residency (448 KB holds everything).
-PR9_CACHE_SIZES = (64 * KB, 160 * KB, 288 * KB, 448 * KB)
+#: Workstation cache byte budgets swept by the client-cache experiment.
+#: The hot set is 24 x 16 KB = 384 KB, so the sweep runs from thrashing
+#: (64 KB holds four files) to full residency (448 KB holds everything).
+CLIENT_CACHE_SIZES = (64 * KB, 160 * KB, 288 * KB, 448 * KB)
+
+#: Reads each client process performs, per cache size.
+OPS_PER_CLIENT = 150
 
 
-def run_bench_pr9(seed: int = 1989, ops_per_client: int = 150) -> dict:
-    """The PR 9 experiment: served throughput and server READ load vs
+def client_cache_scaling() -> dict:
+    """The workstation cache: served throughput and server READ load vs
     the workstation cache size, under many client processes sharing one
     cache (§5 client caching with local capability verification).
 
@@ -175,9 +193,9 @@ def run_bench_pr9(seed: int = 1989, ops_per_client: int = 150) -> dict:
     sweep server reads fall strictly while hits, bytes saved, RPCs
     avoided, and served ops/sec rise strictly.
     """
-    sizes = list(PR9_CACHE_SIZES)
-    sweep = client_cache_scaling(sizes, ops_per_client=ops_per_client,
-                                 seed=seed)
+    sizes = list(CLIENT_CACHE_SIZES)
+    sweep = sweep_client_cache(sizes, ops_per_client=OPS_PER_CLIENT,
+                               seed=SEED)
     for size in sizes:
         row = sweep[size]
         if row["hits"] + row["misses"] != row["lookups"]:
@@ -202,14 +220,13 @@ def run_bench_pr9(seed: int = 1989, ops_per_client: int = 150) -> dict:
             )
     return {
         "meta": {
-            "paper": "The Design of a High-Performance File Server "
-                     "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)",
+            "paper": PAPER,
             "experiment": "workstation cache scaling: served ops/sec "
                           "and server READ load vs client-cache size, "
                           "many clients sharing one cache with local "
                           "capability verification",
-            "seed": seed,
-            "ops_per_client": ops_per_client,
+            "seed": SEED,
+            "ops_per_client": OPS_PER_CLIENT,
             "cache_sizes_bytes": sizes,
         },
         "client_cache_scaling": {
@@ -226,29 +243,21 @@ def run_bench_pr9(seed: int = 1989, ops_per_client: int = 150) -> dict:
     }
 
 
-def write_bench_pr9(results_path: str, top_path: Optional[str] = None,
-                    seed: int = 1989, ops_per_client: int = 150) -> dict:
-    """Run the PR 9 bench and write the canonical JSON."""
-    payload = run_bench_pr9(seed=seed, ops_per_client=ops_per_client)
-    text = canonical_json(payload)
-    for path in filter(None, (results_path, top_path)):
-        with open(path, "w") as handle:
-            handle.write(text)
-    return payload
+#: Workstation counts swept by the coherence experiment.
+WORKSTATION_COUNTS = (1, 2, 4, 8, 16)
+
+#: The hot-set and writer shape shared by both coherence measurements.
+#: The per-workstation server-READ envelope follows from it: at most
+#: one cold fetch per hot file plus one re-fetch per REPLACE.
+HOT_FILES = 12
+REPLACES = 10
+
+#: Open+read ops each workstation performs.
+OPS_PER_WORKSTATION = 120
 
 
-#: Workstation counts swept by the PR 10 coherence experiment.
-PR10_WORKSTATIONS = (1, 2, 4, 8, 16)
-
-#: The hot-set and writer shape shared by both PR 10 measurements. The
-#: per-workstation server-READ envelope follows from it: at most one
-#: cold fetch per hot file plus one re-fetch per REPLACE.
-PR10_HOT_FILES = 12
-PR10_REPLACES = 10
-
-
-def run_bench_pr10(seed: int = 1989, ops_per_workstation: int = 120) -> dict:
-    """The PR 10 experiment: §5 coherence traffic vs workstation count.
+def coherence() -> dict:
+    """§5 name-based coherence traffic vs workstation count and policy.
 
     Two measurements. The **sweep** runs N = 1..16 workstations under
     the check-always currency policy: directory RPCs must grow with N
@@ -263,12 +272,12 @@ def run_bench_pr10(seed: int = 1989, ops_per_workstation: int = 120) -> dict:
     above would be vacuous). All checks raise
     :class:`ConsistencyError` so CI fails loudly.
     """
-    counts = list(PR10_WORKSTATIONS)
+    counts = list(WORKSTATION_COUNTS)
     sweep = coherence_vs_workstations(
-        workstation_counts=counts, seed=seed,
-        hot_files=PR10_HOT_FILES, n_replaces=PR10_REPLACES,
-        ops_per_workstation=ops_per_workstation)
-    envelope = PR10_HOT_FILES + PR10_REPLACES
+        workstation_counts=counts, seed=SEED,
+        hot_files=HOT_FILES, n_replaces=REPLACES,
+        ops_per_workstation=OPS_PER_WORKSTATION)
+    envelope = HOT_FILES + REPLACES
     for count in counts:
         row = sweep[count]
         if row["stale_reads_served"] != 0:
@@ -292,9 +301,9 @@ def run_bench_pr10(seed: int = 1989, ops_per_workstation: int = 120) -> dict:
         )
     policies = ("always", "after", "session")
     tradeoff = coherence_policy_tradeoff(
-        policies=policies, seed=seed,
-        hot_files=PR10_HOT_FILES, n_replaces=PR10_REPLACES,
-        ops_per_workstation=ops_per_workstation)
+        policies=policies, seed=SEED,
+        hot_files=HOT_FILES, n_replaces=REPLACES,
+        ops_per_workstation=OPS_PER_WORKSTATION)
     per_op = [tradeoff[spec]["dir_rpcs_per_op"] for spec in policies]
     if not all(a > b for a, b in zip(per_op, per_op[1:])):
         raise ConsistencyError(
@@ -308,17 +317,16 @@ def run_bench_pr10(seed: int = 1989, ops_per_workstation: int = 120) -> dict:
         )
     return {
         "meta": {
-            "paper": "The Design of a High-Performance File Server "
-                     "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)",
+            "paper": PAPER,
             "experiment": "name-based coherence (§5): directory RPCs "
                           "and server READ load vs workstation count "
                           "and currency policy, under a shared Zipf "
                           "hot set with a writer REPLACE-ing bindings",
-            "seed": seed,
-            "ops_per_workstation": ops_per_workstation,
+            "seed": SEED,
+            "ops_per_workstation": OPS_PER_WORKSTATION,
             "workstation_counts": counts,
-            "hot_files": PR10_HOT_FILES,
-            "n_replaces": PR10_REPLACES,
+            "hot_files": HOT_FILES,
+            "n_replaces": REPLACES,
             "server_read_envelope_per_workstation": envelope,
         },
         "coherence_vs_workstations": {
@@ -340,38 +348,34 @@ def run_bench_pr10(seed: int = 1989, ops_per_workstation: int = 120) -> dict:
     }
 
 
-def write_bench_pr10(results_path: str, top_path: Optional[str] = None,
-                     seed: int = 1989,
-                     ops_per_workstation: int = 120) -> dict:
-    """Run the PR 10 bench and write the canonical JSON."""
-    payload = run_bench_pr10(seed=seed,
-                             ops_per_workstation=ops_per_workstation)
-    text = canonical_json(payload)
-    for path in filter(None, (results_path, top_path)):
-        with open(path, "w") as handle:
-            handle.write(text)
-    return payload
+#: name -> (run, committed artifact path relative to the repo root).
+#: ``BENCH_PR6.json`` is absent on purpose: it is a frozen wall-clock
+#: record, not a regenerable artifact (EXPERIMENTS.md E8).
+EXPERIMENTS = {
+    "fig2_fig3": (fig2_fig3, "BENCH_PR4.json"),
+    "worker_scaling": (worker_scaling, "BENCH_PR5.json"),
+    "client_cache_scaling": (client_cache_scaling, "BENCH_PR9.json"),
+    "coherence": (coherence, "BENCH_PR10.json"),
+}
 
 
-def write_bench_pr5(results_path: str, top_path: Optional[str] = None,
-                    seed: int = 1989, duration: float = 2.0) -> dict:
-    """Run the PR 5 bench and write the canonical JSON."""
-    payload = run_bench_pr5(seed=seed, duration=duration)
-    text = canonical_json(payload)
-    for path in filter(None, (results_path, top_path)):
-        with open(path, "w") as handle:
-            handle.write(text)
-    return payload
+def write(name: str) -> str:
+    """Run experiment ``name`` and (re)write its artifact; returns the
+    path written."""
+    run, path = EXPERIMENTS[name]
+    with open(path, "w", newline="") as handle:
+        handle.write(canonical_json(run()))
+    return path
 
 
-def write_bench(results_path: str, top_path: Optional[str] = None,
-                seed: int = 1989, repeats: int = 3,
-                sizes: Optional[list] = None) -> dict:
-    """Run the bench and write the canonical JSON to ``results_path``
-    (and ``top_path``, when given). Returns the payload."""
-    payload = run_bench(seed=seed, repeats=repeats, sizes=sizes)
-    text = canonical_json(payload)
-    for path in filter(None, (results_path, top_path)):
-        with open(path, "w") as handle:
-            handle.write(text)
-    return payload
+def check(name: str) -> str:
+    """Run experiment ``name`` and byte-compare against its committed
+    artifact. Returns ``""`` when identical, else a unified diff
+    (committed -> regenerated)."""
+    run, path = EXPERIMENTS[name]
+    with open(path, newline="") as handle:
+        committed = handle.read()
+    fresh = canonical_json(run())
+    return "".join(difflib.unified_diff(
+        committed.splitlines(keepends=True), fresh.splitlines(keepends=True),
+        fromfile=path, tofile=f"{path} (regenerated)"))

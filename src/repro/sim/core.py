@@ -92,9 +92,9 @@ __all__ = [
 #: reference semantics without touching call sites.
 FAST_PATHS_DEFAULT = os.environ.get("REPRO_FAST_PATHS", "1") != "0"
 
-# Called with each new Environment (when set). The speedup bench uses it
-# to find every environment a suite created so it can total scheduled
-# event counts; deliberately a cold-path hook (fires once per env).
+# Called with each new Environment (when set), so a harness can find
+# every environment a suite created and total their scheduled event
+# counts; deliberately a cold-path hook (fires once per env).
 _env_created_hook: Optional[Callable[["Environment"], None]] = None
 
 
@@ -491,8 +491,8 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever pushed on the heap (the speedup bench's
-        events/sec numerator; monotone, never reset)."""
+        """Total events ever pushed on the heap (the events/op and
+        events/sec numerator in ``perf/``; monotone, never reset)."""
         return self._eid
 
     # -- event construction helpers -------------------------------------

@@ -12,8 +12,9 @@ import pytest
 from repro.client import LocalBulletStub
 from repro.core import BulletServer
 from repro.directory import DirectoryServer
-from repro.disk import FaultInjector, VirtualDisk
+from repro.disk import VirtualDisk
 from repro.errors import DiskIOError, NotFoundError, ReproError
+from repro.faults import FaultInjector
 from repro.gc import gc_sweep
 from repro.sim import Environment, run_process
 from repro.units import KB

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.client import LocalBulletStub
 from repro.directory import DirectoryServer
-from repro.disk import FaultInjector, VirtualDisk
+from repro.disk import VirtualDisk
 from repro.errors import DiskIOError, ReproError
+from repro.faults import FaultInjector
 from repro.sim import Environment, run_process
 
 from conftest import SMALL_DISK, make_bullet, small_testbed

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from repro.disk import (
     DiskGeometry,
     ElevatorQueue,
-    FaultInjector,
     FcfsQueue,
     MirroredDiskSet,
     VirtualDisk,
     make_queue,
 )
 from repro.errors import DiskIOError, ServerDownError
+from repro.faults import FaultInjector
 from repro.profiles import DiskProfile
 from repro.sim import Environment, run_process
 from repro.units import KB, MB

@@ -12,7 +12,6 @@ import pytest
 
 from repro.client import BulletClient, Retrier, RetryPolicy
 from repro.disk import MirroredDiskSet, VirtualDisk
-from repro.disk.faults import FaultInjector as ShimFaultInjector
 from repro.errors import (
     BadRequestError,
     DiskIOError,
@@ -269,10 +268,6 @@ def test_fail_after_writes_rejects_nonpositive_count(env):
     disk = VirtualDisk(env, SMALL_DISK, name="fx")
     with pytest.raises(ValueError):
         arm_fail_after_writes(disk, 0, "bad")
-
-
-def test_disk_faults_compat_shim_is_same_class():
-    assert ShimFaultInjector is FaultInjector
 
 
 def test_fail_at_still_works(env):

@@ -1,7 +1,7 @@
 """Integration tests for the observability plane: the PR 4 accounting
 bugfixes (cache double count, error chokepoint, MODIFY bytes), the
-shared-registry wiring, request spans end-to-end, and the bench
-emitter's byte-identical artifact."""
+shared-registry wiring, request spans end-to-end, and the bench plane
+(every experiment in the table reproduces its committed artifact)."""
 
 import json
 from pathlib import Path
@@ -15,6 +15,8 @@ from repro.errors import NotFoundError, Status
 from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.nfs import NfsServer
 from repro.obs import pair_spans, render_json, render_text
+from repro.obs.__main__ import main as obs_main
+from repro.obs.bench import EXPERIMENTS, check
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, Tracer, run_process
 from repro.units import KB
@@ -230,34 +232,63 @@ def test_same_seed_runs_export_byte_identically():
     assert render_json(a) == render_json(b)
 
 
-# ---------------------------------------------------- bench emitter
+# ------------------------------------------------------ bench plane
+
+REPO = Path(__file__).resolve().parents[1]
 
 
-def test_bench_emitter_is_byte_identical(tmp_path):
-    from repro.obs.bench import canonical_json, run_bench, write_bench
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_regenerates_committed_artifact(name, monkeypatch):
+    """The ROADMAP fence, in tier-1: at full scale every experiment
+    reproduces its committed artifact byte for byte."""
+    monkeypatch.chdir(REPO)
+    assert check(name) == ""
 
-    one = run_bench(seed=7, repeats=1, sizes=[1, 1024])
-    two = run_bench(seed=7, repeats=1, sizes=[1, 1024])
-    assert canonical_json(one) == canonical_json(two)
-    inv = one["invariants"]
-    assert inv["cache_hits"] + inv["cache_misses"] == inv["cache_lookups"]
-    assert "1024" in one["fig2_bullet"]
-    assert "READ" in one["fig2_bullet"]["1024"]
 
-    path = tmp_path / "bench.json"
-    top = tmp_path / "top.json"
-    payload = write_bench(str(path), str(top), seed=7, repeats=1,
-                          sizes=[1, 1024])
-    assert path.read_bytes() == top.read_bytes()
-    assert json.loads(path.read_text()) == payload
+@pytest.fixture
+def replayed(monkeypatch, tmp_path):
+    """Run the bench plane in an empty directory with every experiment
+    replaying its committed payload (canonical JSON round-trips exactly).
+    The test above already holds the real runs to those bytes; the tests
+    below are about paths, diffs and exit codes, not the simulations."""
+    for name, (_run, path) in list(EXPERIMENTS.items()):
+        payload = json.loads((REPO / path).read_text())
+        monkeypatch.setitem(EXPERIMENTS, name, (lambda p=payload: p, path))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_bench_cli_writes_exactly_the_tables_path(name, replayed):
+    path = EXPERIMENTS[name][1]
+    assert obs_main(["bench", name]) == 0
+    assert [entry.name for entry in replayed.iterdir()] == [path]
+    assert (replayed / path).read_bytes() == (REPO / path).read_bytes()
+    assert obs_main(["bench", name, "--check"]) == 0
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_check_reports_a_tampered_artifact(name, replayed, capsys):
+    path = EXPERIMENTS[name][1]
+    tampered = (REPO / path).read_text().replace(
+        '"seed": 1989', '"seed": 1990')
+    (replayed / path).write_text(tampered)
+    diff = check(name)
+    assert '-    "seed": 1990' in diff and '+    "seed": 1989' in diff
+    assert obs_main(["bench", name, "--check"]) == 1
+    assert diff in capsys.readouterr().out
+    assert (replayed / path).read_text() == tampered  # --check never writes
+
+
+def test_bench_cli_rejects_an_unknown_experiment(replayed):
+    with pytest.raises(SystemExit) as exit_info:
+        obs_main(["bench", "no_such_experiment"])
+    assert exit_info.value.code == 2
+    assert list(replayed.iterdir()) == []
 
 
 def test_committed_bench_artifact_is_current_schema():
-    repo = Path(__file__).resolve().parents[1]
-    top = json.loads((repo / "BENCH_PR4.json").read_text())
-    results = json.loads(
-        (repo / "benchmarks" / "results" / "bench.json").read_text())
-    assert top == results
+    top = json.loads((REPO / "BENCH_PR4.json").read_text())
     assert top["meta"]["seed"] == 1989
     for figure in ("fig2_bullet", "fig3_nfs"):
         for row in top[figure].values():
@@ -267,22 +298,8 @@ def test_committed_bench_artifact_is_current_schema():
     assert inv["cache_hits"] + inv["cache_misses"] == inv["cache_lookups"]
 
 
-def test_bench_pr5_emitter_is_byte_identical():
-    from repro.obs.bench import canonical_json, run_bench_pr5
-
-    one = run_bench_pr5(seed=7, duration=0.5)
-    two = run_bench_pr5(seed=7, duration=0.5)
-    assert canonical_json(one) == canonical_json(two)
-    scaling = one["throughput_vs_workers_ops_per_sec"]
-    assert scaling["1"] < scaling["2"] < scaling["4"]
-
-
 def test_committed_bench_pr5_artifact_is_current_schema():
-    repo = Path(__file__).resolve().parents[1]
-    top = json.loads((repo / "BENCH_PR5.json").read_text())
-    results = json.loads(
-        (repo / "benchmarks" / "results" / "bench_pr5.json").read_text())
-    assert top == results
+    top = json.loads((REPO / "BENCH_PR5.json").read_text())
     assert top["meta"]["seed"] == 1989
     scaling = top["throughput_vs_workers_ops_per_sec"]
     assert scaling["1"] < scaling["2"] < scaling["4"]
