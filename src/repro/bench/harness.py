@@ -69,8 +69,8 @@ class Rig:
 def make_rig(seed: int = 1989, testbed: Testbed = DEFAULT_TESTBED,
              background_load: bool = True, with_bullet: bool = True,
              with_nfs: bool = True, nfs_churn: bool = True,
-             bullet_disks: int = 2, cache_policy: str = "lru",
-             workers: int = 1, disk_discipline: str = "fcfs",
+             cache_policy: str = "lru", workers: int = 1,
+             disk_discipline: str = "fcfs",
              with_directory: bool = False) -> Rig:
     """Build the §4 testbed (or a subset of it).
 
@@ -100,7 +100,7 @@ def make_rig(seed: int = 1989, testbed: Testbed = DEFAULT_TESTBED,
     if with_bullet:
         disks = [VirtualDisk(env, testbed.disk, name=f"bullet-d{i}",
                              discipline=disk_discipline, metrics=metrics)
-                 for i in range(bullet_disks)]
+                 for i in range(2)]
         mirror = MirroredDiskSet(env, disks)
         rig.bullet = BulletServer(env, mirror, testbed, transport=rpc,
                                   master_seed=seed, cache_policy=cache_policy,

@@ -34,25 +34,23 @@ from ..capability import (
     rights_names,
 )
 from ..core import OPCODES, BulletServer
-from ..errors import RightsError, error_for_status
+from ..errors import RightsError
 from ..net import RpcRequest, RpcTransport
 from ..obs import MetricsRegistry
 from ..profiles import CpuProfile
 from ..sim import SeededStream, Tracer
-from .retry import Retrier, RetryPolicy
+from .retry import RetryPolicy, RpcStub
 from .workstation import WorkstationCache
 
 __all__ = ["BulletClient", "LocalBulletStub", "CachingBulletClient"]
 
 
-class BulletClient:
+class BulletClient(RpcStub):
     """RPC stub for the Bullet protocol.
 
-    With a :class:`~repro.client.retry.RetryPolicy`, calls retry on
-    transient errors: idempotent ops (READ/SIZE/STAT/RESTRICT) freely,
-    mutating ops (CREATE/MODIFY/DELETE) under the txid dedupe guard —
-    the request's transaction id is pre-assigned and the same request is
-    re-sent, so the server's reply cache suppresses duplicate execution.
+    Under a :class:`~repro.client.retry.RetryPolicy`, READ/SIZE/STAT/
+    RESTRICT retry freely and CREATE/MODIFY/DELETE under the txid
+    dedupe guard (see :class:`~repro.client.retry.RpcStub`).
     """
 
     def __init__(self, env, rpc: RpcTransport, server_port: int,
@@ -62,42 +60,12 @@ class BulletClient:
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  name: str = "client"):
-        self.env = env
-        self.rpc = rpc
+        super().__init__(env, rpc, timeout, retry, retry_stream, tracer,
+                         metrics, name)
         self.port = server_port
-        self.timeout = timeout
-        self.name = name
-        # Default the client's accounting into the transport's registry
-        # so a testbed built around one transport shares one registry.
-        self.metrics = metrics if metrics is not None else rpc.metrics
-        self.retrier = (Retrier(env, retry, retry_stream, tracer,
-                                metrics=self.metrics, name=name)
-                        if retry is not None else None)
 
     def _call(self, request: RpcRequest, idempotent: bool = True):
-        if self.retrier is None:
-            reply = yield from self.rpc.trans(
-                self.port, request, timeout=self.timeout
-            )
-        else:
-            if not idempotent:
-                # Dedupe guard: fix the txid now so every retry is a
-                # duplicate of the same transaction, not a new one.
-                request.txid = self.rpc.new_txid()
-
-            def attempt():
-                reply = yield self.env.process(
-                    self.rpc.trans(self.port, request, timeout=self.timeout)
-                )
-                return reply
-
-            reply = yield from self.retrier.run(
-                attempt, op=f"bullet[{request.opcode}]",
-                idempotent=idempotent, dedupe=not idempotent,
-            )
-        if not reply.ok:
-            raise error_for_status(reply.status, reply.message)
-        return reply
+        return self.transact(self.port, request, idempotent)
 
     def create(self, data: bytes, p_factor: Optional[int] = None):
         """Process: BULLET.CREATE; returns the owner capability."""

@@ -14,15 +14,15 @@ from typing import Optional
 
 from ..capability import Capability
 from ..directory import DIR_OPCODES
-from ..errors import NotADirectoryError_, error_for_status
+from ..errors import NotADirectoryError_
 from ..net import RpcRequest, RpcTransport
 from ..sim import SeededStream, Tracer
-from .retry import Retrier, RetryPolicy
+from .retry import RetryPolicy, RpcStub
 
 __all__ = ["DirectoryClient"]
 
 
-class DirectoryClient:
+class DirectoryClient(RpcStub):
     """Client-side stub speaking the directory protocol to any port.
 
     Retry semantics mirror :class:`~repro.client.BulletClient`: lookups
@@ -37,42 +37,21 @@ class DirectoryClient:
                  retry: Optional[RetryPolicy] = None,
                  retry_stream: Optional[SeededStream] = None,
                  tracer: Optional[Tracer] = None):
-        self.env = env
-        self.rpc = rpc
+        super().__init__(env, rpc, timeout, retry, retry_stream, tracer,
+                         name="directory-client")
         self.default_port = default_port
-        self.timeout = timeout
-        self.retrier = (Retrier(env, retry, retry_stream, tracer)
-                        if retry is not None else None)
 
     #: Opcodes safe to re-issue without a dedupe guard.
     _IDEMPOTENT = frozenset({"LOOKUP", "LIST", "LOOKUP_PATH", "HISTORY"})
 
     def _call(self, port: int, opcode: str, cap: Optional[Capability] = None,
               args: tuple = (), body: bytes = b""):
-        request = RpcRequest(opcode=DIR_OPCODES[opcode], cap=cap, args=args,
-                             body=body)
-        idempotent = opcode in self._IDEMPOTENT
-        if self.retrier is None:
-            reply = yield from self.rpc.trans(
-                port, request, timeout=self.timeout
-            )
-        else:
-            if not idempotent:
-                request.txid = self.rpc.new_txid()
-
-            def attempt():
-                reply = yield self.env.process(
-                    self.rpc.trans(port, request, timeout=self.timeout)
-                )
-                return reply
-
-            reply = yield from self.retrier.run(
-                attempt, op=f"dir[{opcode}]",
-                idempotent=idempotent, dedupe=not idempotent,
-            )
-        if not reply.ok:
-            raise error_for_status(reply.status, reply.message)
-        return reply
+        return self.transact(
+            port,
+            RpcRequest(opcode=DIR_OPCODES[opcode], cap=cap, args=args,
+                       body=body),
+            idempotent=opcode in self._IDEMPOTENT,
+        )
 
     # ----------------------------------------------------- single-server
 

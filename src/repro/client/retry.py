@@ -18,6 +18,10 @@ operations into two classes:
 Backoff is exponential with seeded jitter: delays come from a
 :class:`~repro.sim.SeededStream`, never a global RNG, so a retry
 schedule replays byte-identically for a given master seed.
+
+:class:`RpcStub` is the one client call path every stub (Bullet,
+directory, NFS) shares: send, dedupe guard, retry, and re-raising the
+server's marshalled error.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..errors import ReproError, RpcTimeoutError, ServerDownError
+from ..errors import (ReproError, RpcTimeoutError, ServerDownError,
+                      error_for_status)
+from ..net import RpcRequest, RpcTransport
 from ..obs import MetricsRegistry
 from ..sim import Environment, SeededStream, Tracer
 
-__all__ = ["RetryPolicy", "Retrier", "TRANSIENT_ERRORS"]
+__all__ = ["RetryPolicy", "Retrier", "RpcStub", "TRANSIENT_ERRORS"]
 
 #: Errors that mean "the attempt may succeed if repeated": the server
 #: was unreachable or the transaction timed out. Everything else (bad
@@ -181,3 +187,52 @@ class Retrier:
     def _trace(self, message: str, **fields) -> None:
         if self._tracer is not None:
             self._tracer.emit("retry", message, **fields)
+
+
+class RpcStub:
+    """The client half of the RPC plane, once, for every stub.
+
+    With a :class:`RetryPolicy`, calls retry on transient errors:
+    idempotent ops freely, mutating ops under the txid dedupe guard —
+    the request's transaction id is pre-assigned and the same request is
+    re-sent, so the server's reply cache suppresses duplicate execution.
+    The retry counters land in ``metrics`` — the transport's registry
+    unless the caller passes one — so a testbed built around one
+    transport exports them with everything else.
+    """
+
+    def __init__(self, env: Environment, rpc: RpcTransport,
+                 timeout: Optional[float] = None,
+                 retry: Optional[RetryPolicy] = None,
+                 retry_stream: Optional[SeededStream] = None,
+                 tracer: Optional[Tracer] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 name: str = "client"):
+        self.env = env
+        self.rpc = rpc
+        self.timeout = timeout
+        self.name = name
+        self.metrics = metrics if metrics is not None else rpc.metrics
+        self.retrier = (Retrier(env, retry, retry_stream, tracer,
+                                metrics=self.metrics, name=name)
+                        if retry is not None else None)
+
+    def transact(self, port: int, request: RpcRequest,
+                 idempotent: bool = True):
+        """Process: one call — returns the OK reply, raises the matching
+        :class:`~repro.errors.ReproError` for any other status."""
+        if self.retrier is None:
+            reply = yield from self.rpc.trans(port, request, self.timeout)
+        else:
+            if not idempotent:
+                # Dedupe guard: fix the txid now so every retry is a
+                # duplicate of the same transaction, not a new one.
+                request.txid = self.rpc.new_txid()
+            reply = yield from self.retrier.run(
+                lambda: self.rpc.trans(port, request, self.timeout),
+                op=f"{self.name}[{request.opcode}]",
+                idempotent=idempotent, dedupe=not idempotent,
+            )
+        if not reply.ok:
+            raise error_for_status(reply.status, reply.message)
+        return reply

@@ -12,12 +12,14 @@ The server exposes two equivalent planes:
   the full server logic with disk, cache, and CPU timing but no network.
   Tests and in-process composition (the directory server embedding a
   Bullet volume) use this.
-* **RPC plane** — a service loop on the server's port; clients use
+* **RPC plane** — the shared service loop
+  (:class:`repro.net.RpcService`) on the server's port; clients use
   :class:`repro.client.BulletClient`. This is what the paper's
   measurements exercise. With the default ``workers=1`` it is the
   paper's single-threaded loop ("one request is handled at a time");
   with ``workers=N`` the endpoint's inbox becomes an admission queue
-  feeding a pool of N worker processes, and the per-file lock plane
+  feeding a pool of N worker processes — requests pipeline across the
+  disk, memcpy and network phases — and the per-file lock plane
   (:mod:`repro.core.locks`) restores the invariants single-threading
   used to provide for free (DESIGN.md §9).
 """
@@ -34,7 +36,6 @@ from ..capability import (
     RIGHT_MODIFY,
     RIGHT_READ,
     mint_owner,
-    port_for_name,
     require,
     server_restrict,
 )
@@ -45,10 +46,10 @@ from ..errors import (
     NotFoundError,
     ReproError,
 )
-from ..net import RpcReply, RpcRequest, RpcTransport
+from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..obs import MetricsRegistry
 from ..profiles import Testbed
-from ..sim import Environment, Interrupt, SeededStream, Tracer
+from ..sim import Environment, SeededStream, Tracer
 from .cache import BulletCache
 from .freelist import ExtentFreeList
 from .inode import InodeTable
@@ -71,8 +72,6 @@ OPCODES = {
     "STAT": 6,
     "RESTRICT": 7,
 }
-
-_OPNAMES = {number: name for name, number in OPCODES.items()}
 
 
 class VerifiedCapCache:
@@ -127,8 +126,10 @@ class VerifiedCapCache:
         self._by_object.clear()
 
 
-class BulletServer:
+class BulletServer(RpcService):
     """One Bullet file server instance over a mirrored disk set."""
+
+    OPNAMES = {number: name for name, number in OPCODES.items()}
 
     def __init__(
         self,
@@ -144,19 +145,9 @@ class BulletServer:
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
     ):
-        if workers < 1:
-            raise BadRequestError(f"need at least one worker, got {workers}")
-        self.env = env
-        self.workers = workers
+        super().__init__(env, name, transport, tracer, metrics, workers)
         self.mirror = mirror
         self.testbed = testbed
-        self.name = name
-        self.port = port_for_name(name)
-        self.transport = transport
-        #: The observability registry this server accounts into. Shared
-        #: across the testbed when the caller passes one (make_rig does);
-        #: private otherwise, so a standalone server still self-reports.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ServerStats(self.metrics, server=name)
         # Hot-path instrument handles: the facade's attribute protocol
         # and the registry's label canonicalization are per-call costs
@@ -167,9 +158,6 @@ class BulletServer:
         self._c_cap_check_cache_hits = self.stats.handle(
             "cap_check_cache_hits")
         self._c_errors = self.stats.handle("errors")
-        self._op_seconds: dict = {}     # opname -> Histogram
-        self._error_counters: dict = {}  # status name -> Counter
-        self._tracer = tracer
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
         self._cache_policy = cache_policy
         self._alloc_strategy = alloc_strategy
@@ -177,9 +165,6 @@ class BulletServer:
         # Aging clocks are mutated by concurrent CREATE/TOUCH/AGE/DELETE
         # handlers; every write goes through the inode's write lock.
         self._lives: dict[int, int] = {}  # repro: guarded_by(locks)
-        self._endpoint = None
-        self._serve_procs: list = []
-        self._booted = False
         self._inflight_count = 0
         self._inflight = self.metrics.gauge(
             "repro_server_inflight", server=name)
@@ -248,34 +233,16 @@ class BulletServer:
                                    owner=self.name)
         self.metrics.gauge("repro_server_workers",
                            server=self.name).set(self.workers)
-        self._booted = True
-        if self.transport is not None:
-            self._endpoint = self.transport.register(self.port)
-            # The worker pool runs for the server's whole life; crash()
-            # interrupts every worker (and a reboot starts a fresh pool).
-            # All workers block on the same endpoint inbox, which is the
-            # admission queue: FIFO hand-off, no dispatcher process.
-            self._serve_procs = [self.env.process(self._serve())
-                                 for _ in range(self.workers)]
+        self._start_serving()
         self._trace("bullet", f"{self.name} booted", files=self.scan_report.live_files)
         return self.scan_report
 
     def crash(self) -> None:
         """Stop serving and lose all volatile state (RAM cache, verified-
-        capability cache). Durable state stays on the disks.
-
-        The service loop is interrupted even mid-request, like a real
-        power failure: a half-performed CREATE leaves whatever it had
-        already written durably on disk (the crash-consistency story).
-        """
-        if self._endpoint is not None:
-            self._endpoint.crash()
-        self._booted = False
+        capability cache); a half-performed CREATE leaves whatever it
+        had already written durably on disk."""
+        super().crash()
         self._verified_caps.clear()
-        procs, self._serve_procs = self._serve_procs, []
-        for proc in procs:
-            if proc.is_alive and proc is not self.env.active_process:
-                proc.interrupt("server crash")
 
     # --------------------------------------------------------- local API
 
@@ -717,81 +684,20 @@ class BulletServer:
             checker.on_access((f"{self.name}._lives", number), True,
                               self.env.active_process, self.env.now)
 
-    def _require_booted(self) -> None:
-        if not self._booted:
-            raise BadRequestError(f"server {self.name} is not booted")
-
     # ------------------------------------------------------------ RPC plane
 
-    def _serve(self):
-        """One worker of the service pool.
+    def _request_began(self, opname: str, queued: int) -> None:
+        self._queue_depth.set(queued)
+        self._inflight_count += 1
+        self._inflight.set(self._inflight_count)
 
-        At ``workers=1`` this is exactly the paper's single-threaded
-        service loop (§3: the implementation is deliberately simple; one
-        request is handled at a time). At ``workers=N``, N copies of
-        this process block on the same endpoint inbox — the admission
-        queue — and requests pipeline across the disk, memcpy, and
-        network phases under the per-file lock plane.
-
-        crash() interrupts every worker wherever it is — waiting for a
-        request or halfway through serving one."""
-        try:
-            endpoint = self._endpoint
-            while self._booted and endpoint is self._endpoint:
-                req = yield endpoint.getreq()
-                self._queue_depth.set(len(endpoint.inbox))
-                tracing = self._tracer is not None
-                if tracing:
-                    self._span_end(req.queue_span, "rpc.queue")
-                opname = _OPNAMES.get(req.opcode, str(req.opcode))
-                op_span = self._span_begin("server.op", op=opname,
-                                           server=self.name) if tracing else 0
-                started = self.env.now
-                self._inflight_count += 1
-                self._inflight.set(self._inflight_count)
-                try:
-                    try:
-                        reply = yield from self._dispatch(req)
-                    except ReproError as exc:
-                        reply = self._error_reply(exc)
-                finally:
-                    self._inflight_count -= 1
-                    self._inflight.set(self._inflight_count)
-                if tracing:
-                    self._span_end(op_span, "server.op", status=reply.status)
-                hist = self._op_seconds.get(opname)
-                if hist is None:
-                    hist = self.metrics.histogram(
-                        "repro_server_op_seconds", server=self.name,
-                        op=opname)
-                    self._op_seconds[opname] = hist
-                hist.observe(self.env.now - started)
-                net_span = (self._span_begin("server.net", op=opname)
-                            if tracing else 0)
-                yield from endpoint.putrep(req, reply)
-                if tracing:
-                    self._span_end(net_span, "server.net")
-        except Interrupt:
-            return
-
-    def _error_reply(self, exc: ReproError) -> RpcReply:
-        """The single error-accounting chokepoint: every error reply the
-        server sends is marshalled (and counted) here, so
-        ``stats.errors`` and the per-status registry family
-        ``repro_server_error_replies_total`` cannot drift apart no
-        matter how many serve-loop sites exist (the PR 4 bugfix)."""
-        self._c_errors.inc(1)
-        status = exc.status.name
-        counter = self._error_counters.get(status)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_server_error_replies_total",
-                server=self.name, status=status,
-            )
-            self._error_counters[status] = counter
-        counter.inc()
-        self._trace("bullet", "error reply", status=exc.status.name)
-        return RpcTransport.reply_for_error(exc)
+    def _request_ended(self, reply: Optional[RpcReply]) -> None:
+        self._inflight_count -= 1
+        self._inflight.set(self._inflight_count)
+        if reply is not None and not reply.ok:
+            # Replies only go bad through the shared error chokepoint,
+            # so this stays level with repro_server_error_replies_total.
+            self._c_errors.inc(1)
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode
@@ -824,19 +730,3 @@ class BulletServer:
             cap = yield from self.restrict_cap(req.cap, mask)
             return RpcReply(caps=(cap,))
         raise BadRequestError(f"unknown opcode {op}")
-
-    def _trace(self, category: str, message: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.emit(category, message, **fields)
-
-    def _span_begin(self, name: str, **fields) -> int:
-        # Call sites in hot loops pre-check self._tracer so the kwargs
-        # dict is never built when tracing is off; this fallback check
-        # keeps cold sites correct.
-        if self._tracer is None:
-            return 0
-        return self._tracer.begin_span("span", name, **fields)
-
-    def _span_end(self, span_id: int, name: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.end_span(span_id, "span", name, **fields)

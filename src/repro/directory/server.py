@@ -30,7 +30,6 @@ from ..capability import (
     RIGHT_DELETE,
     RIGHT_READ,
     mint_owner,
-    port_for_name,
     require,
 )
 from ..errors import (
@@ -39,11 +38,10 @@ from ..errors import (
     NotADirectoryError_,
     NotEmptyError,
     NotFoundError,
-    ReproError,
 )
-from ..net import RpcReply, RpcRequest, RpcTransport
+from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
-from ..sim import Environment, Interrupt, SeededStream, Tracer
+from ..sim import Environment, SeededStream, Tracer
 from .records import DirectoryRows, SlotRecord
 
 __all__ = ["DirectoryServer", "DIR_OPCODES"]
@@ -76,10 +74,12 @@ def _unpack_cap_set(body: bytes) -> tuple:
     )
 
 
-class DirectoryServer:
+class DirectoryServer(RpcService):
     """A directory server backed by a private disk (or a mirrored set of
     them, for the same availability story as the Bullet server) plus a
     Bullet stub for row storage."""
+
+    OPNAMES = {number: name for name, number in DIR_OPCODES.items()}
 
     def __init__(
         self,
@@ -93,22 +93,15 @@ class DirectoryServer:
         max_directories: int = 512,
         tracer: Optional[Tracer] = None,
     ):
-        self.env = env
+        super().__init__(env, name, transport, tracer)
         self.disk = disk
         self.bullet = bullet_stub
         self.testbed = testbed
-        self.name = name
-        self.port = port_for_name(name)
-        self.transport = transport
         self.max_directories = max_directories
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
-        self._tracer = tracer
         self._slots: list[SlotRecord] = []
         self._rows_cache: dict[int, DirectoryRows] = {}
         self._free_slots: list[int] = []
-        self._booted = False
-        self._endpoint = None
-        self._serve_proc = None
 
     # -------------------------------------------------------------- setup
 
@@ -136,28 +129,15 @@ class DirectoryServer:
                 self._free_slots.append(slot)
         self._free_slots.reverse()  # allocate low slots first
         self._rows_cache.clear()
-        self._booted = True
-        if self.transport is not None:
-            self._endpoint = self.transport.register(self.port)
-            # The service loop runs for the server's whole life;
-            # crash() interrupts it (and a reboot starts a fresh one).
-            self._serve_proc = self.env.process(self._serve())
+        self._start_serving()
         self._trace("directory", f"{self.name} booted",
                     dirs=sum(1 for s in self._slots if s.in_use))
         return sum(1 for s in self._slots if s.in_use)
 
     def crash(self) -> None:
-        """Stop serving and drop volatile state (rows cache). The
-        service loop is interrupted even mid-request."""
-        if self._endpoint is not None:
-            self._endpoint.crash()
-        self._booted = False
+        """Stop serving and drop volatile state (rows cache)."""
+        super().crash()
         self._rows_cache.clear()
-        proc = self._serve_proc
-        if (proc is not None and proc.is_alive
-                and proc is not self.env.active_process):
-            proc.interrupt("server crash")
-        self._serve_proc = None
 
     # ----------------------------------------------------------- local API
 
@@ -403,24 +383,7 @@ class DirectoryServer:
         if not name or "/" in name:
             raise BadRequestError(f"invalid entry name {name!r}")
 
-    def _require_booted(self) -> None:
-        if not self._booted:
-            raise BadRequestError(f"server {self.name} is not booted")
-
     # ------------------------------------------------------------ RPC plane
-
-    def _serve(self):
-        try:
-            endpoint = self._endpoint
-            while self._booted and endpoint is self._endpoint:
-                req = yield endpoint.getreq()
-                try:
-                    reply = yield from self._dispatch(req)
-                except ReproError as exc:
-                    reply = RpcTransport.reply_for_error(exc)
-                yield self.env.process(endpoint.putrep(req, reply))
-        except Interrupt:
-            return
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode
@@ -476,7 +439,3 @@ class DirectoryServer:
             yield from self.update_many(req.cap, changes)
             return RpcReply()
         raise BadRequestError(f"unknown directory opcode {op}")
-
-    def _trace(self, category: str, message: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.emit(category, message, **fields)

@@ -23,12 +23,11 @@ from ..capability import (
     RIGHT_CREATE,
     RIGHT_READ,
     mint_owner,
-    port_for_name,
     require,
 )
 from ..disk import VirtualDisk
-from ..errors import BadRequestError, NoSpaceError, NotFoundError, ReproError
-from ..net import RpcReply, RpcRequest, RpcTransport
+from ..errors import BadRequestError, NoSpaceError, NotFoundError
+from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
 from ..sim import Environment, SeededStream, Tracer
 
@@ -55,26 +54,22 @@ class _LogState:
     records: list = field(default_factory=list)  # RAM copy for fast reads
 
 
-class LogServer:
+class LogServer(RpcService):
     """An append-optimized log store on one private disk."""
+
+    OPNAMES = {number: name for name, number in LOG_OPCODES.items()}
 
     def __init__(self, env: Environment, disk: VirtualDisk, testbed: Testbed,
                  name: str = "logsvc", transport: Optional[RpcTransport] = None,
                  master_seed: int = 0, max_logs: int = 64,
                  tracer: Optional[Tracer] = None):
-        self.env = env
+        super().__init__(env, name, transport, tracer)
         self.disk = disk
         self.testbed = testbed
-        self.name = name
-        self.port = port_for_name(name)
-        self.transport = transport
         self.max_logs = max_logs
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
-        self._tracer = tracer
         self._logs: dict[int, _LogState] = {}
         self._free_blocks: list[int] = []
-        self._booted = False
-        self._endpoint = None
 
     @property
     def payload_per_block(self) -> int:
@@ -120,12 +115,7 @@ class LogServer:
             b for b in range(self.disk.total_blocks - 1, area_start - 1, -1)
             if b not in used_blocks
         ]
-        self._booted = True
-        if self.transport is not None:
-            self._endpoint = self.transport.register(self.port)
-            # Intentional daemon fork: the service loop runs for the
-            # server's whole life; crash() ends it via _booted.
-            self.env.process(self._serve())  # repro: allow(S001)
+        self._start_serving()
         return len(self._logs)
 
     def _walk_chain(self, secret: int, first: int, used_blocks: set):
@@ -264,21 +254,7 @@ class LogServer:
             raise NoSpaceError("log disk full")
         return self._free_blocks.pop()
 
-    def _require_booted(self) -> None:
-        if not self._booted:
-            raise BadRequestError(f"server {self.name} is not booted")
-
     # ------------------------------------------------------------ RPC plane
-
-    def _serve(self):
-        endpoint = self._endpoint
-        while self._booted and endpoint is self._endpoint:
-            req = yield endpoint.getreq()
-            try:
-                reply = yield from self._dispatch(req)
-            except ReproError as exc:
-                reply = RpcTransport.reply_for_error(exc)
-            yield self.env.process(endpoint.putrep(req, reply))
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode
@@ -301,7 +277,3 @@ class LogServer:
             n = yield from self.length(req.cap)
             return RpcReply(args=(n,))
         raise BadRequestError(f"unknown log opcode {op}")
-
-    def _trace(self, category: str, message: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.emit(category, message, **fields)

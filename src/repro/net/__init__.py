@@ -2,7 +2,8 @@
 
 from .ethernet import Ethernet, EthernetStats
 from .gateway import Gateway, WideAreaLink, WideAreaProfile, connect_sites
-from .rpc import RpcReply, RpcRequest, RpcTransport, ServiceEndpoint
+from .rpc import (RpcReply, RpcRequest, RpcService, RpcTransport,
+                  ServiceEndpoint)
 
 __all__ = [
     "Ethernet",
@@ -13,6 +14,7 @@ __all__ = [
     "connect_sites",
     "RpcReply",
     "RpcRequest",
+    "RpcService",
     "RpcTransport",
     "ServiceEndpoint",
 ]

@@ -4,9 +4,15 @@ Amoeba's kernel primitives were ``trans`` (client: send request, await
 reply), ``getreq`` (server: await a request on a port), and ``putrep``
 (server: send the reply). We reproduce that trio:
 
-* Servers :meth:`~RpcTransport.register` a 48-bit port and loop on
-  ``yield endpoint.getreq()`` / ``yield env.process(endpoint.putrep(...))``.
-* Clients call ``yield env.process(rpc.trans(port, request))``.
+* Servers subclass :class:`RpcService`: an opcode table plus a
+  ``_dispatch`` generator. The skeleton claims the 48-bit port with
+  :meth:`~RpcTransport.register` and runs the one serve loop — ``yield
+  endpoint.getreq()``, dispatch, ``yield from endpoint.putrep(...)`` —
+  in the worker's own process, so a crash interrupts a reply in
+  mid-transmission instead of letting a detached sender finish it.
+* Clients ``yield from rpc.trans(port, request)``, normally through a
+  stub built on :class:`repro.client.retry.RpcStub` (retry, the dedupe
+  guard, and re-raising marshalled errors).
 
 Messages carry real Python payloads (capabilities, bytes) for
 functionality, and a computed **wire size** for timing; the Ethernet
@@ -24,20 +30,21 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..capability import CAP_WIRE_SIZE, Capability
+from ..capability import CAP_WIRE_SIZE, Capability, port_for_name
 from ..errors import (
+    BadRequestError,
     ConsistencyError,
     ReproError,
     RpcTimeoutError,
     ServerDownError,
     Status,
-    error_for_status,
 )
 from ..obs import MetricsRegistry
 from ..profiles import CpuProfile
-from ..sim import AnyOf, Environment, Event, Store, Tracer
+from ..sim import AnyOf, Environment, Event, Interrupt, Store, Tracer
 
-__all__ = ["RpcRequest", "RpcReply", "RpcTransport", "ServiceEndpoint"]
+__all__ = ["RpcRequest", "RpcReply", "RpcService", "RpcTransport",
+           "ServiceEndpoint"]
 
 #: Fixed bytes of an RPC header on the wire (transaction id, port,
 #: opcode, sizes) — mirrors Amoeba's header block.
@@ -92,7 +99,7 @@ class RpcReply:
 
 class ServiceEndpoint:
     """A registered server port: an inbox of pending requests, plus the
-    at-most-once bookkeeping (in-progress transaction ids and a bounded
+    at-most-once bookkeeping (the transactions in progress and a bounded
     cache of recent replies for duplicate-request resends)."""
 
     REPLY_CACHE_SIZE = 256
@@ -102,7 +109,10 @@ class ServiceEndpoint:
         self.port = port
         self.inbox: Store = Store(transport.env)
         self.down = False
-        self.in_progress: set[int] = set()
+        #: txid -> request, from delivery until its reply (or a resend
+        #: of it) has left the wire: queued, in service or mid-reply.
+        #: These are the clients a crash owes an answer.
+        self.in_progress: dict[int, RpcRequest] = {}
         self.replying: set[int] = set()  # replies currently on the wire
         self.reply_cache: "OrderedDict[int, RpcReply]" = OrderedDict()
 
@@ -111,7 +121,9 @@ class ServiceEndpoint:
         return self.inbox.get()
 
     def putrep(self, request: RpcRequest, reply: RpcReply):
-        """A process transmitting ``reply`` for ``request``.
+        """Generator transmitting ``reply`` for ``request``; run it with
+        ``yield from`` so that interrupting the server interrupts the
+        transmission.
 
         The server blocks until the reply has left the wire (the Bullet
         server is single-threaded, §3), then the client's trans fires.
@@ -119,41 +131,44 @@ class ServiceEndpoint:
         (retransmitted) request is answered without re-executing — the
         at-most-once half of Amoeba's RPC semantics.
         """
-        if request.txid is not None:
-            self.in_progress.discard(request.txid)
-            self.reply_cache[request.txid] = reply
-            while len(self.reply_cache) > self.REPLY_CACHE_SIZE:
-                self.reply_cache.popitem(last=False)
-            self.replying.add(request.txid)
-        lost = yield from self.transport.ethernet.send_fragments(
-            reply.wire_size
-        )
-        if request.txid is not None:
-            self.replying.discard(request.txid)
         if request.reply_event is None:
             raise ConsistencyError("reply for a request that was never sent")
+        self.reply_cache[request.txid] = reply
+        while len(self.reply_cache) > self.REPLY_CACHE_SIZE:
+            self.reply_cache.popitem(last=False)
+        self.replying.add(request.txid)
+        request.reply_missing = None
+        yield from self.send_reply(request, reply)
+
+    def send_reply(self, request: RpcRequest, reply: RpcReply):
+        """Put the reply fragments the client is still missing on the
+        wire (all of them the first time); the transaction is over once
+        none is lost."""
+        lost = yield from self.transport.ethernet.send_fragments(
+            reply.wire_size, request.reply_missing
+        )
+        self.replying.discard(request.txid)
+        self.in_progress.pop(request.txid, None)
         request.reply_missing = lost or None
         if not lost and not request.reply_event.triggered:
             request.reply_event.succeed(reply)
 
     def crash(self) -> None:
-        """Take the service down; pending and future requests fail."""
+        """Take the service down. Every client whose request was queued,
+        in service or mid-reply gets :class:`ServerDownError` now (a
+        client without a timeout would otherwise wait forever); future
+        requests fail at delivery."""
         self.down = True
-        self.in_progress.clear()
+        owed, self.in_progress = self.in_progress, {}
         self.replying.clear()
         self.reply_cache.clear()
-        while True:
-            pending = self.inbox.try_get()
-            if pending is None:
-                break
-            if not pending.reply_event.triggered:
-                pending.reply_event.fail(
+        while self.inbox.try_get() is not None:
+            pass
+        for request in owed.values():
+            if not request.reply_event.triggered:
+                request.reply_event.fail(
                     ServerDownError(f"port {self.port:#x} crashed")
                 )
-
-    def restart(self) -> None:
-        """Bring a crashed endpoint back into service."""
-        self.down = False
 
 
 class RpcTransport:
@@ -183,10 +198,6 @@ class RpcTransport:
         (``repro_rpc_retransmits_total``) so the transport and the
         exporters cannot disagree."""
         return self._retransmits.value
-
-    @stats_retransmits.setter
-    def stats_retransmits(self, value: int) -> None:
-        self._retransmits.inc(value - self._retransmits.value)
 
     def add_route(self, gateway) -> None:
         """Install a gateway consulted for ports not served locally
@@ -319,7 +330,7 @@ class RpcTransport:
                         f"transaction on port {port:#x} gave up after "
                         f"{attempts} transmissions"
                     )
-                self.stats_retransmits += 1
+                self._retransmits.inc()
             # Client-side copy of the reply body out of the network buffers.
             delay = len(reply.body) * self.cpu.memcpy_per_byte
             if delay or not self.env.can_collapse(self.env.now):
@@ -348,46 +359,22 @@ class RpcTransport:
         if cached is not None:
             # Answered before; the reply (or part of it) was lost.
             endpoint.replying.add(request.txid)
+            endpoint.in_progress[request.txid] = request
             # Intentional fork: retransmitting a cached reply happens
             # behind the server's back; nobody awaits it by design.
             self.env.process(  # repro: allow(S001)
-                self._resend_reply(endpoint, request, cached)
+                endpoint.send_reply(request, cached)
             )
             return
         if request.txid in endpoint.in_progress:
             return  # duplicate of a transaction still being served
-        endpoint.in_progress.add(request.txid)
+        endpoint.in_progress[request.txid] = request
         if self._tracer is not None:
             request.queue_span = self._tracer.begin_span(
                 "span", "rpc.queue", port=endpoint.port,
                 opcode=request.opcode,
             )
         endpoint.inbox.put(request)
-
-    def _resend_reply(self, endpoint: ServiceEndpoint, request: RpcRequest,
-                      reply: RpcReply):
-        """Selective resend: only the reply fragments the client is
-        still missing (all of them when no record exists, e.g. for a
-        duplicate arriving after an endpoint restart)."""
-        lost = yield self.env.process(
-            self.ethernet.send_fragments(reply.wire_size, request.reply_missing)
-        )
-        endpoint.replying.discard(request.txid)
-        if lost:
-            request.reply_missing = lost
-            return
-        request.reply_missing = None
-        if not request.reply_event.triggered:
-            request.reply_event.succeed(reply)
-
-    def call(self, port: int, request: RpcRequest,
-             timeout: Optional[float] = None):
-        """Like :meth:`trans` but raises the marshalled server error when
-        the reply status is non-OK. Returns the reply on success."""
-        reply = yield self.env.process(self.trans(port, request, timeout))
-        if not reply.ok:
-            raise error_for_status(reply.status, reply.message)
-        return reply
 
     @staticmethod
     def reply_for_error(exc: ReproError) -> RpcReply:
@@ -397,3 +384,167 @@ class RpcTransport:
     def _trace(self, category: str, message: str, **fields) -> None:
         if self._tracer is not None:
             self._tracer.emit(category, message, **fields)
+
+
+class RpcService:
+    """The server half of the RPC plane, once, for every service.
+
+    A service is an opcode table (:attr:`OPNAMES`) and a ``_dispatch``
+    generator turning an :class:`RpcRequest` into an :class:`RpcReply`
+    (or raising a :class:`~repro.errors.ReproError`). Everything around
+    that is shared: claiming the port, the worker pool, the serve loop
+    with its spans and per-op accounting, the error-reply chokepoint,
+    and the crash path.
+
+    Crash semantics (DESIGN.md §5c): :meth:`crash` answers every client
+    whose request is queued, in service or mid-reply with
+    :class:`~repro.errors.ServerDownError` at the crash instant, then
+    interrupts every worker wherever it is — waiting for a request,
+    halfway through serving one, or transmitting a reply (the reply runs
+    inside the worker, so nothing is sent after the crash). A reboot
+    registers a fresh endpoint and starts a fresh pool.
+    """
+
+    #: opcode number -> operation name, for span and metric labels.
+    OPNAMES: dict = {}
+
+    def __init__(self, env: Environment, name: str,
+                 transport: Optional[RpcTransport] = None,
+                 tracer: Optional[Tracer] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 workers: int = 1):
+        if workers < 1:
+            raise BadRequestError(f"need at least one worker, got {workers}")
+        self.env = env
+        self.name = name
+        self.port = port_for_name(name)
+        self.transport = transport
+        self.workers = workers
+        self._tracer = tracer
+        #: The registry this server accounts into: the caller's, else
+        #: the transport's (one testbed, one registry), else private, so
+        #: a standalone server still self-reports.
+        if metrics is None:
+            metrics = (transport.metrics if transport is not None
+                       else MetricsRegistry())
+        self.metrics = metrics
+        self._booted = False
+        self._endpoint: Optional[ServiceEndpoint] = None
+        self._serve_procs: list = []
+        # Per-op instrument handles, resolved once per (server, label)
+        # so the serve loop pays no registry lookup per request.
+        self._op_seconds: dict = {}      # opname -> Histogram
+        self._error_counters: dict = {}  # status name -> Counter
+
+    def _start_serving(self) -> None:
+        """The tail of every ``boot()``: mark the server booted and, on
+        the RPC plane, claim the port and start the worker pool. All
+        workers block on the same endpoint inbox, which is the admission
+        queue: FIFO hand-off, no dispatcher process. With one worker it
+        is the paper's single-threaded loop (§3: one request is handled
+        at a time)."""
+        self._booted = True
+        if self.transport is not None:
+            self._endpoint = self.transport.register(self.port)
+            self._serve_procs = [self.env.process(self._serve())
+                                 for _ in range(self.workers)]
+
+    def crash(self) -> None:
+        """Stop serving, like a power failure: durable state stays on
+        the disks, a half-performed operation leaves whatever it had
+        already written (the crash-consistency story). Subclasses
+        extend this to drop their volatile state."""
+        if self._endpoint is not None:
+            self._endpoint.crash()
+        self._booted = False
+        procs, self._serve_procs = self._serve_procs, []
+        for proc in procs:
+            if proc.is_alive and proc is not self.env.active_process:
+                proc.interrupt("server crash")
+
+    def _require_booted(self) -> None:
+        if not self._booted:
+            raise BadRequestError(f"server {self.name} is not booted")
+
+    def _dispatch(self, req: RpcRequest):
+        """Generator: perform ``req``, return its :class:`RpcReply`."""
+        raise NotImplementedError
+
+    def _request_began(self, opname: str, queued: int) -> None:
+        """Per-request hook: a worker took a request off the admission
+        queue, leaving ``queued`` behind it."""
+
+    def _request_ended(self, reply: Optional[RpcReply]) -> None:
+        """Per-request hook: the dispatch is over; ``reply`` is None when
+        a crash cut it short."""
+
+    def _serve(self):
+        """One worker of the service pool."""
+        endpoint = self._endpoint
+        try:
+            while self._booted and endpoint is self._endpoint:
+                req = yield endpoint.getreq()
+                tracer = self._tracer
+                opname = self.OPNAMES.get(req.opcode) or str(req.opcode)
+                op_span = net_span = 0
+                if tracer is not None:
+                    tracer.end_span(req.queue_span, "span", "rpc.queue")
+                    op_span = tracer.begin_span(
+                        "span", "server.op", op=opname, server=self.name)
+                started = self.env.now
+                self._request_began(opname, len(endpoint.inbox))
+                reply = None
+                try:
+                    try:
+                        reply = yield from self._dispatch(req)
+                    except ReproError as exc:
+                        reply = self._error_reply(exc)
+                finally:
+                    self._request_ended(reply)
+                hist = self._op_seconds.get(opname)
+                if hist is None:
+                    hist = self._op_seconds[opname] = self.metrics.histogram(
+                        "repro_server_op_seconds", server=self.name,
+                        op=opname)
+                hist.observe(self.env.now - started)
+                if tracer is not None:
+                    tracer.end_span(op_span, "span", "server.op",
+                                    status=reply.status)
+                    net_span = tracer.begin_span("span", "server.net",
+                                                 op=opname)
+                yield from endpoint.putrep(req, reply)
+                if tracer is not None:
+                    tracer.end_span(net_span, "span", "server.net")
+        except Interrupt:
+            return
+
+    def _error_reply(self, exc: ReproError) -> RpcReply:
+        """The single error-accounting chokepoint: every error reply any
+        server sends is marshalled and counted here
+        (``repro_server_error_replies_total``), so no serve loop can
+        marshal an error without counting it (the PR 4 bugfix)."""
+        status = exc.status.name
+        counter = self._error_counters.get(status)
+        if counter is None:
+            counter = self._error_counters[status] = self.metrics.counter(
+                "repro_server_error_replies_total",
+                server=self.name, status=status)
+        counter.inc()
+        self._trace("rpc", "error reply", server=self.name, status=status)
+        return RpcTransport.reply_for_error(exc)
+
+    def _trace(self, category: str, message: str, **fields) -> None:
+        if self._tracer is not None:
+            self._tracer.emit(category, message, **fields)
+
+    def _span_begin(self, name: str, **fields) -> int:
+        # Call sites in hot loops pre-check self._tracer so the kwargs
+        # dict is never built when tracing is off; this fallback check
+        # keeps cold sites correct.
+        if self._tracer is None:
+            return 0
+        return self._tracer.begin_span("span", name, **fields)
+
+    def _span_end(self, span_id: int, name: str, **fields) -> None:
+        if self._tracer is not None:
+            self._tracer.end_span(span_id, "span", name, **fields)

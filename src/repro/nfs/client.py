@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import BadRequestError, NotFoundError, error_for_status
+from ..client.retry import RpcStub
+from ..errors import BadRequestError, NotFoundError
 from ..net import RpcRequest, RpcTransport
 from ..profiles import Testbed
 from ..sim import Environment
@@ -61,7 +62,7 @@ class NfsClient:
         self.env = env
         self.testbed = testbed
         self.server = server
-        self.rpc = rpc
+        self._stub = RpcStub(env, rpc) if rpc is not None else None
         self.server_port = server_port
         self.root = FileHandle(1, 1)
         self._fds: dict[int, OpenFile] = {}
@@ -77,12 +78,9 @@ class NfsClient:
     # --------------------------------------------------------- transport
 
     def _remote(self, opcode: int, args: tuple = (), body: bytes = b""):
-        reply = yield from self.rpc.trans(
+        return self._stub.transact(
             self.server_port, RpcRequest(opcode=opcode, args=args, body=body)
         )
-        if not reply.ok:
-            raise error_for_status(reply.status, reply.message)
-        return reply
 
     def _lookup_rpc(self, dir_fh: FileHandle, name: str):
         if self.server is not None:

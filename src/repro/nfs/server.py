@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..disk import VirtualDisk
-from ..errors import BadRequestError, NotFoundError, ReproError
-from ..net import RpcReply, RpcRequest, RpcTransport
-from ..capability import port_for_name
+from ..errors import BadRequestError, NotFoundError
+from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..obs import MetricsRegistry
 from ..profiles import Testbed
 from ..sim import Environment, SeededStream, Tracer
@@ -39,8 +38,6 @@ NFS_OPCODES = {
     "READDIR": 47,
 }
 
-_NFS_OPNAMES = {number: name for name, number in NFS_OPCODES.items()}
-
 
 class FileHandle(tuple):
     """An opaque NFS file handle: (inum, generation)."""
@@ -59,8 +56,10 @@ class FileHandle(tuple):
         return self[1]
 
 
-class NfsServer:
+class NfsServer(RpcService):
     """One NFS server exporting a single FFS volume."""
+
+    OPNAMES = {number: name for name, number in NFS_OPCODES.items()}
 
     def __init__(
         self,
@@ -75,27 +74,16 @@ class NfsServer:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.env = env
+        super().__init__(env, name, transport, tracer, metrics)
         self.disk = disk
         self.testbed = testbed
-        self.name = name
-        self.port = port_for_name(name)
-        self.transport = transport
-        self._tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Per-op instrument handles, resolved once per (server, op) so
-        # the serve loop stops paying a registry lookup per request.
-        self._op_counters: dict = {}
-        self._op_seconds: dict = {}
-        self._error_counters: dict = {}
+        self._op_counters: dict = {}  # opname -> Counter
         nfs = testbed.nfs
         self.cache = BufferCache(env, disk, nfs.buffer_cache_bytes,
                                  nfs.fs_block_size,
                                  metrics=self.metrics, owner=name)
         self.fs = FFS(env, disk, self.cache, fs_block_size=nfs.fs_block_size,
                       ninodes=ninodes, maxbpg=nfs.direct_blocks)
-        self._booted = False
-        self._endpoint = None
         self._churn = background_churn
         self._churn_stream = SeededStream(master_seed, f"{name}:churn")
 
@@ -108,12 +96,7 @@ class NfsServer:
     def boot(self):
         """Process: mount the volume and start serving."""
         yield from self.fs.mount()
-        self._booted = True
-        if self.transport is not None:
-            self._endpoint = self.transport.register(self.port)
-            # Intentional daemon fork: the service loop runs for the
-            # server's whole life; crash() ends it via _booted.
-            self.env.process(self._serve())  # repro: allow(S001)
+        self._start_serving()
         if self._churn:
             nfs = self.testbed.nfs
             # churn fraction/s of the cache, expressed in blocks/s.
@@ -225,50 +208,15 @@ class NfsServer:
         entries = yield from self.fs.dir_entries(dir_fh.inum)
         return sorted(entries)
 
-    def _require_booted(self) -> None:
-        if not self._booted:
-            raise BadRequestError(f"server {self.name} is not booted")
-
     # ------------------------------------------------------------ RPC plane
 
-    def _serve(self):
-        endpoint = self._endpoint
-        while self._booted and endpoint is self._endpoint:
-            req = yield endpoint.getreq()
-            opname = _NFS_OPNAMES.get(req.opcode, str(req.opcode))
-            ctr = self._op_counters.get(opname)
-            if ctr is None:
-                ctr = self._op_counters[opname] = self.metrics.counter(
-                    "repro_nfs_requests_total", server=self.name, op=opname
-                )
-            ctr.inc()
-            started = self.env.now
-            try:
-                reply = yield from self._dispatch(req)
-            except ReproError as exc:
-                reply = self._error_reply(exc)
-            hist = self._op_seconds.get(opname)
-            if hist is None:
-                hist = self._op_seconds[opname] = self.metrics.histogram(
-                    "repro_server_op_seconds", server=self.name, op=opname
-                )
-            hist.observe(self.env.now - started)
-            yield from endpoint.putrep(req, reply)
-
-    def _error_reply(self, exc: ReproError) -> RpcReply:
-        """The error-accounting chokepoint (before PR 4 the NFS serve
-        loop marshalled errors without counting them at all)."""
-        status = exc.status.name
-        ctr = self._error_counters.get(status)
+    def _request_began(self, opname: str, queued: int) -> None:
+        ctr = self._op_counters.get(opname)
         if ctr is None:
-            ctr = self._error_counters[status] = self.metrics.counter(
-                "repro_server_error_replies_total",
-                server=self.name, status=status,
+            ctr = self._op_counters[opname] = self.metrics.counter(
+                "repro_nfs_requests_total", server=self.name, op=opname
             )
         ctr.inc()
-        if self._tracer is not None:
-            self._tracer.emit("nfs", "error reply", status=exc.status.name)
-        return RpcTransport.reply_for_error(exc)
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode

@@ -84,25 +84,12 @@ __all__ = [
     "CountOf",
     "run_process",
     "FAST_PATHS_DEFAULT",
-    "set_env_created_hook",
 ]
 
 #: Process-wide default for :attr:`Environment.fast`. CI's forced-exact
 #: jobs export ``REPRO_FAST_PATHS=0`` to pin every environment to the
 #: reference semantics without touching call sites.
 FAST_PATHS_DEFAULT = os.environ.get("REPRO_FAST_PATHS", "1") != "0"
-
-# Called with each new Environment (when set), so a harness can find
-# every environment a suite created and total their scheduled event
-# counts; deliberately a cold-path hook (fires once per env).
-_env_created_hook: Optional[Callable[["Environment"], None]] = None
-
-
-def set_env_created_hook(
-        hook: Optional[Callable[["Environment"], None]]) -> None:
-    """Install (or clear, with None) the new-environment observer."""
-    global _env_created_hook
-    _env_created_hook = hook
 
 
 class Interrupt(Exception):
@@ -476,8 +463,6 @@ class Environment:
         # (insertion order) and costs nothing on the hot dispatch loops,
         # which delegate to _run_hooked only when a hook is installed.
         self._tie_hook: Optional[Callable[[list], int]] = None
-        if _env_created_hook is not None:
-            _env_created_hook(self)
 
     @property
     def now(self) -> float:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client.retry import RpcStub
 from repro.errors import NotFoundError, RpcTimeoutError, ServerDownError, Status
 from repro.net import Ethernet, RpcReply, RpcRequest, RpcTransport
 from repro.profiles import CpuProfile, EthernetProfile
@@ -205,13 +206,15 @@ def test_error_marshalling():
 
 
 def test_call_raises_marshalled_error():
+    """The shared client call path re-raises a non-OK status."""
     env = Environment()
     _, rpc = make_net(env)
     echo_server(env, rpc, port=100)
+    stub = RpcStub(env, rpc)
 
     def client():
         try:
-            yield env.process(rpc.call(100, RpcRequest(opcode=OP_FAIL)))
+            yield from stub.transact(100, RpcRequest(opcode=OP_FAIL))
         except NotFoundError as exc:
             return ("raised", str(exc))
         return "no error"
@@ -263,6 +266,29 @@ def test_crash_fails_pending_requests():
 
     env.process(crasher())
     assert run_process(env, client()) == "down"
+
+
+def test_crash_fails_requests_already_in_service():
+    """A request the server had dequeued is owed an answer too: its
+    client has no timeout and would otherwise wait forever."""
+    env = Environment()
+    _, rpc = make_net(env)
+    endpoint = rpc.register(100)
+
+    def server():
+        yield endpoint.getreq()
+        yield env.timeout(0.01)  # in service when the crash hits
+        endpoint.crash()
+
+    def client():
+        try:
+            yield env.process(rpc.trans(100, RpcRequest(opcode=1)))
+        except ServerDownError:
+            return env.now
+
+    env.process(server())
+    assert run_process(env, client()) > 0.01
+    assert not endpoint.in_progress
 
 
 def test_crashed_port_can_be_reregistered():
