@@ -2,17 +2,15 @@
 
 Every benchmark regenerates one table or figure of the paper (or one
 ablation from DESIGN.md §6). Results are printed and also written to
-``benchmarks/results/<name>.txt`` so ``pytest benchmarks/
---benchmark-only`` leaves the regenerated artifacts on disk.
+``benchmarks/results/<name>.txt`` so ``pytest benchmarks/`` leaves the
+regenerated artifacts on disk.
 
-pytest-benchmark measures the *wall time of running the simulation*;
-the scientific output is the *simulated* delays/bandwidths inside the
-result files.
+The scientific output is the *simulated* delays/bandwidths inside the
+result files; what running the simulation costs in wall-clock is
+``perf/``'s subject, not this suite's.
 """
 
 import pathlib
-
-import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -23,9 +21,3 @@ def save_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark and return its
-    result. Simulations are deterministic, so one round suffices."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

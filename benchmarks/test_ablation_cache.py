@@ -14,7 +14,7 @@ from repro.core import BulletCache
 from repro.sim import run_process
 from repro.units import KB, MB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
 def warm_vs_cold(rig):
@@ -54,12 +54,9 @@ def lru_vs_fifo_hit_rate(capacity=256 * KB, n_ops=600):
     return rates
 
 
-def test_ablation_cache(benchmark):
-    def experiment():
-        rig = make_rig(with_nfs=False, background_load=False)
-        return warm_vs_cold(rig), lru_vs_fifo_hit_rate()
-
-    latencies, rates = run_once(benchmark, experiment)
+def test_ablation_cache():
+    rig = make_rig(with_nfs=False, background_load=False)
+    latencies, rates = warm_vs_cold(rig), lru_vs_fifo_hit_rate()
     lines = ["Ablation A3: the whole-file RAM cache", "=" * 56,
              f"{'size':>10} {'cold read (ms)':>16} {'warm read (ms)':>16} {'speedup':>9}"]
     for size, (cold, warm) in latencies.items():

@@ -10,12 +10,12 @@ mean read latency — showing where the paper's 14 MB lands on the curve.
 
 from dataclasses import replace
 
-from repro.bench import TraceGenerator, make_rig, timed
+from repro.bench import (FileSizeDistribution, TraceGenerator, make_rig,
+                         replay_bullet)
 from repro.profiles import DEFAULT_TESTBED
-from repro.sim import run_process
 from repro.units import KB, MB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 CACHE_SIZES = [512 * KB, 2 * MB, 8 * MB, 14 * MB]
 
@@ -26,38 +26,22 @@ def run_cache_size(cache_bytes, trace):
                              + DEFAULT_TESTBED.bullet.reserved_ram_bytes)
     testbed = replace(DEFAULT_TESTBED, bullet=bullet_profile)
     rig = make_rig(testbed=testbed, with_nfs=False, background_load=False)
-    env, server, client = rig.env, rig.bullet, rig.bullet_client
-    caps = {}
-    read_time = 0.0
-    reads = 0
-    for op in trace:
-        if op.kind == "create":
-            _t, caps[op.file_id] = timed(env, client.create(bytes(op.size), 1))
-        elif op.kind == "read":
-            elapsed, _ = timed(env, client.read(caps[op.file_id]))
-            read_time += elapsed
-            reads += 1
-        else:
-            timed(env, client.delete(caps.pop(op.file_id)))
-    return server.cache.stats.hit_rate, read_time / reads
+    read_time = replay_bullet(rig, trace, 1)["read"]
+    reads = sum(op.kind == "read" for op in trace)
+    return rig.bullet.cache.stats.hit_rate, read_time / reads
 
 
-def test_ablation_cache_size(benchmark):
-    def experiment():
-        # A heavier size profile than the paper's median-1KB UNIX mix, so
-        # the sweep actually stresses the smaller caches (the 1 KB-median
-        # working set fits in half a megabyte).
-        from repro.bench import FileSizeDistribution
-
-        # maximum below the smallest swept cache: every file must fit in
-        # server memory (§2's whole-file constraint).
-        sizes = FileSizeDistribution(median=48 * KB, maximum=384 * KB)
-        trace = TraceGenerator(seed=23, sizes=sizes, read_fraction=0.75,
-                               delete_fraction=0.05).generate(
-            n_ops=300, prepopulate=60)
-        return {size: run_cache_size(size, trace) for size in CACHE_SIZES}
-
-    sweep = run_once(benchmark, experiment)
+def test_ablation_cache_size():
+    # A heavier size profile than the paper's median-1KB UNIX mix, so the
+    # sweep actually stresses the smaller caches (the 1 KB-median working
+    # set fits in half a megabyte). maximum below the smallest swept
+    # cache: every file must fit in server memory (§2's whole-file
+    # constraint).
+    sizes = FileSizeDistribution(median=48 * KB, maximum=384 * KB)
+    trace = TraceGenerator(seed=23, sizes=sizes, read_fraction=0.75,
+                           delete_fraction=0.05).generate(
+        n_ops=300, prepopulate=60)
+    sweep = {size: run_cache_size(size, trace) for size in CACHE_SIZES}
     lines = ["A12: server cache size vs hit rate and mean read latency",
              "=" * 60,
              f"{'cache':>10} {'hit rate':>10} {'mean read (ms)':>16}"]

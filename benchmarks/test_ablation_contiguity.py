@@ -14,33 +14,29 @@ from repro.nfs import MODE_FILE
 from repro.sim import run_process
 from repro.units import KB, MB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 SIZES = [64 * KB, 256 * KB, 1 * MB]
 
 
-def test_ablation_contiguous_vs_scattered(benchmark):
-    def experiment():
-        rig = make_rig(background_load=False, nfs_churn=False)
-        env = rig.env
-        results = {}
-        for size in SIZES:
-            # Bullet: contiguous extent, cold cache -> one disk access.
-            cap = run_process(env, rig.bullet.create(bytes(size), 2))
-            rig.bullet.evict(cap.object)
-            bullet_cold, _ = timed(env, rig.bullet.read(cap))
+def test_ablation_contiguous_vs_scattered():
+    rig = make_rig(background_load=False, nfs_churn=False)
+    env = rig.env
+    results = {}
+    for size in SIZES:
+        # Bullet: contiguous extent, cold cache -> one disk access.
+        cap = run_process(env, rig.bullet.create(bytes(size), 2))
+        rig.bullet.evict(cap.object)
+        bullet_cold, _ = timed(env, rig.bullet.read(cap))
 
-            # FFS: same bytes scattered per cylinder-group policy; read
-            # with an empty buffer cache -> per-block disk accesses.
-            fs = rig.nfs.fs
-            inum, _inode = run_process(env, fs.alloc_inode(MODE_FILE))
-            run_process(env, fs.write(inum, 0, bytes(size)))
-            rig.nfs.cache._blocks.clear()  # cold cache
-            ffs_cold, _ = timed(env, fs.read(inum, 0, size))
-            results[size] = (bullet_cold, ffs_cold)
-        return results
-
-    results = run_once(benchmark, experiment)
+        # FFS: same bytes scattered per cylinder-group policy; read
+        # with an empty buffer cache -> per-block disk accesses.
+        fs = rig.nfs.fs
+        inum, _inode = run_process(env, fs.alloc_inode(MODE_FILE))
+        run_process(env, fs.write(inum, 0, bytes(size)))
+        rig.nfs.cache._blocks.clear()  # cold cache
+        ffs_cold, _ = timed(env, fs.read(inum, 0, size))
+        results[size] = (bullet_cold, ffs_cold)
     lines = ["Ablation A1: contiguous vs scattered layout (cold server reads)",
              "=" * 66,
              f"{'size':>10} {'contiguous (ms)':>18} {'scattered (ms)':>18} {'ratio':>8}"]

@@ -20,7 +20,7 @@ from repro.profiles import DEFAULT_TESTBED
 from repro.sim import SeededStream, run_process
 from repro.units import KB, MB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
 def churn_until_fragmented(rig, stream, target_alloc):
@@ -83,13 +83,10 @@ def run_strategy(strategy, target_alloc):
     return metrics, failed, report, ok
 
 
-def test_ablation_fragmentation_and_compaction(benchmark):
+def test_ablation_fragmentation_and_compaction():
     target = 1 * MB
 
-    def experiment():
-        return {s: run_strategy(s, target) for s in ("first_fit", "best_fit")}
-
-    outcome = run_once(benchmark, experiment)
+    outcome = {s: run_strategy(s, target) for s in ("first_fit", "best_fit")}
     lines = ["Ablation A4: fragmentation and the 3 a.m. compaction",
              "=" * 64]
     for strategy, (metrics, failed, report, ok) in outcome.items():

@@ -17,7 +17,7 @@ from repro.nfs import NfsClient
 from repro.sim import run_process
 from repro.units import KB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 SIZE = 64 * KB
 
@@ -42,21 +42,17 @@ def measure(client, env, path, payload):
     return write_delay, cold_delay, warm_delay
 
 
-def test_ablation_lockf(benchmark):
-    def experiment():
-        rig = make_rig(with_bullet=False, nfs_churn=False,
-                       background_load=False)
-        env = rig.env
-        lockf_client = rig.nfs_client  # caching off, as in the paper
-        caching_client = NfsClient(env, rig.testbed, rpc=rig.rpc,
-                                   server_port=rig.nfs.port,
-                                   client_caching=True)
-        payload = bytes(SIZE)
-        lockf = measure(lockf_client, env, "/lockf.bin", payload)
-        cached = measure(caching_client, env, "/cached.bin", payload)
-        return lockf, cached
-
-    lockf, cached = run_once(benchmark, experiment)
+def test_ablation_lockf():
+    rig = make_rig(with_bullet=False, nfs_churn=False,
+                   background_load=False)
+    env = rig.env
+    lockf_client = rig.nfs_client  # caching off, as in the paper
+    caching_client = NfsClient(env, rig.testbed, rpc=rig.rpc,
+                               server_port=rig.nfs.port,
+                               client_caching=True)
+    payload = bytes(SIZE)
+    lockf = measure(lockf_client, env, "/lockf.bin", payload)
+    cached = measure(caching_client, env, "/cached.bin", payload)
     lines = ["A10: NFS with lockf (paper's setup) vs client caching on",
              "=" * 62,
              f"{'':>12} {'write (ms)':>12} {'cold read':>12} {'warm read':>12}"]

@@ -8,32 +8,28 @@ the semantics; this measures what each level costs per file size.
 from repro.bench import make_rig, timed
 from repro.units import KB, MB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 SIZES = [1 * KB, 64 * KB, 1 * MB]
 
 
-def test_ablation_p_factor(benchmark):
-    def experiment():
-        rig = make_rig(with_nfs=False)
-        env, client = rig.env, rig.bullet_client
-        results = {}
-        for size in SIZES:
-            per_p = []
-            for p in (0, 1, 2):
-                total = 0.0
-                for _ in range(3):
-                    elapsed, cap = timed(env, client.create(bytes(size), p))
-                    total += elapsed
-                    # Drain background writes before deleting (P=0 case),
-                    # so the delete never races the in-flight write.
-                    env.run(until=env.now + 0.2)
-                    timed(env, client.delete(cap))
-                per_p.append(total / 3)
-            results[size] = per_p
-        return results
-
-    results = run_once(benchmark, experiment)
+def test_ablation_p_factor():
+    rig = make_rig(with_nfs=False)
+    env, client = rig.env, rig.bullet_client
+    results = {}
+    for size in SIZES:
+        per_p = []
+        for p in (0, 1, 2):
+            total = 0.0
+            for _ in range(3):
+                elapsed, cap = timed(env, client.create(bytes(size), p))
+                total += elapsed
+                # Drain background writes before deleting (P=0 case),
+                # so the delete never races the in-flight write.
+                env.run(until=env.now + 0.2)
+                timed(env, client.delete(cap))
+            per_p.append(total / 3)
+        results[size] = per_p
     lines = ["Ablation A2: CREATE latency vs P-FACTOR",
              "=" * 56,
              f"{'size':>10} {'P=0 (ms)':>12} {'P=1 (ms)':>12} {'P=2 (ms)':>12}"]

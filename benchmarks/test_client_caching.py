@@ -11,12 +11,12 @@ trivially consistent because the file can never change. Aggregate
 throughput then scales with the client count instead of the server.
 """
 
-from repro.bench import make_rig, timed
+from repro.bench import closed_loop, make_rig
 from repro.client import CachingBulletClient
 from repro.sim import SeededStream, run_process
 from repro.units import KB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 CLIENTS = [1, 4, 16]
 HOT_FILES = 12
@@ -31,7 +31,7 @@ def run_with(caching: bool):
         env = rig.env
         caps = [run_process(env, rig.bullet_client.create(bytes(FILE_SIZE), 1))
                 for _ in range(HOT_FILES)]
-        completed = [0] * n
+        completed = [0]
 
         def client_loop(index):
             stub = rig.bullet_client
@@ -42,24 +42,19 @@ def run_with(caching: bool):
             while True:
                 cap = caps[stream.zipf_index(HOT_FILES)]
                 yield env.process(stub.read(cap))
-                completed[index] += 1
+                completed[0] += 1
                 # A little client-side compute between reads, so a cache
                 # hit loop does not spin in zero simulated time.
                 yield env.timeout(2e-3)
 
-        start = env.now
-        for index in range(n):
-            env.process(client_loop(index))
-        env.run(until=start + DURATION)
-        results[n] = sum(completed) / DURATION
+        window = closed_loop(env, [client_loop(i) for i in range(n)],
+                             window=DURATION)
+        results[n] = completed[0] / window
     return results
 
 
-def test_client_caching_scalability(benchmark):
-    def experiment():
-        return run_with(caching=False), run_with(caching=True)
-
-    uncached, cached = run_once(benchmark, experiment)
+def test_client_caching_scalability():
+    uncached, cached = run_with(caching=False), run_with(caching=True)
     lines = ["A9: aggregate read throughput, with and without the",
              "immutable-file client cache (hot set of 12 x 4 KB files)",
              "=" * 60,

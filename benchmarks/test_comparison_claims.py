@@ -22,17 +22,13 @@ from repro.bench import (
 )
 from repro.units import KB, MB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
-def test_comparison_claims(benchmark):
-    def experiment():
-        rig = make_rig()
-        fig2 = bullet_figure2(rig, repeats=3)
-        fig3 = nfs_figure3(rig, repeats=3)
-        return fig2, fig3
-
-    fig2, fig3 = run_once(benchmark, experiment)
+def test_comparison_claims():
+    rig = make_rig()
+    fig2 = bullet_figure2(rig, PAPER_SIZES, 3)
+    fig3 = nfs_figure3(rig, PAPER_SIZES, 3)
     chart = ascii_chart(
         {"Bullet READ": fig2, "Bullet CREATE+DEL": fig2,
          "NFS READ": fig3, "NFS CREATE": fig3},

@@ -8,23 +8,20 @@ a small create/delete workload, so the rendered holes are real.
 from repro.bench import make_rig, timed
 from repro.units import KB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
-def test_fig1_disk_layout(benchmark):
-    def experiment():
-        rig = make_rig(with_nfs=False, background_load=False)
-        env, client = rig.env, rig.bullet_client
-        caps = []
-        for i in range(6):
-            _t, cap = timed(env, client.create(bytes([i]) * (8 * KB), 2))
-            caps.append(cap)
-        # Delete two files to open holes between the survivors.
-        timed(env, client.delete(caps[1]))
-        timed(env, client.delete(caps[3]))
-        return rig.bullet.render_layout()
-
-    art = run_once(benchmark, experiment)
+def test_fig1_disk_layout():
+    rig = make_rig(with_nfs=False, background_load=False)
+    env, client = rig.env, rig.bullet_client
+    caps = []
+    for i in range(6):
+        _t, cap = timed(env, client.create(bytes([i]) * (8 * KB), 2))
+        caps.append(cap)
+    # Delete two files to open holes between the survivors.
+    timed(env, client.delete(caps[1]))
+    timed(env, client.delete(caps[3]))
+    art = rig.bullet.render_layout()
     save_result("fig1_layout", art)
 
     assert "Disk Descriptor" in art

@@ -9,15 +9,11 @@ Ethernet, and a dedicated server processor.
 from repro.bench import PAPER_SIZES, bullet_figure2, make_rig
 from repro.units import KB, MB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
-def test_fig2_bullet_read_and_create_delete(benchmark):
-    def experiment():
-        rig = make_rig()
-        return bullet_figure2(rig, repeats=3)
-
-    table = run_once(benchmark, experiment)
+def test_fig2_bullet_read_and_create_delete():
+    table = bullet_figure2(make_rig(), PAPER_SIZES, 3)
     save_result(
         "fig2_bullet",
         table.render_delay() + "\n\n" + table.render_bandwidth(),

@@ -9,15 +9,11 @@ one disk (write-through), shared departmental load on server and wire.
 from repro.bench import PAPER_SIZES, make_rig, nfs_figure3
 from repro.units import KB, MB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
-def test_fig3_nfs_read_and_create(benchmark):
-    def experiment():
-        rig = make_rig(with_bullet=False)
-        return nfs_figure3(rig, repeats=3)
-
-    table = run_once(benchmark, experiment)
+def test_fig3_nfs_read_and_create():
+    table = nfs_figure3(make_rig(with_bullet=False), PAPER_SIZES, 3)
     save_result(
         "fig3_nfs",
         table.render_delay() + "\n\n" + table.render_bandwidth(),

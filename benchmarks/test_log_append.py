@@ -19,7 +19,7 @@ from repro.logsvc import LogServer
 from repro.sim import run_process
 from repro.units import to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 RECORD = b"x" * 256
 APPENDS = 600
@@ -65,12 +65,9 @@ def log_server_appends(rig):
     return per_append
 
 
-def test_log_append_vs_naive_bullet(benchmark):
-    def experiment():
-        rig = make_rig(with_nfs=False, background_load=False)
-        return naive_bullet_appends(rig), log_server_appends(rig)
-
-    naive, logged = run_once(benchmark, experiment)
+def test_log_append_vs_naive_bullet():
+    rig = make_rig(with_nfs=False, background_load=False)
+    naive, logged = naive_bullet_appends(rig), log_server_appends(rig)
     naive_early = sum(naive[:WINDOW]) / WINDOW
     naive_late = sum(naive[-WINDOW:]) / WINDOW
     log_early = sum(logged[:WINDOW]) / WINDOW

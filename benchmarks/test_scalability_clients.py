@@ -7,19 +7,38 @@ throughput should rise with offered load and then saturate (not
 collapse).
 """
 
-from repro.bench import throughput_vs_clients
+from repro.bench import closed_loop, make_rig
+from repro.sim import run_process
 from repro.units import KB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 CLIENTS = [1, 2, 4, 8, 16]
+FILE_SIZE = 4 * KB
+DURATION = 10.0
 
 
-def test_scalability_throughput_vs_clients(benchmark):
-    def experiment():
-        return throughput_vs_clients(CLIENTS, file_size=4 * KB, duration=10.0)
+def throughput(n):
+    """Sustained reads/sec of ``n`` clients, each looping whole-file
+    reads of a private cached file."""
+    rig = make_rig(with_nfs=False, background_load=False)
+    env, client = rig.env, rig.bullet_client
+    caps = [run_process(env, client.create(bytes(FILE_SIZE), 1))
+            for _ in range(n)]
+    completed = [0]
 
-    results = run_once(benchmark, experiment)
+    def client_loop(cap):
+        while True:
+            yield from client.read(cap)
+            completed[0] += 1
+
+    window = closed_loop(env, [client_loop(cap) for cap in caps],
+                         window=DURATION)
+    return completed[0] / window
+
+
+def test_scalability_throughput_vs_clients():
+    results = {n: throughput(n) for n in CLIENTS}
     lines = ["A5: aggregate Bullet read throughput vs concurrent clients",
              "=" * 60,
              f"{'clients':>8} {'reads/sec':>12} {'per-client':>12}"]

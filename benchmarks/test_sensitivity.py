@@ -14,7 +14,7 @@ from repro.bench import bullet_figure2, make_rig, nfs_figure3
 from repro.profiles import DEFAULT_TESTBED
 from repro.units import KB, MB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 SIZES = [1 * KB, 64 * KB, 1 * MB]
 
@@ -51,8 +51,8 @@ SWEEP = {
 def one_config(**factors):
     testbed = perturbed_testbed(**factors)
     rig = make_rig(testbed=testbed)
-    fig2 = bullet_figure2(rig, sizes=SIZES, repeats=2)
-    fig3 = nfs_figure3(rig, sizes=SIZES, repeats=2)
+    fig2 = bullet_figure2(rig, SIZES, 2)
+    fig3 = nfs_figure3(rig, SIZES, 2)
     speedups = {size: fig3.delay(size, "READ") / fig2.delay(size, "READ")
                 for size in SIZES}
     c3 = {size: fig2.bandwidth(size, "CREATE+DEL") > fig3.bandwidth(size, "READ")
@@ -60,12 +60,9 @@ def one_config(**factors):
     return speedups, c3
 
 
-def test_sensitivity_of_claims(benchmark):
-    def experiment():
-        return {label: one_config(**factors)
-                for label, factors in SWEEP.items()}
-
-    sweep = run_once(benchmark, experiment)
+def test_sensitivity_of_claims():
+    sweep = {label: one_config(**factors)
+             for label, factors in SWEEP.items()}
     lines = ["A11: claim robustness under calibration perturbations",
              "=" * 72,
              f"{'config':<20} " + "".join(f"{s:>12}" for s in

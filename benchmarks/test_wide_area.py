@@ -17,7 +17,7 @@ from repro.disk import MirroredDiskSet, VirtualDisk
 from repro.sim import Environment, run_process
 from repro.units import KB, to_msec
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 LATENCIES_MS = [5, 15, 50, 150]
 SIZES = [1 * KB, 64 * KB]
@@ -53,11 +53,8 @@ def one_latency(latency_ms):
     return results
 
 
-def test_wide_area_read_penalty(benchmark):
-    def experiment():
-        return {lat: one_latency(lat) for lat in LATENCIES_MS}
-
-    sweep = run_once(benchmark, experiment)
+def test_wide_area_read_penalty():
+    sweep = {lat: one_latency(lat) for lat in LATENCIES_MS}
     lines = ["A8: whole-file read across a wide-area gateway",
              "=" * 70,
              f"{'one-way (ms)':>13} {'size':>8} {'local (ms)':>12} "

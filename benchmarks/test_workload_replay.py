@@ -9,66 +9,21 @@ We replay one trace with the cited size distribution (median 1 KB, 99 %
 completion time.
 """
 
-from repro.bench import FileSizeDistribution, TraceGenerator, make_rig, timed
+from repro.bench import (FileSizeDistribution, TraceGenerator, make_rig,
+                         replay_bullet, replay_nfs)
 from repro.units import KB
 
-from conftest import run_once, save_result
+from conftest import save_result
 
 
-def replay_bullet(rig, trace):
-    env, client = rig.env, rig.bullet_client
-    caps = {}
-    total = 0.0
-    for op in trace:
-        if op.kind == "create":
-            elapsed, cap = timed(env, client.create(bytes(op.size), 2))
-            caps[op.file_id] = cap
-        elif op.kind == "read":
-            elapsed, _ = timed(env, client.read(caps[op.file_id]))
-        else:
-            elapsed, _ = timed(env, client.delete(caps.pop(op.file_id)))
-        total += elapsed
-    return total
-
-
-def replay_nfs(rig, trace):
-    env, client = rig.env, rig.nfs_client
-    total = 0.0
-    for op in trace:
-        path = f"/f{op.file_id}"
-        if op.kind == "create":
-            def create():
-                fd = yield from client.creat(path)
-                yield from client.write(fd, bytes(op.size))
-                yield from client.close(fd)
-
-            elapsed, _ = timed(env, create())
-        elif op.kind == "read":
-            def read():
-                fd = yield from client.open(path)
-                yield from client.lseek(fd, 0)
-                yield from client.read(fd, op.size)
-                yield from client.close(fd)
-
-            elapsed, _ = timed(env, read())
-        else:
-            elapsed, _ = timed(env, client.unlink(path))
-        total += elapsed
-    return total
-
-
-def test_workload_replay_factor_of_three(benchmark):
-    def experiment():
-        sizes = FileSizeDistribution(maximum=256 * KB)
-        trace = TraceGenerator(seed=7, sizes=sizes).generate(
-            n_ops=120, prepopulate=20
-        )
-        rig = make_rig()
-        bullet_time = replay_bullet(rig, trace)
-        nfs_time = replay_nfs(rig, trace)
-        return trace, bullet_time, nfs_time
-
-    trace, bullet_time, nfs_time = run_once(benchmark, experiment)
+def test_workload_replay_factor_of_three():
+    sizes = FileSizeDistribution(maximum=256 * KB)
+    trace = TraceGenerator(seed=7, sizes=sizes).generate(
+        n_ops=120, prepopulate=20
+    )
+    rig = make_rig()
+    bullet_time = sum(replay_bullet(rig, trace, 2).values())
+    nfs_time = sum(replay_nfs(rig, trace).values())
     ratio = nfs_time / bullet_time
     reads = sum(1 for op in trace if op.kind == "read")
     creates = sum(1 for op in trace if op.kind == "create")

@@ -13,49 +13,9 @@ Run:  python examples/workload_comparison.py
 
 from collections import defaultdict
 
-from repro.bench import FileSizeDistribution, TraceGenerator, make_rig, timed
+from repro.bench import (FileSizeDistribution, TraceGenerator, make_rig,
+                         replay_bullet, replay_nfs)
 from repro.units import KB, to_msec
-
-
-def replay_bullet(rig, trace):
-    env, client = rig.env, rig.bullet_client
-    caps, per_kind = {}, defaultdict(float)
-    for op in trace:
-        if op.kind == "create":
-            elapsed, cap = timed(env, client.create(bytes(op.size), 2))
-            caps[op.file_id] = cap
-        elif op.kind == "read":
-            elapsed, _ = timed(env, client.read(caps[op.file_id]))
-        else:
-            elapsed, _ = timed(env, client.delete(caps.pop(op.file_id)))
-        per_kind[op.kind] += elapsed
-    return per_kind
-
-
-def replay_nfs(rig, trace):
-    env, client = rig.env, rig.nfs_client
-    per_kind = defaultdict(float)
-    for op in trace:
-        path = f"/f{op.file_id}"
-        if op.kind == "create":
-            def create():
-                fd = yield from client.creat(path)
-                yield from client.write(fd, bytes(op.size))
-                yield from client.close(fd)
-
-            elapsed, _ = timed(env, create())
-        elif op.kind == "read":
-            def read():
-                fd = yield from client.open(path)
-                yield from client.lseek(fd, 0)
-                yield from client.read(fd, op.size)
-                yield from client.close(fd)
-
-            elapsed, _ = timed(env, read())
-        else:
-            elapsed, _ = timed(env, client.unlink(path))
-        per_kind[op.kind] += elapsed
-    return per_kind
 
 
 def main():
@@ -70,7 +30,7 @@ def main():
           f"{counts['delete']} delete); sizes: median 1 KB, 99% < 64 KB\n")
 
     rig = make_rig(seed=1989)
-    bullet = replay_bullet(rig, trace)
+    bullet = replay_bullet(rig, trace, 2)
     nfs = replay_nfs(rig, trace)
 
     print(f"{'op kind':<10} {'Bullet (ms)':>14} {'NFS (ms)':>14} {'speedup':>9}")

@@ -29,131 +29,43 @@ Quick start (see examples/quickstart.py for the full version)::
     assert run_process(env, client.read(cap)) == b"an immutable file"
 """
 
-from .btree import ImmutableBTree
-from .capability import (
-    ALL_RIGHTS,
-    Capability,
-    NULL_CAPABILITY,
-    RIGHT_ADMIN,
-    RIGHT_CREATE,
-    RIGHT_DELETE,
-    RIGHT_MODIFY,
-    RIGHT_READ,
-    local_verifier,
-    mint_owner,
-    port_for_name,
-    restrict,
-    verify,
-)
+from .capability import RIGHT_READ, restrict
 from .client import (
     BulletClient,
     CachingBulletClient,
     DirectoryClient,
     LocalBulletStub,
-    ReplicaSetClient,
     WorkstationCache,
-    replicate_file,
 )
-from .core import (
-    BulletCache,
-    BulletServer,
-    ExtentFreeList,
-    Inode,
-    InodeTable,
-    ScanReport,
-    VolumeLayout,
-    compact_disk,
-    nightly_compaction,
-    render_layout,
-    scan_volume,
-)
-from .client.retry import Retrier, RetryPolicy
+from .client.retry import RetryPolicy
+from .core import BulletServer
 from .directory import DirectoryServer
 from .disk import MirroredDiskSet, VirtualDisk
-from .faults import (
-    FaultController,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    arm_fail_after_writes,
-)
-from .errors import (
-    BadRequestError,
-    CapabilityError,
-    ConsistencyError,
-    DiskIOError,
-    ExistsError,
-    FileTooBigError,
-    NoSpaceError,
-    NotEmptyError,
-    NotFoundError,
-    ReproError,
-    RightsError,
-    RpcTimeoutError,
-    ServerDownError,
-    Status,
-)
-from .gc import GcReport, gc_daemon, gc_sweep
-from .logsvc import LogServer
-from .net import (
-    Ethernet,
-    Gateway,
-    RpcReply,
-    RpcRequest,
-    RpcTransport,
-    WideAreaLink,
-    WideAreaProfile,
-    connect_sites,
-)
+from .errors import ReproError, Status
+from .faults import FaultController, FaultInjector, FaultPlan
+from .gc import gc_sweep
+from .net import Ethernet, RpcTransport
 from .nfs import NfsClient, NfsServer
-from .profiles import (
-    DEFAULT_TESTBED,
-    BulletProfile,
-    CpuProfile,
-    DiskProfile,
-    EthernetProfile,
-    NfsProfile,
-    Testbed,
-)
+from .profiles import DEFAULT_TESTBED
 from .sim import Environment, SeededStream, Tracer, run_process
 from .unixemu import UnixEmulation
 
 __version__ = "1.0.0"
 
+#: What README, the examples and ``perf/api.py`` import from the top
+#: level. Everything else lives in its subpackage (``repro.core``,
+#: ``repro.capability``, ``repro.errors``, ``repro.profiles``, ...).
 __all__ = [
-    # capability
-    "ALL_RIGHTS", "Capability", "NULL_CAPABILITY", "RIGHT_ADMIN",
-    "RIGHT_CREATE", "RIGHT_DELETE", "RIGHT_MODIFY", "RIGHT_READ",
-    "local_verifier", "mint_owner", "port_for_name", "restrict", "verify",
-    # clients
+    "RIGHT_READ", "restrict",
     "BulletClient", "CachingBulletClient", "DirectoryClient",
-    "LocalBulletStub", "ReplicaSetClient", "Retrier", "RetryPolicy",
-    "WorkstationCache", "replicate_file",
-    # core
-    "BulletCache", "BulletServer", "ExtentFreeList", "Inode", "InodeTable",
-    "ScanReport", "VolumeLayout", "compact_disk", "nightly_compaction",
-    "render_layout", "scan_volume",
-    # servers
-    "DirectoryServer", "LogServer", "NfsClient", "NfsServer", "UnixEmulation",
-    # fault plane
-    "FaultController", "FaultEvent", "FaultInjector", "FaultPlan",
-    "arm_fail_after_writes",
-    # substrate
-    "MirroredDiskSet", "VirtualDisk",
-    "Ethernet", "RpcReply", "RpcRequest", "RpcTransport",
-    "Gateway", "WideAreaLink", "WideAreaProfile", "connect_sites",
+    "LocalBulletStub", "RetryPolicy", "WorkstationCache",
+    "BulletServer", "DirectoryServer", "NfsClient", "NfsServer",
+    "UnixEmulation",
+    "FaultController", "FaultInjector", "FaultPlan",
+    "MirroredDiskSet", "VirtualDisk", "Ethernet", "RpcTransport",
     "Environment", "SeededStream", "Tracer", "run_process",
-    # garbage collection
-    "GcReport", "gc_daemon", "gc_sweep",
-    # database pattern
-    "ImmutableBTree",
-    # profiles
-    "DEFAULT_TESTBED", "BulletProfile", "CpuProfile", "DiskProfile",
-    "EthernetProfile", "NfsProfile", "Testbed",
-    # errors
-    "BadRequestError", "CapabilityError", "ConsistencyError", "DiskIOError",
-    "ExistsError", "FileTooBigError", "NoSpaceError", "NotEmptyError",
-    "NotFoundError", "ReproError", "RightsError", "RpcTimeoutError",
-    "ServerDownError", "Status",
+    "gc_sweep",
+    "DEFAULT_TESTBED",
+    "ReproError", "Status",
     "__version__",
 ]

@@ -40,8 +40,8 @@ def main(argv=None) -> int:
 
     print(f"building the 1989 testbed (seed {args.seed})...\n")
     rig = make_rig(seed=args.seed)
-    fig2 = bullet_figure2(rig, sizes=PAPER_SIZES, repeats=repeats)
-    fig3 = nfs_figure3(rig, sizes=PAPER_SIZES, repeats=repeats)
+    fig2 = bullet_figure2(rig, PAPER_SIZES, repeats)
+    fig3 = nfs_figure3(rig, PAPER_SIZES, repeats)
 
     print(fig2.render_delay())
     print()

@@ -1,44 +1,31 @@
-"""Benchmark harness (S13/S14): workloads, the §4 testbed rig, paper-
-style tables, and the per-figure measurement functions."""
+"""The experiment layer (S13/S14): workloads and the trace replayer,
+the §4 testbed rig with its timing and closed-loop drivers, paper-style
+tables, and — in :mod:`repro.bench.experiments` — every committed
+experiment with its artifact table."""
 
-from .coherence import (
-    coherence_policy_tradeoff,
-    coherence_vs_workstations,
-    make_policy,
-)
-from .harness import (
-    PAPER_SIZES,
-    Rig,
-    bullet_figure2,
-    client_cache_scaling,
-    cold_read_disciplines,
-    make_rig,
-    nfs_figure3,
-    throughput_vs_clients,
-    throughput_vs_workers,
-    timed,
-)
+from .harness import Rig, bullet_figure2, closed_loop, make_rig, nfs_figure3, timed
 from .tables import MeasurementTable, ascii_chart, comparison_lines
-from .workload import FileSizeDistribution, Op, TraceGenerator
+from .workload import (
+    PAPER_SIZES,
+    FileSizeDistribution,
+    TraceGenerator,
+    replay_bullet,
+    replay_nfs,
+)
 
 __all__ = [
     "PAPER_SIZES",
     "Rig",
     "bullet_figure2",
+    "closed_loop",
     "make_rig",
     "nfs_figure3",
-    "throughput_vs_clients",
-    "throughput_vs_workers",
-    "client_cache_scaling",
-    "coherence_policy_tradeoff",
-    "coherence_vs_workstations",
-    "cold_read_disciplines",
-    "make_policy",
     "timed",
     "MeasurementTable",
     "ascii_chart",
     "comparison_lines",
     "FileSizeDistribution",
-    "Op",
     "TraceGenerator",
+    "replay_bullet",
+    "replay_nfs",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..units import bandwidth_kb_per_sec, fmt_size, to_msec
 
-__all__ = ["MeasurementTable", "comparison_lines"]
+__all__ = ["MeasurementTable", "ascii_chart", "comparison_lines"]
 
 
 @dataclass
@@ -66,8 +66,7 @@ class MeasurementTable:
         return "\n".join(lines)
 
 
-def ascii_chart(tables: dict, column_of: dict, width: int = 56,
-                title: str = "Bandwidth vs file size (KB/s, log-size axis)") -> str:
+def ascii_chart(tables: dict, column_of: dict) -> str:
     """A bar chart of bandwidth per file size for several series.
 
     ``tables`` maps a series label to a :class:`MeasurementTable`;
@@ -75,6 +74,8 @@ def ascii_chart(tables: dict, column_of: dict, width: int = 56,
     scaled to the global maximum so series are visually comparable —
     the shape the paper's figures convey.
     """
+    title = "Bandwidth vs file size (KB/s, log-size axis)"
+    width = 56  # characters of the longest bar
     rows = []
     peak = 0.0
     for label, table in tables.items():
@@ -98,11 +99,11 @@ def ascii_chart(tables: dict, column_of: dict, width: int = 56,
     return "\n".join(lines)
 
 
-def comparison_lines(bullet: MeasurementTable, nfs: MeasurementTable,
-                     bullet_read: str = "READ", nfs_read: str = "READ",
-                     bullet_write: str = "CREATE+DEL",
-                     nfs_write: str = "CREATE") -> str:
-    """The §4–§5 claims, checked numerically against two tables."""
+def comparison_lines(bullet: MeasurementTable, nfs: MeasurementTable) -> str:
+    """The §4–§5 claims, checked numerically against the Fig. 2 and
+    Fig. 3 tables (their READ, CREATE+DEL and CREATE columns)."""
+    bullet_read = nfs_read = "READ"
+    bullet_write, nfs_write = "CREATE+DEL", "CREATE"
     lines = ["Claim checks (paper §4/§5)", "=" * 60]
     sizes = sorted(set(bullet.rows) & set(nfs.rows))
     for size in sizes:

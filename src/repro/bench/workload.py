@@ -6,6 +6,9 @@ under 64 Kbytes**), modeled as a bounded log-normal. Access popularity
 is Zipf (a small set of hot files dominates), and ~75 % of accesses
 read a file in its entirety [4] — which in this system is every access,
 since transfer is whole-file by construction.
+
+:func:`replay_bullet` and :func:`replay_nfs` run one such trace against
+either server of a rig, one client operation at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from typing import Optional
 
 from ..sim import SeededStream
 from ..units import KB
+from .harness import Rig, timed
 
-__all__ = ["FileSizeDistribution", "Op", "TraceGenerator", "PAPER_SIZES"]
+__all__ = ["FileSizeDistribution", "Op", "TraceGenerator", "PAPER_SIZES",
+           "replay_bullet", "replay_nfs"]
 
 #: The file-size column of the paper's figures 2 and 3. The OCR of the
 #: paper preserves the row pattern (1 byte / bytes / bytes / Kbytes /
@@ -63,15 +68,18 @@ class TraceGenerator:
     dominate.
     """
 
+    #: Popularity skew of reads over the live files.
+    ZIPF_SKEW = 0.9
+
     def __init__(self, seed: int, sizes: Optional[FileSizeDistribution] = None,
-                 read_fraction: float = 0.7, delete_fraction: float = 0.1,
-                 zipf_skew: float = 0.9):
-        if not 0 <= read_fraction + delete_fraction <= 1:
-            raise ValueError("fractions must sum to at most 1")
+                 read_fraction: float = 0.7, delete_fraction: float = 0.1):
+        if not (0 <= read_fraction <= 1 and 0 <= delete_fraction <= 1
+                and read_fraction + delete_fraction <= 1):
+            raise ValueError("fractions must each lie in [0, 1] and sum "
+                             "to at most 1")
         self.sizes = sizes or FileSizeDistribution()
         self.read_fraction = read_fraction
         self.delete_fraction = delete_fraction
-        self.zipf_skew = zipf_skew
         self._stream = SeededStream(seed, "trace")
         self._next_id = 0
         self._live: list[int] = []
@@ -106,7 +114,7 @@ class TraceGenerator:
         # Zipf over live files in creation order: long-lived files are
         # the hot set (system binaries, shared headers), giving a stable
         # popularity skew.
-        index = self._stream.zipf_index(len(self._live), self.zipf_skew)
+        index = self._stream.zipf_index(len(self._live), self.ZIPF_SKEW)
         file_id = self._live[index]
         return Op(kind="read", file_id=file_id,
                   size=self._size_of[file_id])
@@ -115,3 +123,58 @@ class TraceGenerator:
         index = self._stream.randint(0, len(self._live) - 1)
         file_id = self._live.pop(index)
         return Op(kind="delete", file_id=file_id)
+
+
+# ---------------------------------------------------------------- replay
+
+
+def _replay(env, trace, process_for) -> dict[str, float]:
+    """Run ``process_for(op)`` for each op in turn; returns simulated
+    seconds per op kind, each kind's elapsed times added in trace
+    order."""
+    per_kind = {"create": 0.0, "read": 0.0, "delete": 0.0}
+    for op in trace:
+        elapsed, _ = timed(env, process_for(op))
+        per_kind[op.kind] += elapsed
+    return per_kind
+
+
+def replay_bullet(rig: Rig, trace, p_factor: int) -> dict[str, float]:
+    """Replay ``trace`` against the rig's Bullet server (creates at
+    ``p_factor``); returns simulated seconds per op kind."""
+    client = rig.bullet_client
+    caps: dict = {}
+
+    def process_for(op: Op):
+        if op.kind == "create":
+            caps[op.file_id] = yield from client.create(bytes(op.size),
+                                                        p_factor)
+        elif op.kind == "read":
+            yield from client.read(caps[op.file_id])
+        else:
+            yield from client.delete(caps.pop(op.file_id))
+
+    return _replay(rig.env, trace, process_for)
+
+
+def replay_nfs(rig: Rig, trace) -> dict[str, float]:
+    """Replay ``trace`` against the rig's NFS server, each op as the
+    system calls §4 measures (creat/write/close, open/lseek/read/close,
+    unlink); returns simulated seconds per op kind."""
+    client = rig.nfs_client
+
+    def process_for(op: Op):
+        path = f"/f{op.file_id}"
+        if op.kind == "create":
+            fd = yield from client.creat(path)
+            yield from client.write(fd, bytes(op.size))
+            yield from client.close(fd)
+        elif op.kind == "read":
+            fd = yield from client.open(path)
+            yield from client.lseek(fd, 0)
+            yield from client.read(fd, op.size)
+            yield from client.close(fd)
+        else:
+            yield from client.unlink(path)
+
+    return _replay(rig.env, trace, process_for)

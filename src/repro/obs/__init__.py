@@ -14,13 +14,12 @@ observe itself:
 * :func:`pair_spans` — request-scoped span reconstruction; spans flow
   RPC → server → cache → disk so a READ decomposes into its
   queue/cache/disk/net components.
-* ``repro.obs.bench`` — the bench plane over
-  :mod:`repro.bench.harness`: one ``EXPERIMENTS`` table of
-  ``name -> (run, artifact_path)`` with one ``write`` and one ``check``
-  (not imported here; it pulls in the whole testbed). ``python -m
-  repro.obs`` dumps a registry snapshot from an example run; ``python
-  -m repro.obs bench [NAME...|all] [--check]`` regenerates the
-  committed ``BENCH_PR*.json`` artifacts, or byte-compares against them.
+* ``python -m repro.obs`` dumps a registry snapshot from an example
+  run; ``python -m repro.obs bench [NAME...|all] [--check]`` regenerates
+  the committed ``BENCH_PR*.json`` artifacts, or byte-compares against
+  them. The experiments themselves live in
+  :mod:`repro.bench.experiments`; only ``__main__`` imports them, so
+  this package stays importable from ``repro.core``.
 """
 
 from .export import render_json, render_text

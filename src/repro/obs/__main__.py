@@ -8,7 +8,7 @@ through the RPC plane, and dumps the shared metrics registry::
     python -m repro.obs --seed 7           # different workload seed
 
 ``bench`` regenerates the committed bench artifacts from the experiment
-table in :mod:`repro.obs.bench` (run it from the repository root)::
+table in :mod:`repro.bench.experiments` (run it from the repository root)::
 
     python -m repro.obs bench              # rewrite every artifact
     python -m repro.obs bench coherence    # rewrite BENCH_PR10.json only
@@ -20,11 +20,13 @@ table in :mod:`repro.obs.bench` (run it from the repository root)::
 from __future__ import annotations
 
 import argparse
+import sys
 
 from ..bench import make_rig
+from ..bench.experiments import EXPERIMENTS, check, write
+from ..errors import BadRequestError
 from ..sim import run_process
 from ..units import KB
-from .bench import EXPERIMENTS, check, write
 from .export import render_json, render_text
 
 #: The snapshot workload: whole files created, read twice (one cold,
@@ -76,13 +78,17 @@ def main(argv=None) -> int:
             parser.error(f"unknown experiment(s) {unknown}; choose from "
                          f"{list(EXPERIMENTS)} or 'all'")
         mismatch = False
-        for name in names:
-            if args.check:
-                diff = check(name)
-                print(diff or f"ok {name}\n", end="")
-                mismatch = mismatch or bool(diff)
-            else:
-                print(f"wrote {write(name)}")
+        try:
+            for name in names:
+                if args.check:
+                    diff = check(name)
+                    print(diff or f"ok {name}\n", end="")
+                    mismatch = mismatch or bool(diff)
+                else:
+                    print(f"wrote {write(name)}")
+        except BadRequestError as exc:  # artifact missing: wrong cwd
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 1 if mismatch else 0
 
     print(_snapshot(args.seed, args.format), end="")

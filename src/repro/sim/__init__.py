@@ -13,13 +13,12 @@ from .core import (
     Environment,
     Event,
     Interrupt,
-    Process,
     Timeout,
     run_process,
 )
-from .resources import PriorityResource, Request, Resource, Store
+from .resources import Resource, Store
 from .rng import SeededStream, derive_seed
-from .trace import NullTracer, Tracer, TraceRecord
+from .trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -28,16 +27,11 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Process",
     "Timeout",
     "run_process",
-    "PriorityResource",
-    "Request",
     "Resource",
     "Store",
     "SeededStream",
     "derive_seed",
-    "NullTracer",
     "Tracer",
-    "TraceRecord",
 ]

@@ -3,32 +3,28 @@
 * :class:`Resource` — a counted resource with a FIFO wait queue. The
   simulated Ethernet (one transmission at a time) and each disk arm
   (one seek/transfer at a time) are ``Resource(capacity=1)``.
-* :class:`PriorityResource` — like :class:`Resource` but requests carry a
-  priority (lower first); the disk elevator scheduler uses it.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``; the
   RPC layer's per-port request queues are Stores.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from .core import Environment, Event
 
-__all__ = ["Resource", "PriorityResource", "Store", "Request"]
+__all__ = ["Resource", "Store", "Request"]
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource`; fires when granted."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
@@ -69,7 +65,7 @@ class Resource:
             if not self.env.try_finish_now(req, req):
                 req.succeed(req)
         else:
-            self._enqueue(req)
+            self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -77,8 +73,8 @@ class Resource:
         if request not in self._users:
             raise RuntimeError("releasing a request that does not hold the resource")
         self._users.discard(request)
-        nxt = self._dequeue()
-        if nxt is not None:
+        if self._queue:
+            nxt = self._queue.popleft()
             self._users.add(nxt)
             # try_finish_now declines whenever the waiter already
             # registered a callback (the common suspended-process case),
@@ -92,64 +88,6 @@ class Resource:
             self._queue.remove(request)
         except ValueError:
             raise RuntimeError("request not queued (already granted or cancelled)")
-
-    # Queue discipline hooks (overridden by PriorityResource).
-
-    def _enqueue(self, req: Request) -> None:
-        self._queue.append(req)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self._queue.popleft() if self._queue else None
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-priority-value first.
-
-    Ties are served FIFO (stable via an insertion counter).
-    """
-
-    __slots__ = ("_pqueue", "_counter")
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._pqueue: list = []
-        self._counter = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    @property
-    def idle(self) -> bool:
-        return not self._users and not self._pqueue
-
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        req = Request(self, priority)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            if not self.env.try_finish_now(req, req):
-                req.succeed(req)
-        else:
-            self._enqueue(req)
-        return req
-
-    def cancel(self, request: Request) -> None:
-        for i, (_, _, queued) in enumerate(self._pqueue):
-            if queued is request:
-                self._pqueue.pop(i)
-                heapq.heapify(self._pqueue)
-                return
-        raise RuntimeError("request not queued (already granted or cancelled)")
-
-    def _enqueue(self, req: Request) -> None:
-        self._counter += 1
-        heapq.heappush(self._pqueue, (req.priority, self._counter, req))
-
-    def _dequeue(self) -> Optional[Request]:
-        if not self._pqueue:
-            return None
-        _, _, req = heapq.heappop(self._pqueue)
-        return req
 
 
 class Store:

@@ -106,13 +106,3 @@ class Tracer:
             if wanted is None or r.category in wanted
         ]
         return "\n".join(lines)
-
-
-class NullTracer(Tracer):
-    """A tracer that drops everything (used when tracing is disabled)."""
-
-    def __init__(self, env: Environment):
-        super().__init__(env=env, enabled=False)
-
-    def emit(self, category: str, message: str, **fields) -> None:
-        return

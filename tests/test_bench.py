@@ -1,5 +1,9 @@
-"""Tests for the benchmark harness: workload distributions, table
-rendering, and a scaled-down smoke run of the figure experiments."""
+"""Tests for the benchmark harness: workload distributions, the trace
+replayer, table rendering, a scaled-down smoke run of the figure
+experiments, and the no-unflipped-options guard over ``repro.bench``."""
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +14,14 @@ from repro.bench import (
     MeasurementTable,
     TraceGenerator,
     bullet_figure2,
+    closed_loop,
     comparison_lines,
     make_rig,
     nfs_figure3,
-    throughput_vs_clients,
+    replay_bullet,
+    replay_nfs,
 )
-from repro.sim import SeededStream
+from repro.sim import SeededStream, run_process
 from repro.units import KB, MB
 
 from conftest import small_testbed
@@ -73,6 +79,9 @@ def test_trace_generator_mix_fractions():
 def test_trace_generator_rejects_bad_fractions():
     with pytest.raises(ValueError):
         TraceGenerator(seed=1, read_fraction=0.8, delete_fraction=0.3)
+    # The sum is in range here; each fraction must be too.
+    with pytest.raises(ValueError):
+        TraceGenerator(seed=1, read_fraction=-0.5, delete_fraction=0.6)
 
 
 def test_trace_reads_are_popularity_skewed():
@@ -175,10 +184,52 @@ def test_small_rig_figures_smoke():
 
 
 def test_throughput_helper_smoke():
-    results = throughput_vs_clients([1, 2], file_size=1 * KB, duration=2.0,
-                                    testbed=small_testbed())
-    assert results[1] > 0
-    assert results[2] >= results[1] * 0.9
+    """The closed-loop driver in its windowed form (A5's shape): more
+    clients never collapse throughput."""
+    def reads_per_sec(n_clients):
+        rig = make_rig(testbed=small_testbed(), with_nfs=False,
+                       background_load=False)
+        env, client = rig.env, rig.bullet_client
+        caps = [run_process(env, client.create(bytes(1 * KB), 1))
+                for _ in range(n_clients)]
+        completed = [0]
+
+        def client_loop(cap):
+            while True:
+                yield from client.read(cap)
+                completed[0] += 1
+
+        window = closed_loop(env, [client_loop(cap) for cap in caps],
+                             window=2.0)
+        assert window == 2.0 and env.now >= 2.0
+        return completed[0] / window
+
+    one, two = reads_per_sec(1), reads_per_sec(2)
+    assert one > 0
+    assert two >= one * 0.9
+
+
+def test_replayers_are_deterministic_and_conserve_time():
+    """Same seed -> identical per-kind totals; the per-kind totals are
+    the whole replay's simulated time (every op is timed, none twice)."""
+    def once():
+        trace = TraceGenerator(seed=5).generate(n_ops=40, prepopulate=8)
+        rig = make_rig(testbed=small_testbed(), background_load=False,
+                       nfs_churn=False)
+        t0 = rig.env.now
+        bullet = replay_bullet(rig, trace, 2)
+        t1 = rig.env.now
+        nfs = replay_nfs(rig, trace)
+        assert sum(bullet.values()) == pytest.approx(t1 - t0)
+        assert sum(nfs.values()) == pytest.approx(rig.env.now - t1)
+        return trace, bullet, nfs
+
+    trace, bullet, nfs = once()
+    assert (trace, bullet, nfs) == once()
+    assert set(bullet) == set(nfs) == {"create", "read", "delete"}
+    assert all(seconds > 0 for seconds in (*bullet.values(), *nfs.values()))
+    # The abstract's direction holds even on the toy testbed.
+    assert sum(nfs.values()) > sum(bullet.values())
 
 
 def test_rig_determinism():
@@ -189,3 +240,57 @@ def test_rig_determinism():
         return table.delay(1 * KB, "READ"), table.delay(1 * KB, "CREATE+DEL")
 
     assert once() == once()
+
+
+# ------------------------------------------------------ options guard
+
+
+def _public_callables(tree):
+    """(name callers use, def) for each public function, constructor
+    and public method defined at a module's top level."""
+    public = [node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    for node in public:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef):
+                if sub.name == "__init__":
+                    yield node.name, sub
+                elif not sub.name.startswith("_"):
+                    yield sub.name, sub
+
+
+def test_no_defaulted_parameter_goes_unpassed():
+    """Every defaulted parameter of a public function or constructor in
+    ``repro.bench`` is passed by some caller under src/, benchmarks/ or
+    examples/ — an option nobody flips is a constant."""
+    root = Path(__file__).resolve().parents[1]
+    calls: dict = {}
+    for top in ("src", "benchmarks", "examples"):
+        for path in (root / top).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            alias = {a.asname: a.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     for a in node.names if a.asname}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls.setdefault(alias.get(name, name), []).append(node)
+
+    findings = []
+    for path in (root / "src" / "repro" / "bench").glob("*.py"):
+        for owner, func in _public_callables(ast.parse(path.read_text())):
+            params = func.args.posonlyargs + func.args.args
+            if params and params[0].arg == "self":
+                params = params[1:]
+            first = len(params) - len(func.args.defaults)
+            for position, param in enumerate(params[first:], first):
+                if not any(len(call.args) > position
+                           or any(k.arg == param.arg for k in call.keywords)
+                           for call in calls.get(owner, [])):
+                    findings.append(f"{path.name}: {owner}({param.arg}=...)")
+    assert not findings, "\n".join(sorted(findings))

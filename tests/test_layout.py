@@ -95,15 +95,15 @@ def test_ascii_chart_scales_and_labels():
     table = MeasurementTable(title="T", columns=["READ"])
     table.record(1 * KB, "READ", 0.01)       # 100 KB/s
     table.record(1 * MB, "READ", 2.0)        # 512 KB/s
-    chart = ascii_chart({"series": table}, {"series": "READ"}, width=40)
+    chart = ascii_chart({"series": table}, {"series": "READ"})
     lines = chart.splitlines()
     assert any("1 Kbytes" in line for line in lines)
     assert any("1 Mbyte" in line for line in lines)
     bars = [line for line in lines if "#" in line]
     assert len(bars) == 2
     # The 512 KB/s bar is the full width; the 100 KB/s one shorter.
-    assert max(line.count("#") for line in bars) == 40
-    assert min(line.count("#") for line in bars) < 10
+    assert max(line.count("#") for line in bars) == 56
+    assert min(line.count("#") for line in bars) < 14
 
 
 def test_ascii_chart_empty():

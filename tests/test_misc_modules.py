@@ -16,7 +16,7 @@ from repro.errors import (
     error_for_status,
 )
 from repro.profiles import DEFAULT_TESTBED, DiskProfile, EthernetProfile
-from repro.sim import Environment, NullTracer, SeededStream, Tracer, derive_seed
+from repro.sim import Environment, SeededStream, Tracer, derive_seed
 from repro.units import (
     KB,
     MB,
@@ -151,13 +151,6 @@ def test_tracer_records_sim_time():
     env.process(proc())
     env.run()
     assert tracer.records[0].time == 1.5
-
-
-def test_null_tracer_drops_everything():
-    env = Environment()
-    tracer = NullTracer(env)
-    tracer.emit("x", "dropped")
-    assert tracer.records == []
 
 
 def test_disabled_tracer():

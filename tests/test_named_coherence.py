@@ -394,22 +394,3 @@ def test_policy_validation():
         CurrencyPolicy.after(0.0)
     with pytest.raises(BadRequestError):
         CurrencyPolicy("sometimes")
-
-
-# ----------------------------------------------------------- bench smoke
-
-
-def test_coherence_bench_smoke():
-    from repro.bench import coherence_vs_workstations, make_policy
-
-    with pytest.raises(BadRequestError):
-        make_policy("hourly", 1.0)
-    sweep = coherence_vs_workstations(workstation_counts=(1, 2),
-                                      ops_per_workstation=20,
-                                      n_replaces=3)
-    one, two = sweep[1], sweep[2]
-    assert one["stale_reads_served"] == 0
-    assert two["stale_reads_served"] == 0
-    assert two["dir_rpcs"] > one["dir_rpcs"]
-    assert one["dir_rpcs_per_op"] == pytest.approx(1.0)
-    assert two["server_reads_per_workstation"] <= 2 * (12 + 3)

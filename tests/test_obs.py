@@ -18,7 +18,6 @@ from repro.obs import (
     render_text,
 )
 from repro.sim import Environment, Tracer
-from repro.sim.trace import NullTracer
 
 
 # ------------------------------------------------------------- registry
@@ -224,7 +223,7 @@ def test_orphan_end_and_duplicate_begin_raise():
 
 def test_disabled_tracer_spans_noop():
     env = Environment()
-    null = NullTracer(env)
+    null = Tracer(env=env, enabled=False)
     assert null.begin_span("span", "x") == 0
     null.end_span(0, "span", "x")
     assert null.records == []

@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro.capability import Capability
+from repro.bench.experiments import EXPERIMENTS, check
 from repro.client import BulletClient
 from repro.disk import VirtualDisk
-from repro.errors import NotFoundError, Status
+from repro.errors import BadRequestError, NotFoundError, Status
 from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.nfs import NfsServer
 from repro.obs import pair_spans, render_json, render_text
 from repro.obs.__main__ import main as obs_main
-from repro.obs.bench import EXPERIMENTS, check
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, Tracer, run_process
 from repro.units import KB
@@ -247,13 +247,17 @@ def test_experiment_regenerates_committed_artifact(name, monkeypatch):
 
 @pytest.fixture
 def replayed(monkeypatch, tmp_path):
-    """Run the bench plane in an empty directory with every experiment
-    replaying its committed payload (canonical JSON round-trips exactly).
-    The test above already holds the real runs to those bytes; the tests
-    below are about paths, diffs and exit codes, not the simulations."""
+    """Run the bench plane in a scratch copy of the repository root (the
+    committed artifacts and nothing else) with every experiment
+    replaying its committed payload (canonical JSON round-trips
+    exactly). The test above already holds the real runs to those
+    bytes; the tests below are about paths, diffs and exit codes, not
+    the simulations."""
     for name, (_run, path) in list(EXPERIMENTS.items()):
-        payload = json.loads((REPO / path).read_text())
-        monkeypatch.setitem(EXPERIMENTS, name, (lambda p=payload: p, path))
+        committed = (REPO / path).read_text()
+        (tmp_path / path).write_text(committed)
+        monkeypatch.setitem(
+            EXPERIMENTS, name, (lambda p=json.loads(committed): p, path))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -261,9 +265,12 @@ def replayed(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_bench_cli_writes_exactly_the_tables_path(name, replayed):
     path = EXPERIMENTS[name][1]
+    before = sorted(entry.name for entry in replayed.iterdir())
+    (replayed / path).write_text("{}\n")
     assert obs_main(["bench", name]) == 0
-    assert [entry.name for entry in replayed.iterdir()] == [path]
-    assert (replayed / path).read_bytes() == (REPO / path).read_bytes()
+    assert sorted(entry.name for entry in replayed.iterdir()) == before
+    for _run, other in EXPERIMENTS.values():
+        assert (replayed / other).read_bytes() == (REPO / other).read_bytes()
     assert obs_main(["bench", name, "--check"]) == 0
 
 
@@ -281,10 +288,33 @@ def test_check_reports_a_tampered_artifact(name, replayed, capsys):
 
 
 def test_bench_cli_rejects_an_unknown_experiment(replayed):
+    before = {entry.name: entry.read_bytes() for entry in replayed.iterdir()}
     with pytest.raises(SystemExit) as exit_info:
         obs_main(["bench", "no_such_experiment"])
     assert exit_info.value.code == 2
-    assert list(replayed.iterdir()) == []
+    assert {entry.name: entry.read_bytes()
+            for entry in replayed.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "--check"]])
+def test_bench_cli_refuses_outside_the_repository_root(
+        argv, monkeypatch, tmp_path, capsys):
+    """Away from the committed artifacts the CLI refuses in one line,
+    before simulating anything, and leaves no stray files behind."""
+    def must_not_run():
+        raise AssertionError("an experiment ran outside the repo root")
+
+    for name, (_run, path) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (must_not_run, path))
+    monkeypatch.chdir(tmp_path)
+    assert obs_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "run from the repository root" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(BadRequestError):
+        check("coherence")
 
 
 def test_committed_bench_artifact_is_current_schema():

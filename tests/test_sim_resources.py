@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, and Store."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store, run_process
+from repro.sim import Environment, Resource, Store, run_process
 
 
 def test_resource_grants_immediately_under_capacity():
@@ -126,75 +126,6 @@ def test_queue_length_tracks_waiters():
     assert res.queue_length == 1
     env.run()
     assert res.queue_length == 0
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    acquired = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def client(tag, priority):
-        yield env.timeout(1.0)
-        req = res.request(priority=priority)
-        yield req
-        acquired.append(tag)
-        res.release(req)
-
-    env.process(holder())
-    env.process(client("low-urgency", 10))
-    env.process(client("high-urgency", 1))
-    env.process(client("mid-urgency", 5))
-    env.run()
-    assert acquired == ["high-urgency", "mid-urgency", "low-urgency"]
-
-
-def test_priority_resource_ties_are_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    acquired = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def client(tag):
-        yield env.timeout(1.0)
-        req = res.request(priority=3)
-        yield req
-        acquired.append(tag)
-        res.release(req)
-
-    env.process(holder())
-    for tag in ("a", "b", "c"):
-        env.process(client(tag))
-    env.run()
-    assert acquired == ["a", "b", "c"]
-
-
-def test_priority_resource_cancel():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-
-    def proc():
-        req1 = res.request()
-        yield req1
-        req2 = res.request(priority=1)
-        req3 = res.request(priority=2)
-        res.cancel(req2)
-        res.release(req1)
-        yield req3  # req3 must be granted since req2 was cancelled
-        res.release(req3)
-        return "ok"
-
-    assert run_process(env, proc()) == "ok"
 
 
 def test_store_put_then_get():
