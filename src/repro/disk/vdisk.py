@@ -95,7 +95,7 @@ class VirtualDisk:
         # True while an analytically collapsed operation occupies the
         # arm (its completion is on the heap but the serve loop never
         # saw it). Submissions arriving then are parked in the queue
-        # without a wakeup token; the finish callback replays tokens.
+        # without a wakeup token; its completion replays the tokens.
         self._fast_inflight = False
         self._server = env.process(self._serve())
 
@@ -203,27 +203,6 @@ class VirtualDisk:
             return completion
         self.geometry._check_extent(start_block, nblocks)
         env = self.env
-        if (not self._fast_inflight
-                and len(self._queue) == 0
-                and len(self._wakeups) == 0
-                and self._wakeups.waiting == 1):
-            # The arm is provably idle (serve loop parked on its wakeup
-            # store, nothing queued). Collapse the whole operation —
-            # wakeup, seek+rotate+transfer timeout, completion — into
-            # one scheduled event when nothing else can observe the
-            # interval (see sim.core.can_collapse); the finish callback
-            # below replays the serve loop's completion-time sequence
-            # verbatim at the identical instant.
-            duration = self.geometry.access_time(
-                self._current_cylinder, start_block, nblocks
-            ) * self._slowdown
-            if env.can_collapse(env.now + duration):
-                completion.callbacks.append(
-                    self._make_finish(kind, start_block, nblocks, data,
-                                      duration))
-                self._fast_inflight = True
-                env._schedule(completion, duration)
-                return completion
         req = _DiskRequest(
             kind=kind,
             start_block=start_block,
@@ -232,80 +211,39 @@ class VirtualDisk:
             completion=completion,
             cylinder=self.geometry.cylinder_of(start_block),
         )
+        if (not self._fast_inflight
+                and len(self._queue) == 0
+                and len(self._wakeups) == 0
+                and self._wakeups.waiting == 1):
+            # The arm is provably idle (serve loop parked on its wakeup
+            # store, nothing queued). Collapse the whole operation —
+            # wakeup, seek+rotate+transfer timeout, completion — into
+            # one scheduled event when nothing else can observe the
+            # interval (see sim.core.can_collapse). Only *when time
+            # passes* is decided here: what happens at that instant is
+            # the serve loop's own _complete, run as the completion
+            # event's first callback.
+            duration = self.geometry.access_time(
+                self._current_cylinder, start_block, nblocks
+            ) * self._slowdown
+            if env.can_collapse(env.now + duration):
+                def finish(_completion: Event) -> None:
+                    self._complete(req, duration)
+                    # Release the arm and hand any parked submissions
+                    # to the serve loop (one token per queued request,
+                    # as the queued path deposits at submit time).
+                    self._fast_inflight = False
+                    for _ in range(len(self._queue)):
+                        self._wakeups.put(None)
+
+                completion.callbacks.append(finish)
+                self._fast_inflight = True
+                env._schedule(completion, duration)
+                return completion
         self._queue.push(req)
         if not self._fast_inflight:
             self._wakeups.put(None)
         return completion
-
-    def _make_finish(self, kind: str, start_block: int, nblocks: int,
-                     data: Optional[bytes], duration: float):
-        """The analytic operation's completion callback: everything the
-        serve loop does after its access-time timeout, in the same
-        order, mutating the completion event in place (it is already
-        being dispatched, so ``succeed`` must not re-schedule it)."""
-
-        def finish(completion: Event) -> None:
-            geometry = self.geometry
-            if geometry.cylinder_of(start_block) != self._current_cylinder:
-                self._c_seeks.inc(1)
-            self._current_cylinder = geometry.cylinder_of(
-                start_block + max(nblocks - 1, 0)
-            )
-            self._c_busy_time.inc(duration)
-            # The failure/flaky re-checks mirror the serve loop. Under
-            # the collapse guard no other process can have armed them
-            # mid-flight, but mirroring keeps the two paths line-for-line
-            # comparable (and correct even if the guard ever widens).
-            if self._failed:
-                completion._ok = False
-                completion._value = DiskIOError(
-                    f"{self.name} died mid-operation"
-                )
-                self._finish_epilogue()
-                return
-            if self._flaky_extent(start_block, nblocks):
-                self._trace("fault", f"{self.name} media error",
-                            block=start_block, n=nblocks)
-                completion._ok = False
-                completion._value = DiskIOError(
-                    f"{self.name} unrecoverable media error in blocks "
-                    f"[{start_block}, {start_block + nblocks})"
-                )
-                self._finish_epilogue()
-                return
-            if kind == "read":
-                payload = self.read_raw(start_block, nblocks)
-                self._c_reads.inc(1)
-                self._c_blocks_read.inc(nblocks)
-                if self._tracer is not None:
-                    self._trace("disk", f"{self.name} read",
-                                block=start_block, n=nblocks)
-                completion._ok = True
-                completion._value = payload
-            else:
-                if data is None:
-                    raise ConsistencyError("write request carries no data")
-                self.write_raw(start_block, data)
-                self._c_writes.inc(1)
-                self._c_blocks_written.inc(nblocks)
-                if self._tracer is not None:
-                    self._trace("disk", f"{self.name} write",
-                                block=start_block, n=nblocks)
-                completion._ok = True
-                completion._value = None
-            for hook in list(self._op_hooks):
-                hook(kind)
-            self._finish_epilogue()
-
-        return finish
-
-    def _finish_epilogue(self) -> None:
-        """Release the arm and hand any parked submissions to the serve
-        loop (one token per queued request, as the exact path would have
-        deposited at submit time)."""
-        self._fast_inflight = False
-        for _ in range(len(self._queue)):
-            self._wakeups.put(None)
 
     def _serve(self):
         """The arm: one request at a time, in scheduler order."""
@@ -318,50 +256,71 @@ class VirtualDisk:
                 self._current_cylinder, req.start_block, req.nblocks
             ) * self._slowdown
             yield self.env.timeout(duration)
-            if self.geometry.cylinder_of(req.start_block) != self._current_cylinder:
-                self._c_seeks.inc(1)
-            self._current_cylinder = self.geometry.cylinder_of(
-                req.start_block + max(req.nblocks - 1, 0)
-            )
-            self._c_busy_time.inc(duration)
-            if self._failed:
-                if not req.completion.triggered:
-                    req.completion.fail(
-                        DiskIOError(f"{self.name} died mid-operation")
-                    )
-                continue
-            if self._flaky_extent(req.start_block, req.nblocks):
-                self._trace("fault", f"{self.name} media error",
-                            block=req.start_block, n=req.nblocks)
-                if not req.completion.triggered:
-                    req.completion.fail(DiskIOError(
-                        f"{self.name} unrecoverable media error in blocks "
-                        f"[{req.start_block}, {req.start_block + req.nblocks})"
-                    ))
-                continue
-            if req.kind == "read":
-                payload = self.read_raw(req.start_block, req.nblocks)
-                self._c_reads.inc(1)
-                self._c_blocks_read.inc(req.nblocks)
-                if self._tracer is not None:
-                    self._trace("disk", f"{self.name} read",
-                                block=req.start_block, n=req.nblocks)
-                req.completion.succeed(payload)
-            else:
-                if req.data is None:
-                    raise ConsistencyError("write request carries no data")
-                self.write_raw(req.start_block, req.data)
-                self._c_writes.inc(1)
-                self._c_blocks_written.inc(req.nblocks)
-                if self._tracer is not None:
-                    self._trace("disk", f"{self.name} write",
-                                block=req.start_block, n=req.nblocks)
-                req.completion.succeed(None)
-            # Completion hooks run after the op is accounted, so a
-            # write-count fault armed for the Nth write kills the disk
-            # with the Nth write durable and nothing after it.
-            for hook in list(self._op_hooks):
-                hook(req.kind)
+            self._complete(req, duration)
+
+    def _complete(self, req: _DiskRequest, duration: float) -> None:
+        """The arm finished ``req`` after ``duration`` seconds: the
+        single completion body, run by the serve loop after its
+        access-time timeout and, for an analytically collapsed
+        operation, from the completion event's own dispatch at the
+        identical instant."""
+        start_block, nblocks = req.start_block, req.nblocks
+        geometry = self.geometry
+        if req.cylinder != self._current_cylinder:
+            self._c_seeks.inc(1)
+        self._current_cylinder = geometry.cylinder_of(
+            start_block + max(nblocks - 1, 0)
+        )
+        self._c_busy_time.inc(duration)
+        if self._failed:
+            self._settle(req.completion, False, DiskIOError(
+                f"{self.name} died mid-operation"))
+            return
+        if self._flaky_extent(start_block, nblocks):
+            self._trace("fault", f"{self.name} media error",
+                        block=start_block, n=nblocks)
+            self._settle(req.completion, False, DiskIOError(
+                f"{self.name} unrecoverable media error in blocks "
+                f"[{start_block}, {start_block + nblocks})"
+            ))
+            return
+        if req.kind == "read":
+            payload = self.read_raw(start_block, nblocks)
+            self._c_reads.inc(1)
+            self._c_blocks_read.inc(nblocks)
+            if self._tracer is not None:
+                self._trace("disk", f"{self.name} read",
+                            block=start_block, n=nblocks)
+            self._settle(req.completion, True, payload)
+        else:
+            if req.data is None:
+                raise ConsistencyError("write request carries no data")
+            self.write_raw(start_block, req.data)
+            self._c_writes.inc(1)
+            self._c_blocks_written.inc(nblocks)
+            if self._tracer is not None:
+                self._trace("disk", f"{self.name} write",
+                            block=start_block, n=nblocks)
+            self._settle(req.completion, True, None)
+        # Completion hooks run after the op is accounted, so a
+        # write-count fault armed for the Nth write kills the disk
+        # with the Nth write durable and nothing after it.
+        for hook in list(self._op_hooks):
+            hook(req.kind)
+
+    def _settle(self, completion: Event, ok: bool, value) -> None:
+        """Give ``completion`` its outcome. A queued operation triggers
+        it like any event (one heap hop to the waiter). An analytic
+        operation's completion is already on the heap — it is the event
+        being dispatched right now — so the outcome is written in place
+        for the callbacks that follow (``succeed`` would re-schedule)."""
+        if self._fast_inflight:
+            completion._ok = ok
+            completion._value = value
+        elif ok:
+            completion.succeed(value)
+        else:
+            completion.fail(value)
 
     # --------------------------------------------------------- raw plane
 

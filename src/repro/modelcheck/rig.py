@@ -227,11 +227,13 @@ class CheckRig:
         self.testbed = check_testbed(scope)
         # Every explored path runs under a fresh Eraser-style lockset
         # checker (cross-checking the lock plane at every transition) on
-        # an exact-semantics environment: the fast paths collapse the
-        # very same-instant interleavings the tie hook exists to permute.
+        # the reference kernel. Installing the tie hook is what selects
+        # it: the fast paths would collapse the very same-instant
+        # interleavings the hook exists to permute, so the kernel turns
+        # them off whenever a hook is present.
         self._previous_checker = active_checker()
         activate(LocksetChecker())
-        env = self.env = Environment(fast=False)
+        env = self.env = Environment()
         self._ties = _TieRecorder()
         env.set_tie_hook(self._ties)
         self.eth = Ethernet(env, EthernetProfile())

@@ -185,10 +185,11 @@ class Ethernet:
             # spike: nothing draws RNG or forks the outcome), the medium
             # is free (no holder whose release we would reorder against),
             # and no other event fires strictly before the segment ends
-            # (peek/solo guard, see sim.core). Timing is the same left
-            # fold of per-hop delays the exact path would walk, so the
-            # resume instant is bit-identical.
-            if (env.fast and env._solo and not self.lossy
+            # (can_collapse at this instant, then the peek horizon; see
+            # sim.core). Timing is the same left fold of per-hop delays
+            # the exact path would walk, so the resume instant is
+            # bit-identical.
+            if (env.can_collapse(env.now) and not self.lossy
                     and self._fault_extra_latency == 0.0
                     and self._medium.idle):
                 horizon = env.peek()
@@ -295,7 +296,7 @@ class Ethernet:
             # instead of after the previous wire) is exact because the
             # guard proves nothing else touches the stream inside the
             # window; the draw *sequence* is what determinism pins.
-            if env.fast and env._solo and medium.idle:
+            if env.can_collapse(env.now) and medium.idle:
                 horizon = env.peek()
                 t = env.now
                 batch: list = []

@@ -24,13 +24,17 @@ Determinism: ties in the heap are broken by insertion order, so a given
 program always replays identically. No wall-clock time or global RNG is
 consulted anywhere in the kernel.
 
-Fast paths
-----------
+Two kernels, one switch
+-----------------------
 
 The kernel carries a set of *observational-equivalence* fast paths
-(DESIGN.md §10), all gated on ``Environment.fast`` (default from the
-``REPRO_FAST_PATHS`` environment variable; set it to ``0`` to force the
-exact reference semantics everywhere):
+(DESIGN.md §10). They are on exactly when no tie hook is installed
+(:meth:`Environment.set_tie_hook`): installing a hook selects the
+*reference kernel* — every hop a real heap entry, every same-instant
+tie shown to the hook, index 0 the reference schedule — and clearing it
+selects the fast kernel again. There is no other option: a fast kernel
+with a hook would hide from the hook the very interleavings it exists
+to permute.
 
 * :meth:`Environment.try_finish_now` — completes a freshly created event
   synchronously instead of routing it through the heap, legal only when
@@ -39,18 +43,25 @@ exact reference semantics everywhere):
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
-* :meth:`Environment.timeout_batch` / :meth:`Environment.sleep` — one
-  heap push for a run of consecutive delays, and a no-op for zero-delay
-  sleeps that nothing can observe.
+* :meth:`Environment.timeout_batch` — one heap push for a run of
+  consecutive delays, where the caller has shown (with
+  :meth:`Environment.can_collapse`) that nothing can observe the
+  intermediate instants.
+
+A fast path decides *when time passes*; it never re-implements *what
+happens* — callers route both kernels through the same completion code.
 
 "Nothing else can run at the current instant" is two conditions,
 centralized in :meth:`Environment.can_collapse`: the next heap entry
 must be *strictly* later (an entry at the same tick always sorts before
 a new push — older eid or interrupt priority — so it would interleave),
 and no further callbacks of the event being processed right now may be
-pending (the ``_solo`` flag, maintained by the dispatch loops; a second
+pending (the ``_solo`` flag, maintained by the dispatch loop; a second
 callback of the same event runs at the same instant without touching
 the heap, so the heap check alone cannot see it).
+:meth:`~Environment.can_collapse`, :meth:`~Environment.try_finish_now`
+and :meth:`~Environment.peek` are the whole legality surface: nothing
+outside ``repro.sim`` reads the kernel's private state.
 
 One documented obligation on callers: an event completed through
 :meth:`~Environment.try_finish_now` must be yielded before the caller
@@ -62,12 +73,11 @@ yields immediately, so the obligation is structural.
 Every fast path is exact: it fires only when the reference execution
 would have performed the identical state transitions in the identical
 order, which is what the hypothesis reference-equivalence suite
-(tests/test_kernel_equivalence.py) checks.
+(tests/test_kernel_equivalence.py) checks against the hooked kernel.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -83,14 +93,7 @@ __all__ = [
     "AnyOf",
     "CountOf",
     "run_process",
-    "FAST_PATHS_DEFAULT",
 ]
-
-#: Process-wide default for :attr:`Environment.fast`. CI's forced-exact
-#: jobs export ``REPRO_FAST_PATHS=0`` to pin every environment to the
-#: reference semantics without touching call sites.
-FAST_PATHS_DEFAULT = os.environ.get("REPRO_FAST_PATHS", "1") != "0"
-
 
 class Interrupt(Exception):
     """Thrown inside a process generator by :meth:`Process.interrupt`.
@@ -168,6 +171,11 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
+
+
+#: The stop event of a ``run()`` that was given none: never triggered,
+#: so never processed (no environment ever sees it).
+_NEVER = Event(None)
 
 
 class Timeout(Event):
@@ -285,7 +293,7 @@ class Process(Event):
                 except StopIteration as stop:
                     self._waiting_on = None
                     heap = env._heap
-                    if (env.fast and env._solo
+                    if (env._tie_hook is None and env._solo
                             and (not heap or heap[0][0] > env._now)):
                         # Synchronous completion: nothing else can run
                         # at this instant, so the completion event would
@@ -431,15 +439,14 @@ class CountOf(_ConditionBase):
 class Environment:
     """The simulation scheduler and clock.
 
-    ``fast`` enables the observational-equivalence fast paths (see the
-    module docstring); it defaults to :data:`FAST_PATHS_DEFAULT` so one
-    environment variable flips the whole process to reference semantics.
+    A fresh environment is the fast kernel; :meth:`set_tie_hook` turns
+    it into the reference kernel (see the module docstring).
     """
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_deadline",
-                 "_proc_count", "fast", "_tie_hook")
+                 "_proc_count", "_tie_hook")
 
-    def __init__(self, initial_time: float = 0.0, fast: Optional[bool] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list = []
         self._eid = 0
@@ -456,12 +463,10 @@ class Environment:
         # a self-scheduling daemon over an otherwise empty heap scans a
         # finite window instead of looping forever.
         self._deadline = float("inf")
-        self.fast = FAST_PATHS_DEFAULT if fast is None else bool(fast)
         # Scheduling choice-point hook (model checking): consulted when
         # two or more heap entries tie on (time, priority). None — the
-        # overwhelmingly common case — keeps the reference tie-break
-        # (insertion order) and costs nothing on the hot dispatch loops,
-        # which delegate to _run_hooked only when a hook is installed.
+        # overwhelmingly common case — is the fast kernel: insertion-
+        # order tie-break by plain heappop, fast paths on.
         self._tie_hook: Optional[Callable[[list], int]] = None
 
     @property
@@ -490,7 +495,7 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_batch(self, delays: Iterable[float], value: Any = None) -> Timeout:
+    def timeout_batch(self, delays: Iterable[float]) -> Timeout:
         """One event standing in for K sequential delays — a single heap
         push where the reference path pays K push/pop/resume cycles.
 
@@ -514,27 +519,13 @@ class Environment:
         event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
-        event._value = value
+        event._value = None
         event._ok = True
         event._defused = False
         event.delay = when - self._now
         self._eid += 1
         heappush(self._heap, (when, 1, self._eid, event))
         return event
-
-    def sleep(self, delay: float):
-        """Generator form of a plain delay: ``yield from env.sleep(d)``.
-
-        Equivalent to ``yield env.timeout(d)``, except that a zero-delay
-        sleep is skipped entirely when nothing else is scheduled at the
-        current instant — the reference execution would pop the zero
-        timeout immediately with no intervening event, so skipping the
-        heap round-trip is exact.
-        """
-        if delay == 0.0 and self.fast and self._solo and (
-                not self._heap or self._heap[0][0] > self._now):
-            return None
-        return (yield Timeout(self, delay))
 
     def process(self, generator: Generator) -> Process:
         """Start ``generator`` as a process; returns its completion event."""
@@ -568,7 +559,7 @@ class Environment:
         (immediate grants); pass a later ``end`` for closed-form busy
         segments (network transfers, disk operations).
         """
-        return (self.fast and self._solo
+        return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end))
 
     def try_finish_now(self, event: Event, value: Any = None) -> bool:
@@ -583,7 +574,7 @@ class Environment:
         on False. Immediate resource grants, store gets, and uncontended
         lock grants use this to skip the heap round-trip.
         """
-        if (self.fast and self._solo and not event.callbacks
+        if (self._tie_hook is None and self._solo and not event.callbacks
                 and (not self._heap or self._heap[0][0] > self._now)):
             event._ok = True
             event._value = value
@@ -593,25 +584,32 @@ class Environment:
 
     def set_tie_hook(self, hook: Optional[Callable[[list], int]]) -> None:
         """Install (or clear, with None) the scheduling choice-point
-        hook.
+        hook — the one kernel switch.
 
-        When set, every dispatch that finds two or more heap entries
-        tied on ``(time, priority)`` calls ``hook(entries)`` with the
-        tied ``(when, priority, eid, event)`` tuples in insertion order
-        (ascending eid) and dispatches the entry at the returned index;
-        the rest go back on the heap. Index 0 therefore reproduces the
-        reference schedule exactly. The model checker drives this to
-        enumerate or randomize event orderings that the deterministic
-        kernel would otherwise never exhibit. Installing a hook routes
-        ``run``/``step`` through a generic (slower) dispatch loop; with
-        the hook cleared the inlined hot loops are untouched.
+        With a hook installed this is the *reference kernel*: every
+        fast path is off (each zero-delay hop and immediate grant is a
+        real heap entry, so every same-instant interleaving is a
+        visible tie), and every dispatch that finds two or more heap
+        entries tied on ``(time, priority)`` calls ``hook(entries)``
+        with the tied ``(when, priority, eid, event)`` tuples in
+        insertion order (ascending eid) and dispatches the entry at the
+        returned index; the rest go back on the heap. Index 0 therefore
+        reproduces the reference schedule exactly. The model checker
+        drives this to enumerate or randomize event orderings that the
+        deterministic kernel would otherwise never exhibit. Clearing
+        the hook restores the fast kernel.
+
+        Fast-path legality reads the hook live, but ``run`` picks its
+        pop once per call: a hook installed from inside a callback
+        turns the fast paths off at once and starts choosing ties at
+        the next ``run``/``step`` (until then ties resolve in insertion
+        order, which is index 0).
         """
         self._tie_hook = hook
 
-    def _pop_tied(self) -> tuple:
-        """Pop the next entry, consulting the tie hook when the head of
-        the heap is not unique in ``(time, priority)``."""
-        heap = self._heap
+    def _pop_tied(self, heap: list) -> tuple:
+        """``heappop`` for the reference kernel: consult the tie hook
+        when the head of the heap is not unique in ``(time, priority)``."""
         first = heappop(heap)
         if not heap or heap[0][0] != first[0] or heap[0][1] != first[1]:
             return first
@@ -628,61 +626,6 @@ class Environment:
             heappush(heap, entry)
         return chosen
 
-    def _dispatch(self, entry: tuple) -> None:
-        """Reference dispatch of one popped heap entry (the body the
-        ``run`` loops inline), used by the hooked run path."""
-        when, _priority, _eid, event = entry
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        if len(callbacks) == 1:
-            callbacks[0](event)
-        else:
-            self._solo = False
-            for callback in callbacks:
-                callback(event)
-            self._solo = True
-        if not event._ok and not event._defused:
-            self._solo = True
-            raise event._value
-
-    def _run_hooked(self, until: Any) -> Any:
-        """The ``run`` loop with tie-hook-aware pops. Functionally
-        identical to :meth:`run` (which delegates here whenever a hook
-        is installed) except that tied heap entries are resolved through
-        the hook instead of insertion order."""
-        heap = self._heap
-        if until is None:
-            while heap:
-                self._dispatch(self._pop_tied())
-            self._solo = True
-            return None
-        if isinstance(until, Event):
-            while until.callbacks is not None:
-                if not heap:
-                    raise RuntimeError(
-                        "deadlock: event will never fire (no scheduled events)"
-                    )
-                self._dispatch(self._pop_tied())
-            self._solo = True
-            if until._ok:
-                return until._value
-            until._defused = True
-            raise until._value
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(
-                f"until={deadline} is in the past (now={self._now})")
-        self._deadline = deadline
-        try:
-            while heap and heap[0][0] <= deadline:
-                self._dispatch(self._pop_tied())
-        finally:
-            self._deadline = float("inf")
-        self._solo = True
-        self._now = deadline
-        return None
-
     def peek(self) -> float:
         """The earliest instant anything can next observe the world: the
         next scheduled event, capped at the running ``until`` deadline
@@ -694,12 +637,11 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise RuntimeError("no scheduled events")
-        if self._tie_hook is None:
-            when, _priority, _eid, event = heappop(self._heap)
-        else:
-            when, _priority, _eid, event = self._pop_tied()
+        pop = heappop if self._tie_hook is None else self._pop_tied
+        when, _priority, _eid, event = pop(heap)
         self._now = when
         callbacks = event.callbacks
         event.callbacks = None
@@ -720,70 +662,35 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it fires, then return
           its value (re-raising its exception on failure).
 
-        The three loops below inline :meth:`step` (minus its empty-heap
+        All three are one loop over ``(stop event, deadline)``: a
+        missing stop event is one that never fires, a missing deadline
+        is +inf. The loop inlines :meth:`step` (minus its empty-heap
         guard) — the per-event tuple unpack and callback dispatch is the
         single hottest path in the whole system, so it pays to keep it
-        free of method-call and property overhead.
+        free of method-call and property overhead; which pop serves it
+        (plain ``heappop``, or the tie-aware one of the reference
+        kernel) is decided here, once per call, not per event.
         """
-        if self._tie_hook is not None:
-            return self._run_hooked(until)
         heap = self._heap
-        if until is None:
-            while heap:
-                when, _priority, _eid, event = heappop(heap)
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    # _solo already True: the lone callback may collapse.
-                    callbacks[0](event)
-                else:
-                    self._solo = False
-                    for callback in callbacks:
-                        callback(event)
-                    self._solo = True
-                if not event._ok and not event._defused:
-                    self._solo = True
-                    raise event._value
-            self._solo = True
-            return None
+        stop, deadline = _NEVER, float("inf")
         if isinstance(until, Event):
-            while until.callbacks is not None:
-                if not heap:
-                    raise RuntimeError(
-                        "deadlock: event will never fire (no scheduled events)"
-                    )
-                when, _priority, _eid, event = heappop(heap)
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    # _solo already True: the lone callback may collapse.
-                    callbacks[0](event)
-                else:
-                    self._solo = False
-                    for callback in callbacks:
-                        callback(event)
-                    self._solo = True
-                if not event._ok and not event._defused:
-                    self._solo = True
-                    raise event._value
-            self._solo = True
-            if until._ok:
-                return until._value
-            until._defused = True
-            raise until._value
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(f"until={deadline} is in the past (now={self._now})")
+            stop = until
+        elif until is not None:
+            deadline = float(until)
+            if deadline < self._now:
+                raise ValueError(
+                    f"until={deadline} is in the past (now={self._now})")
+        pop = heappop if self._tie_hook is None else self._pop_tied
         self._deadline = deadline
         try:
-            while heap and heap[0][0] <= deadline:
-                when, _priority, _eid, event = heappop(heap)
+            while (stop.callbacks is not None
+                   and heap and heap[0][0] <= deadline):
+                when, _priority, _eid, event = pop(heap)
                 self._now = when
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:
+                    # _solo already True: the lone callback may collapse.
                     callbacks[0](event)
                 else:
                     self._solo = False
@@ -791,12 +698,21 @@ class Environment:
                         callback(event)
                     self._solo = True
                 if not event._ok and not event._defused:
-                    self._solo = True
                     raise event._value
         finally:
             self._deadline = float("inf")
-        self._solo = True
-        self._now = deadline
+            self._solo = True
+        if stop is not _NEVER:
+            if stop.callbacks is not None:
+                raise RuntimeError(
+                    "deadlock: event will never fire (no scheduled events)"
+                )
+            if stop._ok:
+                return stop._value
+            stop._defused = True
+            raise stop._value
+        if until is not None:
+            self._now = deadline
         return None
 
 

@@ -101,6 +101,15 @@ def _runtime_lockset():
         deactivate()
 
 
+def reference_env() -> Environment:
+    """The reference kernel: installing a tie hook turns every fast
+    path off, and choosing index 0 at every tie is the reference
+    (insertion-order) schedule."""
+    env = Environment()
+    env.set_tie_hook(lambda tied: 0)
+    return env
+
+
 @pytest.fixture
 def env():
     return Environment()

@@ -294,3 +294,20 @@ def test_no_defaulted_parameter_goes_unpassed():
                            for call in calls.get(owner, [])):
                     findings.append(f"{path.name}: {owner}({param.arg}=...)")
     assert not findings, "\n".join(sorted(findings))
+
+
+def test_kernel_private_state_stays_inside_repro_sim():
+    """``can_collapse`` / ``try_finish_now`` / ``peek`` are the whole
+    fast-path legality surface: no module outside ``repro/sim/`` reads
+    the kernel's private switches, so no layer can re-derive (and get
+    wrong) when a collapse is legal."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    findings = [
+        f"{path.relative_to(src)}:{node.lineno}: .{node.attr}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).parts[0] != "sim"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("fast", "_solo", "_tie_hook")
+    ]
+    assert not findings, "\n".join(findings)

@@ -14,9 +14,9 @@ from repro.disk import (
     make_queue,
 )
 from repro.errors import DiskIOError, ServerDownError
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, arm_fail_after_writes
 from repro.profiles import DiskProfile
-from repro.sim import Environment, run_process
+from repro.sim import Environment, Tracer, run_process
 from repro.units import KB, MB
 
 
@@ -248,6 +248,91 @@ def test_failed_disk_rejects_new_requests():
         return "unexpected success"
 
     assert run_process(env, proc()) == "io-error"
+
+
+# One completion body, two ways of reaching it: an idle arm collapses
+# the whole operation into its completion event (analytic path), a
+# contended instant sends it through the serve loop (queued path). Each
+# op is (kind, block, nblocks-or-data, what to do to the disk 0.1 ms in);
+# a scenario is (write-count fault to arm, ops, expected outcomes).
+_DRIFT_SCENARIOS = {
+    "read, write": (None, [
+        ("write", 0, b"a" * 1024, None), ("read", 0, 2, None),
+        ("read", 2048, 4, None), ("write", 2049, b"b" * 512, None),
+        ("read", 2048, 4, None)], "ok ok ok ok ok"),
+    "write-count fault fires on the 2nd write": (2, [
+        ("write", 0, b"a" * 512, None), ("read", 0, 1, None),
+        ("write", 8, b"b" * 512, None), ("write", 16, b"c" * 512, None),
+        ("read", 8, 1, None)], "ok ok ok error error"),
+    "flaky extent": (None, [
+        ("flaky", 40, 2, None), ("read", 38, 4, None),
+        ("write", 41, b"a" * 512, None), ("read", 0, 1, None)],
+        "error error ok"),
+    "fail() mid-operation": (None, [
+        ("write", 0, b"a" * 512, "fail"), ("read", 0, 1, None)],
+        "error error"),
+    "fail() + repair() before completion": (None, [
+        ("write", 0, b"a" * 512, "fail+repair"), ("read", 0, 1, None)],
+        "ok ok"),
+}
+
+
+def _drive_disk(arm_after_writes, ops, contended):
+    env = Environment()
+    tracer = Tracer(env)
+    disk = VirtualDisk(env, SMALL, name="d0", tracer=tracer)
+    env.run()  # the arm parks on its wakeup store
+    hook_calls = []
+    disk.add_op_hook(lambda kind: hook_calls.append(("first", kind)))
+    if arm_after_writes:
+        arm_fail_after_writes(
+            disk, arm_after_writes, "armed",
+            on_fire=lambda: hook_calls.append(("fault fired",)))
+    disk.add_op_hook(lambda kind: hook_calls.append(("last", kind)))
+    outcomes = []
+    submitted = 0
+    scheduled = env.events_scheduled
+    for kind, block, arg, meddle in ops:
+        if kind == "flaky":
+            disk.mark_flaky(block, arg)
+            continue
+        if contended:
+            # A same-instant event: collapsing the interval is illegal.
+            env.timeout(0.0)
+            scheduled += 1
+        done = (disk.read(block, arg) if kind == "read"
+                else disk.write(block, arg))
+        submitted += 1
+        if meddle:
+            env.run(until=env.now + 1e-4)
+            disk.fail("meddled")
+            if meddle == "fail+repair":
+                disk.repair()
+        try:
+            outcomes.append(("ok", env.run(until=done), env.now))
+        except DiskIOError as exc:
+            outcomes.append(("error", str(exc), env.now))
+        env.run()
+    return {
+        "outcomes": outcomes,
+        "stats": disk.stats.snapshot(),
+        "hook calls": hook_calls,
+        "trace": tracer.records,
+        "failed": disk.failed,
+    }, (env.events_scheduled - scheduled) / submitted
+
+
+@pytest.mark.parametrize("scenario", _DRIFT_SCENARIOS)
+def test_analytic_and_queued_disk_operations_do_not_drift(scenario):
+    arm_after_writes, ops, expected = _DRIFT_SCENARIOS[scenario]
+    analytic, analytic_cost = _drive_disk(arm_after_writes, ops, False)
+    queued, queued_cost = _drive_disk(arm_after_writes, ops, True)
+    # The two runs really took the two paths: exactly one event per
+    # operation on the idle disk, the serve loop's several when
+    # contended (a submission to a dead disk costs one either way).
+    assert analytic_cost == 1 and queued_cost >= 2
+    assert analytic == queued
+    assert [kind for kind, *_ in analytic["outcomes"]] == expected.split()
 
 
 def test_failure_drains_pending_queue():

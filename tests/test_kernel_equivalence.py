@@ -1,12 +1,18 @@
 """Reference-equivalence of the kernel fast paths (property-based).
 
-The fast kernel (``Environment(fast=True)``) is only allowed to exist
-because it is *observationally identical* to the reference kernel
-(``fast=False``): same clock values, same resume order, same values
-delivered, same tie-breaking at shared instants. This suite generates
-random little concurrent programs — timeouts (including zero delays and
-exact-tie sums), interrupts, resources, stores, ``AllOf``/``AnyOf``/
-``CountOf`` — runs each on both kernels, and compares the full traces.
+The fast kernel (a plain ``Environment()``) is only allowed to exist
+because it is *observationally identical* to the reference kernel (the
+same environment with a tie hook installed, which turns every fast path
+off; the hook answers 0, the reference schedule): same clock values,
+same resume order, same values delivered, same tie-breaking at shared
+instants. This suite generates random little concurrent programs —
+timeouts (including zero delays and exact-tie sums), interrupts,
+resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, and the two
+*caller-obligation* idioms production code spells itself (the
+``can_collapse``-guarded zero-delay skip of ``net/rpc.py`` and the
+``can_collapse(end)`` → ``timeout_batch`` burst of ``net/ethernet.py``
+and ``disk/vdisk.py``) — runs each on both kernels under every form of
+``run(until=...)``, and compares the full traces.
 
 Programs follow the kernel's documented fast-path obligation: a
 ``Resource.request()`` is yielded immediately after it is created (the
@@ -23,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, Resource, Store
 
+from conftest import reference_env
+
 N_RESOURCES = 2
 N_STORES = 2
 MAX_WORKERS = 4
@@ -34,7 +42,8 @@ _DELAY_LISTS = st.lists(_DELAYS, min_size=1, max_size=3)
 
 _INSTR = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
-    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("skip"), _DELAYS),
+    st.tuples(st.just("burst"), _DELAY_LISTS),
     st.tuples(st.just("resource"), st.integers(0, N_RESOURCES - 1), _DELAYS),
     st.tuples(st.just("put"), st.integers(0, N_STORES - 1),
               st.integers(0, 7)),
@@ -44,6 +53,7 @@ _INSTR = st.one_of(
     st.tuples(st.just("countof"), _DELAY_LISTS, st.integers(1, 3)),
     st.tuples(st.just("interrupt"), st.integers(0, MAX_WORKERS - 1),
               _DELAYS),
+    st.tuples(st.just("join"), st.integers(0, MAX_WORKERS - 1)),
 )
 
 _PROGRAM = st.lists(
@@ -52,9 +62,14 @@ _PROGRAM = st.lists(
 )
 
 
-def _run_program(program, fast):
-    """Execute ``program`` on a fresh kernel; return the trace."""
-    env = Environment(fast=fast)
+#: The three forms of ``until`` the single run loop normalises: none,
+#: a number (stopped and resumed twice — the second deadline lands on
+#: an instant dyadic timelines share) and an event.
+_DRIVERS = ("run", "deadlines", "event")
+
+
+def _run_program(program, env, driver):
+    """Execute ``program`` on ``env`` under ``driver``; return the trace."""
     resources = [Resource(env) for _ in range(N_RESOURCES)]
     stores = [Store(env) for _ in range(N_STORES)]
     trace = []
@@ -66,8 +81,22 @@ def _run_program(program, fast):
             try:
                 if tag == "timeout":
                     yield env.timeout(instr[1])
-                elif tag == "sleep":
-                    yield from env.sleep(instr[1])
+                elif tag == "skip":
+                    # The zero-delay skip exactly as net/rpc.py spells it.
+                    if instr[1] or not env.can_collapse(env.now):
+                        yield env.timeout(instr[1])
+                elif tag == "burst":
+                    # The Ethernet/vdisk obligation: one batched event
+                    # only when nothing can observe the interval. The
+                    # end is the same left fold timeout_batch walks.
+                    end = env.now
+                    for delay in instr[1]:
+                        end = end + delay
+                    if env.can_collapse(end):
+                        yield env.timeout_batch(instr[1])
+                    else:
+                        for delay in instr[1]:
+                            yield env.timeout(delay)
                 elif tag == "resource":
                     res = resources[instr[1]]
                     req = res.request()
@@ -94,6 +123,13 @@ def _run_program(program, fast):
                             and target.is_alive):
                         target.interrupt((wid, step))
                         trace.append((env.now, wid, step, "sent-interrupt"))
+                elif tag == "join":
+                    # Several joiners of one worker are several callbacks
+                    # of one event: the only way the heap check alone
+                    # (without the solo flag) gets a collapse wrong.
+                    target = procs.get(instr[1])
+                    if target is not None and instr[1] != wid:
+                        yield target
                 trace.append((env.now, wid, step, "done", tag))
             except Interrupt as exc:
                 trace.append((env.now, wid, step, "interrupted", exc.cause))
@@ -102,6 +138,12 @@ def _run_program(program, fast):
     for wid, instrs in enumerate(program):
         procs[wid] = env.process(worker(wid, instrs))
     try:
+        if driver == "deadlines":
+            for deadline in (0.375, 1.0):
+                env.run(until=deadline)
+                trace.append(("stopped", env.now))
+        elif driver == "event":
+            trace.append(("returned", env.run(until=procs[0]), env.now))
         env.run()
         trace.append(("end", env.now))
     except BaseException as exc:  # surfaced crash: must match bit-for-bit
@@ -109,11 +151,16 @@ def _run_program(program, fast):
     return trace
 
 
+def _assert_matches_reference(program):
+    for driver in _DRIVERS:
+        assert _run_program(program, Environment(), driver) == _run_program(
+            program, reference_env(), driver), driver
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_PROGRAM)
 def test_fast_kernel_matches_reference(program):
-    assert _run_program(program, fast=True) == _run_program(
-        program, fast=False)
+    _assert_matches_reference(program)
 
 
 def test_contended_resource_with_ties_matches_reference():
@@ -125,8 +172,7 @@ def test_contended_resource_with_ties_matches_reference():
          ("resource", 0, 0.0), ("get", 0)]
         for w in range(4)
     ]
-    assert _run_program(program, fast=True) == _run_program(
-        program, fast=False)
+    _assert_matches_reference(program)
 
 
 def test_interrupt_storm_matches_reference():
@@ -135,5 +181,25 @@ def test_interrupt_storm_matches_reference():
         [("timeout", 0.125), ("interrupt", 0, 0.125), ("timeout", 0.0)],
         [("interrupt", 1, 0.25), ("resource", 0, 0.125)],
     ]
-    assert _run_program(program, fast=True) == _run_program(
-        program, fast=False)
+    _assert_matches_reference(program)
+
+
+def test_zero_delay_skip_yields_to_a_same_instant_event():
+    # Worker 1's timeout shares worker 0's instant and is older, so the
+    # reference runs it before worker 0's zero timeout: the skip is
+    # legal only when the next heap entry is *strictly* later.
+    _assert_matches_reference([
+        [("timeout", 0.25), ("skip", 0.0), ("burst", [0.0, 0.0])],
+        [("timeout", 0.25)],
+    ])
+
+
+def test_collapse_waits_for_the_other_callbacks_of_the_same_event():
+    # Workers 1 and 2 both join worker 0: its completion carries two
+    # callbacks, and while the first runs the second is pending at this
+    # instant without being on the heap.
+    _assert_matches_reference([
+        [("timeout", 0.25)],
+        [("join", 0), ("skip", 0.0), ("burst", [0.0, 0.125])],
+        [("join", 0), ("skip", 0.0)],
+    ])

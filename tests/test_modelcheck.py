@@ -9,6 +9,7 @@ import pytest
 
 from repro.capability import Capability
 from repro.core.locks import FileLockTable
+from repro.disk import MirroredDiskSet, VirtualDisk
 from repro.errors import ConsistencyError
 from repro.modelcheck import (
     CheckRig,
@@ -19,6 +20,8 @@ from repro.modelcheck import (
     check_scope,
 )
 from repro.sim import Environment
+
+from conftest import SMALL_DISK, reference_env
 
 # The acceptance scope from the issue: 2 clients x 3 ops x 1 crash
 # point, exhaustible in under a second.
@@ -140,21 +143,20 @@ class TestTieHook:
 
     def test_no_hook_and_index_zero_match_reference_order(self):
         reference = []
-        env = Environment(fast=False)
+        env = Environment()
         self._race(env, reference)
         env.run(None)
         assert reference == ["first", "second"]
 
         hooked = []
-        env = Environment(fast=False)
-        env.set_tie_hook(lambda tied: 0)
+        env = reference_env()
         self._race(env, hooked)
         env.run(None)
         assert hooked == reference
 
     def test_nonzero_choice_permutes_the_tie(self):
         order = []
-        env = Environment(fast=False)
+        env = Environment()
         env.set_tie_hook(lambda tied: len(tied) - 1)
         self._race(env, order)
         env.run(None)
@@ -162,7 +164,7 @@ class TestTieHook:
 
     def test_hook_sees_tied_entries_in_eid_order(self):
         counts = []
-        env = Environment(fast=False)
+        env = Environment()
 
         def hook(tied):
             counts.append(len(tied))
@@ -176,20 +178,53 @@ class TestTieHook:
         assert 2 in counts
 
     def test_out_of_range_choice_is_an_error(self):
-        env = Environment(fast=False)
+        env = Environment()
         env.set_tie_hook(lambda tied: len(tied))
         self._race(env, [])
         with pytest.raises(ConsistencyError):
             env.run(None)
 
     def test_clearing_the_hook_restores_the_fast_path(self):
-        env = Environment(fast=False)
-        env.set_tie_hook(lambda tied: 0)
+        env = reference_env()
         env.set_tie_hook(None)
         order = []
         self._race(env, order)
         env.run(None)
         assert order == ["first", "second"]
+
+    def test_installing_a_hook_is_what_selects_the_reference_kernel(self):
+        # Regression: the hook used to be independent of the fast
+        # paths, so on a default Environment() they collapsed the very
+        # same-instant interleavings the hook exists to permute — a
+        # two-replica mirrored write showed it one tie point ([2], five
+        # events) where the reference kernel has four. The explorer
+        # would have "checked every schedule" of a fraction of them.
+        env = Environment()
+        seen = []
+
+        def record(tied):
+            seen.append(len(tied))
+            return 0
+
+        env.set_tie_hook(record)
+        mirror = MirroredDiskSet(env, [
+            VirtualDisk(env, SMALL_DISK, name=f"md{i}") for i in range(2)])
+        env.run()  # both arms parked: what follows is the write alone
+
+        def mirrored_write():
+            before = env.events_scheduled
+            del seen[:]
+            env.run(until=mirror.write(8, b"x" * 4096))
+            env.run()
+            return list(seen), env.events_scheduled - before
+
+        # Wakeup, access-time timeout and completion of each replica,
+        # plus the AllOf: every hop a heap entry, every pairing a tie.
+        assert mirrored_write() == ([2, 2, 2, 2], 7)
+        env.set_tie_hook(None)  # back to the fast kernel
+        assert mirrored_write() == ([], 5)
+        env.set_tie_hook(record)
+        assert mirrored_write() == ([2, 2, 2, 2], 7)
 
 
 # ------------------------------------------------------- lock-table checking

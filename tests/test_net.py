@@ -9,6 +9,8 @@ from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB, MB
 
+from conftest import reference_env
+
 
 PROFILE = EthernetProfile()
 CPU = CpuProfile()
@@ -370,11 +372,10 @@ def test_background_traffic_alone_respects_run_deadline():
     # fast path must treat the run(until=...) deadline as its collapse
     # horizon — it used to scan an unbounded window and hang — and the
     # counters at the deadline must match the reference kernel exactly.
-    def totals(fast):
-        env = Environment(fast=fast)
+    def totals(env):
         eth, _ = make_net(env, background=True)
         env.run(until=0.25)
         env.run(until=0.6)  # resuming past a stop must stay seamless
         return (env.now, eth.stats.background_packets, eth.stats.wire_time)
 
-    assert totals(True) == totals(False)
+    assert totals(Environment()) == totals(reference_env())

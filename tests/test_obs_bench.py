@@ -21,7 +21,7 @@ from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, Tracer, run_process
 from repro.units import KB
 
-from conftest import SMALL_DISK, make_bullet, small_testbed
+from conftest import SMALL_DISK, make_bullet, reference_env, small_testbed
 
 
 # ------------------------------------------------- cache double count
@@ -241,6 +241,18 @@ REPO = Path(__file__).resolve().parents[1]
 def test_experiment_regenerates_committed_artifact(name, monkeypatch):
     """The ROADMAP fence, in tier-1: at full scale every experiment
     reproduces its committed artifact byte for byte."""
+    monkeypatch.chdir(REPO)
+    assert check(name) == ""
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_regenerates_under_the_reference_kernel(name, monkeypatch):
+    """The same fence with every fast path off. The Ethernet segment and
+    packet-train collapses and the disk's analytic operation are
+    *caller-obligation* fast paths the hypothesis kernel suite cannot
+    reach; this whole-stack oracle can. ``harness.Environment`` is the
+    experiment layer's single construction site."""
+    monkeypatch.setattr("repro.bench.harness.Environment", reference_env)
     monkeypatch.chdir(REPO)
     assert check(name) == ""
 
