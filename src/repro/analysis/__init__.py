@@ -10,7 +10,7 @@ depends on (:mod:`repro.core.locks`). This package turns each
 convention into a machine-checked rule over the project's own AST, with
 cross-module knowledge (which functions are generator processes, which
 methods are opcode handlers, which tables feed which dispatchers, which
-grants reach which releases) supplied by a project-index pre-pass. A
+functions hold which lock) supplied by a project-index pre-pass. A
 runtime companion — the Eraser-style lockset checker in
 :mod:`repro.analysis.runtime` — watches the interleavings the tests
 actually execute (armed via ``REPRO_LOCKSET=1``).
@@ -27,16 +27,12 @@ S001   unyielded-process       generator process / env.process(...) as a bare
 C001   missing-rights-check    opcode handler never reaches require(...)
 C002   dead-or-missing-opcode  *OPCODES tables vs. _dispatch wiring
 A001   assert-as-validation    assert / AssertionError in library code
-L001   lock-leak               a grant misses release() on some path out of
-                               its function
-L002   yield-under-lock        blocking yield while holding a grant
-L003   lock-order              AB-BA cycle in the acquired-while-holding graph
+L001   lock-leak               a raw acquire_read/acquire_write call outside a
+                               ``with`` header
 L004   unlocked-shared-access  a ``guarded_by`` field written without its lock
 P001   stale-pragma            (``--strict-pragmas``) an allow() pragma that
                                suppressed nothing
 =====  ======================  =================================================
-
-The L-family alone: ``python -m repro.analysis --concurrency``.
 
 Per-line suppression: append ``# repro: allow(<rule>[, <rule>...])`` to
 the offending line (or put it on a comment line directly above) together

@@ -5,7 +5,6 @@ Usage::
     python -m repro.analysis src/repro             # lint the tree
     python -m repro.analysis --format json src     # machine-readable
     python -m repro.analysis --select D001,S001 f.py
-    python -m repro.analysis --concurrency src/repro   # L-rules only
     python -m repro.analysis --strict-pragmas src/repro
     python -m repro.analysis --list-rules
 
@@ -32,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="AST-based invariant linter: determinism (D...), "
                     "sim-process discipline (S...), capability discipline "
-                    "(C...), and error-style (A...) rules over the "
-                    "reproduction's own source.",
+                    "(C...), error-style (A...) and lock-discipline "
+                    "(L...) rules over the reproduction's own source.",
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze (e.g. src/repro)")
@@ -41,10 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--select", default="",
                         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--concurrency", action="store_true",
-                        help="run the lock-discipline rule family (L...) "
-                             "in addition to any --select ids, and nothing "
-                             "else")
     parser.add_argument("--strict-pragmas", action="store_true",
                         help="also report stale `# repro: allow(...)` "
                              "pragmas (P001)")
@@ -65,12 +60,6 @@ def main(argv: Optional[list] = None) -> int:
               file=sys.stderr)
         return 2
     select = tuple(part.strip() for part in args.select.split(",") if part.strip())
-    if args.concurrency:
-        from .framework import rule_ids
-        select = select + tuple(
-            rule_id for rule_id in rule_ids()
-            if rule_id.startswith("L") and rule_id not in select
-        )
     try:
         result = analyze_paths(args.paths, Config(select=select),
                                strict_pragmas=args.strict_pragmas)

@@ -123,12 +123,6 @@ class Config:
         "*:*.format",
         "*.recovery:*",
     )
-    #: Terminal method names whose *yielded call* parks the process on
-    #: external input (``yield q.get()``, ``yield svr.getreq()``). L002
-    #: seeds its blocking-function fixpoint with these: suspending on one
-    #: while holding a write grant stalls every queued request on that
-    #: inode for an unbounded time.
-    blocking_primitives: tuple = ("get", "getreq", "recv")
 
     def path_matches(self, path: str, patterns: Iterable[str]) -> bool:
         return any(fnmatch.fnmatch(path, pat) for pat in patterns)

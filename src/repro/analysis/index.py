@@ -16,27 +16,24 @@ analyzed file that records exactly those facts:
 * per-class ``self.attr`` annotations (used by D003's set-type inference
   and by the typed-attribute call resolution below).
 
-The concurrency rule family (L001–L004, :mod:`.rules.concurrency`) adds
-lock-centric facts:
+* ``return f(...)`` forwarding, so a helper chain introduced by
+  de-processification resolves to the function that actually suspends
+  (:meth:`ProjectIndex.process_constructors`).
 
-* every ``<table>.acquire_read(...)`` / ``<table>.acquire_write(...)``
-  call site with the grant variable it is bound to (:class:`LockSite`),
-  and every ``<expr>.release(<var>)`` site (:class:`ReleaseSite` — the
-  rules correlate them with acquires by grant variable name, so
-  ``InodeTable.release(number)`` never masquerades as a lock release);
-* ``yield from`` delegations and ``return f(...)`` forwarding, so a
-  helper chain introduced by de-processification resolves to the
-  function that actually suspends (:meth:`ProjectIndex.process_constructors`,
-  :meth:`ProjectIndex.blocking_functions`);
+L004 (:mod:`.rules.concurrency`) adds lock-centric facts:
+
+* the lock tables each function opens a scope on — ``with
+  <table>.reading(...)`` / ``with <table>.writing(...)`` — by the
+  table's terminal name, which is how guard declarations name the lock;
 * ``# repro: guarded_by(<lock>)`` field declarations, parsed from the
   source comment on (or immediately above) the attribute definition;
 * typed attribute resolution: ``self.cache.insert(...)`` resolves to
   ``BulletCache.insert`` when the caller's class annotates
   ``self.cache: BulletCache`` (or assigns ``self.cache =
-  BulletCache(...)``), and ``server.locks.release(...)`` resolves
-  through a ``server: BulletServer`` parameter annotation — giving the
-  L-rules a call graph that survives the server's delegation into its
-  cache/free-list/lock-table objects.
+  BulletCache(...)``), and ``server.disk_free.free(...)`` resolves
+  through a ``server: BulletServer`` parameter annotation — giving
+  L004 a call graph that survives the server's delegation into its
+  cache/free-list objects.
 """
 
 from __future__ import annotations
@@ -50,11 +47,9 @@ __all__ = [
     "CallRef",
     "FunctionInfo",
     "GuardedField",
-    "LockSite",
     "ModuleInfo",
     "OpcodeRef",
     "ProjectIndex",
-    "ReleaseSite",
     "guard_comment_map",
 ]
 
@@ -62,7 +57,8 @@ __all__ = [
 #: must be held to mutate the annotated field.
 _GUARDED = re.compile(r"#\s*repro:\s*guarded_by\(\s*([A-Za-z_][\w.]*)\s*\)")
 
-_ACQUIRE_METHODS = {"acquire_read": "read", "acquire_write": "write"}
+#: The :class:`~repro.core.locks.FileLockTable` scope constructors.
+_SCOPE_METHODS = ("reading", "writing")
 
 
 @dataclass(frozen=True)
@@ -78,37 +74,6 @@ class CallRef:
     name: str
     dotted: str
     lineno: int
-
-
-@dataclass(frozen=True)
-class LockSite:
-    """One ``<table>.acquire_read/acquire_write(...)`` call site.
-
-    ``table`` is the dotted expression the acquire was called on
-    (``self.locks``, ``locks``, ``server.locks``); ``table_name`` its
-    terminal segment, which is how guard declarations name the lock.
-    ``target`` is the variable the grant was bound to, or ``None`` when
-    the grant was discarded.
-    """
-
-    table: str
-    mode: str
-    target: Optional[str]
-    lineno: int
-
-    @property
-    def table_name(self) -> str:
-        return self.table.rsplit(".", 1)[-1]
-
-
-@dataclass(frozen=True)
-class ReleaseSite:
-    """One ``<expr>.release(<var>)`` call site (any receiver)."""
-
-    table: str
-    grant: Optional[str]
-    lineno: int
-    in_finally: bool
 
 
 @dataclass(frozen=True)
@@ -130,14 +95,11 @@ class FunctionInfo:
     is_generator: bool
     params: List[Tuple[str, Optional[str]]] = field(default_factory=list)
     calls: List[CallRef] = field(default_factory=list)
-    acquires: List[LockSite] = field(default_factory=list)
-    releases: List[ReleaseSite] = field(default_factory=list)
-    #: ``yield from f(...)`` call targets — delegation edges.
-    delegations: List[CallRef] = field(default_factory=list)
+    #: Terminal names of the lock tables the body opens a scope on
+    #: (``with self.locks.writing(n)`` records ``locks``).
+    acquires: Set[str] = field(default_factory=set)
     #: ``return f(...)`` call targets — forwarding edges.
     returned_calls: List[CallRef] = field(default_factory=list)
-    #: Terminal names of calls yielded directly (``yield q.get()``).
-    yielded_call_names: Set[str] = field(default_factory=set)
     #: Mutations of ``<base>.<attr>`` (or ``<base>.<attr>[k]``):
     #: (base dotted expr, attribute, lineno).
     attr_writes: List[Tuple[str, str, int]] = field(default_factory=list)
@@ -285,7 +247,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.guards = guards or {}
         self._class_stack: List[str] = []
         self._function_stack: List[FunctionInfo] = []
-        self._finally_depth = 0
 
     # ------------------------------------------------------------ scopes
 
@@ -335,16 +296,6 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._visit_function(node)
-
-    def visit_Try(self, node: ast.Try) -> None:
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        for handler in node.handlers:
-            self.visit(handler)
-        self._finally_depth += 1
-        for stmt in node.finalbody:
-            self.visit(stmt)
-        self._finally_depth -= 1
 
     # ------------------------------------------------------------ facts
 
@@ -404,33 +355,26 @@ class _ModuleVisitor(ast.NodeVisitor):
         if base is not None:
             self._function_stack[-1].attr_writes.append((base, node.attr, lineno))
 
-    def _record_acquire(self, target: Optional[str], value: ast.expr,
-                        lineno: int) -> bool:
-        if not (
-            self._function_stack
-            and isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in _ACQUIRE_METHODS
-        ):
-            return False
-        table = dotted_name(value.func.value) or value.func.attr
-        self._function_stack[-1].acquires.append(
-            LockSite(
-                table=table,
-                mode=_ACQUIRE_METHODS[value.func.attr],
-                target=target,
-                lineno=lineno,
-            )
-        )
-        return True
+    def visit_With(self, node: ast.With) -> None:
+        if self._function_stack:
+            for item in node.items:
+                call = item.context_expr
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in _SCOPE_METHODS
+                ):
+                    table = dotted_name(call.func.value)
+                    if table is not None:
+                        self._function_stack[-1].acquires.add(
+                            table.rsplit(".", 1)[-1])
+        self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self._record_opcode_table(node.targets, node.value, node.lineno)
         for target in node.targets:
             self._record_self_attr(target, node.value, node.lineno)
             self._record_write(target, node.lineno)
-        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            self._record_acquire(node.targets[0].id, node.value, node.lineno)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -458,13 +402,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self._record_write(target, node.lineno)
         if node.value is not None:
             self._record_opcode_table([target], node.value, node.lineno)
-            if isinstance(target, ast.Name):
-                self._record_acquire(target.id, node.value, node.lineno)
-        self.generic_visit(node)
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        # A discarded acquire (``t.acquire_write(n)`` as a statement).
-        self._record_acquire(None, node.value, node.lineno)
         self.generic_visit(node)
 
     def _record_opcode_table(self, targets: List[ast.expr], value: ast.expr,
@@ -501,34 +438,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             ref = call_ref(node)
             if ref is not None:
                 self._function_stack[-1].calls.append(ref)
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "release"
-                and len(node.args) == 1
-            ):
-                grant = node.args[0].id if isinstance(node.args[0], ast.Name) else None
-                self._function_stack[-1].releases.append(
-                    ReleaseSite(
-                        table=dotted_name(node.func.value) or "release",
-                        grant=grant,
-                        lineno=node.lineno,
-                        in_finally=self._finally_depth > 0,
-                    )
-                )
-        self.generic_visit(node)
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        if self._function_stack and isinstance(node.value, ast.Call):
-            ref = call_ref(node.value)
-            if ref is not None:
-                self._function_stack[-1].yielded_call_names.add(ref.name)
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        if self._function_stack and isinstance(node.value, ast.Call):
-            ref = call_ref(node.value)
-            if ref is not None:
-                self._function_stack[-1].delegations.append(ref)
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -672,13 +581,6 @@ class ProjectIndex:
         for info in self.modules.values():
             yield from info.functions.values()
 
-    def guarded_field(self, cls_location: Tuple[str, str],
-                      attr: str) -> Optional[GuardedField]:
-        info = self.modules.get(cls_location[0])
-        if info is None:
-            return None
-        return info.guarded_fields.get(cls_location[1], {}).get(attr)
-
     def all_guarded_fields(self) -> Iterable[Tuple[str, GuardedField]]:
         for module, info in self.modules.items():
             for fields in info.guarded_fields.values():
@@ -758,130 +660,3 @@ class ProjectIndex:
                         break
         self._memo["process_constructors"] = constructors
         return constructors
-
-    def blocking_functions(self, seeds: Iterable[str]) -> Set[tuple]:
-        """Fixpoint of generators that block on an external-input primitive.
-
-        Seeded by a direct ``yield q.<seed>()`` (e.g. ``get``/``getreq``);
-        closed over ``yield from`` delegation and ``return f(...)``
-        forwarding, so a helper chain that bottoms out in a mailbox wait
-        is blocking at every link. L002 refuses to let these run under a
-        held write grant.
-        """
-        seed_names = set(seeds)
-        memo_key = ("blocking", tuple(sorted(seed_names)))
-        memo = self._memo.get(memo_key)
-        if memo is not None:
-            return memo  # type: ignore[return-value]
-        blocking: Set[tuple] = {
-            fn.key
-            for fn in self.all_functions()
-            if fn.yielded_call_names & seed_names
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fn in self.all_functions():
-                if fn.key in blocking:
-                    continue
-                for ref in list(fn.delegations) + list(fn.returned_calls):
-                    callee = self.resolve_call_typed(fn, ref)
-                    if callee is not None and callee.key in blocking:
-                        blocking.add(fn.key)
-                        changed = True
-                        break
-        self._memo[memo_key] = blocking
-        return blocking
-
-    def direct_acquirers(self) -> Dict[tuple, Set[str]]:
-        """fn key -> lock-table names it acquires in its own body."""
-        return {
-            fn.key: {site.table_name for site in fn.acquires}
-            for fn in self.all_functions()
-            if fn.acquires
-        }
-
-    def transitive_acquirers(self) -> Dict[tuple, Set[str]]:
-        """fn key -> lock-table names it (transitively) acquires.
-
-        Closed over typed-resolvable calls, delegations, and forwarding:
-        calling ``compact_disk`` acquires ``locks`` as surely as calling
-        ``acquire_write`` yourself. L003 uses this to see the acquire
-        hiding behind a call made while a grant is held.
-        """
-        memo = self._memo.get("transitive_acquirers")
-        if memo is not None:
-            return memo  # type: ignore[return-value]
-        acquired: Dict[tuple, Set[str]] = {
-            key: set(tables) for key, tables in self.direct_acquirers().items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fn in self.all_functions():
-                mine = acquired.get(fn.key, set())
-                before = len(mine)
-                for ref in fn.calls:
-                    callee = self.resolve_call_typed(fn, ref)
-                    if callee is not None and callee.key in acquired:
-                        mine |= acquired[callee.key]
-                if len(mine) > before or (mine and fn.key not in acquired):
-                    acquired[fn.key] = mine
-                    changed = True
-        self._memo["transitive_acquirers"] = acquired
-        return acquired
-
-    def lock_order_edges(self) -> List[Tuple[str, str, str, int, str]]:
-        """Global lock-order graph edges from nested-acquire sites.
-
-        Each edge is (held table, acquired table, module, lineno,
-        detail): while a grant from the first table is held, a grant
-        from the second is acquired — directly, or through a call into a
-        function that transitively acquires. The held interval is
-        approximated by line span (acquire line to the last release line
-        naming the same grant variable, or function end); re-acquiring
-        into the *same* variable is the release-then-upgrade dance, not
-        nesting, and adds no edge.
-        """
-        memo = self._memo.get("lock_order_edges")
-        if memo is not None:
-            return memo  # type: ignore[return-value]
-        acquired_map = self.transitive_acquirers()
-        edges: List[Tuple[str, str, str, int, str]] = []
-        for fn in self.all_functions():
-            for site in fn.acquires:
-                if site.target is None:
-                    continue
-                ends = [
-                    rel.lineno
-                    for rel in fn.releases
-                    if rel.grant == site.target and rel.lineno >= site.lineno
-                ]
-                end = max(ends) if ends else 1_000_000_000
-                for other in fn.acquires:
-                    if other.target == site.target:
-                        continue
-                    if site.lineno < other.lineno <= end:
-                        edges.append((
-                            site.table_name, other.table_name, fn.module,
-                            other.lineno,
-                            f"{fn.qualname} acquires {other.table_name} while "
-                            f"holding {site.table_name} (grant "
-                            f"`{site.target}` from line {site.lineno})",
-                        ))
-                for ref in fn.calls:
-                    if not site.lineno < ref.lineno <= end:
-                        continue
-                    callee = self.resolve_call_typed(fn, ref)
-                    if callee is None:
-                        continue
-                    for table in sorted(acquired_map.get(callee.key, ())):
-                        edges.append((
-                            site.table_name, table, fn.module, ref.lineno,
-                            f"{fn.qualname} calls {callee.qualname} (which "
-                            f"acquires {table}) while holding "
-                            f"{site.table_name} (grant `{site.target}` from "
-                            f"line {site.lineno})",
-                        ))
-        self._memo["lock_order_edges"] = edges
-        return edges

@@ -13,11 +13,8 @@ Importing this package registers every rule with the framework registry:
   agree.
 * A001 ``assert-as-validation`` — library validation must survive
   ``python -O``.
-* L001 ``lock-leak`` — acquired grants reach release on every path.
-* L002 ``yield-under-lock`` — no unbounded suspension under a write
-  grant.
-* L003 ``lock-order violation`` — the nested-acquire graph stays
-  acyclic.
+* L001 ``lock-leak`` — locks are taken through a ``with`` scope, never
+  by a raw acquire.
 * L004 ``unlocked-shared-access`` — ``guarded_by`` fields are only
   written with the lock held.
 

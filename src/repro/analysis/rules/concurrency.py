@@ -1,38 +1,26 @@
-"""L0xx lock-discipline rules: the static half of the concurrency suite.
+"""L0xx lock-discipline rules: the static share of the concurrency suite.
 
 PR 5 gave the server FIFO-fair per-inode reader/writer locks
-(:class:`repro.core.locks.FileLockTable`); these rules mechanically
-enforce the conventions that make that locking correct, the way D/S/C
-rules enforce determinism and capability discipline:
+(:class:`repro.core.locks.FileLockTable`). Handlers take them through a
+``with``-scoped :class:`~repro.core.locks.LockScope`, which releases on
+every edge out of the block, so most of the discipline holds by
+construction and two rules cover what is left to see statically:
 
-* **L001 lock-leak** — an acquired :class:`LockGrant` must reach
-  ``release`` on *every* path out of the function: release it in a
-  ``finally``, or hand the grant to another function/process that
-  assumes ownership (the CREATE settle-watcher pattern). A release only
-  on the happy path leaks the grant on the exception edge and wedges the
-  inode's FIFO queue forever.
-* **L002 yield-under-lock** — suspending on a caller-supplied event, a
-  bare ``yield``, or a blocking mailbox primitive while holding a
-  *write* grant parks every queued request on that inode for an
-  unbounded time. Intentional blocking sections (the settle watcher
-  drains its replica writes under the grant by design) carry
-  ``# repro: allow(L002)``.
-* **L003 lock-order violation** — the global nested-acquire graph must
-  be acyclic; any cycle (including acquiring a second grant from the
-  *same* table while holding one) is an AB-BA deadlock waiting for the
-  right interleaving.
+* **L001 lock-leak** — a raw ``acquire_read``/``acquire_write`` call
+  outside a ``with`` header returns a grant nothing is bound to
+  release; an exception or early return before a hand-written
+  ``release`` wedges the inode's FIFO queue forever.
 * **L004 unlocked-shared-access** — fields declared
   ``# repro: guarded_by(<lock>)`` may only be mutated by functions that
-  hold that lock: they acquire it themselves, receive a grant from their
-  caller, are boot/recovery contexts, or are reachable *only* from such
-  functions. Violations are blamed on the root of the unlocked path
-  (the entry point with no resolvable caller), where a fix or pragma
-  belongs.
+  hold that lock: they open a scope on it themselves, receive a grant
+  from their caller, are boot/recovery contexts, or are reachable *only*
+  from such functions. Violations are blamed on the root of the
+  unlocked path (the entry point with no resolvable caller), where a
+  fix or pragma belongs.
 
-All four lean on the :class:`~repro.analysis.index.ProjectIndex` lock
-facts: acquire/release sites, ``guarded_by`` declarations, typed
-attribute resolution into the cache/free-list helpers, and the
-transitive-acquire and blocking-function fixpoints.
+Blocking under a write grant and nested-acquire cycles are left to the
+layers that see them run: the lock table's waits-for detector and the
+kernel's deadlock error (DESIGN.md §11 has the kill matrix).
 """
 
 from __future__ import annotations
@@ -41,86 +29,9 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..framework import Config, FileContext, Finding, Rule, register
-from ..index import FunctionInfo, ProjectIndex, call_ref, dotted_name
+from ..index import FunctionInfo, ProjectIndex
 
-__all__ = [
-    "LockLeak",
-    "LockOrderViolation",
-    "UnlockedSharedAccess",
-    "YieldUnderLock",
-]
-
-_ACQUIRE_METHODS = {"acquire_read": "read", "acquire_write": "write"}
-
-
-def _function_nodes(tree: ast.Module) -> Iterator[Tuple[ast.AST, Optional[str]]]:
-    """Every function/method definition with its enclosing class name."""
-
-    def descend(node: ast.AST, cls: Optional[str]) -> Iterator[Tuple[ast.AST, Optional[str]]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from descend(child, child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, cls
-                yield from descend(child, cls)
-            else:
-                yield from descend(child, cls)
-
-    yield from descend(tree, None)
-
-
-def _own_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
-    """``ast.walk`` over one statement, not descending into nested defs."""
-    stack: List[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
-
-
-def _acquire_in(value: ast.expr) -> Optional[Tuple[str, str]]:
-    """(table dotted, mode) when the expression is an acquire call."""
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr in _ACQUIRE_METHODS
-    ):
-        table = dotted_name(value.func.value) or value.func.attr
-        return table, _ACQUIRE_METHODS[value.func.attr]
-    return None
-
-
-def _release_var(node: ast.AST) -> Optional[str]:
-    """The grant variable a ``<expr>.release(<var>)`` call releases."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "release"
-        and len(node.args) == 1
-        and isinstance(node.args[0], ast.Name)
-    ):
-        return node.args[0].id
-    return None
-
-
-def _grant_param_names(fn_node: ast.AST) -> Set[str]:
-    """Parameters that carry a lock grant into the function: named
-    ``*grant*`` or annotated with a ``LockGrant`` type."""
-    names: Set[str] = set()
-    args = fn_node.args
-    for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-        if "grant" in arg.arg:
-            names.add(arg.arg)
-        elif arg.annotation is not None and "LockGrant" in ast.unparse(
-            arg.annotation
-        ):
-            names.add(arg.arg)
-    return names
+__all__ = ["LockLeak", "UnlockedSharedAccess"]
 
 
 # --------------------------------------------------------------------- L001
@@ -131,332 +42,35 @@ class LockLeak(Rule):
     id = "L001"
     title = "lock-leak"
     rationale = (
-        "An acquired LockGrant must be released on every path out of the "
-        "function — including exception edges and early returns — or "
-        "handed to a function/process that assumes ownership. A leaked "
-        "grant wedges the inode's FIFO queue forever: every later "
-        "request on that file waits behind a release that never comes."
+        "A raw acquire_read/acquire_write call returns a grant that only a "
+        "hand-written release() gives back, and every exception edge or "
+        "early return before it leaks the grant: each later request on "
+        "that file waits behind a release that never comes. Take locks "
+        "as `with table.reading(key) as lock:` / `table.writing(key)`, "
+        "which release on every path out of the block."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for fn_node, _cls in _function_nodes(ctx.tree):
-            yield from self._check_function(ctx, fn_node)
-
-    def _check_function(self, ctx: FileContext, fn_node: ast.AST) -> Iterator[Finding]:
-        acquires: List[Tuple[Optional[str], str, str, ast.stmt]] = []
-        releases: Dict[str, List[bool]] = {}     # var -> [in_finally, ...]
-        handoffs: Set[str] = set()
-        finally_stack: List[ast.stmt] = []
-
-        def scan_leaf(stmt: ast.stmt, in_finally: bool) -> None:
-            for node in _own_nodes(stmt):
-                released = _release_var(node)
-                if released is not None:
-                    releases.setdefault(released, []).append(in_finally)
-                    continue
-                if isinstance(node, ast.Call) and _acquire_in(node) is None:
-                    for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                        if isinstance(arg, ast.Name):
-                            handoffs.add(arg.id)
-                if isinstance(node, ast.Return) and isinstance(
-                    node.value, ast.Name
-                ):
-                    handoffs.add(node.value.id)
-            if isinstance(stmt, ast.Assign):
-                found = _acquire_in(stmt.value)
-                if found is not None:
-                    target = (
-                        stmt.targets[0].id
-                        if len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        else None
-                    )
-                    acquires.append((target, found[0], found[1], stmt))
-            elif isinstance(stmt, ast.Expr):
-                found = _acquire_in(stmt.value)
-                if found is not None:
-                    acquires.append((None, found[0], found[1], stmt))
-
-        def walk(body: List[ast.stmt], in_finally: bool) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    continue
-                if isinstance(stmt, ast.Try):
-                    walk(stmt.body, in_finally)
-                    for handler in stmt.handlers:
-                        walk(handler.body, in_finally)
-                    walk(stmt.orelse, in_finally)
-                    walk(stmt.finalbody, True)
-                elif isinstance(stmt, (ast.If,)):
-                    scan_header(stmt.test, in_finally)
-                    walk(stmt.body, in_finally)
-                    walk(stmt.orelse, in_finally)
-                elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    scan_header(stmt.iter, in_finally)
-                    walk(stmt.body, in_finally)
-                    walk(stmt.orelse, in_finally)
-                elif isinstance(stmt, ast.While):
-                    scan_header(stmt.test, in_finally)
-                    walk(stmt.body, in_finally)
-                    walk(stmt.orelse, in_finally)
-                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        scan_header(item.context_expr, in_finally)
-                    walk(stmt.body, in_finally)
-                else:
-                    scan_leaf(stmt, in_finally)
-
-        def scan_header(expr: ast.expr, in_finally: bool) -> None:
-            fake = ast.Expr(value=expr)
-            for node in _own_nodes(fake):
-                released = _release_var(node)
-                if released is not None:
-                    releases.setdefault(released, []).append(in_finally)
-
-        walk(fn_node.body, False)
-        for var, table, mode, stmt in acquires:
-            if var is None:
-                yield self.make(
-                    ctx, stmt,
-                    f"{mode} grant from `{table}` is discarded at the "
-                    f"acquire site: nothing can ever release it",
-                )
-                continue
-            if var in handoffs:
-                continue
-            flags = releases.get(var, [])
-            if any(flags):
-                continue
-            if flags:
-                yield self.make(
-                    ctx, stmt,
-                    f"grant `{var}` ({mode} on `{table}`) is released only "
-                    f"on the happy path: an exception or early return "
-                    f"between acquire and release leaks it — release in a "
-                    f"`finally` (or hand the grant off)",
-                )
-            else:
-                yield self.make(
-                    ctx, stmt,
-                    f"grant `{var}` ({mode} on `{table}`) is never "
-                    f"released and never handed off: every later request "
-                    f"on that key waits forever",
-                )
-
-
-# --------------------------------------------------------------------- L002
-
-
-@register
-class YieldUnderLock(Rule):
-    id = "L002"
-    title = "yield-under-lock"
-    rationale = (
-        "Suspending on a caller-supplied event, a bare yield, or a "
-        "blocking mailbox primitive while holding a write grant parks "
-        "every queued request on that inode for as long as the outside "
-        "world pleases. Timed work (timeouts, disk I/O) under the grant "
-        "is fine; unbounded waits need an explicit "
-        "`# repro: allow(L002)` declaring the blocking section "
-        "intentional."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        blocking = ctx.index.blocking_functions(ctx.config.blocking_primitives)
-        for fn_node, cls in _function_nodes(ctx.tree):
-            caller = ctx.index.function(ctx.module, cls, fn_node.name)
-            yield from self._check_function(ctx, fn_node, caller, blocking)
-
-    def _check_function(
-        self,
-        ctx: FileContext,
-        fn_node: ast.AST,
-        caller: Optional[FunctionInfo],
-        blocking: Set[tuple],
-    ) -> Iterator[Finding]:
-        grant_params = _grant_param_names(fn_node)
-        held: Dict[str, str] = {name: "write" for name in grant_params}
-        tainted: Set[str] = {
-            arg.arg
-            for arg in list(fn_node.args.posonlyargs)
-            + list(fn_node.args.args)
-            + list(fn_node.args.kwonlyargs)
-            if arg.arg != "self"
+        scoped = {
+            id(node)
+            for stmt in ast.walk(ctx.tree)
+            if isinstance(stmt, (ast.With, ast.AsyncWith))
+            for item in stmt.items
+            for node in ast.walk(item.context_expr)
         }
-        findings: List[Finding] = []
-
-        def write_held() -> bool:
-            return any(mode == "write" for mode in held.values())
-
-        def classify(node: ast.AST) -> None:
-            """Flag the yield if it can suspend unboundedly."""
-            is_from = isinstance(node, ast.YieldFrom)
-            value = node.value
-            what = "yield from" if is_from else "yield"
-            locked = ", ".join(
-                sorted(var for var, mode in held.items() if mode == "write")
-            )
-            if value is None:
-                findings.append(self.make(
-                    ctx, node,
-                    f"bare `yield` while holding write grant(s) {locked}: "
-                    f"the process parks until an external send, with the "
-                    f"inode locked the whole time",
-                ))
-                return
-            if isinstance(value, ast.Name):
-                if value.id in held:
-                    return  # yielding your own grant is the admission wait
-                if value.id in tainted:
-                    findings.append(self.make(
-                        ctx, node,
-                        f"`{what} {value.id}` suspends on a caller-supplied "
-                        f"event while holding write grant(s) {locked}: the "
-                        f"lock is held for as long as the caller pleases",
-                    ))
-                return
-            if isinstance(value, ast.Call):
-                ref = call_ref(value)
-                if ref is None:
-                    return
-                if ref.name in ctx.config.blocking_primitives:
-                    findings.append(self.make(
-                        ctx, node,
-                        f"`{what} {ref.dotted}(...)` blocks on a mailbox "
-                        f"primitive while holding write grant(s) {locked}",
-                    ))
-                    return
-                if caller is not None:
-                    callee = ctx.index.resolve_call_typed(caller, ref)
-                    if callee is not None and callee.key in blocking:
-                        findings.append(self.make(
-                            ctx, node,
-                            f"`{what} {ref.dotted}(...)` reaches a blocking "
-                            f"mailbox primitive (via {callee.qualname}) "
-                            f"while holding write grant(s) {locked}",
-                        ))
-
-        def scan_leaf(stmt: ast.stmt) -> None:
-            yields = [
-                node for node in _own_nodes(stmt)
-                if isinstance(node, (ast.Yield, ast.YieldFrom))
-            ]
-            for node in sorted(
-                yields, key=lambda n: (n.lineno, n.col_offset)
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("acquire_read", "acquire_write")
+                and id(node) not in scoped
             ):
-                if write_held():
-                    classify(node)
-            if isinstance(stmt, ast.Assign):
-                found = _acquire_in(stmt.value)
-                if (
-                    found is not None
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                ):
-                    held[stmt.targets[0].id] = found[1]
-            for node in _own_nodes(stmt):
-                released = _release_var(node)
-                if released is not None:
-                    held.pop(released, None)
-
-        def walk(body: List[ast.stmt]) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    continue
-                if isinstance(stmt, ast.Try):
-                    walk(stmt.body)
-                    for handler in stmt.handlers:
-                        walk(handler.body)
-                    walk(stmt.orelse)
-                    walk(stmt.finalbody)
-                elif isinstance(stmt, ast.If):
-                    walk(stmt.body)
-                    walk(stmt.orelse)
-                elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    if isinstance(stmt.target, ast.Name) and self._iter_tainted(
-                        stmt.iter, tainted
-                    ):
-                        tainted.add(stmt.target.id)
-                    scan_leaf(ast.Expr(value=stmt.iter))
-                    walk(stmt.body)
-                    walk(stmt.orelse)
-                elif isinstance(stmt, ast.While):
-                    walk(stmt.body)
-                    walk(stmt.orelse)
-                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    walk(stmt.body)
-                else:
-                    scan_leaf(stmt)
-
-        walk(fn_node.body)
-        yield from findings
-
-    @staticmethod
-    def _iter_tainted(expr: ast.expr, tainted: Set[str]) -> bool:
-        node = expr
-        if isinstance(node, ast.Call) and node.args:
-            # list(writes), iter(writes), enumerate(writes), ...
-            node = node.args[0]
-        while isinstance(node, ast.Attribute):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id in tainted
-
-
-# --------------------------------------------------------------------- L003
-
-
-@register
-class LockOrderViolation(Rule):
-    id = "L003"
-    title = "lock-order violation"
-    rationale = (
-        "Nested acquires define a global lock-order graph; any cycle — "
-        "two functions nesting two tables in opposite orders, or a "
-        "second grant taken from the same table while one is held — is "
-        "an AB-BA deadlock waiting for the right interleaving of "
-        "workers. The graph must stay acyclic."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        edges = ctx.index.lock_order_edges()
-        if not edges:
-            return
-        graph: Dict[str, Set[str]] = {}
-        for held, acquired, _module, _lineno, _detail in edges:
-            graph.setdefault(held, set()).add(acquired)
-
-        def reaches(start: str, goal: str) -> bool:
-            seen: Set[str] = set()
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                if node == goal:
-                    return True
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(sorted(graph.get(node, ())))
-            return False
-
-        for held, acquired, module, lineno, detail in edges:
-            if module != ctx.module:
-                continue
-            if not reaches(acquired, held):
-                continue
-            if held == acquired:
-                cycle = f"{held} -> {held}"
-            else:
-                cycle = f"{held} -> {acquired} -> ... -> {held}"
-            yield Finding(
-                rule=self.id, path=ctx.path, line=lineno, col=1,
-                message=(
-                    f"lock-order cycle [{cycle}]: {detail}; a concurrent "
-                    f"request acquiring in the opposite order deadlocks "
-                    f"both"
-                ),
-            )
+                yield self.make(
+                    ctx, node,
+                    f"raw `{node.func.attr}` outside a `with` header: "
+                    f"nothing releases the grant if the code after it "
+                    f"raises or returns early",
+                )
 
 
 # --------------------------------------------------------------------- L004
@@ -470,7 +84,7 @@ class UnlockedSharedAccess(Rule):
         "A field declared `# repro: guarded_by(<lock>)` is shared "
         "mutable server state; writing it without holding the lock is "
         "exactly the torn-state race PR 5 fixed by hand. A writer must "
-        "acquire the lock, receive a grant from its caller, be a "
+        "open a scope on the lock, receive a grant from its caller, be a "
         "boot/recovery context, or be reachable only from such "
         "functions; the violation is reported at the root of the "
         "unlocked path, where the fix belongs."
@@ -515,12 +129,11 @@ class UnlockedSharedAccess(Rule):
         per_module: Dict[str, List[Tuple[int, str]]] = {}
         if direct:
             callers = index.callers()
-            acquirers = index.direct_acquirers()
             locks = {lock for sites in direct.values() for lock, _l, _f in sites}
             for lock in sorted(locks):
                 self._check_lock(
-                    lock, direct, functions, callers, acquirers, config,
-                    index, per_module,
+                    lock, direct, functions, callers, config, index,
+                    per_module,
                 )
         for entries in per_module.values():
             entries.sort()
@@ -533,17 +146,16 @@ class UnlockedSharedAccess(Rule):
         direct: Dict[tuple, List[Tuple[str, int, str]]],
         functions: Dict[tuple, FunctionInfo],
         callers: Dict[tuple, Set[tuple]],
-        acquirers: Dict[tuple, Set[str]],
         config: Config,
         index: ProjectIndex,
         per_module: Dict[str, List[Tuple[int, str]]],
     ) -> None:
-        # A function locally satisfies the guard when it acquires the
-        # lock itself, receives a grant parameter, or is an exempt
+        # A function locally satisfies the guard when it opens a scope
+        # on the lock itself, receives a grant parameter, or is an exempt
         # (boot-time) context.
         ok: Set[tuple] = set()
         for key, fn in functions.items():
-            if lock in acquirers.get(key, ()):
+            if lock in fn.acquires:
                 ok.add(key)
             elif any(
                 "grant" in name

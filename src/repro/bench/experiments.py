@@ -6,8 +6,10 @@ own invariants fails, and returns a payload. The payload is rendered as
 canonical JSON (keys sorted, floats via ``repr``, trailing newline), so
 a run either reproduces its committed artifact **byte for byte** or
 something observable changed. :data:`EXPERIMENTS` maps each concept
-name to ``(run, artifact_path)``; :func:`write` regenerates an artifact
-and :func:`check` compares a fresh run against the committed file.
+name to its function, and the name also names the committed artifact,
+``BENCH_<name>.json`` (:func:`artifact_path`); :func:`write` regenerates
+an artifact and :func:`check` compares a fresh run against the
+committed file.
 Adding an experiment is one function, one table entry and its artifact
 — ``python -m repro.obs bench``, CI and the tier-1 tests loop over the
 table.
@@ -33,7 +35,8 @@ from ..units import KB, to_msec
 from .harness import bullet_figure2, closed_loop, make_rig, nfs_figure3
 from .workload import PAPER_SIZES
 
-__all__ = ["EXPERIMENTS", "write", "check", "canonical_json"]
+__all__ = ["EXPERIMENTS", "artifact_path", "write", "check",
+           "canonical_json"]
 
 #: The one seed every committed artifact was generated from.
 SEED = 1989
@@ -603,22 +606,26 @@ def coherence() -> dict:
 
 # ------------------------------------------------------------ the table
 
-#: name -> (run, committed artifact path relative to the repo root).
-#: ``BENCH_PR6.json`` is absent on purpose: it is a frozen wall-clock
-#: record, not a regenerable artifact (EXPERIMENTS.md E8).
+#: name -> run. The name is the one fact: it also names the artifact.
 EXPERIMENTS = {
-    "fig2_fig3": (fig2_fig3, "BENCH_PR4.json"),
-    "worker_scaling": (worker_scaling, "BENCH_PR5.json"),
-    "client_cache_scaling": (client_cache_scaling, "BENCH_PR9.json"),
-    "coherence": (coherence, "BENCH_PR10.json"),
+    "fig2_fig3": fig2_fig3,
+    "worker_scaling": worker_scaling,
+    "client_cache_scaling": client_cache_scaling,
+    "coherence": coherence,
 }
 
 
+def artifact_path(name: str) -> str:
+    """The committed artifact of experiment ``name``, relative to the
+    repository root."""
+    return f"BENCH_{name}.json"
+
+
 def _entry(name: str) -> tuple:
-    """``EXPERIMENTS[name]``, refused — before anything is simulated —
-    when the committed artifact is not where the table says, i.e. when
-    not run from the repository root."""
-    run, path = EXPERIMENTS[name]
+    """``(EXPERIMENTS[name], artifact_path(name))``, refused — before
+    anything is simulated — when the committed artifact is not there,
+    i.e. when not run from the repository root."""
+    run, path = EXPERIMENTS[name], artifact_path(name)
     if not os.path.isfile(path):
         raise BadRequestError(
             f"{path} ({name}) not found in {os.getcwd()}: run from the "

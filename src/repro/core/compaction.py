@@ -87,9 +87,8 @@ def compact_disk(server: BulletServer):
                   key=lambda item: item[1].start_block)
     cursor = layout.data_start
     for number, _snapshot_inode in live:
-        grant = server.locks.acquire_write(number)
-        try:
-            yield grant
+        with server.locks.writing(number) as lock:
+            yield lock.grant
             # Revalidate under the lock: the file may have been deleted
             # (or its number reincarnated at a new address) while the
             # pass worked through earlier files.
@@ -122,8 +121,6 @@ def compact_disk(server: BulletServer):
             else:
                 report.files_skipped += 1
                 cursor = start + blocks
-        finally:
-            server.locks.release(grant)
     server.disk_free.check_invariants()
     report.duration = env.now - started
     report.fragmentation_after = server.disk_free.external_fragmentation()

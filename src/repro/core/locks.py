@@ -14,13 +14,17 @@ restored explicitly. This module is that mechanism.
 
 * **FIFO-fair**: grants are queued in arrival order; a reader arriving
   after a queued writer waits behind it, so writers cannot starve.
-* **Sim-aware**: ``acquire_read``/``acquire_write`` return a
-  :class:`LockGrant` event to ``yield``. An uncontended grant succeeds
-  immediately (zero simulated time), so at ``workers=1`` the lock plane
-  is timing-invisible and the paper-faithful figures are unchanged.
-* **Crash-safe**: a holder interrupted mid-operation releases in its
-  ``finally`` block (``Interrupt`` propagates through generators), and
-  a waiter interrupted while queued is cancelled by the same
+* **Scoped**: handlers take a lock as ``with table.reading(key) as
+  lock: yield lock.grant`` (or ``writing``). The :class:`LockScope`
+  releases whatever grant it owns when the block exits, on every edge
+  out of it, so a leaked grant is not something a handler can write.
+* **Sim-aware**: the grant is a :class:`LockGrant` event to ``yield``.
+  An uncontended grant succeeds immediately (zero simulated time), so
+  at ``workers=1`` the lock plane is timing-invisible and the
+  paper-faithful figures are unchanged.
+* **Crash-safe**: a holder interrupted mid-operation releases as the
+  ``Interrupt`` unwinds its ``with`` block, and a waiter interrupted
+  while still queued is cancelled by the same
   :meth:`FileLockTable.release` call.
 * **Bounded**: a lock with no holders and no waiters is dropped from
   the table, so the table's size tracks the set of *contended or held*
@@ -41,7 +45,7 @@ from ..obs import MetricsRegistry
 from ..sim import Environment, Event
 from ..sim.core import Process
 
-__all__ = ["LockGrant", "FileLockTable"]
+__all__ = ["LockGrant", "LockScope", "FileLockTable"]
 
 #: Grant modes.
 READ = "read"
@@ -68,6 +72,52 @@ class LockGrant(Event):
         #: from outside any process, e.g. direct test pokes). Feeds the
         #: waits-for graph and the runtime lockset checker.
         self.owner: Optional[Process] = env.active_process
+
+
+class LockScope:
+    """A ``with``-scoped hold on one file's lock.
+
+    The scope owns at most one grant at a time and gives it back on
+    exit, whether it is held or still queued (an ``Interrupt`` delivered
+    while waiting unwinds the block like any other exception).
+    """
+
+    __slots__ = ("_table", "grant")
+
+    def __init__(self, table: "FileLockTable", grant: LockGrant):
+        self._table = table
+        #: The grant to ``yield`` on; None once detached or exited.
+        self.grant: Optional[LockGrant] = grant
+
+    def __enter__(self) -> "LockScope":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        grant, self.grant = self.grant, None
+        if grant is not None:
+            self._table.release(grant)
+
+    def _take(self) -> LockGrant:
+        """The owned grant, leaving the scope empty."""
+        grant, self.grant = self.grant, None
+        if grant is None:
+            raise ConsistencyError("lock scope owns no grant")
+        return grant
+
+    def upgrade(self) -> LockGrant:
+        """Trade the read grant for a queued write grant on the same
+        key and return it to ``yield`` on. Not atomic: other holders
+        may run in between, so revalidate under the new grant."""
+        read = self._take()
+        self._table.release(read)
+        self.grant = write = self._table._acquire(read.key, WRITE)
+        return write
+
+    def detach(self, new_owner: Optional[Process]) -> None:
+        """Give the held grant to ``new_owner`` (CREATE's settle
+        watcher), which takes it over with :meth:`FileLockTable.adopt`.
+        Exiting this scope then releases nothing."""
+        self._table.transfer(self._take(), new_owner)
 
 
 class _FileLock:
@@ -200,6 +250,20 @@ class FileLockTable:
 
     # ------------------------------------------------------------ acquire
 
+    def reading(self, key: int) -> LockScope:
+        """A scope requesting a shared grant on ``key``; ``yield`` its
+        ``grant`` inside the ``with`` block to hold it."""
+        return LockScope(self, self._acquire(key, READ))
+
+    def writing(self, key: int) -> LockScope:
+        """The same for an exclusive grant on ``key``."""
+        return LockScope(self, self._acquire(key, WRITE))
+
+    def adopt(self, grant: LockGrant) -> LockScope:
+        """A scope over a held grant another scope detached to the
+        calling process."""
+        return LockScope(self, grant)
+
     def acquire_read(self, key: int) -> LockGrant:
         """A shared grant on ``key``; yields immediately when no writer
         holds or waits for the file."""
@@ -260,11 +324,12 @@ class FileLockTable:
     # ----------------------------------------------------------- transfer
 
     def transfer(self, grant: LockGrant, new_owner: Optional[Process]) -> None:
-        """Hand a *held* grant to another process (the CREATE settle
-        watcher owns the new file's write grant from the moment it is
-        forked). Waits-for edges and lockset holdings follow the new
-        owner: without this, the creator would appear to block on
-        itself the instant it re-reads the file it just created."""
+        """Hand a *held* grant to another process
+        (:meth:`LockScope.detach`: the CREATE settle watcher owns the new
+        file's write grant from the moment it is forked). Waits-for
+        edges and lockset holdings follow the new owner: without this,
+        the creator would appear to block on itself the instant it
+        re-reads the file it just created."""
         old = grant.owner
         if old is new_owner:
             return

@@ -283,10 +283,8 @@ class BulletServer(RpcService):
         # can move it, and no delete can free it while background
         # replica writes are still in flight (at p_factor=0 the client
         # holds a capability long before the data is durable anywhere).
-        write_grant = self.locks.acquire_write(number)
-        settling = False
-        try:
-            yield write_grant
+        with self.locks.writing(number) as lock:
+            yield lock.grant
             yield self.env.timeout(size * cpu.memcpy_per_byte)
             # Write-through: data extent then inode block, per replica.
             inode_block = self.table.block_of_inode(number)
@@ -307,14 +305,10 @@ class BulletServer(RpcService):
             # and accounts any background replica failure (satellite fix:
             # p=0 used to drop those on the floor).
             settle = self.env.process(
-                self._settle_create(number, write_grant, replicated.writes))
-            settling = True
-            self.locks.transfer(write_grant, settle)
+                self._settle_create(number, lock.grant, replicated.writes))
+            lock.detach(settle)
             if p_factor > 0:
                 yield replicated.durable
-        finally:
-            if not settling:
-                self.locks.release(write_grant)
         self.stats.creates += 1
         self.stats.bytes_created += size
         if self._tracer is not None:
@@ -327,30 +321,25 @@ class BulletServer(RpcService):
         drop the file's write lock. Failures beyond the quorum (all of
         them, at p_factor=0) are counted, traced, and surfaced in
         :meth:`status` instead of being silently defused."""
-        locks = self.locks
-        try:
+        with self.locks.adopt(grant):
             for write in writes:
                 try:
                     # Intentional blocking section: holding the write
                     # grant until the replica writes settle is the whole
                     # point of the handoff (no reader may chase the
                     # extent to disk before it is durable).
-                    yield write  # repro: allow(L002)
+                    yield write
                 except ReproError as exc:
                     self._bg_write_failures.inc()
                     self._trace("bullet", "background replica write failed",
                                 inode=number, status=exc.status.name)
-        finally:
-            locks.release(grant)
 
     def read(self, cap: Capability):
         """Process: BULLET.READ — returns the whole file contents."""
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        locks = self.locks
-        grant = locks.acquire_read(cap.object)
-        try:
-            yield grant
+        with self.locks.reading(cap.object) as lock:
+            yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_READ)
             tracing = self._tracer is not None
             rnode = self._cached_rnode(number, inode)
@@ -359,9 +348,7 @@ class BulletServer(RpcService):
                 # disk, so the extent cannot move (compaction) or be
                 # freed (delete) under the read, and two concurrent
                 # misses cannot both reserve cache space for the file.
-                locks.release(grant)
-                grant = locks.acquire_write(cap.object)
-                yield grant
+                yield lock.upgrade()
                 inode = self._revalidate(cap, RIGHT_READ)
                 # Re-probe statlessly: this request's miss is already
                 # accounted; another worker may have loaded the file
@@ -391,22 +378,16 @@ class BulletServer(RpcService):
             self._c_reads.inc(1)
             self._c_bytes_read.inc(inode.size)
             return rnode.data
-        finally:
-            locks.release(grant)
 
     def size(self, cap: Capability):
         """Process: BULLET.SIZE — the file's size in bytes."""
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        locks = self.locks
-        grant = locks.acquire_read(cap.object)
-        try:
-            yield grant
+        with self.locks.reading(cap.object) as lock:
+            yield lock.grant
             _number, inode = yield from self._check(cap, RIGHT_READ)
             self.stats.sizes += 1
             return inode.size
-        finally:
-            locks.release(grant)
 
     def delete(self, cap: Capability):
         """Process: BULLET.DELETE — discard the file.
@@ -419,14 +400,10 @@ class BulletServer(RpcService):
         """
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        locks = self.locks
-        grant = locks.acquire_write(cap.object)
-        try:
-            yield grant
+        with self.locks.writing(cap.object) as lock:
+            yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_DELETE)
             yield from self._destroy(number, inode)
-        finally:
-            locks.release(grant)
         self.stats.deletes += 1
         if self._tracer is not None:
             self._trace("bullet", "delete", inode=number)
@@ -462,10 +439,8 @@ class BulletServer(RpcService):
         untouched."""
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        locks = self.locks
-        grant = locks.acquire_read(cap.object)
-        try:
-            yield grant
+        with self.locks.reading(cap.object) as lock:
+            yield lock.grant
             number, inode = yield from self._check(
                 cap, RIGHT_READ | RIGHT_MODIFY)
             if (offset < 0 or delete_bytes < 0
@@ -478,9 +453,7 @@ class BulletServer(RpcService):
             rnode = self._cached_rnode(number, inode)
             if rnode is None:
                 # Same upgrade dance as the READ miss path.
-                locks.release(grant)
-                grant = locks.acquire_write(cap.object)
-                yield grant
+                yield lock.upgrade()
                 inode = self._revalidate(cap, RIGHT_READ | RIGHT_MODIFY)
                 rnode = self.cache.peek(number)
             if rnode is None:
@@ -489,10 +462,8 @@ class BulletServer(RpcService):
             old = rnode.data
             new_data = (old[:offset] + insert_data
                         + old[offset + delete_bytes:])
-        finally:
-            # The source bytes are composed; the derived CREATE below
-            # runs without any hold on the source file.
-            locks.release(grant)
+        # The source bytes are composed; the derived CREATE below runs
+        # without any hold on the source file.
         new_cap = yield from self.create(new_data, p_factor)
         self.stats.modifies += 1
         self.stats.bytes_modified += len(new_data)
@@ -521,16 +492,12 @@ class BulletServer(RpcService):
         # a touch cannot interleave with a concurrent AGE sweep's
         # decrement-and-reclaim on the same object (uncontended, the
         # grant costs no simulated time).
-        locks = self.locks
-        grant = locks.acquire_write(cap.object)
-        try:
-            yield grant
+        with self.locks.writing(cap.object) as lock:
+            yield lock.grant
             number, _inode = yield from self._check(cap, 0)
             self._note_lives_access(number)
             self._lives[number] = self.testbed.bullet.max_lives
             return self._lives[number]
-        finally:
-            locks.release(grant)
 
     def age_all(self):
         """Process: std_age — decrement every object's lives; reclaim
@@ -545,9 +512,8 @@ class BulletServer(RpcService):
             # reclaim grant closes the window where a concurrent touch
             # could resurrect an object between the two passes without
             # being seen (uncontended, the grant costs no sim time).
-            grant = self.locks.acquire_write(number)
-            try:
-                yield grant
+            with self.locks.writing(number) as lock:
+                yield lock.grant
                 inode = self.table.get(number)
                 if inode.free:
                     continue  # a concurrent delete beat us to it
@@ -560,8 +526,6 @@ class BulletServer(RpcService):
                 yield from self._destroy(number, inode)
                 self._trace("bullet", "aged out", inode=number)
                 reclaimed.append(number)
-            finally:
-                self.locks.release(grant)
         return reclaimed
 
     def lives_of(self, inode_number: int) -> int:

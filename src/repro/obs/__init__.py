@@ -16,7 +16,7 @@ observe itself:
   queue/cache/disk/net components.
 * ``python -m repro.obs`` dumps a registry snapshot from an example
   run; ``python -m repro.obs bench [NAME...|all] [--check]`` regenerates
-  the committed ``BENCH_PR*.json`` artifacts, or byte-compares against
+  the committed ``BENCH_<name>.json`` artifacts, or byte-compares against
   them. The experiments themselves live in
   :mod:`repro.bench.experiments`; only ``__main__`` imports them, so
   this package stays importable from ``repro.core``.

@@ -11,7 +11,7 @@ through the RPC plane, and dumps the shared metrics registry::
 table in :mod:`repro.bench.experiments` (run it from the repository root)::
 
     python -m repro.obs bench              # rewrite every artifact
-    python -m repro.obs bench coherence    # rewrite BENCH_PR10.json only
+    python -m repro.obs bench coherence    # rewrite BENCH_coherence.json only
     python -m repro.obs bench --check      # write nothing: byte-compare
                                            # fresh runs against the
                                            # committed files (diff, exit 1)
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                         default="text", help="snapshot rendering")
     sub = parser.add_subparsers(dest="command")
     bench = sub.add_parser("bench", help="regenerate the committed bench "
-                                         "artifacts (BENCH_PR*.json)")
+                                         "artifacts (BENCH_<name>.json)")
     bench.add_argument("names", nargs="*", metavar="NAME",
                        help="experiments to run, or 'all' (the default)")
     bench.add_argument("--check", action="store_true",

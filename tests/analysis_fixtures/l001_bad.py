@@ -1,4 +1,4 @@
-"""Fixture: L001 lock-leak — grants that never reliably reach release."""
+"""Fixture: L001 lock-leak — raw acquires outside a ``with`` header."""
 
 
 class Server:
@@ -8,13 +8,15 @@ class Server:
     def discarded(self):
         self.locks.acquire_write(7)
 
-    def happy_path_only(self, key):
+    def hand_released(self, key):
         grant = self.locks.acquire_write(key)
-        yield grant
-        self.mutate(key)
-        self.locks.release(grant)
+        try:
+            yield grant
+            self.mutate(key)
+        finally:
+            self.locks.release(grant)
 
-    def never_released(self, key):
-        grant = self.locks.acquire_read(key)
-        yield grant
-        return self.peek(key)
+    def inside_a_scope_body(self, key):
+        with self.locks.reading(key) as lock:
+            yield lock.grant
+            return self.locks.acquire_read(key + 1)

@@ -1,23 +1,21 @@
-"""Fixture: L001 near-misses — every grant is released or handed off."""
+"""Fixture: L001 near-misses — every lock is taken in a ``with`` header."""
 
 
 class Server:
     def __init__(self, locks):
         self.locks = locks
 
-    def finally_release(self, key):
-        grant = self.locks.acquire_write(key)
-        try:
-            yield grant
+    def scoped(self, key):
+        with self.locks.writing(key) as lock:
+            yield lock.grant
             self.mutate(key)
-        finally:
-            self.locks.release(grant)
 
-    def handoff(self, key):
-        grant = self.locks.acquire_write(key)
-        yield grant
-        self.settle(grant)
+    def upgraded(self, key):
+        with self.locks.reading(key) as lock:
+            yield lock.grant
+            yield lock.upgrade()
+            self.mutate(key)
 
-    def returns_grant(self, key):
-        grant = self.locks.acquire_read(key)
-        return grant
+    def adopts_a_raw_grant(self, key):
+        with self.locks.adopt(self.locks.acquire_write(key)) as lock:
+            yield lock.grant

@@ -7,12 +7,9 @@ class Store:
         self._sizes = {}  # repro: guarded_by(locks)
 
     def locked_write(self, key, size):
-        grant = self.locks.acquire_write(key)
-        try:
-            yield grant
+        with self.locks.writing(key) as lock:
+            yield lock.grant
             self._sizes[key] = size
-        finally:
-            self.locks.release(grant)
 
     def unlocked_write(self, key, size):
         self._sizes[key] = size

@@ -1,6 +1,6 @@
 """Fixture: L004 near-misses — every write path holds the guard: the
-writer acquires it, inherits it from all its callers, or receives a
-grant parameter."""
+writer opens a scope on it, inherits it from all its callers, or
+receives a grant parameter."""
 
 
 class Store:
@@ -9,12 +9,9 @@ class Store:
         self._sizes = {}  # repro: guarded_by(locks)
 
     def locked_write(self, key, size):
-        grant = self.locks.acquire_write(key)
-        try:
-            yield grant
+        with self.locks.writing(key) as lock:
+            yield lock.grant
             self._record(key, size)
-        finally:
-            self.locks.release(grant)
 
     def _record(self, key, size):
         self._sizes[key] = size

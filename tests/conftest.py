@@ -59,7 +59,7 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-#: CI's concurrency job sets REPRO_TEST_WORKERS=4 to re-run the whole
+#: CI's test-workers-4 job sets REPRO_TEST_WORKERS=4 to re-run the whole
 #: tier-1 suite against a worker pool; tests that specifically assert
 #: single-threaded semantics pass workers=1 explicitly.
 DEFAULT_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "1"))

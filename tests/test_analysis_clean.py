@@ -31,22 +31,18 @@ def test_src_repro_is_clean():
 def test_src_repro_is_clean_under_strict_pragmas():
     # Every `# repro: allow(...)` in the tree must still suppress a
     # live finding — stale pragmas are reported as P001 and fail here.
+    # This test is the lock-discipline gate: CI has no separate job.
     result = analyze_paths([str(SRC)], strict_pragmas=True)
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.clean, f"stale or violated pragmas:\n{rendered}"
 
 
-def test_cli_concurrency_strict_dogfood(capsys):
-    # The CI concurrency-analysis job's exact invocation.
-    assert main(["--concurrency", "--strict-pragmas", str(SRC)]) == 0
-
-
-def test_cli_concurrency_selects_lock_rules(capsys):
-    bad = FIXTURES / "l002_bad.py"
-    # D-rule noise would be off-select; the lock rules still fire.
-    assert main(["--concurrency", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "L002" in out
+def test_cli_strict_pragmas_flags_a_stale_pragma(tmp_path, capsys):
+    stale = tmp_path / "stale.py"
+    stale.write_text("def fine():\n    return 1  # repro: allow(L004)\n")
+    assert main([str(stale)]) == 0
+    assert main(["--select", "L001,L004", "--strict-pragmas", str(stale)]) == 1
+    assert "P001" in capsys.readouterr().out
 
 
 def test_cli_clean_tree_exits_zero(capsys):

@@ -7,6 +7,10 @@ a negative test (the good fixture is clean). Suppression pragmas,
 config allowlists, scoping, and rule selection are covered separately.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 #: Every registered rule. P001 (stale-pragma) has no fixture pair: it
 #: only runs under --strict-pragmas and is covered separately below.
 ALL_RULES = ("D001", "D002", "D003", "S001", "C001", "C002", "A001",
-             "L001", "L002", "L003", "L004", "P001")
+             "L001", "L004", "P001")
 
 #: rule -> (bad fixture, expected finding lines, good fixture)
 CASES = {
@@ -31,10 +35,8 @@ CASES = {
     "C001": ("c001_bad/core/server.py", [14], "c001_good/core/server.py"),
     "C002": ("c002_bad/core/server.py", [9, 17], "c002_good/core/server.py"),
     "A001": ("a001_bad.py", [5, 7], "a001_good.py"),
-    "L001": ("l001_bad.py", [9, 12, 18], "l001_good.py"),
-    "L002": ("l002_bad.py", [12, 20, 29], "l002_good.py"),
-    "L003": ("l003_bad.py", [13, 25], "l003_good.py"),
-    "L004": ("l004_bad.py", [18], "l004_good.py"),
+    "L001": ("l001_bad.py", [9, 12, 22], "l001_good.py"),
+    "L004": ("l004_bad.py", [15], "l004_good.py"),
 }
 
 
@@ -197,31 +199,114 @@ def test_strict_pragmas_ignores_docstring_mentions(tmp_path):
     assert analyze_paths([str(path)], strict_pragmas=True).clean
 
 
-# ------------------------------------------- mutation check (serve path)
+# ------------------------------------------------ kill matrix (DESIGN §11)
 
-def test_deleting_a_release_in_a_serve_path_is_flagged(tmp_path):
-    """Mutation-style guard: take the real server source, delete the
-    release in TOUCH's finally, and L001 must fire — proof the rule
-    watches the actual serve paths, not just synthetic fixtures."""
-    source = (Path(__file__).resolve().parents[1]
-              / "src" / "repro" / "core" / "server.py").read_text()
-    intact = tmp_path / "server_intact.py"
-    intact.write_text(source)
-    assert analyze_paths([str(intact)], Config(select=("L001",))).clean
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-    needle = (
-        "            return self._lives[number]\n"
-        "        finally:\n"
-        "            locks.release(grant)\n"
-    )
-    assert needle in source, "touch() no longer matches the mutation target"
-    mutated = tmp_path / "server_mutated.py"
-    mutated.write_text(source.replace(
-        needle,
-        "            return self._lives[number]\n"
-        "        finally:\n"
-        "            pass\n",
-    ))
-    result = analyze_paths([str(mutated)], Config(select=("L001",)))
-    assert [f.rule for f in result.findings] == ["L001"]
-    assert "never released" in result.findings[0].message
+#: A one-file scenario over the local server API with the lockset
+#: checker armed: create, touch and delete one file, each in its own
+#: process.
+SCENARIO = """\
+from repro import (DEFAULT_TESTBED, BulletServer, Environment,
+                   MirroredDiskSet, VirtualDisk, run_process)
+from repro.analysis.runtime import LocksetChecker, activate
+
+activate(LocksetChecker())
+env = Environment()
+disks = [VirtualDisk(env, DEFAULT_TESTBED.disk, name=f"d{i}") for i in (0, 1)]
+server = BulletServer(env, MirroredDiskSet(env, disks), DEFAULT_TESTBED)
+server.format()
+run_process(env, server.boot())
+cap = run_process(env, server.create(b"x" * 512))
+run_process(env, server.touch(cap))
+run_process(env, server.delete(cap))
+print("survived")
+"""
+
+#: name -> (file under src/repro, needle, replacement, catcher). Each
+#: mutant plants one bug class in the real source; the catcher is the
+#: layer the ten-mutant audit found to own that class: a rule id
+#: (static), or the text the scenario dies with (dynamic).
+MUTANTS = {
+    # A hand-rolled acquire that releases on the happy path only.
+    "raw-acquire-in-size": (
+        "core/server.py",
+        "        with self.locks.reading(cap.object) as lock:\n"
+        "            yield lock.grant\n"
+        "            _number, inode = yield from self._check(cap, RIGHT_READ)\n"
+        "            self.stats.sizes += 1\n"
+        "            return inode.size\n",
+        "        grant = self.locks.acquire_read(cap.object)\n"
+        "        yield grant\n"
+        "        _number, inode = yield from self._check(cap, RIGHT_READ)\n"
+        "        self.stats.sizes += 1\n"
+        "        self.locks.release(grant)\n"
+        "        return inode.size\n",
+        "L001",
+    ),
+    # Audit mutant #10: a guarded field written by a handler that takes
+    # no lock and feeds no lockset hook — invisible to every dynamic
+    # layer, so L004 is its sole catcher.
+    "restrict-writes-lives": (
+        "core/server.py",
+        "        self.stats.restricts += 1\n",
+        "        self.stats.restricts += 1\n"
+        "        self._lives[number] = self.testbed.bullet.max_lives\n",
+        "L004",
+    ),
+    # Audit mutant #7: an unbounded wait under a write grant.
+    "delete-blocks-under-write-grant": (
+        "core/server.py",
+        "            number, inode = yield from self._check(cap, RIGHT_DELETE)\n",
+        "            number, inode = yield from self._check(cap, RIGHT_DELETE)\n"
+        "            from ..sim.resources import Store\n"
+        "            yield Store(self.env).get()\n",
+        "deadlock: event will never fire",
+    ),
+    # Audit mutant #9: TOUCH writes the lives table without its lock
+    # (the lockset hook is kept).
+    "touch-without-its-lock": (
+        "core/server.py",
+        "        with self.locks.writing(cap.object) as lock:\n"
+        "            yield lock.grant\n"
+        "            number, _inode = yield from self._check(cap, 0)\n",
+        "        if True:\n"
+        "            number, _inode = yield from self._check(cap, 0)\n",
+        "RaceReport: lockset violation on bullet._lives",
+    ),
+}
+
+
+def run_scenario(tree: Path):
+    """Run SCENARIO against the ``repro`` package under ``tree``."""
+    return subprocess.run(
+        [sys.executable, "-c", SCENARIO], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree)}, timeout=60)
+
+
+def test_scenario_survives_the_unmutated_tree():
+    done = run_scenario(SRC.parent)
+    assert (done.returncode, done.stdout) == (0, "survived\n"), done.stderr
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_committed_mutant_is_killed_by_the_layer_that_owns_it(name, tmp_path):
+    relative, needle, replacement, catcher = MUTANTS[name]
+    source = (SRC / relative).read_text()
+    assert source.count(needle) == 1, f"{name}: mutation target moved"
+    mutated = tmp_path / "repro" / relative
+    if catcher in rule_ids():
+        mutated.parent.mkdir(parents=True)
+        mutated.write_text(source.replace(needle, replacement))
+        result = run(mutated)
+        assert {f.rule for f in result.findings} == {catcher}
+        # Sole static catcher: every other rule passes the mutant.
+        others = tuple(r for r in rule_ids() if r != catcher)
+        assert run(mutated, Config(select=others)).clean
+    else:
+        shutil.copytree(SRC, tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        mutated.write_text(source.replace(needle, replacement))
+        done = run_scenario(tmp_path)
+        assert done.returncode != 0
+        assert catcher in done.stderr

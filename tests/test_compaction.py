@@ -23,11 +23,19 @@ def churn(env, bullet, n=12, size=32 * KB):
     return survivors
 
 
+def compact(env, bullet):
+    """One full pass; whatever it moved or skipped, no file's lock may
+    still be held afterwards."""
+    report = run_process(env, compact_disk(bullet))
+    assert bullet.locks.held_keys() == []
+    return report
+
+
 def test_compaction_coalesces_free_space(env):
     bullet = make_bullet(env)
     survivors = churn(env, bullet)
     assert bullet.disk_free.hole_count > 1
-    report = run_process(env, compact_disk(bullet))
+    report = compact(env, bullet)
     assert bullet.disk_free.hole_count == 1
     assert report.files_moved > 0
     assert report.fragmentation_after <= report.fragmentation_before
@@ -38,7 +46,7 @@ def test_compaction_coalesces_free_space(env):
 def test_compaction_preserves_file_contents(env):
     bullet = make_bullet(env)
     survivors = churn(env, bullet)
-    run_process(env, compact_disk(bullet))
+    compact(env, bullet)
     for _i, cap, expected in survivors:
         bullet.evict(cap.object)  # force disk reads at the new location
         assert run_process(env, bullet.read(cap)) == expected
@@ -47,7 +55,7 @@ def test_compaction_preserves_file_contents(env):
 def test_compaction_updates_both_replicas(env):
     bullet = make_bullet(env)
     survivors = churn(env, bullet, n=6)
-    run_process(env, compact_disk(bullet))
+    compact(env, bullet)
     _i, cap, expected = survivors[0]
     inode = bullet.table.get(cap.object)
     blocks = bullet.layout.blocks_for(inode.size)
@@ -80,7 +88,7 @@ def test_compaction_enables_large_allocation(env):
     assert bullet.disk_free.largest_hole * block < request
     with pytest.raises(NoSpaceError, match="fragmented"):
         run_process(env, bullet.create(bytes(request), p_factor=0))
-    run_process(env, compact_disk(bullet))
+    compact(env, bullet)
     cap = run_process(env, bullet.create(bytes(request), p_factor=0))
     env.run()
     assert run_process(env, bullet.size(cap)) == request
@@ -88,10 +96,16 @@ def test_compaction_enables_large_allocation(env):
 
 def test_compaction_on_clean_volume_moves_nothing(env):
     bullet = make_bullet(env)
-    run_process(env, bullet.create(bytes(16 * KB), p_factor=1))
-    report = run_process(env, compact_disk(bullet))
+    caps = [run_process(env, bullet.create(bytes([i]) * 16 * KB, p_factor=1))
+            for i in (1, 2)]
+    report = compact(env, bullet)
     assert report.files_moved == 0
     assert report.blocks_moved == 0
+    # Files the pass left in place are still readable (and writable:
+    # a lock leaked by a skip would wedge the delete).
+    for i, cap in zip((1, 2), caps):
+        assert run_process(env, bullet.read(cap)) == bytes([i]) * 16 * KB
+        run_process(env, bullet.delete(cap))
 
 
 def test_nightly_compaction_runs_at_3am(env):
@@ -103,6 +117,7 @@ def test_nightly_compaction_runs_at_3am(env):
     assert bullet.disk_free.hole_count > 1  # not yet 3 a.m.
     env.run(until=3.2 * 3600)
     assert bullet.disk_free.hole_count == 1
+    assert bullet.locks.held_keys() == []
 
 
 def test_compaction_survives_reboot_scan(env):
@@ -111,7 +126,7 @@ def test_compaction_survives_reboot_scan(env):
 
     bullet = make_bullet(env)
     survivors = churn(env, bullet, n=8)
-    run_process(env, compact_disk(bullet))
+    compact(env, bullet)
     bullet.crash()
     rebooted = BulletServer(env, bullet.mirror, bullet.testbed, name="reboot")
     report = env.run(until=env.process(rebooted.boot()))

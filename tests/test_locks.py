@@ -1,7 +1,7 @@
 """Units for the per-file lock plane (repro.core.locks): exclusion,
-FIFO fairness, writer non-starvation, cancel-while-queued, release via
-``finally`` when the holder is crashed mid-hold, and the registry
-instrumentation."""
+FIFO fairness, writer non-starvation, cancel-while-queued, release by
+the ``with`` scope when the holder is crashed mid-hold, the scope's
+upgrade and hand-off, and the registry instrumentation."""
 
 import pytest
 
@@ -19,19 +19,18 @@ def table(env):
 def hold(env, table, log, name, key, mode, work):
     """Process: acquire, note the hold window, release.
 
-    The ``yield grant`` sits inside the ``try`` — the canonical pattern
-    (mirrored by the server ops): an Interrupt delivered while still
-    *queued* must also reach ``release``, which cancels the pending
-    grant instead of leaving a ghost waiter at the head of the queue.
+    The ``yield lock.grant`` sits inside the ``with`` — the one pattern
+    the server ops use: an Interrupt delivered while still *queued*
+    must also reach ``release``, which cancels the pending grant
+    instead of leaving a ghost waiter at the head of the queue.
     """
-    grant = (table.acquire_read(key) if mode == "read"
-             else table.acquire_write(key))
     try:
-        yield grant
-        log.append(("acquired", name, env.now))
-        yield env.timeout(work)
+        with (table.reading(key) if mode == "read"
+              else table.writing(key)) as lock:
+            yield lock.grant
+            log.append(("acquired", name, env.now))
+            yield env.timeout(work)
     finally:
-        table.release(grant)
         log.append(("released", name, env.now))
 
 
@@ -167,6 +166,113 @@ def test_release_is_idempotent_and_strict(env, table):
         other.release(foreign)
 
     run_process(env, bogus())
+
+
+# ------------------------------------------------------------ LockScope
+
+def test_scope_releases_when_the_block_raises(env, table):
+    def failing():
+        with table.writing(4) as lock:
+            yield lock.grant
+            assert table.held_keys() == [4]
+            raise ConsistencyError("mid-hold failure")
+
+    with pytest.raises(ConsistencyError):
+        run_process(env, failing())
+    assert table.held_keys() == []
+    table.check_invariants()
+
+
+def test_scope_exit_cancels_a_grant_that_is_still_queued(env, table):
+    log = []
+    env.process(hold(env, table, log, "holder", 9, "write", 5.0))
+    scopes = []
+
+    def queued():
+        with table.writing(9) as lock:
+            scopes.append(lock)
+            yield lock.grant
+            log.append(("acquired", "queued", env.now))
+
+    waiter = env.process(queued())
+
+    def cancel():
+        yield env.timeout(1.0)
+        assert table.waiters(9) == 1
+        waiter.interrupt("client gave up")
+
+    env.process(cancel())
+    with pytest.raises(Interrupt):
+        env.run(until=waiter)
+    # Cancelled in the queue, never admitted; the scope owns nothing.
+    assert table.waiters(9) == 0 and scopes[0].grant is None
+    env.run()
+    assert ("acquired", "queued", 5.0) not in log
+    assert table.held_keys() == []
+
+
+def test_upgrade_leaves_exactly_one_write_holder(env, table):
+    log = []
+
+    def upgrader():
+        with table.reading(2) as lock:
+            read_grant = yield lock.grant
+            write_grant = yield lock.upgrade()
+            assert read_grant.released and read_grant.mode == "read"
+            assert lock.grant is write_grant and write_grant.mode == "write"
+            table.check_invariants()
+            yield env.timeout(1.0)
+
+    def late_reader():
+        yield env.timeout(0.5)
+        yield from hold(env, table, log, "r", 2, "read", 0.5)
+
+    env.process(upgrader())
+    # Exclusive after the upgrade: a reader arriving mid-hold queues.
+    env.process(late_reader())
+    env.run()
+    assert ("acquired", "r", 1.0) in log
+    assert table.held_keys() == []
+    table.check_invariants()
+
+
+def test_detached_grant_is_released_once_by_its_adopter(env, table):
+    log = []
+
+    def adopter(grant):
+        with table.adopt(grant):
+            assert grant.owner is env.active_process
+            yield env.timeout(2.0)
+        log.append(("adopter exit", env.now, table.held_keys()))
+
+    def creator():
+        with table.writing(6) as lock:
+            yield lock.grant
+            lock.detach(env.process(adopter(lock.grant)))
+            assert lock.grant is None
+        # The creator's exit released nothing: the adopter holds on.
+        log.append(("creator exit", env.now, table.held_keys()))
+
+    env.process(creator())
+    env.run()
+    assert log == [("creator exit", 0.0, [6]), ("adopter exit", 2.0, [])]
+    table.check_invariants()
+
+
+def test_scope_double_exit_is_a_no_op(env, table):
+    def twice():
+        with table.writing(8) as lock:
+            yield lock.grant
+        lock.__exit__(None, None, None)
+        assert table.held_keys() == []
+        # A second holder is unaffected by the stale scope's exit.
+        with table.writing(8) as other:
+            yield other.grant
+            lock.__exit__(None, None, None)
+            assert table.held_keys() == [8]
+
+    run_process(env, twice())
+    assert table.held_keys() == []
 
 
 def test_batch_readers_admitted_after_queued_writer_crashes(env):

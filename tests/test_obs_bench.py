@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.capability import Capability
-from repro.bench.experiments import EXPERIMENTS, check
+from repro.bench.experiments import EXPERIMENTS, artifact_path, check
 from repro.client import BulletClient
 from repro.disk import VirtualDisk
 from repro.errors import BadRequestError, NotFoundError, Status
@@ -265,30 +265,30 @@ def replayed(monkeypatch, tmp_path):
     exactly). The test above already holds the real runs to those
     bytes; the tests below are about paths, diffs and exit codes, not
     the simulations."""
-    for name, (_run, path) in list(EXPERIMENTS.items()):
-        committed = (REPO / path).read_text()
-        (tmp_path / path).write_text(committed)
+    for name in list(EXPERIMENTS):
+        committed = (REPO / artifact_path(name)).read_text()
+        (tmp_path / artifact_path(name)).write_text(committed)
         monkeypatch.setitem(
-            EXPERIMENTS, name, (lambda p=json.loads(committed): p, path))
+            EXPERIMENTS, name, lambda p=json.loads(committed): p)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_bench_cli_writes_exactly_the_tables_path(name, replayed):
-    path = EXPERIMENTS[name][1]
+    path = artifact_path(name)
     before = sorted(entry.name for entry in replayed.iterdir())
     (replayed / path).write_text("{}\n")
     assert obs_main(["bench", name]) == 0
     assert sorted(entry.name for entry in replayed.iterdir()) == before
-    for _run, other in EXPERIMENTS.values():
+    for other in map(artifact_path, EXPERIMENTS):
         assert (replayed / other).read_bytes() == (REPO / other).read_bytes()
     assert obs_main(["bench", name, "--check"]) == 0
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_check_reports_a_tampered_artifact(name, replayed, capsys):
-    path = EXPERIMENTS[name][1]
+    path = artifact_path(name)
     tampered = (REPO / path).read_text().replace(
         '"seed": 1989', '"seed": 1990')
     (replayed / path).write_text(tampered)
@@ -316,8 +316,8 @@ def test_bench_cli_refuses_outside_the_repository_root(
     def must_not_run():
         raise AssertionError("an experiment ran outside the repo root")
 
-    for name, (_run, path) in list(EXPERIMENTS.items()):
-        monkeypatch.setitem(EXPERIMENTS, name, (must_not_run, path))
+    for name in list(EXPERIMENTS):
+        monkeypatch.setitem(EXPERIMENTS, name, must_not_run)
     monkeypatch.chdir(tmp_path)
     assert obs_main(argv) == 2
     captured = capsys.readouterr()
@@ -330,7 +330,7 @@ def test_bench_cli_refuses_outside_the_repository_root(
 
 
 def test_committed_bench_artifact_is_current_schema():
-    top = json.loads((REPO / "BENCH_PR4.json").read_text())
+    top = json.loads((REPO / "BENCH_fig2_fig3.json").read_text())
     assert top["meta"]["seed"] == 1989
     for figure in ("fig2_bullet", "fig3_nfs"):
         for row in top[figure].values():
@@ -341,7 +341,7 @@ def test_committed_bench_artifact_is_current_schema():
 
 
 def test_committed_bench_pr5_artifact_is_current_schema():
-    top = json.loads((REPO / "BENCH_PR5.json").read_text())
+    top = json.loads((REPO / "BENCH_worker_scaling.json").read_text())
     assert top["meta"]["seed"] == 1989
     scaling = top["throughput_vs_workers_ops_per_sec"]
     assert scaling["1"] < scaling["2"] < scaling["4"]
