@@ -226,7 +226,8 @@ class VirtualDisk:
             duration = self.geometry.access_time(
                 self._current_cylinder, start_block, nblocks
             ) * self._slowdown
-            if env.can_collapse(env.now + duration):
+            end = env.now + duration
+            if env.can_collapse(end):
                 def finish(_completion: Event) -> None:
                     self._complete(req, duration)
                     # Release the arm and hand any parked submissions
@@ -238,7 +239,7 @@ class VirtualDisk:
 
                 completion.callbacks.append(finish)
                 self._fast_inflight = True
-                env._schedule(completion, duration)
+                env.schedule_at(completion, end)
                 return completion
         self._queue.push(req)
         if not self._fast_inflight:

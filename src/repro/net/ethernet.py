@@ -14,13 +14,43 @@ foreground transfers experience realistic queueing jitter — long bursts
 
 from __future__ import annotations
 
+from collections import deque
+from operator import attrgetter
 from typing import Optional
 
+from ..errors import ConsistencyError
 from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import EthernetProfile
-from ..sim import Environment, Resource, SeededStream, Tracer
+from ..sim import Environment, Event, Resource, SeededStream, Tracer
 
 __all__ = ["Ethernet", "EthernetStats"]
+
+# What a ledger sender's pending step finishes (see Ethernet._advance):
+# the daemon's start-up, a packet's preparation (or a background gap),
+# the medium's grant, a packet's wire time, an injected latency.
+# _QUEUED and _DONE senders have no pending step.
+_START, _PREP, _GRANT, _WIRE, _LATENCY, _QUEUED, _DONE = range(7)
+
+#: Creation order of a step made inside a ledger window, until the
+#: window closes and the step takes a real ordering ticket: above every
+#: ticket, so "ticketed before fresh, each in its own order" is one
+#: integer comparison.
+_FRESH = 1 << 62
+
+_creation_order = attrgetter("order")
+
+
+class _Transfer(Event):
+    """One sender on the medium ledger: a foreground message (as an
+    event it fires with the lost fragment indices, for the sending
+    process to wait on) or the background daemon (which never fires).
+
+    A sender is sequential, so it has at most one pending step: what
+    ``step`` finishes at ``when``, ordered among same-instant events by
+    ``order``; ``entry`` is that step's heap event once pushed."""
+
+    __slots__ = ("step", "when", "order", "entry", "indices", "pos", "end",
+                 "final", "tail_chunk", "wire", "lost")
 
 
 class EthernetStats(RegistryStats):
@@ -38,7 +68,20 @@ class EthernetStats(RegistryStats):
 
 
 class Ethernet:
-    """A single shared Ethernet segment."""
+    """A single shared Ethernet segment.
+
+    The medium is modelled twice, and a segment uses one model for life,
+    picked by the kernel switch as it stands when the segment is built
+    (DESIGN.md §10). Built on the reference kernel, every fragment is
+    three real heap events on a ``Resource`` (:meth:`_send_per_fragment`,
+    :meth:`_background_traffic`) — the semantic authority. Built on the
+    fast kernel, the segment keeps a *medium ledger*: every sender,
+    foreground message or background daemon, is a :class:`_Transfer`
+    whose next step is a virtual event; only the earliest pending step
+    is a real heap entry, and its dispatch walks the steps of all
+    senders by arithmetic for as long as nothing outside the ledger can
+    observe them (:meth:`_advance`).
+    """
 
     def __init__(
         self,
@@ -60,7 +103,7 @@ class Ethernet:
         self._payload_bytes = self.stats.handle("payload_bytes")
         self._wire_time = self.stats.handle("wire_time")
         self._background_packets = self.stats.handle("background_packets")
-        self._medium = Resource(env, capacity=1)
+        self._lost_packets = self.stats.handle("lost_packets")
         self._tracer = tracer
         self._stream = stream
         # Fault-plane injection seams (see repro.faults): a partition
@@ -70,25 +113,59 @@ class Ethernet:
         self._fault_loss = 0.0
         self._fault_loss_stream: Optional[SeededStream] = None
         self._fault_extra_latency = 0.0
+        self._lossy = profile.loss_probability > 0  # kept by set_fault
         if profile.loss_probability > 0 and stream is None:
             raise ValueError("packet loss requires a seeded stream")
-        if background_load:
-            if stream is None:
-                raise ValueError("background load requires a seeded stream")
+        if background_load and stream is None:
+            raise ValueError("background load requires a seeded stream")
+        # The reference medium (None on a ledger segment).
+        self._medium = Resource(env, capacity=1) if env.is_reference else None
+        # The ledger: who is on the wire (its step is a grant or a wire
+        # time), who waits for it in FIFO order, and every other pending
+        # step — packet preps, background gaps, injected latencies —
+        # sorted by (when, order).
+        self._holder: Optional[_Transfer] = None
+        self._queue: deque = deque()
+        self._off: list = []
+        self._daemon: Optional[_Transfer] = None
+        self._seq = _FRESH
+        #: The one callback list every ledger heap entry carries (the
+        #: kernel only reads it).
+        self._on_entry = [self._advance]
+        # The profile is frozen: its per-packet constants, read once.
+        self._payload = profile.max_payload
+        self._overhead = profile.per_packet_overhead
+        self._wire_full = profile.wire_time(profile.max_payload)
+        self._wire_times: dict = {}  # tail chunk size -> wire time
+        self._sending = 0  # reference path: send_fragments calls in flight
+        self._background_rate = 0.0  # packets per second
+        if background_load and self._medium is not None:
             # Intentional daemon fork: seeded background traffic competes
             # for the medium for the whole experiment, detached by design.
             env.process(self._background_traffic())  # repro: allow(S001)
+        elif background_load and profile.background_utilization > 0:
+            # The same daemon as a ledger sender. Its first step stands
+            # where the process's start-up event would: the first gap is
+            # drawn when that is dispatched, not here.
+            daemon = self._daemon = _Transfer(env)
+            daemon.indices = daemon.lost = None
+            daemon.wire = profile.wire_time(profile.background_packet_bytes)
+            self._background_rate = (
+                profile.background_utilization / daemon.wire)
+            daemon.step = _START
+            daemon.when = env.now
+            daemon.order = self._seq
+            daemon.entry = None
+            self._seq += 1
+            self._off.append(daemon)
+            self._close(False, 1, daemon)
 
     @property
     def lossy(self) -> bool:
         """True when fragments can currently be lost — by the profile's
         steady-state loss or by an injected partition/loss window. The
         RPC layer consults this to arm its retransmission machinery."""
-        return (
-            self.profile.loss_probability > 0
-            or self._fault_partitioned
-            or self._fault_loss > 0
-        )
+        return self._lossy
 
     def set_fault(
         self,
@@ -118,6 +195,8 @@ class Ethernet:
             if extra_latency < 0:
                 raise ValueError(f"extra latency must be >= 0, got {extra_latency}")
             self._fault_extra_latency = extra_latency
+        self._lossy = (self.profile.loss_probability > 0
+                       or self._fault_partitioned or self._fault_loss > 0)
 
     def packets_for(self, nbytes: int) -> int:
         """How many packets a message of ``nbytes`` fragments into."""
@@ -161,6 +240,26 @@ class Ethernet:
         fragments, so a message is complete once every index has arrived
         (Amoeba's FLIP did fragment-level recovery the same way).
         """
+        if self._medium is not None:
+            self._sending += 1
+            try:
+                return (yield from self._send_per_fragment(nbytes, indices))
+            finally:
+                self._sending -= 1
+        if indices is not None and not indices:
+            return []
+        xfer = self._join(nbytes, indices)
+        # Crash-safe, like the reference path: a sender interrupted
+        # mid-transmission leaves the ledger and gives the medium up.
+        try:
+            return (yield xfer)
+        finally:
+            if xfer.step != _DONE:
+                self._abort(xfer)
+
+    def _send_per_fragment(self, nbytes: int, indices):
+        """The reference path: a prep timeout, a medium grant and a wire
+        timeout per fragment, every one a real heap event."""
         env = self.env
         profile = self.profile
         payload = profile.max_payload
@@ -174,56 +273,8 @@ class Ethernet:
         wire_last = wire_time(last_chunk)
         if indices is None:
             indices = range(total)
-        idx = list(indices)
-        n = len(idx)
         lost = []
-        i = 0
-        while i < n:
-            # Analytic segment: collapse a run of fragments into one
-            # "medium busy until T" timeout when provably unobservable —
-            # the transfer is deterministic (no loss source, no latency
-            # spike: nothing draws RNG or forks the outcome), the medium
-            # is free (no holder whose release we would reorder against),
-            # and no other event fires strictly before the segment ends
-            # (can_collapse at this instant, then the peek horizon; see
-            # sim.core). Timing is the same left fold of per-hop delays
-            # the exact path would walk, so the resume instant is
-            # bit-identical.
-            if (env.can_collapse(env.now) and not self.lossy
-                    and self._fault_extra_latency == 0.0
-                    and self._medium.idle):
-                horizon = env.peek()
-                t = env.now
-                j = i
-                while j < n:
-                    wire = wire_last if idx[j] == total - 1 else wire_full
-                    t_next = (t + overhead) + wire
-                    if t_next >= horizon:
-                        break  # an observer fires at or before this hop
-                    t = t_next
-                    j += 1
-                if j > i:
-                    delays = []
-                    for k in range(i, j):
-                        delays.append(overhead)
-                        delays.append(
-                            wire_last if idx[k] == total - 1 else wire_full)
-                    yield env.timeout_batch(delays)
-                    # Flush traffic counters fragment by fragment: the
-                    # wire-time counter is a float accumulator, and only
-                    # per-fragment increments reproduce the reference
-                    # rounding bit for bit.
-                    inc_packets = self._packets.inc
-                    inc_payload = self._payload_bytes.inc
-                    inc_wire = self._wire_time.inc
-                    for k in range(i, j):
-                        last = idx[k] == total - 1
-                        inc_packets(1)
-                        inc_payload(last_chunk if last else payload)
-                        inc_wire(wire_last if last else wire_full)
-                    i = j
-                    continue
-            index = idx[i]
+        for index in indices:
             last = index == total - 1
             chunk = last_chunk if last else payload
             # Host-side packet preparation: does not occupy the medium.
@@ -252,9 +303,8 @@ class Ethernet:
             self._payload_bytes.inc(chunk)
             self._wire_time.inc(wire)
             if self._fragment_lost():
-                self.stats.lost_packets += 1
+                self._lost_packets.inc(1)
                 lost.append(index)
-            i += 1
         return lost
 
     def _fragment_lost(self) -> bool:
@@ -270,12 +320,9 @@ class Ethernet:
         p = self.profile.loss_probability
         return p > 0 and self._stream.random() < p
 
-    @property
-    def medium_queue_length(self) -> int:
-        return self._medium.queue_length
-
     def _background_traffic(self):
-        """Seeded background packets at the profile's mean utilization."""
+        """Seeded background packets at the profile's mean utilization
+        (the reference path's daemon)."""
         p = self.profile
         if p.background_utilization <= 0:
             return
@@ -284,45 +331,362 @@ class Ethernet:
         env = self.env
         stream = self._stream
         medium = self._medium
-        inc_bg = self._background_packets.inc
-        inc_wire = self._wire_time.inc
-        # Inter-arrival pre-drawn by a previous batch round, else None.
-        delay = None
         while True:
-            if delay is None:
-                delay = stream.expovariate(rate)
-            # Collapse whole idle-gap packet trains into one timeout.
-            # Drawing the next inter-arrival "early" (at decision time
-            # instead of after the previous wire) is exact because the
-            # guard proves nothing else touches the stream inside the
-            # window; the draw *sequence* is what determinism pins.
-            if env.can_collapse(env.now) and medium.idle:
-                horizon = env.peek()
-                t = env.now
-                batch: list = []
-                # The length cap bounds one collapse round when nothing
-                # else is scheduled at all (horizon +inf: this daemon is
-                # the whole simulation) — each round then advances the
-                # clock and loops, exactly like the reference would.
-                while len(batch) < 8192:
-                    t_next = (t + delay) + wire
-                    if t_next >= horizon:
-                        break  # this packet would overlap an observer
-                    batch.append(delay)
-                    batch.append(wire)
-                    t = t_next
-                    delay = stream.expovariate(rate)
-                if batch:
-                    for _ in range(len(batch) // 2):
-                        inc_bg(1)
-                        inc_wire(wire)
-                    yield env.timeout_batch(batch)
-                    continue  # `delay` holds the next packet's gap
-            yield env.timeout(delay)
-            delay = None
+            yield env.timeout(stream.expovariate(rate))
             grant = medium.request()
             yield grant
             yield env.timeout(wire)
             medium.release(grant)
-            inc_bg(1)
-            inc_wire(wire)
+            self._background_packets.inc(1)
+            self._wire_time.inc(wire)
+
+    @property
+    def medium_queue_length(self) -> int:
+        if self._medium is not None:
+            return self._medium.queue_length
+        return len(self._queue)
+
+    @property
+    def idle(self) -> bool:
+        """True when no foreground sender is on the segment in any
+        phase — preparing a packet, queued for the medium, on the wire
+        or serving out an injected latency. Background traffic does not
+        count."""
+        if self._medium is not None:
+            return not self._sending
+        daemon = self._daemon
+        return (self._holder in (None, daemon)
+                and all(s is daemon for s in self._off)
+                and all(s is daemon for s in self._queue))
+
+    # ---------------------------------------------------- the medium ledger
+
+    def _join(self, nbytes: int, indices) -> _Transfer:
+        """A new foreground sender: its first packet is ready one host
+        overhead from now. Unless a window can open right here, the step
+        takes its ticket and its heap entry at once (an entry too many
+        is only a window cut short; an earliest step without one would
+        be a step nobody dispatches)."""
+        env = self.env
+        payload = self._payload
+        total = self.packets_for(nbytes)
+        xfer = _Transfer(env)
+        xfer.indices = indices
+        xfer.pos = 0
+        xfer.end = (total if indices is None else len(indices)) - 1
+        xfer.final = total - 1
+        # Only two distinct fragment sizes exist per message (full
+        # payload and the tail).
+        xfer.tail_chunk = nbytes - payload * (total - 1) if nbytes else 0
+        xfer.lost = []
+        xfer.wire = self._wire_of(xfer)
+        xfer.step = _PREP
+        when = xfer.when = env.now + self._overhead
+        xfer.entry = None
+        off = self._off
+        i = len(off)
+        while i and off[i - 1].when > when:
+            i -= 1
+        off.insert(i, xfer)
+        if env.can_collapse(when):
+            # Nothing is due before the packet is ready — no other
+            # sender's step either, the earliest of those is on the heap
+            # — and the sender suspends as soon as we return: unless
+            # run()'s deadline or stop event says its caller looks first,
+            # the window opens here and the step needs no event at all.
+            horizon = env.peek()
+            if when < horizon:
+                xfer.order = self._seq
+                self._seq += 1
+                self._advance(None, xfer, horizon)
+                return xfer
+        entry = xfer.entry = Event(env)
+        entry.callbacks = self._on_entry
+        xfer.order = env.schedule_at(entry, when)
+        return xfer
+
+    def _wire_of(self, s: _Transfer) -> float:
+        """Wire occupancy of the fragment ``s`` is up to."""
+        if s.indices is None:
+            if s.pos != s.final:
+                return self._wire_full
+        elif s.indices[s.pos] != s.final:
+            return self._wire_full
+        chunk = s.tail_chunk
+        wire = self._wire_times.get(chunk)
+        if wire is None:
+            wire = self._wire_times[chunk] = self.profile.wire_time(chunk)
+        return wire
+
+    def _advance(self, entry: Optional[Event],
+                 joined: Optional[_Transfer] = None,
+                 horizon: Optional[float] = None) -> None:
+        """Dispatch of a ledger heap entry: finish the earliest pending
+        step, which is the entry's, then keep finishing steps of *all*
+        senders in (when, order) sequence — the order the reference
+        would dispatch them in — for as long as nothing outside the
+        ledger can observe them: nothing else runs at this instant
+        (``can_collapse``) and the step is strictly before the next heap
+        event or ``run(until=)`` deadline (``peek``).
+
+        What each step does is the reference's own sequence: counters
+        fragment by fragment (``wire_time`` is a float accumulator and
+        does not associate), loss draws at each fragment's end, the next
+        background gap drawn right after the previous packet's counters,
+        fault state read when the reference would read it (it cannot
+        change inside a window — whatever changes it is a heap event).
+
+        The one step never walked is the one that completes a message:
+        its sender resumes there and runs arbitrary code, so it waits
+        for its own heap entry, and that dispatch closes the window
+        first, resumes the sender last and does nothing in between.
+
+        A join that found its window already open (:meth:`_join`) enters
+        here too, with no entry: ``joined``'s first step is the earliest
+        and is before ``horizon``.
+        """
+        off = self._off
+        holder = self._holder
+        env = self.env
+        now = env.now
+        daemon = self._daemon
+        extra = self._fault_extra_latency
+        if joined is None:
+            s = holder
+            if off:
+                o = off[0]
+                if (s is None or o.when < s.when
+                        or (o.when == s.when and o.order < s.order)):
+                    s = o
+            if s is None or s.entry is not entry:
+                # Not the earliest step's entry. Under a tie hook it may
+                # be the one the hook picked among equals; otherwise its
+                # sender was interrupted and it is stale.
+                for s in off if holder is None else off + [holder]:
+                    if s.entry is entry:
+                        break
+                else:
+                    return
+            step = s.step
+            completes = s is not daemon and s.pos == s.end and (
+                step == _LATENCY or (step == _WIRE and extra == 0))
+            # The dispatch that completes a message walks nothing;
+            # horizon stays None until a later step asks for peek().
+            quiet = not completes and env.can_collapse(now)
+        else:
+            s = joined
+            step = _PREP
+            completes = False
+            quiet = True
+        queue = self._queue
+        overhead = self._overhead
+        lossy = self._lossy
+        seq = seq0 = self._seq
+        last = None  # the sender whose step was created last
+        while True:
+            t = s.when
+            if step != _PREP and step != _GRANT:
+                heir = None
+                if step != _WIRE:
+                    off.remove(s)
+                elif queue:
+                    # Off the wire: the medium goes to the next in line.
+                    heir = holder = queue.popleft()
+                    heir.step = _GRANT
+                    heir.when = t
+                    heir.order = seq
+                    seq += 1
+                else:
+                    holder = None
+                if s is daemon:
+                    # A background packet is through (or the daemon is
+                    # starting): draw the gap to the next one.
+                    if step == _WIRE:
+                        self._background_packets.value += 1
+                        self._wire_time.value += s.wire
+                    step = _PREP
+                    when = t + self._stream.expovariate(self._background_rate)
+                elif step == _WIRE and extra > 0:
+                    # Injected latency spike: charged outside the medium
+                    # so other hosts still interleave.
+                    step = _LATENCY
+                    when = t + extra
+                else:
+                    # The fragment is through: traffic counters, then
+                    # its loss decision.
+                    index = s.pos if s.indices is None else s.indices[s.pos]
+                    self._packets.value += 1
+                    self._payload_bytes.value += (
+                        s.tail_chunk if index == s.final else self._payload)
+                    self._wire_time.value += s.wire
+                    if lossy and self._fragment_lost():
+                        self._lost_packets.value += 1
+                        s.lost.append(index)
+                    if completes:
+                        s.step = _DONE
+                        self._holder = holder
+                        self._seq = seq
+                        if off or holder is not None:
+                            self._close(False, seq - seq0, holder, entry)
+                        env.finish_inline(s, s.lost)
+                        return
+                    s.pos += 1
+                    s.wire = (self._wire_full
+                              if s.indices is None and s.pos != s.final
+                              else self._wire_of(s))
+                    step = _PREP
+                    when = t + overhead
+                    if holder is None and not off and quiet:
+                        if horizon is None:
+                            horizon = env.peek()
+                        if when < horizon:
+                            # Alone on the segment: the prep of its next
+                            # packet and the grant are the next two
+                            # steps, so it is back on the wire already.
+                            holder = s
+                            step = _WIRE
+                            when = when + s.wire
+                            seq += 2
+                s.step = step
+                s.when = when
+                s.order = seq
+                seq += 1
+                s.entry = None
+                last = s
+                if step == _WIRE:
+                    pass  # on the medium, not among the off-medium steps
+                elif not off or off[-1].when <= when:
+                    off.append(s)
+                else:
+                    i = len(off) - 1
+                    while i and off[i - 1].when > when:
+                        i -= 1
+                    off.insert(i, s)
+                if heir is not None and quiet and off[0].when > t:
+                    # The heir's grant is the very next step: take it now.
+                    heir.step = _WIRE
+                    heir.when = t + heir.wire
+                    heir.order = seq
+                    seq += 1
+                    last = heir
+            elif step == _PREP:
+                # Packet ready (or background gap over): claim the medium.
+                off.remove(s)
+                s.entry = None
+                if holder is not None:
+                    s.step = _QUEUED
+                    queue.append(s)
+                else:
+                    holder = last = s
+                    s.order = seq
+                    seq += 1
+                    if quiet and not (off and off[0].when == t):
+                        # The grant is the very next step: take it now.
+                        s.step = _WIRE
+                        s.when = t + s.wire
+                    else:
+                        s.step = _GRANT
+            else:  # _GRANT: the packet goes on the wire
+                s.step = _WIRE
+                s.when = t + s.wire
+                s.order = seq
+                seq += 1
+                s.entry = None
+                last = s
+            # The next step in line, if the window reaches it.
+            if not quiet:
+                break
+            s = holder
+            if off:
+                o = off[0]
+                if (s is None or o.when < s.when
+                        or (o.when == s.when and o.order < s.order)):
+                    s = o
+            elif s is None:
+                break
+            step = s.step
+            if s is not daemon and s.pos == s.end and (
+                    step == _LATENCY or (step == _WIRE and extra == 0)):
+                break  # completes a message: a real event of its own
+            if s.when > now:
+                if horizon is None:
+                    horizon = env.peek()
+                if s.when >= horizon:
+                    break
+        self._holder = holder
+        self._seq = seq
+        self._close(quiet, seq - seq0, last, entry)
+
+    def _close(self, quiet: bool, created: int, last: _Transfer,
+               spare: Optional[Event] = None) -> None:
+        """End of a ledger activity (a dispatch, an abort) that created
+        ``created`` steps, the last of them ``last``'s.
+
+        Steps created during it take their ordering tickets now, in
+        creation order. Nothing outside the ledger took a ticket in
+        between — the activity ran inside one dispatch — so these are
+        the eids, relative to every other event, that the reference
+        would have pushed the same steps with. Then the earliest pending
+        step becomes a real heap entry under its ticket (``quiet`` says
+        the caller already knows this is the fast kernel; ``spare`` is a
+        dispatched entry to re-arm instead of allocating one); on the
+        reference kernel every pending step does, so a tie hook is shown
+        every tie.
+        """
+        env = self.env
+        off = self._off
+        holder = self._holder
+        hooked = not quiet and env.is_reference
+        if hooked:
+            for s in off if holder is None else off + [holder]:
+                if s.entry is None and s.order < _FRESH:
+                    # Made before the hook was installed and never shown
+                    # to it: the ties it took part in were hidden.
+                    raise ConsistencyError(
+                        f"a tie hook was installed while segment "
+                        f"{self.name!r} held transfers in its medium "
+                        f"ledger; install it before the traffic starts")
+        if created == 1:
+            last.order = env.ticket()
+        elif created:
+            fresh = [s for s in off if s.order >= _FRESH]
+            if holder is not None and holder.order >= _FRESH:
+                fresh.append(holder)
+            fresh.sort(key=_creation_order)
+            for s in fresh:
+                s.order = env.ticket()
+        s = holder
+        if off:
+            o = off[0]
+            if (s is None or o.when < s.when
+                    or (o.when == s.when and o.order < s.order)):
+                s = o
+        for s in off + [holder] if hooked else (s,):
+            if s is not None and s.entry is None:
+                entry = s.entry = spare if spare is not None else Event(env)
+                spare = None
+                entry.callbacks = self._on_entry
+                env.schedule_at(entry, s.when, s.order)
+
+    def _abort(self, xfer: _Transfer) -> None:
+        """An interrupted sender leaves, exactly as the reference path's
+        ``try/finally`` does: queued, it withdraws; on the medium, it
+        releases it now and the next in line is granted now; no counters
+        for the unfinished fragment. A heap entry it leaves behind fires
+        as a no-op."""
+        created = 0
+        if xfer.step == _QUEUED:
+            self._queue.remove(xfer)
+        elif xfer is not self._holder:
+            self._off.remove(xfer)
+        elif self._queue:
+            heir = self._holder = self._queue.popleft()
+            heir.step = _GRANT
+            heir.when = self.env.now
+            heir.order = self._seq
+            self._seq += 1
+            created = 1
+        else:
+            self._holder = None
+        xfer.step = _DONE
+        self._close(False, created, self._holder)

@@ -43,24 +43,34 @@ to permute.
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
-* :meth:`Environment.timeout_batch` — one heap push for a run of
-  consecutive delays, where the caller has shown (with
-  :meth:`Environment.can_collapse`) that nothing can observe the
-  intermediate instants.
+* :meth:`Environment.ticket` / :meth:`Environment.schedule_at` /
+  :meth:`Environment.finish_inline` — the *analytic-segment* surface. A
+  caller that has shown (with :meth:`Environment.can_collapse` and
+  :meth:`Environment.peek`) that nothing can observe a run of
+  intermediate instants advances through them by arithmetic and pushes
+  only the event at the end, at its absolute instant. The ordering
+  ticket (the eid that breaks ties) is taken when the reference would
+  have pushed that event, which may be long before the push itself, so
+  it sorts against every other event exactly as in the reference. The
+  shared Ethernet's medium ledger (``net/ethernet.py``) and the disk's
+  analytic operation (``disk/vdisk.py``) are the callers.
 
 A fast path decides *when time passes*; it never re-implements *what
 happens* — callers route both kernels through the same completion code.
 
-"Nothing else can run at the current instant" is two conditions,
+"Nothing else can run at the current instant" is three conditions,
 centralized in :meth:`Environment.can_collapse`: the next heap entry
 must be *strictly* later (an entry at the same tick always sorts before
 a new push — older eid or interrupt priority — so it would interleave),
-and no further callbacks of the event being processed right now may be
+no further callbacks of the event being processed right now may be
 pending (the ``_solo`` flag, maintained by the dispatch loop; a second
 callback of the same event runs at the same instant without touching
-the heap, so the heap check alone cannot see it).
+the heap, so the heap check alone cannot see it), and the event a
+``run(until=event)`` is waiting for must not have fired yet (the loop
+ends with this dispatch and ``run``'s caller looks at the world next).
 :meth:`~Environment.can_collapse`, :meth:`~Environment.try_finish_now`
-and :meth:`~Environment.peek` are the whole legality surface: nothing
+and :meth:`~Environment.peek` are the whole legality surface, and
+:attr:`~Environment.is_reference` names the switch itself: nothing
 outside ``repro.sim`` reads the kernel's private state.
 
 One documented obligation on callers: an event completed through
@@ -263,8 +273,19 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._deliver_interrupt)
         self.env._schedule(event, priority=0)
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        """Throw the interrupt in; if the process survives it, the wait
+        it was pulled out of must not resume it a second time. (A
+        process the interrupt kills stays registered on purpose: see the
+        dead-waiter rule in :meth:`_resume`.)"""
+        abandoned = self._waiting_on
+        self._resume(event)
+        if (self._value is _PENDING and abandoned is not None
+                and abandoned.callbacks is not None):
+            abandoned.callbacks.remove(self._resume)
 
     def _resume(self, event: Event) -> None:
         # Ignore stale wakeups: an interrupt may arrive while we were
@@ -294,20 +315,14 @@ class Process(Event):
                     self._waiting_on = None
                     heap = env._heap
                     if (env._tie_hook is None and env._solo
-                            and (not heap or heap[0][0] > env._now)):
+                            and (not heap or heap[0][0] > env._now)
+                            and env._stop.callbacks is not None):
                         # Synchronous completion: nothing else can run
                         # at this instant, so the completion event would
                         # be the very next thing the heap pops — running
                         # its callbacks inline is observationally
                         # identical and saves the push.
-                        self._ok = True
-                        self._value = stop.value
-                        callbacks = self.callbacks
-                        self.callbacks = None
-                        env._solo = len(callbacks) == 1
-                        for callback in callbacks:
-                            callback(self)
-                        env._solo = True
+                        env.finish_inline(self, stop.value)
                     else:
                         self.succeed(stop.value)
                     return
@@ -444,7 +459,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_deadline",
-                 "_proc_count", "_tie_hook")
+                 "_stop", "_proc_count", "_tie_hook")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -463,6 +478,12 @@ class Environment:
         # a self-scheduling daemon over an otherwise empty heap scans a
         # finite window instead of looping forever.
         self._deadline = float("inf")
+        # The active run(until=<event>)'s stop event, _NEVER outside
+        # one. Once it has fired, the run loop ends with the dispatch in
+        # progress and run()'s caller looks at the world: from then on
+        # something else *can* observe this instant, so every fast path
+        # declines and the rest of the dispatch is the reference's.
+        self._stop = _NEVER
         # Scheduling choice-point hook (model checking): consulted when
         # two or more heap entries tie on (time, priority). None — the
         # overwhelmingly common case — is the fast kernel: insertion-
@@ -481,9 +502,19 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever pushed on the heap (the events/op and
-        events/sec numerator in ``perf/``; monotone, never reset)."""
+        """Total ordering tickets ever taken — one per event pushed on
+        the heap plus the few reserved with :meth:`ticket` whose event
+        was advanced past by arithmetic and never pushed (the events/op
+        and events/sec numerator in ``perf/``; monotone, never reset)."""
         return self._eid
+
+    @property
+    def is_reference(self) -> bool:
+        """True while a tie hook is installed, i.e. this is the
+        reference kernel. For code that keeps a reference path beside an
+        analytic one and has to pick; whether a collapse is *legal* is
+        still :meth:`can_collapse`'s question, never this one's."""
+        return self._tie_hook is not None
 
     # -- event construction helpers -------------------------------------
 
@@ -494,38 +525,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(self, delays: Iterable[float]) -> Timeout:
-        """One event standing in for K sequential delays — a single heap
-        push where the reference path pays K push/pop/resume cycles.
-
-        The firing instant is the *left fold* ``((now + d1) + d2) + ...``,
-        not ``now + sum(delays)``: the reference chain advances the clock
-        one addition per hop and float addition is not associative, so
-        accumulating any other way could land one ulp off the reference
-        timestamp and break byte-identity of timing artifacts.
-
-        Legality is the *caller's* obligation: collapsing the chain is
-        observationally equivalent only when no other process can run at
-        any of the intermediate instants (callers guard with
-        :meth:`can_collapse`, see ``net/ethernet.py`` and
-        ``disk/vdisk.py``).
-        """
-        when = self._now
-        for delay in delays:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            when = when + delay
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        event.callbacks = []
-        event._value = None
-        event._ok = True
-        event._defused = False
-        event.delay = when - self._now
-        self._eid += 1
-        heappush(self._heap, (when, 1, self._eid, event))
-        return event
 
     def process(self, generator: Generator) -> Process:
         """Start ``generator`` as a process; returns its completion event."""
@@ -546,6 +545,53 @@ class Environment:
         self._eid += 1
         heappush(self._heap, (self._now + delay, priority, self._eid, event))
 
+    def ticket(self) -> int:
+        """Reserve the next ordering ticket for an event that will be
+        pushed later with :meth:`schedule_at` (or never, if its owner
+        advances past it by arithmetic). Take it at the moment the
+        reference would have pushed the event: ties at one instant fall
+        in ticket order."""
+        self._eid += 1
+        return self._eid
+
+    def schedule_at(self, event: Event, when: float,
+                    ticket: Optional[int] = None) -> int:
+        """Push ``event`` to be dispatched at the absolute instant
+        ``when``, ordered among same-instant events by ``ticket`` (a
+        fresh one when None; returned either way). Absolute, because
+        the instant is usually a left fold of several hops and
+        ``now + (when - now)`` is not ``when`` in floats. The event
+        keeps whatever outcome it has — an owner that decides the
+        outcome at dispatch writes it in place from the event's first
+        callback."""
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        if ticket is None:
+            self._eid += 1
+            ticket = self._eid
+        heappush(self._heap, (when, 1, ticket, event))
+        return ticket
+
+    def finish_inline(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` and run its callbacks now, as the tail of
+        the dispatch in progress, instead of through the heap.
+
+        For an owner whose own heap entry *is* the instant the waiter
+        resumes (an analytic segment's last hop): the reference resumes
+        the waiter from that very dispatch, so this is its execution
+        order on both kernels, not a shortcut that needs a legality
+        test. The caller must do nothing afterwards — the callbacks run
+        arbitrary code that has to see everything the caller scheduled.
+        """
+        event._ok = True
+        event._value = value
+        callbacks = event.callbacks
+        event.callbacks = None
+        self._solo = len(callbacks) == 1
+        for callback in callbacks:
+            callback(event)
+        self._solo = True
+
     def can_collapse(self, end: float) -> bool:
         """True when no observer can run in the half-open interval
         [now, end] other than the caller itself.
@@ -555,12 +601,15 @@ class Environment:
         would pop before anything the caller schedules now), and no
         further callbacks of the event currently being dispatched may
         remain (they would run at this instant without appearing on the
-        heap). Pass ``end == now`` for point-in-time collapses
-        (immediate grants); pass a later ``end`` for closed-form busy
-        segments (network transfers, disk operations).
+        heap). Nor may the running ``run(until=event)`` have seen its
+        event fire: its caller observes the world as soon as the
+        dispatch in progress ends. Pass ``end == now`` for point-in-time
+        collapses (immediate grants); pass a later ``end`` for
+        closed-form busy segments (network transfers, disk operations).
         """
         return (self._tie_hook is None and self._solo
-                and (not self._heap or self._heap[0][0] > end))
+                and (not self._heap or self._heap[0][0] > end)
+                and self._stop.callbacks is not None)
 
     def try_finish_now(self, event: Event, value: Any = None) -> bool:
         """Fast path: complete a *fresh* event synchronously.
@@ -575,7 +624,8 @@ class Environment:
         lock grants use this to skip the heap round-trip.
         """
         if (self._tie_hook is None and self._solo and not event.callbacks
-                and (not self._heap or self._heap[0][0] > self._now)):
+                and (not self._heap or self._heap[0][0] > self._now)
+                and self._stop.callbacks is not None):
             event._ok = True
             event._value = value
             event.callbacks = None
@@ -682,6 +732,7 @@ class Environment:
                     f"until={deadline} is in the past (now={self._now})")
         pop = heappop if self._tie_hook is None else self._pop_tied
         self._deadline = deadline
+        self._stop = stop
         try:
             while (stop.callbacks is not None
                    and heap and heap[0][0] <= deadline):
@@ -701,6 +752,7 @@ class Environment:
                     raise event._value
         finally:
             self._deadline = float("inf")
+            self._stop = _NEVER
             self._solo = True
         if stop is not _NEVER:
             if stop.callbacks is not None:

@@ -22,13 +22,13 @@ from repro.client import BulletClient, DirectoryClient, LocalBulletStub, RetryPo
 from repro.core import BulletServer
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
-from repro.errors import ReproError
+from repro.errors import ReproError, ServerDownError
 from repro.faults import FaultController, FaultPlan
 from repro.net import Ethernet, RpcTransport
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import AnyOf, Environment, SeededStream, Tracer, run_process
 
-from conftest import SMALL_DISK, make_bullet, small_testbed
+from conftest import SMALL_DISK, make_bullet, reference_env, small_testbed
 
 #: Simulated-time ceiling per cell: generous against the largest fault
 #: window (~2 s) plus full retry schedules, tiny against wall-clock.
@@ -355,3 +355,110 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     for cap, payload in world.expected.items():
         assert run_process(env, reborn.read(cap)) == payload
     reborn.disk_free.check_invariants()
+
+
+# ------------------------------------- crash mid-transmission, both media
+#
+# A server crash interrupts its workers wherever they are, and one of
+# them may be putting a reply on the wire. The fast kernel's medium
+# ledger has to let go of the medium exactly as the per-fragment
+# reference path's try/finally does (the modelcheck regression for the
+# medium leak replays on the hooked kernel only, i.e. the reference
+# path): these cells run the same crash on both and compare everything
+# a survivor can see.
+
+
+def _crash_mid_reply(env, crash_offset):
+    """A client reads an 8 KB file (a six-fragment reply) while three
+    other senders move 32 KB each; all four start transmitting at the
+    same instant, the reply first. The server crashes ``crash_offset``
+    seconds later."""
+    eth = Ethernet(env, EthernetProfile())
+    rpc = RpcTransport(env, eth, CpuProfile())
+    bullet = make_bullet(env, transport=rpc)
+    cap = run_process(env, bullet.create(b"r" * 8192, 2))
+    client = BulletClient(env, rpc, bullet.port)
+    replying = env.event()
+    sends = []
+    real_send = eth.send_fragments
+
+    def spy(nbytes, indices=None):
+        sends.append(env.now)
+        if len(sends) == 2:  # 1 = the request, 2 = the reply
+            replying.succeed()
+        return real_send(nbytes, indices)
+
+    eth.send_fragments = spy
+    seen = {"finished": [], "samples": []}
+
+    def reader():
+        try:
+            yield from client.read(cap)
+        except ServerDownError:
+            seen["client"] = ("down", env.now)
+        else:
+            seen["client"] = ("answered", env.now)
+
+    def sender(wid):
+        yield replying
+        lost = yield from real_send(32 * 1024)
+        seen["finished"].append((env.now, wid, lost))
+
+    def crasher():
+        yield replying
+        yield env.timeout(crash_offset)
+        queued = eth.medium_queue_length
+        bullet.crash()
+        yield env.timeout(0.0)  # the workers' interrupts land first
+        seen["crash"] = (env.now, queued, eth.medium_queue_length)
+
+    def sampler():
+        yield replying
+        for _ in range(60):
+            yield env.timeout(1e-3)
+            seen["samples"].append(
+                (env.now, eth.medium_queue_length, eth.idle))
+
+    env.process(reader())
+    for wid in range(3):
+        env.process(sender(wid))
+    env.process(crasher())
+    env.process(sampler())
+    env.run()
+    seen["end"] = (eth.idle, eth.medium_queue_length, eth.stats.snapshot())
+    return seen
+
+
+_OVERHEAD = EthernetProfile().per_packet_overhead
+_WIRE = EthernetProfile().wire_time(EthernetProfile().max_payload)
+
+#: Seconds after the four senders start. All four packets are ready one
+#: overhead later and the reply's goes first, so for one wire time the
+#: reply holds the medium with the three others queued; then it preps
+#: its second packet while sender 0 transmits, and queues behind 1 and 2.
+CRASH_PHASES = {
+    "reply holds the medium, three queued": _OVERHEAD + _WIRE / 2,
+    "reply queued behind two": 2 * _OVERHEAD + _WIRE
+                               + (_WIRE - _OVERHEAD) / 2,
+    "reply preparing a packet": _OVERHEAD + _WIRE + _OVERHEAD / 2,
+}
+
+
+@pytest.mark.parametrize("phase", sorted(CRASH_PHASES))
+def test_crash_mid_transmission_on_the_medium_ledger(phase):
+    ledger = _crash_mid_reply(Environment(), CRASH_PHASES[phase])
+    reference = _crash_mid_reply(reference_env(), CRASH_PHASES[phase])
+    # Every survivor completes at the instant the reference gives, the
+    # queue reads what the reference reads at every sample.
+    assert ledger == reference
+    crashed_at, queued_before, queued_after = ledger["crash"]
+    assert ledger["client"] == ("down", crashed_at)
+    assert sorted(wid for _t, wid, _lost in ledger["finished"]) == [0, 1, 2]
+    if phase == "reply preparing a packet":
+        assert (queued_before, queued_after) == (2, 2)
+    else:
+        # Holding: the next in line is granted at the crash instant.
+        # Queued: the reply withdraws. Either way one waiter fewer.
+        assert (queued_before, queued_after) == (3, 2)
+    idle, queue_length, _stats = ledger["end"]
+    assert idle and queue_length == 0

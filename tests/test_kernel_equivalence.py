@@ -10,9 +10,9 @@ timeouts (including zero delays and exact-tie sums), interrupts,
 resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, and the two
 *caller-obligation* idioms production code spells itself (the
 ``can_collapse``-guarded zero-delay skip of ``net/rpc.py`` and the
-``can_collapse(end)`` → ``timeout_batch`` burst of ``net/ethernet.py``
-and ``disk/vdisk.py``) — runs each on both kernels under every form of
-``run(until=...)``, and compares the full traces.
+``can_collapse(end)`` → ``ticket`` + ``schedule_at`` analytic segment of
+``net/ethernet.py`` and ``disk/vdisk.py``) — runs each on both kernels
+under every form of ``run(until=...)``, and compares the full traces.
 
 Programs follow the kernel's documented fast-path obligation: a
 ``Resource.request()`` is yielded immediately after it is created (the
@@ -54,6 +54,7 @@ _INSTR = st.one_of(
     st.tuples(st.just("interrupt"), st.integers(0, MAX_WORKERS - 1),
               _DELAYS),
     st.tuples(st.just("join"), st.integers(0, MAX_WORKERS - 1)),
+    st.tuples(st.just("survive"), _DELAYS, _DELAYS),
 )
 
 _PROGRAM = st.lists(
@@ -86,14 +87,19 @@ def _run_program(program, env, driver):
                     if instr[1] or not env.can_collapse(env.now):
                         yield env.timeout(instr[1])
                 elif tag == "burst":
-                    # The Ethernet/vdisk obligation: one batched event
-                    # only when nothing can observe the interval. The
-                    # end is the same left fold timeout_batch walks.
+                    # The Ethernet/vdisk obligation: one event for the
+                    # whole segment only when nothing can observe the
+                    # interval — the ordering ticket taken where the
+                    # reference pushes, the event pushed at the absolute
+                    # end, the same left fold the hops would walk.
                     end = env.now
                     for delay in instr[1]:
                         end = end + delay
                     if env.can_collapse(end):
-                        yield env.timeout_batch(instr[1])
+                        ticket = env.ticket()
+                        segment_end = env.event()
+                        env.schedule_at(segment_end, end, ticket)
+                        yield segment_end
                     else:
                         for delay in instr[1]:
                             yield env.timeout(delay)
@@ -130,6 +136,18 @@ def _run_program(program, env, driver):
                     target = procs.get(instr[1])
                     if target is not None and instr[1] != wid:
                         yield target
+                elif tag == "survive":
+                    # A process that outlives an interrupt: the wait it
+                    # was pulled out of must not cut its next one short.
+                    try:
+                        yield env.timeout(instr[1])
+                    except Interrupt as exc:
+                        trace.append((env.now, wid, step, "survived",
+                                      exc.cause))
+                    resumed = env.now
+                    yield env.timeout(instr[2])
+                    trace.append((env.now, wid, step, "slept",
+                                  env.now - resumed, instr[2]))
                 trace.append((env.now, wid, step, "done", tag))
             except Interrupt as exc:
                 trace.append((env.now, wid, step, "interrupted", exc.cause))
@@ -148,6 +166,9 @@ def _run_program(program, env, driver):
         trace.append(("end", env.now))
     except BaseException as exc:  # surfaced crash: must match bit-for-bit
         trace.append(("crash", env.now, type(exc).__name__, str(exc)))
+    for entry in trace:
+        if entry[3:4] == ("slept",):
+            assert entry[4] == entry[5], entry
     return trace
 
 
@@ -182,6 +203,29 @@ def test_interrupt_storm_matches_reference():
         [("interrupt", 1, 0.25), ("resource", 0, 0.125)],
     ]
     _assert_matches_reference(program)
+
+
+def test_interrupt_survivor_matches_reference():
+    # Worker 0 catches the interrupt at 0.125 and sleeps on: the 0.5 s
+    # timeout it abandoned fires in the middle of the next sleep.
+    _assert_matches_reference([
+        [("survive", 0.5, 1.0), ("timeout", 0.25)],
+        [("interrupt", 0, 0.125)],
+    ])
+
+
+def test_nothing_collapses_once_the_until_event_has_fired():
+    # Found by the Ethernet ledger's drift guard. run(until=worker 0)
+    # ends with the dispatch in which worker 0's completion fires; the
+    # reference runs worker 1 in it (a callback of that event) but not
+    # worker 2, whose turn is one heap hop later. The fast kernel used to
+    # finish worker 1 synchronously and run worker 2 as well, so run()'s
+    # caller saw the world one step ahead of the reference.
+    _assert_matches_reference([
+        [("timeout", 0.0)],
+        [("join", 0)],
+        [("join", 1), ("skip", 0.0), ("burst", [0.25])],
+    ])
 
 
 def test_zero_delay_skip_yields_to_a_same_instant_event():

@@ -1,12 +1,20 @@
 """Tests for the Ethernet model and the RPC layer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.retry import RpcStub
-from repro.errors import NotFoundError, RpcTimeoutError, ServerDownError, Status
+from repro.errors import (
+    ConsistencyError,
+    NotFoundError,
+    RpcTimeoutError,
+    ServerDownError,
+    Status,
+)
 from repro.net import Ethernet, RpcReply, RpcRequest, RpcTransport
 from repro.profiles import CpuProfile, EthernetProfile
-from repro.sim import Environment, SeededStream, run_process
+from repro.sim import Environment, Interrupt, SeededStream, run_process
 from repro.units import KB, MB
 
 from conftest import reference_env
@@ -379,3 +387,352 @@ def test_background_traffic_alone_respects_run_deadline():
         return (env.now, eth.stats.background_packets, eth.stats.wire_time)
 
     assert totals(Environment()) == totals(reference_env())
+
+
+# ----------------------------------------------------- the medium ledger
+#
+# A segment built on the fast kernel keeps the medium ledger; built on
+# the hooked kernel it runs the per-fragment reference path. The two
+# must be indistinguishable to every program.
+
+MAX_SENDERS = 5
+
+#: Dyadic times, like tests/test_kernel_equivalence.py: unrelated
+#: timelines tie exactly and ordering falls to the ticket discipline.
+#: 0.625 is the wire time of a full fragment on _tie_profile.
+_DELAYS = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.625, 1.0))
+_INSTANTS = st.sampled_from(tuple(i * 0.125 for i in range(81)))
+
+_SEND = st.tuples(
+    st.just("send"), st.integers(0, 20),
+    st.one_of(st.none(),
+              st.lists(st.integers(0, 5), max_size=3, unique=True)))
+_SENDER = st.tuples(
+    st.booleans(),  # does it outlive an interrupt?
+    st.lists(st.one_of(_SEND, _SEND,
+                       st.tuples(st.just("wait"), _DELAYS),
+                       st.tuples(st.just("join"),
+                                 st.integers(0, MAX_SENDERS - 1))),
+             min_size=1, max_size=4))
+_FAULT = st.one_of(
+    st.tuples(st.just("partition"), st.booleans()),
+    st.tuples(st.just("loss"), st.sampled_from((0.0, 0.5, 1.0))),
+    st.tuples(st.just("latency"), st.sampled_from((0.0, 0.125, 0.25, 0.625))),
+)
+_SCENARIO = st.fixed_dictionaries({
+    "overhead": st.sampled_from((0.125, 0.25, 0.5, 0.625)),
+    "background": st.sampled_from((0.0, 0.0, 0.25, 0.5)),
+    "steady_loss": st.sampled_from((0.0, 0.0, 0.3)),
+    "senders": st.lists(_SENDER, min_size=1, max_size=MAX_SENDERS),
+    "interrupts": st.lists(
+        st.tuples(_INSTANTS, st.integers(0, MAX_SENDERS - 1)), max_size=4),
+    "faults": st.lists(st.tuples(_INSTANTS, _FAULT), max_size=4),
+    "observers": st.lists(_INSTANTS, max_size=4),
+    "driver": st.sampled_from(("run", "deadlines", "event")),
+    "deadlines": st.lists(_INSTANTS, min_size=1, max_size=3),
+})
+
+#: Every driver ends here (background traffic never does on its own).
+_SCENARIO_END = 24.0
+
+
+def _tie_profile(overhead=0.25, background=0.0, steady_loss=0.0):
+    """0.125 s per byte on the wire, 4-byte fragments under a 1-byte
+    header: every hop is a dyadic number of seconds."""
+    return EthernetProfile(
+        bandwidth_bits=64.0, mtu=5, header_bytes=1, min_frame_bytes=1,
+        per_packet_overhead=overhead, background_utilization=background,
+        background_packet_bytes=1, loss_probability=steady_loss)
+
+
+def _snapshot(eth):
+    stats = eth.stats
+    return (stats.packets, stats.payload_bytes, stats.wire_time,
+            stats.background_packets, stats.lost_packets,
+            eth.medium_queue_length, eth.idle)
+
+
+def _drive_medium(scenario, env, hook=None):
+    """Run ``scenario`` on a segment built on ``env``; ``hook`` is
+    installed after the segment is built (a ledger under a tie hook).
+    Returns everything a program can observe: resume instants, lost
+    lists, bit-exact counters read mid-flight and at every ``run()``
+    boundary, and the next draw of both random streams."""
+    stream = SeededStream(11, "ethernet")
+    fault_stream = SeededStream(12, "faults")
+    eth = Ethernet(
+        env, _tie_profile(scenario["overhead"], scenario["background"],
+                          scenario["steady_loss"]),
+        stream=stream, background_load=scenario["background"] > 0)
+    if hook is not None:
+        env.set_tie_hook(hook)
+    log = []
+    procs = {}
+
+    def sender(wid, survives, instrs):
+        for step, instr in enumerate(instrs):
+            try:
+                if instr[0] == "send":
+                    indices = instr[2]
+                    if indices is not None:
+                        total = eth.packets_for(instr[1])
+                        indices = [i for i in indices if i < total]
+                    lost = yield from eth.send_fragments(instr[1], indices)
+                    log.append((env.now, wid, step, "sent", tuple(lost)))
+                elif instr[0] == "join":
+                    # Only downwards, so every sender terminates.
+                    if instr[1] < wid:
+                        yield procs[instr[1]]
+                    log.append((env.now, wid, step, "joined"))
+                else:
+                    yield env.timeout(instr[1])
+                    log.append((env.now, wid, step, "waited"))
+            except Interrupt as exc:
+                log.append((env.now, wid, step, "interrupted", exc.cause))
+                if not survives:
+                    return
+        log.append((env.now, wid, "done"))
+
+    def interrupter(when, target):
+        yield env.timeout(when)
+        proc = procs.get(target)
+        if proc is not None and proc.is_alive:
+            proc.interrupt(when)
+
+    def faulter(when, fault):
+        yield env.timeout(when)
+        kind, value = fault
+        if kind == "partition":
+            eth.set_fault(partitioned=value)
+        elif kind == "loss":
+            eth.set_fault(loss=value, loss_stream=fault_stream)
+        else:
+            eth.set_fault(extra_latency=value)
+
+    def observer(when):
+        yield env.timeout(when)
+        log.append((env.now, "observed", _snapshot(eth)))
+
+    for wid, (survives, instrs) in enumerate(scenario["senders"]):
+        procs[wid] = env.process(sender(wid, survives, instrs))
+    for when, target in scenario["interrupts"]:
+        env.process(interrupter(when, target))
+    for when, fault in scenario["faults"]:
+        env.process(faulter(when, fault))
+    for when in scenario["observers"]:
+        env.process(observer(when))
+    try:
+        if scenario["driver"] == "deadlines":
+            for deadline in sorted(scenario["deadlines"]):
+                env.run(until=deadline)
+                log.append(("stopped", env.now, _snapshot(eth)))
+        elif scenario["driver"] == "event":
+            env.run(until=procs[0])
+            log.append(("returned", env.now, _snapshot(eth)))
+        env.run(until=_SCENARIO_END)
+    except Interrupt as exc:
+        # A permuted tie can interrupt a sender before it has started;
+        # the crash must then be the same crash on both media.
+        log.append(("crash", env.now, str(exc)))
+    log.append(("end", env.now, _snapshot(eth), stream.random(),
+                fault_stream.random()))
+    return log
+
+
+def _tie_recorder(into, pick_last=False):
+    def hook(tied):
+        into.append((tied[0][0], len(tied)))
+        return len(tied) - 1 if pick_last else 0
+    return hook
+
+
+def _assert_no_drift(scenario):
+    reference_ties, ledger_ties = [], []
+    env = Environment()
+    env.set_tie_hook(_tie_recorder(reference_ties))
+    reference = _drive_medium(scenario, env)
+    assert _drive_medium(scenario, Environment()) == reference
+    # The ledger under a hook installed before the traffic starts makes
+    # every step a heap entry: the hook must see the reference's ties,
+    # and get its way whichever entry of a tie it picks.
+    assert _drive_medium(scenario, Environment(),
+                         _tie_recorder(ledger_ties)) == reference
+    assert ledger_ties == reference_ties
+    del reference_ties[:], ledger_ties[:]
+    env = Environment()
+    env.set_tie_hook(_tie_recorder(reference_ties, pick_last=True))
+    assert _drive_medium(scenario, env) == _drive_medium(
+        scenario, Environment(), _tie_recorder(ledger_ties, pick_last=True))
+    assert ledger_ties == reference_ties
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_SCENARIO)
+def test_ledger_and_per_fragment_medium_do_not_drift(scenario):
+    _assert_no_drift(scenario)
+
+
+@pytest.mark.explore
+@settings(max_examples=10_000, deadline=None)
+@given(_SCENARIO)
+def test_ledger_and_per_fragment_medium_do_not_drift_on_a_larger_budget(
+        scenario):
+    _assert_no_drift(scenario)
+
+
+def _scenario(**overrides):
+    scenario = {"overhead": 0.25, "background": 0.0, "steady_loss": 0.0,
+                "senders": [], "interrupts": [], "faults": [],
+                "observers": [], "driver": "run", "deadlines": [0.0]}
+    scenario.update(overrides)
+    return scenario
+
+
+def test_ledger_matches_reference_when_every_handoff_ties_with_a_prep():
+    # Overhead == full wire time: whenever a packet leaves the wire, the
+    # previous holder's next packet is ready at the same instant, so
+    # who gets the medium is decided by ordering tickets alone.
+    _assert_no_drift(_scenario(
+        overhead=0.625, background=0.25,
+        senders=[(True, [("send", 20, None), ("send", 12, None)])
+                 for _ in range(4)],
+        interrupts=[(2.5, 1), (5.0, 2)],
+        faults=[(3.75, ("latency", 0.625)), (7.5, ("latency", 0.0))],
+        observers=[1.25, 2.5, 3.75, 5.0, 6.25]))
+
+
+def test_ledger_step_is_ordered_by_the_instant_it_was_created():
+    # Sender 0's last wire time starts at 1.125 and ends at 1.75, but
+    # the ledger pushes that step only at 1.25 (until then sender 1's
+    # prep is the earlier one). Just before, also at 1.25, sender 2
+    # schedules a timeout for 1.75 as well. The reference pushed the
+    # wire timeout first, so sender 0 resumes first: the step must carry
+    # the ticket of 1.125, not one taken when it is finally pushed.
+    scenario = _scenario(senders=[
+        (False, [("send", 8, None)]),
+        (False, [("wait", 1.0), ("send", 4, None)]),
+        (False, [("wait", 1.25), ("wait", 0.5)]),
+    ])
+    _assert_no_drift(scenario)
+    at_the_tie = [entry[1:] for entry in _drive_medium(scenario, Environment())
+                  if entry[0] == 1.75]
+    assert at_the_tie == [(0, 0, "sent", ()), (0, "done"),
+                          (2, 1, "waited"), (2, "done")]
+
+
+def test_ledger_matches_reference_across_an_interrupted_survivor():
+    # The case that exposed the kernel's double resume: a sender that
+    # outlives an interrupt used to be woken by the step it abandoned.
+    _assert_no_drift(_scenario(
+        senders=[(True, [("send", 16, None), ("send", 8, None)]),
+                 (True, [("send", 16, None)])],
+        interrupts=[(0.5, 0), (0.5, 1), (1.0, 0)]))
+
+
+def _tied_senders(env, count=5):
+    """``count`` identical senders on one ledger: their steps tie."""
+    eth = Ethernet(env, _tie_profile())
+    procs = [env.process(eth.send_fragments(16)) for _ in range(count)]
+    return eth, procs
+
+
+def test_tie_hook_installed_over_hidden_ledger_steps_is_refused():
+    # Mid-flight the ledger keeps one heap entry for five senders; a hook
+    # installed now would be shown one entry of each five-way tie. It
+    # must hear about it, not explore a fraction of the schedules.
+    env = Environment()
+    _tied_senders(env)
+    env.run(until=1.0)
+    env.set_tie_hook(lambda tied: 0)
+    with pytest.raises(ConsistencyError, match="tie hook was installed"):
+        env.run()
+    env.set_tie_hook(None)  # or the abandoned senders' clean-up raises too
+
+
+def test_tie_hook_installed_on_a_quiet_ledger_is_shown_every_tie():
+    def two_rounds(hooked_at_build):
+        ties, recording = [], []
+
+        def hook(tied):
+            if recording:
+                ties.append((tied[0][0], len(tied)))
+            return 0
+
+        env = Environment()
+        if hooked_at_build:
+            env.set_tie_hook(hook)  # the per-fragment reference path
+        eth = Ethernet(env, _tie_profile(background=0.25),
+                       stream=SeededStream(3, "ethernet"),
+                       background_load=True)
+        finished = []
+
+        def sender(wid):
+            lost = yield from eth.send_fragments(16)
+            finished.append((env.now, wid, lost))
+
+        for proc in [env.process(sender(wid)) for wid in range(3)]:
+            env.run(until=proc)
+        # Quiet: only the background daemon's one step is pending.
+        recording.append(True)
+        env.set_tie_hook(hook)
+        for proc in [env.process(sender(wid)) for wid in range(3, 8)]:
+            env.run(until=proc)
+        return ties, finished, _snapshot(eth)
+
+    ledger = two_rounds(hooked_at_build=False)
+    assert ledger == two_rounds(hooked_at_build=True)
+    assert max(size for _when, size in ledger[0]) >= 5
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_run_until_inside_a_large_transfer_stops_the_counters_there(
+        background):
+    # A window never crosses run(until=t): at the stop the counters say
+    # what has left the wire by t, not what the ledger could work out.
+    def stopped_at(env, deadline):
+        eth, _ = make_net(env, background=background, seed=1989)
+        env.process(eth.send_fragments(1 * MB))
+        env.run(until=deadline)
+        mid = (env.now, _snapshot(eth))
+        env.run(until=2.0)
+        return mid, (env.now, _snapshot(eth))
+
+    for deadline in (0.0, 0.3, 0.7004, 1.0):
+        ledger = stopped_at(Environment(), deadline)
+        assert ledger == stopped_at(reference_env(), deadline)
+        (now, mid), _end = ledger
+        assert now == deadline and mid[0] < Ethernet(
+            Environment(), PROFILE).packets_for(1 * MB)
+
+
+def _events_to_send(env, eth, sizes):
+    """Events scheduled from the first ``send_fragments`` to the last
+    completion of one sender per size."""
+    before = env.events_scheduled
+    for proc in [env.process(eth.send_fragments(size)) for size in sizes]:
+        env.run(until=proc)
+    return env.events_scheduled - before
+
+
+def test_contended_transfers_cost_a_handful_of_events():
+    # The gain, locked in as a count: four 512 KB senders beside the
+    # background daemon are ~1 400 fragments; per fragment the reference
+    # path pays a prep, a grant and a wire event (4 867 in all at the
+    # parent commit). A refactor that quietly drops back to it fails here.
+    env = Environment()
+    eth, _ = make_net(env, background=True, seed=1989)
+    assert _events_to_send(env, eth, [512 * KB] * 4) <= 64
+    assert env.now == 1.822894400000044
+    reference = reference_env()
+    eth, _ = make_net(reference, background=True, seed=1989)
+    assert _events_to_send(reference, eth, [512 * KB] * 4) > 4000
+    assert reference.now == env.now
+
+
+def test_lone_message_on_an_idle_medium_costs_one_event():
+    # Start-up of the process, then one event for the whole message (the
+    # parent commit's analytic segment cost the same two).
+    env = Environment()
+    eth, _ = make_net(env)
+    assert _events_to_send(env, eth, [8 * KB]) <= 2
+    assert env.now == pytest.approx(eth.message_cost_lower_bound(8 * KB))

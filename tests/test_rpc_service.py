@@ -92,7 +92,7 @@ def test_crash_mid_reply_fails_the_client_at_the_crash_instant(env, which):
     crashed_at = sends[2][1]
     assert crashed_at == sends[1][1] + 1e-6
     assert (outcome, when) == ("down", crashed_at)
-    assert site.eth._medium.idle and site.eth.medium_queue_length == 0
+    assert site.eth.idle and site.eth.medium_queue_length == 0
 
 
 def test_every_server_emits_the_same_span_tree(env):

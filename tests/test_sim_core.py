@@ -13,6 +13,8 @@ from repro.sim import (
     run_process,
 )
 
+from conftest import reference_env
+
 
 def test_clock_starts_at_zero():
     env = Environment()
@@ -285,6 +287,52 @@ def test_process_survives_interrupt_and_continues():
     v = env.process(victim())
     env.process(attacker(v))
     assert env.run(until=v) == 3.0
+
+
+@pytest.mark.parametrize("make_env", [Environment, reference_env])
+def test_interrupt_survivor_is_not_resumed_by_the_wait_it_abandoned(make_env):
+    # Regression: the timeout the victim was pulled out of (due at 1.0)
+    # fired in the middle of its next wait and resumed it a second time,
+    # at 1.0 instead of 2.5.
+    env = make_env()
+
+    def victim():
+        try:
+            yield env.timeout(1.0)
+        except Interrupt:
+            pass
+        yield env.timeout(2.0)
+        return env.now
+
+    def attacker(target):
+        yield env.timeout(0.5)
+        target.interrupt()
+
+    v = env.process(victim())
+    env.process(attacker(v))
+    assert env.run(until=v) == 2.5
+
+
+def test_interrupt_survivor_may_wait_again_on_the_same_event():
+    env = Environment()
+    gate = env.event()
+
+    def victim():
+        while True:
+            try:
+                return (yield gate), env.now
+            except Interrupt:
+                pass
+
+    def attacker(target):
+        yield env.timeout(0.5)
+        target.interrupt()
+        yield env.timeout(0.5)
+        gate.succeed("open")
+
+    v = env.process(victim())
+    env.process(attacker(v))
+    assert env.run(until=v) == ("open", 1.0)
 
 
 def test_all_of_waits_for_slowest():
