@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..disk import MirroredDiskSet, VirtualDisk
+from ..disk import MirroredDiskSet, VirtualDisk, pad_to_block
 from ..errors import BadRequestError, ConsistencyError, ServerDownError
 from ..sim import CountOf, Environment, Event
 
@@ -78,6 +78,9 @@ def replicated_file_write(env: Environment, mirror: MirroredDiskSet,
     steps (immediately for ``p_factor == 0``); the remaining replicas
     keep writing in the background and stay observable via ``writes``.
     """
+    # Snapshot and pad the file once, not once per replica: every disk
+    # (and, for a block-aligned file, the RAM cache) holds this object.
+    data = pad_to_block(data, mirror.block_size)
     writes = [
         env.process(_write_one_replica(env, disk, data_block, data,
                                        inode_block, inode_block_bytes))

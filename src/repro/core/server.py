@@ -291,7 +291,7 @@ class BulletServer(RpcService):
             replicated = replicated_file_write(
                 self.env, self.mirror,
                 data_block=start_block if blocks else None,
-                data=bytes(data),
+                data=data,
                 inode_block=inode_block,
                 inode_block_bytes=self.table.encode_block(inode_block),
                 p_factor=p_factor,
@@ -626,6 +626,9 @@ class BulletServer(RpcService):
             data = yield from self.mirror.read_with_failover(
                 inode.start_block, blocks
             )
+            # A block-aligned file comes off the platter as the stored
+            # object and the full slice is that object again: the cache
+            # and the reply share it with both disks, nothing is copied.
             self.cache.fill(rnode, data[: inode.size])
         else:
             self.cache.fill(rnode, b"")

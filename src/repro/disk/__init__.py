@@ -5,7 +5,7 @@ timing, request scheduling, and mirroring. Fault injection lives in
 from .geometry import DiskGeometry
 from .mirror import MirroredDiskSet
 from .scheduler import ElevatorQueue, FcfsQueue, make_queue
-from .vdisk import DiskStats, VirtualDisk
+from .vdisk import DiskStats, VirtualDisk, pad_to_block
 
 __all__ = [
     "DiskGeometry",
@@ -15,4 +15,5 @@ __all__ = [
     "make_queue",
     "DiskStats",
     "VirtualDisk",
+    "pad_to_block",
 ]

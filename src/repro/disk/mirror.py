@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..errors import ConsistencyError, DiskIOError, ServerDownError
 from ..sim import CountOf, Environment, Event, Interrupt, Tracer
-from .vdisk import VirtualDisk
+from .vdisk import VirtualDisk, pad_to_block
 
 __all__ = ["MirroredDiskSet"]
 
@@ -128,6 +128,8 @@ class MirroredDiskSet:
         if need is None:
             need = len(live)
         need = min(need, len(live))
+        # Snapshot and pad once: every replica stores this one object.
+        data = pad_to_block(data, self.block_size)
         writes = [disk.write(start_block, data) for disk in live]
         self.resync_note(start_block, len(data), writes)
         return CountOf(self.env, writes, need=need)
@@ -149,6 +151,7 @@ class MirroredDiskSet:
 
     def write_raw(self, start_block: int, data: bytes) -> None:
         """Instant, cost-free write to every replica (setup plane)."""
+        data = pad_to_block(data, self.block_size)
         for disk in self.disks:
             disk.write_raw(start_block, data)
 
@@ -165,7 +168,10 @@ class MirroredDiskSet:
 
         The paper: "Recovery is simply done by copying the complete
         disk." The copy streams in large extents so it runs at media
-        rate rather than per-block cost.
+        rate rather than per-block cost. Holes copy as holes: the arms
+        are charged for every block, but zeros are not kept on the
+        target, so it ends as sparse as the source instead of holding
+        its whole capacity in host memory.
 
         Recovery is *online*: ``repair()`` makes the target live
         immediately, so concurrent mirrored writes forward to it while
@@ -195,6 +201,7 @@ class MirroredDiskSet:
                 n = min(extent, total - copied)
                 data = yield source.read(copied, n)
                 yield target.write(copied, data)
+                target.punch_holes(copied, n)
                 copied += n
             while self._resync_dirty:
                 dirty, self._resync_dirty = self._resync_dirty, []

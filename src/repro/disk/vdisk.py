@@ -1,10 +1,12 @@
 """The virtual disk: a block device with realistic timing.
 
-Functionally it is a sparse block store (only written blocks consume
-host memory). Temporally it is a single arm served by a scheduling
-discipline: each access costs seek + rotation + transfer according to
-:class:`~repro.disk.geometry.DiskGeometry`, and concurrent requests
-queue.
+Functionally it is a sparse extent store: every write is kept as the
+one ``bytes`` object it arrived as (whole files, inode blocks, NFS
+blocks alike), never-written and all-zero regions are holes that cost
+no host memory and read as zeros. Temporally it is a single arm served
+by a scheduling discipline: each access costs seek + rotation +
+transfer according to :class:`~repro.disk.geometry.DiskGeometry`, and
+concurrent requests queue.
 
 Two access planes:
 
@@ -17,6 +19,7 @@ Two access planes:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,7 +30,18 @@ from ..sim import Environment, Event, Store, Tracer
 from .geometry import DiskGeometry
 from .scheduler import make_queue
 
-__all__ = ["VirtualDisk", "DiskStats"]
+__all__ = ["VirtualDisk", "DiskStats", "pad_to_block"]
+
+
+def pad_to_block(data, block_size: int) -> bytes:
+    """``data`` as immutable bytes, zero-padded to whole blocks.
+
+    This is the one place a caller's buffer is copied on its way to the
+    platter: a mutable buffer is snapshotted and a short tail padded,
+    while ``bytes`` of whole blocks come back as the *same object* — so
+    padding a file once and handing the result to every replica stores
+    one object, not one copy per disk."""
+    return bytes(data).ljust(-(-len(data) // block_size) * block_size, b"\0")
 
 
 class DiskStats(RegistryStats):
@@ -52,7 +66,8 @@ class _DiskRequest:
     nblocks: int
     data: Optional[bytes]
     completion: Event
-    cylinder: int = 0
+    cylinder: int = 0             # of the first block
+    last_cylinder: int = 0        # of the last block (where the arm ends)
 
 
 class VirtualDisk:
@@ -71,6 +86,8 @@ class VirtualDisk:
         self.profile = profile
         self.name = name
         self.geometry = DiskGeometry(profile)
+        self.block_size = profile.block_size
+        self.total_blocks = self.geometry.total_blocks
         self.stats = DiskStats(metrics, disk=name)
         # Direct counter handles for the service loop and the analytic
         # fast path (the facade costs a getattr+setattr per bump).
@@ -81,7 +98,13 @@ class VirtualDisk:
         self._c_busy_time = self.stats.handle("busy_time")
         self._c_seeks = self.stats.handle("seeks")
         self._tracer = tracer
-        self._blocks: dict[int, bytes] = {}
+        # The platter: non-overlapping extents of whole blocks, keyed by
+        # start block, plus the sorted starts for bisect. Only bytes
+        # objects are ever stored, so an extent may be shared with the
+        # other replica, the RAM cache and a reply in flight.
+        self._extents: dict[int, bytes] = {}
+        self._starts: list[int] = []
+        self._zero_block = bytes(profile.block_size)
         self._queue = make_queue(discipline)
         self._wakeups: Store = Store(env)
         self._current_cylinder = 0
@@ -100,14 +123,6 @@ class VirtualDisk:
         self._server = env.process(self._serve())
 
     # ------------------------------------------------------------ state
-
-    @property
-    def block_size(self) -> int:
-        return self.profile.block_size
-
-    @property
-    def total_blocks(self) -> int:
-        return self.geometry.total_blocks
 
     @property
     def failed(self) -> bool:
@@ -154,7 +169,7 @@ class VirtualDisk:
     def mark_flaky(self, start_block: int, nblocks: int) -> None:
         """Make ``nblocks`` blocks from ``start_block`` return media
         errors on any timed access that touches them."""
-        self.geometry._check_extent(start_block, nblocks)
+        self.geometry.check_extent(start_block, nblocks)
         self._flaky_blocks.update(range(start_block, start_block + nblocks))
 
     def clear_flaky(self, start_block: int, nblocks: int) -> None:
@@ -192,8 +207,11 @@ class VirtualDisk:
         ``start_block``; the event fires with None when durable."""
         if not data:
             raise ValueError("write of zero bytes")
-        nblocks = self._blocks_for(len(data))
-        return self._submit("write", start_block, nblocks, bytes(data))
+        # The snapshot: whatever the caller does to its buffer after this
+        # line, the platter gets the bytes as they are now.
+        data = pad_to_block(data, self.block_size)
+        return self._submit("write", start_block,
+                            len(data) // self.block_size, data)
 
     def _submit(self, kind: str, start_block: int, nblocks: int,
                 data: Optional[bytes]) -> Event:
@@ -201,15 +219,20 @@ class VirtualDisk:
         if self._failed:
             completion.fail(DiskIOError(f"{self.name} is dead"))
             return completion
-        self.geometry._check_extent(start_block, nblocks)
+        # The one range check of the operation: the cylinders, the
+        # access time and the raw plane below all trust it.
+        geometry = self.geometry
+        geometry.check_extent(start_block, nblocks)
         env = self.env
+        per_cyl = geometry.blocks_per_cylinder
         req = _DiskRequest(
             kind=kind,
             start_block=start_block,
             nblocks=nblocks,
             data=data,
             completion=completion,
-            cylinder=self.geometry.cylinder_of(start_block),
+            cylinder=start_block // per_cyl,
+            last_cylinder=(start_block + max(nblocks - 1, 0)) // per_cyl,
         )
         if (not self._fast_inflight
                 and len(self._queue) == 0
@@ -223,8 +246,9 @@ class VirtualDisk:
             # passes* is decided here: what happens at that instant is
             # the serve loop's own _complete, run as the completion
             # event's first callback.
-            duration = self.geometry.access_time(
-                self._current_cylinder, start_block, nblocks
+            duration = geometry.span_time(
+                self._current_cylinder, req.cylinder, req.last_cylinder,
+                nblocks
             ) * self._slowdown
             end = env.now + duration
             if env.can_collapse(end):
@@ -253,8 +277,9 @@ class VirtualDisk:
             req = self._queue.pop(self._current_cylinder)
             if req is None:
                 continue  # request was drained by fail()
-            duration = self.geometry.access_time(
-                self._current_cylinder, req.start_block, req.nblocks
+            duration = self.geometry.span_time(
+                self._current_cylinder, req.cylinder, req.last_cylinder,
+                req.nblocks
             ) * self._slowdown
             yield self.env.timeout(duration)
             self._complete(req, duration)
@@ -266,12 +291,9 @@ class VirtualDisk:
         operation, from the completion event's own dispatch at the
         identical instant."""
         start_block, nblocks = req.start_block, req.nblocks
-        geometry = self.geometry
         if req.cylinder != self._current_cylinder:
             self._c_seeks.inc(1)
-        self._current_cylinder = geometry.cylinder_of(
-            start_block + max(nblocks - 1, 0)
-        )
+        self._current_cylinder = req.last_cylinder
         self._c_busy_time.inc(duration)
         if self._failed:
             self._settle(req.completion, False, DiskIOError(
@@ -286,7 +308,7 @@ class VirtualDisk:
             ))
             return
         if req.kind == "read":
-            payload = self.read_raw(start_block, nblocks)
+            payload = self._load(start_block, nblocks)
             self._c_reads.inc(1)
             self._c_blocks_read.inc(nblocks)
             if self._tracer is not None:
@@ -296,7 +318,7 @@ class VirtualDisk:
         else:
             if req.data is None:
                 raise ConsistencyError("write request carries no data")
-            self.write_raw(start_block, req.data)
+            self._store(start_block, req.data)
             self._c_writes.inc(1)
             self._c_blocks_written.inc(nblocks)
             if self._tracer is not None:
@@ -327,33 +349,132 @@ class VirtualDisk:
 
     def read_raw(self, start_block: int, nblocks: int) -> bytes:
         """Instant, cost-free read (setup/recovery plane)."""
-        self.geometry._check_extent(start_block, nblocks)
-        bs = self.block_size
-        empty = bytes(bs)
-        return b"".join(
-            self._blocks.get(start_block + i, empty) for i in range(nblocks)
-        )
+        self.geometry.check_extent(start_block, nblocks)
+        return self._load(start_block, nblocks)
 
     def write_raw(self, start_block: int, data: bytes) -> None:
         """Instant, cost-free write (setup/recovery plane)."""
-        nblocks = self._blocks_for(len(data))
-        self.geometry._check_extent(start_block, nblocks)
-        bs = self.block_size
-        for i in range(nblocks):
-            chunk = data[i * bs:(i + 1) * bs]
-            if len(chunk) < bs:
-                chunk = chunk + bytes(bs - len(chunk))
-            self._blocks[start_block + i] = bytes(chunk)
+        data = pad_to_block(data, self.block_size)
+        self.geometry.check_extent(start_block, len(data) // self.block_size)
+        if data:
+            self._store(start_block, data)
+
+    def punch_holes(self, start_block: int, nblocks: int) -> None:
+        """Turn the stored all-zero blocks of the range back into holes.
+        Reads cannot tell the difference; a whole-disk recovery copy
+        uses it so the target stays as sparse as its source."""
+        self.geometry.check_extent(start_block, nblocks)
+        bs, zero = self.block_size, self._zero_block
+        end_block = start_block + nblocks
+        for start, data in self._overlapping(start_block, end_block):
+            first = max(start_block - start, 0)
+            last = min(end_block - start, len(data) // bs)
+            if data.find(zero, first * bs, last * bs) < 0:
+                continue        # dense data: no block's worth of zeros
+            run = None          # first block of the zero run being walked
+            for block in range(first, last + 1):
+                if block < last and data.startswith(zero, block * bs):
+                    if run is None:
+                        run = block
+                elif run is not None:
+                    self._store(start + run, bytes((block - run) * bs))
+                    run = None
+
+    # ------------------------------------------------------ the extent map
+    #
+    # The methods below are the only code that knows how the platter is
+    # represented. Their callers have range-checked the extent.
 
     def used_host_bytes(self) -> int:
         """Host memory consumed by the sparse store (for tests)."""
-        return len(self._blocks) * self.block_size
+        return sum(map(len, self._extents.values()))
+
+    def check_invariants(self) -> None:
+        """The map must be sorted, non-overlapping, on the disk, and
+        made of non-empty immutable whole-block extents."""
+        if self._starts != sorted(self._extents):
+            raise ConsistencyError("extent starts out of step with the map")
+        end = 0
+        for start in self._starts:
+            data = self._extents[start]
+            if (type(data) is not bytes or not data
+                    or len(data) % self.block_size):
+                raise ConsistencyError(
+                    f"extent at block {start} is not whole blocks of bytes")
+            if start < end:
+                raise ConsistencyError(f"extent at block {start} overlaps "
+                                       "its predecessor")
+            end = start + len(data) // self.block_size
+        if end > self.total_blocks:
+            raise ConsistencyError("an extent runs off the end of the disk")
+
+    def _overlapping(self, start_block: int, end_block: int) -> list:
+        """The stored ``(start, data)`` extents that intersect
+        ``[start_block, end_block)``, in address order."""
+        starts, extents = self._starts, self._extents
+        lo = bisect_right(starts, start_block) - 1
+        if lo < 0:
+            lo = 0
+        elif (starts[lo] + len(extents[starts[lo]]) // self.block_size
+                <= start_block):
+            lo += 1                 # the predecessor ends before the range
+        return [(s, extents[s])
+                for s in starts[lo:bisect_left(starts, end_block, lo)]]
+
+    def _load(self, start_block: int, nblocks: int) -> bytes:
+        """The bytes of a block range; holes read as zeros. A range that
+        is exactly one stored extent comes back as that very object."""
+        bs = self.block_size
+        data = self._extents.get(start_block)
+        if data is not None and len(data) == nblocks * bs:
+            return data
+        end_block = start_block + nblocks
+        parts = []
+        at = start_block
+        for start, data in self._overlapping(start_block, end_block):
+            if start > at:
+                parts.append(bytes((start - at) * bs))
+                at = start
+            upto = min(start + len(data) // bs, end_block)
+            parts.append(data[(at - start) * bs:(upto - start) * bs])
+            at = upto
+        if at < end_block:
+            parts.append(bytes((end_block - at) * bs))
+        return b"".join(parts)
+
+    def _store(self, start_block: int, data: bytes) -> None:
+        """Make ``data`` (whole blocks, immutable) the contents from
+        ``start_block``. An all-zero buffer stores nothing — over data
+        it punches a hole — so zeros never cost host memory; the
+        first-block test keeps file payloads from paying for the scan."""
+        bs = self.block_size
+        starts, extents = self._starts, self._extents
+        hole = data.startswith(self._zero_block) and data == bytes(len(data))
+        old = extents.get(start_block)
+        if old is not None and len(old) == len(data) and not hole:
+            extents[start_block] = data     # exact rewrite: one assignment
+            return
+        end_block = start_block + len(data) // bs
+        covered = self._overlapping(start_block, end_block)
+        # What stays: the parts of the first and last overlapped extents
+        # that stick out of the written range, and the new data between.
+        kept = []
+        if covered and covered[0][0] < start_block:
+            first, head = covered[0]
+            kept.append((first, head[:(start_block - first) * bs]))
+        if not hole:
+            kept.append((start_block, data))
+        if covered:
+            last, tail = covered[-1]
+            if last + len(tail) // bs > end_block:
+                kept.append((end_block, tail[(end_block - last) * bs:]))
+        for start, _ in covered:
+            del extents[start]
+        at = bisect_left(starts, covered[0][0] if covered else start_block)
+        starts[at:at + len(covered)] = [start for start, _ in kept]
+        extents.update(kept)
 
     # ------------------------------------------------------------ helpers
-
-    def _blocks_for(self, nbytes: int) -> int:
-        bs = self.block_size
-        return (nbytes + bs - 1) // bs
 
     def _trace(self, category: str, message: str, **fields) -> None:
         if self._tracer is not None:

@@ -25,6 +25,7 @@ All disk access goes through the :class:`~repro.nfs.buffercache.BufferCache`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from struct import Struct
 
 from ..disk import VirtualDisk
 from ..errors import (
@@ -50,6 +51,12 @@ _SB_MAGIC = 0xFF5FF5FF
 #: The root directory's inode number (inode 0 is reserved/invalid).
 ROOT_INUM = 1
 
+# On-disk records are big-endian 32-bit words: the superblock is magic +
+# ten fields; an inode is mode, size, generation, mtime, the direct
+# pointers, indirect and double-indirect, zero-padded to its 128 bytes.
+_SB_STRUCT = Struct(">11I")
+_INODE_STRUCT = Struct(f">{NDIRECT + 6}I{FFS_INODE_SIZE - 4 * (NDIRECT + 6)}x")
+
 
 @dataclass
 class Superblock:
@@ -65,19 +72,18 @@ class Superblock:
     cg_count: int
 
     def encode(self) -> bytes:
-        fields = (
+        return _SB_STRUCT.pack(
             _SB_MAGIC, self.fs_block_size, self.ninodes, self.inode_start,
             self.inode_blocks, self.bitmap_start, self.bitmap_blocks,
             self.data_start, self.data_blocks, self.maxbpg, self.cg_count,
         )
-        return b"".join(v.to_bytes(4, "big") for v in fields)
 
     @classmethod
     def decode(cls, data: bytes) -> "Superblock":
-        values = [int.from_bytes(data[i * 4:(i + 1) * 4], "big") for i in range(11)]
-        if values[0] != _SB_MAGIC:
-            raise ConsistencyError(f"not an FFS volume (magic {values[0]:#x})")
-        return cls(*values[1:])
+        magic, *values = _SB_STRUCT.unpack_from(data)
+        if magic != _SB_MAGIC:
+            raise ConsistencyError(f"not an FFS volume (magic {magic:#x})")
+        return cls(*values)
 
 
 @dataclass(slots=True)
@@ -91,31 +97,20 @@ class FFSInode:
     dindirect: int = 0
 
     def encode(self) -> bytes:
-        parts = [
-            self.mode.to_bytes(4, "big"),
-            self.size.to_bytes(4, "big"),
-            self.generation.to_bytes(4, "big"),
-            (self.mtime_ms & 0xFFFFFFFF).to_bytes(4, "big"),
-        ]
-        parts.extend(p.to_bytes(4, "big") for p in self.direct)
-        parts.append(self.indirect.to_bytes(4, "big"))
-        parts.append(self.dindirect.to_bytes(4, "big"))
-        blob = b"".join(parts)
-        return blob + bytes(FFS_INODE_SIZE - len(blob))
+        return _INODE_STRUCT.pack(
+            self.mode, self.size, self.generation,
+            self.mtime_ms & 0xFFFFFFFF, *self.direct,
+            self.indirect, self.dindirect,
+        )
 
     @classmethod
-    def decode(cls, data: bytes) -> "FFSInode":
-        words = [int.from_bytes(data[i * 4:(i + 1) * 4], "big")
-                 for i in range(FFS_INODE_SIZE // 4)]
-        return cls(
-            mode=words[0],
-            size=words[1],
-            generation=words[2],
-            mtime_ms=words[3],
-            direct=words[4:4 + NDIRECT],
-            indirect=words[4 + NDIRECT],
-            dindirect=words[5 + NDIRECT],
-        )
+    def decode(cls, data: bytes, offset: int = 0) -> "FFSInode":
+        """The inode stored at ``offset`` of ``data`` (an inode-table
+        block is decoded in place, without slicing the record out)."""
+        mode, size, generation, mtime_ms, *direct, indirect, dindirect = (
+            _INODE_STRUCT.unpack_from(data, offset))
+        return cls(mode, size, generation, mtime_ms, direct,
+                   indirect, dindirect)
 
 
 def encode_directory(entries: dict) -> bytes:
@@ -238,7 +233,7 @@ class FFS:
         self._check_inum(inum)
         fbn, offset = self._inode_block(inum)
         raw = yield from self.cache.read_block(fbn)
-        return FFSInode.decode(raw[offset:offset + FFS_INODE_SIZE])
+        return FFSInode.decode(raw, offset)
 
     def inode_write(self, inum: int, inode: FFSInode, sync: bool = True):
         """Process: store one inode (synchronous metadata by default)."""

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.nfs import (
     FFS,
+    FFSInode,
     BufferCache,
     FileHandle,
     MODE_DIR,
@@ -112,6 +113,37 @@ def test_cache_churn_evicts_deterministically(env):
 def test_directory_encoding_roundtrip():
     entries = {"alpha": 3, "beta": 77}
     assert decode_directory(encode_directory(entries)) == entries
+
+
+def _words(values) -> bytes:
+    """The codecs' format as it was first written down: one big-endian
+    32-bit word per field, joined."""
+    return b"".join(v.to_bytes(4, "big") for v in values)
+
+
+def test_ffs_codecs_are_byte_identical_to_the_per_word_encoding():
+    inode = FFSInode(mode=MODE_FILE, size=3 * MB + 17, generation=9,
+                     mtime_ms=(1 << 32) + 1234,  # wraps to 32 bits on disk
+                     direct=list(range(101, 113)), indirect=777,
+                     dindirect=0xFFFFFFFF)
+    old = _words([MODE_FILE, 3 * MB + 17, 9, 1234, *range(101, 113),
+                  777, 0xFFFFFFFF])
+    old += bytes(128 - len(old))
+    assert inode.encode() == old
+    decoded = FFSInode.decode(old)
+    assert decoded == FFSInode(mode=MODE_FILE, size=3 * MB + 17,
+                               generation=9, mtime_ms=1234,
+                               direct=list(range(101, 113)), indirect=777,
+                               dindirect=0xFFFFFFFF)
+    assert decoded.encode() == old
+    # Decoding in place from an inode-table block, as inode_read does.
+    assert FFSInode.decode(bytes(256) + old + bytes(128), 256) == decoded
+    assert FFSInode.decode(bytes(128)) == FFSInode()
+
+    sb = Superblock(8192, 128, 1, 2, 3, 1, 4, 4000, 12, 8)
+    old = _words([0xFF5FF5FF, 8192, 128, 1, 2, 3, 1, 4, 4000, 12, 8])
+    assert sb.encode() == old
+    assert Superblock.decode(old + bytes(8192 - len(old))) == sb
 
 
 def test_ffs_format_and_mount(env):
