@@ -12,7 +12,7 @@ cross-module knowledge (which functions are generator processes, which
 methods are opcode handlers, which tables feed which dispatchers, which
 functions hold which lock) supplied by a project-index pre-pass. A
 runtime companion — the Eraser-style lockset checker in
-:mod:`repro.analysis.runtime` — watches the interleavings the tests
+:mod:`repro.core.lockset` — watches the interleavings the tests
 actually execute (armed via ``REPRO_LOCKSET=1``).
 
 Shipped rules — see ``python -m repro.analysis --list-rules``:

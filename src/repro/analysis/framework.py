@@ -310,9 +310,9 @@ class StalePragmaRule(Rule):
     rationale = (
         "A stale `# repro: allow(...)` is a latent hole: the code it "
         "excused has moved or been fixed, and the pragma now silently "
-        "licenses the next regression on that line. PR 6's "
-        "de-processification left several behind; --strict-pragmas keeps "
-        "the set honest."
+        "licenses the next regression on that line. Turning "
+        "processes into `yield from` helpers left several behind; "
+        "--strict-pragmas keeps the set honest."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

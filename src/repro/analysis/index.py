@@ -637,7 +637,7 @@ class ProjectIndex:
         Seeded by generator functions; closed over ``return f(...)``
         forwarding, so a plain wrapper that returns a generator-returning
         call is itself something ``env.process`` must consume. S001 uses
-        this instead of ``is_generator`` so PR 6's delegation chains are
+        this instead of ``is_generator`` so delegation chains are
         judged by what they ultimately construct.
         """
         memo = self._memo.get("process_constructors")

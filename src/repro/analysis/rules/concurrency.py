@@ -1,6 +1,6 @@
 """L0xx lock-discipline rules: the static share of the concurrency suite.
 
-PR 5 gave the server FIFO-fair per-inode reader/writer locks
+The worker pool gave the server FIFO-fair per-inode reader/writer locks
 (:class:`repro.core.locks.FileLockTable`). Handlers take them through a
 ``with``-scoped :class:`~repro.core.locks.LockScope`, which releases on
 every edge out of the block, so most of the discipline holds by
@@ -83,11 +83,11 @@ class UnlockedSharedAccess(Rule):
     rationale = (
         "A field declared `# repro: guarded_by(<lock>)` is shared "
         "mutable server state; writing it without holding the lock is "
-        "exactly the torn-state race PR 5 fixed by hand. A writer must "
-        "open a scope on the lock, receive a grant from its caller, be a "
-        "boot/recovery context, or be reachable only from such "
-        "functions; the violation is reported at the root of the "
-        "unlocked path, where the fix belongs."
+        "exactly the torn-state race the lock plane exists to prevent. "
+        "A writer must open a scope on the lock, receive a grant from "
+        "its caller, be a boot/recovery context, or be reachable only "
+        "from such functions; the violation is reported at the root of "
+        "the unlocked path, where the fix belongs."
     )
 
     _cached: Optional[Tuple[ProjectIndex, Dict[str, List[Tuple[int, str]]]]] = None

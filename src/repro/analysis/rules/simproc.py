@@ -91,7 +91,7 @@ class UnyieldedProcess(Rule):
                 continue
             # Judge by what the call ultimately constructs, not by the
             # callee's own body: a plain wrapper that `return`s a
-            # generator-returning call (PR 6's de-processified helper
+            # generator-returning call (the de-processified helper
             # chains) drops the process just as surely as calling the
             # generator itself.
             if target.key not in ctx.index.process_constructors():

@@ -15,12 +15,7 @@ from .inode import INODE_SIZE, DiskDescriptor, Inode, InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable, LockGrant
 from .recovery import ScanReport, scan_volume
-from .replication import (
-    ReplicatedWrite,
-    check_p_factor,
-    replicated_file_write,
-    replicated_inode_write,
-)
+from .replication import check_p_factor
 from .server import OPCODES, BulletServer, VerifiedCapCache
 from .stats import ServerStats
 
@@ -44,10 +39,7 @@ __all__ = [
     "LockGrant",
     "ScanReport",
     "scan_volume",
-    "ReplicatedWrite",
     "check_p_factor",
-    "replicated_file_write",
-    "replicated_inode_write",
     "OPCODES",
     "BulletServer",
     "VerifiedCapCache",

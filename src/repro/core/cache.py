@@ -53,9 +53,9 @@ class Rnode:
 class CacheStats(RegistryStats):
     """Cache accounting, backed by the observability registry.
 
-    The cache is the *only* writer of hits/misses/lookups (PR 4 fixed a
-    double count where the server bumped these directly alongside
-    :meth:`BulletCache.lookup`); every probe goes through
+    The cache is the *only* writer of hits/misses/lookups (the server
+    once bumped these directly alongside :meth:`BulletCache.lookup` and
+    double counted); every probe goes through
     :meth:`BulletCache.lookup` or :meth:`BulletCache.probe_slot`, so
     ``hits + misses == lookups`` is a checked conservation invariant.
     """

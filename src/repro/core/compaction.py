@@ -49,8 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConsistencyError, NoSpaceError, ReproError
-from ..sim import AllOf
-from .replication import replicated_inode_write
 from .server import BulletServer
 
 __all__ = ["CompactionReport", "compact_disk", "nightly_compaction"]
@@ -164,7 +162,6 @@ def _copy_flip(server: BulletServer, number: int, inode, src: int,
     """Process: one abandonable hop from ``src`` to a *disjoint*,
     already-claimed ``dst``. Unwinds the claim and re-raises if a
     replica errors before the flip."""
-    env = server.env
     if abs(src - dst) < blocks:
         raise ConsistencyError(
             f"compaction hop [{src},{src + blocks}) -> [{dst},{dst + blocks}) "
@@ -175,10 +172,7 @@ def _copy_flip(server: BulletServer, number: int, inode, src: int,
         # Copy: the relocated extent becomes durable on every live
         # replica while the old extent and the on-disk inode still
         # describe the old location — an abort here loses nothing.
-        writes = [disk.write(dst, data)
-                  for disk in server.mirror.live_disks]
-        server.mirror.resync_note(dst, len(data), writes)
-        yield AllOf(env, writes)
+        yield server.mirror.write(dst, data)
     except ReproError:
         server.disk_free.free(dst, blocks)
         raise
@@ -189,10 +183,8 @@ def _copy_flip(server: BulletServer, number: int, inode, src: int,
     inode.start_block = dst
     inode_block = server.table.block_of_inode(number)
     try:
-        yield replicated_inode_write(
-            env, server.mirror, inode_block,
-            server.table.encode_block(inode_block)
-        )
+        yield server.mirror.write(
+            inode_block, server.table.encode_block(inode_block))
     finally:
         # Even if the write-through errored, RAM state (inode + free
         # map) must stay self-consistent: the file now lives at dst.

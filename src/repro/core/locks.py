@@ -39,11 +39,11 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Tuple
 
-from ..analysis.runtime import active_checker
 from ..errors import ConsistencyError, DeadlockError
 from ..obs import MetricsRegistry
 from ..sim import Environment, Event
 from ..sim.core import Process
+from .lockset import active_checker
 
 __all__ = ["LockGrant", "LockScope", "FileLockTable"]
 

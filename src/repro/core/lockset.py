@@ -24,9 +24,10 @@ by default: production and benchmark runs pay only a per-hook
 ``REPRO_LOCKSET=1`` (see ``tests/conftest.py``); CI runs the whole
 tier-1 suite that way at ``workers=4``.
 
-This module is imported by :mod:`repro.core.locks` and therefore must
-stay dependency-light: nothing here may import the analysis framework,
-the engine, or any rule module.
+The hooks live here, beside the lock table that calls them, and not in
+:mod:`repro.analysis`: the server must not import its linter to run
+(``tests/test_public_api.py`` pins that ``import repro`` loads no
+``repro.analysis`` module).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..analysis.runtime import active_checker
 from ..capability import (
     Capability,
     RIGHT_DELETE,
@@ -55,8 +54,9 @@ from .freelist import ExtentFreeList
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
+from .lockset import active_checker
 from .recovery import ScanReport, scan_volume
-from .replication import check_p_factor, replicated_file_write, replicated_inode_write
+from .replication import check_p_factor
 from .stats import ServerStats
 
 __all__ = ["BulletServer", "VerifiedCapCache", "OPCODES"]
@@ -288,14 +288,10 @@ class BulletServer(RpcService):
             yield self.env.timeout(size * cpu.memcpy_per_byte)
             # Write-through: data extent then inode block, per replica.
             inode_block = self.table.block_of_inode(number)
-            replicated = replicated_file_write(
-                self.env, self.mirror,
-                data_block=start_block if blocks else None,
-                data=data,
-                inode_block=inode_block,
-                inode_block_bytes=self.table.encode_block(inode_block),
-                p_factor=p_factor,
-            )
+            extents = [(start_block, data)] if blocks else []
+            extents.append(
+                (inode_block, self.table.encode_block(inode_block)))
+            durable, writes = self.mirror.write_ordered(extents, p_factor)
             # Start the aging clock while this handler still owns the
             # write grant: a TOUCH or AGE sweep can only see the entry
             # after taking the lock.
@@ -305,10 +301,10 @@ class BulletServer(RpcService):
             # and accounts any background replica failure (satellite fix:
             # p=0 used to drop those on the floor).
             settle = self.env.process(
-                self._settle_create(number, lock.grant, replicated.writes))
+                self._settle_create(number, lock.grant, writes))
             lock.detach(settle)
             if p_factor > 0:
-                yield replicated.durable
+                yield durable
         self.stats.creates += 1
         self.stats.bytes_created += size
         if self._tracer is not None:
@@ -426,9 +422,8 @@ class BulletServer(RpcService):
         if checker is not None:
             checker.reset((f"{self.name}._lives", number))
         inode_block = self.table.block_of_inode(number)
-        yield replicated_inode_write(
-            self.env, self.mirror, inode_block, self.table.encode_block(inode_block)
-        )
+        yield self.mirror.write(
+            inode_block, self.table.encode_block(inode_block))
 
     def modify(self, cap: Capability, offset: int, delete_bytes: int,
                insert_data: bytes, p_factor: Optional[int] = None):
@@ -613,7 +608,7 @@ class BulletServer(RpcService):
         """Cache probe via the inode's index field. The accounting lives
         in :meth:`~repro.core.cache.BulletCache.probe_slot` — the cache
         is the only writer of its hit/miss counters, so the server
-        cannot double count (the PR 4 bugfix)."""
+        cannot double count."""
         return self.cache.probe_slot(number, inode.index)
 
     def _load_from_disk(self, number: int, inode):
@@ -644,7 +639,7 @@ class BulletServer(RpcService):
 
     def _note_lives_access(self, number: int) -> None:
         """Feed one ``_lives`` mutation to the runtime lockset checker
-        (no-op unless a checker is active — see repro.analysis.runtime).
+        (no-op unless a checker is active — see repro.core.lockset).
         Every caller writes, so the access is always recorded as one."""
         checker = active_checker()
         if checker is not None:

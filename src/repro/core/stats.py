@@ -1,10 +1,10 @@
 """Operation statistics for the Bullet server.
 
-Since the observability plane (PR 4), the counters live in a
-:class:`~repro.obs.MetricsRegistry` — ``ServerStats`` is a facade over
-registry counters (``repro_server_<field>_total{server=...}``), so the
-values reported by ``std_status``, the Prometheus/JSON exporters, and
-the bench emitter are one and the same.
+The counters live in a :class:`~repro.obs.MetricsRegistry` —
+``ServerStats`` is a facade over registry counters
+(``repro_server_<field>_total{server=...}``), so the values reported by
+``std_status``, the Prometheus/JSON exporters, and the bench emitter are
+one and the same.
 """
 
 from __future__ import annotations

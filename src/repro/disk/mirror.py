@@ -131,18 +131,44 @@ class MirroredDiskSet:
         # Snapshot and pad once: every replica stores this one object.
         data = pad_to_block(data, self.block_size)
         writes = [disk.write(start_block, data) for disk in live]
-        self.resync_note(start_block, len(data), writes)
+        self._resync_note(start_block, len(data), writes)
         return CountOf(self.env, writes, need=need)
 
-    def resync_note(self, start_block: int, nbytes: int,
-                    events: Sequence[Event]) -> None:
+    def write_ordered(self, extents: Sequence[tuple[int, bytes]],
+                      need: int) -> tuple[Event, list[Event]]:
+        """Write ``(start_block, data)`` extents to every live replica,
+        each replica taking them strictly in order: one is durable
+        before the next starts, so a crash leaves a prefix (CREATE's
+        data extent, then the inode block that points at it — never an
+        inode pointing at garbage).
+
+        Returns ``(durable, writes)``: ``durable`` fires once ``need``
+        replicas hold every extent (at once for ``need == 0``), and
+        ``writes`` are the per-replica write processes, so the caller
+        can watch the stragglers that keep writing in the background
+        past the quorum.
+        """
+        # Snapshot and pad once: every replica stores these objects.
+        extents = [(start_block, pad_to_block(data, self.block_size))
+                   for start_block, data in extents]
+        writes = [self.env.process(self._write_extents(disk, extents))
+                  for disk in self.live_disks]
+        for start_block, data in extents:
+            self._resync_note(start_block, len(data), writes)
+        return CountOf(self.env, writes, need=min(need, len(writes))), writes
+
+    @staticmethod
+    def _write_extents(disk: VirtualDisk, extents):
+        """Process: one replica's share of :meth:`write_ordered`."""
+        for start_block, data in extents:
+            yield disk.write(start_block, data)
+
+    def _resync_note(self, start_block: int, nbytes: int,
+                     events: Sequence[Event]) -> None:
         """Log a replica write so an active recovery re-copies its
-        extent (no-op when no recovery is streaming). :meth:`write`
-        logs itself; callers that write the replicas *directly* — the
-        replicated CREATE path, compaction's extent copy — must call
-        this with events that complete no earlier than the underlying
-        disk writes (the per-disk write events, or the processes that
-        issued them)."""
+        extent (no-op when no recovery is streaming). ``events`` must
+        complete no earlier than the underlying disk writes (the
+        per-disk write events, or the processes that issued them)."""
         if self._resync_dirty is not None and nbytes > 0:
             nblocks = -(-nbytes // self.block_size)
             self._resync_dirty.append((start_block, nblocks, list(events)))

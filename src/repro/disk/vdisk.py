@@ -89,8 +89,8 @@ class VirtualDisk:
         self.block_size = profile.block_size
         self.total_blocks = self.geometry.total_blocks
         self.stats = DiskStats(metrics, disk=name)
-        # Direct counter handles for the service loop and the analytic
-        # fast path (the facade costs a getattr+setattr per bump).
+        # Direct counter handles for the service loop (the facade costs
+        # a getattr+setattr per bump).
         self._c_reads = self.stats.handle("reads")
         self._c_writes = self.stats.handle("writes")
         self._c_blocks_read = self.stats.handle("blocks_read")
@@ -115,11 +115,6 @@ class VirtualDisk:
         self._slowdown = 1.0
         self._flaky_blocks: set[int] = set()
         self._op_hooks: list[Callable[[str], None]] = []
-        # True while an analytically collapsed operation occupies the
-        # arm (its completion is on the heap but the serve loop never
-        # saw it). Submissions arriving then are parked in the queue
-        # without a wakeup token; its completion replays the tokens.
-        self._fast_inflight = False
         self._server = env.process(self._serve())
 
     # ------------------------------------------------------------ state
@@ -221,11 +216,9 @@ class VirtualDisk:
             return completion
         # The one range check of the operation: the cylinders, the
         # access time and the raw plane below all trust it.
-        geometry = self.geometry
-        geometry.check_extent(start_block, nblocks)
-        env = self.env
-        per_cyl = geometry.blocks_per_cylinder
-        req = _DiskRequest(
+        self.geometry.check_extent(start_block, nblocks)
+        per_cyl = self.geometry.blocks_per_cylinder
+        self._queue.push(_DiskRequest(
             kind=kind,
             start_block=start_block,
             nblocks=nblocks,
@@ -233,41 +226,8 @@ class VirtualDisk:
             completion=completion,
             cylinder=start_block // per_cyl,
             last_cylinder=(start_block + max(nblocks - 1, 0)) // per_cyl,
-        )
-        if (not self._fast_inflight
-                and len(self._queue) == 0
-                and len(self._wakeups) == 0
-                and self._wakeups.waiting == 1):
-            # The arm is provably idle (serve loop parked on its wakeup
-            # store, nothing queued). Collapse the whole operation —
-            # wakeup, seek+rotate+transfer timeout, completion — into
-            # one scheduled event when nothing else can observe the
-            # interval (see sim.core.can_collapse). Only *when time
-            # passes* is decided here: what happens at that instant is
-            # the serve loop's own _complete, run as the completion
-            # event's first callback.
-            duration = geometry.span_time(
-                self._current_cylinder, req.cylinder, req.last_cylinder,
-                nblocks
-            ) * self._slowdown
-            end = env.now + duration
-            if env.can_collapse(end):
-                def finish(_completion: Event) -> None:
-                    self._complete(req, duration)
-                    # Release the arm and hand any parked submissions
-                    # to the serve loop (one token per queued request,
-                    # as the queued path deposits at submit time).
-                    self._fast_inflight = False
-                    for _ in range(len(self._queue)):
-                        self._wakeups.put(None)
-
-                completion.callbacks.append(finish)
-                self._fast_inflight = True
-                env.schedule_at(completion, end)
-                return completion
-        self._queue.push(req)
-        if not self._fast_inflight:
-            self._wakeups.put(None)
+        ))
+        self._wakeups.put(None)
         return completion
 
     def _serve(self):
@@ -285,24 +245,19 @@ class VirtualDisk:
             self._complete(req, duration)
 
     def _complete(self, req: _DiskRequest, duration: float) -> None:
-        """The arm finished ``req`` after ``duration`` seconds: the
-        single completion body, run by the serve loop after its
-        access-time timeout and, for an analytically collapsed
-        operation, from the completion event's own dispatch at the
-        identical instant."""
+        """The arm finished ``req`` after ``duration`` seconds."""
         start_block, nblocks = req.start_block, req.nblocks
         if req.cylinder != self._current_cylinder:
             self._c_seeks.inc(1)
         self._current_cylinder = req.last_cylinder
         self._c_busy_time.inc(duration)
         if self._failed:
-            self._settle(req.completion, False, DiskIOError(
-                f"{self.name} died mid-operation"))
+            req.completion.fail(DiskIOError(f"{self.name} died mid-operation"))
             return
         if self._flaky_extent(start_block, nblocks):
             self._trace("fault", f"{self.name} media error",
                         block=start_block, n=nblocks)
-            self._settle(req.completion, False, DiskIOError(
+            req.completion.fail(DiskIOError(
                 f"{self.name} unrecoverable media error in blocks "
                 f"[{start_block}, {start_block + nblocks})"
             ))
@@ -314,7 +269,7 @@ class VirtualDisk:
             if self._tracer is not None:
                 self._trace("disk", f"{self.name} read",
                             block=start_block, n=nblocks)
-            self._settle(req.completion, True, payload)
+            req.completion.succeed(payload)
         else:
             if req.data is None:
                 raise ConsistencyError("write request carries no data")
@@ -324,26 +279,12 @@ class VirtualDisk:
             if self._tracer is not None:
                 self._trace("disk", f"{self.name} write",
                             block=start_block, n=nblocks)
-            self._settle(req.completion, True, None)
+            req.completion.succeed(None)
         # Completion hooks run after the op is accounted, so a
         # write-count fault armed for the Nth write kills the disk
         # with the Nth write durable and nothing after it.
         for hook in list(self._op_hooks):
             hook(req.kind)
-
-    def _settle(self, completion: Event, ok: bool, value) -> None:
-        """Give ``completion`` its outcome. A queued operation triggers
-        it like any event (one heap hop to the waiter). An analytic
-        operation's completion is already on the heap — it is the event
-        being dispatched right now — so the outcome is written in place
-        for the callbacks that follow (``succeed`` would re-schedule)."""
-        if self._fast_inflight:
-            completion._ok = ok
-            completion._value = value
-        elif ok:
-            completion.succeed(value)
-        else:
-            completion.fail(value)
 
     # --------------------------------------------------------- raw plane
 

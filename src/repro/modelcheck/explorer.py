@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..analysis.runtime import activate, active_checker, deactivate
+from ..core.lockset import activate, active_checker, deactivate
 from ..errors import ConsistencyError
 from ..sim.rng import SeededStream
 from .rig import CheckRig, InvariantViolation, Scope, TransitionRecord, check_scope

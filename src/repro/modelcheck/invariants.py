@@ -14,7 +14,7 @@ Executable translations of the spec obligations:
 * **locks** — the lock plane's structural safety
   (:meth:`FileLockTable.check_invariants`: no reader/writer overlap, no
   released grant held, waits-for acyclic), cross-checked at runtime by
-  the PR 7 Eraser-style lockset checker and the deadlock detector
+  the Eraser-style lockset checker and the deadlock detector
   (their reports are converted to violations by the rig), plus the
   leaked-grant check at quiesced leaves.
 * **linearizability** — checked as completed-op outcomes arrive in

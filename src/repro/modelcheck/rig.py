@@ -31,18 +31,18 @@ from dataclasses import asdict, dataclass, field, replace
 from hashlib import sha256
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.runtime import (
+from ..capability import Capability
+from ..client import BulletClient
+from ..core import BulletServer
+from ..core.compaction import compact_disk
+from ..core.inode import InodeTable
+from ..core.lockset import (
     LocksetChecker,
     RaceReport,
     activate,
     active_checker,
     deactivate,
 )
-from ..capability import Capability
-from ..client import BulletClient
-from ..core import BulletServer
-from ..core.compaction import compact_disk
-from ..core.inode import InodeTable
 from ..disk import MirroredDiskSet, VirtualDisk
 from ..errors import (
     ConsistencyError,

@@ -522,7 +522,7 @@ class RpcService:
         """The single error-accounting chokepoint: every error reply any
         server sends is marshalled and counted here
         (``repro_server_error_replies_total``), so no serve loop can
-        marshal an error without counting it (the PR 4 bugfix)."""
+        marshal an error without counting it."""
         status = exc.status.name
         counter = self._error_counters.get(status)
         if counter is None:

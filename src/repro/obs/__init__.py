@@ -1,4 +1,4 @@
-"""repro.obs — the deterministic observability plane (PR 4 tentpole).
+"""repro.obs — the deterministic observability plane.
 
 The paper's evaluation (§4) is entirely measured delays and bandwidths;
 this package is the measurement substrate the reproduction uses to

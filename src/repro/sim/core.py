@@ -39,7 +39,8 @@ to permute.
 * :meth:`Environment.try_finish_now` — completes a freshly created event
   synchronously instead of routing it through the heap, legal only when
   the event has no observers (no callbacks) *and* nothing else can run
-  at the current instant, so no other process can interleave.
+  at the current instant, so no other process can interleave. The lock
+  table's uncontended grant (``core/locks.py``) is the one caller.
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
@@ -52,11 +53,13 @@ to permute.
   ticket (the eid that breaks ties) is taken when the reference would
   have pushed that event, which may be long before the push itself, so
   it sorts against every other event exactly as in the reference. The
-  shared Ethernet's medium ledger (``net/ethernet.py``) and the disk's
-  analytic operation (``disk/vdisk.py``) are the callers.
+  shared Ethernet's medium ledger (``net/ethernet.py``) is the one
+  caller.
 
-A fast path decides *when time passes*; it never re-implements *what
-happens* — callers route both kernels through the same completion code.
+Which paths exist is decided by measured traffic, not by what can be
+proved exact: each one is an exactness proof to keep, so it stays only
+while the counts of EXPERIMENTS.md E14 show the benchmark workloads and
+the committed experiments taking it.
 
 "Nothing else can run at the current instant" is three conditions,
 centralized in :meth:`Environment.can_collapse`: the next heap entry
@@ -77,8 +80,8 @@ One documented obligation on callers: an event completed through
 :meth:`~Environment.try_finish_now` must be yielded before the caller
 performs any priority-0 scheduling (i.e. :meth:`Process.interrupt`),
 because the reference execution would deliver such an interrupt before
-the caller's resumption. Every resource/lock/store path in this tree
-yields immediately, so the obligation is structural.
+the caller's resumption. Lock grants are taken as ``with ... as lock:
+yield lock.grant``, so the obligation is structural.
 
 Every fast path is exact: it fires only when the reference execution
 would have performed the identical state transitions in the identical
@@ -561,9 +564,7 @@ class Environment:
         fresh one when None; returned either way). Absolute, because
         the instant is usually a left fold of several hops and
         ``now + (when - now)`` is not ``when`` in floats. The event
-        keeps whatever outcome it has — an owner that decides the
-        outcome at dispatch writes it in place from the event's first
-        callback."""
+        is dispatched as it is: pushing it gives it no outcome."""
         if when < self._now:
             raise ValueError(f"when={when} is in the past (now={self._now})")
         if ticket is None:
@@ -604,8 +605,8 @@ class Environment:
         heap). Nor may the running ``run(until=event)`` have seen its
         event fire: its caller observes the world as soon as the
         dispatch in progress ends. Pass ``end == now`` for point-in-time
-        collapses (immediate grants); pass a later ``end`` for
-        closed-form busy segments (network transfers, disk operations).
+        collapses (a zero-delay hop); pass a later ``end`` for
+        closed-form busy segments (network transfers).
         """
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
@@ -620,8 +621,8 @@ class Environment:
         :meth:`can_collapse` holds for the current instant (so the
         reference execution would pop this event next with no
         intervening work). Callers fall back to ``event.succeed(value)``
-        on False. Immediate resource grants, store gets, and uncontended
-        lock grants use this to skip the heap round-trip.
+        on False. Uncontended lock grants use this to skip the heap
+        round-trip.
         """
         if (self._tie_hook is None and self._solo and not event.callbacks
                 and (not self._heap or self._heap[0][0] > self._now)

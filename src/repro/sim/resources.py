@@ -1,10 +1,11 @@
 """Shared-resource primitives for the simulation kernel.
 
 * :class:`Resource` — a counted resource with a FIFO wait queue. The
-  simulated Ethernet (one transmission at a time) and each disk arm
-  (one seek/transfer at a time) are ``Resource(capacity=1)``.
+  reference Ethernet's medium (one transmission at a time) and each
+  direction of the WAN gateway are ``Resource(capacity=1)``.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``; the
-  RPC layer's per-port request queues are Stores.
+  RPC layer's per-port request queues and each disk arm's wakeups are
+  Stores.
 """
 
 from __future__ import annotations
@@ -60,10 +61,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            # Immediate grant: complete in place when nothing else can
-            # run at this instant (exact; see sim.core docstring).
-            if not self.env.try_finish_now(req, req):
-                req.succeed(req)
+            req.succeed(req)
         else:
             self._queue.append(req)
         return req
@@ -76,11 +74,7 @@ class Resource:
         if self._queue:
             nxt = self._queue.popleft()
             self._users.add(nxt)
-            # try_finish_now declines whenever the waiter already
-            # registered a callback (the common suspended-process case),
-            # falling back to the scheduled hand-off.
-            if not self.env.try_finish_now(nxt, nxt):
-                nxt.succeed(nxt)
+            nxt.succeed(nxt)
 
     def cancel(self, request: Request) -> None:
         """Withdraw a queued request that has not been granted yet."""
@@ -107,17 +101,10 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting(self) -> int:
-        """Number of getters currently blocked on an empty store."""
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes the oldest waiting getter, if any."""
         if self._getters:
-            getter = self._getters.popleft()
-            if not self.env.try_finish_now(getter, item):
-                getter.succeed(item)
+            self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
 
@@ -125,9 +112,7 @@ class Store:
         """An event that fires with the next item."""
         event = Event(self.env)
         if self._items:
-            item = self._items.popleft()
-            if not self.env.try_finish_now(event, item):
-                event.succeed(item)
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event

@@ -92,7 +92,7 @@ def _runtime_lockset():
     if os.environ.get("REPRO_LOCKSET") != "1":
         yield
         return
-    from repro.analysis.runtime import LocksetChecker, activate, deactivate
+    from repro.core.lockset import LocksetChecker, activate, deactivate
 
     activate(LocksetChecker())
     try:

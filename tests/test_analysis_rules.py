@@ -209,7 +209,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 SCENARIO = """\
 from repro import (DEFAULT_TESTBED, BulletServer, Environment,
                    MirroredDiskSet, VirtualDisk, run_process)
-from repro.analysis.runtime import LocksetChecker, activate
+from repro.core.lockset import LocksetChecker, activate
 
 activate(LocksetChecker())
 env = Environment()

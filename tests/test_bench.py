@@ -300,9 +300,10 @@ def test_kernel_private_state_stays_inside_repro_sim():
     """``can_collapse`` / ``try_finish_now`` / ``peek`` are the whole
     fast-path legality surface and ``ticket`` / ``schedule_at`` /
     ``finish_inline`` the whole analytic-segment surface: no module
-    outside ``repro/sim/`` reads the kernel's private switches or
-    reaches into its heap, so no layer can re-derive (and get wrong)
-    when a collapse is legal or how events are ordered."""
+    outside ``repro/sim/`` reads the kernel's private switches, reaches
+    into its heap or writes an event's outcome in place, so no layer can
+    re-derive (and get wrong) when a collapse is legal, how events are
+    ordered or what a waiter is resumed with."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     #: The model checker's state key counts pending events.
     allowed = {("modelcheck/rig.py", "_heap")}
@@ -313,7 +314,24 @@ def test_kernel_private_state_stays_inside_repro_sim():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
         and node.attr in ("fast", "_solo", "_tie_hook", "_stop",
-                          "_schedule", "_heap", "_eid")
+                          "_schedule", "_heap", "_eid",
+                          "_ok", "_value", "_defused")
         and (path.relative_to(src).as_posix(), node.attr) not in allowed
+    ]
+    assert not findings, "\n".join(findings)
+
+
+def test_core_writes_replicas_through_the_mirror_only():
+    """A replica write issued disk by disk has to remember to tell a
+    streaming recovery about it, or the copy clobbers it with a stale
+    snapshot (the model checker's repair-race bug). ``repro/core/``
+    cannot forget: it never names the replicas or the recovery log, so
+    every write it makes is ``mirror.write`` / ``mirror.write_ordered``."""
+    core = Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
+    findings = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(core.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "live_disks" in line or "resync_note" in line
     ]
     assert not findings, "\n".join(findings)

@@ -4,6 +4,7 @@ recovery, and consistency checking."""
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.capability import (
     RIGHT_READ,
     restrict,
 )
+from repro.client import BulletClient
 from repro.core import BulletServer, scan_volume
 from repro.errors import (
     BadRequestError,
@@ -26,6 +28,8 @@ from repro.errors import (
     RightsError,
     ServerDownError,
 )
+from repro.net import Ethernet, RpcTransport
+from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, run_process
 from repro.units import KB, MB
 
@@ -164,6 +168,62 @@ def test_server_restrict(env, bullet):
     reader = call(env, bullet.restrict_cap(both, RIGHT_READ))
     assert reader.rights == RIGHT_READ
     assert call(env, bullet.read(reader)) == b"x"
+
+
+#: Every operation that takes a capability: (name, rights it demands,
+#: further arguments, planes it exists on). TOUCH has no opcode, and the
+#: local ``status()`` takes no capability. Two mutants of the real
+#: server passed all of tier-1 before this table existed: ``size`` and
+#: ``touch`` with their ``_check`` removed (DESIGN.md §11).
+_CAP_OPS = [
+    ("read", RIGHT_READ, (), "local rpc"),
+    ("size", RIGHT_READ, (), "local rpc"),
+    ("delete", RIGHT_DELETE, (), "local rpc"),
+    ("modify", RIGHT_READ | RIGHT_MODIFY, (0, 0, b"+"), "local rpc"),
+    ("restrict", 0, (RIGHT_READ,), "local rpc"),
+    ("touch", 0, (), "local"),
+    ("stat", 0, (), "rpc"),
+]
+
+
+@pytest.mark.parametrize("attack", ["forged", "reincarnated", "stripped"])
+@pytest.mark.parametrize("op, demands, args, planes", _CAP_OPS,
+                         ids=[row[0] for row in _CAP_OPS])
+def test_every_capability_taking_operation_checks_it(
+        env, op, demands, args, planes, attack):
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    bullet = make_bullet(env, transport=rpc)
+    client = BulletClient(env, rpc, bullet.port)
+    operations = []
+    if "local" in planes:
+        operations.append(
+            getattr(bullet, "restrict_cap" if op == "restrict" else op))
+    if "rpc" in planes:
+        operations.append(getattr(client, op))
+    owner = call(env, bullet.create(b"payload", p_factor=1))
+    if attack == "forged":
+        presented, error = replace(owner, check=owner.check ^ 1), CapabilityError
+    elif attack == "reincarnated":
+        # The inode number lives on under a fresh secret: the dead
+        # file's capability must not open its successor.
+        presented, error = owner, CapabilityError
+        call(env, bullet.delete(owner))
+        owner = call(env, bullet.create(b"payload", p_factor=1))
+        assert owner.object == presented.object
+    else:
+        # Genuine, but without the rights this operation demands. One
+        # that demands none serves a capability that carries none.
+        presented = restrict(owner, ALL_RIGHTS & ~demands if demands else 0)
+        error = RightsError if demands else None
+    for operation in operations:
+        if error is None:
+            call(env, operation(presented, *args))
+        else:
+            with pytest.raises(error):
+                call(env, operation(presented, *args))
+    # Refused means refused: the object is as its owner left it.
+    assert call(env, bullet.read(owner)) == b"payload"
+    assert bullet.table.live_count == 1
 
 
 # -------------------------------------------------------------- P-FACTOR

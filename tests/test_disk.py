@@ -407,34 +407,65 @@ def test_failed_disk_rejects_new_requests():
     assert run_process(env, proc()) == "io-error"
 
 
-# One completion body, two ways of reaching it: an idle arm collapses
-# the whole operation into its completion event (analytic path), a
-# contended instant sends it through the serve loop (queued path). Each
-# op is (kind, block, nblocks-or-data, what to do to the disk 0.1 ms in);
-# a scenario is (write-count fault to arm, ops, expected outcomes).
-_DRIFT_SCENARIOS = {
+# The arm under faults. Each op is (kind, block, nblocks-or-data, what
+# to do to the disk 0.1 ms in); a scenario is (write-count fault to arm,
+# ops, then what must come out: one outcome per submitted op — the value
+# or the error message — the counters, the completion-hook calls, the
+# trace and the heap entries pushed: three per operation the arm served
+# (wakeup, access time, completion), one per refusal by a dead disk).
+def _hooked(*kinds):
+    """What two bracketing op hooks record for these completed ops."""
+    return [(which, kind) for kind in kinds for which in ("first", "last")]
+
+
+_ZERO = bytes(512)
+_ARM_SCENARIOS = {
     "read, write": (None, [
         ("write", 0, b"a" * 1024, None), ("read", 0, 2, None),
         ("read", 2048, 4, None), ("write", 2049, b"b" * 512, None),
-        ("read", 2048, 4, None)], "ok ok ok ok ok"),
+        ("read", 2048, 4, None)],
+        [None, b"a" * 1024, _ZERO * 4, None,
+         _ZERO + b"b" * 512 + _ZERO * 2],
+        dict(reads=3, writes=2, blocks_read=10, blocks_written=3, seeks=1),
+        _hooked("write", "read", "read", "write", "read"),
+        ["d0 write", "d0 read", "d0 read", "d0 write", "d0 read"], 15),
     "write-count fault fires on the 2nd write": (2, [
         ("write", 0, b"a" * 512, None), ("read", 0, 1, None),
         ("write", 8, b"b" * 512, None), ("write", 16, b"c" * 512, None),
-        ("read", 8, 1, None)], "ok ok ok error error"),
+        ("read", 8, 1, None)],
+        [None, b"a" * 512, None, "d0 is dead", "d0 is dead"],
+        dict(reads=1, writes=2, blocks_read=1, blocks_written=2, seeks=0),
+        # The fault fires inside the 2nd write's hooks: that write is
+        # durable and accounted, nothing after it reaches the platter.
+        _hooked("write", "read")
+        + [("first", "write"), ("fault fired",), ("last", "write")],
+        ["d0 write", "d0 read", "d0 write", "d0 failed: armed"], 11),
     "flaky extent": (None, [
         ("flaky", 40, 2, None), ("read", 38, 4, None),
         ("write", 41, b"a" * 512, None), ("read", 0, 1, None)],
-        "error error ok"),
+        ["d0 unrecoverable media error in blocks [38, 42)",
+         "d0 unrecoverable media error in blocks [41, 42)", _ZERO],
+        dict(reads=1, writes=0, blocks_read=1, blocks_written=0, seeks=0),
+        _hooked("read"),
+        ["d0 media error", "d0 media error", "d0 read"], 9),
     "fail() mid-operation": (None, [
         ("write", 0, b"a" * 512, "fail"), ("read", 0, 1, None)],
-        "error error"),
+        ["d0 died mid-operation", "d0 is dead"],
+        dict(reads=0, writes=0, blocks_read=0, blocks_written=0, seeks=0),
+        [], ["d0 failed: meddled"], 4),
     "fail() + repair() before completion": (None, [
         ("write", 0, b"a" * 512, "fail+repair"), ("read", 0, 1, None)],
-        "ok ok"),
+        [None, b"a" * 512],
+        dict(reads=1, writes=1, blocks_read=1, blocks_written=1, seeks=0),
+        _hooked("write", "read"),
+        ["d0 failed: meddled", "d0 repaired", "d0 write", "d0 read"], 6),
 }
 
 
-def _drive_disk(arm_after_writes, ops, contended):
+@pytest.mark.parametrize("scenario", _ARM_SCENARIOS)
+def test_arm_under_faults(scenario):
+    (arm_after_writes, ops, outcomes, counters, hooked, traced,
+     events) = _ARM_SCENARIOS[scenario]
     env = Environment()
     tracer = Tracer(env)
     disk = VirtualDisk(env, SMALL, name="d0", tracer=tracer)
@@ -446,50 +477,40 @@ def _drive_disk(arm_after_writes, ops, contended):
             disk, arm_after_writes, "armed",
             on_fire=lambda: hook_calls.append(("fault fired",)))
     disk.add_op_hook(lambda kind: hook_calls.append(("last", kind)))
-    outcomes = []
-    submitted = 0
+    seen, ended = [], []
     scheduled = env.events_scheduled
     for kind, block, arg, meddle in ops:
         if kind == "flaky":
             disk.mark_flaky(block, arg)
             continue
-        if contended:
-            # A same-instant event: collapsing the interval is illegal.
-            env.timeout(0.0)
-            scheduled += 1
         done = (disk.read(block, arg) if kind == "read"
                 else disk.write(block, arg))
-        submitted += 1
         if meddle:
             env.run(until=env.now + 1e-4)
             disk.fail("meddled")
             if meddle == "fail+repair":
                 disk.repair()
         try:
-            outcomes.append(("ok", env.run(until=done), env.now))
+            seen.append(env.run(until=done))
         except DiskIOError as exc:
-            outcomes.append(("error", str(exc), env.now))
+            seen.append(str(exc))
+        ended.append(env.now)
         env.run()
-    return {
-        "outcomes": outcomes,
-        "stats": disk.stats.snapshot(),
-        "hook calls": hook_calls,
-        "trace": tracer.records,
-        "failed": disk.failed,
-    }, (env.events_scheduled - scheduled) / submitted
-
-
-@pytest.mark.parametrize("scenario", _DRIFT_SCENARIOS)
-def test_analytic_and_queued_disk_operations_do_not_drift(scenario):
-    arm_after_writes, ops, expected = _DRIFT_SCENARIOS[scenario]
-    analytic, analytic_cost = _drive_disk(arm_after_writes, ops, False)
-    queued, queued_cost = _drive_disk(arm_after_writes, ops, True)
-    # The two runs really took the two paths: exactly one event per
-    # operation on the idle disk, the serve loop's several when
-    # contended (a submission to a dead disk costs one either way).
-    assert analytic_cost == 1 and queued_cost >= 2
-    assert analytic == queued
-    assert [kind for kind, *_ in analytic["outcomes"]] == expected.split()
+    assert seen == outcomes
+    stats = disk.stats.snapshot()
+    # Every served operation charges the arm, errors included, and the
+    # ops ran back to back: the arm was busy until the last one ended.
+    assert stats.pop("busy_time") == ended[-1]
+    assert stats == counters
+    assert hook_calls == hooked
+    assert [record.message for record in tracer.records] == traced
+    # A successful operation is traced at the instant it completes.
+    assert ([record.time for record in tracer.records
+             if record.category == "disk"]
+            == [when for when, outcome in zip(ended, seen)
+                if not isinstance(outcome, str)])
+    assert env.events_scheduled - scheduled == events
+    assert disk.failed == ("is dead" in str(seen[-1]))
 
 
 def test_failure_drains_pending_queue():

@@ -106,7 +106,7 @@ RECOVERY_RACE_SCHEDULE = [
 def test_recovery_copy_does_not_clobber_concurrent_writes():
     """Regression for the online-recovery race: mirrored writes issued
     while a recovery copy is streaming must survive on the rebuilt
-    replica (MirroredDiskSet.resync_note + the re-copy rounds)."""
+    replica (the mirror's resync log + the re-copy rounds)."""
     scope = Scope(p_factor=2, replica_losses=1, crashes=1, repairs=1,
                   overlap=True)
     rig = CheckRig(scope)

@@ -2,6 +2,11 @@
 verbatim, every exported name is importable and documented, and the five
 headline claims hold at reduced scale in one sitting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -45,6 +50,20 @@ def test_every_exported_name_resolves_and_is_documented():
         obj = getattr(repro, name)
         if callable(obj) and not isinstance(obj, type(repro.Status.OK)):
             assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+def test_import_repro_does_not_load_the_linter():
+    """The server runs without its analyzer: the lockset hooks the lock
+    plane calls live in ``repro.core.lockset``, so a fresh interpreter
+    that imports ``repro`` has no ``repro.analysis`` module loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         "print(sorted(m for m in sys.modules if 'repro.analysis' in m))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])})
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_module_docstring_mentions_the_paper():

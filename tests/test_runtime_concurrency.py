@@ -6,7 +6,7 @@ once must render byte-identically on every same-seed replay."""
 import pytest
 
 from conftest import make_bullet
-from repro.analysis.runtime import (
+from repro.core.lockset import (
     LocksetChecker,
     RaceReport,
     activate,
