@@ -20,7 +20,8 @@ from repro import (
     BulletServer,
     Environment,
     Ethernet,
-    FaultInjector,
+    FaultController,
+    FaultPlan,
     MirroredDiskSet,
     RpcTransport,
     VirtualDisk,
@@ -64,8 +65,9 @@ def main():
         caps.append(cap)
         server.evict(cap.object)  # force post-failure reads to hit disk
 
-    FaultInjector(env).fail_at(disks[0], when=env.now + 0.001,
-                               reason="head crash")
+    plan = FaultPlan().disk_fail("disk0", at=env.now + 0.001,
+                                 reason="head crash")
+    FaultController(env, plan).attach_disk("disk0", disks[0]).start()
     env.run(until=env.now + 0.002)
     print(f"  primary {disks[0].name} dead; live replicas: "
           f"{mirror.replica_count}")

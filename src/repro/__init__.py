@@ -42,7 +42,7 @@ from .core import BulletServer
 from .directory import DirectoryServer
 from .disk import MirroredDiskSet, VirtualDisk
 from .errors import ReproError, Status
-from .faults import FaultController, FaultInjector, FaultPlan
+from .faults import FaultController, FaultPlan
 from .gc import gc_sweep
 from .net import Ethernet, RpcTransport
 from .nfs import NfsClient, NfsServer
@@ -61,7 +61,7 @@ __all__ = [
     "LocalBulletStub", "RetryPolicy", "WorkstationCache",
     "BulletServer", "DirectoryServer", "NfsClient", "NfsServer",
     "UnixEmulation",
-    "FaultController", "FaultInjector", "FaultPlan",
+    "FaultController", "FaultPlan",
     "MirroredDiskSet", "VirtualDisk", "Ethernet", "RpcTransport",
     "Environment", "SeededStream", "Tracer", "run_process",
     "gc_sweep",

@@ -9,11 +9,13 @@ or it silently never runs, and the lock discipline the worker pool
 depends on (:mod:`repro.core.locks`). This package turns each
 convention into a machine-checked rule over the project's own AST, with
 cross-module knowledge (which functions are generator processes, which
-methods are opcode handlers, which tables feed which dispatchers, which
-functions hold which lock) supplied by a project-index pre-pass. A
-runtime companion — the Eraser-style lockset checker in
-:mod:`repro.core.lockset` — watches the interleavings the tests
-actually execute (armed via ``REPRO_LOCKSET=1``).
+methods are opcode handlers and which of them reach a rights check)
+supplied by a project-index pre-pass. Each rule is kept because a bug
+planted in the real source is caught by it and by nothing else
+(DESIGN.md §11); what the running system can check for itself — leaked
+grants, unlocked writes to guarded state, opcode tables that drift from
+their dispatchers — is left to the lock scopes, the lockset checker in
+:mod:`repro.core.lockset` (armed via ``REPRO_LOCKSET=1``) and tier-1.
 
 Shipped rules — see ``python -m repro.analysis --list-rules``:
 
@@ -25,11 +27,9 @@ D003   unordered-iteration     order-dependent set iteration in sim/core/net
 S001   unyielded-process       generator process / env.process(...) as a bare
                                statement
 C001   missing-rights-check    opcode handler never reaches require(...)
-C002   dead-or-missing-opcode  *OPCODES tables vs. _dispatch wiring
 A001   assert-as-validation    assert / AssertionError in library code
 L001   lock-leak               a raw acquire_read/acquire_write call outside a
                                ``with`` header
-L004   unlocked-shared-access  a ``guarded_by`` field written without its lock
 P001   stale-pragma            (``--strict-pragmas``) an allow() pragma that
                                suppressed nothing
 =====  ======================  =================================================

@@ -115,7 +115,8 @@ def analyze_paths(paths: Iterable[str],
             continue
         parsed.append((posix, module_name_for(posix), tree, source.splitlines()))
 
-    index = ProjectIndex.build(parsed)
+    index = ProjectIndex.build(
+        (path, module, tree) for path, module, tree, _lines in parsed)
     rules = all_rules(config.select)
     result.rules_run = [rule.id for rule in rules]
     judged = [rule_id for rule_id in result.rules_run if rule_id != "P001"]

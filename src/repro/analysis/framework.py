@@ -94,7 +94,7 @@ class Config:
     #: replay core.
     ordered_scope: tuple = ("*/repro/sim/*", "*/repro/core/*", "*/repro/net/*")
     #: The RPC server modules whose opcode handlers must pass a rights
-    #: check (C001) and whose dispatch tables are audited (C002).
+    #: check (C001).
     server_scope: tuple = (
         "*/core/server.py",
         "*/directory/server.py",
@@ -109,27 +109,9 @@ class Config:
     extra_validators: tuple = ("_resolve",)
     #: Restrict the run to these rule ids (empty means: all registered).
     select: tuple = ()
-    #: Functions L004 exempts from the guarded-write discipline, as
-    #: :mod:`fnmatch` patterns over ``module:qualname``. These run before
-    #: (or instead of) concurrent service: construction, volume format,
-    #: boot-time scan, and crash recovery all mutate server state while
-    #: no worker pool exists to race with.
-    unlocked_contexts: tuple = (
-        "*:__init__",
-        "*:*.__init__",
-        "*:boot",
-        "*:*.boot",
-        "*:format",
-        "*:*.format",
-        "*.recovery:*",
-    )
 
     def path_matches(self, path: str, patterns: Iterable[str]) -> bool:
         return any(fnmatch.fnmatch(path, pat) for pat in patterns)
-
-    def context_exempt(self, module: str, qualname: str) -> bool:
-        tag = f"{module}:{qualname}"
-        return any(fnmatch.fnmatch(tag, pat) for pat in self.unlocked_contexts)
 
 
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")

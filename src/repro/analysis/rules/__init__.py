@@ -9,14 +9,10 @@ Importing this package registers every rule with the framework registry:
 * S001 ``unyielded-process`` — generator processes must be driven.
 * C001 ``missing-rights-check`` — opcode handlers must reach a rights
   check.
-* C002 ``dead-or-missing-opcode`` — dispatch tables and dispatchers must
-  agree.
 * A001 ``assert-as-validation`` — library validation must survive
   ``python -O``.
 * L001 ``lock-leak`` — locks are taken through a ``with`` scope, never
   by a raw acquire.
-* L004 ``unlocked-shared-access`` — ``guarded_by`` fields are only
-  written with the lock held.
 
 (P001 ``stale pragma`` is registered by the framework itself and driven
 by the engine's ``--strict-pragmas`` pass.)

@@ -1,5 +1,4 @@
-"""Capability-discipline rules: C001 missing-rights-check and C002
-dead-or-missing-opcode.
+"""C001 missing-rights-check: the capability-discipline rule.
 
 Paper §2.2: every Bullet operation starts by verifying the presented
 capability's check field and rights mask (``require(...)`` in
@@ -7,19 +6,17 @@ capability's check field and rights mask (``require(...)`` in
 same argument structurally: a permission check that is only a convention
 will eventually be skipped by a refactor. C001 therefore demands that
 every RPC opcode handler taking a capability (or NFS file handle) reach
-a rights check on some path; C002 cross-checks each ``*OPCODES`` table
-against the ``_dispatch`` body that consumes it, so an opcode cannot be
-declared without a handler nor dispatched without a declaration.
+a rights check on some path.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..framework import FileContext, Finding, Rule, register
-from ..index import FunctionInfo, ModuleInfo
+from ..index import FunctionInfo
 
-__all__ = ["MissingRightsCheck", "DeadOrMissingOpcode"]
+__all__ = ["MissingRightsCheck"]
 
 #: Parameter names that mark a handler as operating on a protected
 #: object: Amoeba capabilities and NFS file handles.
@@ -84,63 +81,3 @@ class MissingRightsCheck(Rule):
                         f"require(...)/rights check on any call path"
                     ),
                 )
-
-
-@register
-class DeadOrMissingOpcode(Rule):
-    id = "C002"
-    title = "dead-or-missing-opcode"
-    rationale = (
-        "Every opcode declared in an *OPCODES table must be consumed by "
-        "the module's dispatch code, and every dispatched opcode must "
-        "exist in its table — otherwise the protocol silently grows "
-        "unreachable operations or KeyError landmines."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        info = ctx.index.modules.get(ctx.module)
-        if info is None:
-            return
-        # (a) Tables defined here: every key must be referenced somewhere
-        # in this module (the dispatch wiring lives beside the table).
-        for table_name, entries in sorted(info.opcode_tables.items()):
-            referenced = {
-                ref.key for ref in info.opcode_refs if ref.table == table_name
-            }
-            for key, lineno in sorted(entries.items()):
-                if key not in referenced:
-                    yield Finding(
-                        rule=self.id, path=ctx.path, line=lineno, col=1,
-                        message=(
-                            f"opcode {key!r} is declared in {table_name} "
-                            f"but never dispatched in {ctx.module} "
-                            f"(dead or missing handler)"
-                        ),
-                    )
-        # (b) References here: the key must exist in the table, whether
-        # the table is local or imported from another indexed module.
-        for ref in info.opcode_refs:
-            entries = self._resolve_table(ctx, info, ref.table)
-            if entries is None:
-                continue
-            if ref.key not in entries:
-                yield Finding(
-                    rule=self.id, path=ctx.path, line=ref.lineno, col=1,
-                    message=(
-                        f"dispatch references unknown opcode {ref.key!r}: "
-                        f"not a key of {ref.table}"
-                    ),
-                )
-
-    def _resolve_table(self, ctx: FileContext, info: ModuleInfo,
-                       table_name: str) -> Optional[dict]:
-        if table_name in info.opcode_tables:
-            return info.opcode_tables[table_name]
-        imported = info.imports.get(table_name)
-        if imported is None:
-            return None
-        source_module, original = imported
-        source = ctx.index.modules.get(source_module)
-        if source is None:
-            return None
-        return source.opcode_tables.get(original)

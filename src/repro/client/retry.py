@@ -113,32 +113,19 @@ class Retrier:
         self._gave_up = self.metrics.counter(
             "repro_client_retry_gave_up_total", client=name)
 
-    # The life counters live in the registry; the attribute protocol is
-    # kept so call sites and tests keep reading/incrementing plain ints.
+    # The life counters live in the registry; these read them back.
 
     @property
     def attempts(self) -> int:
         return self._attempts.value
 
-    @attempts.setter
-    def attempts(self, value: int) -> None:
-        self._attempts.inc(value - self._attempts.value)
-
     @property
     def retries(self) -> int:
         return self._retries.value
 
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._retries.inc(value - self._retries.value)
-
     @property
     def gave_up(self) -> int:
         return self._gave_up.value
-
-    @gave_up.setter
-    def gave_up(self, value: int) -> None:
-        self._gave_up.inc(value - self._gave_up.value)
 
     def run(self, make_attempt: Callable[[], object], op: str,
             idempotent: bool, dedupe: bool = False):
@@ -155,7 +142,7 @@ class Retrier:
         started = self.env.now
         last: Optional[ReproError] = None
         for attempt in range(policy.max_attempts):
-            self.attempts += 1
+            self._attempts.inc()
             try:
                 result = yield from make_attempt()
                 return result
@@ -173,12 +160,12 @@ class Retrier:
                 if remaining <= delay:
                     self._trace(f"{op} deadline exhausted", attempt=attempt)
                     break
-            self.retries += 1
+            self._retries.inc()
             self._trace(f"{op} retrying", attempt=attempt, delay=delay,
                         error=type(last).__name__)
             if delay > 0:
                 yield self.env.timeout(delay)
-        self.gave_up += 1
+        self._gave_up.inc()
         self._trace(f"{op} gave up", attempts=self.attempts)
         if last is None:
             raise ServerDownError(f"{op}: retry loop ended without an error")

@@ -103,11 +103,15 @@ class BulletCache:
         self._arena: ExtentFreeList = ExtentFreeList(
             0, capacity_bytes, strategy="first_fit")
         self._attach_arena_gauges(owner)
-        # The rnode maps are mutated by every insert/remove/evict; under
-        # a worker pool those run concurrently, so mutation is only legal
-        # while the caller holds the file's lock in the server's table.
-        self._rnodes: dict[int, Rnode] = {}     # repro: guarded_by(locks)
-        self._by_inode: dict[int, Rnode] = {}   # repro: guarded_by(locks)
+        # Shared by every handler in the worker pool and *not* protected
+        # by the file locks (CREATE inserts before it holds any grant).
+        # What protects them: no method here yields, so each probe and
+        # the mutation that follows it are one atomic step under the
+        # cooperative kernel; and a handler that keeps an rnode across a
+        # yield pins it — eviction skips a pinned rnode and remove()
+        # refuses one with a ConsistencyError.
+        self._rnodes: dict[int, Rnode] = {}
+        self._by_inode: dict[int, Rnode] = {}
         self._free_slots = list(range(rnode_count, 0, -1))
         self._tick = 0
 

@@ -54,10 +54,12 @@ class ExtentFreeList:
         self.strategy = strategy
         # Parallel sorted arrays of hole starts and lengths. Allocation
         # and free run from concurrent handlers (CREATE/DELETE/AGE) and
-        # from compaction; mutation is only legal under a file lock from
-        # the owning server's table (or before service starts).
-        self._starts: list[int] = [area_start] if area_size else []    # repro: guarded_by(locks)
-        self._lengths: list[int] = [area_size] if area_size else []    # repro: guarded_by(locks)
+        # from compaction, and CREATE allocates before it holds any file
+        # lock: what keeps the arrays whole is that no method here
+        # yields, so each search-and-splice is one atomic step under the
+        # cooperative kernel.
+        self._starts: list[int] = [area_start] if area_size else []
+        self._lengths: list[int] = [area_size] if area_size else []
         # Observability gauges (repro.obs), published after every
         # mutation once attached.
         self._gauges: Optional[tuple] = None

@@ -1,12 +1,15 @@
 """Runtime concurrency checking: an Eraser-style lockset checker.
 
-The static plane (:mod:`repro.analysis.rules.concurrency`) proves lock
-discipline over the paths it can see; this module checks the paths that
-actually *run*. It follows the lockset algorithm of Savage et al.'s
-Eraser, adapted to the simulation's cooperative concurrency: instead of
-threads there are sim processes (:class:`repro.sim.core.Process`), and
-instead of pthread mutexes there are per-file grants from
+This module checks lock discipline over the paths that actually *run*.
+It follows the lockset algorithm of Savage et al.'s Eraser, adapted to
+the simulation's cooperative concurrency: instead of threads there are
+sim processes (:class:`repro.sim.core.Process`), and instead of pthread
+mutexes there are per-file grants from
 :class:`repro.core.locks.FileLockTable`.
+
+Lock-guarded server state is declared by *being* a :class:`GuardedMap`:
+the mapping has no way to be written that does not report the write
+here, so there is no hook to forget and no annotation to keep in step.
 
 For every checked variable ``v`` the checker maintains a *candidate
 lockset* ``C(v)`` — the locks held at **every** access so far — refined
@@ -32,12 +35,17 @@ The hooks live here, beside the lock table that calls them, and not in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Protocol, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Generic, Mapping, Optional,
+                    Protocol, Set, Tuple, TypeVar)
+
+if TYPE_CHECKING:
+    from ..sim import Environment
 
 __all__ = [
     "LockName",
     "RaceReport",
     "LocksetChecker",
+    "GuardedMap",
     "activate",
     "deactivate",
     "active_checker",
@@ -49,7 +57,7 @@ __all__ = [
 LockName = Tuple[str, int]
 
 #: A checked variable's identity: (field label, instance key) — e.g.
-#: ("BulletServer._lives", inode_number). Per-element granularity, so
+#: ("bullet._lives", inode_number). Per-element granularity, so
 #: independent inodes do not pollute each other's candidate sets.
 VarName = Tuple[str, int]
 
@@ -115,9 +123,7 @@ class LocksetChecker:
     * :meth:`on_acquire` / :meth:`on_release` — called by
       :class:`~repro.core.locks.FileLockTable` when a grant is admitted
       or a held grant released;
-    * :meth:`on_access` — called at instrumented reads/writes of
-      guarded fields (the runtime counterpart of the static
-      ``# repro: guarded_by(...)`` annotations);
+    * :meth:`on_access` — called by every :class:`GuardedMap` write;
     * :meth:`reset` — forget a variable (object destruction: a
       reincarnated inode number is a fresh variable).
     """
@@ -181,6 +187,49 @@ class LocksetChecker:
         """Forget ``var`` — its object was destroyed, so the next access
         belongs to a new incarnation and starts a fresh exclusive phase."""
         self._vars.pop(var, None)
+
+
+V = TypeVar("V")
+
+
+class GuardedMap(Generic[V]):
+    """A per-key table that may only be written under the key's lock.
+
+    Deliberately not a ``dict``: the two ways to change it,
+    ``table[key] = value`` and :meth:`discard`, both report the write to
+    the active checker as ``(label, key)``, and there is no third.
+    Reads are plain. Disarmed, a write costs this call and one
+    ``is None`` test.
+    """
+
+    __slots__ = ("_label", "_env", "_items")
+
+    def __init__(self, label: str, env: "Environment",
+                 items: Optional[Mapping[int, V]] = None):
+        self._label = label
+        self._env = env
+        self._items: Dict[int, V] = dict(items) if items is not None else {}
+
+    def get(self, key: int, default: V) -> V:
+        return self._items.get(key, default)
+
+    def __setitem__(self, key: int, value: V) -> None:
+        checker = _active
+        if checker is not None:
+            checker.on_access((self._label, key), True,
+                              self._env.active_process, self._env.now)
+        self._items[key] = value
+
+    def discard(self, key: int) -> None:
+        """Remove ``key`` if present. Its object is gone: the next entry
+        under the same key is a new incarnation whose lockset history
+        starts from scratch."""
+        checker = _active
+        if checker is not None:
+            checker.on_access((self._label, key), True,
+                              self._env.active_process, self._env.now)
+            checker.reset((self._label, key))
+        self._items.pop(key, None)
 
 
 def _render_locks(locks: FrozenSet[LockName]) -> str:

@@ -54,7 +54,7 @@ from .freelist import ExtentFreeList
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
-from .lockset import active_checker
+from .lockset import GuardedMap
 from .recovery import ScanReport, scan_volume
 from .replication import check_p_factor
 from .stats import ServerStats
@@ -162,9 +162,6 @@ class BulletServer(RpcService):
         self._cache_policy = cache_policy
         self._alloc_strategy = alloc_strategy
         self._verified_caps = VerifiedCapCache(testbed.bullet.cap_cache_entries)
-        # Aging clocks are mutated by concurrent CREATE/TOUCH/AGE/DELETE
-        # handlers; every write goes through the inode's write lock.
-        self._lives: dict[int, int] = {}  # repro: guarded_by(locks)
         self._inflight_count = 0
         self._inflight = self.metrics.gauge(
             "repro_server_inflight", server=name)
@@ -178,6 +175,9 @@ class BulletServer(RpcService):
         self.disk_free: ExtentFreeList
         self.cache: BulletCache
         self.locks: FileLockTable
+        # Aging clocks, written by concurrent CREATE/TOUCH/AGE/DELETE
+        # handlers, each under the inode's write lock.
+        self._lives: GuardedMap[int]
         self.scan_report: ScanReport
 
     # ------------------------------------------------------------- setup
@@ -223,10 +223,10 @@ class BulletServer(RpcService):
         )
         # Every surviving file starts its aging clock afresh; orphans
         # left by pre-crash clients die after max_lives sweeps.
-        self._lives = {
+        self._lives = GuardedMap(f"{self.name}._lives", self.env, {
             number: self.testbed.bullet.max_lives
             for number, _inode in self.table.live_inodes()
-        }
+        })
         # The lock plane is volatile per-boot state, like the cache: a
         # crash drops every hold (RAM is gone) and a reboot starts clean.
         self.locks = FileLockTable(self.env, metrics=self.metrics,
@@ -295,7 +295,6 @@ class BulletServer(RpcService):
             # Start the aging clock while this handler still owns the
             # write grant: a TOUCH or AGE sweep can only see the entry
             # after taking the lock.
-            self._note_lives_access(number)
             self._lives[number] = self.testbed.bullet.max_lives
             # Fork the settle watcher: it owns the write grant from here
             # and accounts any background replica failure (satellite fix:
@@ -413,14 +412,7 @@ class BulletServer(RpcService):
         if blocks:
             self.disk_free.free(start_block, blocks)
         self._forget_caps(number)
-        self._note_lives_access(number)
-        self._lives.pop(number, None)
-        # The inode number is now free for reincarnation: the next file
-        # under it is a different object, so its lockset history starts
-        # from scratch.
-        checker = active_checker()
-        if checker is not None:
-            checker.reset((f"{self.name}._lives", number))
+        self._lives.discard(number)
         inode_block = self.table.block_of_inode(number)
         yield self.mirror.write(
             inode_block, self.table.encode_block(inode_block))
@@ -490,9 +482,9 @@ class BulletServer(RpcService):
         with self.locks.writing(cap.object) as lock:
             yield lock.grant
             number, _inode = yield from self._check(cap, 0)
-            self._note_lives_access(number)
-            self._lives[number] = self.testbed.bullet.max_lives
-            return self._lives[number]
+            lives = self.testbed.bullet.max_lives
+            self._lives[number] = lives
+            return lives
 
     def age_all(self):
         """Process: std_age — decrement every object's lives; reclaim
@@ -512,7 +504,6 @@ class BulletServer(RpcService):
                 inode = self.table.get(number)
                 if inode.free:
                     continue  # a concurrent delete beat us to it
-                self._note_lives_access(number)
                 lives = self._lives.get(
                     number, self.testbed.bullet.max_lives) - 1
                 self._lives[number] = lives
@@ -539,7 +530,7 @@ class BulletServer(RpcService):
         # between measured phases, never inside the serve pool, and the
         # cache itself refuses to drop a pinned rnode. Taking the write
         # lock here would perturb the benchmark's lock metrics.
-        self.cache.remove(inode_number)  # repro: allow(L004)
+        self.cache.remove(inode_number)
         inode = self.table.get(inode_number)
         if not inode.free:
             inode.index = 0
@@ -636,15 +627,6 @@ class BulletServer(RpcService):
 
     def _forget_caps(self, number: int) -> None:
         self._verified_caps.forget_object(number)
-
-    def _note_lives_access(self, number: int) -> None:
-        """Feed one ``_lives`` mutation to the runtime lockset checker
-        (no-op unless a checker is active — see repro.core.lockset).
-        Every caller writes, so the access is always recorded as one."""
-        checker = active_checker()
-        if checker is not None:
-            checker.on_access((f"{self.name}._lives", number), True,
-                              self.env.active_process, self.env.now)
 
     # ------------------------------------------------------------ RPC plane
 

@@ -8,19 +8,15 @@ fault fires at a planned simulated time (or after a planned number of
 disk writes), so availability experiments (A6) replay bit-identically:
 same seed + same plan ⇒ the same trace of fault firings and client
 retry attempts.
-
-The old :class:`FaultInjector` survives here as the imperative
-spelling for one-off disk faults, now event-driven rather than polling.
 """
 
 from .controller import FaultController
-from .injector import FaultInjector, arm_fail_after_writes
+from .injector import arm_fail_after_writes
 from .plan import FaultEvent, FaultPlan
 
 __all__ = [
     "FaultController",
     "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
     "arm_fail_after_writes",
 ]

@@ -275,18 +275,20 @@ class Explorer:
         stats = self.stats
         if stats is not None:
             stats.replays += 1
-        rig = self._new_rig()
-        for rec in records:
-            if rec.label not in rig.enabled():
-                return None
-            try:
-                rig.apply(rec.label, ties=rec.ties)
-            except InvariantViolation as violation:
-                return violation
+        previous = active_checker()
         try:
+            rig = self._new_rig()
+            for rec in records:
+                if rec.label not in rig.enabled():
+                    return None
+                rig.apply(rec.label, ties=rec.ties)
             rig.finalize()
         except InvariantViolation as violation:
             return violation
+        finally:
+            # Also a public entry point (trace replay): do not leave the
+            # rig's checker armed for whatever the process runs next.
+            self._restore(previous)
         return None
 
     # ------------------------------------------------------------ plumbing

@@ -64,7 +64,7 @@ __all__ = ["Scope", "CheckRig", "InvariantViolation", "TransitionRecord",
            "check_scope"]
 
 
-class InvariantViolation(AssertionError):
+class InvariantViolation(ConsistencyError):
     """An explored state broke one of the checked invariant families.
 
     ``family`` is one of ``"durability"`` (a confirmed file is not

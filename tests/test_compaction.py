@@ -52,6 +52,26 @@ def test_compaction_preserves_file_contents(env):
         assert run_process(env, bullet.read(cap)) == expected
 
 
+def test_compaction_bounces_a_short_slide_through_staging(env):
+    """A file that must slide left by less than its own length cannot be
+    copied in one hop (source and destination overlap): it goes through
+    a staging extent, and both hops must really run."""
+    bullet = make_bullet(env)
+    free_before = bullet.disk_free.free_units
+    small = run_process(env, bullet.create(b"s" * 8 * KB, p_factor=1))
+    expected = b"B" * 64 * KB
+    big = run_process(env, bullet.create(expected, p_factor=1))
+    run_process(env, bullet.delete(small))
+    report = compact(env, bullet)
+    assert report.files_moved == 1
+    assert bullet.disk_free.hole_count == 1
+    # Neither the old extent nor the staging extent leaked.
+    blocks = bullet.layout.blocks_for(len(expected))
+    assert bullet.disk_free.free_units == free_before - blocks
+    bullet.evict(big.object)
+    assert run_process(env, bullet.read(big)) == expected
+
+
 def test_compaction_updates_both_replicas(env):
     bullet = make_bullet(env)
     survivors = churn(env, bullet, n=6)

@@ -14,7 +14,7 @@ from repro.core import BulletServer
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import DiskIOError, NotFoundError, ReproError
-from repro.faults import FaultInjector
+from repro.faults import arm_fail_after_writes
 from repro.gc import gc_sweep
 from repro.sim import Environment, run_process
 from repro.units import KB
@@ -30,7 +30,7 @@ def test_crash_between_data_and_inode_write_leaves_no_file(env):
     for disk in bullet.mirror.disks:
         # The data extent of a 16 KB file is one write; fail before the
         # second (inode) write completes.
-        FaultInjector(env).fail_after_writes(disk, writes=1)
+        arm_fail_after_writes(disk, writes=1)
 
     with pytest.raises(ReproError):
         run_process(env, bullet.create(bytes(16 * KB), p_factor=2))
@@ -59,7 +59,7 @@ def test_partial_replica_failure_creates_reclaimable_orphan(env):
 
     # The second replica dies after its data write, before its inode
     # write — mid-create, after P-FACTOR validation passed.
-    FaultInjector(env).fail_after_writes(bullet.mirror.disks[1], writes=1)
+    arm_fail_after_writes(bullet.mirror.disks[1], writes=1)
     with pytest.raises(ReproError):
         run_process(env, bullet.create(bytes(16 * KB), p_factor=2))
     env.run(until=env.now + 1.0)  # drain
@@ -98,7 +98,7 @@ def test_surviving_replica_serves_after_total_primary_loss_mid_churn(env):
     survivor's state passes the startup consistency scan."""
     bullet = make_bullet(env)
     caps = []
-    FaultInjector(env).fail_after_writes(bullet.mirror.disks[0], writes=12)
+    arm_fail_after_writes(bullet.mirror.disks[0], writes=12)
     for i in range(10):
         try:
             cap = run_process(env, bullet.create(bytes([i]) * 4096, p_factor=1))

@@ -14,7 +14,7 @@ from repro.client import LocalBulletStub
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import DiskIOError, ReproError
-from repro.faults import FaultInjector
+from repro.faults import arm_fail_after_writes
 from repro.sim import Environment, run_process
 
 from conftest import SMALL_DISK, make_bullet, small_testbed
@@ -41,7 +41,7 @@ def test_directory_crash_shows_exact_mutation_prefix(n_mutations, crash_after):
     # Each append costs exactly one directory-disk write; the create of
     # the root cost one too, already done. Crash after `crash_after`
     # further writes.
-    FaultInjector(env).fail_after_writes(dir_disk, writes=crash_after)
+    arm_fail_after_writes(dir_disk, writes=crash_after)
     applied = 0
     for i, cap in enumerate(caps):
         try:

@@ -15,8 +15,8 @@ from repro.disk import (
     VirtualDisk,
     make_queue,
 )
-from repro.errors import DiskIOError, ServerDownError
-from repro.faults import FaultInjector, arm_fail_after_writes
+from repro.errors import BadRequestError, DiskIOError, ServerDownError
+from repro.faults import FaultController, FaultPlan, arm_fail_after_writes
 from repro.profiles import DiskProfile
 from repro.sim import Environment, Tracer, run_process
 from repro.units import KB, MB
@@ -901,10 +901,16 @@ def test_recovery_from_self_rejected():
 # ------------------------------------------------------- fault injection
 
 
+def fail_disk_at(env, disk, when):
+    """A one-event fault plan: kill ``disk`` at simulated time ``when``."""
+    plan = FaultPlan().disk_fail("disk", at=when)
+    return FaultController(env, plan).attach_disk("disk", disk).start()
+
+
 def test_fault_injector_fail_at():
     env = Environment()
     disk = make_disk(env)
-    FaultInjector(env).fail_at(disk, when=0.5)
+    fail_disk_at(env, disk, when=0.5)
     env.run(until=0.4)
     assert not disk.failed
     env.run(until=0.6)
@@ -915,14 +921,14 @@ def test_fault_injector_rejects_past_time():
     env = Environment()
     disk = make_disk(env)
     env.run(until=1.0)
-    with pytest.raises(ValueError):
-        FaultInjector(env).fail_at(disk, when=0.5)
+    with pytest.raises(BadRequestError):
+        fail_disk_at(env, disk, when=0.5)
 
 
 def test_fault_injector_fail_after_writes():
     env = Environment()
     disk = make_disk(env)
-    FaultInjector(env).fail_after_writes(disk, writes=2)
+    arm_fail_after_writes(disk, writes=2)
     outcomes = []
 
     def writer():

@@ -21,7 +21,6 @@ from repro.errors import (
 )
 from repro.faults import (
     FaultController,
-    FaultInjector,
     FaultPlan,
     arm_fail_after_writes,
 )
@@ -224,7 +223,7 @@ def test_fail_after_writes_fires_exactly_at_nth_write(env):
     instant the Nth write completes — not ``seek_settle / 2`` later when
     a polling daemon happened to wake up."""
     disk = VirtualDisk(env, SMALL_DISK, name="fx")
-    FaultInjector(env).fail_after_writes(disk, 3)
+    arm_fail_after_writes(disk, 3)
     observed = []
 
     def writer():
@@ -268,15 +267,6 @@ def test_fail_after_writes_rejects_nonpositive_count(env):
     disk = VirtualDisk(env, SMALL_DISK, name="fx")
     with pytest.raises(ValueError):
         arm_fail_after_writes(disk, 0, "bad")
-
-
-def test_fail_at_still_works(env):
-    disk = VirtualDisk(env, SMALL_DISK, name="fx")
-    FaultInjector(env).fail_at(disk, when=0.5)
-    env.run(until=env.timeout(0.4))
-    assert not disk.failed
-    env.run(until=env.timeout(0.2))
-    assert disk.failed
 
 
 def test_mirror_failover_escalates_on_persistently_flaky_replicas(env):

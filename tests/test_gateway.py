@@ -5,7 +5,7 @@ import pytest
 from repro.client import BulletClient, DirectoryClient, LocalBulletStub
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
-from repro.errors import NotADirectoryError_, ServerDownError
+from repro.errors import NotADirectoryError_, NotFoundError, ServerDownError
 from repro.net import (
     Ethernet,
     RpcRequest,
@@ -210,3 +210,5 @@ def test_directory_client_full_surface(env):
     assert len(run_process(env, client.history(root))) == 3
     assert run_process(env, client.remove_entry(root, "doc")) == v2
     run_process(env, client.delete_directory(root))
+    with pytest.raises(NotFoundError):  # the directory is really gone
+        run_process(env, client.list_names(root))

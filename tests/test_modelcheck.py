@@ -9,6 +9,7 @@ import pytest
 
 from repro.capability import Capability
 from repro.core.locks import FileLockTable
+from repro.core.lockset import active_checker
 from repro.disk import MirroredDiskSet, VirtualDisk
 from repro.errors import ConsistencyError
 from repro.modelcheck import (
@@ -287,6 +288,7 @@ class TestExplorer:
         must produce a violation, and the shrunk trace must be
         1-minimal: it still fails, and removing any single transition
         makes it pass."""
+        armed_before = active_checker()
         explorer = Explorer(BROKEN, seed=0)
         stats = explorer.dfs()
         assert stats.violation is not None
@@ -300,6 +302,9 @@ class TestExplorer:
             assert explorer.replay_fails(shorter) is None, (
                 f"dropping transition {index} ({records[index].label}) "
                 f"still fails: trace is not 1-minimal")
+        # A replay arms its rig's lockset checker; it must not stay armed
+        # for whatever test runs next.
+        assert active_checker() is armed_before
 
     def test_scope_validation_rejects_nonsense(self):
         with pytest.raises(ValueError):

@@ -331,6 +331,23 @@ def test_vanished_file_forces_recovery_under_session_policy(env):
     assert reader.stats.revalidations == 1
 
 
+def test_vanished_file_recovers_on_size_under_an_open_handle(env):
+    """SIZE under an open handle takes the same name-mediated recovery
+    as READ when the version the handle names is disposed of."""
+    dirs, bullet = make_dir_server(env)
+    root = call(env, dirs.create_directory())
+    writer = make_session(env, bullet, dirs, root,
+                          CurrencyPolicy.session(), "writer")
+    reader = make_session(env, bullet, dirs, root,
+                          CurrencyPolicy.session(), "reader", capacity=16)
+    v1, _old = call(env, writer.publish("doc", b"v0"))
+    handle = call(env, reader.open("doc"))
+    call(env, writer.publish("doc", b"version one"))
+    call(env, writer.client.delete(v1))
+    assert call(env, handle.size()) == len(b"version one")
+    assert reader.stats.revalidations == 1
+
+
 def test_coherence_counters_scripted(env):
     dirs, bullet = make_dir_server(env)
     root = call(env, dirs.create_directory())

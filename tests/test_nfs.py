@@ -1,7 +1,10 @@
 """Tests for the NFS baseline: buffer cache, FFS, server and client."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.client.retry import RpcStub
 from repro.disk import VirtualDisk
 from repro.errors import (
     BadRequestError,
@@ -16,6 +19,7 @@ from repro.nfs import (
     FileHandle,
     MODE_DIR,
     MODE_FILE,
+    NFS_OPCODES,
     NfsClient,
     NfsServer,
     ROOT_INUM,
@@ -23,6 +27,8 @@ from repro.nfs import (
     decode_directory,
     encode_directory,
 )
+from repro.net import Ethernet, RpcRequest, RpcTransport
+from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB, MB
 
@@ -38,12 +44,24 @@ def make_fs(env, cache_bytes=512 * KB, fs_block=8192):
     return fs, cache, disk
 
 
-def make_server(env, churn=False):
+def make_server(env, churn=False, testbed=None, transport=None):
     disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
-    server = NfsServer(env, disk, small_testbed(), background_churn=churn)
+    server = NfsServer(env, disk, testbed or small_testbed(),
+                       transport=transport, background_churn=churn)
     server.format()
     run_process(env, server.boot())
     return server
+
+
+def make_rpc_server(env):
+    """A server behind the full network path; returns (rpc, server)."""
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    return rpc, make_server(env, transport=rpc)
+
+
+def nfs_testbed(**nfs_overrides):
+    testbed = small_testbed()
+    return replace(testbed, nfs=replace(testbed.nfs, **nfs_overrides))
 
 
 # ----------------------------------------------------------- buffer cache
@@ -336,13 +354,110 @@ def test_nfs_mkdir_and_readdir(env):
     assert run_process(env, server.readdir(sub)) == ["inner"]
 
 
+def test_mkdir_and_readdir_over_rpc_refuse_a_stale_directory_handle(env):
+    rpc, server = make_rpc_server(env)
+    stub = RpcStub(env, rpc)
+    root = tuple(server.root_handle)
+
+    def nfs(op, *args):
+        request = RpcRequest(opcode=NFS_OPCODES[op], args=args)
+        return run_process(env, stub.transact(server.port, request)).args
+
+    (old,) = nfs("MKDIR", root, "sub")
+    nfs("MKDIR", old, "inner")
+    assert nfs("READDIR", root) == ("sub",)
+    assert nfs("READDIR", old) == ("inner",)
+    # Remove and re-make the directory: same inode, next generation.
+    nfs("REMOVE", old, "inner")
+    nfs("REMOVE", root, "sub")
+    (new,) = nfs("MKDIR", root, "sub")
+    assert new[0] == old[0] and new[1] != old[1]
+    # The old handle names a directory that no longer exists; serving it
+    # would read and write the new one.
+    with pytest.raises(NotFoundError, match="stale"):
+        nfs("MKDIR", old, "intruder")
+    with pytest.raises(NotFoundError, match="stale"):
+        nfs("READDIR", old)
+    assert nfs("READDIR", new) == ()
+
+
+#: procedure -> call on (server, a directory handle, a file handle).
+NFS_PROCEDURES = {
+    "lookup": lambda s, d, f: s.lookup(s.root_handle, "file"),
+    "getattr": lambda s, d, f: s.getattr(f),
+    "read": lambda s, d, f: s.read(f, 0, 100),
+    "write": lambda s, d, f: s.write(f, 0, b"data"),
+    "create": lambda s, d, f: s.create(d, "new"),
+    "remove": lambda s, d, f: s.remove(s.root_handle, "file"),
+    "mkdir": lambda s, d, f: s.mkdir(d, "newdir"),
+    "readdir": lambda s, d, f: s.readdir(d),
+}
+
+
+@pytest.mark.parametrize("procedure", sorted(NFS_PROCEDURES))
+def test_every_procedure_charges_the_server_overhead_once(procedure):
+    """Two servers that differ only in ``server_op_overhead`` differ, on
+    any one procedure, by exactly that overhead."""
+
+    def elapsed(overhead):
+        env = Environment()
+        server = make_server(
+            env, testbed=nfs_testbed(server_op_overhead=overhead))
+        d = run_process(env, server.mkdir(server.root_handle, "dir"))
+        f = run_process(env, server.create(server.root_handle, "file"))
+        start = env.now
+        run_process(env, NFS_PROCEDURES[procedure](server, d, f))
+        return env.now - start
+
+    overhead = small_testbed().nfs.server_op_overhead
+    assert elapsed(overhead) - elapsed(0.0) == pytest.approx(overhead)
+
+
 # ------------------------------------------------------------- NFS client
 
 
-def make_client(env):
+def make_client(env, testbed=None):
     server = make_server(env)
-    client = NfsClient(env, small_testbed(), server=server)
+    client = NfsClient(env, testbed or small_testbed(), server=server)
     return client, server
+
+
+#: syscall -> call on (client, an open descriptor).
+NFS_SYSCALLS = {
+    "open": lambda c, fd: c.open("/file"),
+    "creat": lambda c, fd: c.creat("/new"),
+    "read": lambda c, fd: c.read(fd, 4),
+    "write": lambda c, fd: c.write(fd, b"more"),
+    "lseek": lambda c, fd: c.lseek(fd, 0),
+    "close": lambda c, fd: c.close(fd),
+    "unlink": lambda c, fd: c.unlink("/file"),
+    "mkdir": lambda c, fd: c.mkdir("/dir"),
+    "fstat": lambda c, fd: c.fstat(fd),
+}
+
+
+@pytest.mark.parametrize("syscall", sorted(NFS_SYSCALLS))
+def test_every_syscall_charges_the_client_overhead_once(syscall):
+    """The client-side twin of the server table above."""
+
+    def elapsed(overhead):
+        env = Environment()
+        client, _server = make_client(
+            env, nfs_testbed(client_op_overhead=overhead))
+
+        def setup():
+            fd = yield from client.creat("/file")
+            yield from client.write(fd, b"data")
+            yield from client.lseek(fd, 0)
+            return fd
+
+        fd = run_process(env, setup())
+        start = env.now
+        run_process(env, NFS_SYSCALLS[syscall](client, fd))
+        return env.now - start
+
+    overhead = small_testbed().nfs.client_op_overhead
+    assert elapsed(overhead) - elapsed(0.0) == pytest.approx(overhead)
 
 
 def test_client_creat_write_close_open_read(env):
@@ -434,15 +549,7 @@ def test_client_reads_cost_per_chunk_time(env):
 
 def test_client_over_rpc_plane(env):
     """Full network path: client -> RPC -> server."""
-    from repro.net import Ethernet, RpcTransport
-    from repro.profiles import CpuProfile, EthernetProfile
-
-    eth = Ethernet(env, EthernetProfile())
-    rpc = RpcTransport(env, eth, CpuProfile())
-    disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
-    server = NfsServer(env, disk, small_testbed(), transport=rpc)
-    server.format()
-    run_process(env, server.boot())
+    rpc, server = make_rpc_server(env)
     client = NfsClient(env, small_testbed(), rpc=rpc, server_port=server.port)
 
     def scenario():

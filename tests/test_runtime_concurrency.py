@@ -3,10 +3,13 @@ deadlock detection in the lock table, the Eraser-style lockset checker,
 and the determinism of both planes' reports — a race or deadlock found
 once must render byte-identically on every same-seed replay."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from conftest import make_bullet
 from repro.core.lockset import (
+    GuardedMap,
     LocksetChecker,
     RaceReport,
     activate,
@@ -252,6 +255,64 @@ def test_release_drops_the_holding(env, checker):
         assert checker.holdings(process) == frozenset()
 
     run_process(env, worker())
+
+
+# ---------------------------------------------------------- guarded map
+
+def test_guarded_map_has_no_write_that_skips_the_checker(env, checker):
+    """Everything the class offers is listed here, and each entry point
+    that changes the table feeds the checker: a guarded write without a
+    hook cannot be written."""
+    reads, writes = {"get"}, {"__setitem__", "discard"}
+    offered = {name for name, member in vars(GuardedMap).items()
+               if callable(member) and name != "__init__"}
+    assert offered == reads | writes
+    # Not a dict in disguise: no update()/setdefault()/clear() to inherit.
+    assert not isinstance(GuardedMap("t", env), (dict, Mapping))
+
+    table = GuardedMap("store._sizes", env, {1: 10})
+
+    def writer():
+        yield env.timeout(1)
+        before = checker.accesses
+        table[1] = 11
+        assert checker.accesses == before + 1
+        table.discard(1)
+        assert checker.accesses == before + 2
+        assert table.get(1, None) is None
+        assert checker.accesses == before + 2  # reads are plain
+
+    run_process(env, writer())
+
+
+def test_guarded_map_write_without_the_lock_is_a_race(env, checker):
+    table = GuardedMap("store._sizes", env)
+    locks = FileLockTable(env)
+
+    def locked():
+        with locks.writing(7) as lock:
+            yield lock.grant
+            table[7] = 1
+
+    def unlocked():
+        yield env.timeout(1)
+        table[7] = 2
+
+    run_process(env, locked())
+    with pytest.raises(RaceReport, match=r"store\._sizes\[7\]"):
+        run_process(env, unlocked())
+
+
+def test_guarded_map_discard_starts_a_fresh_incarnation(env, checker):
+    table = GuardedMap("store._sizes", env)
+
+    def life():
+        yield env.timeout(1)
+        table[2] = 1
+        table.discard(2)
+
+    run_process(env, life())
+    run_process(env, life())  # a second process, no common lock: no report
 
 
 # ------------------------------------------------------- integration
