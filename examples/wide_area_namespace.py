@@ -30,7 +30,8 @@ from repro import (
     VirtualDisk,
     run_process,
 )
-from repro.client import DirectoryClient
+from repro.client import TRANSIENT_ERRORS, DirectoryClient
+from repro.errors import ServerDownError
 from repro.net import WideAreaProfile, connect_sites
 from repro.units import to_msec
 
@@ -101,23 +102,32 @@ def main():
     print(f"\nfrom Berlin, /amsterdam/design.txt -> {data[:30]!r}...")
 
     # --- Cross-border replication via capability sets ---------------------
-    from repro.client import LocalBulletStub, ReplicaSetClient, replicate_file
-
+    # Copy the bytes, bind both capabilities under the name. There is no
+    # coherence protocol to run because neither copy can ever change.
     print("\nreplicating /amsterdam/design.txt to Berlin (capability set):")
-    replica = run_process(env, replicate_file(
-        LocalBulletStub(bullet_ams), LocalBulletStub(bullet_ber),
-        local_file, 2))
+    design = run_process(env, LocalBulletStub(bullet_ams).read(local_file))
+    replica = run_process(env, LocalBulletStub(bullet_ber).create(design, 2))
     run_process(env, names.replace(ams_home, "design.txt",
                                    (local_file, replica)))
     cap_set = run_process(env, names.lookup_set(ams_home, "design.txt"))
     print(f"  bound set: {len(cap_set)} replicas "
           f"(amsterdam + berlin); readers try them in order")
 
-    reader = ReplicaSetClient(env, rpc_ams, timeout=1.0)
+    def read_first_reachable(caps):
+        """Process: the bytes from the first member whose server
+        answers, and how many members were skipped to get there."""
+        for failovers, cap in enumerate(caps):
+            try:
+                client = BulletClient(env, rpc_ams, cap.port, timeout=1.0)
+                return (yield from client.read(cap)), failovers
+            except TRANSIENT_ERRORS:
+                continue
+        raise ServerDownError("no replica reachable")
+
     bullet_ams.crash()
     print("  amsterdam Bullet server crashed!")
-    data = run_process(env, reader.read(cap_set))
-    print(f"  read via replica set still succeeds ({reader.failovers} "
+    data, failovers = run_process(env, read_first_reachable(cap_set))
+    print(f"  read via replica set still succeeds ({failovers} "
           f"failover): {data[:30]!r}...")
 
 

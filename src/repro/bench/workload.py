@@ -99,9 +99,6 @@ class TraceGenerator:
                 ops.append(self._create())
         return ops
 
-    def size_of(self, file_id: int) -> int:
-        return self._size_of[file_id]
-
     def _create(self) -> Op:
         file_id = self._next_id
         self._next_id += 1

@@ -13,7 +13,7 @@ from .capability import (
     server_restrict,
     verify,
 )
-from .crypto import CHECK_BITS, CHECK_MASK, one_way, xtea_decrypt_block, xtea_encrypt_block
+from .crypto import CHECK_BITS, CHECK_MASK, one_way, xtea_encrypt_block
 from .rights import (
     ALL_RIGHTS,
     RIGHT_ADMIN,
@@ -39,7 +39,6 @@ __all__ = [
     "CHECK_BITS",
     "CHECK_MASK",
     "one_way",
-    "xtea_decrypt_block",
     "xtea_encrypt_block",
     "ALL_RIGHTS",
     "RIGHT_ADMIN",

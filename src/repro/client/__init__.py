@@ -4,12 +4,10 @@ the open-by-name coherence plane, and retry/backoff."""
 from .bullet_client import BulletClient, CachingBulletClient, LocalBulletStub
 from .directory_client import DirectoryClient
 from .named import CoherenceStats, CurrencyPolicy, NamedFile, NamedFileClient
-from .replication import ReplicaSetClient, replicate_file
 from .retry import TRANSIENT_ERRORS, Retrier, RetryPolicy
 from .workstation import WorkstationCache, WorkstationCacheStats
 
 __all__ = ["BulletClient", "CachingBulletClient", "CoherenceStats",
            "CurrencyPolicy", "DirectoryClient", "LocalBulletStub",
-           "NamedFile", "NamedFileClient", "ReplicaSetClient", "Retrier",
-           "RetryPolicy", "TRANSIENT_ERRORS", "WorkstationCache",
-           "WorkstationCacheStats", "replicate_file"]
+           "NamedFile", "NamedFileClient", "Retrier", "RetryPolicy",
+           "TRANSIENT_ERRORS", "WorkstationCache", "WorkstationCacheStats"]

@@ -158,8 +158,7 @@ class LocalBulletStub:
 
     def stat(self, cap: Capability):
         """Process: status snapshot of the local server."""
-        yield from ()
-        return self.server.status()
+        return (yield from self.server.stat(cap))
 
 
 class CachingBulletClient:
@@ -226,10 +225,7 @@ class CachingBulletClient:
         server reports success — a failed DELETE (forged cap, missing
         rights) must not evict a perfectly valid immutable entry. The
         stub's retry layer dedupes re-sends under a pre-assigned txid,
-        so exactly one success reaches the invalidation. An entry a
-        sibling process has pinned is marked dead rather than dropped
-        (the copy-in-progress finishes on the immutable bytes; the
-        entry stops serving hits and is released on the last unpin)."""
+        so exactly one success reaches the invalidation."""
         yield from self.stub.delete(cap)
         self.cache.invalidate(cap)
 
@@ -308,10 +304,6 @@ class CachingBulletClient:
                 return True, cap
         return False, caps[0]
 
-    @property
-    def cached_bytes(self) -> int:
-        return self.cache.cached_bytes
-
     def _probe(self, cap: Capability, op: str):
         """Process: one accounted cache lookup. Returns the
         :class:`~repro.client.workstation.LookupResult` on a hit, None
@@ -322,6 +314,10 @@ class CachingBulletClient:
                                         object=cap.object)
                 if tracing else 0)
         result = self.cache.lookup(cap, RIGHT_READ, op=op)
+        # No pin is taken across the timeout: ``result.data`` is the
+        # immutable bytes object itself, so a sibling's eviction or
+        # invalidation meanwhile can drop the entry but never tear the
+        # copy this process already holds.
         if result.verify_cost > 0.0:
             yield self.env.timeout(result.verify_cost)
         if result.denied:

@@ -167,9 +167,6 @@ class NamedFile:
         """Process: the file's size in bytes."""
         return (yield from self.session.size_open(self))
 
-    def __repr__(self) -> str:
-        return f"NamedFile({self.name!r} -> {self.cap})"
-
 
 class NamedFileClient:
     """One workstation's open-by-name session over the caching plane.

@@ -20,10 +20,10 @@ design:
   bytes straight from RAM.
 
 :class:`WorkstationCache` models the client half of that argument: one
-byte-budgeted, LRU-with-pinning, whole-file cache **shared by every
-client process on one simulated workstation**. Entries are keyed by
-object (port, object number) and carry the verification state learned
-about that object:
+byte-budgeted, LRU, whole-file cache **shared by every client process
+on one simulated workstation**. Entries are keyed by object (port,
+object number) and carry the verification state learned about that
+object:
 
 * ``secret`` — known iff an owner capability has been seen; enables
   verification of *any* capability for the object via
@@ -49,7 +49,7 @@ accounted on the shared metrics registry
 rpcs_avoided,local_verifies}_total`` and the ``repro_client_cache_bytes``
 gauge), and the cache maintains the accounting invariant
 ``cached_bytes == sum(len(entry) for entries)`` under any admit/evict/
-pin/invalidate interleaving (:meth:`audit`).
+invalidate interleaving (:meth:`audit`).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from ..capability import (
     local_verifier,
     verify,
 )
-from ..errors import ConsistencyError, NotFoundError
+from ..errors import ConsistencyError
 from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import CpuProfile
 
@@ -114,22 +114,14 @@ class LookupResult:
 
 
 class _Entry:
-    """One cached whole file plus its verification state.
+    """One cached whole file plus its verification state."""
 
-    ``dead`` marks an entry invalidated while pinned (the object was
-    deleted on the server, but a sibling is still mid-copy on the
-    immutable bytes): it no longer serves hits, cannot be re-pinned or
-    merged into, and is dropped when the last pin releases.
-    """
-
-    __slots__ = ("data", "secret", "verified", "pins", "dead")
+    __slots__ = ("data", "secret", "verified")
 
     def __init__(self, data: bytes):
         self.data = data
         self.secret: Optional[int] = None
         self.verified: set = set()  # {(rights, check)} proven genuine
-        self.pins = 0
-        self.dead = False
 
 
 class WorkstationCache:
@@ -164,13 +156,8 @@ class WorkstationCache:
         """Bytes held; invariant: equals the sum of entry sizes."""
         return self._used
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, cap: Capability) -> bool:
-        entry = self._entries.get((cap.port, cap.object))
-        return entry is not None and not entry.dead
+        return (cap.port, cap.object) in self._entries
 
     def audit(self) -> int:
         """Check the accounting invariant; returns the byte total."""
@@ -206,8 +193,6 @@ class WorkstationCache:
         """
         self._c_lookups.inc(1)
         entry = self._entries.get((cap.port, cap.object))
-        if entry is not None and entry.dead:
-            entry = None  # deleted; awaiting the last unpin
         cost = 0.0
         verified = False
         if entry is not None:
@@ -237,12 +222,11 @@ class WorkstationCache:
     def admit(self, cap: Capability, data: bytes) -> bool:
         """Admit a whole file fetched from the server under ``cap``.
 
-        Returns False when the file cannot be cached (larger than the
-        budget, or the budget is filled by pinned entries). Re-admission
-        of a resident object by a concurrent sharer merges verification
-        state without touching the byte accounting (the double-count
-        fix: ``cached_bytes`` tracks reality, never the admission
-        count). A resident object whose bytes differ — a reincarnated
+        Returns False when the file is larger than the budget and
+        cannot be cached. Re-admission of a resident object by a
+        concurrent sharer merges verification state without touching
+        the byte accounting (``cached_bytes`` tracks reality, never the
+        admission count). A resident object whose bytes differ — a reincarnated
         object number — is replaced, with the stale verification state
         dropped; when the reincarnation reuses identical bytes, the
         admitting capability (server-proven for the *current*
@@ -254,9 +238,6 @@ class WorkstationCache:
         key = (cap.port, cap.object)
         entry = self._entries.get(key)
         if entry is not None:
-            if entry.dead:
-                # Deleted, awaiting the last unpin; serve through.
-                return False
             if entry.data == data:
                 if entry.secret is not None and not verify(cap, entry.secret):
                     # Reincarnation with identical bytes: the prior
@@ -266,14 +247,10 @@ class WorkstationCache:
                 self._note_verified(entry, cap)
                 self._entries.move_to_end(key)
                 return True
-            if entry.pins:
-                # Someone is mid-copy on the old bytes; serve through.
-                return False
             self._drop(key, entry)
         if len(data) > self.capacity:
             return False
-        if not self._make_room(len(data)):
-            return False
+        self._make_room(len(data))
         entry = _Entry(bytes(data))
         self._note_verified(entry, cap)
         self._entries[key] = entry
@@ -316,8 +293,6 @@ class WorkstationCache:
         if (based_on.rights, based_on.check) == (current.rights, current.check):
             return True, 0.0
         entry = self._entries.get((based_on.port, based_on.object))
-        if entry is not None and entry.dead:
-            entry = None
         cost = 0.0
         for owner, other in ((based_on, current), (current, based_on)):
             if owner.rights != ALL_RIGHTS:
@@ -361,9 +336,7 @@ class WorkstationCache:
         if cap.rights != ALL_RIGHTS:
             return False
         entry = self._entries.get((cap.port, cap.object))
-        if entry is None or entry.dead:
-            return False
-        return self._proven(entry, cap)
+        return entry is not None and self._proven(entry, cap)
 
     def register_verified(self, cap: Capability,
                           derived: Optional[Capability] = None) -> None:
@@ -379,7 +352,7 @@ class WorkstationCache:
         overwrite the secret nor mint verified pairs; later lookups
         under it miss through to the server, the authority."""
         entry = self._entries.get((cap.port, cap.object))
-        if entry is None or entry.dead or not self._proven(entry, cap):
+        if entry is None or not self._proven(entry, cap):
             return
         self._note_verified(entry, cap)
         if (derived is not None and derived.port == cap.port
@@ -392,51 +365,18 @@ class WorkstationCache:
         unnecessary outside the lookup path (e.g. a local restrict)."""
         self._c_rpcs_avoided.inc(1)
 
-    # -------------------------------------------------- invalidation, pins
+    # -------------------------------------------------------- invalidation
 
     def invalidate(self, cap: Capability) -> bool:
-        """Invalidate the object's entry (after a successful DELETE).
-
-        An unpinned entry is dropped immediately. A pinned entry — a
-        sibling process is mid-copy on the (immutable, so still
-        readable) bytes — is marked dead instead: it stops serving
-        hits, refuses re-pinning and re-admission, and its bytes are
-        released when the last pin drops. The server-side delete is
-        irreversible, so this never raises; returns whether a live
-        entry was invalidated."""
+        """Drop the object's entry (after a successful DELETE). The
+        server-side delete is irreversible, so this never raises;
+        returns whether an entry was resident."""
         key = (cap.port, cap.object)
         entry = self._entries.get(key)
-        if entry is None or entry.dead:
+        if entry is None:
             return False
-        if entry.pins:
-            entry.dead = True
-            entry.secret = None
-            entry.verified.clear()
-            return True
         self._drop(key, entry)
         return True
-
-    def pin(self, cap: Capability) -> None:
-        """Exempt the object's entry from eviction (nestable)."""
-        entry = self._entries.get((cap.port, cap.object))
-        if entry is None or entry.dead:
-            raise NotFoundError(
-                f"object {cap.object} is not cached; cannot pin"
-            )
-        entry.pins += 1
-
-    def unpin(self, cap: Capability) -> None:
-        """Release one pin; unbalanced unpins are accounting bugs. The
-        last unpin of a dead entry releases its bytes."""
-        key = (cap.port, cap.object)
-        entry = self._entries.get(key)
-        if entry is None or entry.pins <= 0:
-            raise ConsistencyError(
-                f"unpin of object {cap.object} without a matching pin"
-            )
-        entry.pins -= 1
-        if entry.dead and entry.pins == 0:
-            self._drop(key, entry)
 
     # ----------------------------------------------------------- internals
 
@@ -457,19 +397,13 @@ class WorkstationCache:
             # from here on any rights subset verifies locally.
             entry.secret = cap.check
 
-    def _make_room(self, needed: int) -> bool:
-        """Evict unpinned entries, LRU first, until ``needed`` fits."""
+    def _make_room(self, needed: int) -> None:
+        """Evict entries, LRU first, until ``needed`` (at most the
+        whole budget) fits."""
         while self._used + needed > self.capacity:
-            victim_key = None
-            for key, entry in self._entries.items():
-                if not entry.pins:
-                    victim_key = key
-                    break
-            if victim_key is None:
-                return False
-            self._drop(victim_key, self._entries[victim_key])
+            _key, entry = self._entries.popitem(last=False)
+            self._account(-len(entry.data))
             self._c_evictions.inc(1)
-        return True
 
     def _drop(self, key: tuple[int, int], entry: _Entry) -> None:
         del self._entries[key]

@@ -3,21 +3,19 @@
 Public surface:
 
 * :class:`BulletServer` — the server itself (local + RPC planes).
-* :func:`compact_disk` / :func:`nightly_compaction` — the §3 compaction job.
+* :func:`compact_disk` — the §3 compaction job.
 * The building blocks (inodes, layout, free lists, cache, recovery) for
   tests, ablations, and downstream reuse.
 """
 
 from .cache import BulletCache, CacheStats, Rnode
-from .compaction import CompactionReport, compact_disk, nightly_compaction
+from .compaction import CompactionReport, compact_disk
 from .freelist import Extent, ExtentFreeList
 from .inode import INODE_SIZE, DiskDescriptor, Inode, InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable, LockGrant
 from .recovery import ScanReport, scan_volume
-from .replication import check_p_factor
-from .server import OPCODES, BulletServer, VerifiedCapCache
-from .stats import ServerStats
+from .server import OPCODES, BulletServer, ServerStats, VerifiedCapCache
 
 __all__ = [
     "BulletCache",
@@ -25,7 +23,6 @@ __all__ = [
     "Rnode",
     "CompactionReport",
     "compact_disk",
-    "nightly_compaction",
     "Extent",
     "ExtentFreeList",
     "INODE_SIZE",
@@ -39,7 +36,6 @@ __all__ = [
     "LockGrant",
     "ScanReport",
     "scan_volume",
-    "check_p_factor",
     "OPCODES",
     "BulletServer",
     "VerifiedCapCache",

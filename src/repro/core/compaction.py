@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from ..errors import ConsistencyError, NoSpaceError, ReproError
 from .server import BulletServer
 
-__all__ = ["CompactionReport", "compact_disk", "nightly_compaction"]
+__all__ = ["CompactionReport", "compact_disk"]
 
 
 @dataclass
@@ -189,14 +189,3 @@ def _copy_flip(server: BulletServer, number: int, inode, src: int,
         # Even if the write-through errored, RAM state (inode + free
         # map) must stay self-consistent: the file now lives at dst.
         server.disk_free.free(src, blocks)
-
-
-def nightly_compaction(server: BulletServer, period: float = 24 * 3600.0,
-                       first_at: float = 3 * 3600.0):
-    """Process: run compaction every ``period`` seconds, first at 3 a.m."""
-    env = server.env
-    if first_at > env.now:
-        yield env.timeout(first_at - env.now)
-    while True:
-        yield from compact_disk(server)
-        yield env.timeout(period)

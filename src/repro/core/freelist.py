@@ -28,10 +28,6 @@ class Extent:
     start: int
     length: int
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
     def __post_init__(self):
         if self.length <= 0:
             raise BadRequestError(f"extent length must be positive: {self.length}")

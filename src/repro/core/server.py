@@ -46,7 +46,7 @@ from ..errors import (
     ReproError,
 )
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import Testbed
 from ..sim import Environment, SeededStream, Tracer
 from .cache import BulletCache
@@ -56,10 +56,8 @@ from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
 from .lockset import GuardedMap
 from .recovery import ScanReport, scan_volume
-from .replication import check_p_factor
-from .stats import ServerStats
 
-__all__ = ["BulletServer", "VerifiedCapCache", "OPCODES"]
+__all__ = ["BulletServer", "ServerStats", "VerifiedCapCache", "OPCODES"]
 
 
 #: RPC opcodes of the Bullet protocol.
@@ -72,6 +70,29 @@ OPCODES = {
     "STAT": 6,
     "RESTRICT": 7,
 }
+
+
+class ServerStats(RegistryStats):
+    """Counters the server maintains for std_status-style reporting: a
+    facade over registry counters
+    (``repro_server_<field>_total{server=...}``), so ``std_status``, the
+    exporters and the bench emitter report one and the same values."""
+
+    _PREFIX = "repro_server"
+    _COUNTER_FIELDS = (
+        "creates",
+        "reads",
+        "sizes",
+        "deletes",
+        "modifies",
+        "restricts",
+        "errors",
+        "bytes_created",
+        "bytes_read",
+        "bytes_modified",
+        "cap_checks",
+        "cap_check_cache_hits",
+    )
 
 
 class VerifiedCapCache:
@@ -254,7 +275,7 @@ class BulletServer(RpcService):
         yield self.env.timeout(cpu.request_dispatch)
         if p_factor is None:
             p_factor = self.testbed.bullet.default_p_factor
-        check_p_factor(p_factor, self.mirror)
+        self.mirror.check_p_factor(p_factor)
         size = len(data)
         if size > self.cache.capacity:
             raise FileTooBigError(
@@ -535,6 +556,11 @@ class BulletServer(RpcService):
         if not inode.free:
             inode.index = 0
 
+    def stat(self, cap: Capability):
+        """Process: std_status for the holder of any valid capability."""
+        yield from self._check(cap, 0)
+        return self.status()
+
     def status(self) -> dict:
         """std_status: live counters and space accounting (synchronous)."""
         self._require_booted()
@@ -666,8 +692,7 @@ class BulletServer(RpcService):
                                          req.body, p_factor)
             return RpcReply(caps=(cap,))
         if op == OPCODES["STAT"]:
-            _n, _inode = yield from self._check(req.cap, 0)
-            status = self.status()
+            status = yield from self.stat(req.cap)
             return RpcReply(args=(status,))
         if op == OPCODES["RESTRICT"]:
             mask = req.args[0]

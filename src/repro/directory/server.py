@@ -34,6 +34,7 @@ from ..capability import (
 )
 from ..errors import (
     BadRequestError,
+    CapabilityError,
     ExistsError,
     NotADirectoryError_,
     NotEmptyError,
@@ -279,32 +280,35 @@ class DirectoryServer(RpcService):
 
     def history(self, dir_cap: Capability, limit: int = 16):
         """Process: capabilities of this directory's version files,
-        newest first, by walking the prev-version chain."""
+        newest first, by walking the prev-version chain. The walk stops
+        at the first version file that is gone — pruned, or its object
+        number since reincarnated — so every capability returned names
+        a readable version."""
         slot, record, _rows = yield from self._open(dir_cap, RIGHT_READ)
-        chain = [record.version_cap]
+        chain = []
         cursor = record.version_cap
         while len(chain) < limit:
-            raw = yield from self.bullet.read(cursor)
-            rows = DirectoryRows.decode(raw)
-            if rows.prev_version.check == 0 and rows.prev_version.port == 0:
+            try:
+                raw = yield from self.bullet.read(cursor)
+            except (NotFoundError, CapabilityError):
                 break
-            chain.append(rows.prev_version)
-            cursor = rows.prev_version
+            chain.append(cursor)
+            cursor = DirectoryRows.decode(raw).prev_version
+            if cursor.check == 0 and cursor.port == 0:
+                break
         return chain
 
     def prune_history(self, dir_cap: Capability, keep: int = 1):
         """Process: delete all but the newest ``keep`` version files.
-        Returns how many versions were deleted."""
+        Returns how many versions were deleted. The oldest kept version
+        still names its deleted predecessor; :meth:`history` stops at
+        that unreadable link, so the chain needs no rewrite."""
         if keep < 1:
             raise BadRequestError("must keep at least the current version")
         chain = yield from self.history(dir_cap, limit=1 << 16)
         doomed = chain[keep:]
         for cap in doomed:
             yield from self.bullet.delete(cap)
-        if doomed:
-            # Cut the chain: rewrite the oldest kept version? Not needed —
-            # history() stops at the first unreadable link.
-            pass
         return len(doomed)
 
     def status(self) -> dict:

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..errors import ConsistencyError, DiskIOError, ServerDownError
+from ..errors import (
+    BadRequestError,
+    ConsistencyError,
+    DiskIOError,
+    ServerDownError,
+)
 from ..sim import CountOf, Environment, Event, Interrupt, Tracer
 from .vdisk import VirtualDisk, pad_to_block
 
@@ -66,9 +71,22 @@ class MirroredDiskSet:
     def block_size(self) -> int:
         return self.disks[0].block_size
 
-    @property
-    def total_blocks(self) -> int:
-        return min(d.total_blocks for d in self.disks)
+    def check_p_factor(self, p_factor: int) -> None:
+        """Validate a requested paranoia factor against the set (§2.2):
+        "If the P-FACTOR is N, ... this requires the file server to
+        have at least N disks available for replication."
+        """
+        if p_factor < 0:
+            raise BadRequestError(f"p-factor must be >= 0, got {p_factor}")
+        if p_factor > len(self.disks):
+            raise BadRequestError(
+                f"p-factor {p_factor} exceeds the server's {len(self.disks)} disks"
+            )
+        if p_factor > self.replica_count:
+            raise ServerDownError(
+                f"p-factor {p_factor} requires more live disks than the "
+                f"{self.replica_count} currently available"
+            )
 
     # -------------------------------------------------------------- I/O
 

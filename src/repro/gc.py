@@ -9,8 +9,7 @@ servers give every object a number of *lives*; a periodic sweep
 object that reaches zero is reclaimed. The directory service touches
 everything it can reach, so exactly the orphans die.
 
-:func:`gc_sweep` runs one cycle; :func:`gc_daemon` runs it on a period
-(the same nightly cadence as the §3 disk compaction).
+:func:`gc_sweep` runs one cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable
 from .core import BulletServer
 from .directory import DirectoryServer
 
-__all__ = ["GcReport", "gc_sweep", "gc_daemon"]
+__all__ = ["GcReport", "gc_sweep"]
 
 
 @dataclass
@@ -46,8 +45,8 @@ def gc_sweep(bullet: BulletServer,
 
     ``extra_collectors``: zero-argument callables returning a *process*
     that yields further reachable capabilities — used by structures the
-    directory cannot see inside, e.g. the interior nodes of an
-    :class:`~repro.btree.ImmutableBTree`
+    directory cannot see inside, e.g. the interior nodes of the
+    immutable B-tree in ``examples/immutable_database.py``
     (``lambda: tree.collect_caps(root)``).
     """
     report = GcReport()
@@ -65,13 +64,3 @@ def gc_sweep(bullet: BulletServer,
                 report.touched += 1
     report.reclaimed = yield from bullet.age_all()
     return report
-
-
-def gc_daemon(bullet: BulletServer,
-              directory_servers: Iterable[DirectoryServer],
-              period: float = 24 * 3600.0):
-    """Process: run :func:`gc_sweep` every ``period`` seconds, forever."""
-    directory_servers = list(directory_servers)
-    while True:
-        yield bullet.env.timeout(period)
-        yield from gc_sweep(bullet, directory_servers)

@@ -192,13 +192,6 @@ class RpcTransport:
         self.retransmit_interval = 0.5
         self.max_retransmits = 10
 
-    @property
-    def stats_retransmits(self) -> int:
-        """Retransmission count, read from the registry counter
-        (``repro_rpc_retransmits_total``) so the transport and the
-        exporters cannot disagree."""
-        return self._retransmits.value
-
     def add_route(self, gateway) -> None:
         """Install a gateway consulted for ports not served locally
         (see :mod:`repro.net.gateway`)."""

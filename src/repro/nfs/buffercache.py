@@ -40,11 +40,6 @@ class BufferCacheStats(RegistryStats):
         "churned",
     )
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class BufferCache:
     """An LRU block cache in front of one disk."""

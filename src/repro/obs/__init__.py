@@ -32,7 +32,7 @@ from .registry import (
     MetricsRegistry,
     RegistryStats,
 )
-from .spans import Span, durations_by_name, pair_spans
+from .spans import Span, pair_spans
 
 __all__ = [
     "Counter",
@@ -43,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "RegistryStats",
     "Span",
-    "durations_by_name",
     "pair_spans",
     "render_json",
     "render_text",

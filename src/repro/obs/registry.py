@@ -207,9 +207,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- queries
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def collect(self) -> list:
         """Every metric, sorted by (name, labels) — the export order."""
         return sorted(self._metrics.values(), key=lambda m: (m.name, m.labels))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import ConsistencyError
 
-__all__ = ["Span", "pair_spans", "durations_by_name"]
+__all__ = ["Span", "pair_spans"]
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,3 @@ def pair_spans(records, allow_open: bool = False) -> list:
             f"unclosed spans: {sorted(open_spans)}"
         )
     return sorted(spans, key=lambda s: (s.begin, s.span_id))
-
-
-def durations_by_name(spans) -> dict:
-    """Total duration per span name (the delay-decomposition view)."""
-    totals: dict = {}
-    for span in spans:
-        totals[span.name] = totals.get(span.name, 0.0) + span.duration
-    return dict(sorted(totals.items()))

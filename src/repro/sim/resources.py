@@ -51,11 +51,6 @@ class Resource:
         """Number of waiting requests."""
         return len(self._queue)
 
-    @property
-    def idle(self) -> bool:
-        """True when nobody holds or waits for the resource."""
-        return not self._users and not self._queue
-
     def request(self) -> Request:
         """Claim the resource; yield the returned event to wait for it."""
         req = Request(self)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Sequence
 
 __all__ = ["SeededStream", "derive_seed"]
 
@@ -43,15 +42,6 @@ class SeededStream:
 
     def random(self) -> float:
         return self._rng.random()
-
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
-
-    def randbytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
 
     def expovariate(self, rate: float) -> float:
         """Exponential inter-arrival time with the given rate (1/s)."""

@@ -14,16 +14,6 @@ USEC = 1e-6
 MSEC = 1e-3
 
 
-def kbytes(n: float) -> int:
-    """``n`` kilobytes as bytes."""
-    return int(n * KB)
-
-
-def mbytes(n: float) -> int:
-    """``n`` megabytes as bytes."""
-    return int(n * MB)
-
-
 def msec(t: float) -> float:
     """``t`` milliseconds as seconds."""
     return t * MSEC

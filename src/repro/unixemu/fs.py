@@ -217,12 +217,6 @@ class UnixEmulation:
         size = yield from self.bullet.size(cap)
         return {"size": size, "is_directory": False}
 
-    def fstat(self, fd: int):
-        """Process: size of an open file's current image."""
-        handle = self._handle(fd)
-        yield from self._load(handle)
-        return {"size": len(handle.buffer), "is_directory": False}
-
     def unlink(self, path: str):
         """Process: remove the name and delete the file."""
         dir_cap, name = yield from self._resolve_parent(path)

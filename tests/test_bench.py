@@ -296,6 +296,89 @@ def test_no_defaulted_parameter_goes_unpassed():
     assert not findings, "\n".join(sorted(findings))
 
 
+#: Modules no committed artifact reaches, each with the claim it stays
+#: on (EXPERIMENTS.md E16). A package name covers its modules.
+_CLAIMED_MODULES = {
+    "repro.__main__": "README: `python -m repro` prints the Fig. 2/3 tables",
+    "repro.analysis": "tool with its own CI traffic: test_analysis_*.py",
+    "repro.modelcheck": "tool with its own CI job: modelcheck",
+    "repro.faults": "safety plane: the fault matrix and crash tests drive it",
+    "repro.gc": "DESIGN §5c: orphans are absorbed by object aging",
+    "repro.unixemu": "paper §5: a UNIX emulation on top of the Bullet service",
+}
+
+
+def test_no_module_is_kept_alive_by_tests_and_examples_alone():
+    """Every module under src/repro is used — imports followed through
+    the re-exports of package ``__init__`` files, which are not uses
+    themselves — by something that produces a committed artifact:
+    benchmarks/, perf/ or the bench CLI. The rest is the table above;
+    a module only tests/ and examples/ import has nothing measuring it
+    and belongs beside its example."""
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src"
+
+    def dotted(path):
+        parts = path.relative_to(src).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    files = {dotted(path): path for path in (src / "repro").rglob("*.py")}
+    trees = {path: ast.parse(path.read_text()) for path in files.values()}
+
+    def named_module(path, node):
+        """The absolute dotted name an ImportFrom starts from."""
+        if not node.level:
+            return node.module or ""
+        if path not in trees:
+            return ""  # perf/ importing its own siblings
+        here = dotted(path).split(".")
+        if path.name != "__init__.py":
+            here = here[:-1]
+        here = here[:len(here) - (node.level - 1)]
+        return ".".join(here + ([node.module] if node.module else []))
+
+    def provider(module, name):
+        """The module ``from module import name`` really loads from."""
+        if f"{module}.{name}" in files:
+            return f"{module}.{name}"
+        init = files.get(module)
+        if init is not None and init.name == "__init__.py":
+            for node in ast.walk(trees[init]):
+                if isinstance(node, ast.ImportFrom):
+                    for a in node.names:
+                        if (a.asname or a.name) == name:
+                            return provider(named_module(init, node), a.name)
+        return module
+
+    def claimed(module):
+        return any(module == claim or module.startswith(claim + ".")
+                   for claim in _CLAIMED_MODULES)
+
+    live = {"repro.obs.__main__"}
+    frontier = [path for top in ("benchmarks", "perf")
+                for path in (root / top).rglob("*.py")]
+    frontier += [files[m] for m in files if m in live or claimed(m)]
+    while frontier:
+        path = frontier.pop()
+        if path in trees and path.name == "__init__.py":
+            continue  # a re-export is not a use
+        tree = trees.get(path) or ast.parse(path.read_text())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(provider(named_module(path, node), a.name)
+                            for a in node.names)
+        for module in used & files.keys() - live:
+            live.add(module)
+            frontier.append(files[module])
+    unreached = sorted(m for m, path in files.items()
+                       if m not in live and path.name != "__init__.py"
+                       and not claimed(m))
+    assert not unreached, "\n".join(unreached)
+
+
 def test_kernel_private_state_stays_inside_repro_sim():
     """``can_collapse`` / ``try_finish_now`` / ``peek`` are the whole
     fast-path legality surface and ``ticket`` / ``schedule_at`` /

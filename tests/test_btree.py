@@ -1,17 +1,33 @@
 """Tests for the immutable B-tree over Bullet files, including a
-hypothesis model check against a plain dict and GC integration."""
+hypothesis model check against a plain dict and GC integration.
+
+The tree is an application of the client API, not part of the library:
+it lives in ``examples/immutable_database.py`` (its one consumer), and
+these tests load it from there."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import ImmutableBTree, InternalNode, LeafNode, decode_node
 from repro.capability import Capability
 from repro.client import LocalBulletStub
 from repro.errors import BadRequestError, ConsistencyError, NotFoundError
 from repro.sim import run_process
 
 from conftest import make_bullet, small_testbed
+
+_spec = importlib.util.spec_from_file_location(
+    "immutable_database",
+    Path(__file__).resolve().parent.parent / "examples" / "immutable_database.py")
+_example = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_example)
+ImmutableBTree = _example.ImmutableBTree
+InternalNode = _example.InternalNode
+LeafNode = _example.LeafNode
+decode_node = _example.decode_node
 
 
 @pytest.fixture
@@ -130,20 +146,6 @@ def test_delete_missing_key(env, tree_world):
     root = put(env, tree, root, [(b"a", b"1")])
     with pytest.raises(NotFoundError):
         run_process(env, tree.delete(root, b"zz"))
-
-
-def test_rebuild_packs_tree(env, tree_world):
-    tree, root, _ = tree_world
-    root = put(env, tree, root,
-               [(f"{i:03d}".encode(), b"v") for i in range(60)])
-    for i in range(0, 60, 2):
-        root = run_process(env, tree.delete(root, f"{i:03d}".encode()))
-    sparse_nodes = run_process(env, tree.node_count(root))
-    packed = run_process(env, tree.rebuild(root))
-    packed_nodes = run_process(env, tree.node_count(packed))
-    assert packed_nodes <= sparse_nodes
-    assert run_process(env, tree.items(packed)) == run_process(
-        env, tree.items(root))
 
 
 def test_fanout_validation(env):

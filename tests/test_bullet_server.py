@@ -16,7 +16,7 @@ from repro.capability import (
     RIGHT_READ,
     restrict,
 )
-from repro.client import BulletClient
+from repro.client import BulletClient, LocalBulletStub
 from repro.core import BulletServer, scan_volume
 from repro.errors import (
     BadRequestError,
@@ -171,8 +171,8 @@ def test_server_restrict(env, bullet):
 
 
 #: Every operation that takes a capability: (name, rights it demands,
-#: further arguments, planes it exists on). TOUCH has no opcode, and the
-#: local ``status()`` takes no capability. Two mutants of the real
+#: further arguments, planes it exists on). TOUCH has no opcode or stub
+#: method, and ``status()`` takes no capability. Two mutants of the real
 #: server passed all of tier-1 before this table existed: ``size`` and
 #: ``touch`` with their ``_check`` removed (DESIGN.md §11).
 _CAP_OPS = [
@@ -182,7 +182,7 @@ _CAP_OPS = [
     ("modify", RIGHT_READ | RIGHT_MODIFY, (0, 0, b"+"), "local rpc"),
     ("restrict", 0, (RIGHT_READ,), "local rpc"),
     ("touch", 0, (), "local"),
-    ("stat", 0, (), "rpc"),
+    ("stat", 0, (), "local rpc"),
 ]
 
 
@@ -196,8 +196,8 @@ def test_every_capability_taking_operation_checks_it(
     client = BulletClient(env, rpc, bullet.port)
     operations = []
     if "local" in planes:
-        operations.append(
-            getattr(bullet, "restrict_cap" if op == "restrict" else op))
+        local = LocalBulletStub(bullet)
+        operations.append(getattr(local if hasattr(local, op) else bullet, op))
     if "rpc" in planes:
         operations.append(getattr(client, op))
     owner = call(env, bullet.create(b"payload", p_factor=1))

@@ -23,7 +23,6 @@ from repro.capability import (
     rights_names,
     server_restrict,
     verify,
-    xtea_decrypt_block,
     xtea_encrypt_block,
 )
 from repro.errors import BadRequestError, CapabilityError, RightsError
@@ -40,15 +39,8 @@ def test_xtea_known_vector():
 
 
 def test_xtea_zero_vector():
-    key = bytes(16)
-    ct = xtea_encrypt_block(key, bytes(8))
-    assert xtea_decrypt_block(key, ct) == bytes(8)
-
-
-@given(key=st.binary(min_size=16, max_size=16),
-       block=st.binary(min_size=8, max_size=8))
-def test_xtea_roundtrip(key, block):
-    assert xtea_decrypt_block(key, xtea_encrypt_block(key, block)) == block
+    """Published XTEA test vector: all-zero key and block."""
+    assert xtea_encrypt_block(bytes(16), bytes(8)).hex() == "dee9d4d8f7131ed9"
 
 
 def test_xtea_rejects_bad_sizes():
@@ -56,8 +48,6 @@ def test_xtea_rejects_bad_sizes():
         xtea_encrypt_block(bytes(15), bytes(8))
     with pytest.raises(ValueError):
         xtea_encrypt_block(bytes(16), bytes(7))
-    with pytest.raises(ValueError):
-        xtea_decrypt_block(bytes(16), bytes(9))
 
 
 def test_xtea_avalanche():

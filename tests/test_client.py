@@ -145,7 +145,7 @@ def test_caching_client_lru_capacity(env, rpc_rig):
             for i in range(3)]
     for cap in caps:
         run_process(env, caching.read(cap))
-    assert caching.cached_bytes <= 10 * KB
+    assert caching.cache.cached_bytes <= 10 * KB
     # Oldest entry was evicted; rereading it is a miss but still correct.
     misses_before = caching.misses
     assert run_process(env, caching.read(caps[0])) == bytes([0]) * (4 * KB)
@@ -157,7 +157,7 @@ def test_caching_client_oversized_file_not_cached(env, rpc_rig):
     caching = CachingBulletClient(client, capacity_bytes=1 * KB)
     cap = run_process(env, caching.create(bytes(4 * KB), 1))
     run_process(env, caching.read(cap))
-    assert caching.cached_bytes == 0
+    assert caching.cache.cached_bytes == 0
 
 
 def test_caching_client_delete_invalidates(env, rpc_rig):

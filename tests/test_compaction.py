@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import compact_disk, nightly_compaction
+from repro.core import compact_disk
 from repro.errors import NoSpaceError
 from repro.sim import run_process
 from repro.units import KB
@@ -126,18 +126,6 @@ def test_compaction_on_clean_volume_moves_nothing(env):
     for i, cap in zip((1, 2), caps):
         assert run_process(env, bullet.read(cap)) == bytes([i]) * 16 * KB
         run_process(env, bullet.delete(cap))
-
-
-def test_nightly_compaction_runs_at_3am(env):
-    bullet = make_bullet(env)
-    churn(env, bullet, n=6)
-    assert bullet.disk_free.hole_count > 1
-    env.process(nightly_compaction(bullet))
-    env.run(until=2.9 * 3600)
-    assert bullet.disk_free.hole_count > 1  # not yet 3 a.m.
-    env.run(until=3.2 * 3600)
-    assert bullet.disk_free.hole_count == 1
-    assert bullet.locks.held_keys() == []
 
 
 def test_compaction_survives_reboot_scan(env):

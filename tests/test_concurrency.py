@@ -55,7 +55,7 @@ def test_many_clients_mixed_ops_preserve_invariants(env):
             if roll < 0.5 or not mine:
                 size = int(stream.lognormal_bounded(2 * KB, 1.2, 1, 16 * KB))
                 payload = bytes([index]) * size
-                p = stream.choice([0, 1, 2])
+                p = stream.randint(0, 2)
                 try:
                     cap = yield from client.create(payload, p)
                 except (NoSpaceError, ReproError) as exc:

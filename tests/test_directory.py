@@ -297,6 +297,26 @@ def test_prune_history_deletes_old_versions(env):
     assert len(call(env, dirs.list_names(root))) == 5
 
 
+def test_history_after_a_prune_returns_the_kept_versions(env):
+    """The oldest kept version still names its deleted predecessor; the
+    walk stops there — also when the predecessor's object number has
+    since been reincarnated and the old capability no longer verifies."""
+    dirs, bullet = make_dir_server(env)
+    root = call(env, dirs.create_directory())
+    cap = call(env, bullet.create(b"x", p_factor=1))
+    for i in range(4):
+        call(env, dirs.append(root, f"n{i}", cap))
+    before = call(env, dirs.history(root))
+    assert call(env, dirs.prune_history(root, keep=2)) == 3
+    assert call(env, dirs.history(root)) == before[:2]
+    # Reuse the freed object numbers: the dangling link now fails its
+    # capability check instead of NotFound.
+    reused = [call(env, bullet.create(b"other", p_factor=1)) for _ in range(3)]
+    assert before[2].object in {c.object for c in reused}
+    assert call(env, dirs.history(root)) == before[:2]
+    assert call(env, dirs.prune_history(root, keep=2)) == 0
+
+
 def test_prune_keep_zero_rejected(env):
     dirs, _ = make_dir_server(env)
     root = call(env, dirs.create_directory())

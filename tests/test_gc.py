@@ -7,7 +7,7 @@ from repro.client import LocalBulletStub
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import NotFoundError
-from repro.gc import gc_daemon, gc_sweep
+from repro.gc import gc_sweep
 from repro.sim import run_process
 from repro.units import KB
 
@@ -76,6 +76,27 @@ def test_directory_version_files_survive_with_history(env):
         run_process(env, bullet.read(version_cap))
 
 
+def test_sweep_over_a_pruned_directory_touches_the_kept_versions(env):
+    """A default sweep (include_history=True) walks each directory's
+    version chain; after a prune the chain ends at a deleted file, and
+    the walk must stop there instead of failing the whole sweep."""
+    bullet, dirs = make_world(env, max_lives=2)
+    root = run_process(env, dirs.create_directory())
+    cap = run_process(env, bullet.create(b"f", 1))
+    for name in "abc":
+        run_process(env, dirs.append(root, name, cap))
+    assert run_process(env, dirs.prune_history(root, keep=2)) == 2
+    kept = run_process(env, dirs.history(root))
+    assert len(kept) == 2
+    for _ in range(5):
+        report = run_process(env, gc_sweep(bullet, [dirs]))
+        assert report.touched == 2 + 3  # kept versions + the bound rows
+        assert report.reclaimed == []
+    for version_cap in kept:
+        run_process(env, bullet.read(version_cap))
+    assert run_process(env, bullet.read(cap)) == b"f"
+
+
 def test_old_versions_collected_without_history_retention(env):
     """With include_history=False, superseded directory versions are
     unreachable and age out — automatic version pruning."""
@@ -107,17 +128,6 @@ def test_unbound_then_bound_file_is_saved(env):
     run_process(env, gc_sweep(bullet, [dirs]))
     assert run_process(env, bullet.read(cap)) == b"late binding"
     assert bullet.lives_of(cap.object) == bullet.testbed.bullet.max_lives - 1
-
-
-def test_gc_daemon_periodic(env):
-    bullet, dirs = make_world(env, max_lives=2)
-    orphan = run_process(env, bullet.create(b"orphan", 1))
-    env.process(gc_daemon(bullet, [dirs], period=100.0))
-    env.run(until=150.0)
-    assert bullet.lives_of(orphan.object) == 1
-    env.run(until=250.0)
-    with pytest.raises(NotFoundError):
-        bullet.lives_of(orphan.object)
 
 
 def test_reboot_resets_aging_clock(env):

@@ -76,7 +76,7 @@ def test_rpc_succeeds_despite_loss():
     assert replies == [bytes([i]) for i in range(20)]
     # Losses definitely happened; retransmissions recovered them.
     assert eth.stats.lost_packets > 0
-    assert rpc.stats_retransmits > 0
+    assert rpc.metrics.value("repro_rpc_retransmits_total") > 0
 
 
 def test_at_most_once_execution():
@@ -93,7 +93,7 @@ def test_at_most_once_execution():
     run_process(env, client())
     assert len(executions) == 15
     assert len(set(executions)) == 15  # every txid served exactly once
-    assert rpc.stats_retransmits > 0
+    assert rpc.metrics.value("repro_rpc_retransmits_total") > 0
 
 
 def test_total_loss_times_out():

@@ -22,8 +22,6 @@ from repro.units import (
     MB,
     bandwidth_kb_per_sec,
     fmt_size,
-    kbytes,
-    mbytes,
     msec,
     to_msec,
     usec,
@@ -36,8 +34,6 @@ from repro.units import (
 def test_unit_constants():
     assert KB == 1024
     assert MB == 1024 * 1024
-    assert kbytes(2) == 2048
-    assert mbytes(1) == MB
     assert msec(5) == pytest.approx(0.005)
     assert usec(5) == pytest.approx(5e-6)
     assert to_msec(0.25) == pytest.approx(250.0)

@@ -145,15 +145,6 @@ def test_evidence_owner_check_seeds_trusted_entry():
     assert cache.owner_verified(OWNER)
 
 
-def test_evidence_dead_entry_gives_no_evidence():
-    cache = evidence_cache()
-    assert cache.admit(OWNER, b"payload")
-    cache.pin(OWNER)
-    cache.invalidate(OWNER)
-    assert cache.currency_evidence(READ_CAP, DEL_CAP) == (False, 0.0)
-    cache.unpin(OWNER)
-
-
 # ------------------------------------------- lookup_validated regressions
 
 
@@ -225,28 +216,6 @@ def test_reincarnation_is_stale(env):
 
 
 # ----------------------------------------------------- open-by-name plane
-
-
-def test_stale_binding_invalidates_pinned_entry_via_dead_path(env):
-    """A stale binding must invalidate the workstation-cache entry it
-    pointed at even while a sibling holds it pinned: the entry goes
-    dead (stops serving) and is reclaimed on the last unpin — PR 9's
-    dead-entry path, driven from the coherence plane."""
-    dirs, bullet = make_dir_server(env)
-    root = call(env, dirs.create_directory())
-    session = make_session(env, bullet, dirs, root,
-                           CurrencyPolicy.always(), "ws-pin")
-    cache = session.cache
-    v1_owner, _old = call(env, session.publish("doc", b"version one"))
-    assert call(env, session.read("doc")) == b"version one"
-    assert v1_owner in cache
-    cache.pin(v1_owner)
-    call(env, session.publish("doc", b"version two"))
-    assert v1_owner not in cache        # dead: no longer serves hits
-    cache.unpin(v1_owner)               # last unpin reclaims the bytes
-    assert cache.audit() == 0
-    assert call(env, session.read("doc")) == b"version two"
-    assert cache.audit() == len(b"version two")
 
 
 def test_check_always_never_serves_stale(env):

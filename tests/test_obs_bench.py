@@ -203,9 +203,7 @@ def test_freelist_gauges_track_the_arena(env, bullet):
 def test_retransmit_counter_lives_in_the_registry(env):
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile())
-    assert rpc.stats_retransmits == 0
     rpc._retransmits.inc(3)
-    assert rpc.stats_retransmits == 3
     assert rpc.metrics.value("repro_rpc_retransmits_total") == 3
 
 

@@ -1,19 +1,14 @@
 """Tests for cross-server replication: capability sets in the
-directory, the replicate helper, and replica-set reads with failover."""
+directory, an independent copy on a second server, and the GC sweep
+reaching every member of a set."""
 
 import pytest
 
-from repro.client import (
-    BulletClient,
-    DirectoryClient,
-    LocalBulletStub,
-    ReplicaSetClient,
-    replicate_file,
-)
+from repro.client import DirectoryClient, LocalBulletStub
 from repro.directory import DirectoryRows, DirectoryServer
 from repro.disk import VirtualDisk
-from repro.errors import BadRequestError, CapabilityError, ServerDownError
-from repro.capability import Capability, ALL_RIGHTS
+from repro.errors import BadRequestError
+from repro.capability import Capability
 from repro.net import Ethernet, RpcTransport
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, run_process
@@ -34,6 +29,13 @@ def twin_world(env):
     dirs.format()
     run_process(env, dirs.boot())
     return rpc, bullet_a, bullet_b, dirs
+
+
+def replicate_file(src_stub, dst_stub, cap, p_factor):
+    """Process: copy the immutable file behind ``cap`` to another
+    server; returns the new capability."""
+    data = yield from src_stub.read(cap)
+    return (yield from dst_stub.create(data, p_factor))
 
 
 # ------------------------------------------------------- rows with sets
@@ -85,73 +87,6 @@ def test_directory_binds_and_returns_sets(env, twin_world):
     assert run_process(env, names.lookup(root, "file")) == primary
     cap_set = run_process(env, names.lookup_set(root, "file"))
     assert cap_set == [primary, replica]
-
-
-def test_replica_set_read_prefers_primary(env, twin_world):
-    rpc, bullet_a, bullet_b, _dirs = twin_world
-    stub_a, stub_b = LocalBulletStub(bullet_a), LocalBulletStub(bullet_b)
-    primary = run_process(env, stub_a.create(b"payload", 1))
-    replica = run_process(env, replicate_file(stub_a, stub_b, primary, 1))
-    reader = ReplicaSetClient(env, rpc, timeout=0.5)
-    reads_b_before = bullet_b.stats.reads
-    assert run_process(env, reader.read([primary, replica])) == b"payload"
-    assert reader.failovers == 0
-    assert bullet_b.stats.reads == reads_b_before  # replica untouched
-
-
-def test_replica_set_failover_when_primary_server_dies(env, twin_world):
-    rpc, bullet_a, bullet_b, _dirs = twin_world
-    stub_a, stub_b = LocalBulletStub(bullet_a), LocalBulletStub(bullet_b)
-    primary = run_process(env, stub_a.create(b"survives", 1))
-    replica = run_process(env, replicate_file(stub_a, stub_b, primary, 1))
-    bullet_a.crash()
-    reader = ReplicaSetClient(env, rpc, timeout=0.5)
-    assert run_process(env, reader.read([primary, replica])) == b"survives"
-    assert reader.failovers == 1
-    assert run_process(env, reader.size([primary, replica])) == 8
-
-
-def test_replica_set_all_down(env, twin_world):
-    rpc, bullet_a, bullet_b, _dirs = twin_world
-    stub_a, stub_b = LocalBulletStub(bullet_a), LocalBulletStub(bullet_b)
-    primary = run_process(env, stub_a.create(b"x", 1))
-    replica = run_process(env, replicate_file(stub_a, stub_b, primary, 1))
-    bullet_a.crash()
-    bullet_b.crash()
-    reader = ReplicaSetClient(env, rpc, timeout=0.2)
-    with pytest.raises(ServerDownError):
-        run_process(env, reader.read([primary, replica]))
-
-
-def test_replica_set_genuine_error_not_retried(env, twin_world):
-    """A forged capability fails identically everywhere: raise at the
-    first replica rather than hammering the rest."""
-    rpc, bullet_a, _bullet_b, _dirs = twin_world
-    stub_a = LocalBulletStub(bullet_a)
-    cap = run_process(env, stub_a.create(b"x", 1))
-    forged = Capability(port=cap.port, object=cap.object,
-                        rights=ALL_RIGHTS, check=cap.check ^ 1)
-    reader = ReplicaSetClient(env, rpc, timeout=0.5)
-    with pytest.raises(CapabilityError):
-        run_process(env, reader.read([forged]))
-
-
-def test_replica_set_empty_rejected(env, twin_world):
-    rpc, *_ = twin_world
-    reader = ReplicaSetClient(env, rpc)
-    with pytest.raises(ServerDownError):
-        run_process(env, reader.read([]))
-
-
-def test_delete_all_skips_dead_servers(env, twin_world):
-    rpc, bullet_a, bullet_b, _dirs = twin_world
-    stub_a, stub_b = LocalBulletStub(bullet_a), LocalBulletStub(bullet_b)
-    primary = run_process(env, stub_a.create(b"x", 1))
-    replica = run_process(env, replicate_file(stub_a, stub_b, primary, 1))
-    bullet_b.crash()
-    reader = ReplicaSetClient(env, rpc, timeout=0.2)
-    assert run_process(env, reader.delete_all([primary, replica])) == 1
-    assert bullet_a.table.live_count == 0
 
 
 def test_gc_touches_every_set_member(env, twin_world):

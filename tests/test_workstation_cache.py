@@ -23,7 +23,6 @@ from repro.client import (
 )
 from repro.errors import (
     CapabilityError,
-    ConsistencyError,
     NotFoundError,
     RightsError,
 )
@@ -76,7 +75,6 @@ def test_readmission_does_not_double_count():
     for _ in range(5):
         assert cache.admit(cap, data)
     assert cache.cached_bytes == KB
-    assert cache.entry_count == 1
     assert cache.audit() == KB
 
 
@@ -123,46 +121,6 @@ def test_oversized_file_rejected():
     cache = WorkstationCache(1 * KB)
     assert not cache.admit(owner(1), b"z" * (2 * KB))
     assert cache.cached_bytes == 0
-
-
-def test_pin_blocks_eviction_and_defers_invalidation():
-    cache = WorkstationCache(8 * KB)
-    a, b = owner(1), owner(2)
-    assert cache.admit(a, b"a" * (4 * KB))
-    cache.pin(a)
-    assert cache.admit(b, b"b" * (4 * KB))
-    # a is LRU but pinned: admitting c must evict b instead.
-    assert cache.admit(owner(3), b"c" * (4 * KB))
-    assert a in cache and b not in cache
-    # Invalidating the pinned entry defers the drop: it stops serving
-    # hits at once, but its bytes are held until the pin releases.
-    assert cache.invalidate(a)
-    assert a not in cache
-    assert not cache.lookup(a, RIGHT_READ).hit
-    assert cache.audit() == 8 * KB
-    cache.unpin(a)
-    assert cache.audit() == 4 * KB
-    assert not cache.invalidate(a)
-
-
-def test_fully_pinned_cache_rejects_admission():
-    cache = WorkstationCache(4 * KB)
-    a = owner(1)
-    assert cache.admit(a, b"a" * (4 * KB))
-    cache.pin(a)
-    assert not cache.admit(owner(2), b"b" * KB)
-    assert cache.stats.evictions == 0
-    cache.unpin(a)
-    assert cache.admit(owner(2), b"b" * KB)
-
-
-def test_pin_of_absent_entry_and_unbalanced_unpin_raise():
-    cache = WorkstationCache(4 * KB)
-    with pytest.raises(NotFoundError):
-        cache.pin(owner(9))
-    cache.admit(owner(1), b"x")
-    with pytest.raises(ConsistencyError):
-        cache.unpin(owner(1))
 
 
 def test_bytes_gauge_tracks_usage():
@@ -233,52 +191,26 @@ def test_rejects_bad_capacity():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(
-    st.sampled_from(["admit", "lookup", "invalidate", "pin", "unpin"]),
+    st.sampled_from(["admit", "lookup", "invalidate"]),
     st.integers(min_value=0, max_value=5),     # object number
     st.integers(min_value=1, max_value=6),     # size in KB
 ), max_size=40))
 def test_accounting_invariant_under_random_interleavings(ops):
     """``cached_bytes == sum(len(entry))`` and never above the budget,
-    under any admit/evict/pin/invalidate interleaving — the invariant
-    the double-count bug violated — including the deferred drop of
-    entries invalidated while pinned."""
+    under any admit/evict/invalidate interleaving — the invariant the
+    double-count bug violated."""
     cache = WorkstationCache(8 * KB)
-    pins: dict = {}
-    dead: set = set()
     for kind, obj, size_kb in ops:
         cap = owner(obj)
         if kind == "admit":
-            admitted = cache.admit(cap, bytes([obj]) * (size_kb * KB))
-            if obj in dead:
-                assert not admitted  # dead entries refuse re-admission
+            assert cache.admit(cap, bytes([obj]) * (size_kb * KB))
+            assert cap in cache
         elif kind == "lookup":
-            result = cache.lookup(cap, RIGHT_READ)
-            if obj in dead:
-                assert not result.hit
+            assert cache.lookup(cap, RIGHT_READ).hit == (cap in cache)
         elif kind == "invalidate":
-            invalidated = cache.invalidate(cap)
-            if obj in dead:
-                assert not invalidated  # already logically gone
-            elif invalidated and pins.get(obj, 0):
-                dead.add(obj)  # deferred: dropped at the last unpin
-        elif kind == "pin":
-            if cap in cache:
-                cache.pin(cap)
-                pins[obj] = pins.get(obj, 0) + 1
-            else:
-                with pytest.raises(NotFoundError):
-                    cache.pin(cap)
-        elif kind == "unpin":
-            if pins.get(obj, 0):
-                cache.unpin(cap)
-                pins[obj] -= 1
-                if pins[obj] == 0:
-                    dead.discard(obj)
-            else:
-                with pytest.raises(ConsistencyError):
-                    cache.unpin(cap)
-        # A pinned entry can be neither evicted nor replaced, so the
-        # model's pin counts stay in lockstep with the cache's.
+            resident = cap in cache
+            assert cache.invalidate(cap) == resident
+            assert cap not in cache
         assert cache.audit() <= cache.capacity
     assert (cache.stats.hits + cache.stats.misses == cache.stats.lookups)
 
@@ -323,7 +255,6 @@ def test_concurrent_sharer_miss_storm_accounts_once(env, rpc_rig):
     for wait in waits:
         env.run(until=wait)
     assert got == [payload] * 6
-    assert shared.entry_count == 1
     assert shared.audit() == len(payload)
     assert shared.stats.hits + shared.stats.misses == shared.stats.lookups
     # And the file is now hot: one more read touches no server.
@@ -632,39 +563,6 @@ def test_reincarnation_with_identical_bytes_resets_verification():
     assert cache.lookup(fresh, RIGHT_READ).hit
     assert cache.lookup(restrict(fresh, RIGHT_READ), RIGHT_READ).hit
     assert cache.audit() == len(b"same bytes")
-
-
-def test_delete_with_sibling_pin_defers_drop(env, rpc_rig):
-    """Regression (review): a successful server DELETE used to raise
-    ConsistencyError in the deleting client when a sibling process held
-    a pin — after the object was already irreversibly freed — and the
-    stale entry then kept serving reads of a deleted object. The entry
-    is now marked dead (unhittable at once) and its bytes are released
-    on the last unpin."""
-    bullet, client = rpc_rig
-    shared = WorkstationCache(64 * KB, metrics=client.metrics)
-    one = CachingBulletClient(client, cache=shared)
-    two = CachingBulletClient(client, cache=shared)
-    payload = b"pinned bytes"
-    cap = run_process(env, one.create(payload, 1))
-    run_process(env, two.read(cap))
-    shared.pin(cap)                    # sibling mid-copy
-    run_process(env, one.delete(cap))  # must not raise
-    assert cap not in shared
-    assert shared.cached_bytes == len(payload)  # held for the copier
-
-    def attempt():
-        try:
-            yield from two.read(cap)
-        except NotFoundError:
-            return "gone"
-
-    assert run_process(env, attempt()) == "gone"
-    with pytest.raises(NotFoundError):
-        shared.pin(cap)  # dead entries do not take new pins
-    shared.unpin(cap)
-    assert shared.audit() == 0
-    assert not shared.invalidate(cap)
 
 
 def test_caching_client_rejects_cache_and_capacity_together(env, rpc_rig):
