@@ -15,7 +15,6 @@ foreground transfers experience realistic queueing jitter — long bursts
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Optional
 
 from ..errors import ConsistencyError
@@ -25,19 +24,22 @@ from ..sim import Environment, Event, Resource, SeededStream, Tracer
 
 __all__ = ["Ethernet", "EthernetStats"]
 
-# What a ledger sender's pending step finishes (see Ethernet._advance):
+# What a ledger sender's pending step finishes (see Ethernet.advance):
 # the daemon's start-up, a packet's preparation (or a background gap),
 # the medium's grant, a packet's wire time, an injected latency.
 # _QUEUED and _DONE senders have no pending step.
 _START, _PREP, _GRANT, _WIRE, _LATENCY, _QUEUED, _DONE = range(7)
 
-#: Creation order of a step made inside a ledger window, until the
-#: window closes and the step takes a real ordering ticket: above every
-#: ticket, so "ticketed before fresh, each in its own order" is one
-#: integer comparison.
-_FRESH = 1 << 62
+_INF = float("inf")
 
-_creation_order = attrgetter("order")
+
+def _insert(off: list, s: "_Transfer") -> None:
+    """Keep ``off`` sorted by (when, seq): ``s``'s step is the newest,
+    so it goes after every step that is not later than it."""
+    i = len(off)
+    while i and off[i - 1].when > s.when:
+        i -= 1
+    off.insert(i, s)
 
 
 class _Transfer(Event):
@@ -46,10 +48,11 @@ class _Transfer(Event):
     process to wait on) or the background daemon (which never fires).
 
     A sender is sequential, so it has at most one pending step: what
-    ``step`` finishes at ``when``, ordered among same-instant events by
-    ``order``; ``entry`` is that step's heap event once pushed."""
+    ``step`` finishes at ``when``, ordered against real events of that
+    instant by ``c`` — ``env.events_scheduled`` read when the step was
+    made — and among steps by ``seq``, their creation order."""
 
-    __slots__ = ("step", "when", "order", "entry", "indices", "pos", "end",
+    __slots__ = ("step", "when", "c", "seq", "indices", "pos", "end",
                  "final", "tail_chunk", "wire", "lost")
 
 
@@ -75,12 +78,12 @@ class Ethernet:
     (DESIGN.md §10). Built on the reference kernel, every fragment is
     three real heap events on a ``Resource`` (:meth:`_send_per_fragment`,
     :meth:`_background_traffic`) — the semantic authority. Built on the
-    fast kernel, the segment keeps a *medium ledger*: every sender,
+    fast kernel, the segment keeps a *medium ledger* and registers it
+    as a virtual source (``Environment.add_source``): every sender,
     foreground message or background daemon, is a :class:`_Transfer`
-    whose next step is a virtual event; only the earliest pending step
-    is a real heap entry, and its dispatch walks the steps of all
-    senders by arithmetic for as long as nothing outside the ledger can
-    observe them (:meth:`_advance`).
+    whose next step is a virtual event. None of them is ever on the
+    heap; the kernel calls :meth:`advance` to have the steps due before
+    its next real event performed, by arithmetic.
     """
 
     def __init__(
@@ -123,15 +126,14 @@ class Ethernet:
         # The ledger: who is on the wire (its step is a grant or a wire
         # time), who waits for it in FIFO order, and every other pending
         # step — packet preps, background gaps, injected latencies —
-        # sorted by (when, order).
+        # sorted by (when, seq).
         self._holder: Optional[_Transfer] = None
         self._queue: deque = deque()
         self._off: list = []
         self._daemon: Optional[_Transfer] = None
-        self._seq = _FRESH
-        #: The one callback list every ledger heap entry carries (the
-        #: kernel only reads it).
-        self._on_entry = [self._advance]
+        #: The instant of the earliest pending step (the kernel's view).
+        self.guard = _INF
+        self._seq = None if env.is_reference else env.add_source(self)
         # The profile is frozen: its per-packet constants, read once.
         self._payload = profile.max_payload
         self._overhead = profile.per_packet_overhead
@@ -146,19 +148,13 @@ class Ethernet:
         elif background_load and profile.background_utilization > 0:
             # The same daemon as a ledger sender. Its first step stands
             # where the process's start-up event would: the first gap is
-            # drawn when that is dispatched, not here.
+            # drawn when that is performed, not here.
             daemon = self._daemon = _Transfer(env)
             daemon.indices = daemon.lost = None
             daemon.wire = profile.wire_time(profile.background_packet_bytes)
             self._background_rate = (
                 profile.background_utilization / daemon.wire)
-            daemon.step = _START
-            daemon.when = env.now
-            daemon.order = self._seq
-            daemon.entry = None
-            self._seq += 1
-            self._off.append(daemon)
-            self._close(False, 1, daemon)
+            self._pend(daemon, _START, env.now)
 
     @property
     def lossy(self) -> bool:
@@ -361,16 +357,56 @@ class Ethernet:
 
     # ---------------------------------------------------- the medium ledger
 
+    def _fast_env(self) -> Environment:
+        """The environment, for anything the ledger does: a tie hook
+        installed since the segment was built would be shown none of
+        the ledger's ties, so it hears about it instead of exploring a
+        fraction of the schedules."""
+        env = self.env
+        if env.is_reference:
+            raise ConsistencyError(
+                f"a tie hook was installed over segment {self.name!r}, "
+                f"whose medium ledger it cannot see; install the hook "
+                f"before building the segment")
+        return env
+
+    def _pend(self, s: _Transfer, step: int, when: float) -> None:
+        """``s``'s next step, made outside :meth:`advance`, is off the
+        medium: ``step`` finishes at ``when``."""
+        env = self._fast_env()
+        s.step = step
+        s.when = when
+        s.c = env.events_scheduled
+        s.seq = next(self._seq)
+        _insert(self._off, s)
+        self._reguard()
+
+    def _reguard(self) -> None:
+        """Tell the kernel the instant of the earliest pending step."""
+        guard = self._off[0].when if self._off else _INF
+        holder = self._holder
+        if holder is not None and holder.when < guard:
+            guard = holder.when
+        self.guard = guard
+        self.env.reguard()
+
+    @property
+    def head(self) -> tuple:
+        """``(when, c, seq)`` of the earliest pending step."""
+        s = self._holder
+        if self._off:
+            o = self._off[0]
+            if (s is None or o.when < s.when
+                    or (o.when == s.when and o.seq < s.seq)):
+                s = o
+        return (_INF, 0, 0) if s is None else (s.when, s.c, s.seq)
+
     def _join(self, nbytes: int, indices) -> _Transfer:
         """A new foreground sender: its first packet is ready one host
-        overhead from now. Unless a window can open right here, the step
-        takes its ticket and its heap entry at once (an entry too many
-        is only a window cut short; an earliest step without one would
-        be a step nobody dispatches)."""
-        env = self.env
+        overhead from now."""
         payload = self._payload
         total = self.packets_for(nbytes)
-        xfer = _Transfer(env)
+        xfer = _Transfer(self.env)
         xfer.indices = indices
         xfer.pos = 0
         xfer.end = (total if indices is None else len(indices)) - 1
@@ -380,29 +416,7 @@ class Ethernet:
         xfer.tail_chunk = nbytes - payload * (total - 1) if nbytes else 0
         xfer.lost = []
         xfer.wire = self._wire_of(xfer)
-        xfer.step = _PREP
-        when = xfer.when = env.now + self._overhead
-        xfer.entry = None
-        off = self._off
-        i = len(off)
-        while i and off[i - 1].when > when:
-            i -= 1
-        off.insert(i, xfer)
-        if env.can_collapse(when):
-            # Nothing is due before the packet is ready — no other
-            # sender's step either, the earliest of those is on the heap
-            # — and the sender suspends as soon as we return: unless
-            # run()'s deadline or stop event says its caller looks first,
-            # the window opens here and the step needs no event at all.
-            horizon = env.peek()
-            if when < horizon:
-                xfer.order = self._seq
-                self._seq += 1
-                self._advance(None, xfer, horizon)
-                return xfer
-        entry = xfer.entry = Event(env)
-        entry.callbacks = self._on_entry
-        xfer.order = env.schedule_at(entry, when)
+        self._pend(xfer, _PREP, self.env.now + self._overhead)
         return xfer
 
     def _wire_of(self, s: _Transfer) -> float:
@@ -418,263 +432,129 @@ class Ethernet:
             wire = self._wire_times[chunk] = self.profile.wire_time(chunk)
         return wire
 
-    def _advance(self, entry: Optional[Event],
-                 joined: Optional[_Transfer] = None,
-                 horizon: Optional[float] = None) -> None:
-        """Dispatch of a ledger heap entry: finish the earliest pending
-        step, which is the entry's, then keep finishing steps of *all*
-        senders in (when, order) sequence — the order the reference
-        would dispatch them in — for as long as nothing outside the
-        ledger can observe them: nothing else runs at this instant
-        (``can_collapse``) and the step is strictly before the next heap
-        event or ``run(until=)`` deadline (``peek``).
+    def advance(self, bound: tuple) -> bool:
+        """The kernel's call: perform, in (when, seq) sequence — the
+        order the reference would dispatch them in — the pending steps
+        of *all* senders that sort before ``bound``, the ``(when, c,
+        seq)`` of whatever comes next outside the ledger.
 
         What each step does is the reference's own sequence: counters
         fragment by fragment (``wire_time`` is a float accumulator and
         does not associate), loss draws at each fragment's end, the next
         background gap drawn right after the previous packet's counters,
         fault state read when the reference would read it (it cannot
-        change inside a window — whatever changes it is a heap event).
+        change in here — whatever changes it is a real event). A step
+        made here reads the same ``c``: nothing real is pushed in
+        between.
 
-        The one step never walked is the one that completes a message:
-        its sender resumes there and runs arbitrary code, so it waits
-        for its own heap entry, and that dispatch closes the window
-        first, resumes the sender last and does nothing in between.
-
-        A join that found its window already open (:meth:`_join`) enters
-        here too, with no entry: ``joined``'s first step is the earliest
-        and is before ``horizon``.
+        The step that completes a message resumes its sender, which
+        runs arbitrary code: ledger state and the guard are brought up
+        to date first, and the kernel is told (True) to look again.
         """
+        env = self._fast_env()
+        limit, c_limit, seq_limit = bound
         off = self._off
+        queue = self._queue
         holder = self._holder
-        env = self.env
-        now = env.now
         daemon = self._daemon
         extra = self._fault_extra_latency
-        if joined is None:
-            s = holder
-            if off:
-                o = off[0]
-                if (s is None or o.when < s.when
-                        or (o.when == s.when and o.order < s.order)):
-                    s = o
-            if s is None or s.entry is not entry:
-                # Not the earliest step's entry. Under a tie hook it may
-                # be the one the hook picked among equals; otherwise its
-                # sender was interrupted and it is stale.
-                for s in off if holder is None else off + [holder]:
-                    if s.entry is entry:
-                        break
-                else:
-                    return
-            step = s.step
-            completes = s is not daemon and s.pos == s.end and (
-                step == _LATENCY or (step == _WIRE and extra == 0))
-            # The dispatch that completes a message walks nothing;
-            # horizon stays None until a later step asks for peek().
-            quiet = not completes and env.can_collapse(now)
-        else:
-            s = joined
-            step = _PREP
-            completes = False
-            quiet = True
-        queue = self._queue
-        overhead = self._overhead
         lossy = self._lossy
-        seq = seq0 = self._seq
-        last = None  # the sender whose step was created last
+        c = env.events_scheduled
+        seq = self._seq
         while True:
-            t = s.when
-            if step != _PREP and step != _GRANT:
-                heir = None
-                if step != _WIRE:
-                    off.remove(s)
-                elif queue:
-                    # Off the wire: the medium goes to the next in line.
-                    heir = holder = queue.popleft()
-                    heir.step = _GRANT
-                    heir.when = t
-                    heir.order = seq
-                    seq += 1
-                else:
-                    holder = None
-                if s is daemon:
-                    # A background packet is through (or the daemon is
-                    # starting): draw the gap to the next one.
-                    if step == _WIRE:
-                        self._background_packets.value += 1
-                        self._wire_time.value += s.wire
-                    step = _PREP
-                    when = t + self._stream.expovariate(self._background_rate)
-                elif step == _WIRE and extra > 0:
-                    # Injected latency spike: charged outside the medium
-                    # so other hosts still interleave.
-                    step = _LATENCY
-                    when = t + extra
-                else:
-                    # The fragment is through: traffic counters, then
-                    # its loss decision.
-                    index = s.pos if s.indices is None else s.indices[s.pos]
-                    self._packets.value += 1
-                    self._payload_bytes.value += (
-                        s.tail_chunk if index == s.final else self._payload)
-                    self._wire_time.value += s.wire
-                    if lossy and self._fragment_lost():
-                        self._lost_packets.value += 1
-                        s.lost.append(index)
-                    if completes:
-                        s.step = _DONE
-                        self._holder = holder
-                        self._seq = seq
-                        if off or holder is not None:
-                            self._close(False, seq - seq0, holder, entry)
-                        env.finish_inline(s, s.lost)
-                        return
-                    s.pos += 1
-                    s.wire = (self._wire_full
-                              if s.indices is None and s.pos != s.final
-                              else self._wire_of(s))
-                    step = _PREP
-                    when = t + overhead
-                    if holder is None and not off and quiet:
-                        if horizon is None:
-                            horizon = env.peek()
-                        if when < horizon:
-                            # Alone on the segment: the prep of its next
-                            # packet and the grant are the next two
-                            # steps, so it is back on the wire already.
-                            holder = s
-                            step = _WIRE
-                            when = when + s.wire
-                            seq += 2
-                s.step = step
-                s.when = when
-                s.order = seq
-                seq += 1
-                s.entry = None
-                last = s
-                if step == _WIRE:
-                    pass  # on the medium, not among the off-medium steps
-                elif not off or off[-1].when <= when:
-                    off.append(s)
-                else:
-                    i = len(off) - 1
-                    while i and off[i - 1].when > when:
-                        i -= 1
-                    off.insert(i, s)
-                if heir is not None and quiet and off[0].when > t:
-                    # The heir's grant is the very next step: take it now.
-                    heir.step = _WIRE
-                    heir.when = t + heir.wire
-                    heir.order = seq
-                    seq += 1
-                    last = heir
-            elif step == _PREP:
-                # Packet ready (or background gap over): claim the medium.
-                off.remove(s)
-                s.entry = None
-                if holder is not None:
-                    s.step = _QUEUED
-                    queue.append(s)
-                else:
-                    holder = last = s
-                    s.order = seq
-                    seq += 1
-                    if quiet and not (off and off[0].when == t):
-                        # The grant is the very next step: take it now.
-                        s.step = _WIRE
-                        s.when = t + s.wire
-                    else:
-                        s.step = _GRANT
-            else:  # _GRANT: the packet goes on the wire
-                s.step = _WIRE
-                s.when = t + s.wire
-                s.order = seq
-                seq += 1
-                s.entry = None
-                last = s
-            # The next step in line, if the window reaches it.
-            if not quiet:
-                break
             s = holder
             if off:
                 o = off[0]
                 if (s is None or o.when < s.when
-                        or (o.when == s.when and o.order < s.order)):
+                        or (o.when == s.when and o.seq < s.seq)):
                     s = o
             elif s is None:
                 break
+            t = s.when
+            if t >= limit and (
+                    t > limit or (s.c, s.seq) >= (c_limit, seq_limit)):
+                break
             step = s.step
-            if s is not daemon and s.pos == s.end and (
-                    step == _LATENCY or (step == _WIRE and extra == 0)):
-                break  # completes a message: a real event of its own
-            if s.when > now:
-                if horizon is None:
-                    horizon = env.peek()
-                if s.when >= horizon:
-                    break
+            if step == _GRANT:
+                # The packet goes on the wire.
+                s.step = _WIRE
+                s.when = t + s.wire
+                s.c = c
+                s.seq = next(seq)
+                continue
+            if step == _PREP:
+                # Packet ready (or background gap over): claim the medium.
+                del off[0]
+                if holder is None:
+                    holder = s
+                    s.step = _GRANT
+                    s.c = c
+                    s.seq = next(seq)
+                else:
+                    s.step = _QUEUED
+                    queue.append(s)
+                continue
+            if step != _WIRE:
+                del off[0]
+            elif queue:
+                # Off the wire: the medium goes to the next in line.
+                holder = queue.popleft()
+                holder.step = _GRANT
+                holder.when = t
+                holder.c = c
+                holder.seq = next(seq)
+            else:
+                holder = None
+            if s is daemon:
+                # A background packet is through (or the daemon is
+                # starting): draw the gap to the next one.
+                if step == _WIRE:
+                    self._background_packets.value += 1
+                    self._wire_time.value += s.wire
+                s.step = _PREP
+                when = t + self._stream.expovariate(self._background_rate)
+            elif step == _WIRE and extra > 0:
+                # Injected latency spike: charged outside the medium so
+                # other hosts still interleave.
+                s.step = _LATENCY
+                when = t + extra
+            else:
+                # The fragment is through: traffic counters, then its
+                # loss decision.
+                index = s.pos if s.indices is None else s.indices[s.pos]
+                self._packets.value += 1
+                self._payload_bytes.value += (
+                    s.tail_chunk if index == s.final else self._payload)
+                self._wire_time.value += s.wire
+                if lossy and self._fragment_lost():
+                    self._lost_packets.value += 1
+                    s.lost.append(index)
+                if s.pos == s.end:
+                    s.step = _DONE
+                    self._holder = holder
+                    self._reguard()
+                    env.finish_inline(s, s.lost, t)
+                    return True
+                s.pos += 1
+                s.wire = (self._wire_full
+                          if s.indices is None and s.pos != s.final
+                          else self._wire_of(s))
+                s.step = _PREP
+                when = t + self._overhead
+            s.when = when
+            s.c = c
+            s.seq = next(seq)
+            _insert(off, s)
         self._holder = holder
-        self._seq = seq
-        self._close(quiet, seq - seq0, last, entry)
-
-    def _close(self, quiet: bool, created: int, last: _Transfer,
-               spare: Optional[Event] = None) -> None:
-        """End of a ledger activity (a dispatch, an abort) that created
-        ``created`` steps, the last of them ``last``'s.
-
-        Steps created during it take their ordering tickets now, in
-        creation order. Nothing outside the ledger took a ticket in
-        between — the activity ran inside one dispatch — so these are
-        the eids, relative to every other event, that the reference
-        would have pushed the same steps with. Then the earliest pending
-        step becomes a real heap entry under its ticket (``quiet`` says
-        the caller already knows this is the fast kernel; ``spare`` is a
-        dispatched entry to re-arm instead of allocating one); on the
-        reference kernel every pending step does, so a tie hook is shown
-        every tie.
-        """
-        env = self.env
-        off = self._off
-        holder = self._holder
-        hooked = not quiet and env.is_reference
-        if hooked:
-            for s in off if holder is None else off + [holder]:
-                if s.entry is None and s.order < _FRESH:
-                    # Made before the hook was installed and never shown
-                    # to it: the ties it took part in were hidden.
-                    raise ConsistencyError(
-                        f"a tie hook was installed while segment "
-                        f"{self.name!r} held transfers in its medium "
-                        f"ledger; install it before the traffic starts")
-        if created == 1:
-            last.order = env.ticket()
-        elif created:
-            fresh = [s for s in off if s.order >= _FRESH]
-            if holder is not None and holder.order >= _FRESH:
-                fresh.append(holder)
-            fresh.sort(key=_creation_order)
-            for s in fresh:
-                s.order = env.ticket()
-        s = holder
-        if off:
-            o = off[0]
-            if (s is None or o.when < s.when
-                    or (o.when == s.when and o.order < s.order)):
-                s = o
-        for s in off + [holder] if hooked else (s,):
-            if s is not None and s.entry is None:
-                entry = s.entry = spare if spare is not None else Event(env)
-                spare = None
-                entry.callbacks = self._on_entry
-                env.schedule_at(entry, s.when, s.order)
+        self._reguard()
+        return False
 
     def _abort(self, xfer: _Transfer) -> None:
         """An interrupted sender leaves, exactly as the reference path's
         ``try/finally`` does: queued, it withdraws; on the medium, it
         releases it now and the next in line is granted now; no counters
-        for the unfinished fragment. A heap entry it leaves behind fires
-        as a no-op."""
-        created = 0
+        for the unfinished fragment."""
+        env = self._fast_env()
         if xfer.step == _QUEUED:
             self._queue.remove(xfer)
         elif xfer is not self._holder:
@@ -682,11 +562,10 @@ class Ethernet:
         elif self._queue:
             heir = self._holder = self._queue.popleft()
             heir.step = _GRANT
-            heir.when = self.env.now
-            heir.order = self._seq
-            self._seq += 1
-            created = 1
+            heir.when = env.now
+            heir.c = env.events_scheduled
+            heir.seq = next(self._seq)
         else:
             self._holder = None
         xfer.step = _DONE
-        self._close(False, created, self._holder)
+        self._reguard()

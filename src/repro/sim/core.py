@@ -44,17 +44,22 @@ to permute.
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
-* :meth:`Environment.ticket` / :meth:`Environment.schedule_at` /
-  :meth:`Environment.finish_inline` — the *analytic-segment* surface. A
-  caller that has shown (with :meth:`Environment.can_collapse` and
-  :meth:`Environment.peek`) that nothing can observe a run of
-  intermediate instants advances through them by arithmetic and pushes
-  only the event at the end, at its absolute instant. The ordering
-  ticket (the eid that breaks ties) is taken when the reference would
-  have pushed that event, which may be long before the push itself, so
-  it sorts against every other event exactly as in the reference. The
-  shared Ethernet's medium ledger (``net/ethernet.py``) is the one
-  caller.
+* the *guard* — :meth:`Environment.add_source`,
+  :meth:`Environment.reguard`, :meth:`Environment.finish_inline`. A
+  *virtual source* keeps pending steps the heap never sees: each is
+  ``(when, c, seq)``, ``c`` the value of :attr:`events_scheduled`
+  *read* when the step is created and ``seq`` from the kernel-wide
+  creation counter. The kernel dispatches by plain pop while the heap
+  top is strictly before the earliest pending step (``_guard``) and
+  otherwise first has the sources perform, in ``(when, seq)`` order,
+  the steps that sort before the heap top: a step precedes a real
+  ``(when, priority, eid)`` iff its instant is earlier, or the instants
+  tie, ``priority >= 1`` and ``c < eid`` (interrupts go first). Pushes
+  happen only inside real dispatches and the processes a step resumes,
+  and a step is performed right before the first real dispatch that
+  sorts after it, so ``c`` read then stands where the reference's eid
+  for that step stood. The shared Ethernet's medium ledger
+  (``net/ethernet.py``) is the one source.
 
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
@@ -71,8 +76,10 @@ callback of the same event runs at the same instant without touching
 the heap, so the heap check alone cannot see it), and the event a
 ``run(until=event)`` is waiting for must not have fired yet (the loop
 ends with this dispatch and ``run``'s caller looks at the world next).
-:meth:`~Environment.can_collapse`, :meth:`~Environment.try_finish_now`
-and :meth:`~Environment.peek` are the whole legality surface, and
+A pending virtual step counts as a heap entry of its instant: it was
+created before anything pushed from now on.
+:meth:`~Environment.can_collapse` and
+:meth:`~Environment.try_finish_now` are the whole legality surface, and
 :attr:`~Environment.is_reference` names the switch itself: nothing
 outside ``repro.sim`` reads the kernel's private state.
 
@@ -92,7 +99,9 @@ order, which is what the hypothesis reference-equivalence suite
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from itertools import count
+from operator import attrgetter
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..errors import ConsistencyError
 
@@ -122,6 +131,9 @@ class Interrupt(Exception):
 
 # Sentinel distinguishing "not yet triggered" from a None value.
 _PENDING = object()
+
+_INF = float("inf")
+_head = attrgetter("head")
 
 
 class Event:
@@ -319,6 +331,7 @@ class Process(Event):
                     heap = env._heap
                     if (env._tie_hook is None and env._solo
                             and (not heap or heap[0][0] > env._now)
+                            and env._guard > env._now
                             and env._stop.callbacks is not None):
                         # Synchronous completion: nothing else can run
                         # at this instant, so the completion event would
@@ -461,8 +474,9 @@ class Environment:
     it into the reference kernel (see the module docstring).
     """
 
-    __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_deadline",
-                 "_stop", "_proc_count", "_tie_hook")
+    __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_stop",
+                 "_proc_count", "_tie_hook", "_sources", "_guard",
+                 "_step_seq")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -474,13 +488,6 @@ class Environment:
         # dispatched remain (see module docstring). True outside any
         # dispatch, where no same-instant callback can be pending.
         self._solo = True
-        # The active run(until=<number>)'s deadline, +inf outside one.
-        # peek() caps the collapse horizon here: a batched segment must
-        # never span the instant the run loop will stop at, both so the
-        # caller observes counters consistent with now==deadline and so
-        # a self-scheduling daemon over an otherwise empty heap scans a
-        # finite window instead of looping forever.
-        self._deadline = float("inf")
         # The active run(until=<event>)'s stop event, _NEVER outside
         # one. Once it has fired, the run loop ends with the dispatch in
         # progress and run()'s caller looks at the world: from then on
@@ -492,6 +499,12 @@ class Environment:
         # overwhelmingly common case — is the fast kernel: insertion-
         # order tie-break by plain heappop, fast paths on.
         self._tie_hook: Optional[Callable[[list], int]] = None
+        # Virtual sources (see add_source), the creation counter their
+        # steps share, and the guard: the earliest instant any of them
+        # has a step pending, +inf when none has.
+        self._sources: list = []
+        self._step_seq = count()
+        self._guard = _INF
 
     @property
     def now(self) -> float:
@@ -506,9 +519,8 @@ class Environment:
     @property
     def events_scheduled(self) -> int:
         """Total ordering tickets ever taken — one per event pushed on
-        the heap plus the few reserved with :meth:`ticket` whose event
-        was advanced past by arithmetic and never pushed (the events/op
-        and events/sec numerator in ``perf/``; monotone, never reset)."""
+        the heap; a virtual source's steps take none (the events/op and
+        events/sec numerator in ``perf/``; monotone, never reset)."""
         return self._eid
 
     @property
@@ -548,42 +560,45 @@ class Environment:
         self._eid += 1
         heappush(self._heap, (self._now + delay, priority, self._eid, event))
 
-    def ticket(self) -> int:
-        """Reserve the next ordering ticket for an event that will be
-        pushed later with :meth:`schedule_at` (or never, if its owner
-        advances past it by arithmetic). Take it at the moment the
-        reference would have pushed the event: ties at one instant fall
-        in ticket order."""
-        self._eid += 1
-        return self._eid
+    def add_source(self, source: Any) -> Iterator[int]:
+        """Register a *virtual source*: an object whose pending steps
+        the run loop orders against the heap without their ever being
+        on it (see the module docstring). A source has three members:
+        ``guard``, the earliest instant a step of its is pending (+inf
+        when none is; :meth:`reguard` after every change); ``head``,
+        that step's ``(when, c, seq)``; and ``advance(bound)``, which
+        performs in order its steps that sort before the ``(when, c,
+        seq)`` triple ``bound`` and stops early, returning True, right
+        after one that resumed a process through :meth:`finish_inline`.
+        Returns the creation counter every source on this kernel draws
+        ``seq`` from, so steps of two sources interleave in the order
+        they were made."""
+        self._sources.append(source)
+        return self._step_seq
 
-    def schedule_at(self, event: Event, when: float,
-                    ticket: Optional[int] = None) -> int:
-        """Push ``event`` to be dispatched at the absolute instant
-        ``when``, ordered among same-instant events by ``ticket`` (a
-        fresh one when None; returned either way). Absolute, because
-        the instant is usually a left fold of several hops and
-        ``now + (when - now)`` is not ``when`` in floats. The event
-        is dispatched as it is: pushing it gives it no outcome."""
-        if when < self._now:
-            raise ValueError(f"when={when} is in the past (now={self._now})")
-        if ticket is None:
-            self._eid += 1
-            ticket = self._eid
-        heappush(self._heap, (when, 1, ticket, event))
-        return ticket
+    def reguard(self) -> None:
+        """A source's ``guard`` changed: publish the earliest."""
+        guard = _INF
+        for source in self._sources:
+            if source.guard < guard:
+                guard = source.guard
+        self._guard = guard
 
-    def finish_inline(self, event: Event, value: Any = None) -> None:
+    def finish_inline(self, event: Event, value: Any = None,
+                      when: Optional[float] = None) -> None:
         """Succeed ``event`` and run its callbacks now, as the tail of
         the dispatch in progress, instead of through the heap.
 
-        For an owner whose own heap entry *is* the instant the waiter
-        resumes (an analytic segment's last hop): the reference resumes
-        the waiter from that very dispatch, so this is its execution
-        order on both kernels, not a shortcut that needs a legality
-        test. The caller must do nothing afterwards — the callbacks run
-        arbitrary code that has to see everything the caller scheduled.
+        For an owner whose own step *is* the instant the waiter resumes
+        (a virtual source's last step of a message, performed at
+        ``when``, which becomes ``now``): the reference resumes the
+        waiter from that very dispatch, so this is its execution order
+        on both kernels, not a shortcut that needs a legality test. The
+        caller must do nothing afterwards — the callbacks run arbitrary
+        code that has to see everything the caller scheduled.
         """
+        if when is not None:
+            self._now = when
         event._ok = True
         event._value = value
         callbacks = event.callbacks
@@ -598,8 +613,9 @@ class Environment:
         [now, end] other than the caller itself.
 
         This is the legality test for every analytic fast path: the next
-        heap entry must be *strictly* after ``end`` (a same-tick entry
-        would pop before anything the caller schedules now), and no
+        heap entry and the next virtual step must be *strictly* after
+        ``end`` (a same-tick one goes before anything the caller
+        schedules now), and no
         further callbacks of the event currently being dispatched may
         remain (they would run at this instant without appearing on the
         heap). Nor may the running ``run(until=event)`` have seen its
@@ -610,6 +626,7 @@ class Environment:
         """
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
+                and self._guard > end
                 and self._stop.callbacks is not None)
 
     def try_finish_now(self, event: Event, value: Any = None) -> bool:
@@ -626,6 +643,7 @@ class Environment:
         """
         if (self._tie_hook is None and self._solo and not event.callbacks
                 and (not self._heap or self._heap[0][0] > self._now)
+                and self._guard > self._now
                 and self._stop.callbacks is not None):
             event._ok = True
             event._value = value
@@ -677,18 +695,40 @@ class Environment:
             heappush(heap, entry)
         return chosen
 
-    def peek(self) -> float:
-        """The earliest instant anything can next observe the world: the
-        next scheduled event, capped at the running ``until`` deadline
-        (+inf when neither bounds it)."""
-        if self._heap:
-            when = self._heap[0][0]
-            return when if when < self._deadline else self._deadline
-        return self._deadline
+    def _perform_virtual(self, deadline: float) -> bool:
+        """The run loop's slow path, taken when the heap top is not
+        strictly before the guard: have the sources perform the steps
+        that sort before the heap top — or, when the heap has nothing
+        by ``deadline``, every step up to and including it. True when
+        one resumed a process: arbitrary code ran, the loop looks again.
+        """
+        if self._guard > deadline or self._guard == _INF:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= deadline:
+            # A step of the same instant goes first iff it was made
+            # before the event was pushed; an interrupt yields to none.
+            when, priority, eid, _event = heap[0]
+            bound = (when, eid if priority else 0, -1)
+        else:
+            bound = (deadline, _INF, _INF)
+        sources = self._sources
+        if len(sources) == 1:
+            return sources[0].advance(bound)
+        while True:
+            first, second = sorted(sources, key=_head)[:2]
+            if first.head >= bound:
+                return False
+            if first.advance(min(bound, second.head)):
+                return True
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event — after the virtual steps that
+        sort before it; one of those resuming a process counts as it."""
         heap = self._heap
+        if ((not heap or heap[0][0] >= self._guard)
+                and self._perform_virtual(_INF)):
+            return
         if not heap:
             raise RuntimeError("no scheduled events")
         pop = heappop if self._tie_hook is None else self._pop_tied
@@ -715,15 +755,17 @@ class Environment:
 
         All three are one loop over ``(stop event, deadline)``: a
         missing stop event is one that never fires, a missing deadline
-        is +inf. The loop inlines :meth:`step` (minus its empty-heap
-        guard) — the per-event tuple unpack and callback dispatch is the
-        single hottest path in the whole system, so it pays to keep it
-        free of method-call and property overhead; which pop serves it
-        (plain ``heappop``, or the tie-aware one of the reference
-        kernel) is decided here, once per call, not per event.
+        is +inf; one comparison of the heap top against the guard picks
+        between the plain pop and the virtual sources' slow path. The
+        loop inlines :meth:`step` — the per-event tuple unpack and
+        callback dispatch is the single hottest path in the whole
+        system, so it pays to keep it free of method-call and property
+        overhead; which pop serves it (plain ``heappop``, or the
+        tie-aware one of the reference kernel) is decided here, once
+        per call, not per event.
         """
         heap = self._heap
-        stop, deadline = _NEVER, float("inf")
+        stop, deadline = _NEVER, _INF
         if isinstance(until, Event):
             stop = until
         elif until is not None:
@@ -732,11 +774,16 @@ class Environment:
                 raise ValueError(
                     f"until={deadline} is in the past (now={self._now})")
         pop = heappop if self._tie_hook is None else self._pop_tied
-        self._deadline = deadline
         self._stop = stop
         try:
-            while (stop.callbacks is not None
-                   and heap and heap[0][0] <= deadline):
+            while stop.callbacks is not None:
+                if not heap or heap[0][0] >= self._guard:
+                    if self._perform_virtual(deadline):
+                        continue
+                    if not heap:
+                        break
+                if heap[0][0] > deadline:
+                    break
                 when, _priority, _eid, event = pop(heap)
                 self._now = when
                 callbacks = event.callbacks
@@ -752,7 +799,6 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
-            self._deadline = float("inf")
             self._stop = _NEVER
             self._solo = True
         if stop is not _NEVER:

@@ -380,13 +380,14 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
 
 
 def test_kernel_private_state_stays_inside_repro_sim():
-    """``can_collapse`` / ``try_finish_now`` / ``peek`` are the whole
-    fast-path legality surface and ``ticket`` / ``schedule_at`` /
-    ``finish_inline`` the whole analytic-segment surface: no module
-    outside ``repro/sim/`` reads the kernel's private switches, reaches
-    into its heap or writes an event's outcome in place, so no layer can
-    re-derive (and get wrong) when a collapse is legal, how events are
-    ordered or what a waiter is resumed with."""
+    """``can_collapse`` / ``try_finish_now`` are the whole fast-path
+    legality surface and ``add_source`` / ``reguard`` /
+    ``finish_inline`` the whole virtual-source surface: no module
+    outside ``repro/sim/`` reads the kernel's private switches or its
+    guard, reaches into its heap or writes an event's outcome in place,
+    so no layer can re-derive (and get wrong) when a collapse is legal,
+    how events and virtual steps are ordered or what a waiter is resumed
+    with. The deleted analytic-segment calls stay deleted."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     #: The model checker's state key counts pending events.
     allowed = {("modelcheck/rig.py", "_heap")}
@@ -397,7 +398,9 @@ def test_kernel_private_state_stays_inside_repro_sim():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
         and node.attr in ("fast", "_solo", "_tie_hook", "_stop",
-                          "_schedule", "_heap", "_eid",
+                          "_schedule", "_heap", "_eid", "_guard",
+                          "_sources", "_step_seq", "_perform_virtual",
+                          "ticket", "schedule_at",
                           "_ok", "_value", "_defused")
         and (path.relative_to(src).as_posix(), node.attr) not in allowed
     ]

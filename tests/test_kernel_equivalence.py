@@ -7,12 +7,13 @@ off; the hook answers 0, the reference schedule): same clock values,
 same resume order, same values delivered, same tie-breaking at shared
 instants. This suite generates random little concurrent programs —
 timeouts (including zero delays and exact-tie sums), interrupts,
-resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, and the two
-*caller-obligation* idioms production code spells itself (the
-``can_collapse``-guarded zero-delay skip of ``net/rpc.py`` and the
-``can_collapse(end)`` → ``ticket`` + ``schedule_at`` analytic segment of
-``net/ethernet.py`` and ``disk/vdisk.py``) — runs each on both kernels
-under every form of ``run(until=...)``, and compares the full traces.
+resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, the
+*caller-obligation* idiom production code spells itself (the
+``can_collapse``-guarded zero-delay skip of ``net/rpc.py``) and runs of
+hops kept off the heap by a toy *virtual source* (the guard protocol of
+``net/ethernet.py``'s medium ledger, without any Ethernet) — runs each
+on both kernels under every form of ``run(until=...)``, and compares
+the full traces.
 
 Programs follow the kernel's documented fast-path obligation: a
 ``Resource.request()`` is yielded immediately after it is created (the
@@ -23,6 +24,8 @@ Delays are dyadic rationals so independent sums collide bit-exactly,
 exercising the ``(time, priority, eid)`` tie-breaking discipline rather
 than dodging it.
 """
+
+from bisect import insort
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,10 +72,62 @@ _PROGRAM = st.lists(
 _DRIVERS = ("run", "deadlines", "event")
 
 
+class HopSource:
+    """A toy virtual source (``Environment.add_source``): a burst is a
+    chain of hops, each a pending step ``(when, c, seq)`` the heap never
+    sees — ``c`` the ticket counter *read* when the step is made, where
+    the reference pushes that hop's timeout — and the last hop resumes
+    the waiter."""
+
+    def __init__(self, env):
+        self.env = env
+        self.guard = float("inf")
+        self._steps = []  # (when, c, seq, delays still to go, waiter)
+        self._seq = env.add_source(self)
+
+    @property
+    def head(self):
+        return self._steps[0][:3] if self._steps else (self.guard, 0, 0)
+
+    def _pend(self, when, rest, waiter):
+        insort(self._steps, (when, self.env.events_scheduled,
+                             next(self._seq), rest, waiter))
+
+    def _reguard(self):
+        self.guard = self._steps[0][0] if self._steps else float("inf")
+        self.env.reguard()
+
+    def burst(self, delays):
+        """An event that fires when the last of ``delays`` is over."""
+        waiter = self.env.event()
+        self._pend(self.env.now + delays[0], delays[1:], waiter)
+        self._reguard()
+        return waiter
+
+    def abandon(self, waiter):
+        self._steps = [s for s in self._steps if s[4] is not waiter]
+        self._reguard()
+
+    def advance(self, bound):
+        steps = self._steps
+        while steps and steps[0][:3] < bound:
+            when, _c, _seq, rest, waiter = steps.pop(0)
+            if not rest:
+                self._reguard()
+                self.env.finish_inline(waiter, None, when)
+                return True
+            # The same left fold the reference's timeouts walk.
+            self._pend(when + rest[0], rest[1:], waiter)
+        self._reguard()
+        return False
+
+
 def _run_program(program, env, driver):
     """Execute ``program`` on ``env`` under ``driver``; return the trace."""
     resources = [Resource(env) for _ in range(N_RESOURCES)]
     stores = [Store(env) for _ in range(N_STORES)]
+    # Two sources, so their steps have to interleave in creation order.
+    hops = None if env.is_reference else [HopSource(env), HopSource(env)]
     trace = []
     procs = {}
 
@@ -87,22 +142,21 @@ def _run_program(program, env, driver):
                     if instr[1] or not env.can_collapse(env.now):
                         yield env.timeout(instr[1])
                 elif tag == "burst":
-                    # The Ethernet/vdisk obligation: one event for the
-                    # whole segment only when nothing can observe the
-                    # interval — the ordering ticket taken where the
-                    # reference pushes, the event pushed at the absolute
-                    # end, the same left fold the hops would walk.
-                    end = env.now
-                    for delay in instr[1]:
-                        end = end + delay
-                    if env.can_collapse(end):
-                        ticket = env.ticket()
-                        segment_end = env.event()
-                        env.schedule_at(segment_end, end, ticket)
-                        yield segment_end
-                    else:
+                    # The Ethernet's obligation: the reference pays one
+                    # heap event per hop; on the fast kernel the hops
+                    # are a virtual source's steps and the worker waits
+                    # once, leaving the source if it is interrupted.
+                    if hops is None:
                         for delay in instr[1]:
                             yield env.timeout(delay)
+                    else:
+                        source = hops[wid % 2]
+                        over = source.burst(instr[1])
+                        try:
+                            yield over
+                        finally:
+                            if not over.processed:
+                                source.abandon(over)
                 elif tag == "resource":
                     res = resources[instr[1]]
                     req = res.request()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.retry import RpcStub
+from repro.core.locks import FileLockTable
 from repro.errors import (
     ConsistencyError,
     NotFoundError,
@@ -12,7 +13,8 @@ from repro.errors import (
     ServerDownError,
     Status,
 )
-from repro.net import Ethernet, RpcReply, RpcRequest, RpcTransport
+from repro.net import (Ethernet, RpcReply, RpcRequest, RpcService,
+                       RpcTransport)
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, Interrupt, SeededStream, run_process
 from repro.units import KB, MB
@@ -452,20 +454,17 @@ def _snapshot(eth):
             eth.medium_queue_length, eth.idle)
 
 
-def _drive_medium(scenario, env, hook=None):
-    """Run ``scenario`` on a segment built on ``env``; ``hook`` is
-    installed after the segment is built (a ledger under a tie hook).
-    Returns everything a program can observe: resume instants, lost
-    lists, bit-exact counters read mid-flight and at every ``run()``
-    boundary, and the next draw of both random streams."""
+def _drive_medium(scenario, env):
+    """Run ``scenario`` on a segment built on ``env``. Returns
+    everything a program can observe: resume instants, lost lists,
+    bit-exact counters read mid-flight and at every ``run()`` boundary,
+    and the next draw of both random streams."""
     stream = SeededStream(11, "ethernet")
     fault_stream = SeededStream(12, "faults")
     eth = Ethernet(
         env, _tie_profile(scenario["overhead"], scenario["background"],
                           scenario["steady_loss"]),
         stream=stream, background_load=scenario["background"] > 0)
-    if hook is not None:
-        env.set_tie_hook(hook)
     log = []
     procs = {}
 
@@ -529,7 +528,8 @@ def _drive_medium(scenario, env, hook=None):
         elif scenario["driver"] == "event":
             env.run(until=procs[0])
             log.append(("returned", env.now, _snapshot(eth)))
-        env.run(until=_SCENARIO_END)
+        # (run(until=sender 0) can return later than that.)
+        env.run(until=max(_SCENARIO_END, env.now))
     except Interrupt as exc:
         # A permuted tie can interrupt a sender before it has started;
         # the crash must then be the same crash on both media.
@@ -539,31 +539,9 @@ def _drive_medium(scenario, env, hook=None):
     return log
 
 
-def _tie_recorder(into, pick_last=False):
-    def hook(tied):
-        into.append((tied[0][0], len(tied)))
-        return len(tied) - 1 if pick_last else 0
-    return hook
-
-
 def _assert_no_drift(scenario):
-    reference_ties, ledger_ties = [], []
-    env = Environment()
-    env.set_tie_hook(_tie_recorder(reference_ties))
-    reference = _drive_medium(scenario, env)
-    assert _drive_medium(scenario, Environment()) == reference
-    # The ledger under a hook installed before the traffic starts makes
-    # every step a heap entry: the hook must see the reference's ties,
-    # and get its way whichever entry of a tie it picks.
-    assert _drive_medium(scenario, Environment(),
-                         _tie_recorder(ledger_ties)) == reference
-    assert ledger_ties == reference_ties
-    del reference_ties[:], ledger_ties[:]
-    env = Environment()
-    env.set_tie_hook(_tie_recorder(reference_ties, pick_last=True))
-    assert _drive_medium(scenario, env) == _drive_medium(
-        scenario, Environment(), _tie_recorder(ledger_ties, pick_last=True))
-    assert ledger_ties == reference_ties
+    assert _drive_medium(scenario, Environment()) == _drive_medium(
+        scenario, reference_env())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -637,51 +615,24 @@ def _tied_senders(env, count=5):
 
 
 def test_tie_hook_installed_over_hidden_ledger_steps_is_refused():
-    # Mid-flight the ledger keeps one heap entry for five senders; a hook
-    # installed now would be shown one entry of each five-way tie. It
+    # Mid-flight the ledger has five senders' steps and the heap none of
+    # them; a hook installed now would be shown no tie of theirs. It
     # must hear about it, not explore a fraction of the schedules.
     env = Environment()
-    _tied_senders(env)
+    eth, _procs = _tied_senders(env)
     env.run(until=1.0)
     env.set_tie_hook(lambda tied: 0)
     with pytest.raises(ConsistencyError, match="tie hook was installed"):
         env.run()
     env.set_tie_hook(None)  # or the abandoned senders' clean-up raises too
-
-
-def test_tie_hook_installed_on_a_quiet_ledger_is_shown_every_tie():
-    def two_rounds(hooked_at_build):
-        ties, recording = [], []
-
-        def hook(tied):
-            if recording:
-                ties.append((tied[0][0], len(tied)))
-            return 0
-
-        env = Environment()
-        if hooked_at_build:
-            env.set_tie_hook(hook)  # the per-fragment reference path
-        eth = Ethernet(env, _tie_profile(background=0.25),
-                       stream=SeededStream(3, "ethernet"),
-                       background_load=True)
-        finished = []
-
-        def sender(wid):
-            lost = yield from eth.send_fragments(16)
-            finished.append((env.now, wid, lost))
-
-        for proc in [env.process(sender(wid)) for wid in range(3)]:
-            env.run(until=proc)
-        # Quiet: only the background daemon's one step is pending.
-        recording.append(True)
-        env.set_tie_hook(hook)
-        for proc in [env.process(sender(wid)) for wid in range(3, 8)]:
-            env.run(until=proc)
-        return ties, finished, _snapshot(eth)
-
-    ledger = two_rounds(hooked_at_build=False)
-    assert ledger == two_rounds(hooked_at_build=True)
-    assert max(size for _when, size in ledger[0]) >= 5
+    env.run()
+    # The quiet case is no different: nothing is pending, but the next
+    # sender's steps would be hidden all the same.
+    assert eth.idle
+    env.set_tie_hook(lambda tied: 0)
+    late = env.process(eth.send_fragments(16))
+    with pytest.raises(ConsistencyError, match="before building the segment"):
+        env.run(until=late)
 
 
 @pytest.mark.parametrize("background", [False, True])
@@ -717,11 +668,13 @@ def _events_to_send(env, eth, sizes):
 def test_contended_transfers_cost_a_handful_of_events():
     # The gain, locked in as a count: four 512 KB senders beside the
     # background daemon are ~1 400 fragments; per fragment the reference
-    # path pays a prep, a grant and a wire event (4 867 in all at the
-    # parent commit). A refactor that quietly drops back to it fails here.
+    # path pays a prep, a grant and a wire event (4 867 in all). The
+    # ledger takes no ordering ticket at all, so what is left is each
+    # sender's own start-up and completion. A refactor that quietly
+    # drops back to an event per hop — or per window — fails here.
     env = Environment()
     eth, _ = make_net(env, background=True, seed=1989)
-    assert _events_to_send(env, eth, [512 * KB] * 4) <= 64
+    assert _events_to_send(env, eth, [512 * KB] * 4) <= 8
     assert env.now == 1.822894400000044
     reference = reference_env()
     eth, _ = make_net(reference, background=True, seed=1989)
@@ -736,3 +689,239 @@ def test_lone_message_on_an_idle_medium_costs_one_event():
     eth, _ = make_net(env)
     assert _events_to_send(env, eth, [8 * KB]) <= 2
     assert env.now == pytest.approx(eth.message_cost_lower_bound(8 * KB))
+
+
+@pytest.mark.parametrize("background", [False, True])
+@pytest.mark.parametrize("size", [0, 1, 8 * KB, 1 * MB])
+def test_the_ledger_itself_schedules_nothing(size, background):
+    # Whatever the size and whoever else is on the wire, a raw send moves
+    # the kernel's ticket counter by the sending process's own start-up
+    # and completion only: the ledger's share is zero.
+    env = Environment()
+    eth, _ = make_net(env, background=background, seed=1989)
+    assert _events_to_send(env, eth, [size]) <= 2
+    assert eth.stats.packets == eth.packets_for(size)
+
+
+class _NullService(RpcService):
+    OPNAMES = {1: "NULL"}
+
+    def _dispatch(self, req):
+        return RpcReply()
+        yield  # a generator, like every dispatch
+
+
+def test_null_rpc_under_sixteen_clients_stays_inside_its_event_budget():
+    # Three hand-offs per RPC — the request into the inbox, the worker's
+    # wake-up, the reply event — and nothing for the two messages: 9.02
+    # events per RPC when every ledger step re-ticketed at each window
+    # close, 3.04 now (the rest is the sixteen start-ups).
+    env = Environment()
+    _eth, rpc = make_net(env)
+    service = _NullService(env, "null", transport=rpc, workers=4)
+    service._start_serving()
+    calls = 50
+
+    def client():
+        for _ in range(calls):
+            reply = yield from rpc.trans(service.port, RpcRequest(opcode=1))
+            assert reply.status == Status.OK
+
+    before = env.events_scheduled
+    for proc in [env.process(client()) for _ in range(16)]:
+        env.run(until=proc)
+    assert (env.events_scheduled - before) / (16 * calls) <= 3.25
+
+
+# ---------------------------------- pending virtual work is scheduled work
+
+
+def test_lone_senders_completion_is_scheduled_work():
+    # With one sender and nothing else, the heap is empty while the
+    # message is in flight: neither run(until=event)'s deadlock check
+    # nor step()'s "no scheduled events" may take that for the end.
+    env = Environment()
+    eth, _ = make_net(env)
+    assert run_process(env, eth.send_fragments(8 * KB)) == []
+    sent = env.now
+    assert sent == pytest.approx(eth.message_cost_lower_bound(8 * KB))
+    proc = env.process(eth.send_fragments(8 * KB))
+    env.step()  # the process starts and joins the ledger
+    assert proc.is_alive and not eth.idle
+    env.step()  # every step of the message; the last resumes the sender
+    assert not proc.is_alive and eth.idle
+    assert env.now == pytest.approx(2 * sent)
+    with pytest.raises(RuntimeError, match="no scheduled events"):
+        env.step()
+
+
+def test_run_without_until_ends_when_the_ledger_is_empty():
+    env = Environment()
+    eth, _ = make_net(env)
+    procs = [env.process(eth.send_fragments(size)) for size in (1, 8 * KB)]
+    env.run()  # the guard is +inf in the end: no spinning on it
+    assert not any(proc.is_alive for proc in procs) and eth.idle
+    assert eth.stats.packets == 1 + eth.packets_for(8 * KB)
+    assert env.now >= eth.message_cost_lower_bound(8 * KB)
+
+
+@pytest.mark.parametrize("b_bytes, order", [
+    (3, [(0.875, "a"), (0.875, "b")]),  # 0.375 + 0.5 on the wire: a tie
+    (1, [(0.625, "b"), (0.875, "a")]),  # 0.375 + 0.25: b is through first
+])
+def test_two_segments_on_one_environment_interleave_in_creation_order(
+        b_bytes, order):
+    # a's 4-byte message is ready at 0.25 and through at 0.875. Segment
+    # b was built first and its sender started first, but when both
+    # leave their wires at 0.875 a resumes first: its packet went on the
+    # wire at 0.25, b's at 0.375, so the reference pushed a's wire
+    # timeout first. The kernel has to merge the two ledgers step by
+    # step in (when, seq) order, not source by source.
+    def both(env):
+        b = Ethernet(env, _tie_profile(overhead=0.375), name="b")
+        a = Ethernet(env, _tie_profile(overhead=0.25), name="a")
+        log = []
+
+        def sender(tag, eth, nbytes):
+            yield from eth.send_fragments(nbytes)
+            log.append((env.now, tag, _snapshot(a), _snapshot(b)))
+
+        env.process(sender("b", b, b_bytes))
+        env.process(sender("a", a, 4))
+        env.run()
+        return log
+
+    log = both(Environment())
+    assert log == both(reference_env())
+    assert [entry[:2] for entry in log] == order
+
+
+# ------------------------------------- the guard's legality rule, by name
+#
+# One 4-byte message on _tie_profile leaves the wire at 0.875 (0.25 of
+# preparation, 0.625 on the wire). A rival whose timeout for 0.875 was
+# pushed before the message joined runs first there; whatever zero-time
+# hop it then takes is, in the reference, a heap entry *behind* the
+# message's wire timeout. Each kernel fast path has to see the pending
+# completion and decline.
+
+_COMPLETION = 0.875
+
+
+def _rival_at_the_completion(env, eth, rival_body, after_sending=None):
+    """``rival_body(log)`` runs at 0.875 just ahead of the completion of
+    a message on ``eth`` and ``after_sending(log)`` right after it;
+    returns the log they and the rival's joiner write, in order."""
+    log = []
+
+    def rival():
+        yield env.timeout(_COMPLETION)
+        yield from rival_body(log)
+
+    def sender():
+        yield from eth.send_fragments(4)
+        log.append((env.now, "sent"))
+        if after_sending is not None:
+            yield from after_sending(log)
+
+    def joiner(proc):
+        yield proc
+        log.append((env.now, "rival over"))
+
+    procs = [env.process(rival()), env.process(sender())]
+    procs.append(env.process(joiner(procs[0])))
+    env.run()
+    assert not any(proc.is_alive for proc in procs)
+    return log
+
+
+def test_uncontended_lock_grant_yields_to_a_completion_of_the_same_instant():
+    def on(env):
+        table = FileLockTable(env)
+
+        def rival(log):
+            with table.reading(1) as lock:
+                yield lock.grant
+                log.append((env.now, "granted"))
+
+        return _rival_at_the_completion(
+            env, Ethernet(env, _tie_profile()), rival)
+
+    assert on(Environment()) == on(reference_env()) == [
+        (_COMPLETION, "sent"), (_COMPLETION, "granted"),
+        (_COMPLETION, "rival over")]
+
+
+def test_marshal_skip_yields_to_a_completion_of_the_same_instant():
+    # The rival's body-less request costs a zero-length marshalling
+    # timeout in the reference, so the sender's second message joins
+    # ahead of it and wins the tie for the medium one preparation later.
+    def on(env):
+        eth = Ethernet(env, _tie_profile())
+        rpc = RpcTransport(env, eth, CPU)
+        endpoint = rpc.register(7)
+
+        def server():
+            req = yield endpoint.getreq()
+            yield from endpoint.putrep(req, RpcReply())
+
+        env.process(server())
+
+        def rival(log):
+            yield from rpc.trans(7, RpcRequest(opcode=1))
+
+        def second_message(log):
+            yield from eth.send_fragments(4)
+            log.append((env.now, "sent again"))
+
+        return _rival_at_the_completion(env, eth, rival, second_message)
+
+    log = on(Environment())
+    assert log == on(reference_env())
+    assert log[:2] == [(_COMPLETION, "sent"), (1.75, "sent again")]
+
+
+def test_terminating_process_yields_to_a_completion_of_the_same_instant():
+    # The rival ends at 0.875: its completion event is pushed there,
+    # behind the wire timeout, so its joiner hears after the sender.
+    def on(env):
+        def rival(log):
+            return
+            yield
+
+        return _rival_at_the_completion(
+            env, Ethernet(env, _tie_profile()), rival)
+
+    assert on(Environment()) == on(reference_env()) == [
+        (_COMPLETION, "sent"), (_COMPLETION, "rival over")]
+
+
+def test_interrupt_goes_before_a_ledger_step_of_the_same_instant():
+    # The interrupt is scheduled at 0.875, long after the wire step was
+    # made, and still goes first: priority 0 yields to nothing. The
+    # sender is pulled off the wire with its fragment uncounted.
+    def on(env):
+        eth = Ethernet(env, _tie_profile())
+        log = []
+
+        def sender():
+            try:
+                yield from eth.send_fragments(4)
+                log.append((env.now, "sent"))
+            except Interrupt as exc:
+                log.append((env.now, "interrupted", exc.cause))
+
+        def interrupter(victim):
+            yield env.timeout(_COMPLETION)
+            victim.interrupt("at the completion")
+
+        victim = env.process(sender())
+        env.process(interrupter(victim))
+        env.run()
+        return log, _snapshot(eth)
+
+    outcome = on(Environment())
+    assert outcome == on(reference_env())
+    log, (packets, *_rest, idle) = outcome
+    assert log == [(_COMPLETION, "interrupted", "at the completion")]
+    assert packets == 0 and idle

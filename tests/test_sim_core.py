@@ -14,6 +14,7 @@ from repro.sim import (
 )
 
 from conftest import reference_env
+from test_kernel_equivalence import HopSource
 
 
 def test_clock_starts_at_zero():
@@ -423,16 +424,36 @@ def test_count_of_tolerates_failures_below_threshold():
     assert run_process(env, proc()) == (2.0, ["ok"])
 
 
-def test_peek_reports_next_event_time():
+def test_virtual_step_goes_right_before_the_first_event_that_sorts_after_it():
     env = Environment()
-    env.timeout(4.0)
-    env.timeout(2.0)
-    assert env.peek() == 2.0
+    order = []
+
+    def note(tag):
+        return lambda event: order.append((env.now, tag))
+
+    env.timeout(4.0).callbacks.append(note("later"))
+    env.timeout(2.0).callbacks.append(note("pushed before the step was made"))
+    HopSource(env).burst([2.0]).callbacks.append(note("the step"))
+    env.timeout(2.0).callbacks.append(note("pushed after"))
+    env.run()
+    assert order == [(2.0, "pushed before the step was made"),
+                     (2.0, "the step"), (2.0, "pushed after"), (4.0, "later")]
 
 
-def test_peek_empty_heap_is_inf():
+def test_pending_virtual_step_is_scheduled_work():
     env = Environment()
-    assert env.peek() == float("inf")
+    source = HopSource(env)
+    first = source.burst([1.0, 1.0])
+    assert not env.can_collapse(1.0) and env.can_collapse(0.5)
+    env.run(until=first)  # no deadlock: the heap is empty throughout
+    assert env.now == 2.0 and env.events_scheduled == 0
+    late = source.burst([1.0])
+    env.run(until=2.5)
+    assert not late.processed
+    env.step()  # not "no scheduled events"
+    assert late.processed and env.now == 3.0
+    env.run()  # the guard is +inf: ends at once
+    assert env.now == 3.0
 
 
 def test_step_without_events_rejected():
