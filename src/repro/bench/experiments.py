@@ -1,15 +1,18 @@
-"""The experiment layer: every committed experiment, whole.
+"""The experiment layer: every committed experiment, in one table.
 
 An experiment is **one zero-argument function**: it builds its rig,
 measures, raises :class:`~repro.errors.ConsistencyError` when one of its
-own invariants fails, and returns a payload. The payload is rendered as
-canonical JSON (keys sorted, floats via ``repr``, trailing newline), so
-a run either reproduces its committed artifact **byte for byte** or
-something observable changed. :data:`EXPERIMENTS` maps each concept
-name to its function, and the name also names the committed artifact,
-``BENCH_<name>.json`` (:func:`artifact_path`); :func:`write` regenerates
-an artifact and :func:`check` compares a fresh run against the
-committed file.
+own invariants fails, and returns a payload. :data:`EXPERIMENTS` maps
+each concept name to that function and the *form* of its artifact —
+where the committed file lives and how a payload becomes its bytes:
+:data:`JSON` (``BENCH_<name>.json``; keys sorted, floats via ``repr``,
+trailing newline) for the measurements defined here, :data:`TABLE`
+(``benchmarks/results/<name>.txt``) for the paper's own figures and
+claims (:mod:`~repro.bench.paper`) and the ablations
+(:mod:`~repro.bench.ablations`). Either way a run reproduces its
+committed artifact **byte for byte** or something observable changed:
+:func:`write` regenerates an artifact and :func:`check` compares a
+fresh run against the committed file.
 Adding an experiment is one function, one table entry and its artifact
 — ``python -m repro.obs bench``, CI and the tier-1 tests loop over the
 table.
@@ -32,21 +35,16 @@ from ..client import CurrencyPolicy
 from ..errors import BadRequestError, ConsistencyError
 from ..sim import SeededStream, run_process
 from ..units import KB, to_msec
-from .harness import bullet_figure2, closed_loop, make_rig, nfs_figure3
+from . import ablations, paper
+from .harness import (SEED, THINK_S, bullet_figure2, closed_loop, make_rig,
+                      require)
 from .workload import PAPER_SIZES
 
 __all__ = ["EXPERIMENTS", "artifact_path", "write", "check",
            "canonical_json"]
 
-#: The one seed every committed artifact was generated from.
-SEED = 1989
-
 PAPER = ("The Design of a High-Performance File Server "
          "(van Renesse, Tanenbaum, Wilschut; ICDCS 1989)")
-
-#: Client compute between reads in the workstation experiments, so a
-#: loop of cache hits does not spin in zero simulated time.
-THINK_S = 2e-3
 
 
 def canonical_json(payload: dict) -> str:
@@ -63,9 +61,6 @@ def _strictly(direction: str, series) -> bool:
 
 
 # ------------------------------------------------ Figures 2 and 3 (§4)
-
-#: Measurements averaged per Figure 2 / Figure 3 cell.
-REPEATS = 3
 
 #: Sizes and repeats of the cache-policy ablation (kept small: the
 #: ablation is a smoke check, not a figure).
@@ -106,22 +101,18 @@ def fig2_fig3() -> dict:
     """The paper's Figure 2 (Bullet) and Figure 3 (NFS) on one
     shared-registry rig, plus the cache-policy ablation, the full
     metrics snapshot and the cache conservation invariant."""
-    rig = make_rig(seed=SEED)
-    fig2 = bullet_figure2(rig, PAPER_SIZES, REPEATS)
-    fig3 = nfs_figure3(rig, PAPER_SIZES, REPEATS)
-    lookups = rig.metrics.total("repro_cache_lookups_total")
-    hits = rig.metrics.total("repro_cache_hits_total")
-    misses = rig.metrics.total("repro_cache_misses_total")
-    if hits + misses != lookups:
-        raise ConsistencyError(
+    fig2, fig3, metrics = paper.figures()
+    lookups = metrics.total("repro_cache_lookups_total")
+    hits = metrics.total("repro_cache_hits_total")
+    misses = metrics.total("repro_cache_misses_total")
+    require(hits + misses == lookups,
             f"cache conservation violated: {hits} hits + {misses} misses "
-            f"!= {lookups} lookups"
-        )
+            f"!= {lookups} lookups")
     return {
         "meta": {
             "paper": PAPER,
             "seed": SEED,
-            "repeats": REPEATS,
+            "repeats": paper.REPEATS,
             "sizes": list(PAPER_SIZES),
         },
         "fig2_bullet": _table_payload(fig2),
@@ -135,7 +126,7 @@ def fig2_fig3() -> dict:
             "cache_misses": misses,
             "cache_conservation": "hits + misses == lookups",
         },
-        "metrics": rig.metrics.snapshot(),
+        "metrics": metrics.snapshot(),
     }
 
 
@@ -223,10 +214,8 @@ def worker_scaling() -> dict:
     storm under FCFS vs elevator disk scheduling."""
     throughput = {workers: _worker_throughput(workers)
                   for workers in WORKER_COUNTS}
-    if not _strictly("rising", list(throughput.values())):
-        raise ConsistencyError(
-            f"worker scaling not strictly increasing: {throughput}"
-        )
+    require(_strictly("rising", list(throughput.values())),
+            f"worker scaling not strictly increasing: {throughput}")
     return {
         "meta": {
             "paper": PAPER,
@@ -325,23 +314,19 @@ def client_cache_scaling() -> dict:
     sizes = list(CLIENT_CACHE_SIZES)
     sweep = {size: _shared_cache_run(size) for size in sizes}
     for size, row in sweep.items():
-        if row["hits"] + row["misses"] != row["lookups"]:
-            raise ConsistencyError(
+        require(row["hits"] + row["misses"] == row["lookups"],
                 f"client cache conservation violated at {size} B: "
                 f"{row['hits']} hits + {row['misses']} misses != "
-                f"{row['lookups']} lookups"
-            )
+                f"{row['lookups']} lookups")
     for field, direction in (("server_reads", "falling"),
                              ("hits", "rising"),
                              ("bytes_saved", "rising"),
                              ("rpcs_avoided", "rising"),
                              ("served_ops_per_sec", "rising")):
         series = [sweep[size][field] for size in sizes]
-        if not _strictly(direction, series):
-            raise ConsistencyError(
+        require(_strictly(direction, series),
                 f"client cache scaling: {field} not strictly "
-                f"{direction} across {sizes}: {series}"
-            )
+                f"{direction} across {sizes}: {series}")
     return {
         "meta": {
             "paper": PAPER,
@@ -486,11 +471,9 @@ def _coherence_cell(n_workstations: int, policy: CurrencyPolicy) -> dict:
     cache_hits = sum(s.cache.stats.hits for s in sessions)
     cache_misses = sum(s.cache.stats.misses for s in sessions)
     cache_lookups = sum(s.cache.stats.lookups for s in sessions)
-    if cache_hits + cache_misses != cache_lookups:
-        raise ConsistencyError(
+    require(cache_hits + cache_misses == cache_lookups,
             f"client cache conservation violated: {cache_hits} + "
-            f"{cache_misses} != {cache_lookups}"
-        )
+            f"{cache_misses} != {cache_lookups}")
     server_reads = bullet.stats.reads - reads_before
     return {
         "workstations": n_workstations,
@@ -539,38 +522,28 @@ def coherence() -> dict:
              for count in counts}
     envelope = HOT_FILES + REPLACES
     for count, row in sweep.items():
-        if row["stale_reads_served"] != 0:
-            raise ConsistencyError(
+        require(row["stale_reads_served"] == 0,
                 f"check-always served {row['stale_reads_served']} stale "
-                f"reads at {count} workstations; §5 says zero"
-            )
-        if row["server_reads_per_workstation"] > envelope:
-            raise ConsistencyError(
+                f"reads at {count} workstations; §5 says zero")
+        require(row["server_reads_per_workstation"] <= envelope,
                 f"server READs per workstation "
                 f"({row['server_reads_per_workstation']}) exceeded the "
                 f"single-workstation envelope ({envelope}) at "
                 f"{count} workstations: the cache is not shielding "
-                f"the file server"
-            )
+                f"the file server")
     rpc_series = [sweep[count]["dir_rpcs"] for count in counts]
-    if not _strictly("rising", rpc_series):
-        raise ConsistencyError(
+    require(_strictly("rising", rpc_series),
             f"directory RPCs not strictly rising with workstations: "
-            f"{rpc_series}"
-        )
+            f"{rpc_series}")
     tradeoff = {spec: _coherence_cell(TRADEOFF_WORKSTATIONS, policy)
                 for spec, policy in POLICIES.items()}
     per_op = [row["dir_rpcs_per_op"] for row in tradeoff.values()]
-    if not _strictly("falling", per_op):
-        raise ConsistencyError(
+    require(_strictly("falling", per_op),
             f"directory RPCs per op not strictly ordered "
-            f"always > after > session: {per_op}"
-        )
-    if tradeoff["session"]["stale_reads_served"] == 0:
-        raise ConsistencyError(
+            f"always > after > session: {per_op}")
+    require(tradeoff["session"]["stale_reads_served"] != 0,
             "session policy served no stale reads: the workload is not "
-            "exercising coherence, so the check-always zero is vacuous"
-        )
+            "exercising coherence, so the check-always zero is vacuous")
     return {
         "meta": {
             "paper": PAPER,
@@ -606,40 +579,72 @@ def coherence() -> dict:
 
 # ------------------------------------------------------------ the table
 
-#: name -> run. The name is the one fact: it also names the artifact.
+#: The two artifact forms: (path of the committed file, given the
+#: experiment's name; rendering of a payload to that file's bytes).
+JSON = ("BENCH_{}.json", canonical_json)
+TABLE = ("benchmarks/results/{}.txt", "{}\n".format)
+
+#: name -> (run, form). The name is the one fact: with the form it also
+#: names the artifact.
 EXPERIMENTS = {
-    "fig2_fig3": fig2_fig3,
-    "worker_scaling": worker_scaling,
-    "client_cache_scaling": client_cache_scaling,
-    "coherence": coherence,
+    "fig2_fig3": (fig2_fig3, JSON),
+    "worker_scaling": (worker_scaling, JSON),
+    "client_cache_scaling": (client_cache_scaling, JSON),
+    "coherence": (coherence, JSON),
+    # E1-E7: the paper's figures and claims.
+    "fig1_layout": (paper.fig1_layout, TABLE),
+    "fig2_bullet": (paper.fig2_bullet, TABLE),
+    "fig3_nfs": (paper.fig3_nfs, TABLE),
+    "comparison_claims": (paper.comparison_claims, TABLE),
+    "workload_replay": (paper.workload_replay, TABLE),
+    # A1-A12: the ablations.
+    "ablation_contiguity": (ablations.ablation_contiguity, TABLE),
+    "ablation_pfactor": (ablations.ablation_pfactor, TABLE),
+    "ablation_cache": (ablations.ablation_cache, TABLE),
+    "ablation_fragmentation": (ablations.ablation_fragmentation, TABLE),
+    "scalability_clients": (ablations.scalability_clients, TABLE),
+    "failover_recovery": (ablations.failover_recovery, TABLE),
+    "log_append": (ablations.log_append, TABLE),
+    "wide_area": (ablations.wide_area, TABLE),
+    "client_caching": (ablations.client_caching, TABLE),
+    "ablation_lockf": (ablations.ablation_lockf, TABLE),
+    "sensitivity": (ablations.sensitivity, TABLE),
+    "ablation_cache_size": (ablations.ablation_cache_size, TABLE),
 }
 
 
 def artifact_path(name: str) -> str:
     """The committed artifact of experiment ``name``, relative to the
     repository root."""
-    return f"BENCH_{name}.json"
+    _run, (path, _render) = EXPERIMENTS[name]
+    return path.format(name)
 
 
-def _entry(name: str) -> tuple:
-    """``(EXPERIMENTS[name], artifact_path(name))``, refused — before
-    anything is simulated — when the committed artifact is not there,
-    i.e. when not run from the repository root."""
-    run, path = EXPERIMENTS[name], artifact_path(name)
+def _fresh(name: str) -> tuple:
+    """``(path, text)``: the committed artifact of experiment ``name``
+    and what a run now renders for it. Refused — before anything is
+    simulated — when the committed artifact is not there, i.e. when
+    not run from the repository root; a shape check the run fails
+    comes out naming the experiment."""
+    run, (_path, render) = EXPERIMENTS[name]
+    path = artifact_path(name)
     if not os.path.isfile(path):
         raise BadRequestError(
             f"{path} ({name}) not found in {os.getcwd()}: run from the "
             f"repository root"
         )
-    return run, path
+    try:
+        return path, render(run())
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{name}: {exc}") from exc
 
 
 def write(name: str) -> str:
     """Run experiment ``name`` and rewrite its committed artifact;
     returns the path written."""
-    run, path = _entry(name)
+    path, text = _fresh(name)
     with open(path, "w", newline="") as handle:
-        handle.write(canonical_json(run()))
+        handle.write(text)
     return path
 
 
@@ -647,10 +652,9 @@ def check(name: str) -> str:
     """Run experiment ``name`` and byte-compare against its committed
     artifact. Returns ``""`` when identical, else a unified diff
     (committed -> regenerated)."""
-    run, path = _entry(name)
+    path, fresh = _fresh(name)
     with open(path, newline="") as handle:
         committed = handle.read()
-    fresh = canonical_json(run())
     return "".join(difflib.unified_diff(
         committed.splitlines(keepends=True), fresh.splitlines(keepends=True),
         fromfile=path, tofile=f"{path} (regenerated)"))

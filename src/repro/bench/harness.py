@@ -32,13 +32,30 @@ from ..sim import Environment, SeededStream, run_process
 from .tables import MeasurementTable
 
 __all__ = [
+    "SEED",
+    "THINK_S",
     "Rig",
     "make_rig",
+    "require",
     "timed",
     "closed_loop",
     "bullet_figure2",
     "nfs_figure3",
 ]
+
+#: The one seed every committed artifact was generated from.
+SEED = 1989
+
+#: Client compute between reads in the hot-set experiments, so a loop
+#: of cache hits does not spin in zero simulated time.
+THINK_S = 2e-3
+
+
+def require(holds: bool, claim: str) -> None:
+    """An experiment's shape check: ``claim`` holds, or the run raises
+    instead of emitting an artifact that contradicts it."""
+    if not holds:
+        raise ConsistencyError(claim)
 
 
 @dataclass
@@ -77,7 +94,7 @@ class Rig:
                                policy=policy, name=name)
 
 
-def make_rig(seed: int = 1989, testbed: Testbed = DEFAULT_TESTBED,
+def make_rig(seed: int = SEED, testbed: Testbed = DEFAULT_TESTBED,
              background_load: bool = True, with_bullet: bool = True,
              with_nfs: bool = True, nfs_churn: bool = True,
              cache_policy: str = "lru", workers: int = 1,

@@ -7,11 +7,14 @@ through the RPC plane, and dumps the shared metrics registry::
     python -m repro.obs --format json      # canonical JSON snapshot
     python -m repro.obs --seed 7           # different workload seed
 
-``bench`` regenerates the committed bench artifacts from the experiment
-table in :mod:`repro.bench.experiments` (run it from the repository root)::
+``bench`` regenerates the committed artifacts — the ``BENCH_<name>.json``
+measurements and the paper tables under ``benchmarks/results/`` — from
+the experiment table in :mod:`repro.bench.experiments` (run it from the
+repository root)::
 
     python -m repro.obs bench              # rewrite every artifact
     python -m repro.obs bench coherence    # rewrite BENCH_coherence.json only
+    python -m repro.obs bench fig3_nfs     # rewrite benchmarks/results/fig3_nfs.txt
     python -m repro.obs bench --check      # write nothing: byte-compare
                                            # fresh runs against the
                                            # committed files (diff, exit 1)
@@ -60,7 +63,7 @@ def main(argv=None) -> int:
                         default="text", help="snapshot rendering")
     sub = parser.add_subparsers(dest="command")
     bench = sub.add_parser("bench", help="regenerate the committed bench "
-                                         "artifacts (BENCH_<name>.json)")
+                                         "artifacts")
     bench.add_argument("names", nargs="*", metavar="NAME",
                        help="experiments to run, or 'all' (the default)")
     bench.add_argument("--check", action="store_true",

@@ -169,8 +169,8 @@ def test_table_bandwidth_consistent_property(seconds, size):
 
 def test_small_rig_figures_smoke():
     """The full figure pipeline on the scaled-down testbed: sanity of
-    structure, not calibration (the paper-scale run lives in
-    benchmarks/)."""
+    structure, not calibration (the paper-scale run is
+    ``repro.bench.paper.figures``)."""
     rig = make_rig(testbed=small_testbed(), background_load=False,
                    nfs_churn=False)
     sizes = [1, 1 * KB, 64 * KB]
@@ -265,11 +265,11 @@ def _public_callables(tree):
 
 def test_no_defaulted_parameter_goes_unpassed():
     """Every defaulted parameter of a public function or constructor in
-    ``repro.bench`` is passed by some caller under src/, benchmarks/ or
-    examples/ — an option nobody flips is a constant."""
+    ``repro.bench`` is passed by some caller under src/ or examples/ —
+    an option nobody flips is a constant."""
     root = Path(__file__).resolve().parents[1]
     calls: dict = {}
-    for top in ("src", "benchmarks", "examples"):
+    for top in ("src", "examples"):
         for path in (root / top).rglob("*.py"):
             tree = ast.parse(path.read_text())
             alias = {a.asname: a.name for node in ast.walk(tree)
@@ -312,7 +312,7 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
     """Every module under src/repro is used — imports followed through
     the re-exports of package ``__init__`` files, which are not uses
     themselves — by something that produces a committed artifact:
-    benchmarks/, perf/ or the bench CLI. The rest is the table above;
+    perf/ or the bench CLI. The rest is the table above;
     a module only tests/ and examples/ import has nothing measuring it
     and belongs beside its example."""
     root = Path(__file__).resolve().parents[1]
@@ -355,8 +355,7 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
                    for claim in _CLAIMED_MODULES)
 
     live = {"repro.obs.__main__"}
-    frontier = [path for top in ("benchmarks", "perf")
-                for path in (root / top).rglob("*.py")]
+    frontier = list((root / "perf").rglob("*.py"))
     frontier += [files[m] for m in files if m in live or claimed(m)]
     while frontier:
         path = frontier.pop()

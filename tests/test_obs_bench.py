@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from repro.capability import Capability
-from repro.bench.experiments import EXPERIMENTS, artifact_path, check
+from repro.bench.experiments import (EXPERIMENTS, artifact_path, check,
+                                     write)
 from repro.client import BulletClient
 from repro.disk import VirtualDisk
-from repro.errors import BadRequestError, NotFoundError, Status
+from repro.errors import (BadRequestError, ConsistencyError, NotFoundError,
+                          Status)
 from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.nfs import NfsServer
 from repro.obs import pair_spans, render_json, render_text
@@ -259,51 +261,72 @@ def test_experiment_regenerates_under_the_reference_kernel(name, monkeypatch):
 def replayed(monkeypatch, tmp_path):
     """Run the bench plane in a scratch copy of the repository root (the
     committed artifacts and nothing else) with every experiment
-    replaying its committed payload (canonical JSON round-trips
-    exactly). The test above already holds the real runs to those
-    bytes; the tests below are about paths, diffs and exit codes, not
-    the simulations."""
-    for name in list(EXPERIMENTS):
+    replaying its committed bytes verbatim. The tests above already
+    hold the real runs to those bytes; the tests below are about paths,
+    diffs and exit codes, not the simulations."""
+    for name, (_run, (path, _render)) in list(EXPERIMENTS.items()):
         committed = (REPO / artifact_path(name)).read_text()
-        (tmp_path / artifact_path(name)).write_text(committed)
+        scratch = tmp_path / artifact_path(name)
+        scratch.parent.mkdir(parents=True, exist_ok=True)
+        scratch.write_text(committed)
         monkeypatch.setitem(
-            EXPERIMENTS, name, lambda p=json.loads(committed): p)
+            EXPERIMENTS, name, (lambda text=committed: text, (path, str)))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
+def _tree(root):
+    """Every file under ``root``, by relative path."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_bench_cli_writes_exactly_the_tables_path(name, replayed):
-    path = artifact_path(name)
-    before = sorted(entry.name for entry in replayed.iterdir())
-    (replayed / path).write_text("{}\n")
+    before = _tree(replayed)
+    (replayed / artifact_path(name)).write_text("stale\n")
     assert obs_main(["bench", name]) == 0
-    assert sorted(entry.name for entry in replayed.iterdir()) == before
-    for other in map(artifact_path, EXPERIMENTS):
-        assert (replayed / other).read_bytes() == (REPO / other).read_bytes()
+    assert _tree(replayed) == before
     assert obs_main(["bench", name, "--check"]) == 0
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_check_reports_a_tampered_artifact(name, replayed, capsys):
-    path = artifact_path(name)
-    tampered = (REPO / path).read_text().replace(
-        '"seed": 1989', '"seed": 1990')
-    (replayed / path).write_text(tampered)
+    path = replayed / artifact_path(name)
+    first_line = path.read_text().splitlines(keepends=True)[0]
+    tampered = "tampered " + path.read_text()
+    path.write_text(tampered)
     diff = check(name)
-    assert '-    "seed": 1990' in diff and '+    "seed": 1989' in diff
+    assert f"-tampered {first_line}+{first_line}" in diff
     assert obs_main(["bench", name, "--check"]) == 1
     assert diff in capsys.readouterr().out
-    assert (replayed / path).read_text() == tampered  # --check never writes
+    assert path.read_text() == tampered  # --check never writes
+
+
+def test_a_failed_shape_check_names_the_experiment_and_writes_nothing(
+        monkeypatch, tmp_path):
+    """An experiment whose own shape check fails raises — through
+    ``write`` as through ``check`` — a ConsistencyError naming it, and
+    its committed artifact is left as it was. Here Fig. 1 is rendered
+    from an empty volume, so the picture has no file to show."""
+    monkeypatch.setattr("repro.bench.paper.LAYOUT_FILES", 0)
+    monkeypatch.setattr("repro.bench.paper.LAYOUT_DELETED", ())
+    artifact = tmp_path / artifact_path("fig1_layout")
+    artifact.parent.mkdir(parents=True)
+    artifact.write_text("as committed\n")
+    monkeypatch.chdir(tmp_path)
+    for emit in (write, check):
+        with pytest.raises(ConsistencyError, match="^fig1_layout: .*file"):
+            emit("fig1_layout")
+    assert artifact.read_text() == "as committed\n"
 
 
 def test_bench_cli_rejects_an_unknown_experiment(replayed):
-    before = {entry.name: entry.read_bytes() for entry in replayed.iterdir()}
+    before = _tree(replayed)
     with pytest.raises(SystemExit) as exit_info:
         obs_main(["bench", "no_such_experiment"])
     assert exit_info.value.code == 2
-    assert {entry.name: entry.read_bytes()
-            for entry in replayed.iterdir()} == before
+    assert _tree(replayed) == before
 
 
 @pytest.mark.parametrize("argv", [["bench"], ["bench", "--check"]])
@@ -314,8 +337,8 @@ def test_bench_cli_refuses_outside_the_repository_root(
     def must_not_run():
         raise AssertionError("an experiment ran outside the repo root")
 
-    for name in list(EXPERIMENTS):
-        monkeypatch.setitem(EXPERIMENTS, name, must_not_run)
+    for name, (_run, form) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (must_not_run, form))
     monkeypatch.chdir(tmp_path)
     assert obs_main(argv) == 2
     captured = capsys.readouterr()
