@@ -27,6 +27,7 @@ from repro import (
     MirroredDiskSet,
     RpcTransport,
     VirtualDisk,
+    WorkstationCache,
     run_process,
 )
 from repro.units import KB
@@ -69,7 +70,7 @@ def main():
         # Each pool processor has its own client cache: the headers are
         # immutable, so hits are always valid — no coherence traffic.
         me = CachingBulletClient(BulletClient(env, rpc, bullet.port),
-                                 capacity_bytes=256 * KB)
+                                 WorkstationCache(256 * KB))
         compiled = 0
         while work_queue:
             index, source_cap = work_queue.pop(0)

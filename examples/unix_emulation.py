@@ -13,6 +13,8 @@ isolation for free.
 Run:  python examples/unix_emulation.py
 """
 
+import os
+
 from repro import (
     DEFAULT_TESTBED,
     BulletServer,
@@ -72,7 +74,7 @@ def main():
 
     # --- lseek / partial rewrite ----------------------------------------
     fd = sh(unix.open("/home/ast/todo", "r+"))
-    sh(unix.lseek(fd, 0))
+    sh(unix.lseek(fd, 0, os.SEEK_SET))
     sh(unix.write(fd, b"X."))
     sh(unix.close(fd))
     fd = sh(unix.open("/home/ast/todo", "r"))
@@ -102,8 +104,8 @@ def main():
     print("\n$ ls /home/ast")
     print("  ".join(sh(unix.listdir("/home/ast"))))
 
-    print(f"\nBullet server did {bullet.stats.creates} creates / "
-          f"{bullet.stats.deletes} deletes for this session "
+    print(f"\nBullet server did {bullet.stats.creates.value} creates / "
+          f"{bullet.stats.deletes.value} deletes for this session "
           f"(one create per dirty close — versions, not updates)")
 
 

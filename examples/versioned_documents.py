@@ -23,6 +23,7 @@ from repro import (
     LocalBulletStub,
     MirroredDiskSet,
     VirtualDisk,
+    WorkstationCache,
     run_process,
 )
 from repro.capability import RIGHT_READ
@@ -76,7 +77,7 @@ def main():
             print(f"  version -{i}: (before paper.txt existed)")
 
     # --- Client cache + currency check -----------------------------------
-    client = CachingBulletClient(stub, capacity_bytes=256 * KB)
+    client = CachingBulletClient(stub, WorkstationCache(256 * KB))
     current_cap = run_process(env, dirs.lookup(docs, "paper.txt"))
     # Cache under a *read-only restriction* of the published capability:
     # the currency check is evidence-based (object + secret lineage), so

@@ -9,11 +9,12 @@ committed artifact.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from .bench.paper import comparison_claims, fig2_bullet, fig3_nfs
 
 
-def main(argv=None) -> int:
+def main(argv: list) -> int:
     argparse.ArgumentParser(
         prog="python -m repro",
         description="Print the Bullet-vs-NFS comparison "
@@ -25,4 +26,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

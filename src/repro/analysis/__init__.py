@@ -3,10 +3,9 @@
 The reproduction's core guarantees are conventions the code cannot state:
 the sim kernel's replay determinism ("no wall-clock time or global RNG is
 consulted anywhere", :mod:`repro.sim.core`), the capability gate every
-RPC opcode handler must pass (paper §2.2), the rule that every timed
+RPC opcode handler must pass (paper §2.2) and the rule that every timed
 subroutine must be *driven* (``yield env.process(...)`` / ``yield from``)
-or it silently never runs, and the lock discipline the worker pool
-depends on (:mod:`repro.core.locks`). This package turns each
+or it silently never runs. This package turns each
 convention into a machine-checked rule over the project's own AST, with
 cross-module knowledge (which functions are generator processes, which
 methods are opcode handlers and which of them reach a rights check)
@@ -28,8 +27,6 @@ S001   unyielded-process       generator process / env.process(...) as a bare
                                statement
 C001   missing-rights-check    opcode handler never reaches require(...)
 A001   assert-as-validation    assert / AssertionError in library code
-L001   lock-leak               a raw acquire_read/acquire_write call outside a
-                               ``with`` header
 P001   stale-pragma            (``--strict-pragmas``) an allow() pragma that
                                suppressed nothing
 =====  ======================  =================================================

@@ -7,7 +7,7 @@ from .cli import main
 
 if __name__ == "__main__":
     try:
-        code = main()
+        code = main(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # Reader went away (e.g. `... | head`); suppress the traceback

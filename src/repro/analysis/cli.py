@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from ..errors import ReproError
 from .engine import analyze_paths
@@ -31,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="AST-based invariant linter: determinism (D...), "
                     "sim-process discipline (S...), capability discipline "
-                    "(C...), error-style (A...) and lock-discipline "
-                    "(L...) rules over the reproduction's own source.",
+                    "(C...) and error-style (A...) rules over the "
+                    "reproduction's own source.",
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze (e.g. src/repro)")
@@ -48,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:

@@ -11,11 +11,9 @@ Importing this package registers every rule with the framework registry:
   check.
 * A001 ``assert-as-validation`` — library validation must survive
   ``python -O``.
-* L001 ``lock-leak`` — locks are taken through a ``with`` scope, never
-  by a raw acquire.
 
 (P001 ``stale pragma`` is registered by the framework itself and driven
 by the engine's ``--strict-pragmas`` pass.)
 """
 
-from . import asserts, caps, concurrency, determinism, simproc  # noqa: F401  (registration)
+from . import asserts, caps, determinism, simproc  # noqa: F401  (registration)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..client import BulletClient, CachingBulletClient
+from ..client import BulletClient, CachingBulletClient, WorkstationCache
 from ..core import BulletCache, BulletServer, compact_disk
 from ..disk import VirtualDisk
 from ..errors import NoSpaceError
@@ -554,8 +554,8 @@ def _hot_set_throughput(n_clients: int, caching: bool) -> float:
     def client_loop(index):
         stub = rig.bullet_client
         if caching:
-            stub = CachingBulletClient(
-                stub, capacity_bytes=CACHING_HOT_FILES * HOT_FILE_SIZE)
+            stub = CachingBulletClient(stub, WorkstationCache(
+                CACHING_HOT_FILES * HOT_FILE_SIZE))
         stream = SeededStream(index, "picks")
         while True:
             cap = caps[stream.zipf_index(CACHING_HOT_FILES)]

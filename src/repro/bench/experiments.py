@@ -31,7 +31,7 @@ import json
 import os
 
 from ..capability import RIGHT_READ
-from ..client import CurrencyPolicy
+from ..client import CachingBulletClient, CurrencyPolicy, WorkstationCache
 from ..errors import BadRequestError, ConsistencyError
 from ..sim import SeededStream, run_process
 from ..units import KB, to_msec
@@ -204,7 +204,7 @@ def _cold_read_storm(discipline: str) -> dict:
     elapsed = closed_loop(env, [storm(i) for i in range(STORM_CLIENTS)])
     return {
         "ops_per_sec": STORM_CLIENTS * STORM_FILES / elapsed,
-        "seeks": sum(disk.stats.seeks for disk in bullet.mirror.disks),
+        "seeks": sum(disk.stats.seeks.value for disk in bullet.mirror.disks),
     }
 
 
@@ -272,10 +272,11 @@ def _shared_cache_run(cache_bytes: int) -> dict:
     owners = [
         run_process(env, client.create(bytes([i % 251]) * CACHE_FILE_SIZE, 1))
         for i in range(CACHE_HOT_FILES)]
-    shared = rig.workstation("ws0", cache_bytes)
+    shared = CachingBulletClient(client, WorkstationCache(
+        cache_bytes, name="ws0", metrics=rig.metrics, cpu=rig.testbed.cpu))
     readers = [run_process(env, shared.restrict(cap, RIGHT_READ))
                for cap in owners]
-    served_before = bullet.stats.reads
+    served_before = bullet.stats.reads.value
 
     def client_loop(index):
         caps = owners if index % 2 == 0 else readers
@@ -288,14 +289,14 @@ def _shared_cache_run(cache_bytes: int) -> dict:
     stats = shared.cache.stats
     return {
         "served_ops_per_sec": n_clients * OPS_PER_CLIENT / elapsed,
-        "server_reads": bullet.stats.reads - served_before,
-        "lookups": stats.lookups,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "bytes_saved": stats.bytes_saved,
-        "rpcs_avoided": stats.rpcs_avoided,
-        "local_verifies": stats.local_verifies,
+        "server_reads": bullet.stats.reads.value - served_before,
+        "lookups": stats.lookups.value,
+        "hits": stats.hits.value,
+        "misses": stats.misses.value,
+        "evictions": stats.evictions.value,
+        "bytes_saved": stats.bytes_saved.value,
+        "rpcs_avoided": stats.rpcs_avoided.value,
+        "local_verifies": stats.local_verifies.value,
         "cached_bytes": shared.cache.cached_bytes,
     }
 
@@ -462,19 +463,19 @@ def _coherence_cell(n_workstations: int, policy: CurrencyPolicy) -> dict:
             owners[name] = owner
             yield from rig.bullet_client.delete(doomed)
 
-    reads_before = bullet.stats.reads
+    reads_before = bullet.stats.reads.value
     elapsed = closed_loop(
         env, [reader(w) for w in range(n_workstations)] + [writer()])
 
     total_ops = n_workstations * OPS_PER_WORKSTATION
-    dir_rpcs = sum(s.stats.dir_rpcs for s in sessions)
-    cache_hits = sum(s.cache.stats.hits for s in sessions)
-    cache_misses = sum(s.cache.stats.misses for s in sessions)
-    cache_lookups = sum(s.cache.stats.lookups for s in sessions)
+    dir_rpcs = sum(s.stats.dir_rpcs.value for s in sessions)
+    cache_hits = sum(s.cache.stats.hits.value for s in sessions)
+    cache_misses = sum(s.cache.stats.misses.value for s in sessions)
+    cache_lookups = sum(s.cache.stats.lookups.value for s in sessions)
     require(cache_hits + cache_misses == cache_lookups,
             f"client cache conservation violated: {cache_hits} + "
             f"{cache_misses} != {cache_lookups}")
-    server_reads = bullet.stats.reads - reads_before
+    server_reads = bullet.stats.reads.value - reads_before
     return {
         "workstations": n_workstations,
         "policy": repr(policy),
@@ -485,10 +486,10 @@ def _coherence_cell(n_workstations: int, policy: CurrencyPolicy) -> dict:
         "server_reads_per_workstation": server_reads / n_workstations,
         "dir_rpcs": dir_rpcs,
         "dir_rpcs_per_op": dir_rpcs / total_ops,
-        "dir_rpcs_writer": writer_session.stats.dir_rpcs,
-        "coherence_checks": sum(s.stats.checks for s in sessions),
-        "stale_bindings": sum(s.stats.stale for s in sessions),
-        "revalidations": sum(s.stats.revalidations for s in sessions),
+        "dir_rpcs_writer": writer_session.stats.dir_rpcs.value,
+        "coherence_checks": sum(s.stats.checks.value for s in sessions),
+        "stale_bindings": sum(s.stats.stale.value for s in sessions),
+        "revalidations": sum(s.stats.revalidations.value for s in sessions),
         "stale_reads_served": stale_served[0],
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..client import (BulletClient, CachingBulletClient, DirectoryClient,
-                      LocalBulletStub, NamedFileClient, WorkstationCache)
+from ..client import (BulletClient, CachingBulletClient, CurrencyPolicy,
+                      DirectoryClient, LocalBulletStub, NamedFileClient,
+                      WorkstationCache)
 from ..core import BulletServer
 from ..directory import DirectoryServer
 from ..disk import MirroredDiskSet, VirtualDisk
@@ -75,21 +76,18 @@ class Rig:
     directory: Optional[DirectoryServer] = None
     directory_client: Optional[DirectoryClient] = None
 
-    def workstation(self, name: str, cache_bytes: int, root=None,
-                    policy=None):
-        """One §5 workstation on this rig: a ``cache_bytes``
-        :class:`~repro.client.WorkstationCache` on the shared registry
-        under a :class:`~repro.client.CachingBulletClient`. Given a
-        directory capability ``root``, returns the workstation's
-        open-by-name :class:`~repro.client.NamedFileClient` session
-        over that client (currency ``policy``) instead of the client."""
+    def workstation(self, name: str, cache_bytes: int, root,
+                    policy: CurrencyPolicy) -> NamedFileClient:
+        """One §5 workstation on this rig: the open-by-name session
+        resolving names in directory ``root`` under currency ``policy``,
+        over a :class:`~repro.client.CachingBulletClient` with a
+        ``cache_bytes`` :class:`~repro.client.WorkstationCache` on the
+        shared registry."""
         caching = CachingBulletClient(
             self.bullet_client,
             cache=WorkstationCache(cache_bytes, name=name,
                                    metrics=self.metrics,
                                    cpu=self.testbed.cpu))
-        if root is None:
-            return caching
         return NamedFileClient(caching, self.directory_client, root,
                                policy=policy, name=name)
 

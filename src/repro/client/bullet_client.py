@@ -37,7 +37,6 @@ from ..core import OPCODES, BulletServer
 from ..errors import RightsError
 from ..net import RpcRequest, RpcTransport
 from ..obs import MetricsRegistry
-from ..profiles import CpuProfile
 from ..sim import SeededStream, Tracer
 from .retry import RetryPolicy, RpcStub
 from .workstation import WorkstationCache
@@ -173,32 +172,16 @@ class CachingBulletClient:
     capability with the capability the cached copy is based on; that
     directory round trip is the plane's only coherence traffic.
 
-    Pass ``cache=`` to share one :class:`WorkstationCache` across all
-    the client processes of a simulated workstation; with only
-    ``capacity_bytes`` the client builds a private one (the historical
-    per-stub shape). ``hits``/``misses`` count this client's outcomes;
-    the cache's own counters aggregate the whole workstation.
+    ``cache`` is the workstation's :class:`WorkstationCache`, shared by
+    all the client processes of one simulated workstation.
+    ``hits``/``misses`` count this client's outcomes; the cache's own
+    counters aggregate the whole workstation.
     """
 
-    def __init__(self, stub, capacity_bytes: Optional[int] = None,
-                 cache: Optional[WorkstationCache] = None,
-                 cpu: Optional[CpuProfile] = None,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 name: str = "workstation"):
-        if cache is not None and capacity_bytes is not None:
-            raise ValueError("pass capacity_bytes or cache, not both")
+    def __init__(self, stub, cache: WorkstationCache):
         self.stub = stub
         self.env = stub.env
-        if cache is None:
-            cache = WorkstationCache(
-                capacity_bytes, name=name,
-                metrics=(metrics if metrics is not None
-                         else getattr(stub, "metrics", None)),
-                cpu=cpu,
-            )
         self.cache = cache
-        self._tracer = tracer
         self.hits = 0
         self.misses = 0
 
@@ -309,10 +292,6 @@ class CachingBulletClient:
         :class:`~repro.client.workstation.LookupResult` on a hit, None
         on a miss; raises locally — without any server traffic — when
         the capability verifies but lacks read rights."""
-        tracing = self._tracer is not None
-        span = (self._tracer.begin_span("span", f"client.{op}",
-                                        object=cap.object)
-                if tracing else 0)
         result = self.cache.lookup(cap, RIGHT_READ, op=op)
         # No pin is taken across the timeout: ``result.data`` is the
         # immutable bytes object itself, so a sibling's eviction or
@@ -321,20 +300,11 @@ class CachingBulletClient:
         if result.verify_cost > 0.0:
             yield self.env.timeout(result.verify_cost)
         if result.denied:
-            if tracing:
-                self._tracer.end_span(span, "span", f"client.{op}",
-                                      outcome="denied")
             raise RightsError(
                 f"{cap} lacks rights {rights_names(RIGHT_READ)}"
             )
         if result.data is not None:
             self.hits += 1
-            if tracing:
-                self._tracer.end_span(span, "span", f"client.{op}",
-                                      outcome="hit")
             return result
         self.misses += 1
-        if tracing:
-            self._tracer.end_span(span, "span", f"client.{op}",
-                                  outcome="miss")
         return None

@@ -14,9 +14,8 @@ from typing import Optional
 
 from ..capability import Capability
 from ..directory import DIR_OPCODES
-from ..errors import NotADirectoryError_
 from ..net import RpcRequest, RpcTransport
-from ..sim import SeededStream, Tracer
+from ..sim import SeededStream
 from .retry import RetryPolicy, RpcStub
 
 __all__ = ["DirectoryClient"]
@@ -35,9 +34,8 @@ class DirectoryClient(RpcStub):
                  default_port: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
-                 retry_stream: Optional[SeededStream] = None,
-                 tracer: Optional[Tracer] = None):
-        super().__init__(env, rpc, timeout, retry, retry_stream, tracer,
+                 retry_stream: Optional[SeededStream] = None):
+        super().__init__(env, rpc, timeout, retry, retry_stream,
                          name="directory-client")
         self.default_port = default_port
 
@@ -143,22 +141,16 @@ class DirectoryClient(RpcStub):
 
     # ------------------------------------------------------ cross-server
 
-    def walk(self, root_cap: Capability, path: str, dir_ports=None):
+    def walk(self, root_cap: Capability, path: str):
         """Process: resolve a ``/``-separated path, hopping servers.
 
         Each component is looked up on whichever server the current
         capability names — local or behind a gateway, the transport
-        decides. ``dir_ports`` (optional) is the set of ports that are
-        directory services; when given, descending *through* a
-        non-directory raises immediately instead of confusing a file
-        server with directory opcodes.
+        decides. Descending *through* a file fails at the file's server,
+        which refuses the directory opcode.
         """
         current = root_cap
-        parts = [p for p in path.split("/") if p]
-        for i, component in enumerate(parts):
-            if dir_ports is not None and current.port not in dir_ports:
-                raise NotADirectoryError_(
-                    f"{'/'.join(parts[:i])!r} is not a directory service object"
-                )
-            current = yield from self.lookup(current, component)
+        for component in path.split("/"):
+            if component:
+                current = yield from self.lookup(current, component)
         return current

@@ -44,7 +44,7 @@ from typing import Optional
 
 from ..capability import Capability
 from ..errors import BadRequestError, CapabilityError, NotFoundError
-from ..obs import MetricsRegistry, RegistryStats
+from ..obs import RegistryStats
 from .bullet_client import CachingBulletClient
 
 __all__ = ["CurrencyPolicy", "NamedFile", "NamedFileClient",
@@ -176,14 +176,14 @@ class NamedFileClient:
     capability evidence); ``directory`` is anything speaking the
     directory protocol (:class:`~repro.client.DirectoryClient` over
     RPC, or a local :class:`~repro.directory.DirectoryServer`);
-    ``dir_cap`` names the directory the session resolves names in.
+    ``dir_cap`` names the directory the session resolves names in. The
+    session's counters go to the workstation cache's registry.
     """
 
     def __init__(self, client: CachingBulletClient, directory,
                  dir_cap: Capability,
                  policy: Optional[CurrencyPolicy] = None,
-                 name: str = "workstation",
-                 metrics: Optional[MetricsRegistry] = None):
+                 name: str = "workstation"):
         self.client = client
         self.env = client.env
         self.cache = client.cache
@@ -191,14 +191,7 @@ class NamedFileClient:
         self.dir_cap = dir_cap
         self.policy = policy if policy is not None else CurrencyPolicy.always()
         self.name = name
-        registry = metrics if metrics is not None else client.cache.metrics
-        self.stats = CoherenceStats(registry, workstation=name)
-        self._c_opens = self.stats.handle("opens")
-        self._c_binds = self.stats.handle("binds")
-        self._c_checks = self.stats.handle("checks")
-        self._c_stale = self.stats.handle("stale")
-        self._c_revalidations = self.stats.handle("revalidations")
-        self._c_dir_rpcs = self.stats.handle("dir_rpcs")
+        self.stats = CoherenceStats(client.cache.metrics, workstation=name)
         self._bindings: dict[str, _Binding] = {}
 
     # -------------------------------------------------------------- opens
@@ -213,7 +206,7 @@ class NamedFileClient:
         workstation-cache entry it pointed at, rebinds, and re-fetches
         the fresh bytes, so the returned handle reads current data.
         """
-        self._c_opens.inc(1)
+        self.stats.opens.inc()
         binding = self._bindings.get(name)
         if binding is None:
             binding = yield from self._bind(name)
@@ -289,11 +282,11 @@ class NamedFileClient:
         bound = owner
         if mask is not None:
             bound = yield from self.client.restrict(owner, mask)
-        self._c_dir_rpcs.inc(1)
+        self.stats.dir_rpcs.inc()
         try:
             old = yield from self.directory.replace(self.dir_cap, name, bound)
         except NotFoundError:
-            self._c_dir_rpcs.inc(1)
+            self.stats.dir_rpcs.inc()
             yield from self.directory.append(self.dir_cap, name, bound)
             old = None
         binding = self._bindings.get(name)
@@ -311,11 +304,11 @@ class NamedFileClient:
     def _bind(self, name: str):
         """Process: cold directory lookup; installs and returns the
         binding (the full capability set's primary member)."""
-        self._c_dir_rpcs.inc(1)
+        self.stats.dir_rpcs.inc()
         caps = yield from self.directory.lookup_set(self.dir_cap, name)
         binding = _Binding(caps[0], self.env.now)
         self._bindings[name] = binding
-        self._c_binds.inc(1)
+        self.stats.binds.inc()
         return binding
 
     def _revalidate(self, name: str, binding: _Binding):
@@ -326,14 +319,14 @@ class NamedFileClient:
         opens hit). Returns True when the binding moved."""
         moved = False
         for _ in range(_MAX_REFETCH_ROUNDS):
-            self._c_checks.inc(1)
-            self._c_dir_rpcs.inc(1)
+            self.stats.checks.inc()
+            self.stats.dir_rpcs.inc()
             current, cap = yield from self.client.lookup_validated(
                 self.directory, self.dir_cap, name, binding.cap)
             if current:
                 binding.checked_at = self.env.now
                 return moved
-            self._c_stale.inc(1)
+            self.stats.stale.inc()
             moved = True
             self.cache.invalidate(binding.cap)
             binding.cap = cap
@@ -343,7 +336,7 @@ class NamedFileClient:
                 # Rebound again under our feet and the fetched version
                 # disposed of; go around for the newest binding.
                 continue
-            self._c_revalidations.inc(1)
+            self.stats.revalidations.inc()
             binding.checked_at = self.env.now
             return moved
         raise NotFoundError(

@@ -137,13 +137,6 @@ class WorkstationCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cpu = cpu
         self.stats = WorkstationCacheStats(self.metrics, workstation=name)
-        self._c_lookups = self.stats.handle("lookups")
-        self._c_hits = self.stats.handle("hits")
-        self._c_misses = self.stats.handle("misses")
-        self._c_evictions = self.stats.handle("evictions")
-        self._c_bytes_saved = self.stats.handle("bytes_saved")
-        self._c_rpcs_avoided = self.stats.handle("rpcs_avoided")
-        self._c_local_verifies = self.stats.handle("local_verifies")
         self._bytes_gauge = self.metrics.gauge(
             "repro_client_cache_bytes", workstation=name)
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
@@ -191,7 +184,7 @@ class WorkstationCache:
         the authority on forged capabilities and reincarnated object
         numbers.
         """
-        self._c_lookups.inc(1)
+        self.stats.lookups.inc()
         entry = self._entries.get((cap.port, cap.object))
         cost = 0.0
         verified = False
@@ -200,21 +193,21 @@ class WorkstationCache:
             verified = pair in entry.verified
             if not verified and entry.secret is not None:
                 cost = self.derive_cost
-                self._c_local_verifies.inc(1)
+                self.stats.local_verifies.inc()
                 verified = cap.check == local_verifier(entry.secret,
                                                        cap.rights)
                 if verified:
                     entry.verified.add(pair)
         if not verified:
-            self._c_misses.inc(1)
+            self.stats.misses.inc()
             return LookupResult(None, False, cost)
         self._entries.move_to_end((cap.port, cap.object))
-        self._c_hits.inc(1)
-        self._c_rpcs_avoided.inc(1)
+        self.stats.hits.inc()
+        self.stats.rpcs_avoided.inc()
         if not has_rights(cap.rights, needed_rights):
             return LookupResult(None, True, cost)
         if op == "read":
-            self._c_bytes_saved.inc(len(entry.data))
+            self.stats.bytes_saved.inc(len(entry.data))
         return LookupResult(entry.data, False, cost)
 
     # ---------------------------------------------------------- admission
@@ -302,7 +295,7 @@ class WorkstationCache:
                 # two different secrets: distinct incarnations.
                 return False, cost
             cost += self.derive_cost
-            self._c_local_verifies.inc(1)
+            self.stats.local_verifies.inc()
             proven = verify(other, owner.check)
             if (proven and entry is not None
                     and (based_on.rights, based_on.check) in entry.verified):
@@ -320,7 +313,7 @@ class WorkstationCache:
             if entry.secret is None:
                 return False, cost
             cost += self.derive_cost
-            self._c_local_verifies.inc(1)
+            self.stats.local_verifies.inc()
             if not verify(cap, entry.secret):
                 return False, cost
             entry.verified.add((cap.rights, cap.check))
@@ -363,7 +356,7 @@ class WorkstationCache:
     def note_rpc_avoided(self) -> None:
         """Account one server round trip that local state made
         unnecessary outside the lookup path (e.g. a local restrict)."""
-        self._c_rpcs_avoided.inc(1)
+        self.stats.rpcs_avoided.inc()
 
     # -------------------------------------------------------- invalidation
 
@@ -403,7 +396,7 @@ class WorkstationCache:
         while self._used + needed > self.capacity:
             _key, entry = self._entries.popitem(last=False)
             self._account(-len(entry.data))
-            self._c_evictions.inc(1)
+            self.stats.evictions.inc()
 
     def _drop(self, key: tuple[int, int], entry: _Entry) -> None:
         del self._entries[key]

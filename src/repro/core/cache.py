@@ -73,8 +73,8 @@ class CacheStats(RegistryStats):
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.hits.value + self.misses.value
+        return self.hits.value / total if total else 0.0
 
 
 class BulletCache:
@@ -94,9 +94,6 @@ class BulletCache:
         self.capacity = capacity_bytes
         self.policy = policy
         self.stats = CacheStats(metrics, cache=owner)
-        self._s_lookups = self.stats.handle("lookups")
-        self._s_hits = self.stats.handle("hits")
-        self._s_misses = self.stats.handle("misses")
         #: Called with the evicted file's inode number, so the server can
         #: clear the inode's index field.
         self.on_evict = on_evict
@@ -145,11 +142,11 @@ class BulletCache:
     def lookup(self, inode_number: int) -> Optional[Rnode]:
         """The rnode caching ``inode_number``, or None (counts hit/miss)."""
         rnode = self._by_inode.get(inode_number)
-        self._s_lookups.inc(1)
+        self.stats.lookups.inc()
         if rnode is None:
-            self._s_misses.inc(1)
+            self.stats.misses.inc()
         else:
-            self._s_hits.inc(1)
+            self.stats.hits.inc()
         return rnode
 
     def probe_slot(self, inode_number: int, index: int) -> Optional[Rnode]:
@@ -161,9 +158,9 @@ class BulletCache:
         cache is the single counting authority and
         ``hits + misses == lookups`` holds by construction.
         """
-        self._s_lookups.inc(1)
+        self.stats.lookups.inc()
         if index == 0:
-            self._s_misses.inc(1)
+            self.stats.misses.inc()
             return None
         rnode = self.get_slot(index)
         if rnode.inode_number != inode_number:
@@ -171,7 +168,7 @@ class BulletCache:
                 f"inode.index out of sync: slot {index} caches inode "
                 f"{rnode.inode_number}, expected {inode_number}"
             )
-        self._s_hits.inc(1)
+        self.stats.hits.inc()
         return rnode
 
     def peek(self, inode_number: int) -> Optional[Rnode]:
@@ -236,7 +233,7 @@ class BulletCache:
         )
         self._rnodes[rnode.number] = rnode
         self._by_inode[inode_number] = rnode
-        self.stats.inserted_bytes += size
+        self.stats.inserted_bytes.inc(size)
         return rnode
 
     def reserve(self, inode_number: int, size: int) -> Rnode:
@@ -272,7 +269,7 @@ class BulletCache:
             )
         rnode.data = bytes(data)
         rnode.busy = False
-        self.stats.inserted_bytes += rnode.size
+        self.stats.inserted_bytes.inc(rnode.size)
 
     def remove(self, inode_number: int) -> None:
         """Drop a file from the cache (delete path); no-op if absent."""
@@ -326,8 +323,8 @@ class BulletCache:
         else:
             victim = min(candidates, key=lambda r: r.inserted)
         self._release(victim)
-        self.stats.evictions += 1
-        self.stats.evicted_bytes += victim.size
+        self.stats.evictions.inc()
+        self.stats.evicted_bytes.inc(victim.size)
         if self.on_evict is not None:
             self.on_evict(victim.inode_number)
         return True
@@ -350,7 +347,7 @@ class BulletCache:
                 moved += 1
             self._arena.allocate_at(cursor, rnode.size)
             cursor += rnode.size
-        self.stats.compactions += 1
+        self.stats.compactions.inc()
         return moved
 
     # --------------------------------------------------------- invariants

@@ -76,8 +76,12 @@ def format_volume(disk: VirtualDisk, inode_count: int) -> InodeTable:
     return table
 
 
-def render_layout(table: InodeTable, freelist: ExtentFreeList,
-                  max_rows: int = 24) -> str:
+#: Rows of the Fig. 1 picture: the inode listing shows half of them,
+#: the data-area map all of them, before each summarises the rest.
+_ROWS = 24
+
+
+def render_layout(table: InodeTable, freelist: ExtentFreeList) -> str:
     """Render the Fig. 1 picture — inode table, then the data area as
     contiguous files and holes — from live volume state."""
     desc = table.descriptor
@@ -90,13 +94,13 @@ def render_layout(table: InodeTable, freelist: ExtentFreeList,
         "+---------------- Inode Table -----------------+",
     ]
     live = list(table.live_inodes())
-    for number, inode in live[: max_rows // 2]:
+    for number, inode in live[: _ROWS // 2]:
         lines.append(
             f"| inode {number:<5} -> block {inode.start_block:<8} "
             f"{fmt_size(inode.size):<14} |"
         )
-    if len(live) > max_rows // 2:
-        lines.append(f"| ... {len(live) - max_rows // 2} more inodes ...".ljust(47) + "|")
+    if len(live) > _ROWS // 2:
+        lines.append(f"| ... {len(live) - _ROWS // 2} more inodes ...".ljust(47) + "|")
     lines.append("+----------- Contiguous Files and Holes -------+")
     # Merge files and holes into one address-ordered map of the data area.
     segments: list[tuple[int, int, str]] = [
@@ -109,12 +113,12 @@ def render_layout(table: InodeTable, freelist: ExtentFreeList,
         (hole.start, hole.length, "free") for hole in freelist.holes()
     )
     segments.sort()
-    for start, length, label in segments[:max_rows]:
+    for start, length, label in segments[:_ROWS]:
         bar = "#" if label != "free" else "."
         width = max(1, min(8, length * 8 // max(desc.data_size, 1) + 1))
         line = f"| {start:>8} +{length:<8} {bar * width:<8} {label:<16}"
         lines.append(line.ljust(47) + "|")
-    if len(segments) > max_rows:
-        lines.append(f"| ... {len(segments) - max_rows} more segments ...".ljust(47) + "|")
+    if len(segments) > _ROWS:
+        lines.append(f"| ... {len(segments) - _ROWS} more segments ...".ljust(47) + "|")
     lines.append("+----------------------------------------------+")
     return "\n".join(lines)

@@ -16,8 +16,9 @@ restored explicitly. This module is that mechanism.
   after a queued writer waits behind it, so writers cannot starve.
 * **Scoped**: handlers take a lock as ``with table.reading(key) as
   lock: yield lock.grant`` (or ``writing``). The :class:`LockScope`
-  releases whatever grant it owns when the block exits, on every edge
-  out of it, so a leaked grant is not something a handler can write.
+  requests its grant when the block is entered and releases it when the
+  block exits, on every edge out of it, so a leaked grant is not
+  something a handler can write.
 * **Sim-aware**: the grant is a :class:`LockGrant` event to ``yield``.
   An uncontended grant succeeds immediately (zero simulated time), so
   at ``workers=1`` the lock plane is timing-invisible and the
@@ -37,10 +38,10 @@ ties break by insertion order.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ConsistencyError, DeadlockError
-from ..obs import MetricsRegistry
+from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from ..sim import Environment, Event
 from ..sim.core import Process
 from .lockset import active_checker
@@ -77,19 +78,25 @@ class LockGrant(Event):
 class LockScope:
     """A ``with``-scoped hold on one file's lock.
 
-    The scope owns at most one grant at a time and gives it back on
-    exit, whether it is held or still queued (an ``Interrupt`` delivered
-    while waiting unwinds the block like any other exception).
+    The scope takes its grant on entry — a scope that is built but
+    never entered holds and queues nothing — owns at most one grant at
+    a time and gives it back on exit, whether it is held or still queued
+    (an ``Interrupt`` delivered while waiting unwinds the block like any
+    other exception).
     """
 
-    __slots__ = ("_table", "grant")
+    __slots__ = ("_table", "_take_grant", "grant")
 
-    def __init__(self, table: "FileLockTable", grant: LockGrant):
+    def __init__(self, table: "FileLockTable",
+                 take_grant: Callable[[], LockGrant]):
         self._table = table
-        #: The grant to ``yield`` on; None once detached or exited.
-        self.grant: Optional[LockGrant] = grant
+        self._take_grant = take_grant
+        #: The grant to ``yield`` on; None before entry and once
+        #: detached or exited.
+        self.grant: Optional[LockGrant] = None
 
     def __enter__(self) -> "LockScope":
+        self.grant = self._take_grant()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -151,7 +158,7 @@ class FileLockTable:
         # cycles on every contended enqueue — see _find_cycle.
         self._waiting: dict[Process, LockGrant] = {}
         self._wait_hist = registry.histogram(
-            "repro_lock_wait_seconds", server=owner)
+            "repro_lock_wait_seconds", DEFAULT_BUCKETS, server=owner)
         self._acquired = {
             mode: registry.counter(
                 "repro_lock_acquisitions_total", server=owner, mode=mode)
@@ -251,27 +258,20 @@ class FileLockTable:
     # ------------------------------------------------------------ acquire
 
     def reading(self, key: int) -> LockScope:
-        """A scope requesting a shared grant on ``key``; ``yield`` its
-        ``grant`` inside the ``with`` block to hold it."""
-        return LockScope(self, self._acquire(key, READ))
+        """A scope that requests a shared grant on ``key`` when entered;
+        ``yield`` its ``grant`` inside the ``with`` block to hold it.
+        The grant fires at once when no writer holds or waits for the
+        file."""
+        return LockScope(self, lambda: self._acquire(key, READ))
 
     def writing(self, key: int) -> LockScope:
         """The same for an exclusive grant on ``key``."""
-        return LockScope(self, self._acquire(key, WRITE))
+        return LockScope(self, lambda: self._acquire(key, WRITE))
 
     def adopt(self, grant: LockGrant) -> LockScope:
         """A scope over a held grant another scope detached to the
         calling process."""
-        return LockScope(self, grant)
-
-    def acquire_read(self, key: int) -> LockGrant:
-        """A shared grant on ``key``; yields immediately when no writer
-        holds or waits for the file."""
-        return self._acquire(key, READ)
-
-    def acquire_write(self, key: int) -> LockGrant:
-        """An exclusive grant on ``key``."""
-        return self._acquire(key, WRITE)
+        return LockScope(self, lambda: grant)
 
     def _acquire(self, key: int, mode: str) -> LockGrant:
         lock = self._locks.get(key)

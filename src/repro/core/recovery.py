@@ -9,7 +9,7 @@ not overlap."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConsistencyError
 from .freelist import ExtentFreeList
@@ -26,28 +26,18 @@ class ScanReport:
     live_files: int = 0
     live_bytes: int = 0
     free_blocks: int = 0
-    quarantined: list[tuple[int, str]] = field(default_factory=list)
 
     def __str__(self) -> str:
-        lines = [
-            f"scan: {self.live_files} live files, {self.live_bytes} bytes, "
-            f"{self.free_blocks} free blocks"
-        ]
-        for number, reason in self.quarantined:
-            lines.append(f"  quarantined inode {number}: {reason}")
-        return "\n".join(lines)
+        return (f"scan: {self.live_files} live files, {self.live_bytes} "
+                f"bytes, {self.free_blocks} free blocks")
 
 
 def scan_volume(table: InodeTable, layout: VolumeLayout,
-                repair: bool = False,
                 strategy: str = "first_fit") -> tuple[ExtentFreeList, ScanReport]:
     """Replay the inode table into a disk free list, checking consistency.
 
-    Inconsistent inodes (extents outside the data area, or overlapping
-    another file) raise :class:`ConsistencyError` — unless ``repair`` is
-    set, in which case the offending inode is zeroed ("quarantined") and
-    recorded in the report, allowing the server to come up on a damaged
-    volume.
+    An inconsistent inode (an extent outside the data area, or
+    overlapping another file) raises :class:`ConsistencyError`.
     """
     freelist = ExtentFreeList(layout.data_start, layout.data_blocks,
                               strategy=strategy)
@@ -78,14 +68,10 @@ def scan_volume(table: InodeTable, layout: VolumeLayout,
                     f"extent [{inode.start_block}, {inode.start_block + blocks}) "
                     "overlaps another file"
                 )
-        if problem is None:
-            report.live_files += 1
-            report.live_bytes += inode.size
-            continue
-        if not repair:
+        if problem is not None:
             raise ConsistencyError(f"inode {number}: {problem}")
-        table.release(number)
-        report.quarantined.append((number, problem))
+        report.live_files += 1
+        report.live_bytes += inode.size
     report.free_blocks = freelist.free_units
     freelist.check_invariants()
     return freelist, report

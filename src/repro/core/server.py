@@ -73,10 +73,10 @@ OPCODES = {
 
 
 class ServerStats(RegistryStats):
-    """Counters the server maintains for std_status-style reporting: a
-    facade over registry counters
-    (``repro_server_<field>_total{server=...}``), so ``std_status``, the
-    exporters and the bench emitter report one and the same values."""
+    """Counters the server maintains for std_status-style reporting:
+    registry counters (``repro_server_<field>_total{server=...}``), so
+    ``std_status``, the exporters and the bench emitter report one and
+    the same values."""
 
     _PREFIX = "repro_server"
     _COUNTER_FIELDS = (
@@ -170,15 +170,6 @@ class BulletServer(RpcService):
         self.mirror = mirror
         self.testbed = testbed
         self.stats = ServerStats(self.metrics, server=name)
-        # Hot-path instrument handles: the facade's attribute protocol
-        # and the registry's label canonicalization are per-call costs
-        # the serve loop should not pay (see RegistryStats.handle).
-        self._c_reads = self.stats.handle("reads")
-        self._c_bytes_read = self.stats.handle("bytes_read")
-        self._c_cap_checks = self.stats.handle("cap_checks")
-        self._c_cap_check_cache_hits = self.stats.handle(
-            "cap_check_cache_hits")
-        self._c_errors = self.stats.handle("errors")
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
         self._cache_policy = cache_policy
         self._alloc_strategy = alloc_strategy
@@ -208,7 +199,7 @@ class BulletServer(RpcService):
         for disk in self.mirror.disks:
             format_volume(disk, self.testbed.bullet.inode_count)
 
-    def boot(self, repair: bool = False):
+    def boot(self):
         """Process: read the inode table from the primary disk, build the
         free lists, run the consistency checks, and start serving.
 
@@ -221,7 +212,7 @@ class BulletServer(RpcService):
         self.table = InodeTable.decode(raw, primary.block_size)
         self.layout = layout
         self.disk_free, self.scan_report = scan_volume(
-            self.table, layout, repair=repair, strategy=self._alloc_strategy
+            self.table, layout, strategy=self._alloc_strategy
         )
         cache_bytes = (
             self.testbed.bullet.ram_bytes - self.testbed.bullet.reserved_ram_bytes
@@ -325,8 +316,8 @@ class BulletServer(RpcService):
             lock.detach(settle)
             if p_factor > 0:
                 yield durable
-        self.stats.creates += 1
-        self.stats.bytes_created += size
+        self.stats.creates.inc()
+        self.stats.bytes_created.inc(size)
         if self._tracer is not None:
             self._trace("bullet", "create", inode=number, size=size,
                         p=p_factor)
@@ -391,8 +382,8 @@ class BulletServer(RpcService):
                 self.cache.unpin(rnode)
             if tracing:
                 self._span_end(cache_span, "server.cache")
-            self._c_reads.inc(1)
-            self._c_bytes_read.inc(inode.size)
+            self.stats.reads.inc()
+            self.stats.bytes_read.inc(inode.size)
             return rnode.data
 
     def size(self, cap: Capability):
@@ -402,7 +393,7 @@ class BulletServer(RpcService):
         with self.locks.reading(cap.object) as lock:
             yield lock.grant
             _number, inode = yield from self._check(cap, RIGHT_READ)
-            self.stats.sizes += 1
+            self.stats.sizes.inc()
             return inode.size
 
     def delete(self, cap: Capability):
@@ -420,7 +411,7 @@ class BulletServer(RpcService):
             yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_DELETE)
             yield from self._destroy(number, inode)
-        self.stats.deletes += 1
+        self.stats.deletes.inc()
         if self._tracer is not None:
             self._trace("bullet", "delete", inode=number)
 
@@ -473,8 +464,8 @@ class BulletServer(RpcService):
         # The source bytes are composed; the derived CREATE below runs
         # without any hold on the source file.
         new_cap = yield from self.create(new_data, p_factor)
-        self.stats.modifies += 1
-        self.stats.bytes_modified += len(new_data)
+        self.stats.modifies.inc()
+        self.stats.bytes_modified.inc(len(new_data))
         return new_cap
 
     def restrict_cap(self, cap: Capability, mask: int):
@@ -484,7 +475,7 @@ class BulletServer(RpcService):
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         number, inode = yield from self._check(cap, 0)
         new_rights, new_check = server_restrict(cap.rights, inode.secret, mask)
-        self.stats.restricts += 1
+        self.stats.restricts.inc()
         return Capability(port=self.port, object=number,
                           rights=new_rights, check=new_check)
 
@@ -598,9 +589,9 @@ class BulletServer(RpcService):
         """
         cpu = self.testbed.cpu
         key = (cap.object, cap.rights, cap.check)
-        self._c_cap_checks.inc(1)
+        self.stats.cap_checks.inc()
         if self._verified_caps.hit(key):
-            self._c_cap_check_cache_hits.inc(1)
+            self.stats.cap_check_cache_hits.inc()
             yield self.env.timeout(cpu.capability_check_cached)
         else:
             yield self.env.timeout(cpu.capability_check)
@@ -667,7 +658,7 @@ class BulletServer(RpcService):
         if reply is not None and not reply.ok:
             # Replies only go bad through the shared error chokepoint,
             # so this stays level with repro_server_error_replies_total.
-            self._c_errors.inc(1)
+            self.stats.errors.inc()
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode

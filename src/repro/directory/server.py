@@ -62,6 +62,10 @@ DIR_OPCODES = {
 
 _HEADER_MAGIC = 0xD1650001
 
+#: Directory slots on a volume: one block each after the header block,
+#: all loaded by boot's single contiguous read.
+MAX_DIRECTORIES = 512
+
 
 def _unpack_cap_set(body: bytes) -> tuple:
     """Decode one or more packed capabilities from a request body."""
@@ -91,14 +95,12 @@ class DirectoryServer(RpcService):
         name: str = "directory",
         transport: Optional[RpcTransport] = None,
         master_seed: int = 0,
-        max_directories: int = 512,
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(env, name, transport, tracer)
         self.disk = disk
         self.bullet = bullet_stub
         self.testbed = testbed
-        self.max_directories = max_directories
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
         self._slots: list[SlotRecord] = []
         self._rows_cache: dict[int, DirectoryRows] = {}
@@ -108,22 +110,22 @@ class DirectoryServer(RpcService):
 
     def format(self) -> None:
         """Initialize the slot region on the private disk (untimed)."""
-        header = _HEADER_MAGIC.to_bytes(4, "big") + self.max_directories.to_bytes(4, "big")
+        header = _HEADER_MAGIC.to_bytes(4, "big") + MAX_DIRECTORIES.to_bytes(4, "big")
         self.disk.write_raw(0, header + bytes(self.disk.block_size - len(header)))
         empty = SlotRecord().encode()
-        for slot in range(self.max_directories):
+        for slot in range(MAX_DIRECTORIES):
             self.disk.write_raw(1 + slot, empty + bytes(self.disk.block_size - len(empty)))
 
     def boot(self):
         """Process: load the slot table (one contiguous read) and serve."""
-        raw = yield self.disk.read(0, 1 + self.max_directories)
+        raw = yield self.disk.read(0, 1 + MAX_DIRECTORIES)
         bs = self.disk.block_size
         header = raw[:8]
         if int.from_bytes(header[:4], "big") != _HEADER_MAGIC:
             raise BadRequestError(f"{self.name}: disk is not a directory volume")
         self._slots = []
         self._free_slots = []
-        for slot in range(self.max_directories):
+        for slot in range(MAX_DIRECTORIES):
             record = SlotRecord.decode(raw[(1 + slot) * bs:(1 + slot) * bs + 32])
             self._slots.append(record)
             if not record.in_use:
@@ -354,7 +356,7 @@ class DirectoryServer(RpcService):
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.capability_check)
         slot = dir_cap.object - 1
-        if not 0 <= slot < self.max_directories:
+        if not 0 <= slot < MAX_DIRECTORIES:
             raise NotFoundError(f"directory object {dir_cap.object} out of range")
         record = self._slots[slot]
         if not record.in_use:

@@ -22,7 +22,7 @@ from ..errors import (
     DiskIOError,
     ServerDownError,
 )
-from ..sim import CountOf, Environment, Event, Interrupt, Tracer
+from ..sim import CountOf, Environment, Event, Interrupt
 from .vdisk import VirtualDisk, pad_to_block
 
 __all__ = ["MirroredDiskSet"]
@@ -31,13 +31,11 @@ __all__ = ["MirroredDiskSet"]
 class MirroredDiskSet:
     """A set of identical disk replicas with one read primary."""
 
-    def __init__(self, env: Environment, disks: Sequence[VirtualDisk],
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, disks: Sequence[VirtualDisk]):
         if not disks:
             raise ValueError("a mirrored set needs at least one disk")
         self.env = env
         self.disks = list(disks)
-        self._tracer = tracer
         # While a recovery copy is streaming, every mirrored write is
         # also logged here as (start_block, nblocks, write events) so
         # the recovery can re-copy extents the streaming pass may have
@@ -120,7 +118,6 @@ class MirroredDiskSet:
                 return data
             except DiskIOError as exc:
                 last = exc
-                self._trace("mirror", f"failover away from {disk.name}")
                 continue
         if not self.live_disks:
             raise ServerDownError("all disk replicas have failed")
@@ -262,10 +259,4 @@ class MirroredDiskSet:
             self._resync_dirty = None
         if target not in self.disks:
             self.disks.append(target)
-        self._trace("mirror", f"recovery onto {target.name} complete",
-                    blocks=total)
         return total
-
-    def _trace(self, category: str, message: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.emit(category, message, **fields)

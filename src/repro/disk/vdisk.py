@@ -89,14 +89,6 @@ class VirtualDisk:
         self.block_size = profile.block_size
         self.total_blocks = self.geometry.total_blocks
         self.stats = DiskStats(metrics, disk=name)
-        # Direct counter handles for the service loop (the facade costs
-        # a getattr+setattr per bump).
-        self._c_reads = self.stats.handle("reads")
-        self._c_writes = self.stats.handle("writes")
-        self._c_blocks_read = self.stats.handle("blocks_read")
-        self._c_blocks_written = self.stats.handle("blocks_written")
-        self._c_busy_time = self.stats.handle("busy_time")
-        self._c_seeks = self.stats.handle("seeks")
         self._tracer = tracer
         # The platter: non-overlapping extents of whole blocks, keyed by
         # start block, plus the sorted starts for bisect. Only bytes
@@ -248,9 +240,9 @@ class VirtualDisk:
         """The arm finished ``req`` after ``duration`` seconds."""
         start_block, nblocks = req.start_block, req.nblocks
         if req.cylinder != self._current_cylinder:
-            self._c_seeks.inc(1)
+            self.stats.seeks.inc()
         self._current_cylinder = req.last_cylinder
-        self._c_busy_time.inc(duration)
+        self.stats.busy_time.inc(duration)
         if self._failed:
             req.completion.fail(DiskIOError(f"{self.name} died mid-operation"))
             return
@@ -264,8 +256,8 @@ class VirtualDisk:
             return
         if req.kind == "read":
             payload = self._load(start_block, nblocks)
-            self._c_reads.inc(1)
-            self._c_blocks_read.inc(nblocks)
+            self.stats.reads.inc()
+            self.stats.blocks_read.inc(nblocks)
             if self._tracer is not None:
                 self._trace("disk", f"{self.name} read",
                             block=start_block, n=nblocks)
@@ -274,8 +266,8 @@ class VirtualDisk:
             if req.data is None:
                 raise ConsistencyError("write request carries no data")
             self._store(start_block, req.data)
-            self._c_writes.inc(1)
-            self._c_blocks_written.inc(nblocks)
+            self.stats.writes.inc()
+            self.stats.blocks_written.inc(nblocks)
             if self._tracer is not None:
                 self._trace("disk", f"{self.name} write",
                             block=start_block, n=nblocks)

@@ -31,13 +31,12 @@ class FaultController:
     """Runs a fault plan against attached disks, networks, and servers."""
 
     def __init__(self, env: Environment, plan: FaultPlan,
-                 master_seed: int = 0, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 master_seed: int = 0, tracer: Optional[Tracer] = None):
         self.env = env
         self.plan = plan
         self.master_seed = master_seed
         self._tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: (time, kind, target, detail) tuples, in firing order.
         self.firings: list[tuple[float, str, str, str]] = []
         self._targets: dict[str, object] = {}
@@ -53,7 +52,7 @@ class FaultController:
 
     def attach_ethernet(self, name: str, ethernet) -> "FaultController":
         """Register an :class:`~repro.net.Ethernet` segment under
-        ``name`` (plans default to the target name ``"net"``)."""
+        ``name`` (network faults target ``"net"``)."""
         return self._attach(name, "net", ethernet)
 
     def attach_server(self, name: str, server) -> "FaultController":
@@ -126,7 +125,7 @@ class FaultController:
         elif kind == "disk.fail_after_writes":
             writes = event.param("writes")
             arm_fail_after_writes(
-                target, writes, event.param("reason", "write-count fault"),
+                target, writes, "write-count fault",
                 on_fire=lambda: self._record(event, f"after {writes} writes"),
             )
         elif kind == "disk.repair":
@@ -136,19 +135,17 @@ class FaultController:
             factor = event.param("factor")
             target.set_slowdown(factor)
             self._record(event, f"factor={factor!r}")
-            if duration is not None:
-                yield self.env.timeout(duration)
-                target.set_slowdown(1.0)
-                self._record(event, "reverted")
+            yield self.env.timeout(duration)
+            target.set_slowdown(1.0)
+            self._record(event, "reverted")
         elif kind == "disk.flaky":
             start_block = event.param("start_block")
             nblocks = event.param("nblocks")
             target.mark_flaky(start_block, nblocks)
             self._record(event, f"blocks=[{start_block},{start_block + nblocks})")
-            if duration is not None:
-                yield self.env.timeout(duration)
-                target.clear_flaky(start_block, nblocks)
-                self._record(event, "reverted")
+            yield self.env.timeout(duration)
+            target.clear_flaky(start_block, nblocks)
+            self._record(event, "reverted")
         elif kind == "net.partition":
             target.set_fault(partitioned=True)
             self._record(event)

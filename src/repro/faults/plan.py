@@ -9,14 +9,14 @@ seeded worlds to check determinism, or stored alongside an experiment's
 results as its failure script.
 
 Windowed kinds (``net.loss``, ``net.latency``, ``net.partition``,
-``disk.degrade`` / ``disk.flaky`` with a ``duration``) revert
-automatically when their window closes; the rest are one-shot.
+``disk.degrade``, ``disk.flaky``) revert automatically when their
+``duration`` is over; the rest are one-shot. Network faults hit the
+segment attached as ``"net"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..errors import BadRequestError
 
@@ -29,8 +29,8 @@ __all__ = ["FaultEvent", "FaultPlan", "FAULT_KINDS"]
 FAULT_KINDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "disk.fail": ("disk", ()),
     "disk.fail_after_writes": ("disk", ("writes",)),
-    "disk.degrade": ("disk", ("factor",)),
-    "disk.flaky": ("disk", ("start_block", "nblocks")),
+    "disk.degrade": ("disk", ("factor", "duration")),
+    "disk.flaky": ("disk", ("start_block", "nblocks", "duration")),
     "disk.repair": ("disk", ()),
     "net.partition": ("net", ("duration",)),
     "net.loss": ("net", ("duration", "probability")),
@@ -98,24 +98,22 @@ class FaultPlan:
         """Kill a disk outright at ``at``."""
         return self.add("disk.fail", target, at, reason=reason)
 
-    def disk_fail_after_writes(self, target: str, writes: int, at: float = 0.0,
-                               reason: str = "write-count fault") -> "FaultPlan":
-        """Arm at ``at``: kill the disk the moment its ``writes``-th
+    def disk_fail_after_writes(self, target: str, writes: int) -> "FaultPlan":
+        """Arm at once: kill the disk the moment its ``writes``-th
         subsequent write completes (event-driven, exact)."""
-        return self.add("disk.fail_after_writes", target, at,
-                        writes=writes, reason=reason)
+        return self.add("disk.fail_after_writes", target, 0.0, writes=writes)
 
     def disk_degrade(self, target: str, at: float, factor: float,
-                     duration: Optional[float] = None) -> "FaultPlan":
+                     duration: float) -> "FaultPlan":
         """Multiply the disk's access times by ``factor`` (a dying drive
-        retrying internally); reverts after ``duration`` if given."""
+        retrying internally) for ``duration`` seconds."""
         return self.add("disk.degrade", target, at, factor=factor,
                         duration=duration)
 
     def disk_flaky(self, target: str, at: float, start_block: int,
-                   nblocks: int, duration: Optional[float] = None) -> "FaultPlan":
-        """Make a block extent return media errors; reverts after
-        ``duration`` if given."""
+                   nblocks: int, duration: float) -> "FaultPlan":
+        """Make a block extent return media errors for ``duration``
+        seconds."""
         return self.add("disk.flaky", target, at, start_block=start_block,
                         nblocks=nblocks, duration=duration)
 
@@ -124,21 +122,20 @@ class FaultPlan:
         is the caller's business, as with :meth:`VirtualDisk.repair`)."""
         return self.add("disk.repair", target, at)
 
-    def net_partition(self, at: float, duration: float,
-                      target: str = "net") -> "FaultPlan":
+    def net_partition(self, at: float, duration: float) -> "FaultPlan":
         """Drop every fragment on the segment for ``duration`` seconds."""
-        return self.add("net.partition", target, at, duration=duration)
+        return self.add("net.partition", "net", at, duration=duration)
 
-    def net_loss(self, at: float, duration: float, probability: float,
-                 target: str = "net") -> "FaultPlan":
+    def net_loss(self, at: float, duration: float,
+                 probability: float) -> "FaultPlan":
         """A window of seeded random fragment loss at ``probability``."""
-        return self.add("net.loss", target, at, duration=duration,
+        return self.add("net.loss", "net", at, duration=duration,
                         probability=probability)
 
-    def net_latency(self, at: float, duration: float, extra: float,
-                    target: str = "net") -> "FaultPlan":
+    def net_latency(self, at: float, duration: float,
+                    extra: float) -> "FaultPlan":
         """Charge every fragment ``extra`` seconds of added latency."""
-        return self.add("net.latency", target, at, duration=duration,
+        return self.add("net.latency", "net", at, duration=duration,
                         extra=extra)
 
     def server_crash(self, target: str, at: float) -> "FaultPlan":

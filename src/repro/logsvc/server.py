@@ -29,7 +29,7 @@ from ..disk import VirtualDisk
 from ..errors import BadRequestError, NoSpaceError, NotFoundError
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
-from ..sim import Environment, SeededStream, Tracer
+from ..sim import Environment, SeededStream
 
 __all__ = ["LogServer", "LOG_OPCODES"]
 
@@ -43,6 +43,9 @@ LOG_OPCODES = {
 _HEADER_MAGIC = 0x106507
 _BLOCK_HEADER = 12  # used(2) flags(2) next(4) reserved(4)
 
+#: Log slots on a volume: one block each after the header block.
+MAX_LOGS = 64
+
 
 @dataclass
 class _LogState:
@@ -55,19 +58,18 @@ class _LogState:
 
 
 class LogServer(RpcService):
-    """An append-optimized log store on one private disk."""
+    """An append-optimized log store on one private disk, serving as
+    ``logsvc``; it traces into its transport's tracer."""
 
     OPNAMES = {number: name for name, number in LOG_OPCODES.items()}
 
     def __init__(self, env: Environment, disk: VirtualDisk, testbed: Testbed,
-                 name: str = "logsvc", transport: Optional[RpcTransport] = None,
-                 master_seed: int = 0, max_logs: int = 64,
-                 tracer: Optional[Tracer] = None):
-        super().__init__(env, name, transport, tracer)
+                 transport: Optional[RpcTransport] = None):
+        super().__init__(env, "logsvc", transport,
+                         transport.tracer if transport is not None else None)
         self.disk = disk
         self.testbed = testbed
-        self.max_logs = max_logs
-        self._secrets = SeededStream(master_seed, f"{name}:secrets")
+        self._secrets = SeededStream(0, "logsvc:secrets")
         self._logs: dict[int, _LogState] = {}
         self._free_blocks: list[int] = []
 
@@ -83,26 +85,22 @@ class LogServer(RpcService):
 
     def format(self) -> None:
         """Header + zeroed slot blocks (untimed)."""
-        header = _HEADER_MAGIC.to_bytes(4, "big") + self.max_logs.to_bytes(4, "big")
+        header = _HEADER_MAGIC.to_bytes(4, "big") + MAX_LOGS.to_bytes(4, "big")
         self.disk.write_raw(0, header)
-        for slot in range(self.max_logs):
+        for slot in range(MAX_LOGS):
             self.disk.write_raw(1 + slot, bytes(self.disk.block_size))
 
     def boot(self):
-        """Process: load slots and walk every chain to find the tails.
-
-        The slot count comes from the on-disk header, not the
-        constructor, so a rebooted server honours the formatted layout.
-        """
+        """Process: check the header, load the slots and walk every
+        chain to find the tails."""
         header = yield self.disk.read(0, 1)
         if int.from_bytes(header[:4], "big") != _HEADER_MAGIC:
             raise BadRequestError(f"{self.name}: disk is not a log volume")
-        self.max_logs = int.from_bytes(header[4:8], "big")
-        raw = yield self.disk.read(0, 1 + self.max_logs)
+        raw = yield self.disk.read(0, 1 + MAX_LOGS)
         bs = self.disk.block_size
-        used_blocks = set(range(0, 1 + self.max_logs))
+        used_blocks = set(range(0, 1 + MAX_LOGS))
         self._logs.clear()
-        for slot in range(self.max_logs):
+        for slot in range(MAX_LOGS):
             record = raw[(1 + slot) * bs:(1 + slot) * bs + 12]
             secret = int.from_bytes(record[0:6], "big")
             first = int.from_bytes(record[6:10], "big")
@@ -110,7 +108,7 @@ class LogServer(RpcService):
                 continue
             state = yield from self._walk_chain(secret, first, used_blocks)
             self._logs[slot] = state
-        area_start = 1 + self.max_logs
+        area_start = 1 + MAX_LOGS
         self._free_blocks = [
             b for b in range(self.disk.total_blocks - 1, area_start - 1, -1)
             if b not in used_blocks
@@ -146,7 +144,7 @@ class LogServer(RpcService):
         """Process: a fresh empty log; returns its owner capability."""
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        slot = next((s for s in range(self.max_logs) if s not in self._logs), None)
+        slot = next((s for s in range(MAX_LOGS) if s not in self._logs), None)
         if slot is None:
             raise BadRequestError("log table full")
         first = self._alloc_block()

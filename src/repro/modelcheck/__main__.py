@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .explorer import Explorer
 from .rig import Scope
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list) -> int:
     args = _build_parser().parse_args(argv)
     scope = Scope(
         clients=args.clients, ops_per_client=args.ops, crashes=args.crashes,
@@ -120,4 +119,4 @@ def main(argv: Optional[list] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

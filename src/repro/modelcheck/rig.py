@@ -357,8 +357,8 @@ class CheckRig:
             # released — the canonical lock-plane bug. The key is
             # unused so no client op wedges on it; the leak is caught
             # by the leaked-grant check at quiesced leaves.
-            self.server.locks.acquire_read(  # repro: allow(L001)
-                self.testbed.bullet.inode_count - 1)
+            self.server.locks.reading(
+                self.testbed.bullet.inode_count - 1).__enter__()
         elif label == "inject:corrupt":
             self.injected.append("corrupt")
             rnode = self._corrupt_target()

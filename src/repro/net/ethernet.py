@@ -94,19 +94,10 @@ class Ethernet:
         background_load: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        name: str = "ether",
     ):
         self.env = env
         self.profile = profile
-        self.name = name
-        self.stats = EthernetStats(metrics, segment=name)
-        # Direct counter handles for the per-fragment hot loop (the
-        # facade's attribute protocol costs a getattr+setattr per bump).
-        self._packets = self.stats.handle("packets")
-        self._payload_bytes = self.stats.handle("payload_bytes")
-        self._wire_time = self.stats.handle("wire_time")
-        self._background_packets = self.stats.handle("background_packets")
-        self._lost_packets = self.stats.handle("lost_packets")
+        self.stats = EthernetStats(metrics, segment="ether")
         self._tracer = tracer
         self._stream = stream
         # Fault-plane injection seams (see repro.faults): a partition
@@ -295,11 +286,11 @@ class Ethernet:
                 # Injected latency spike: charged outside the medium so
                 # other hosts still interleave.
                 yield env.timeout(self._fault_extra_latency)
-            self._packets.inc(1)
-            self._payload_bytes.inc(chunk)
-            self._wire_time.inc(wire)
+            self.stats.packets.inc()
+            self.stats.payload_bytes.inc(chunk)
+            self.stats.wire_time.inc(wire)
             if self._fragment_lost():
-                self._lost_packets.inc(1)
+                self.stats.lost_packets.inc()
                 lost.append(index)
         return lost
 
@@ -333,8 +324,8 @@ class Ethernet:
             yield grant
             yield env.timeout(wire)
             medium.release(grant)
-            self._background_packets.inc(1)
-            self._wire_time.inc(wire)
+            self.stats.background_packets.inc()
+            self.stats.wire_time.inc(wire)
 
     @property
     def medium_queue_length(self) -> int:
@@ -365,9 +356,9 @@ class Ethernet:
         env = self.env
         if env.is_reference:
             raise ConsistencyError(
-                f"a tie hook was installed over segment {self.name!r}, "
-                f"whose medium ledger it cannot see; install the hook "
-                f"before building the segment")
+                "a tie hook was installed over an Ethernet segment, "
+                "whose medium ledger it cannot see; install the hook "
+                "before building the segment")
         return env
 
     def _pend(self, s: _Transfer, step: int, when: float) -> None:
@@ -459,6 +450,7 @@ class Ethernet:
         daemon = self._daemon
         extra = self._fault_extra_latency
         lossy = self._lossy
+        stats = self.stats
         c = env.events_scheduled
         seq = self._seq
         while True:
@@ -509,8 +501,8 @@ class Ethernet:
                 # A background packet is through (or the daemon is
                 # starting): draw the gap to the next one.
                 if step == _WIRE:
-                    self._background_packets.value += 1
-                    self._wire_time.value += s.wire
+                    stats.background_packets.value += 1
+                    stats.wire_time.value += s.wire
                 s.step = _PREP
                 when = t + self._stream.expovariate(self._background_rate)
             elif step == _WIRE and extra > 0:
@@ -522,12 +514,12 @@ class Ethernet:
                 # The fragment is through: traffic counters, then its
                 # loss decision.
                 index = s.pos if s.indices is None else s.indices[s.pos]
-                self._packets.value += 1
-                self._payload_bytes.value += (
+                stats.packets.value += 1
+                stats.payload_bytes.value += (
                     s.tail_chunk if index == s.final else self._payload)
-                self._wire_time.value += s.wire
+                stats.wire_time.value += s.wire
                 if lossy and self._fragment_lost():
-                    self._lost_packets.value += 1
+                    stats.lost_packets.value += 1
                     s.lost.append(index)
                 if s.pos == s.end:
                     s.step = _DONE

@@ -39,7 +39,7 @@ from ..errors import (
     ServerDownError,
     Status,
 )
-from ..obs import MetricsRegistry
+from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from ..profiles import CpuProfile
 from ..sim import AnyOf, Environment, Event, Interrupt, Store, Tracer
 
@@ -191,6 +191,11 @@ class RpcTransport:
         #: up after max_retransmits sends.
         self.retransmit_interval = 0.5
         self.max_retransmits = 10
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        """The tracer ``trans`` records into (None: untraced)."""
+        return self._tracer
 
     def add_route(self, gateway) -> None:
         """Install a gateway consulted for ports not served locally
@@ -497,8 +502,8 @@ class RpcService:
                 hist = self._op_seconds.get(opname)
                 if hist is None:
                     hist = self._op_seconds[opname] = self.metrics.histogram(
-                        "repro_server_op_seconds", server=self.name,
-                        op=opname)
+                        "repro_server_op_seconds", DEFAULT_BUCKETS,
+                        server=self.name, op=opname)
                 hist.observe(self.env.now - started)
                 if tracer is not None:
                     tracer.end_span(op_span, "span", "server.op",

@@ -59,10 +59,6 @@ class BufferCache:
         self.capacity_blocks = max(capacity_bytes // fs_block_size, 1)
         self.sectors_per_block = fs_block_size // disk.block_size
         self.stats = BufferCacheStats(metrics, cache=owner)
-        self._s_hits = self.stats.handle("hits")
-        self._s_misses = self.stats.handle("misses")
-        self._s_write_throughs = self.stats.handle("write_throughs")
-        self._s_delayed_writes = self.stats.handle("delayed_writes")
         self._blocks: OrderedDict[int, bytes] = OrderedDict()
         self._dirty: set[int] = set()
 
@@ -73,10 +69,10 @@ class BufferCache:
         cached = self._blocks.get(fbn)
         if cached is not None:
             self._blocks.move_to_end(fbn)
-            self._s_hits.inc(1)
+            self.stats.hits.inc()
             yield from ()
             return cached
-        self._s_misses.inc(1)
+        self.stats.misses.inc()
         data = yield self.disk.read(fbn * self.sectors_per_block,
                                     self.sectors_per_block)
         self._admit(fbn, data, dirty=False)
@@ -95,10 +91,10 @@ class BufferCache:
             data = data + bytes(self.fs_block_size - len(data))
         self._admit(fbn, bytes(data), dirty=not sync)
         if sync:
-            self._s_write_throughs.inc(1)
+            self.stats.write_throughs.inc()
             yield self.disk.write(fbn * self.sectors_per_block, data)
         else:
-            self._s_delayed_writes.inc(1)
+            self.stats.delayed_writes.inc()
             yield from ()
 
     def sync(self):
@@ -131,7 +127,7 @@ class BufferCache:
         filesystem rewrites in full on sync)."""
         fbn, _data = self._blocks.popitem(last=False)
         self._dirty.discard(fbn)
-        self.stats.evictions += 1
+        self.stats.evictions.inc()
 
     def contains(self, fbn: int) -> bool:
         return fbn in self._blocks
@@ -157,4 +153,4 @@ class BufferCache:
             if victim in self._dirty:
                 continue  # never lose real dirty data to churn
             del self._blocks[victim]
-            self.stats.churned += 1
+            self.stats.churned.inc()

@@ -18,22 +18,20 @@ revalidates and a changed mtime/size flushes the pages. This is exactly
 the machinery whose *weak consistency* the paper's §5 contrasts with the
 trivially sound caching of immutable files.
 
-Like the servers, the client exposes a local plane (direct calls into an
-:class:`~repro.nfs.server.NfsServer`) and an RPC plane; the benchmarks
-use RPC.
+The client reaches its server over the RPC plane only, the path the
+paper measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..client.retry import RpcStub
 from ..errors import BadRequestError, NotFoundError
 from ..net import RpcRequest, RpcTransport
 from ..profiles import Testbed
 from ..sim import Environment
-from .server import FileHandle, NFS_OPCODES, NfsServer
+from .server import FileHandle, NFS_OPCODES
 
 __all__ = ["NfsClient", "OpenFile"]
 
@@ -51,18 +49,11 @@ class NfsClient:
     """Syscall-level NFS client (open/creat/read/write/lseek/close)."""
 
     def __init__(self, env: Environment, testbed: Testbed,
-                 server: Optional[NfsServer] = None,
-                 rpc: Optional[RpcTransport] = None,
-                 server_port: Optional[int] = None,
+                 rpc: RpcTransport, server_port: int,
                  client_caching: bool = False):
-        if server is None and (rpc is None or server_port is None):
-            raise BadRequestError(
-                "NfsClient needs either a local server or (rpc, server_port)"
-            )
         self.env = env
         self.testbed = testbed
-        self.server = server
-        self._stub = RpcStub(env, rpc) if rpc is not None else None
+        self._stub = RpcStub(env, rpc)
         self.server_port = server_port
         self.root = FileHandle(1, 1)
         self._fds: dict[int, OpenFile] = {}
@@ -83,25 +74,18 @@ class NfsClient:
         )
 
     def _lookup_rpc(self, dir_fh: FileHandle, name: str):
-        if self.server is not None:
-            return (yield from self.server.lookup(dir_fh, name))
         reply = yield from self._remote(NFS_OPCODES["LOOKUP"],
                                         (tuple(dir_fh), name))
         return FileHandle(*reply.args[0])
 
     def _getattr_rpc(self, fh: FileHandle):
-        if self.server is not None:
-            return (yield from self.server.getattr(fh))
         reply = yield from self._remote(NFS_OPCODES["GETATTR"], (tuple(fh),))
         return reply.args[0]
 
     def _read_rpc(self, fh: FileHandle, offset: int, count: int):
-        if self.server is not None:
-            data = yield from self.server.read(fh, offset, count)
-        else:
-            reply = yield from self._remote(NFS_OPCODES["READ"],
-                                            (tuple(fh), offset, count))
-            data = reply.body
+        reply = yield from self._remote(NFS_OPCODES["READ"],
+                                        (tuple(fh), offset, count))
+        data = reply.body
         # Client-side XDR decode + UDP checksum of the data.
         yield self.env.timeout(
             len(data) * self.testbed.nfs.data_cost_per_byte_client
@@ -112,28 +96,19 @@ class NfsClient:
         yield self.env.timeout(
             len(data) * self.testbed.nfs.data_cost_per_byte_client
         )
-        if self.server is not None:
-            return (yield from self.server.write(fh, offset, data))
         reply = yield from self._remote(NFS_OPCODES["WRITE"],
                                         (tuple(fh), offset), body=data)
         return reply.args[0]
 
     def _create_rpc(self, dir_fh: FileHandle, name: str):
-        if self.server is not None:
-            return (yield from self.server.create(dir_fh, name))
         reply = yield from self._remote(NFS_OPCODES["CREATE"],
                                         (tuple(dir_fh), name))
         return FileHandle(*reply.args[0])
 
     def _remove_rpc(self, dir_fh: FileHandle, name: str):
-        if self.server is not None:
-            yield from self.server.remove(dir_fh, name)
-        else:
-            yield from self._remote(NFS_OPCODES["REMOVE"], (tuple(dir_fh), name))
+        yield from self._remote(NFS_OPCODES["REMOVE"], (tuple(dir_fh), name))
 
     def _mkdir_rpc(self, dir_fh: FileHandle, name: str):
-        if self.server is not None:
-            return (yield from self.server.mkdir(dir_fh, name))
         reply = yield from self._remote(NFS_OPCODES["MKDIR"],
                                         (tuple(dir_fh), name))
         return FileHandle(*reply.args[0])

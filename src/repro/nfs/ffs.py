@@ -57,6 +57,10 @@ ROOT_INUM = 1
 _SB_STRUCT = Struct(">11I")
 _INODE_STRUCT = Struct(f">{NDIRECT + 6}I{FFS_INODE_SIZE - 4 * (NDIRECT + 6)}x")
 
+#: Cylinder groups the data area is divided into (the block allocator's
+#: unit of locality).
+_CYLINDER_GROUPS = 8
+
 
 @dataclass
 class Superblock:
@@ -141,15 +145,14 @@ class FFS:
     """The filesystem proper. All I/O methods are simulation processes."""
 
     def __init__(self, env: Environment, disk: VirtualDisk,
-                 cache: BufferCache, fs_block_size: int = 8192,
-                 ninodes: int = 1024, maxbpg: int = 12, cg_count: int = 8):
+                 cache: BufferCache, ninodes: int, fs_block_size: int = 8192,
+                 maxbpg: int = 12):
         self.env = env
         self.disk = disk
         self.cache = cache
         self.fs_block_size = fs_block_size
         self.ninodes = ninodes
         self.maxbpg = maxbpg
-        self.cg_count = cg_count
         self.sb: Superblock
         self._bitmap: bytearray  # one byte per data block; RAM-authoritative
         self._free_data_blocks = 0
@@ -185,7 +188,7 @@ class FFS:
             data_start=data_start,
             data_blocks=data_blocks,
             maxbpg=self.maxbpg,
-            cg_count=self.cg_count,
+            cg_count=_CYLINDER_GROUPS,
         )
 
     # --------------------------------------------------------------- setup
@@ -265,12 +268,12 @@ class FFS:
         """
         if self._free_data_blocks == 0:
             raise NoSpaceError("filesystem full")
-        per_group = max(self.sb.data_blocks // self.cg_count, 1)
-        base_group = (inum + file_block_index // self.maxbpg) % self.cg_count
-        for step in range(self.cg_count + 1):
-            group = (base_group + step) % self.cg_count
+        per_group = max(self.sb.data_blocks // _CYLINDER_GROUPS, 1)
+        base_group = (inum + file_block_index // self.maxbpg) % _CYLINDER_GROUPS
+        for step in range(_CYLINDER_GROUPS + 1):
+            group = (base_group + step) % _CYLINDER_GROUPS
             start = group * per_group
-            end = self.sb.data_blocks if group == self.cg_count - 1 else (group + 1) * per_group
+            end = self.sb.data_blocks if group == _CYLINDER_GROUPS - 1 else (group + 1) * per_group
             end = min(end, self.sb.data_blocks)
             # Rotor: resume scanning where the last allocation in this
             # group left off (reset on free), keeping the scan O(1)
@@ -294,8 +297,8 @@ class FFS:
         self._bitmap[rel] = 0
         self._free_data_blocks += 1
         # Rewind the owning group's scan rotor so the block is reusable.
-        per_group = max(self.sb.data_blocks // self.cg_count, 1)
-        group = min(rel // per_group, self.cg_count - 1)
+        per_group = max(self.sb.data_blocks // _CYLINDER_GROUPS, 1)
+        group = min(rel // per_group, _CYLINDER_GROUPS - 1)
         if self._group_rotor.get(group, 0) > rel:
             self._group_rotor[group] = rel
 

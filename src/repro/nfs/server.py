@@ -56,6 +56,10 @@ class FileHandle(tuple):
         return self[1]
 
 
+#: Inodes on the exported volume.
+INODES = 1024
+
+
 class NfsServer(RpcService):
     """One NFS server exporting a single FFS volume."""
 
@@ -66,26 +70,24 @@ class NfsServer(RpcService):
         env: Environment,
         disk: VirtualDisk,
         testbed: Testbed,
-        name: str = "nfs",
         transport: Optional[RpcTransport] = None,
         background_churn: bool = False,
         master_seed: int = 0,
-        ninodes: int = 1024,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        super().__init__(env, name, transport, tracer, metrics)
+        super().__init__(env, "nfs", transport, tracer, metrics)
         self.disk = disk
         self.testbed = testbed
         self._op_counters: dict = {}  # opname -> Counter
         nfs = testbed.nfs
         self.cache = BufferCache(env, disk, nfs.buffer_cache_bytes,
                                  nfs.fs_block_size,
-                                 metrics=self.metrics, owner=name)
-        self.fs = FFS(env, disk, self.cache, fs_block_size=nfs.fs_block_size,
-                      ninodes=ninodes, maxbpg=nfs.direct_blocks)
+                                 metrics=self.metrics, owner=self.name)
+        self.fs = FFS(env, disk, self.cache, INODES,
+                      fs_block_size=nfs.fs_block_size, maxbpg=nfs.direct_blocks)
         self._churn = background_churn
-        self._churn_stream = SeededStream(master_seed, f"{name}:churn")
+        self._churn_stream = SeededStream(master_seed, "nfs:churn")
 
     # -------------------------------------------------------------- setup
 

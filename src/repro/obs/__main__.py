@@ -51,7 +51,7 @@ def _snapshot(seed: int, fmt: str) -> str:
     return render_text(rig.metrics)
 
 
-def main(argv=None) -> int:
+def main(argv: list) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Dump the deterministic metrics registry, or emit "
@@ -99,4 +99,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

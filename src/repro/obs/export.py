@@ -55,6 +55,6 @@ def render_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def render_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """Canonical JSON: sorted keys, fixed indent, trailing newline."""
-    return json.dumps(registry.snapshot(), sort_keys=True, indent=indent) + "\n"
+def render_json(registry: MetricsRegistry) -> str:
+    """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
+    return json.dumps(registry.snapshot(), sort_keys=True, indent=2) + "\n"

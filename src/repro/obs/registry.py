@@ -107,9 +107,6 @@ class Gauge(Metric):
     def inc(self, amount=1) -> None:
         self.value += amount
 
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
 
 class Histogram(Metric):
     """Fixed-bucket histogram of observations (simulated seconds).
@@ -170,11 +167,10 @@ class MetricsRegistry:
         """The gauge named ``name`` with exactly ``labels``."""
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, buckets: Optional[tuple] = None,
-                  **labels) -> Histogram:
+    def histogram(self, name: str, buckets: tuple, **labels) -> Histogram:
         """The histogram named ``name``; ``buckets`` must agree with any
         earlier registration of the same instrument."""
-        wanted = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
+        wanted = tuple(buckets)
         metric = self._get(Histogram, name, labels, buckets=wanted)
         if metric.buckets != wanted:
             raise ConsistencyError(
@@ -259,57 +255,26 @@ class MetricsRegistry:
 
 
 class RegistryStats:
-    """Base for component stat facades backed by a registry.
+    """Base for a component's bundle of registry counters.
 
-    Subclasses declare ``_PREFIX`` and ``_COUNTER_FIELDS``; each field
-    becomes a registry counter named ``{_PREFIX}_{field}_total`` carrying
-    the labels given at construction. Attribute reads return the counter
-    value and ``stats.field += n`` increments it, so existing call sites
-    (and tests) keep working while the registry is the single authority.
+    Subclasses declare ``_PREFIX`` and ``_COUNTER_FIELDS``; construction
+    registers each field as the counter ``{_PREFIX}_{field}_total`` with
+    the given labels — every one, so zero-valued counters still appear
+    in snapshots — and binds it to the attribute of the same name:
+    ``stats.reads.inc()``, ``stats.reads.value``. A ``None`` registry
+    means a private one.
     """
 
     _PREFIX = "repro"
     _COUNTER_FIELDS: tuple = ()
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None, **labels):
-        reg = registry if registry is not None else MetricsRegistry()
-        counters = {
-            field: reg.counter(f"{self._PREFIX}_{field}_total", **labels)
-            for field in self._COUNTER_FIELDS
-        }
-        # object.__setattr__ sidesteps the counter-routing __setattr__.
-        object.__setattr__(self, "registry", reg)
-        object.__setattr__(self, "labels", dict(labels))
-        object.__setattr__(self, "_counters", counters)
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__} has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counter = counters[name]
-            counter.inc(value - counter.value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def handle(self, field: str) -> Counter:
-        """The backing :class:`Counter` for ``field``.
-
-        Hot paths cache this once and call ``inc`` directly, skipping
-        the facade's ``__getattr__``/``__setattr__`` round trip (and the
-        registry's label canonicalization) on every increment. The
-        facade and the handle mutate the same counter, so the two styles
-        agree by construction (tests/test_obs_registry.py pins this).
-        """
-        return self.__dict__["_counters"][field]
+    def __init__(self, registry: Optional[MetricsRegistry], **labels):
+        self.registry = registry if registry is not None else MetricsRegistry()
+        for field in self._COUNTER_FIELDS:
+            setattr(self, field, self.registry.counter(
+                f"{self._PREFIX}_{field}_total", **labels))
 
     def snapshot(self) -> dict:
         """Field -> current value, in declaration order."""
-        counters = self.__dict__["_counters"]
-        return {field: counters[field].value for field in self._COUNTER_FIELDS}
+        return {field: getattr(self, field).value
+                for field in self._COUNTER_FIELDS}

@@ -26,7 +26,6 @@ class Span:
     name: str
     begin: float
     end: float
-    parent: int = 0
     begin_fields: tuple = ()
     end_fields: tuple = ()
 
@@ -62,14 +61,12 @@ def pair_spans(records, allow_open: bool = False) -> list:
                 raise ConsistencyError(
                     f"span {span_id} ended without a begin"
                 )
-            begin_fields = dict(begin.fields)
             spans.append(Span(
                 span_id=span_id,
                 category=begin.category,
                 name=begin.message,
                 begin=begin.time,
                 end=record.time,
-                parent=begin_fields.get("parent", 0),
                 begin_fields=begin.fields,
                 end_fields=record.fields,
             ))

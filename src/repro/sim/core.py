@@ -208,14 +208,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         # Inlined Event.__init__ + succeed: a Timeout is born triggered,
         # so one attribute block and one heap push is the whole cost.
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         self.delay = delay
@@ -328,11 +328,7 @@ class Process(Event):
                         target = gen.throw(event._value)
                 except StopIteration as stop:
                     self._waiting_on = None
-                    heap = env._heap
-                    if (env._tie_hook is None and env._solo
-                            and (not heap or heap[0][0] > env._now)
-                            and env._guard > env._now
-                            and env._stop.callbacks is not None):
+                    if env.can_collapse(env._now):
                         # Synchronous completion: nothing else can run
                         # at this instant, so the completion event would
                         # be the very next thing the heap pops — running
@@ -478,8 +474,8 @@ class Environment:
                  "_proc_count", "_tie_hook", "_sources", "_guard",
                  "_step_seq")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list = []
         self._eid = 0
         self._proc_count = 0
@@ -537,9 +533,9 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         """Start ``generator`` as a process; returns its completion event."""
@@ -641,10 +637,7 @@ class Environment:
         on False. Uncontended lock grants use this to skip the heap
         round-trip.
         """
-        if (self._tie_hook is None and self._solo and not event.callbacks
-                and (not self._heap or self._heap[0][0] > self._now)
-                and self._guard > self._now
-                and self._stop.callbacks is not None):
+        if not event.callbacks and self.can_collapse(self._now):
             event._ok = True
             event._value = value
             event.callbacks = None

@@ -62,25 +62,20 @@ class Tracer:
 
     # ------------------------------------------------------------- spans
 
-    def begin_span(self, category: str, name: str, parent: int = 0,
-                   **fields) -> int:
+    def begin_span(self, category: str, name: str, **fields) -> int:
         """Open a span: emit a begin marker, return the new span id.
 
         Span ids are sequential per tracer, so two same-seed runs number
         their spans identically. Returns 0 when tracing is disabled (the
-        matching :meth:`end_span` then no-ops). ``parent`` links nested
-        spans (0 = root); :func:`repro.obs.pair_spans` reassembles the
-        B/E markers into :class:`~repro.obs.Span` objects.
+        matching :meth:`end_span` then no-ops).
+        :func:`repro.obs.pair_spans` reassembles the B/E markers into
+        :class:`~repro.obs.Span` objects.
         """
         if not self.enabled:
             return 0
         self.span_seq += 1
         span_id = self.span_seq
-        if parent:
-            self.emit(category, name, span=span_id, phase="B",
-                      parent=parent, **fields)
-        else:
-            self.emit(category, name, span=span_id, phase="B", **fields)
+        self.emit(category, name, span=span_id, phase="B", **fields)
         return span_id
 
     def end_span(self, span_id: int, category: str, name: str,

@@ -9,10 +9,9 @@ files:
 * ``open`` resolves the path in the directory service; the first read
   fetches the **whole file** into the process (whole-file transfer).
 * ``write``/``lseek`` edit the in-memory copy — no server traffic.
-* ``close`` of a dirty file commits: BULLET.CREATE the new contents,
-  atomically rebind the name in the directory (``replace``/``append``),
-  and delete the superseded file (or keep it, when version retention is
-  enabled — the Cedar-style behaviour).
+* ``close`` of a dirty file commits: BULLET.CREATE the new contents
+  (P-FACTOR 1), atomically rebind the name in the directory
+  (``replace``/``append``), and delete the superseded file.
 
 So "update-in-place" becomes "new version per close", exactly the model
 the paper prescribes, and concurrent readers of the old version are
@@ -22,6 +21,7 @@ until they reopen).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,14 +52,11 @@ class UnixEmulation:
     """POSIX-flavoured file API over immutable storage."""
 
     def __init__(self, env: Environment, bullet_stub, directory,
-                 root_cap: Capability, keep_versions: bool = False,
-                 p_factor: int = 1):
+                 root_cap: Capability):
         self.env = env
         self.bullet = bullet_stub
         self.directory = directory
         self.root = root_cap
-        self.keep_versions = keep_versions
-        self.p_factor = p_factor
         self._fds: dict[int, UnixFile] = {}
         self._next_fd = 3
 
@@ -143,16 +140,18 @@ class UnixEmulation:
         handle.dirty = True
         return len(data)
 
-    def lseek(self, fd: int, offset: int, whence: int = 0):
-        """Process: move the offset (0=SET, 1=CUR, 2=END). Purely local,
-        but a process like every other call for a uniform API."""
+    def lseek(self, fd: int, offset: int, whence: int):
+        """Process: move the offset relative to ``whence``
+        (``os.SEEK_SET``, ``os.SEEK_CUR`` or ``os.SEEK_END``), as
+        lseek(2) does. Purely local, but a process like every other call
+        for a uniform API."""
         yield from ()
         handle = self._handle(fd)
-        if whence == 0:
+        if whence == os.SEEK_SET:
             new = offset
-        elif whence == 1:
+        elif whence == os.SEEK_CUR:
             new = handle.offset + offset
-        elif whence == 2:
+        elif whence == os.SEEK_END:
             new = len(handle.buffer) + offset
         else:
             raise BadRequestError(f"bad whence {whence}")
@@ -181,8 +180,7 @@ class UnixEmulation:
             raise BadRequestError(f"bad file descriptor {fd}")
         if not handle.dirty:
             return handle.cap
-        new_cap = yield from self.bullet.create(bytes(handle.buffer),
-                                                self.p_factor)
+        new_cap = yield from self.bullet.create(bytes(handle.buffer), 1)
         if handle.cap is None:
             try:
                 yield from self.directory.append(handle.dir_cap, handle.name,
@@ -200,8 +198,6 @@ class UnixEmulation:
         return new_cap
 
     def _discard(self, old_cap: Capability):
-        if self.keep_versions:
-            return
         try:
             yield from self.bullet.delete(old_cap)
         except NotFoundError:

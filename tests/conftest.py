@@ -101,6 +101,15 @@ def _runtime_lockset():
         deactivate()
 
 
+def after(env: Environment, delay: float, value):
+    """An event firing ``delay`` from now with ``value``: a process that
+    waits and returns it (a plain timeout carries no value)."""
+    def wait():
+        yield env.timeout(delay)
+        return value
+    return env.process(wait())
+
+
 def reference_env() -> Environment:
     """The reference kernel: installing a tie hook turns every fast
     path off, and choosing index 0 at every tie is the reference

@@ -31,7 +31,6 @@ def test_src_repro_is_clean():
 def test_src_repro_is_clean_under_strict_pragmas():
     # Every `# repro: allow(...)` in the tree must still suppress a
     # live finding — stale pragmas are reported as P001 and fail here.
-    # This test is the lock-discipline gate: CI has no separate job.
     result = analyze_paths([str(SRC)], strict_pragmas=True)
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.clean, f"stale or violated pragmas:\n{rendered}"
@@ -39,9 +38,9 @@ def test_src_repro_is_clean_under_strict_pragmas():
 
 def test_cli_strict_pragmas_flags_a_stale_pragma(tmp_path, capsys):
     stale = tmp_path / "stale.py"
-    stale.write_text("def fine():\n    return 1  # repro: allow(L001)\n")
+    stale.write_text("def fine():\n    return 1  # repro: allow(A001)\n")
     assert main([str(stale)]) == 0
-    assert main(["--select", "L001", "--strict-pragmas", str(stale)]) == 1
+    assert main(["--select", "A001", "--strict-pragmas", str(stale)]) == 1
     assert "P001" in capsys.readouterr().out
 
 

@@ -1,8 +1,10 @@
 """Tests for the benchmark harness: workload distributions, the trace
 replayer, table rendering, a scaled-down smoke run of the figure
-experiments, and the no-unflipped-options guard over ``repro.bench``."""
+experiments, and the repository guards: no unflipped option anywhere
+under ``src/repro``, no module kept alive by tests alone."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -244,56 +246,242 @@ def test_rig_determinism():
 
 # ------------------------------------------------------ options guard
 
+#: Defaulted parameters kept although no caller outside the tests flips
+#: them: (module or package, parameter; None = any) -> reason. Every row
+#: must still excuse a finding.
+_EXEMPT_OPTIONS = {
+    ("repro.client", "retry"):
+        "retry plane: a stub retries only under a RetryPolicy; the fault "
+        "matrix and lossy-network tests exercise it",
+    ("repro.client", "retry_stream"):
+        "retry plane: the seeded backoff jitter of a retrying stub",
+    ("repro.client", "timeout"):
+        "retry plane: the per-attempt deadline a retrying stub gives up on",
+    ("repro.faults", None):
+        "safety plane (see _CLAIMED_MODULES): the fault matrix and crash "
+        "tests are its only callers",
+}
 
-def _public_callables(tree):
-    """(name callers use, def) for each public function, constructor
-    and public method defined at a module's top level."""
-    public = [node for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")]
-    for node in public:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name, node
-            continue
-        for sub in node.body:
-            if isinstance(sub, ast.FunctionDef):
-                if sub.name == "__init__":
-                    yield node.name, sub
-                elif not sub.name.startswith("_"):
-                    yield sub.name, sub
+
+def _base_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _calls(trees) -> dict:
+    """Name -> the Call nodes in ``trees`` that may reach a callable of
+    that name: calls by name or attribute (import aliases resolved), a
+    ``super().__init__(...)`` as a call of each base class, a
+    ``cls(...)`` inside a class as a call of that class."""
+    calls: dict = {}
+    for tree in trees:
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _base_name(node.func)
+                calls.setdefault(alias.get(name, name), []).append(node)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if getattr(func, "id", None) == "cls":
+                    calls.setdefault(node.name, []).append(call)
+                elif (getattr(func, "attr", None) == "__init__"
+                      and isinstance(func.value, ast.Call)
+                      and _base_name(func.value.func) == "super"):
+                    for base in node.bases:
+                        calls.setdefault(_base_name(base), []).append(call)
+    return calls
+
+
+def _unpassed_defaults(modules: dict, callers) -> list:
+    """(module, callable, parameter) for every defaulted parameter of a
+    public function, constructor or method of a public class in
+    ``modules`` (dotted name -> tree) that no call in ``callers``
+    passes. A constructor is also called by the name of every subclass
+    that inherits it."""
+    calls = _calls(callers)
+    classes = {node.name: node for tree in modules.values()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    heirs: dict = {}
+    for node in classes.values():
+        for base in node.bases:
+            heirs.setdefault(_base_name(base), []).append(node)
+
+    def constructor_names(name):
+        names = [name]
+        for heir in heirs.get(name, []):
+            if not any(isinstance(sub, ast.FunctionDef)
+                       and sub.name == "__init__" for sub in heir.body):
+                names += constructor_names(heir.name)
+        return names
+
+    def public(tree):
+        """(shown as, names callers use, def) per public callable."""
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, [node.name], node
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        continue
+                    if sub.name == "__init__":
+                        yield node.name, constructor_names(node.name), sub
+                    elif not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", [sub.name], sub
+
+    findings = []
+    for module, tree in sorted(modules.items()):
+        for shown, names, func in public(tree):
+            args = func.args
+            params = args.posonlyargs + args.args
+            if params and params[0].arg in ("self", "cls"):
+                params = params[1:]
+            first = len(params) - len(args.defaults)
+            defaulted = list(enumerate(params[first:], first)) + [
+                (None, param) for param, default
+                in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            for position, param in defaulted:
+                if not any((position is not None
+                            and len(call.args) > position)
+                           or any(k.arg == param.arg for k in call.keywords)
+                           for name in names for call in calls.get(name, [])):
+                    findings.append((module, shown, param.arg))
+    return findings
+
+
+def _exemption(finding):
+    """The :data:`_EXEMPT_OPTIONS` row that excuses ``finding``, if any."""
+    module, _callable, param = finding
+    for package, name in _EXEMPT_OPTIONS:
+        if ((module == package or module.startswith(package + "."))
+                and name in (None, param)):
+            return package, name
+    return None
 
 
 def test_no_defaulted_parameter_goes_unpassed():
-    """Every defaulted parameter of a public function or constructor in
-    ``repro.bench`` is passed by some caller under src/ or examples/ —
-    an option nobody flips is a constant."""
+    """Every defaulted parameter of a public callable under src/repro is
+    passed by some caller under src/, examples/ or perf/ (the
+    benchmark's calls are measured traffic) — an option nobody flips is
+    a constant, a required parameter or gone — or is excused by a row
+    of the exemption table, and every row still excuses something."""
     root = Path(__file__).resolve().parents[1]
-    calls: dict = {}
-    for top in ("src", "examples"):
-        for path in (root / top).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            alias = {a.asname: a.name for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom)
-                     for a in node.names if a.asname}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id",
-                                   getattr(node.func, "attr", None))
-                    calls.setdefault(alias.get(name, name), []).append(node)
+    src = root / "src"
+    modules = {".".join(path.relative_to(src).with_suffix("").parts):
+               ast.parse(path.read_text())
+               for path in (src / "repro").rglob("*.py")}
+    callers = [*modules.values(), *(
+        ast.parse(path.read_text())
+        for top in ("examples", "perf") for path in (root / top).rglob("*.py")
+        if "tests" not in path.relative_to(root).parts)]
+    findings = _unpassed_defaults(modules, callers)
+    unexcused = [f"{module}: {name}({param}=)"
+                 for module, name, param in findings
+                 if _exemption((module, name, param)) is None]
+    assert not unexcused, "\n".join(unexcused)
+    stale = set(_EXEMPT_OPTIONS) - {_exemption(f) for f in findings}
+    assert not stale, f"exemption rows excusing nothing: {sorted(stale)}"
 
-    findings = []
-    for path in (root / "src" / "repro" / "bench").glob("*.py"):
-        for owner, func in _public_callables(ast.parse(path.read_text())):
-            params = func.args.posonlyargs + func.args.args
-            if params and params[0].arg == "self":
-                params = params[1:]
-            first = len(params) - len(func.args.defaults)
-            for position, param in enumerate(params[first:], first):
-                if not any(len(call.args) > position
-                           or any(k.arg == param.arg for k in call.keywords)
-                           for call in calls.get(owner, [])):
-                    findings.append(f"{path.name}: {owner}({param.arg}=...)")
-    assert not findings, "\n".join(sorted(findings))
+
+def _guard(modules: dict, *callers: str) -> list:
+    """The guard's findings over source snippets; as under src/, the
+    modules are callers too."""
+    trees = {name: ast.parse(textwrap.dedent(source))
+             for name, source in modules.items()}
+    return _unpassed_defaults(trees, [*trees.values(), *(
+        ast.parse(textwrap.dedent(source)) for source in callers)])
+
+
+def test_options_guard_flags_an_unpassed_default():
+    module = """
+        def render(table, rows=24):
+            pass
+
+        class Server:
+            def __init__(self, env, name="s", workers=1):
+                pass
+
+            def boot(self, repair=False):
+                pass
+
+            def _scan(self, strict=True):
+                pass
+    """
+    assert _guard({"repro.x": module}, "render(t)\nServer(e, workers=4).boot()"
+                  ) == [("repro.x", "render", "rows"),
+                        ("repro.x", "Server", "name"),
+                        ("repro.x", "Server.boot", "repair")]
+    assert _guard({"repro.x": module},
+                  "render(t, 8)\nServer(e, 'n', 2).boot(repair=True)") == []
+
+
+def test_options_guard_follows_super_init_and_cls():
+    module = """
+        class Stub:
+            def __init__(self, env, timeout=None, name="stub"):
+                pass
+
+        class DirectoryStub(Stub):
+            def __init__(self, env):
+                super().__init__(env, 0.5, name="directory")
+
+        class Policy:
+            def __init__(self, kind, interval=0.0):
+                pass
+
+            @classmethod
+            def after(cls, interval):
+                return cls("after", interval)
+    """
+    assert _guard({"repro.x": module}, "DirectoryStub(e)\nPolicy.after(1)") == []
+    # The same callers without the two forwarding calls flip nothing.
+    assert _guard({"repro.x": module.replace("super().__init__", "print")
+                   .replace('cls("after", interval)', "None")},
+                  "DirectoryStub(e)\nPolicy.after(1)") == [
+        ("repro.x", "Stub", "timeout"), ("repro.x", "Stub", "name"),
+        ("repro.x", "Policy", "interval")]
+
+
+def test_options_guard_reaches_a_base_constructor_through_its_subclasses():
+    module = """
+        class ReproError(Exception):
+            def __init__(self, message=""):
+                pass
+
+        class NotFoundError(ReproError):
+            status = 3
+
+        class Timed(ReproError):
+            def __init__(self, after):
+                super().__init__()
+    """
+    assert _guard({"repro.errors": module}, "raise NotFoundError('gone')") == []
+    # A subclass with its own constructor does not inherit the callers.
+    assert _guard({"repro.errors": module}, "raise Timed(5)") == [
+        ("repro.errors", "ReproError", "message")]
+
+
+def test_options_guard_honours_its_exemption_table():
+    module = """
+        class Controller:
+            def __init__(self, env, plan, master_seed=0):
+                pass
+    """
+    findings = _guard({"repro.faults.controller": module,
+                       "repro.core.controller": module},
+                      "Controller(e, p)")
+    assert [_exemption(finding) for finding in findings] == [
+        None, ("repro.faults", None)]
+    assert _exemption(("repro.client.stub", "Stub", "retry")) == (
+        "repro.client", "retry")
+    assert _exemption(("repro.client.stub", "Stub", "name")) is None
 
 
 #: Modules no committed artifact reaches, each with the claim it stays

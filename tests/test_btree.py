@@ -211,8 +211,7 @@ def test_gc_reclaims_superseded_nodes_keeps_live_tree(env):
     testbed = small_testbed(max_lives=2)
     bullet = make_bullet(env, testbed=testbed)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), testbed,
-                           max_directories=8)
+                           LocalBulletStub(bullet), testbed)
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     names = run_process(env, dirs.create_directory())

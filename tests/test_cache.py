@@ -36,15 +36,15 @@ def test_lookup_miss_counts():
     assert cache.lookup(1) is None
     cache.insert(1, b"x")
     cache.lookup(1)
-    assert cache.stats.misses == 1
-    assert cache.stats.hits == 1
+    assert cache.stats.misses.value == 1
+    assert cache.stats.hits.value == 1
     assert cache.stats.hit_rate == 0.5
 
 
 def test_peek_does_not_count():
     cache = make_cache()
     cache.peek(1)
-    assert cache.stats.misses == 0
+    assert cache.stats.misses.value == 0
 
 
 def test_double_insert_rejected():
@@ -107,7 +107,7 @@ def test_eviction_cascades_until_room():
         cache.insert(i, bytes(25))
     cache.insert(9, bytes(80))  # needs several evictions
     assert cache.peek(9) is not None
-    assert cache.stats.evictions >= 3
+    assert cache.stats.evictions.value >= 3
     cache.check_invariants()
 
 
@@ -155,7 +155,7 @@ def test_compaction_merges_free_space():
     cache.remove(2)
     assert cache.free_bytes == 50
     cache.insert(10, bytes(50))  # no contiguous 50-hole without compaction
-    assert cache.stats.compactions >= 1
+    assert cache.stats.compactions.value >= 1
     assert cache.peek(1).data == bytes(25)
     cache.check_invariants()
 

@@ -4,7 +4,8 @@ stub equivalence, and the client-side cache."""
 import pytest
 
 from repro.capability import RIGHT_READ, restrict
-from repro.client import BulletClient, CachingBulletClient, LocalBulletStub
+from repro.client import (BulletClient, CachingBulletClient, LocalBulletStub,
+                          WorkstationCache)
 from repro.errors import (
     BadRequestError,
     NotFoundError,
@@ -119,20 +120,20 @@ def test_local_stub_equivalent_results(env):
 
 def test_caching_client_hit_avoids_rpc(env, rpc_rig):
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"cache me", 1))
     assert run_process(env, caching.read(cap)) == b"cache me"
-    reads_at_server = bullet.stats.reads
+    reads_at_server = bullet.stats.reads.value
     t0 = env.now
     assert run_process(env, caching.read(cap)) == b"cache me"
-    assert bullet.stats.reads == reads_at_server  # no server involvement
+    assert bullet.stats.reads.value == reads_at_server  # no server involvement
     assert env.now == t0                          # and zero simulated time
     assert caching.hits == 1 and caching.misses == 1
 
 
 def test_caching_client_size_from_cache(env, rpc_rig):
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"12345", 1))
     run_process(env, caching.read(cap))
     assert run_process(env, caching.size(cap)) == 5
@@ -140,7 +141,7 @@ def test_caching_client_size_from_cache(env, rpc_rig):
 
 def test_caching_client_lru_capacity(env, rpc_rig):
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=10 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(10 * KB))
     caps = [run_process(env, caching.create(bytes([i]) * (4 * KB), 1))
             for i in range(3)]
     for cap in caps:
@@ -154,7 +155,7 @@ def test_caching_client_lru_capacity(env, rpc_rig):
 
 def test_caching_client_oversized_file_not_cached(env, rpc_rig):
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=1 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(1 * KB))
     cap = run_process(env, caching.create(bytes(4 * KB), 1))
     run_process(env, caching.read(cap))
     assert caching.cache.cached_bytes == 0
@@ -162,7 +163,7 @@ def test_caching_client_oversized_file_not_cached(env, rpc_rig):
 
 def test_caching_client_delete_invalidates(env, rpc_rig):
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"bye", 1))
     run_process(env, caching.read(cap))
     run_process(env, caching.delete(cap))
@@ -173,4 +174,4 @@ def test_caching_client_delete_invalidates(env, rpc_rig):
 def test_caching_client_rejects_bad_capacity(env, rpc_rig):
     _bullet, client = rpc_rig
     with pytest.raises(ValueError):
-        CachingBulletClient(client, capacity_bytes=0)
+        WorkstationCache(0)

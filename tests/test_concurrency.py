@@ -140,7 +140,7 @@ def test_cache_thrash_under_parallel_load(env):
         env.process(reader(index))
     env.run()
     assert len(done) == 6
-    assert bullet.cache.stats.evictions > 0
+    assert bullet.cache.stats.evictions.value > 0
     check_bullet_invariants(bullet)
 
 
@@ -148,7 +148,7 @@ def test_directory_concurrent_appends_all_land(env):
     rpc, bullet = make_rpc_world(env)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet), small_testbed(),
-                           transport=rpc, max_directories=8)
+                           transport=rpc)
     dirs.format()
     run_process(env, dirs.boot())
     names = DirectoryClient(env, rpc, default_port=dirs.port)

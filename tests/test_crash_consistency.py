@@ -52,8 +52,7 @@ def test_partial_replica_failure_creates_reclaimable_orphan(env):
     testbed = small_testbed(max_lives=2)
     bullet = make_bullet(env, testbed=testbed)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), testbed,
-                           max_directories=8)
+                           LocalBulletStub(bullet), testbed)
     dirs.format()
     env.run(until=env.process(dirs.boot()))
 

@@ -31,7 +31,7 @@ def test_directory_crash_shows_exact_mutation_prefix(n_mutations, crash_after):
     bullet = make_bullet(env, testbed=small_testbed(inode_count=2048))
     dir_disk = VirtualDisk(env, SMALL_DISK, name="dd")
     dirs = DirectoryServer(env, dir_disk, LocalBulletStub(bullet),
-                           small_testbed(), max_directories=8)
+                           small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     root = run_process(env, dirs.create_directory())  # 1 slot write
@@ -55,8 +55,7 @@ def test_directory_crash_shows_exact_mutation_prefix(n_mutations, crash_after):
     env.run(until=env.now + 0.1)
     dir_disk.repair()
     reborn = DirectoryServer(env, dir_disk, LocalBulletStub(bullet),
-                             small_testbed(), name="directory",
-                             max_directories=8)
+                             small_testbed(), name="directory")
     env.run(until=env.process(reborn.boot()))
     listing = run_process(env, reborn.list_names(root))
 
@@ -72,20 +71,20 @@ def test_directory_crash_shows_exact_mutation_prefix(n_mutations, crash_after):
 
 def test_status_surfaces(env):
     """std_status on every server kind."""
+    from repro.directory.server import MAX_DIRECTORIES
     from repro.logsvc import LogServer
 
     bullet = make_bullet(env)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), small_testbed(),
-                           max_directories=8)
+                           LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     run_process(env, dirs.create_directory())
     assert dirs.status()["directories"] == 1
-    assert dirs.status()["free_slots"] == 7
+    assert dirs.status()["free_slots"] == MAX_DIRECTORIES - 1
 
     logs = LogServer(env, VirtualDisk(env, SMALL_DISK, name="ld"),
-                     small_testbed(), max_logs=4)
+                     small_testbed())
     logs.format()
     env.run(until=env.process(logs.boot()))
     cap = run_process(env, logs.create_log())

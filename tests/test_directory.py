@@ -13,6 +13,7 @@ from repro.capability import (
 )
 from repro.client import LocalBulletStub
 from repro.directory import DirectoryRows, DirectoryServer, SlotRecord
+from repro.directory.server import MAX_DIRECTORIES
 from repro.disk import VirtualDisk
 from repro.errors import (
     BadRequestError,
@@ -27,12 +28,11 @@ from repro.sim import Environment, run_process
 from conftest import SMALL_DISK, make_bullet, small_testbed
 
 
-def make_dir_server(env, bullet=None, name="directory", max_dirs=32):
+def make_dir_server(env, bullet=None, name="directory"):
     bullet = bullet or make_bullet(env)
     disk = VirtualDisk(env, SMALL_DISK, name=f"{name}-disk")
     server = DirectoryServer(env, disk, LocalBulletStub(bullet),
-                             small_testbed(), name=name,
-                             max_directories=max_dirs)
+                             small_testbed(), name=name)
     server.format()
     env.run(until=env.process(server.boot()))
     return server, bullet
@@ -179,9 +179,12 @@ def test_slot_reuse_has_fresh_secret(env):
 
 
 def test_directory_table_exhaustion(env):
-    dirs, _ = make_dir_server(env, max_dirs=2)
-    call(env, dirs.create_directory())
-    call(env, dirs.create_directory())
+    # Enough Bullet inodes that the slot table runs out first.
+    bullet = make_bullet(env, testbed=small_testbed(
+        inode_count=MAX_DIRECTORIES + 8))
+    dirs, _ = make_dir_server(env, bullet)
+    for _ in range(MAX_DIRECTORIES):
+        call(env, dirs.create_directory())
     with pytest.raises(BadRequestError):
         call(env, dirs.create_directory())
 
@@ -333,8 +336,7 @@ def test_directory_survives_reboot(env):
     dirs.crash()
     # Same service name => same well-known port; capabilities stay valid.
     reborn = DirectoryServer(env, dirs.disk, LocalBulletStub(bullet),
-                             small_testbed(), name="directory",
-                             max_directories=dirs.max_directories)
+                             small_testbed(), name="directory")
     count = env.run(until=env.process(reborn.boot()))
     assert count == 4
     root2 = Capability(port=reborn.port, object=root.object,
@@ -345,14 +347,15 @@ def test_directory_survives_reboot(env):
 def test_client_cache_validation_flow(env):
     """The §5 currency check: a cached file is stale exactly when the
     directory entry moved to a new capability."""
-    from repro.client import CachingBulletClient
+    from repro.client import CachingBulletClient, WorkstationCache
 
     dirs, bullet = make_dir_server(env)
     root = call(env, dirs.create_directory())
     v1 = call(env, bullet.create(b"version 1", p_factor=1))
     call(env, dirs.append(root, "doc", v1))
 
-    client = CachingBulletClient(LocalBulletStub(bullet), capacity_bytes=1 << 16)
+    client = CachingBulletClient(LocalBulletStub(bullet),
+                                 WorkstationCache(1 << 16))
     data = call(env, client.read(v1))
     assert data == b"version 1"
     current, cap = call(env, client.lookup_validated(dirs, root, "doc", v1))

@@ -17,7 +17,7 @@ def mirrored_dirs(env):
     disks = [VirtualDisk(env, SMALL_DISK, name=f"dir-d{i}") for i in (0, 1)]
     mirror = MirroredDiskSet(env, disks)
     dirs = DirectoryServer(env, mirror, LocalBulletStub(bullet),
-                           small_testbed(), max_directories=16)
+                           small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     return dirs, bullet, disks
@@ -48,8 +48,7 @@ def test_directory_survives_primary_disk_failure(env, mirrored_dirs):
     # Reboot purely from the survivor.
     dirs.crash()
     reborn = DirectoryServer(env, dirs.disk, LocalBulletStub(bullet),
-                             small_testbed(), name="directory",
-                             max_directories=16)
+                             small_testbed(), name="directory")
     env.run(until=env.process(reborn.boot()))
     assert run_process(env, reborn.list_names(root)) == ["f", "g"]
 
@@ -58,8 +57,7 @@ def test_single_disk_still_supported(env):
     """The plain-VirtualDisk form keeps working unchanged."""
     bullet = make_bullet(env)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), small_testbed(),
-                           max_directories=8)
+                           LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     root = run_process(env, dirs.create_directory())

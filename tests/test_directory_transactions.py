@@ -18,8 +18,7 @@ from conftest import SMALL_DISK, make_bullet, small_testbed
 def world(env):
     bullet = make_bullet(env)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), small_testbed(),
-                           max_directories=16)
+                           LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     return bullet, dirs
@@ -110,7 +109,7 @@ def test_update_many_over_rpc(env):
     bullet = make_bullet(env, transport=rpc)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet), small_testbed(),
-                           transport=rpc, max_directories=8)
+                           transport=rpc)
     dirs.format()
     run_process(env, dirs.boot())
     names = DirectoryClient(env, rpc, default_port=dirs.port)

@@ -232,11 +232,11 @@ def test_stats_accumulate():
         yield disk.read(0, 2)
 
     run_process(env, proc())
-    assert disk.stats.writes == 1
-    assert disk.stats.reads == 1
-    assert disk.stats.blocks_written == 2
-    assert disk.stats.blocks_read == 2
-    assert disk.stats.busy_time > 0
+    assert disk.stats.writes.value == 1
+    assert disk.stats.reads.value == 1
+    assert disk.stats.blocks_written.value == 2
+    assert disk.stats.blocks_read.value == 2
+    assert disk.stats.busy_time.value > 0
 
 
 def test_raw_plane_is_free_and_instant():
@@ -245,7 +245,7 @@ def test_raw_plane_is_free_and_instant():
     disk.write_raw(5, b"raw data")
     assert disk.read_raw(5, 1)[:8] == b"raw data"
     assert env.now == 0.0
-    assert disk.stats.writes == 0
+    assert disk.stats.writes.value == 0
 
 
 def test_sparse_storage():

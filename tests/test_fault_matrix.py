@@ -258,12 +258,12 @@ def test_directory_lookup_retries_through_partition(seed):
     bullet = make_bullet(env, transport=rpc)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet), small_testbed(),
-                           transport=rpc, max_directories=8)
+                           transport=rpc)
     dirs.format()
     run_process(env, dirs.boot())
     names = DirectoryClient(
         env, rpc, default_port=dirs.port, timeout=0.5, retry=RETRY,
-        retry_stream=SeededStream(seed, "dir-retry"), tracer=tracer,
+        retry_stream=SeededStream(seed, "dir-retry"),
     )
     root = run_process(env, names.create_directory())
     file_cap = run_process(env, bullet.create(b"named bytes", 1))
@@ -295,7 +295,7 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     online compaction pass — all at once. The lock plane must keep
     every read intact (failover absorbs the media errors), compaction
     must survive mid-move replica errors by skipping, and the
-    reboot-and-checksum audit must find zero quarantined inodes."""
+    reboot-and-checksum audit must find a consistent volume."""
     from repro.core import compact_disk
 
     world = World(seed, workers=4)
@@ -347,11 +347,11 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     assert ctrl.firings, "the flaky window never opened"
     bullet.disk_free.check_invariants()
 
-    # Reboot purely from disk: zero quarantined inodes, every byte back.
+    # Reboot purely from disk: a consistent volume (the scan raises on
+    # any bad inode), every byte back.
     bullet.crash()
     reborn = BulletServer(env, bullet.mirror, bullet.testbed, name="bullet")
-    report = env.run(until=env.process(reborn.boot()))
-    assert report.quarantined == []
+    env.run(until=env.process(reborn.boot()))
     for cap, payload in world.expected.items():
         assert run_process(env, reborn.read(cap)) == payload
     reborn.disk_free.check_invariants()

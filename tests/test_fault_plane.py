@@ -67,7 +67,7 @@ def test_plan_rejects_bad_ranges():
     with pytest.raises(BadRequestError, match="writes"):
         FaultPlan().disk_fail_after_writes("d0", writes=0)
     with pytest.raises(BadRequestError, match="factor"):
-        FaultPlan().disk_degrade("d0", at=0.0, factor=0.5)
+        FaultPlan().disk_degrade("d0", at=0.0, factor=0.5, duration=1.0)
     with pytest.raises(BadRequestError, match="probability"):
         FaultPlan().net_loss(at=0.0, duration=1.0, probability=1.5)
     with pytest.raises(BadRequestError, match="duration"):
@@ -92,9 +92,8 @@ def test_controller_rejects_unattached_target(env):
 
 def test_controller_rejects_role_mismatch(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d0")
-    ctrl = FaultController(env, FaultPlan().net_partition(at=1.0, duration=1.0,
-                                                         target="d0"))
-    ctrl.attach_disk("d0", disk)
+    ctrl = FaultController(env, FaultPlan().net_partition(at=1.0, duration=1.0))
+    ctrl.attach_disk("net", disk)
     with pytest.raises(BadRequestError, match="needs a net target"):
         ctrl.start()
 
@@ -244,7 +243,7 @@ def test_fail_after_writes_fires_exactly_at_nth_write(env):
         ("ok", 2, True),
         ("fail", 3, True),
     ]
-    assert disk.stats.writes == 3
+    assert disk.stats.writes.value == 3
 
 
 def test_fail_after_writes_ignores_reads(env):
@@ -260,7 +259,7 @@ def test_fail_after_writes_ignores_reads(env):
 
     env.run(until=env.process(worker()))
     assert disk.failed
-    assert disk.stats.reads == 2
+    assert disk.stats.reads.value == 2
 
 
 def test_fail_after_writes_rejects_nonpositive_count(env):

@@ -5,7 +5,7 @@ import pytest
 from repro.client import BulletClient, DirectoryClient, LocalBulletStub
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
-from repro.errors import NotADirectoryError_, NotFoundError, ServerDownError
+from repro.errors import BadRequestError, NotFoundError, ServerDownError
 from repro.net import (
     Ethernet,
     RpcRequest,
@@ -189,8 +189,9 @@ def test_walk_dir_ports_guard(env):
     root = run_process(env, client.create_directory())
     file_cap = run_process(env, bullet_client.create(b"not a dir", 1))
     run_process(env, client.append(root, "f", file_cap))
-    with pytest.raises(NotADirectoryError_):
-        run_process(env, client.walk(root, "f/deeper", dir_ports={dirs_a.port}))
+    # Descending through a file: its server refuses the directory opcode.
+    with pytest.raises(BadRequestError):
+        run_process(env, client.walk(root, "f/deeper"))
 
 
 def test_directory_client_full_surface(env):

@@ -18,8 +18,7 @@ def make_world(env, max_lives=3):
     testbed = small_testbed(max_lives=max_lives)
     bullet = make_bullet(env, testbed=testbed)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), testbed,
-                           max_directories=16)
+                           LocalBulletStub(bullet), testbed)
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     return bullet, dirs

@@ -86,7 +86,7 @@ def test_render_layout_truncates_long_listings(env):
     for i in range(40):
         start = freelist.allocate(2)
         table.allocate(secret=i + 1, start_block=start, size=1024)
-    art = render_layout(table, freelist, max_rows=10)
+    art = render_layout(table, freelist)
     assert "more inodes" in art
     assert "more segments" in art
 

@@ -37,14 +37,12 @@ def hold(env, table, log, name, key, mode, work):
 def test_uncontended_grants_cost_zero_time(env, table):
     def one():
         started = env.now
-        grant = table.acquire_write(7)
-        yield grant
-        assert env.now == started
-        table.release(grant)
-        grant = table.acquire_read(7)
-        yield grant
-        assert env.now == started
-        table.release(grant)
+        with table.writing(7) as lock:
+            yield lock.grant
+            assert env.now == started
+        with table.reading(7) as lock:
+            yield lock.grant
+            assert env.now == started
 
     run_process(env, one())
     # Idle keys are reclaimed: the table does not grow with every file
@@ -147,28 +145,48 @@ def test_interrupt_while_queued_cancels_the_waiter(env, table):
 
 def test_release_is_idempotent_and_strict(env, table):
     def scenario():
-        grant = table.acquire_write(1)
-        yield grant
-        table.release(grant)
-        table.release(grant)  # second release of the same grant: no-op
+        with table.writing(1) as lock:
+            grant = yield lock.grant
+            table.release(grant)
+            table.release(grant)  # second release of the same grant: no-op
+        # ... and the scope's own release on exit is a third.
 
     run_process(env, scenario())
+    assert table.held_keys() == []
     # Releasing a grant the table never issued for a held key is a bug.
+    other = FileLockTable(env)
+
     def bogus():
-        grant = table.acquire_write(2)
-        yield grant
-        other = FileLockTable(env)
-        foreign = other.acquire_write(2)
-        yield foreign
-        with pytest.raises(ConsistencyError):
-            table.release(foreign)
-        table.release(grant)
-        other.release(foreign)
+        with table.writing(2) as lock, other.writing(2) as foreign:
+            yield lock.grant
+            yield foreign.grant
+            with pytest.raises(ConsistencyError):
+                table.release(foreign.grant)
 
     run_process(env, bogus())
+    assert table.held_keys() == []
 
 
 # ------------------------------------------------------------ LockScope
+
+def test_a_scope_that_is_never_entered_takes_nothing(env, table):
+    """The grant is requested on ``with`` entry, not when the scope is
+    built: a scope that is built and dropped holds nothing and queues
+    nothing, free or contended."""
+    table.writing(3)
+    table.reading(3)
+    assert table.held_keys() == [] and table.waiters(3) == 0
+
+    def holder():
+        with table.writing(3) as lock:
+            yield lock.grant
+            table.reading(3)
+            table.writing(3)
+            assert table.held_keys() == [3] and table.waiters(3) == 0
+
+    run_process(env, holder())
+    assert table.held_keys() == [] and table.waiters(3) == 0
+    table.check_invariants()
 
 def test_scope_releases_when_the_block_raises(env, table):
     def failing():

@@ -6,14 +6,15 @@ from repro.capability import Capability, RIGHT_CREATE, RIGHT_READ, restrict
 from repro.disk import VirtualDisk
 from repro.errors import BadRequestError, NotFoundError, RightsError
 from repro.logsvc import LogServer
+from repro.logsvc.server import MAX_LOGS
 from repro.sim import Environment, run_process
 
 from conftest import SMALL_DISK, small_testbed
 
 
-def make_log_server(env, name="logsvc", max_logs=8):
-    disk = VirtualDisk(env, SMALL_DISK, name=f"{name}-disk")
-    server = LogServer(env, disk, small_testbed(), name=name, max_logs=max_logs)
+def make_log_server(env):
+    disk = VirtualDisk(env, SMALL_DISK, name="logsvc-disk")
+    server = LogServer(env, disk, small_testbed())
     server.format()
     env.run(until=env.process(server.boot()))
     return server
@@ -98,7 +99,7 @@ def test_log_survives_reboot(env):
     records = [f"persistent {i}".encode() for i in range(40)]
     for record in records:
         run_process(env, logs.append(cap, record))
-    reborn = LogServer(env, logs.disk, small_testbed(), name="logsvc")
+    reborn = LogServer(env, logs.disk, small_testbed())
     count = env.run(until=env.process(reborn.boot()))
     assert count == 1
     cap2 = Capability(port=reborn.port, object=cap.object,
@@ -119,8 +120,8 @@ def test_multiple_logs_isolated(env):
 
 
 def test_log_table_exhaustion(env):
-    logs = make_log_server(env, max_logs=2)
-    run_process(env, logs.create_log())
-    run_process(env, logs.create_log())
+    logs = make_log_server(env)
+    for _ in range(MAX_LOGS):
+        run_process(env, logs.create_log())
     with pytest.raises(BadRequestError):
         run_process(env, logs.create_log())

@@ -55,7 +55,7 @@ def test_lossy_send_reports_delivery():
 
     outcomes = run_process(env, proc())
     assert any(outcomes) and not all(outcomes)
-    assert eth.stats.lost_packets > 0
+    assert eth.stats.lost_packets.value > 0
 
 
 def test_rpc_succeeds_despite_loss():
@@ -75,7 +75,7 @@ def test_rpc_succeeds_despite_loss():
     replies = run_process(env, client())
     assert replies == [bytes([i]) for i in range(20)]
     # Losses definitely happened; retransmissions recovered them.
-    assert eth.stats.lost_packets > 0
+    assert eth.stats.lost_packets.value > 0
     assert rpc.metrics.value("repro_rpc_retransmits_total") > 0
 
 
@@ -144,9 +144,9 @@ def test_bullet_ops_end_to_end_on_lossy_network():
         return caps
 
     caps = run_process(env, scenario())
-    assert bullet.stats.creates == 20
+    assert bullet.stats.creates.value == 20
     assert bullet.table.live_count == 20
-    assert eth.stats.lost_packets > 0
+    assert eth.stats.lost_packets.value > 0
 
 
 def test_selective_retransmission_of_large_messages():
@@ -169,8 +169,8 @@ def test_selective_retransmission_of_large_messages():
     # Bytes on the wire stay near 2x the payload (request + echoed
     # reply) plus the retransmitted tail — nowhere near the dozens of
     # full copies a whole-message scheme would need.
-    assert eth.stats.payload_bytes < 3.0 * len(body)
-    assert eth.stats.lost_packets > 0
+    assert eth.stats.payload_bytes.value < 3.0 * len(body)
+    assert eth.stats.lost_packets.value > 0
 
 
 def test_reply_loss_recovered_by_probe():
@@ -200,6 +200,6 @@ def test_loss_is_deterministic():
                 yield env.process(rpc.trans(100, RpcRequest(opcode=1)))
             return env.now
 
-        return run_process(env, client()), eth.stats.lost_packets
+        return run_process(env, client()), eth.stats.lost_packets.value
 
     assert run_once() == run_once()

@@ -37,8 +37,7 @@ def test_directory_matches_dict_model(script):
     env = Environment()
     bullet = make_bullet(env, testbed=small_testbed(inode_count=2048))
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), small_testbed(),
-                           max_directories=8)
+                           LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     root = run_process(env, dirs.create_directory())
@@ -84,8 +83,7 @@ def test_directory_matches_dict_model(script):
     # Reboot the directory server: the model must survive exactly.
     dirs.crash()
     reborn = DirectoryServer(env, dirs.disk, LocalBulletStub(bullet),
-                             small_testbed(), name="directory",
-                             max_directories=8)
+                             small_testbed(), name="directory")
     env.run(until=env.process(reborn.boot()))
     assert run_process(env, reborn.list_names(root)) == model.names()
     for name in model.names():
@@ -116,7 +114,7 @@ def test_ffs_file_matches_bytearray_model(script):
     env = Environment()
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 256 * KB, 8192)
-    fs = FFS(env, disk, cache, ninodes=16)
+    fs = FFS(env, disk, cache, 16)
     fs.format()
     run_process(env, fs.mount())
     inum, _ = run_process(env, fs.alloc_inode(MODE_FILE))
@@ -139,7 +137,7 @@ def test_ffs_file_matches_bytearray_model(script):
     assert inode.size == len(model)
     assert run_process(env, fs.read(inum, 0, len(model) + 1)) == bytes(model)
     run_process(env, cache.sync())
-    fs2 = FFS(env, disk, BufferCache(env, disk, 256 * KB, 8192), ninodes=16)
+    fs2 = FFS(env, disk, BufferCache(env, disk, 256 * KB, 8192), 16)
     run_process(env, fs2.mount())
     assert run_process(env, fs2.read(inum, 0, len(model) + 1)) == bytes(model)
 
@@ -151,7 +149,7 @@ def test_ffs_double_indirect_file(env):
     write at a high offset into a sparse file."""
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 512 * KB, 8192)
-    fs = FFS(env, disk, cache, ninodes=16)
+    fs = FFS(env, disk, cache, 16)
     fs.format()
     run_process(env, fs.mount())
     inum, _ = run_process(env, fs.alloc_inode(MODE_FILE))

@@ -240,8 +240,7 @@ class TestLockTableInvariants:
 
     def test_held_count_drift_is_caught(self, env):
         table = FileLockTable(env)
-        grant = table.acquire_read(3)
-        env.run(until=grant)
+        env.run(until=table.reading(3).__enter__().grant)
         table.check_invariants()
         table._held_count += 1  # simulate accounting drift
         with pytest.raises(ConsistencyError):

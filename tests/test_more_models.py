@@ -1,5 +1,7 @@
 """Model-based tests for the log server and the UNIX emulation."""
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,7 @@ def test_log_server_matches_list_model(script):
     must always equal the reference list (append-only durability)."""
     env = Environment()
     disk = VirtualDisk(env, SMALL_DISK, name="logd")
-    logs = LogServer(env, disk, small_testbed(), max_logs=4)
+    logs = LogServer(env, disk, small_testbed())
     logs.format()
     env.run(until=env.process(logs.boot()))
     cap = run_process(env, logs.create_log())
@@ -52,7 +54,7 @@ def test_log_server_matches_list_model(script):
             got = run_process(env, logs.read(cap, from_seq=start))
             assert got == model[start:]
         else:  # reboot
-            logs = LogServer(env, disk, small_testbed(), name="logsvc")
+            logs = LogServer(env, disk, small_testbed())
             env.run(until=env.process(logs.boot()))
             cap = Capability(port=logs.port, object=cap.object,
                              rights=cap.rights, check=cap.check)
@@ -83,8 +85,7 @@ def test_unixemu_fd_matches_bytearray_model(script):
     env = Environment()
     bullet = make_bullet(env, testbed=small_testbed(inode_count=2048))
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
-                           LocalBulletStub(bullet), small_testbed(),
-                           max_directories=8)
+                           LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     root = run_process(env, dirs.create_directory())
@@ -104,7 +105,7 @@ def test_unixemu_fd_matches_bytearray_model(script):
                 offset = end
             elif op == "lseek":
                 offset = arg
-                yield from unix.lseek(fd, arg)
+                yield from unix.lseek(fd, arg, os.SEEK_SET)
             elif op == "truncate":
                 length = arg % (len(model) + 1)
                 yield from unix.ftruncate(fd, length)

@@ -42,8 +42,7 @@ def make_dir_server(env, bullet=None, name="directory"):
     bullet = bullet or make_bullet(env)
     disk = VirtualDisk(env, SMALL_DISK, name=f"{name}-disk")
     server = DirectoryServer(env, disk, LocalBulletStub(bullet),
-                             small_testbed(), name=name,
-                             max_directories=32)
+                             small_testbed(), name=name)
     server.format()
     env.run(until=env.process(server.boot()))
     return server, bullet
@@ -238,8 +237,8 @@ def test_check_always_never_serves_stale(env):
         call(env, writer.client.delete(owner))  # dispose old version
         owner = new_owner
         assert call(env, reader.read("doc")) == data
-    assert reader.stats.stale == 4
-    assert reader.stats.revalidations == 4
+    assert reader.stats.stale.value == 4
+    assert reader.stats.revalidations.value == 4
 
 
 def test_session_policy_serves_cached_version_without_traffic(env):
@@ -254,11 +253,11 @@ def test_session_policy_serves_cached_version_without_traffic(env):
                           CurrencyPolicy.session(), "reader")
     call(env, writer.publish("doc", b"doc v0"))
     assert call(env, reader.read("doc")) == b"doc v0"
-    rpcs_after_bind = reader.stats.dir_rpcs
+    rpcs_after_bind = reader.stats.dir_rpcs.value
     call(env, writer.publish("doc", b"doc v1"))
     assert call(env, reader.read("doc")) == b"doc v0"   # stale, by design
-    assert reader.stats.dir_rpcs == rpcs_after_bind     # and free
-    assert reader.stats.checks == 0
+    assert reader.stats.dir_rpcs.value == rpcs_after_bind     # and free
+    assert reader.stats.checks.value == 0
 
 
 def test_after_policy_checks_once_interval_elapses(env):
@@ -272,11 +271,11 @@ def test_after_policy_checks_once_interval_elapses(env):
     assert call(env, reader.read("doc")) == b"doc v0"
     call(env, writer.publish("doc", b"doc v1"))
     assert call(env, reader.read("doc")) == b"doc v0"   # within T: no check
-    assert reader.stats.checks == 0
+    assert reader.stats.checks.value == 0
     advance(env, 10.0)
     assert call(env, reader.read("doc")) == b"doc v1"   # T elapsed: check
-    assert reader.stats.checks == 1
-    assert reader.stats.stale == 1
+    assert reader.stats.checks.value == 1
+    assert reader.stats.stale.value == 1
 
 
 def test_vanished_file_forces_recovery_under_session_policy(env):
@@ -296,8 +295,8 @@ def test_vanished_file_forces_recovery_under_session_policy(env):
     call(env, writer.publish("doc", b"doc v1 " + b"x" * 64))
     call(env, writer.client.delete(v1))
     assert call(env, reader.read("doc")).startswith(b"doc v1")
-    assert reader.stats.stale == 1
-    assert reader.stats.revalidations == 1
+    assert reader.stats.stale.value == 1
+    assert reader.stats.revalidations.value == 1
 
 
 def test_vanished_file_recovers_on_size_under_an_open_handle(env):
@@ -314,7 +313,7 @@ def test_vanished_file_recovers_on_size_under_an_open_handle(env):
     call(env, writer.publish("doc", b"version one"))
     call(env, writer.client.delete(v1))
     assert call(env, handle.size()) == len(b"version one")
-    assert reader.stats.revalidations == 1
+    assert reader.stats.revalidations.value == 1
 
 
 def test_coherence_counters_scripted(env):
@@ -329,14 +328,14 @@ def test_coherence_counters_scripted(env):
     call(env, reader.read("doc"))                   # check: current
     call(env, writer.publish("doc", b"doc v1"))
     call(env, reader.read("doc"))                   # check: stale, refetch
-    assert reader.stats.opens == 3
-    assert reader.stats.binds == 1
-    assert reader.stats.checks == 2
-    assert reader.stats.stale == 1
-    assert reader.stats.revalidations == 1
+    assert reader.stats.opens.value == 3
+    assert reader.stats.binds.value == 1
+    assert reader.stats.checks.value == 2
+    assert reader.stats.stale.value == 1
+    assert reader.stats.revalidations.value == 1
     # One RPC per bind or check: the directory is the only coherence
     # traffic, and the file server saw none of it.
-    assert reader.stats.dir_rpcs == 3
+    assert reader.stats.dir_rpcs.value == 3
 
 
 def test_open_handle_and_forget(env):
@@ -350,9 +349,9 @@ def test_open_handle_and_forget(env):
     assert call(env, handle.read()) == b"handle bytes"
     assert call(env, handle.size()) == len(b"handle bytes")
     session.forget("doc")
-    binds = session.stats.binds
+    binds = session.stats.binds.value
     call(env, session.read("doc"))
-    assert session.stats.binds == binds + 1
+    assert session.stats.binds.value == binds + 1
 
 
 def test_missing_name_raises(env):

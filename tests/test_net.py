@@ -143,8 +143,8 @@ def test_stats_count_packets():
         yield env.process(eth.send_message(3 * PROFILE.max_payload))
 
     run_process(env, proc())
-    assert eth.stats.packets == 3
-    assert eth.stats.payload_bytes == 3 * PROFILE.max_payload
+    assert eth.stats.packets.value == 3
+    assert eth.stats.payload_bytes.value == 3 * PROFILE.max_payload
 
 
 # ------------------------------------------------------------------ rpc
@@ -386,7 +386,7 @@ def test_background_traffic_alone_respects_run_deadline():
         eth, _ = make_net(env, background=True)
         env.run(until=0.25)
         env.run(until=0.6)  # resuming past a stop must stay seamless
-        return (env.now, eth.stats.background_packets, eth.stats.wire_time)
+        return (env.now, eth.stats.background_packets.value, eth.stats.wire_time.value)
 
     assert totals(Environment()) == totals(reference_env())
 
@@ -449,8 +449,8 @@ def _tie_profile(overhead=0.25, background=0.0, steady_loss=0.0):
 
 def _snapshot(eth):
     stats = eth.stats
-    return (stats.packets, stats.payload_bytes, stats.wire_time,
-            stats.background_packets, stats.lost_packets,
+    return (stats.packets.value, stats.payload_bytes.value, stats.wire_time.value,
+            stats.background_packets.value, stats.lost_packets.value,
             eth.medium_queue_length, eth.idle)
 
 
@@ -700,7 +700,7 @@ def test_the_ledger_itself_schedules_nothing(size, background):
     env = Environment()
     eth, _ = make_net(env, background=background, seed=1989)
     assert _events_to_send(env, eth, [size]) <= 2
-    assert eth.stats.packets == eth.packets_for(size)
+    assert eth.stats.packets.value == eth.packets_for(size)
 
 
 class _NullService(RpcService):
@@ -761,7 +761,7 @@ def test_run_without_until_ends_when_the_ledger_is_empty():
     procs = [env.process(eth.send_fragments(size)) for size in (1, 8 * KB)]
     env.run()  # the guard is +inf in the end: no spinning on it
     assert not any(proc.is_alive for proc in procs) and eth.idle
-    assert eth.stats.packets == 1 + eth.packets_for(8 * KB)
+    assert eth.stats.packets.value == 1 + eth.packets_for(8 * KB)
     assert env.now >= eth.message_cost_lower_bound(8 * KB)
 
 
@@ -778,8 +778,8 @@ def test_two_segments_on_one_environment_interleave_in_creation_order(
     # timeout first. The kernel has to merge the two ledgers step by
     # step in (when, seq) order, not source by source.
     def both(env):
-        b = Ethernet(env, _tie_profile(overhead=0.375), name="b")
-        a = Ethernet(env, _tie_profile(overhead=0.25), name="a")
+        b = Ethernet(env, _tie_profile(overhead=0.375))
+        a = Ethernet(env, _tie_profile(overhead=0.25))
         log = []
 
         def sender(tag, eth, nbytes):

@@ -38,7 +38,7 @@ from conftest import SMALL_DISK, small_testbed
 def make_fs(env, cache_bytes=512 * KB, fs_block=8192):
     disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
     cache = BufferCache(env, disk, cache_bytes, fs_block)
-    fs = FFS(env, disk, cache, fs_block_size=fs_block, ninodes=128)
+    fs = FFS(env, disk, cache, 128, fs_block_size=fs_block)
     fs.format()
     run_process(env, fs.mount())
     return fs, cache, disk
@@ -53,10 +53,10 @@ def make_server(env, churn=False, testbed=None, transport=None):
     return server
 
 
-def make_rpc_server(env):
+def make_rpc_server(env, testbed=None):
     """A server behind the full network path; returns (rpc, server)."""
     rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
-    return rpc, make_server(env, transport=rpc)
+    return rpc, make_server(env, testbed=testbed, transport=rpc)
 
 
 def nfs_testbed(**nfs_overrides):
@@ -73,11 +73,11 @@ def test_cache_read_miss_then_hit(env):
     cache = BufferCache(env, disk, 64 * KB, 8192)
     data1 = run_process(env, cache.read_block(1))
     assert data1[:13] == b"cached block!"
-    assert cache.stats.misses == 1
+    assert cache.stats.misses.value == 1
     t_before = env.now
     data2 = run_process(env, cache.read_block(1))
     assert data2 == data1
-    assert cache.stats.hits == 1
+    assert cache.stats.hits.value == 1
     assert env.now == t_before  # hit costs no disk time
 
 
@@ -104,7 +104,7 @@ def test_cache_lru_eviction(env):
         run_process(env, cache.read_block(fbn))
     assert not cache.contains(0)
     assert cache.contains(2)
-    assert cache.stats.evictions == 1
+    assert cache.stats.evictions.value == 1
 
 
 def test_cache_rejects_misaligned_block_size(env):
@@ -121,7 +121,7 @@ def test_cache_churn_evicts_deterministically(env):
     stream = SeededStream(11, "churn")
     env.process(cache.churn_process(stream, churn_per_second=50.0))
     env.run(until=env.now + 1.0)
-    assert cache.stats.churned > 10
+    assert cache.stats.churned.value > 10
     assert cache.cached_blocks < 32
 
 
@@ -222,7 +222,7 @@ def test_ffs_cylinder_groups_scatter_large_files(env):
     inode = run_process(env, fs.inode_read(inum))
 
     def group_of(fbn):
-        per_group = fs.sb.data_blocks // fs.cg_count
+        per_group = fs.sb.data_blocks // fs.sb.cg_count
         return (fbn - fs.sb.data_start) // per_group
 
     groups = set()
@@ -248,7 +248,7 @@ def test_ffs_remove_frees_everything(env):
 def test_ffs_inode_exhaustion(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 256 * KB, 8192)
-    fs = FFS(env, disk, cache, ninodes=4)
+    fs = FFS(env, disk, cache, 4)
     fs.format()
     run_process(env, fs.mount())
     for _ in range(2):  # inodes 2, 3 (0 reserved, 1 root)
@@ -272,7 +272,7 @@ def test_ffs_dir_operations(env):
 def test_ffs_persistence_across_remount(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 256 * KB, 8192)
-    fs = FFS(env, disk, cache)
+    fs = FFS(env, disk, cache, 1024)
     fs.format()
     run_process(env, fs.mount())
     inum, _ = run_process(env, fs.alloc_inode(MODE_FILE))
@@ -281,7 +281,7 @@ def test_ffs_persistence_across_remount(env):
     run_process(env, cache.sync())
     # Fresh cache + FFS over the same disk.
     cache2 = BufferCache(env, disk, 256 * KB, 8192)
-    fs2 = FFS(env, disk, cache2)
+    fs2 = FFS(env, disk, cache2, 1024)
     run_process(env, fs2.mount())
     assert run_process(env, fs2.dir_lookup(ROOT_INUM, "f")) == inum
     assert run_process(env, fs2.read(inum, 0, 100)) == b"survives remount"
@@ -340,7 +340,7 @@ def test_nfs_write_is_synchronous(env):
     fh = run_process(env, server.create(server.root_handle, "durable"))
     run_process(env, server.write(fh, 0, b"stable storage"))
     # Blow away the cache entirely and reread through a fresh server.
-    server2 = NfsServer(env, server.disk, small_testbed(), name="nfs2")
+    server2 = NfsServer(env, server.disk, small_testbed())
     run_process(env, server2.boot())
     fh2 = run_process(env, server2.lookup(server2.root_handle, "durable"))
     assert run_process(env, server2.read(fh2, 0, 8192)) == b"stable storage"
@@ -417,8 +417,9 @@ def test_every_procedure_charges_the_server_overhead_once(procedure):
 
 
 def make_client(env, testbed=None):
-    server = make_server(env)
-    client = NfsClient(env, testbed or small_testbed(), server=server)
+    rpc, server = make_rpc_server(env)
+    client = NfsClient(env, testbed or small_testbed(), rpc=rpc,
+                       server_port=server.port)
     return client, server
 
 

@@ -5,18 +5,27 @@ import pytest
 
 from repro.nfs import NfsClient, NfsServer
 from repro.disk import VirtualDisk
+from repro.net import Ethernet, RpcTransport
+from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, run_process
 from repro.units import KB
 
 from conftest import SMALL_DISK, small_testbed
 
 
-def make_pair(env, caching=True):
+def make_server(env):
+    """An NFS server behind the network; returns (rpc, server)."""
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
     disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
-    server = NfsServer(env, disk, small_testbed())
+    server = NfsServer(env, disk, small_testbed(), transport=rpc)
     server.format()
     run_process(env, server.boot())
-    client = NfsClient(env, small_testbed(), server=server,
+    return rpc, server
+
+
+def make_pair(env, caching=True):
+    rpc, server = make_server(env)
+    client = NfsClient(env, small_testbed(), rpc=rpc, server_port=server.port,
                        client_caching=caching)
     return client, server
 
@@ -106,13 +115,11 @@ def test_stale_window_then_revalidation(env):
     attribute cache times out — NFS's weak consistency, which immutable
     files never suffer."""
     env_local = env
-    disk = VirtualDisk(env_local, SMALL_DISK, name="nfsdisk")
-    server = NfsServer(env_local, disk, small_testbed())
-    server.format()
-    run_process(env_local, server.boot())
-    reader = NfsClient(env_local, small_testbed(), server=server,
-                       client_caching=True)
-    writer = NfsClient(env_local, small_testbed(), server=server)
+    rpc, server = make_server(env_local)
+    reader = NfsClient(env_local, small_testbed(), rpc=rpc,
+                       server_port=server.port, client_caching=True)
+    writer = NfsClient(env_local, small_testbed(), rpc=rpc,
+                       server_port=server.port)
 
     write_file(env_local, writer, "/shared", b"version one....")
     assert read_file(env_local, reader, "/shared", 64) == b"version one...."

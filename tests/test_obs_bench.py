@@ -34,14 +34,14 @@ def test_cache_is_the_single_counting_authority(env, bullet):
     cache, so a request can never be counted twice."""
     stats = bullet.cache.stats
     cap = run_process(env, bullet.create(b"x" * 1024, 1))
-    assert stats.lookups == 0  # create inserts; it does not probe
+    assert stats.lookups.value == 0  # create inserts; it does not probe
     run_process(env, bullet.read(cap))
-    assert (stats.lookups, stats.hits, stats.misses) == (1, 1, 0)
+    assert (stats.lookups.value, stats.hits.value, stats.misses.value) == (1, 1, 0)
     bullet.evict(cap.object)
     run_process(env, bullet.read(cap))
-    assert (stats.lookups, stats.hits, stats.misses) == (2, 1, 1)
+    assert (stats.lookups.value, stats.hits.value, stats.misses.value) == (2, 1, 1)
     run_process(env, bullet.read(cap))
-    assert (stats.lookups, stats.hits, stats.misses) == (3, 2, 1)
+    assert (stats.lookups.value, stats.hits.value, stats.misses.value) == (3, 2, 1)
 
 
 def test_conservation_and_status_hit_rate_match_registry(env, bullet):
@@ -59,7 +59,7 @@ def test_conservation_and_status_hit_rate_match_registry(env, bullet):
     hits = reg.value("repro_cache_hits_total", cache="bullet")
     misses = reg.value("repro_cache_misses_total", cache="bullet")
     assert hits + misses == lookups
-    assert lookups == bullet.cache.stats.lookups
+    assert lookups == bullet.cache.stats.lookups.value
     status = bullet.status()
     assert status["cache_hit_rate"] == pytest.approx(hits / (hits + misses))
     # std_status reads the very same registry counters.
@@ -72,12 +72,12 @@ def test_conservation_and_status_hit_rate_match_registry(env, bullet):
 
 def test_modify_accounts_bytes(env, bullet):
     cap = run_process(env, bullet.create(b"hello world", 1))
-    assert bullet.stats.bytes_modified == 0
+    assert bullet.stats.bytes_modified.value == 0
     run_process(env, bullet.modify(cap, 6, 5, b"obs", 1))
     # New file is "hello obs" (9 bytes); MODIFY now accounts it.
-    assert bullet.stats.bytes_modified == 9
+    assert bullet.stats.bytes_modified.value == 9
     # Conservation: the derived file's bytes also flow through CREATE.
-    assert bullet.stats.bytes_created == 11 + 9
+    assert bullet.stats.bytes_created.value == 11 + 9
 
 
 # ------------------------------------------------------ error chokepoint
@@ -110,7 +110,7 @@ def test_error_replies_route_through_one_chokepoint(env, rpc_rig):
                      server="bullet", status="BAD_REQUEST") == 1
     # The per-status family and the scalar errors counter agree.
     assert reg.total("repro_server_error_replies_total") == 2
-    assert bullet.stats.errors == 2
+    assert bullet.stats.errors.value == 2
 
 
 def test_nfs_errors_are_counted(env):

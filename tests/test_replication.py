@@ -25,7 +25,7 @@ def twin_world(env):
     bullet_b = make_bullet(env, transport=rpc, name="bullet-b")
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet_a), small_testbed(),
-                           transport=rpc, max_directories=8)
+                           transport=rpc)
     dirs.format()
     run_process(env, dirs.boot())
     return rpc, bullet_a, bullet_b, dirs

@@ -36,8 +36,7 @@ def test_directory_rpc_plane(env, network):
     bullet = make_bullet(env, transport=network)
     dir_disk = VirtualDisk(env, SMALL_DISK, name="dirdisk")
     dirs = DirectoryServer(env, dir_disk, LocalBulletStub(bullet),
-                           small_testbed(), transport=network,
-                           max_directories=16)
+                           small_testbed(), transport=network)
     dirs.format()
     run_process(env, dirs.boot())
     bullet_client = BulletClient(env, network, bullet.port)
@@ -71,8 +70,7 @@ def test_directory_rpc_path_and_history(env, network):
     bullet = make_bullet(env, transport=network)
     dir_disk = VirtualDisk(env, SMALL_DISK, name="dirdisk")
     dirs = DirectoryServer(env, dir_disk, LocalBulletStub(bullet),
-                           small_testbed(), transport=network,
-                           max_directories=16)
+                           small_testbed(), transport=network)
     dirs.format()
     run_process(env, dirs.boot())
     bullet_client = BulletClient(env, network, bullet.port)
@@ -128,7 +126,7 @@ def test_three_servers_share_one_network(env, network):
     bullet = make_bullet(env, transport=network)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet), small_testbed(),
-                           transport=network, max_directories=8)
+                           transport=network)
     dirs.format()
     run_process(env, dirs.boot())
     logs = LogServer(env, VirtualDisk(env, SMALL_DISK, name="ld"),

@@ -34,13 +34,11 @@ class Site:
         self.directory = DirectoryServer(
             env, VirtualDisk(env, SMALL_DISK, name="dd"),
             LocalBulletStub(self.bullet), testbed, transport=self.rpc,
-            max_directories=8, tracer=self.tracer)
+            tracer=self.tracer)
         self.nfs = NfsServer(env, VirtualDisk(env, SMALL_DISK, name="nd"),
-                             testbed, transport=self.rpc, ninodes=64,
-                             tracer=self.tracer)
+                             testbed, transport=self.rpc, tracer=self.tracer)
         self.logsvc = LogServer(env, VirtualDisk(env, SMALL_DISK, name="ld"),
-                                testbed, transport=self.rpc,
-                                tracer=self.tracer)
+                                testbed, transport=self.rpc)
         for server in (self.directory, self.nfs, self.logsvc):
             server.format()
             run_process(env, server.boot())

@@ -38,20 +38,15 @@ def _ab_ba_deadlock():
     messages = []
 
     def worker(first, second):
-        g1 = table.acquire_write(first)
         try:
-            yield g1
-            yield env.timeout(1)
-            g2 = table.acquire_write(second)
-            try:
-                yield g2
-            finally:
-                table.release(g2)
+            with table.writing(first) as held:
+                yield held.grant
+                yield env.timeout(1)
+                with table.writing(second) as wanted:
+                    yield wanted.grant
         except DeadlockError as exc:
             messages.append(str(exc))
             raise
-        finally:
-            table.release(g1)
 
     env.process(worker(1, 2))
     env.process(worker(2, 1))
@@ -80,13 +75,10 @@ def test_self_deadlock_reacquiring_held_key(env):
     table = FileLockTable(env)
 
     def worker():
-        grant = table.acquire_write(5)
-        try:
-            yield grant
-            second = table.acquire_write(5)
-            yield second
-        finally:
-            table.release(grant)
+        with table.writing(5) as lock:
+            yield lock.grant
+            with table.writing(5) as again:
+                yield again.grant
 
     with pytest.raises(DeadlockError, match="1 process"):
         run_process(env, worker())
@@ -102,29 +94,20 @@ def test_detection_leaves_the_table_consistent(env):
 
     def early():
         # Holds 1, queues for 2 before any cycle exists.
-        g1 = table.acquire_write(1)
-        try:
-            yield g1
+        with table.writing(1) as one:
+            yield one.grant
             yield env.timeout(1)
-            g2 = table.acquire_write(2)
-            try:
-                yield g2
+            with table.writing(2) as two:
+                yield two.grant
                 log.append(("early got 2", env.now))
-            finally:
-                table.release(g2)
-        finally:
-            table.release(g1)
 
     def late():
         # Holds 2; its request for 1 closes the cycle and is refused.
-        g2 = table.acquire_write(2)
-        try:
-            yield g2
+        with table.writing(2) as two:
+            yield two.grant
             yield env.timeout(1)
             with pytest.raises(DeadlockError):
-                table.acquire_write(1)
-        finally:
-            table.release(g2)
+                table.writing(1).__enter__()
 
     env.process(early())
     env.process(late())
@@ -137,9 +120,8 @@ def test_detection_leaves_the_table_consistent(env):
 def test_acquire_outside_a_process_skips_detection(env):
     # No active process: nothing to hang, nothing to blame.
     table = FileLockTable(env)
-    grant = table.acquire_write(3)
-    assert grant.owner is None
-    table.release(grant)
+    with table.writing(3) as lock:
+        assert lock.grant.owner is None
     assert table.held_keys() == []
 
 
@@ -154,13 +136,10 @@ def _locked_vs_unlocked_race():
     reports = []
 
     def locked_writer():
-        grant = table.acquire_write(7)
-        try:
-            yield grant
+        with table.writing(7) as lock:
+            yield lock.grant
             checker.on_access(("Store._sizes", 7), True,
                               env.active_process, env.now)
-        finally:
-            table.release(grant)
 
     def unlocked_writer():
         yield env.timeout(1)
@@ -199,13 +178,10 @@ def test_consistently_locked_accesses_stay_silent(env, checker):
 
     def writer(delay):
         yield env.timeout(delay)
-        grant = table.acquire_write(7)
-        try:
-            yield grant
+        with table.writing(7) as lock:
+            yield lock.grant
             checker.on_access(("Store._sizes", 7), True,
                               env.active_process, env.now)
-        finally:
-            table.release(grant)
 
     env.process(writer(0))
     env.process(writer(1))
@@ -247,11 +223,10 @@ def test_release_drops_the_holding(env, checker):
     table = FileLockTable(env)
 
     def worker():
-        grant = table.acquire_write(4)
-        yield grant
         process = env.active_process
-        assert checker.holdings(process) == {("bullet", 4)}
-        table.release(grant)
+        with table.writing(4) as lock:
+            yield lock.grant
+            assert checker.holdings(process) == {("bullet", 4)}
         assert checker.holdings(process) == frozenset()
 
     run_process(env, worker())

@@ -13,7 +13,7 @@ from repro.sim import (
     run_process,
 )
 
-from conftest import reference_env
+from conftest import after, reference_env
 from test_kernel_equivalence import HopSource
 
 
@@ -23,7 +23,8 @@ def test_clock_starts_at_zero():
 
 
 def test_clock_custom_start():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     assert env.now == 5.0
 
 
@@ -340,7 +341,7 @@ def test_all_of_waits_for_slowest():
     env = Environment()
 
     def proc():
-        events = [env.timeout(d, value=d) for d in (1.0, 3.0, 2.0)]
+        events = [after(env, d, d) for d in (1.0, 3.0, 2.0)]
         values = yield AllOf(env, events)
         return (env.now, sorted(values))
 
@@ -351,7 +352,7 @@ def test_any_of_fires_on_fastest():
     env = Environment()
 
     def proc():
-        events = [env.timeout(d, value=d) for d in (5.0, 1.0, 3.0)]
+        events = [after(env, d, d) for d in (5.0, 1.0, 3.0)]
         values = yield AnyOf(env, events)
         return (env.now, values)
 
@@ -364,7 +365,7 @@ def test_count_of_fires_at_kth_success():
     env = Environment()
 
     def proc():
-        events = [env.timeout(d, value=d) for d in (1.0, 2.0, 3.0)]
+        events = [after(env, d, d) for d in (1.0, 2.0, 3.0)]
         values = yield CountOf(env, events, need=2)
         return (env.now, sorted(values))
 
@@ -417,7 +418,7 @@ def test_count_of_tolerates_failures_below_threshold():
         raise ValueError("one replica died")
 
     def proc():
-        events = [env.process(failer()), env.timeout(2.0, value="ok")]
+        events = [env.process(failer()), after(env, 2.0, "ok")]
         values = yield CountOf(env, events, need=1)
         return (env.now, values)
 

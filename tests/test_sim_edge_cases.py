@@ -14,6 +14,8 @@ from repro.sim import (
     run_process,
 )
 
+from conftest import after
+
 
 def test_all_of_fails_on_first_failure():
     env = Environment()
@@ -59,7 +61,7 @@ def test_any_of_succeeds_despite_one_failure():
         raise ValueError("one bad")
 
     def proc():
-        events = [env.process(failer()), env.timeout(2.0, value="good")]
+        events = [env.process(failer()), after(env, 2.0, "good")]
         values = yield AnyOf(env, events)
         return (env.now, values)
 
@@ -78,12 +80,12 @@ def test_all_of_empty_list_succeeds_immediately():
 
 def test_condition_over_already_processed_events():
     env = Environment()
-    early = env.timeout(0.5, value="early")
+    early = after(env, 0.5, "early")
     env.run(until=1.0)
     assert early.processed
 
     def proc():
-        values = yield AllOf(env, [early, env.timeout(1.0, value="late")])
+        values = yield AllOf(env, [early, after(env, 1.0, "late")])
         return (env.now, sorted(values))
 
     assert run_process(env, proc()) == (2.0, ["early", "late"])
@@ -93,8 +95,8 @@ def test_count_of_values_in_event_order():
     env = Environment()
 
     def proc():
-        events = [env.timeout(3.0, "a"), env.timeout(1.0, "b"),
-                  env.timeout(2.0, "c")]
+        events = [after(env, 3.0, "a"), after(env, 1.0, "b"),
+                  after(env, 2.0, "c")]
         values = yield CountOf(env, events, need=2)
         return values
 
@@ -186,13 +188,16 @@ def test_event_value_before_trigger_rejected():
 
 
 def test_timeout_value_carried():
+    """A timeout carries no value of its own: its waiter resumes with
+    None; a value to deliver later is a process's return value."""
     env = Environment()
 
     def proc():
-        value = yield env.timeout(0.5, value={"key": 42})
-        return value
+        plain = yield env.timeout(0.5)
+        carried = yield after(env, 0.5, {"key": 42})
+        return plain, carried
 
-    assert run_process(env, proc()) == {"key": 42}
+    assert run_process(env, proc()) == (None, {"key": 42})
 
 
 def test_zero_delay_timeout_runs_after_current_turn():

@@ -1,5 +1,7 @@
 """Tests for the UNIX emulation over Bullet + directory."""
 
+import os
+
 import pytest
 
 from repro.client import LocalBulletStub
@@ -12,16 +14,14 @@ from repro.unixemu import UnixEmulation
 from conftest import SMALL_DISK, make_bullet, small_testbed
 
 
-def make_unix(env, keep_versions=False):
+def make_unix(env):
     bullet = make_bullet(env)
     disk = VirtualDisk(env, SMALL_DISK, name="dirdisk")
-    dirs = DirectoryServer(env, disk, LocalBulletStub(bullet), small_testbed(),
-                           max_directories=32)
+    dirs = DirectoryServer(env, disk, LocalBulletStub(bullet), small_testbed())
     dirs.format()
     env.run(until=env.process(dirs.boot()))
     root = run_process(env, dirs.create_directory())
-    unix = UnixEmulation(env, LocalBulletStub(bullet), dirs, root,
-                         keep_versions=keep_versions)
+    unix = UnixEmulation(env, LocalBulletStub(bullet), dirs, root)
     return unix, bullet, dirs
 
 
@@ -74,11 +74,11 @@ def test_lseek_and_partial_io(env):
     def scenario():
         fd = yield from unix.open("/f", "w")
         yield from unix.write(fd, b"0123456789")
-        yield from unix.lseek(fd, 3)
+        yield from unix.lseek(fd, 3, os.SEEK_SET)
         yield from unix.write(fd, b"XYZ")
         yield from unix.close(fd)
         fd = yield from unix.open("/f", "r")
-        yield from unix.lseek(fd, 2)
+        yield from unix.lseek(fd, 2, os.SEEK_SET)
         data = yield from unix.read(fd, 5)
         return data
 
@@ -91,8 +91,8 @@ def test_lseek_whence_variants(env):
     def scenario():
         fd = yield from unix.open("/f", "w")
         yield from unix.write(fd, b"abcdef")
-        end = yield from unix.lseek(fd, -2, whence=2)
-        cur = yield from unix.lseek(fd, 1, whence=1)
+        end = yield from unix.lseek(fd, -2, os.SEEK_END)
+        cur = yield from unix.lseek(fd, 1, os.SEEK_CUR)
         return end, cur
 
     assert run(env, scenario()) == (4, 5)
@@ -122,33 +122,17 @@ def test_each_close_creates_new_immutable_version(env):
         yield from unix.write(fd, b"v1")
         cap1 = yield from unix.close(fd)
         fd = yield from unix.open("/doc", "r+")
-        yield from unix.lseek(fd, 0)
+        yield from unix.lseek(fd, 0, os.SEEK_SET)
         yield from unix.write(fd, b"v2")
         cap2 = yield from unix.close(fd)
         return cap1, cap2
 
     cap1, cap2 = run(env, scenario())
     assert cap1.object != cap2.object
-    # Default: old version is deleted from the Bullet server.
+    # The superseded version is deleted from the Bullet server.
     with pytest.raises(NotFoundError):
         run(env, bullet.read(cap1))
     assert run(env, bullet.read(cap2)) == b"v2"
-
-
-def test_keep_versions_retains_old_files(env):
-    unix, bullet, _d = make_unix(env, keep_versions=True)
-
-    def scenario():
-        fd = yield from unix.open("/doc", "w")
-        yield from unix.write(fd, b"version one")
-        cap1 = yield from unix.close(fd)
-        fd = yield from unix.open("/doc", "w")
-        yield from unix.write(fd, b"version two")
-        yield from unix.close(fd)
-        return cap1
-
-    cap1 = run(env, scenario())
-    assert run(env, bullet.read(cap1)) == b"version one"
 
 
 def test_concurrent_reader_keeps_old_version(env):
@@ -178,11 +162,11 @@ def test_close_clean_file_creates_nothing(env):
         fd = yield from unix.open("/f", "w")
         yield from unix.write(fd, b"x")
         yield from unix.close(fd)
-        creates_before = bullet.stats.creates
+        creates_before = bullet.stats.creates.value
         fd = yield from unix.open("/f", "r")
         yield from unix.read(fd, 10)
         yield from unix.close(fd)
-        return bullet.stats.creates - creates_before
+        return bullet.stats.creates.value - creates_before
 
     assert run(env, scenario()) == 0
 

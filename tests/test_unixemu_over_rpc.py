@@ -23,7 +23,7 @@ def remote_unix(env):
     bullet = make_bullet(env, transport=rpc)
     dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
                            LocalBulletStub(bullet), small_testbed(),
-                           transport=rpc, max_directories=16)
+                           transport=rpc)
     dirs.format()
     run_process(env, dirs.boot())
     names = DirectoryClient(env, rpc, default_port=dirs.port)

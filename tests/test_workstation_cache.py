@@ -61,8 +61,8 @@ def test_admit_and_lookup_roundtrip():
     assert cache.admit(cap, b"bytes")
     result = cache.lookup(cap, RIGHT_READ)
     assert result.hit and result.data == b"bytes"
-    assert cache.stats.hits == 1 and cache.stats.lookups == 1
-    assert cache.stats.bytes_saved == 5
+    assert cache.stats.hits.value == 1 and cache.stats.lookups.value == 1
+    assert cache.stats.bytes_saved.value == 5
 
 
 def test_readmission_does_not_double_count():
@@ -113,7 +113,7 @@ def test_lru_eviction_order_and_budget():
     cache.lookup(a, RIGHT_READ)  # refresh a: b becomes LRU
     assert cache.admit(c, b"c" * (4 * KB))
     assert a in cache and c in cache and b not in cache
-    assert cache.stats.evictions == 1
+    assert cache.stats.evictions.value == 1
     assert cache.audit() == 8 * KB
 
 
@@ -144,15 +144,15 @@ def test_local_verification_from_owner_secret():
     first = cache.lookup(reader, RIGHT_READ)
     assert first.hit
     assert first.verify_cost == CpuProfile().capability_check
-    assert cache.stats.local_verifies == 1
+    assert cache.stats.local_verifies.value == 1
     # The pair is memoized: the second lookup is free.
     second = cache.lookup(reader, RIGHT_READ)
     assert second.hit and second.verify_cost == 0.0
-    assert cache.stats.local_verifies == 1
+    assert cache.stats.local_verifies.value == 1
     forged = Capability(port=PORT, object=1, rights=RIGHT_READ,
                         check=(reader.check ^ 1))
     assert not cache.lookup(forged, RIGHT_READ).hit
-    assert cache.stats.misses == 1
+    assert cache.stats.misses.value == 1
 
 
 def test_genuine_capability_without_rights_is_denied_locally():
@@ -163,7 +163,7 @@ def test_genuine_capability_without_rights_is_denied_locally():
     result = cache.lookup(deleter, RIGHT_READ)
     assert result.denied and result.data is None
     # Denied is an authoritative local answer: a hit, an RPC avoided.
-    assert cache.stats.hits == 1 and cache.stats.rpcs_avoided == 1
+    assert cache.stats.hits.value == 1 and cache.stats.rpcs_avoided.value == 1
 
 
 def test_restricted_only_admission_cannot_verify_other_pairs():
@@ -177,7 +177,7 @@ def test_restricted_only_admission_cannot_verify_other_pairs():
     assert cache.lookup(reader, RIGHT_READ).hit
     other = restrict(own, RIGHT_READ | RIGHT_DELETE)
     assert not cache.lookup(other, RIGHT_READ).hit
-    assert cache.stats.local_verifies == 0
+    assert cache.stats.local_verifies.value == 0
 
 
 def test_rejects_bad_capacity():
@@ -212,7 +212,8 @@ def test_accounting_invariant_under_random_interleavings(ops):
             assert cache.invalidate(cap) == resident
             assert cap not in cache
         assert cache.audit() <= cache.capacity
-    assert (cache.stats.hits + cache.stats.misses == cache.stats.lookups)
+    stats = cache.stats
+    assert stats.hits.value + stats.misses.value == stats.lookups.value
 
 
 # ------------------------------------------- caching client, end to end
@@ -229,11 +230,11 @@ def test_shared_cache_across_sharers_avoids_server(env, rpc_rig):
     two = CachingBulletClient(client, cache=shared)
     cap = run_process(env, one.create(b"shared bytes", 1))
     run_process(env, one.read(cap))
-    reads = bullet.stats.reads
+    reads = bullet.stats.reads.value
     assert run_process(env, two.read(cap)) == b"shared bytes"
-    assert bullet.stats.reads == reads
+    assert bullet.stats.reads.value == reads
     assert one.misses == 1 and two.hits == 1
-    assert shared.stats.hits == 1 and shared.stats.misses == 1
+    assert shared.stats.hits.value == 1 and shared.stats.misses.value == 1
 
 
 def test_concurrent_sharer_miss_storm_accounts_once(env, rpc_rig):
@@ -256,11 +257,12 @@ def test_concurrent_sharer_miss_storm_accounts_once(env, rpc_rig):
         env.run(until=wait)
     assert got == [payload] * 6
     assert shared.audit() == len(payload)
-    assert shared.stats.hits + shared.stats.misses == shared.stats.lookups
+    stats = shared.stats
+    assert stats.hits.value + stats.misses.value == stats.lookups.value
     # And the file is now hot: one more read touches no server.
-    reads = bullet.stats.reads
+    reads = bullet.stats.reads.value
     run_process(env, caching.read(cap))
-    assert bullet.stats.reads == reads
+    assert bullet.stats.reads.value == reads
 
 
 def test_restricted_read_hits_after_owner_admission(env, rpc_rig):
@@ -269,17 +271,17 @@ def test_restricted_read_hits_after_owner_admission(env, rpc_rig):
     verifies the restricted check field against the owner's secret and
     serves from RAM. Zero server READs for the whole second step."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"restricted read", 1))
     run_process(env, caching.read(cap))
-    reads = bullet.stats.reads
-    restricts = bullet.stats.restricts
+    reads = bullet.stats.reads.value
+    restricts = bullet.stats.restricts.value
     reader = run_process(env, caching.restrict(cap, RIGHT_READ))
     assert reader.rights == RIGHT_READ
     assert run_process(env, caching.read(reader)) == b"restricted read"
-    assert bullet.stats.reads == reads          # served locally
-    assert bullet.stats.restricts == restricts  # restricted locally
-    assert caching.cache.stats.rpcs_avoided >= 2
+    assert bullet.stats.reads.value == reads          # served locally
+    assert bullet.stats.restricts.value == restricts  # restricted locally
+    assert caching.cache.stats.rpcs_avoided.value >= 2
 
 
 def test_restrict_of_restricted_cap_delegates_to_server(env, rpc_rig):
@@ -287,21 +289,21 @@ def test_restrict_of_restricted_cap_delegates_to_server(env, rpc_rig):
     wrapper entirely (AttributeError). A non-owner capability cannot be
     restricted locally, so the wrapper must delegate to the server."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"x", 1))
     both = run_process(env,
                        caching.restrict(cap, RIGHT_READ | RIGHT_DELETE))
-    restricts = bullet.stats.restricts
+    restricts = bullet.stats.restricts.value
     reader = run_process(env, caching.restrict(both, RIGHT_READ))
     assert reader.rights == RIGHT_READ
-    assert bullet.stats.restricts == restricts + 1
+    assert bullet.stats.restricts.value == restricts + 1
     assert run_process(env, caching.read(reader)) == b"x"
 
 
 def test_stat_delegates(env, rpc_rig):
     """Regression: stat() was also missing from the wrapper."""
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"x", 1))
     status = run_process(env, caching.stat(cap))
     assert status["files"] == 1
@@ -312,7 +314,7 @@ def test_size_hit_refreshes_recency_and_counts(env, rpc_rig):
     LRU order or the hit counters, so hot sized files aged straight to
     eviction while the stats claimed the cache was cold."""
     _bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=8 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(8 * KB))
     a = run_process(env, caching.create(b"a" * (4 * KB), 1))
     b = run_process(env, caching.create(b"b" * (4 * KB), 1))
     run_process(env, caching.read(a))
@@ -330,7 +332,7 @@ def test_forged_capability_falls_through_to_server(env, rpc_rig):
     """A capability that fails local verification is a miss, and the
     server — the authority — rejects it; the cached entry survives."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"genuine", 1))
     run_process(env, caching.read(cap))
     forged = Capability(port=cap.port, object=cap.object,
@@ -351,12 +353,12 @@ def test_rights_denial_is_local(env, rpc_rig):
     """A genuine capability lacking READ is refused on the workstation:
     RightsError without a single server round trip."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"no reading", 1))
     run_process(env, caching.read(cap))
     deleter = run_process(env, caching.restrict(cap, RIGHT_DELETE))
-    reads = bullet.stats.reads
-    errors = bullet.stats.errors
+    reads = bullet.stats.reads.value
+    errors = bullet.stats.errors.value
 
     def attempt():
         try:
@@ -365,8 +367,8 @@ def test_rights_denial_is_local(env, rpc_rig):
             return "denied"
 
     assert run_process(env, attempt()) == "denied"
-    assert bullet.stats.reads == reads
-    assert bullet.stats.errors == errors  # the server never saw it
+    assert bullet.stats.reads.value == reads
+    assert bullet.stats.errors.value == errors  # the server never saw it
 
 
 # ------------------------------------------------- DELETE invalidation
@@ -405,9 +407,9 @@ def test_failed_delete_keeps_cached_entry(env, rpc_rig):
     assert cache.invalidations == 0
     assert cap in cache
     # Still a hit — no refetch needed after the failed delete.
-    reads = bullet.stats.reads
+    reads = bullet.stats.reads.value
     assert run_process(env, caching.read(cap)) == b"keep me"
-    assert bullet.stats.reads == reads
+    assert bullet.stats.reads.value == reads
 
 
 def test_successful_delete_invalidates_exactly_once(env, rpc_rig):
@@ -451,7 +453,7 @@ def test_delete_retried_under_loss_invalidates_exactly_once(env):
 
     run_process(env, workload())
     assert client.retrier.retries >= 1   # the loss actually bit
-    assert bullet.stats.deletes == 1     # txid dedupe: one execution
+    assert bullet.stats.deletes.value == 1     # txid dedupe: one execution
     assert cache.invalidations == 1      # and one invalidation
     assert cap not in cache
 
@@ -490,7 +492,7 @@ def test_register_verified_seeds_from_proven_owner():
     cache.register_verified(own, derived)
     result = cache.lookup(derived, RIGHT_READ)
     assert result.hit and result.verify_cost == 0.0
-    assert cache.stats.local_verifies == 0
+    assert cache.stats.local_verifies.value == 0
 
 
 def test_forged_owner_restrict_goes_to_server_and_fails(env, rpc_rig):
@@ -501,7 +503,7 @@ def test_forged_owner_restrict_goes_to_server_and_fails(env, rpc_rig):
     capability must fall through to the server, which rejects it, and
     the cache's verification state must survive intact."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"genuine", 1))
     run_process(env, caching.read(cap))
     genuine_reader = run_process(env, caching.restrict(cap, RIGHT_READ))
@@ -518,9 +520,9 @@ def test_forged_owner_restrict_goes_to_server_and_fails(env, rpc_rig):
                        attempt(caching.restrict(forged, RIGHT_READ))) \
         == "rejected"
     # Genuine capabilities still verify locally (no refetch)...
-    reads = bullet.stats.reads
+    reads = bullet.stats.reads.value
     assert run_process(env, caching.read(genuine_reader)) == b"genuine"
-    assert bullet.stats.reads == reads
+    assert bullet.stats.reads.value == reads
     # ...and a restriction derived from the forgery misses through to
     # the server, which rejects it too.
     forged_reader = restrict(forged, RIGHT_READ)
@@ -533,12 +535,12 @@ def test_restrict_of_uncached_owner_cap_delegates_to_server(env, rpc_rig):
     about cannot be vouched for locally: restrict() asks the server,
     preserving the pre-cache error semantics for forgeries."""
     bullet, client = rpc_rig
-    caching = CachingBulletClient(client, capacity_bytes=64 * KB)
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
     cap = run_process(env, caching.create(b"x", 1))
-    restricts = bullet.stats.restricts
+    restricts = bullet.stats.restricts.value
     reader = run_process(env, caching.restrict(cap, RIGHT_READ))
     assert reader.rights == RIGHT_READ
-    assert bullet.stats.restricts == restricts + 1
+    assert bullet.stats.restricts.value == restricts + 1
     assert run_process(env, caching.read(reader)) == b"x"
 
 
@@ -563,10 +565,3 @@ def test_reincarnation_with_identical_bytes_resets_verification():
     assert cache.lookup(fresh, RIGHT_READ).hit
     assert cache.lookup(restrict(fresh, RIGHT_READ), RIGHT_READ).hit
     assert cache.audit() == len(b"same bytes")
-
-
-def test_caching_client_rejects_cache_and_capacity_together(env, rpc_rig):
-    _bullet, client = rpc_rig
-    with pytest.raises(ValueError):
-        CachingBulletClient(client, capacity_bytes=4 * KB,
-                            cache=WorkstationCache(4 * KB))
