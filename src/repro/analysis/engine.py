@@ -34,10 +34,10 @@ class ParseError:
 
 @dataclass
 class AnalysisResult:
-    findings: list = field(default_factory=list)
-    parse_errors: list = field(default_factory=list)
-    files_checked: int = 0
-    rules_run: list = field(default_factory=list)
+    findings: list = field(default_factory=list, init=False)
+    parse_errors: list = field(default_factory=list, init=False)
+    files_checked: int = field(default=0, init=False)
+    rules_run: list = field(default_factory=list, init=False)
 
     @property
     def clean(self) -> bool:

@@ -76,26 +76,24 @@ class Finding:
 
 @dataclass(frozen=True)
 class Config:
-    """Tunable scoping for the rules.
+    """Which rules run, and the scoping they run under.
 
-    Every entry is a tuple of :mod:`fnmatch` patterns matched against the
-    analyzed file's POSIX-style path. The defaults encode this repo's
-    layout; tests override them to point rules at fixture trees.
+    The scopes are constants: tuples of :mod:`fnmatch` patterns matched
+    against the analyzed file's POSIX-style path, encoding this repo's
+    layout (fixture trees mirror it). D001 has no allowlist: the whole
+    tree runs on simulated time.
     """
 
-    #: Files allowed to read the wall clock (D001). Empty by default: the
-    #: whole tree runs on simulated time.
-    wallclock_allow: tuple = ()
     #: Files allowed to touch global randomness (D002). ``sim/rng.py`` is
     #: the one legitimate consumer: it wraps ``random.Random`` behind
     #: :class:`repro.sim.rng.SeededStream`.
-    rng_allow: tuple = ("*/sim/rng.py",)
+    rng_allow = ("*/sim/rng.py",)
     #: Where unordered-iteration (D003) is enforced: the deterministic
     #: replay core.
-    ordered_scope: tuple = ("*/repro/sim/*", "*/repro/core/*", "*/repro/net/*")
+    ordered_scope = ("*/repro/sim/*", "*/repro/core/*", "*/repro/net/*")
     #: The RPC server modules whose opcode handlers must pass a rights
     #: check (C001).
-    server_scope: tuple = (
+    server_scope = (
         "*/core/server.py",
         "*/directory/server.py",
         "*/logsvc/server.py",
@@ -106,7 +104,7 @@ class Config:
     #: stale-handle generation check — NFS v2 is deliberately capability-
     #: free (it is the paper's §4 comparison target), so its handle check
     #: is the closest analogue of a rights gate.
-    extra_validators: tuple = ("_resolve",)
+    extra_validators = ("_resolve",)
     #: Restrict the run to these rule ids (empty means: all registered).
     select: tuple = ()
 

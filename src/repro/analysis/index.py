@@ -55,9 +55,9 @@ class FunctionInfo:
     lineno: int
     is_generator: bool
     params: List[Tuple[str, Optional[str]]] = field(default_factory=list)
-    calls: List[CallRef] = field(default_factory=list)
+    calls: List[CallRef] = field(default_factory=list, init=False)
     #: ``return f(...)`` call targets — forwarding edges.
-    returned_calls: List[CallRef] = field(default_factory=list)
+    returned_calls: List[CallRef] = field(default_factory=list, init=False)
 
     @property
     def key(self) -> Tuple[str, Optional[str], str]:
@@ -72,9 +72,12 @@ class FunctionInfo:
 class ModuleInfo:
     module: str
     path: str
-    functions: dict = field(default_factory=dict)      # (cls|None, name) -> FunctionInfo
-    imports: dict = field(default_factory=dict)        # local name -> (module, name)
-    class_attr_annotations: dict = field(default_factory=dict)  # cls -> {attr: ann}
+    # (cls|None, name) -> FunctionInfo
+    functions: dict = field(default_factory=dict, init=False)
+    # local name -> (module, name)
+    imports: dict = field(default_factory=dict, init=False)
+    # cls -> {attr: ann}
+    class_attr_annotations: dict = field(default_factory=dict, init=False)
 
 
 def _is_generator_body(body: Iterable[ast.stmt]) -> bool:

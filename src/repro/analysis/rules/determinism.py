@@ -66,8 +66,6 @@ class NoWallclock(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.config.path_matches(ctx.path, ctx.config.wallclock_allow):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute):
                 dotted = dotted_name(node)

@@ -36,8 +36,7 @@ from ..errors import BadRequestError, ConsistencyError
 from ..sim import SeededStream, run_process
 from ..units import KB, to_msec
 from . import ablations, paper
-from .harness import (SEED, THINK_S, bullet_figure2, closed_loop, make_rig,
-                      require)
+from .harness import SEED, THINK_S, closed_loop, make_rig, require
 from .workload import PAPER_SIZES
 
 __all__ = ["EXPERIMENTS", "artifact_path", "write", "check",
@@ -62,12 +61,6 @@ def _strictly(direction: str, series) -> bool:
 
 # ------------------------------------------------ Figures 2 and 3 (§4)
 
-#: Sizes and repeats of the cache-policy ablation (kept small: the
-#: ablation is a smoke check, not a figure).
-ABLATION_SIZES = (1024, 65536)
-ABLATION_REPEATS = 2
-
-
 def _table_payload(table) -> dict:
     """A MeasurementTable as plain data: per size and column, the delay
     (msec, as the paper's part (a)) and bandwidth (KB/s, part (b))."""
@@ -83,24 +76,10 @@ def _table_payload(table) -> dict:
     }
 
 
-def _ablation_cache_policy() -> dict:
-    """Fig. 2 READ delay under LRU vs FIFO eviction (A3)."""
-    out: dict = {}
-    for policy in ("lru", "fifo"):
-        rig = make_rig(seed=SEED, with_nfs=False, background_load=False,
-                       cache_policy=policy)
-        table = bullet_figure2(rig, ABLATION_SIZES, ABLATION_REPEATS)
-        out[policy] = {
-            str(size): to_msec(table.delay(size, "READ"))
-            for size in sorted(table.rows)
-        }
-    return out
-
-
 def fig2_fig3() -> dict:
     """The paper's Figure 2 (Bullet) and Figure 3 (NFS) on one
-    shared-registry rig, plus the cache-policy ablation, the full
-    metrics snapshot and the cache conservation invariant."""
+    shared-registry rig, plus the full metrics snapshot and the cache
+    conservation invariant."""
     fig2, fig3, metrics = paper.figures()
     lookups = metrics.total("repro_cache_lookups_total")
     hits = metrics.total("repro_cache_hits_total")
@@ -117,9 +96,6 @@ def fig2_fig3() -> dict:
         },
         "fig2_bullet": _table_payload(fig2),
         "fig3_nfs": _table_payload(fig3),
-        "ablations": {
-            "cache_policy_read_delay_ms": _ablation_cache_policy(),
-        },
         "invariants": {
             "cache_lookups": lookups,
             "cache_hits": hits,

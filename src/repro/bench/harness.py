@@ -15,7 +15,7 @@ are averaged; everything is seeded, so tables reproduce bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..client import (BulletClient, CachingBulletClient, CurrencyPolicy,
@@ -69,12 +69,14 @@ class Rig:
     rpc: RpcTransport
     seed: int
     metrics: Optional[MetricsRegistry] = None
-    bullet: Optional[BulletServer] = None
-    bullet_client: Optional[BulletClient] = None
-    nfs: Optional[NfsServer] = None
-    nfs_client: Optional[NfsClient] = None
-    directory: Optional[DirectoryServer] = None
-    directory_client: Optional[DirectoryClient] = None
+    # The servers and their clients are bound after assembly.
+    bullet: Optional[BulletServer] = field(default=None, init=False)
+    bullet_client: Optional[BulletClient] = field(default=None, init=False)
+    nfs: Optional[NfsServer] = field(default=None, init=False)
+    nfs_client: Optional[NfsClient] = field(default=None, init=False)
+    directory: Optional[DirectoryServer] = field(default=None, init=False)
+    directory_client: Optional[DirectoryClient] = field(default=None,
+                                                        init=False)
 
     def workstation(self, name: str, cache_bytes: int, root,
                     policy: CurrencyPolicy) -> NamedFileClient:
@@ -95,8 +97,7 @@ class Rig:
 def make_rig(seed: int = SEED, testbed: Testbed = DEFAULT_TESTBED,
              background_load: bool = True, with_bullet: bool = True,
              with_nfs: bool = True, nfs_churn: bool = True,
-             cache_policy: str = "lru", workers: int = 1,
-             disk_discipline: str = "fcfs",
+             workers: int = 1, disk_discipline: str = "fcfs",
              with_directory: bool = False) -> Rig:
     """Build the §4 testbed (or a subset of it).
 
@@ -129,8 +130,8 @@ def make_rig(seed: int = SEED, testbed: Testbed = DEFAULT_TESTBED,
                  for i in range(2)]
         mirror = MirroredDiskSet(env, disks)
         rig.bullet = BulletServer(env, mirror, testbed, transport=rpc,
-                                  master_seed=seed, cache_policy=cache_policy,
-                                  metrics=metrics, workers=workers)
+                                  master_seed=seed, metrics=metrics,
+                                  workers=workers)
         rig.bullet.format()
         env.run(until=env.process(rig.bullet.boot()))
         rig.bullet_client = BulletClient(env, rpc, rig.bullet.port,

@@ -20,7 +20,8 @@ class MeasurementTable:
 
     title: str
     columns: list
-    rows: dict = field(default_factory=dict)  # size -> {column: seconds}
+    # size -> {column: seconds}
+    rows: dict = field(default_factory=dict, init=False)
 
     def record(self, size: int, column: str, seconds: float) -> None:
         if column not in self.columns:

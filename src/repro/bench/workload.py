@@ -33,21 +33,21 @@ PAPER_SIZES = [1, 16, 256, 1 * KB, 64 * KB, 1024 * KB]
 
 @dataclass(frozen=True)
 class FileSizeDistribution:
-    """Bounded log-normal file sizes.
+    """Bounded log-normal file sizes of at least one byte.
 
     With median 1 KB, sigma is solved so that P(size < 64 KB) = 0.99:
     sigma = ln(64) / z_0.99 = 4.159 / 2.326 ≈ 1.788.
     """
 
     median: float = 1 * KB
-    sigma: float = math.log(64) / 2.326
-    minimum: int = 1
     maximum: int = 1024 * KB
 
+    SIGMA = math.log(64) / 2.326
+
     def sample(self, stream: SeededStream) -> int:
-        value = stream.lognormal_bounded(self.median, self.sigma,
-                                         self.minimum, self.maximum)
-        return max(int(value), self.minimum)
+        value = stream.lognormal_bounded(self.median, self.SIGMA,
+                                         1, self.maximum)
+        return max(int(value), 1)
 
 
 @dataclass(frozen=True)

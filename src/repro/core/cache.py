@@ -20,7 +20,7 @@ ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..errors import (
@@ -46,8 +46,10 @@ class Rnode:
     age: int            # last-access tick (LRU)
     inserted: int       # insertion tick (FIFO ablation)
     data: bytes         # the file contents (whole and contiguous)
-    busy: bool = False  # mid-load (reserve/fill window); not evictable
-    pins: int = 0       # concurrent transfers copying out of the arena
+    # mid-load (reserve/fill window); not evictable
+    busy: bool = field(default=False, init=False)
+    # concurrent transfers copying out of the arena
+    pins: int = field(default=0, init=False)
 
 
 class CacheStats(RegistryStats):

@@ -46,7 +46,7 @@ compaction is best-effort under load, correct always.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ConsistencyError, NoSpaceError, ReproError
 from .server import BulletServer
@@ -58,14 +58,14 @@ __all__ = ["CompactionReport", "compact_disk"]
 class CompactionReport:
     """What one compaction pass did."""
 
-    files_moved: int = 0
-    blocks_moved: int = 0
-    files_skipped: int = 0
-    duration: float = 0.0
-    fragmentation_before: float = 0.0
-    fragmentation_after: float = 0.0
-    largest_hole_before: int = 0
-    largest_hole_after: int = 0
+    fragmentation_before: float
+    largest_hole_before: int
+    files_moved: int = field(default=0, init=False)
+    blocks_moved: int = field(default=0, init=False)
+    files_skipped: int = field(default=0, init=False)
+    duration: float = field(default=0.0, init=False)
+    fragmentation_after: float = field(default=0.0, init=False)
+    largest_hole_after: int = field(default=0, init=False)
 
 
 def compact_disk(server: BulletServer):

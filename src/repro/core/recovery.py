@@ -9,7 +9,7 @@ not overlap."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ConsistencyError
 from .freelist import ExtentFreeList
@@ -23,9 +23,9 @@ __all__ = ["ScanReport", "scan_volume"]
 class ScanReport:
     """Result of the startup scan."""
 
-    live_files: int = 0
-    live_bytes: int = 0
-    free_blocks: int = 0
+    live_files: int = field(default=0, init=False)
+    live_bytes: int = field(default=0, init=False)
+    free_blocks: int = field(default=0, init=False)
 
     def __str__(self) -> str:
         return (f"scan: {self.live_files} live files, {self.live_bytes} "

@@ -160,7 +160,6 @@ class BulletServer(RpcService):
         name: str = "bullet",
         transport: Optional[RpcTransport] = None,
         master_seed: int = 0,
-        cache_policy: str = "lru",
         alloc_strategy: str = "first_fit",
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -171,7 +170,6 @@ class BulletServer(RpcService):
         self.testbed = testbed
         self.stats = ServerStats(self.metrics, server=name)
         self._secrets = SeededStream(master_seed, f"{name}:secrets")
-        self._cache_policy = cache_policy
         self._alloc_strategy = alloc_strategy
         self._verified_caps = VerifiedCapCache(testbed.bullet.cap_cache_entries)
         self._inflight_count = 0
@@ -220,7 +218,6 @@ class BulletServer(RpcService):
         self.cache = BulletCache(
             cache_bytes,
             rnode_count=self.testbed.bullet.rnode_count,
-            policy=self._cache_policy,
             on_evict=self._on_evict,
             metrics=self.metrics,
             owner=self.name,
@@ -348,7 +345,7 @@ class BulletServer(RpcService):
         with self.locks.reading(cap.object) as lock:
             yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_READ)
-            tracing = self._tracer is not None
+            tracer = self._tracer
             rnode = self._cached_rnode(number, inode)
             if rnode is None:
                 # Miss: upgrade to the write lock before touching the
@@ -362,26 +359,26 @@ class BulletServer(RpcService):
                 # while we waited for the lock.
                 rnode = self.cache.peek(number)
             if rnode is None:
-                disk_span = self._span_begin(
-                    "server.disk", inode=number, size=inode.size
-                ) if tracing else 0
+                if tracer is not None:
+                    disk_span = tracer.begin_span(
+                        "span", "server.disk", inode=number, size=inode.size)
                 rnode = yield from self._load_from_disk(number, inode)
-                if tracing:
-                    self._span_end(disk_span, "server.disk")
+                if tracer is not None:
+                    tracer.end_span(disk_span, "span", "server.disk")
             self.cache.touch(rnode)
             # Copy from the contiguous cache into the network buffers;
             # pinned so no concurrent miss can evict it mid-copy.
-            cache_span = self._span_begin(
-                "server.cache", inode=number, size=inode.size
-            ) if tracing else 0
+            if tracer is not None:
+                cache_span = tracer.begin_span(
+                    "span", "server.cache", inode=number, size=inode.size)
             self.cache.pin(rnode)
             try:
                 yield self.env.timeout(
                     inode.size * self.testbed.cpu.memcpy_per_byte)
             finally:
                 self.cache.unpin(rnode)
-            if tracing:
-                self._span_end(cache_span, "server.cache")
+            if tracer is not None:
+                tracer.end_span(cache_span, "span", "server.cache")
             self.stats.reads.inc()
             self.stats.bytes_read.inc(inode.size)
             return rnode.data
@@ -448,7 +445,6 @@ class BulletServer(RpcService):
                     f"modify range [{offset}, {offset + delete_bytes}) "
                     f"outside the {inode.size}-byte file"
                 )
-            tracing = self._tracer is not None
             rnode = self._cached_rnode(number, inode)
             if rnode is None:
                 # Same upgrade dance as the READ miss path.

@@ -32,6 +32,7 @@ from ..capability import (
     mint_owner,
     require,
 )
+from ..core.locks import FileLockTable
 from ..errors import (
     BadRequestError,
     CapabilityError,
@@ -105,6 +106,9 @@ class DirectoryServer(RpcService):
         self._slots: list[SlotRecord] = []
         self._rows_cache: dict[int, DirectoryRows] = {}
         self._free_slots: list[int] = []
+        # One write lock per directory, held by every mutation
+        # (see _update).
+        self.locks = FileLockTable(env, owner=name)
 
     # -------------------------------------------------------------- setup
 
@@ -187,12 +191,13 @@ class DirectoryServer(RpcService):
         """Process: bind ``name`` to a capability (or a capability set,
         one member per replica); the name must be new."""
         self._check_name(name)
-        slot, record, rows = yield from self._open(dir_cap, RIGHT_CREATE)
-        if name in rows.rows:
-            raise ExistsError(f"entry {name!r} already exists")
-        new_rows = dict(rows.rows)
-        new_rows[name] = cap
-        yield from self._commit(slot, record, rows, new_rows)
+
+        def bind(rows: dict) -> None:
+            if name in rows:
+                raise ExistsError(f"entry {name!r} already exists")
+            rows[name] = cap
+
+        yield from self._update(dir_cap, RIGHT_CREATE, bind)
 
     def replace(self, dir_cap: Capability, name: str, cap):
         """Process: atomically rebind ``name`` (to a capability or a
@@ -201,25 +206,26 @@ class DirectoryServer(RpcService):
         is installed under the name in one step. Use :meth:`lookup_set`
         first when the old entry's replicas all need disposal."""
         self._check_name(name)
-        slot, record, rows = yield from self._open(dir_cap, RIGHT_CREATE)
-        old = rows.rows.get(name)
-        if old is None:
-            raise NotFoundError(f"no entry {name!r}")
-        new_rows = dict(rows.rows)
-        new_rows[name] = cap
-        yield from self._commit(slot, record, rows, new_rows)
-        return old[0]
+
+        def rebind(rows: dict):
+            old = rows.get(name)
+            if old is None:
+                raise NotFoundError(f"no entry {name!r}")
+            rows[name] = cap
+            return old[0]
+
+        return (yield from self._update(dir_cap, RIGHT_CREATE, rebind))
 
     def remove_entry(self, dir_cap: Capability, name: str):
         """Process: unbind ``name``; returns the removed primary
         capability (see :meth:`lookup_set` for the full set)."""
-        slot, record, rows = yield from self._open(dir_cap, RIGHT_DELETE)
-        if name not in rows.rows:
-            raise NotFoundError(f"no entry {name!r}")
-        new_rows = dict(rows.rows)
-        old = new_rows.pop(name)
-        yield from self._commit(slot, record, rows, new_rows)
-        return old[0]
+
+        def unbind(rows: dict):
+            if name not in rows:
+                raise NotFoundError(f"no entry {name!r}")
+            return rows.pop(name)[0]
+
+        return (yield from self._update(dir_cap, RIGHT_DELETE, unbind))
 
     def update_many(self, dir_cap: Capability, changes: dict):
         """Process: apply several binds/rebinds/removals **atomically**,
@@ -239,27 +245,32 @@ class DirectoryServer(RpcService):
         needed = RIGHT_CREATE
         if any(value is None for value in changes.values()):
             needed |= RIGHT_DELETE
-        slot, record, rows = yield from self._open(dir_cap, needed)
-        new_rows = dict(rows.rows)
-        for name, value in changes.items():
-            if value is None:
-                if name not in new_rows:
-                    raise NotFoundError(f"no entry {name!r}")
-                del new_rows[name]
-            else:
-                new_rows[name] = value
-        yield from self._commit(slot, record, rows, new_rows)
+
+        def apply(rows: dict) -> None:
+            for name, value in changes.items():
+                if value is None:
+                    if name not in rows:
+                        raise NotFoundError(f"no entry {name!r}")
+                    del rows[name]
+                else:
+                    rows[name] = value
+
+        yield from self._update(dir_cap, needed, apply)
 
     def delete_directory(self, dir_cap: Capability):
-        """Process: delete an *empty* directory object."""
-        slot, record, rows = yield from self._open(dir_cap, RIGHT_DELETE)
-        if rows.rows:
-            raise NotEmptyError(f"directory has {len(rows.rows)} entries")
-        empty = SlotRecord()
-        yield self.disk.write(1 + slot, empty.encode())
-        self._slots[slot] = empty
-        self._rows_cache.pop(slot, None)
-        self._free_slots.append(slot)
+        """Process: delete an *empty* directory object (under its write
+        lock, as :meth:`_update`)."""
+        yield from self._charge_check()
+        with self.locks.writing(dir_cap.object) as lock:
+            yield lock.grant
+            slot, _record, rows = yield from self._load(dir_cap, RIGHT_DELETE)
+            if rows.rows:
+                raise NotEmptyError(f"directory has {len(rows.rows)} entries")
+            empty = SlotRecord()
+            yield self.disk.write(1 + slot, empty.encode())
+            self._slots[slot] = empty
+            self._rows_cache.pop(slot, None)
+            self._free_slots.append(slot)
 
     def lookup_path(self, root_cap: Capability, path: str):
         """Process: walk a ``/``-separated path from ``root_cap``.
@@ -352,9 +363,37 @@ class DirectoryServer(RpcService):
     # ----------------------------------------------------------- internals
 
     def _open(self, dir_cap: Capability, needed_rights: int):
-        """Verify a directory capability and load its current rows."""
+        """Process: verify a directory capability and load its current
+        rows."""
+        yield from self._charge_check()
+        return (yield from self._load(dir_cap, needed_rights))
+
+    def _charge_check(self):
+        """Process: the CPU time of one capability verification."""
         self._require_booted()
         yield self.env.timeout(self.testbed.cpu.capability_check)
+
+    def _update(self, dir_cap: Capability, needed_rights: int, edit):
+        """Process: one read-modify-write of a directory, committed as its
+        next version. ``edit`` changes a copy of the name →
+        capability-set map in place (or raises); its return value is
+        returned. The write lock is held from the read to the commit,
+        because the local plane runs beside the serve loop; it is
+        requested after the check's CPU time, where an uncontended grant
+        completes in place."""
+        yield from self._charge_check()
+        with self.locks.writing(dir_cap.object) as lock:
+            yield lock.grant
+            slot, record, rows = yield from self._load(dir_cap, needed_rights)
+            new_rows = dict(rows.rows)
+            result = edit(new_rows)
+            yield from self._commit(slot, record, rows, new_rows)
+        return result
+
+    def _load(self, dir_cap: Capability, needed_rights: int):
+        """Process: check ``dir_cap`` against its slot and return the
+        slot, its record and its current rows (read from the Bullet
+        server on a rows-cache miss)."""
         slot = dir_cap.object - 1
         if not 0 <= slot < MAX_DIRECTORIES:
             raise NotFoundError(f"directory object {dir_cap.object} out of range")

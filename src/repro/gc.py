@@ -27,8 +27,8 @@ __all__ = ["GcReport", "gc_sweep"]
 class GcReport:
     """Outcome of one sweep."""
 
-    touched: int = 0
-    reclaimed: list = field(default_factory=list)
+    touched: int = field(default=0, init=False)
+    reclaimed: list = field(default_factory=list, init=False)
 
 
 def gc_sweep(bullet: BulletServer,

@@ -149,11 +149,18 @@ class LogServer(RpcService):
             raise BadRequestError("log table full")
         first = self._alloc_block()
         secret = self._secrets.randint(1, (1 << 48) - 1)
-        yield self.disk.write(first, self._encode_block(b"", 0))
-        yield self.disk.write(1 + slot, secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
+        # Claimed before the disk writes yield: the local plane runs
+        # beside the serve loop, so a concurrent create must not pick
+        # the same slot. No capability names the log until this returns.
         self._logs[slot] = _LogState(secret=secret, first_block=first,
                                      tail_block=first, tail_used=0,
                                      record_count=0)
+        try:
+            yield self.disk.write(first, self._encode_block(b"", 0))
+            yield self.disk.write(1 + slot, secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
+        except BaseException:
+            del self._logs[slot]  # a failed create leaves no log behind
+            raise
         return mint_owner(self.port, slot + 1, secret)
 
     def append(self, cap: Capability, record: bytes):

@@ -58,15 +58,15 @@ class ExploreStats:
     mode: str
     scope: Dict[str, Any]
     seed: int
-    states: int = 0
-    transitions: int = 0
-    replays: int = 0
-    pruned: int = 0
-    leaves: int = 0
-    max_depth: int = 0
     walks: int = 0
-    fingerprint: str = ""
-    violation: Optional[Dict[str, Any]] = None
+    states: int = field(default=0, init=False)
+    transitions: int = field(default=0, init=False)
+    replays: int = field(default=0, init=False)
+    pruned: int = field(default=0, init=False)
+    leaves: int = field(default=0, init=False)
+    max_depth: int = field(default=0, init=False)
+    fingerprint: str = field(default="", init=False)
+    violation: Optional[Dict[str, Any]] = field(default=None, init=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

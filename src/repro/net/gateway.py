@@ -27,7 +27,6 @@ __all__ = ["WideAreaProfile", "WideAreaLink", "Gateway", "connect_sites"]
 class WideAreaProfile:
     """A leased line between sites."""
 
-    name: str = "wan-2mbit"
     bandwidth_bits: float = 2e6
     propagation_delay: float = 0.015  # one way, seconds (Amsterdam–Berlin)
     per_packet_overhead: float = 2e-3  # X.25-era gateway processing

@@ -27,7 +27,7 @@ how Amoeba's std error codes travelled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..capability import CAP_WIRE_SIZE, Capability, port_for_name
@@ -60,10 +60,13 @@ class RpcRequest:
     args: tuple = ()
     body: bytes = b""
     # Filled by the transport:
-    reply_event: Optional[Event] = None
-    txid: Optional[int] = None  # transaction id for duplicate suppression
-    reply_missing: Optional[list] = None  # reply fragments still missing
-    queue_span: int = 0  # span opened at inbox entry, closed at getreq
+    reply_event: Optional[Event] = field(default=None, init=False)
+    # transaction id for duplicate suppression
+    txid: Optional[int] = field(default=None, init=False)
+    # reply fragments still missing
+    reply_missing: Optional[list] = field(default=None, init=False)
+    # span opened at inbox entry, closed at getreq
+    queue_span: int = field(default=0, init=False)
 
     @property
     def wire_size(self) -> int:
@@ -534,15 +537,3 @@ class RpcService:
     def _trace(self, category: str, message: str, **fields) -> None:
         if self._tracer is not None:
             self._tracer.emit(category, message, **fields)
-
-    def _span_begin(self, name: str, **fields) -> int:
-        # Call sites in hot loops pre-check self._tracer so the kwargs
-        # dict is never built when tracing is off; this fallback check
-        # keeps cold sites correct.
-        if self._tracer is None:
-            return 0
-        return self._tracer.begin_span("span", name, **fields)
-
-    def _span_end(self, span_id: int, name: str, **fields) -> None:
-        if self._tracer is not None:
-            self._tracer.end_span(span_id, "span", name, **fields)

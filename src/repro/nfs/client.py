@@ -24,7 +24,7 @@ paper measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..client.retry import RpcStub
 from ..errors import BadRequestError, NotFoundError
@@ -42,7 +42,7 @@ class OpenFile:
 
     fd: int
     handle: FileHandle
-    offset: int = 0
+    offset: int = field(default=0, init=False)
 
 
 class NfsClient:

@@ -194,13 +194,12 @@ class WorkstationProfile:
     §5: "Client caching of immutable files is straightforward" — each
     workstation dedicates a slice of its RAM to a whole-file cache
     shared by every local process (:class:`repro.client.WorkstationCache`).
-    A 1989 Sun-3/60-class machine had 4–12 MB total; one MB for the
-    file cache is the conservative default the bench varies.
+    A 1989 Sun-3/60-class machine had 4–12 MB total; the size of that
+    slice is each experiment's own variable, passed to the cache it
+    builds.
     """
 
     name: str = "sun3-workstation"
-    # RAM dedicated to the shared client file cache.
-    cache_bytes: int = 1 * MB
     # Typical number of concurrent client processes sharing the cache
     # (login shells, compiler passes, editors); the bench default.
     processes: int = 8

@@ -2,13 +2,14 @@
 
 Components emit timestamped trace records through a :class:`Tracer`;
 tests assert on them, benchmarks aggregate them, and examples print them.
-Tracing is off by default and costs one attribute check per emit.
+A component built with ``tracer=None`` traces nothing: that ``is None``
+test at each site is the one off switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .core import Environment
 
@@ -31,25 +32,18 @@ class TraceRecord:
 
 @dataclass
 class Tracer:
-    """Collects :class:`TraceRecord`s for an environment.
-
-    ``categories`` restricts collection; ``sink`` (if set) is called for
-    each record as it is emitted (e.g. ``print``).
-    """
+    """Collects every :class:`TraceRecord` of an environment. ``sink``
+    (if assigned) is called for each record as it is emitted (e.g.
+    ``print``)."""
 
     env: Environment
-    categories: Optional[set[str]] = None
-    sink: Optional[Callable[[TraceRecord], None]] = None
-    records: list[TraceRecord] = field(default_factory=list)
-    enabled: bool = True
-    span_seq: int = 0
+    sink: Optional[Callable[[TraceRecord], None]] = field(default=None,
+                                                          init=False)
+    records: list[TraceRecord] = field(default_factory=list, init=False)
+    span_seq: int = field(default=0, init=False)
 
     def emit(self, category: str, message: str, **fields) -> None:
         """Record one event at the current simulated time."""
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
         record = TraceRecord(
             time=self.env.now,
             category=category,
@@ -66,13 +60,10 @@ class Tracer:
         """Open a span: emit a begin marker, return the new span id.
 
         Span ids are sequential per tracer, so two same-seed runs number
-        their spans identically. Returns 0 when tracing is disabled (the
-        matching :meth:`end_span` then no-ops).
+        their spans identically.
         :func:`repro.obs.pair_spans` reassembles the B/E markers into
         :class:`~repro.obs.Span` objects.
         """
-        if not self.enabled:
-            return 0
         self.span_seq += 1
         span_id = self.span_seq
         self.emit(category, name, span=span_id, phase="B", **fields)
@@ -80,8 +71,9 @@ class Tracer:
 
     def end_span(self, span_id: int, category: str, name: str,
                  **fields) -> None:
-        """Close a span opened by :meth:`begin_span` (0 is a no-op)."""
-        if not self.enabled or not span_id:
+        """Close a span opened by :meth:`begin_span`; 0 (the queue span
+        of a request an untraced transport delivered) is a no-op."""
+        if not span_id:
             return
         self.emit(category, name, span=span_id, phase="E", **fields)
 
@@ -92,12 +84,6 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
 
-    def dump(self, categories: Optional[Iterable[str]] = None) -> str:
+    def dump(self) -> str:
         """Human-readable dump of collected records."""
-        wanted = set(categories) if categories is not None else None
-        lines = [
-            str(r)
-            for r in self.records
-            if wanted is None or r.category in wanted
-        ]
-        return "\n".join(lines)
+        return "\n".join(str(r) for r in self.records)

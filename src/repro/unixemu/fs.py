@@ -41,11 +41,11 @@ class UnixFile:
     dir_cap: Capability          # directory holding the entry
     name: str                    # entry name within that directory
     cap: Optional[Capability]    # None for a brand-new file
-    buffer: bytearray = field(default_factory=bytearray)
-    offset: int = 0
-    loaded: bool = False
-    dirty: bool = False
-    writable: bool = False
+    writable: bool
+    buffer: bytearray = field(default_factory=bytearray, init=False)
+    offset: int = field(default=0, init=False)
+    loaded: bool = field(default=False, init=False)
+    dirty: bool = field(default=False, init=False)
 
 
 class UnixEmulation:

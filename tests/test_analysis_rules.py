@@ -112,26 +112,32 @@ def test_suppression_is_per_rule(tmp_path):
 
 # ------------------------------------------------- allowlists and scope
 
-def test_wallclock_allowlist():
-    config = Config(wallclock_allow=("*d001_bad.py",))
-    assert run(FIXTURES / "d001_bad.py", config).clean
+def _moved(fixture: Path, to: Path) -> Path:
+    """A copy of ``fixture`` at ``to``: the scopes are path patterns."""
+    to.parent.mkdir(parents=True, exist_ok=True)
+    to.write_text(fixture.read_text())
+    return to
 
 
-def test_rng_allowlist():
-    config = Config(rng_allow=("*d002_bad.py",))
-    assert run(FIXTURES / "d002_bad.py", config).clean
+def test_rng_allowlist(tmp_path):
+    # The D002 fixture moved to the one allowed path is clean.
+    assert run(FIXTURES / "d002_bad.py").findings
+    assert run(_moved(FIXTURES / "d002_bad.py",
+                      tmp_path / "sim" / "rng.py")).clean
 
 
-def test_d003_only_fires_in_ordered_scope():
-    # The same bad file analyzed with an empty scope is clean: D003 is a
+def test_d003_only_fires_in_ordered_scope(tmp_path):
+    # The same bad file outside the replay core is clean: D003 is a
     # replay-core rule, not a whole-program style rule.
-    config = Config(ordered_scope=())
-    assert run(FIXTURES / "repro" / "sim" / "d003_bad.py", config).clean
+    bad = FIXTURES / "repro" / "sim" / "d003_bad.py"
+    assert run(bad).findings
+    assert run(_moved(bad, tmp_path / "tools" / "d003_bad.py")).clean
 
 
-def test_c001_only_fires_in_server_scope():
-    config = Config(server_scope=())
-    assert run(FIXTURES / "c001_bad" / "core" / "server.py", config).clean
+def test_c001_only_fires_in_server_scope(tmp_path):
+    bad = FIXTURES / "c001_bad" / "core" / "server.py"
+    assert run(bad).findings
+    assert run(_moved(bad, tmp_path / "core" / "handlers.py")).clean
 
 
 # ------------------------------------------------------------ selection

@@ -246,9 +246,9 @@ def test_rig_determinism():
 
 # ------------------------------------------------------ options guard
 
-#: Defaulted parameters kept although no caller outside the tests flips
-#: them: (module or package, parameter; None = any) -> reason. Every row
-#: must still excuse a finding.
+#: Defaulted parameters and dataclass fields kept although no caller
+#: outside the tests flips them: (module or package, parameter or field;
+#: None = any) -> reason. Every row must still excuse a finding.
 _EXEMPT_OPTIONS = {
     ("repro.client", "retry"):
         "retry plane: a stub retries only under a RetryPolicy; the fault "
@@ -257,9 +257,16 @@ _EXEMPT_OPTIONS = {
         "retry plane: the seeded backoff jitter of a retrying stub",
     ("repro.client", "timeout"):
         "retry plane: the per-attempt deadline a retrying stub gives up on",
+    ("repro.client.retry", None):
+        "retry plane: RetryPolicy's backoff schedule, tuned by the fault "
+        "matrix and lossy-network tests",
     ("repro.faults", None):
         "safety plane (see _CLAIMED_MODULES): the fault matrix and crash "
         "tests are its only callers",
+    ("repro.profiles", None):
+        "the one module of hardware constants: ablations vary a field with "
+        "dataclasses.replace, and test_every_profile_field_is_read keeps "
+        "each field one the simulation reads",
 }
 
 
@@ -271,15 +278,23 @@ def _calls(trees) -> dict:
     """Name -> the Call nodes in ``trees`` that may reach a callable of
     that name: calls by name or attribute (import aliases resolved), a
     ``super().__init__(...)`` as a call of each base class, a
-    ``cls(...)`` inside a class as a call of that class."""
+    ``cls(...)`` inside a class as a call of that class. A call on a
+    module bound by ``import m`` is filed as ``m.name`` (``json.dump``
+    passes nothing to a method named ``dump``)."""
     calls: dict = {}
     for tree in trees:
         alias = {a.asname: a.name for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)
                  for a in node.names if a.asname}
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = _base_name(node.func)
+                func = node.func
+                name = _base_name(func)
+                if getattr(getattr(func, "value", None), "id", None) in imported:
+                    name = f"{func.value.id}.{name}"
                 calls.setdefault(alias.get(name, name), []).append(node)
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -297,13 +312,41 @@ def _calls(trees) -> dict:
     return calls
 
 
-def _unpassed_defaults(modules: dict, callers) -> list:
-    """(module, callable, parameter) for every defaulted parameter of a
-    public function, constructor or method of a public class in
-    ``modules`` (dotted name -> tree) that no call in ``callers``
-    passes. A constructor is also called by the name of every subclass
-    that inherits it."""
-    calls = _calls(callers)
+def _is_dataclass(node) -> bool:
+    return any(_base_name(getattr(d, "func", d)) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _field_defaults(node):
+    """(position, name) of each defaulted ``__init__`` field of a
+    dataclass: an annotated name with a value that is not
+    ``field(...)`` without ``default``/``default_factory``; a
+    ``field(init=False)`` takes no place in the constructor."""
+    position = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        keywords = {}
+        if isinstance(value, ast.Call) and _base_name(value.func) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+        if value is not None and (not keywords or {"default", "default_factory"}
+                                  & keywords.keys()):
+            yield position, stmt.target.id
+        position += 1
+
+
+def _defaults(modules: dict):
+    """(module, shown as, names callers use, position, parameter, is a
+    dataclass field) for every defaulted parameter of a public function,
+    constructor or method of a public class in ``modules`` (dotted name
+    -> tree), and every defaulted field of a public dataclass. A
+    constructor is also called by the name of every subclass that
+    inherits it."""
     classes = {node.name: node for tree in modules.values()
                for node in tree.body if isinstance(node, ast.ClassDef)}
     heirs: dict = {}
@@ -335,7 +378,6 @@ def _unpassed_defaults(modules: dict, callers) -> list:
                     elif not sub.name.startswith("_"):
                         yield f"{node.name}.{sub.name}", [sub.name], sub
 
-    findings = []
     for module, tree in sorted(modules.items()):
         for shown, names, func in public(tree):
             args = func.args
@@ -343,16 +385,35 @@ def _unpassed_defaults(modules: dict, callers) -> list:
             if params and params[0].arg in ("self", "cls"):
                 params = params[1:]
             first = len(params) - len(args.defaults)
-            defaulted = list(enumerate(params[first:], first)) + [
-                (None, param) for param, default
-                in zip(args.kwonlyargs, args.kw_defaults)
-                if default is not None]
-            for position, param in defaulted:
-                if not any((position is not None
-                            and len(call.args) > position)
-                           or any(k.arg == param.arg for k in call.keywords)
-                           for name in names for call in calls.get(name, [])):
-                    findings.append((module, shown, param.arg))
+            for position, param in enumerate(params[first:], first):
+                yield module, shown, names, position, param.arg, False
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield module, shown, names, None, param.arg, False
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and not node.name.startswith("_")):
+                for position, name in _field_defaults(node):
+                    yield (module, node.name, constructor_names(node.name),
+                           position, name, True)
+
+
+def _unpassed_defaults(modules: dict, callers) -> list:
+    """(module, callable, parameter) for every default of
+    :func:`_defaults` that no call in ``callers`` passes, by position or
+    keyword — or, for a dataclass field, by keyword to
+    ``dataclasses.replace``."""
+    calls = _calls(callers)
+    findings = []
+    for module, shown, names, position, param, is_field in _defaults(modules):
+        candidates = [call for name in names for call in calls.get(name, [])]
+        replaced = [call for name in ("replace", "dataclasses.replace")
+                    for call in calls.get(name, [])] if is_field else []
+        if not any((position is not None and len(call.args) > position)
+                   or any(k.arg == param for k in call.keywords)
+                   for call in candidates) and not any(
+                k.arg == param for call in replaced for k in call.keywords):
+            findings.append((module, shown, param))
     return findings
 
 
@@ -367,11 +428,13 @@ def _exemption(finding):
 
 
 def test_no_defaulted_parameter_goes_unpassed():
-    """Every defaulted parameter of a public callable under src/repro is
-    passed by some caller under src/, examples/ or perf/ (the
+    """Every defaulted parameter of a public callable under src/repro,
+    and every defaulted constructor field of a public dataclass there,
+    is passed by some caller under src/, examples/ or perf/ (the
     benchmark's calls are measured traffic) — an option nobody flips is
-    a constant, a required parameter or gone — or is excused by a row
-    of the exemption table, and every row still excuses something."""
+    a constant, a required parameter, state (``field(init=False)``) or
+    gone — or is excused by a row of the exemption table, and every row
+    still excuses something."""
     root = Path(__file__).resolve().parents[1]
     src = root / "src"
     modules = {".".join(path.relative_to(src).with_suffix("").parts):
@@ -468,6 +531,49 @@ def test_options_guard_reaches_a_base_constructor_through_its_subclasses():
         ("repro.errors", "ReproError", "message")]
 
 
+def test_options_guard_sees_dataclass_fields():
+    module = """
+        from dataclasses import dataclass, field
+
+        @dataclass
+        class Profile:
+            name: str
+            rpm: int = 3600
+            seek: float = 0.016
+            sectors: list = field(default_factory=list)
+            state: int = field(default=0, init=False)
+            items: list = field(init=False)
+            required: int = field(repr=False)
+    """
+    # ``state`` and ``items`` take no constructor place; ``required``
+    # has no default.
+    assert _guard({"repro.x": module}, "Profile('d')") == [
+        ("repro.x", "Profile", "rpm"), ("repro.x", "Profile", "seek"),
+        ("repro.x", "Profile", "sectors")]
+    # By position, by keyword, or through dataclasses.replace.
+    assert _guard({"repro.x": module}, """
+        import dataclasses
+        from dataclasses import replace
+        p = Profile('d', 7200)
+        q = dataclasses.replace(p, seek=0.01)
+        r = replace(q, sectors=[])
+    """) == []
+
+
+def test_options_guard_ignores_calls_on_imported_modules():
+    module = """
+        class Tracer:
+            def dump(self, categories=None):
+                pass
+    """
+    assert _guard({"repro.x": module}, """
+        import json
+        json.dump(payload, fh, indent=2)
+        json.dump(payload, categories=None)
+    """) == [("repro.x", "Tracer.dump", "categories")]
+    assert _guard({"repro.x": module}, "tracer.dump(['disk'])") == []
+
+
 def test_options_guard_honours_its_exemption_table():
     module = """
         class Controller:
@@ -482,6 +588,38 @@ def test_options_guard_honours_its_exemption_table():
     assert _exemption(("repro.client.stub", "Stub", "retry")) == (
         "repro.client", "retry")
     assert _exemption(("repro.client.stub", "Stub", "name")) is None
+
+
+def test_every_profile_field_is_read():
+    """The ``repro.profiles`` row of the exemption table holds while each
+    profile field is hardware the simulation uses: read as an attribute
+    by some module under src/repro other than ``profiles`` itself, or by
+    a property or method of its class that is. Reads are matched by
+    attribute name."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    profiles = src / "profiles.py"
+    read = {node.attr for path in src.rglob("*.py") if path != profiles
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for cls in ast.parse(profiles.read_text()).body:
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        methods = {sub.name: {node.attr for node in ast.walk(sub)
+                              if isinstance(node, ast.Attribute)}
+                   for sub in cls.body if isinstance(sub, ast.FunctionDef)}
+        used = set(read)
+        while True:
+            more = set().union(*(attrs for name, attrs in methods.items()
+                                 if name in used)) - used
+            if not more:
+                break
+            used |= more
+        unread += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign)
+                   and stmt.target.id not in used]
+    assert not unread, unread
 
 
 #: Modules no committed artifact reaches, each with the claim it stays

@@ -238,6 +238,20 @@ def build_tree(env, dirs, bullet):
     return root, notes
 
 
+def test_concurrent_local_appends_to_one_directory_both_land(env):
+    """Regression: the local plane bypasses the serve loop, and two
+    appends to one directory used to interleave read … commit, so the
+    later commit dropped the earlier entry."""
+    server, bullet = make_dir_server(env)
+    root = call(env, server.create_directory())
+    first = call(env, bullet.create(b"one", 1))
+    second = call(env, bullet.create(b"two", 1))
+    env.run(until=env.all_of([
+        env.process(server.append(root, "local1", first)),
+        env.process(server.append(root, "local2", second))]))
+    assert call(env, server.list_names(root)) == ["local1", "local2"]
+
+
 def test_lookup_path(env):
     dirs, bullet = make_dir_server(env)
     root, notes = build_tree(env, dirs, bullet)

@@ -46,7 +46,7 @@ class World:
     def __init__(self, seed: int, **server_kwargs):
         self.seed = seed
         self.env = Environment()
-        self.tracer = Tracer(self.env, categories={"fault", "retry"})
+        self.tracer = Tracer(self.env)
         self.eth = Ethernet(self.env, EthernetProfile())
         self.rpc = RpcTransport(self.env, self.eth, CpuProfile())
         self.bullet = make_bullet(self.env, transport=self.rpc,
@@ -252,7 +252,7 @@ def test_directory_lookup_retries_through_partition(seed):
     """The directory client shares the retry plane: a lookup issued into
     a partition window succeeds once the network heals."""
     env = Environment()
-    tracer = Tracer(env, categories={"fault", "retry"})
+    tracer = Tracer(env)
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile())
     bullet = make_bullet(env, transport=rpc)

@@ -434,7 +434,7 @@ def test_retrier_respects_deadline(env):
 def _traced_fault_run(seed: int):
     """One self-contained faulty run; returns its determinism artifacts."""
     env = Environment()
-    tracer = Tracer(env, categories={"fault", "retry"})
+    tracer = Tracer(env)
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile())
     bullet = make_bullet(env, transport=rpc)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.capability import Capability, RIGHT_CREATE, RIGHT_READ, restrict
 from repro.disk import VirtualDisk
-from repro.errors import BadRequestError, NotFoundError, RightsError
+from repro.errors import BadRequestError, DiskIOError, NotFoundError, RightsError
 from repro.logsvc import LogServer
 from repro.logsvc.server import MAX_LOGS
 from repro.sim import Environment, run_process
@@ -27,6 +27,28 @@ def test_create_append_read(env):
     assert run_process(env, logs.append(cap, b"line 2")) == 1
     assert run_process(env, logs.read(cap)) == [b"line 1", b"line 2"]
     assert run_process(env, logs.length(cap)) == 2
+
+
+def test_concurrent_creates_get_distinct_logs(env):
+    """Regression: create_log chose its slot before its disk writes but
+    claimed it after them, so two concurrent creates both got object 1
+    and the first capability then failed its check."""
+    logs = make_log_server(env)
+    made = [env.process(logs.create_log()) for _ in range(2)]
+    env.run(until=env.all_of(made))
+    first, second = (proc.value for proc in made)
+    assert first.object != second.object
+    for cap, record in ((first, b"first"), (second, b"second")):
+        run_process(env, logs.append(cap, record))
+        assert run_process(env, logs.read(cap)) == [record]
+
+
+def test_a_failed_create_leaves_no_log(env):
+    logs = make_log_server(env)
+    logs.disk.fail()
+    with pytest.raises(DiskIOError):
+        run_process(env, logs.create_log())
+    assert logs.status()["logs"] == 0
 
 
 def test_read_from_sequence(env):

@@ -9,15 +9,15 @@ from pathlib import Path
 import pytest
 
 from repro.capability import Capability
-from repro.bench.experiments import (EXPERIMENTS, artifact_path, check,
-                                     write)
+from repro.bench.experiments import (EXPERIMENTS, artifact_path,
+                                     canonical_json, check, write)
 from repro.client import BulletClient
 from repro.disk import VirtualDisk
 from repro.errors import (BadRequestError, ConsistencyError, NotFoundError,
                           Status)
 from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.nfs import NfsServer
-from repro.obs import pair_spans, render_json, render_text
+from repro.obs import pair_spans
 from repro.obs.__main__ import main as obs_main
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, Tracer, run_process
@@ -134,7 +134,7 @@ def test_nfs_errors_are_counted(env):
 
 
 def test_read_decomposes_into_spans(env):
-    tracer = Tracer(env=env, categories={"span"})
+    tracer = Tracer(env=env)
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile(), tracer=tracer)
     bullet = make_bullet(env, transport=rpc, tracer=tracer)
@@ -228,8 +228,7 @@ def _seeded_workload(seed: int):
 def test_same_seed_runs_export_byte_identically():
     a = _seeded_workload(1989)
     b = _seeded_workload(1989)
-    assert render_text(a) == render_text(b)
-    assert render_json(a) == render_json(b)
+    assert canonical_json(a.snapshot()) == canonical_json(b.snapshot())
 
 
 # ------------------------------------------------------ bench plane
@@ -329,6 +328,13 @@ def test_bench_cli_rejects_an_unknown_experiment(replayed):
     assert _tree(replayed) == before
 
 
+def test_obs_cli_without_a_command_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        obs_main([])
+    assert exit_info.value.code == 2
+    assert "usage: python -m repro.obs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["bench"], ["bench", "--check"]])
 def test_bench_cli_refuses_outside_the_repository_root(
         argv, monkeypatch, tmp_path, capsys):
@@ -361,7 +367,7 @@ def test_committed_bench_artifact_is_current_schema():
     assert inv["cache_hits"] + inv["cache_misses"] == inv["cache_lookups"]
 
 
-def test_committed_bench_pr5_artifact_is_current_schema():
+def test_committed_worker_scaling_artifact_is_current_schema():
     top = json.loads((REPO / "BENCH_worker_scaling.json").read_text())
     assert top["meta"]["seed"] == 1989
     scaling = top["throughput_vs_workers_ops_per_sec"]

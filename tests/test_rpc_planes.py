@@ -89,6 +89,27 @@ def test_directory_rpc_path_and_history(env, network):
     assert len(history) == 2  # empty version + one append
 
 
+def test_local_append_beside_an_rpc_append_keeps_both(env, network):
+    """Regression: a local-plane APPEND raced the serve loop's RPC
+    APPEND to the same directory and one of the two entries was lost."""
+    bullet = make_bullet(env, transport=network)
+    dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dirdisk"),
+                           LocalBulletStub(bullet), small_testbed(),
+                           transport=network)
+    dirs.format()
+    run_process(env, dirs.boot())
+    root = run_process(env, dirs.create_directory())
+    local = run_process(env, bullet.create(b"local", 1))
+    remote = run_process(env, bullet.create(b"remote", 1))
+    over_rpc = env.process(network.trans(dirs.port, RpcRequest(
+        opcode=DIR_OPCODES["APPEND"], cap=root, args=("rpc",),
+        body=remote.pack())))
+    env.run(until=env.all_of([
+        over_rpc, env.process(dirs.append(root, "local", local))]))
+    assert over_rpc.value.ok
+    assert run_process(env, dirs.list_names(root)) == ["local", "rpc"]
+
+
 def test_log_rpc_plane(env, network):
     disk = VirtualDisk(env, SMALL_DISK, name="logdisk")
     logs = LogServer(env, disk, small_testbed(), transport=network)

@@ -429,7 +429,7 @@ def test_delete_retried_under_loss_invalidates_exactly_once(env):
     """DELETE under a lossy network: the retry layer re-sends the same
     txid, the server's reply cache dedupes execution, and the cache
     invalidation runs exactly once — after the confirmed success."""
-    tracer = Tracer(env, categories={"retry"})
+    tracer = Tracer(env)
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile())
     bullet = make_bullet(env, transport=rpc)
