@@ -26,13 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..capability import (
-    ALL_RIGHTS,
-    Capability,
-    RIGHT_READ,
-    restrict as restrict_locally,
-    rights_names,
-)
+from ..capability import Capability, RIGHT_READ, rights_names
 from ..core import OPCODES, BulletServer
 from ..errors import RightsError
 from ..net import RpcRequest, RpcTransport
@@ -230,27 +224,20 @@ class CachingBulletClient:
         return data
 
     def restrict(self, cap: Capability, mask: int):
-        """Process: rights restriction. An owner capability the cache
-        can vouch for — it admitted the resident entry, or matches the
-        entry's known secret — is restricted entirely client-side
-        (§2.1: its check field is the secret, so the restricted check
-        derives locally — one one-way function, no RPC), and the cache
-        is seeded so a read under the restriction is a verified hit.
-
-        Everything else goes to the server: restricted capabilities,
-        owner capabilities of uncached objects, and owner-*shaped*
-        capabilities the cache cannot prove genuine. The server stays
-        the authority on forged and reincarnated capabilities, so a
-        bogus owner capability raises here (as it always did) instead
-        of yielding a plausible-looking local derivation — and cannot
-        poison the workstation cache's verification state."""
-        if cap.rights != ALL_RIGHTS or not self.cache.owner_verified(cap):
+        """Process: rights restriction, client-side when the
+        workstation cache can vouch for the owner capability
+        (:meth:`~repro.client.workstation.WorkstationCache.restrict`:
+        one one-way function, no RPC, and a read under the restriction
+        is a verified hit). Everything else goes to the server, the
+        authority on forged and reincarnated capabilities, so a bogus
+        owner capability raises here instead of yielding a
+        plausible-looking local derivation."""
+        local = self.cache.restrict(cap, mask)
+        if local is None:
             return (yield from self.stub.restrict(cap, mask))
-        restricted = restrict_locally(cap, mask)
-        if restricted is not cap and self.cache.derive_cost > 0.0:
-            yield self.env.timeout(self.cache.derive_cost)
-        self.cache.register_verified(cap, restricted)
-        self.cache.note_rpc_avoided()
+        restricted, cost = local
+        if cost > 0.0:
+            yield self.env.timeout(cost)
         return restricted
 
     def stat(self, cap: Capability):

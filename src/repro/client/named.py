@@ -235,28 +235,14 @@ class NamedFileClient:
         file — the name was rebound and the superseded version disposed
         of between our check and the fetch — forces a fresh currency
         check and a retry: name-mediated recovery, bounded rounds."""
-        for _ in range(_MAX_REFETCH_ROUNDS):
-            try:
-                return (yield from self.client.read(handle.cap))
-            except _GONE_ERRORS:
-                yield from self._recover(handle)
-        raise NotFoundError(
-            f"{handle.name!r}: rebound faster than it could be fetched "
-            f"({_MAX_REFETCH_ROUNDS} recovery rounds)"
-        )
+        return (yield from self._recovering(handle, self.client.read,
+                                            "fetched"))
 
     def size_open(self, handle: NamedFile):
         """Process: file size under an open handle, with the same
         vanished-file recovery as :meth:`read_open`."""
-        for _ in range(_MAX_REFETCH_ROUNDS):
-            try:
-                return (yield from self.client.size(handle.cap))
-            except _GONE_ERRORS:
-                yield from self._recover(handle)
-        raise NotFoundError(
-            f"{handle.name!r}: rebound faster than it could be sized "
-            f"({_MAX_REFETCH_ROUNDS} recovery rounds)"
-        )
+        return (yield from self._recovering(handle, self.client.size,
+                                            "sized"))
 
     # ------------------------------------------------------------ writers
 
@@ -342,6 +328,19 @@ class NamedFileClient:
         raise NotFoundError(
             f"{name!r}: rebound faster than it could be revalidated "
             f"({_MAX_REFETCH_ROUNDS} rounds)"
+        )
+
+    def _recovering(self, handle: NamedFile, operation, done: str):
+        """Process: ``operation(handle.cap)``; a vanished file forces a
+        currency check and a retry, for at most the bounded rounds."""
+        for _ in range(_MAX_REFETCH_ROUNDS):
+            try:
+                return (yield from operation(handle.cap))
+            except _GONE_ERRORS:
+                yield from self._recover(handle)
+        raise NotFoundError(
+            f"{handle.name!r}: rebound faster than it could be {done} "
+            f"({_MAX_REFETCH_ROUNDS} recovery rounds)"
         )
 
     def _recover(self, handle: NamedFile):

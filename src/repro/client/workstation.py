@@ -33,13 +33,16 @@ object:
   derivation; re-presenting a known pair verifies in O(1) with no
   one-way-function work, mirroring the server's verified-cap cache.
 
-Verification state is only ever seeded from capabilities *proven*
-genuine — the capability that admitted the entry after a successful
-server READ, or one that derives from an already-known secret. A
-merely owner-*shaped* capability is never trusted: the cache refuses to
-record it (:meth:`register_verified` is a no-op for it), so a forged
-owner capability can neither poison the secret nor mint verified pairs;
-it misses through to the server, which remains the authority.
+One rule (:meth:`WorkstationCache._prove`) decides whether a presented
+capability is genuine: a memoized pair is free; otherwise the known
+secret derives the verifier (one charged, counted, memoized one-way
+function); with no secret the capability is unprovable and misses
+through to the server, which remains the authority. Verification state
+is only ever extended from capabilities proven genuine — the capability
+that admitted the entry after a successful server READ, or one the rule
+proves — so a forged or dead-incarnation capability is never served
+cached bytes, and an owner capability is restricted locally
+(:meth:`WorkstationCache.restrict`) only when the entry vouches for it.
 
 A hot READ through :class:`~repro.client.CachingBulletClient` then
 touches neither the network nor the server: lookup, local check-field
@@ -62,7 +65,7 @@ from ..capability import (
     Capability,
     has_rights,
     local_verifier,
-    verify,
+    restrict as restrict_locally,
 )
 from ..errors import ConsistencyError
 from ..obs import MetricsRegistry, RegistryStats
@@ -113,6 +116,13 @@ class LookupResult:
         return self.data is not None
 
 
+def _verifies(secret: int, pair: tuple[int, int]) -> bool:
+    """Whether a ``(rights, check)`` pair is genuine under ``secret``:
+    the one place the workstation evaluates the one-way function."""
+    rights, check = pair
+    return check == local_verifier(secret, rights)
+
+
 class _Entry:
     """One cached whole file plus its verification state."""
 
@@ -122,6 +132,14 @@ class _Entry:
         self.data = data
         self.secret: Optional[int] = None
         self.verified: set = set()  # {(rights, check)} proven genuine
+
+    def learn(self, cap: Capability) -> None:
+        """Memoize a proven capability; an owner's check field is the
+        object's secret, so from here on any rights subset verifies
+        locally."""
+        self.verified.add((cap.rights, cap.check))
+        if cap.rights == ALL_RIGHTS:
+            self.secret = cap.check
 
 
 class WorkstationCache:
@@ -135,7 +153,8 @@ class WorkstationCache:
         self.capacity = capacity_bytes
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cpu = cpu
+        #: Simulated cost of one local one-way-function evaluation.
+        self._derive_cost = cpu.capability_check if cpu is not None else 0.0
         self.stats = WorkstationCacheStats(self.metrics, workstation=name)
         self._bytes_gauge = self.metrics.gauge(
             "repro_client_cache_bytes", workstation=name)
@@ -162,11 +181,6 @@ class WorkstationCache:
             )
         return actual
 
-    @property
-    def derive_cost(self) -> float:
-        """Simulated cost of one local check-field derivation."""
-        return self.cpu.capability_check if self.cpu is not None else 0.0
-
     # ------------------------------------------------------------- lookup
 
     def lookup(self, cap: Capability, needed_rights: int,
@@ -174,31 +188,18 @@ class WorkstationCache:
         """Probe the cache with a capability.
 
         A hit requires (a) the object's bytes to be resident and (b) the
-        capability to verify *locally*: its ``(rights, check)`` pair is
-        already known genuine, or the entry holds the object's secret
-        and the pair matches the locally derived verifier. A genuine
-        capability lacking ``needed_rights`` is reported as ``denied``
-        (counted as a hit: the cache answered authoritatively). Anything
-        else — absent object, unverifiable or mismatching check field —
-        is a miss; the caller falls through to the server, which remains
-        the authority on forged capabilities and reincarnated object
-        numbers.
+        capability to be proven genuine *locally* by :meth:`_prove`. A
+        genuine capability lacking ``needed_rights`` is reported as
+        ``denied`` (counted as a hit: the cache answered
+        authoritatively). Anything else — absent object, unprovable or
+        mismatching check field — is a miss; the caller falls through
+        to the server, which remains the authority on forged
+        capabilities and reincarnated object numbers.
         """
         self.stats.lookups.inc()
         entry = self._entries.get((cap.port, cap.object))
-        cost = 0.0
-        verified = False
-        if entry is not None:
-            pair = (cap.rights, cap.check)
-            verified = pair in entry.verified
-            if not verified and entry.secret is not None:
-                cost = self.derive_cost
-                self.stats.local_verifies.inc()
-                verified = cap.check == local_verifier(entry.secret,
-                                                       cap.rights)
-                if verified:
-                    entry.verified.add(pair)
-        if not verified:
+        proven, cost = (False, 0.0) if entry is None else self._prove(entry, cap)
+        if not proven:
             self.stats.misses.inc()
             return LookupResult(None, False, cost)
         self._entries.move_to_end((cap.port, cap.object))
@@ -216,28 +217,21 @@ class WorkstationCache:
         """Admit a whole file fetched from the server under ``cap``.
 
         Returns False when the file is larger than the budget and
-        cannot be cached. Re-admission of a resident object by a
-        concurrent sharer merges verification state without touching
+        cannot be cached. Re-admission of a resident object with the
+        same bytes (a concurrent sharer, or an unseen delete + recreate
+        that reused the object number *and* the contents) never touches
         the byte accounting (``cached_bytes`` tracks reality, never the
-        admission count). A resident object whose bytes differ — a reincarnated
-        object number — is replaced, with the stale verification state
-        dropped; when the reincarnation reuses identical bytes, the
-        admitting capability (server-proven for the *current*
-        incarnation) is checked against the entry's known secret, and a
-        mismatch likewise resets the stale secret and verified pairs,
-        so capabilities of the deleted incarnation miss through to the
-        server instead of riding the byte equality.
+        admission count) and keeps only the evidence the admitting
+        capability — proven by the server for the *current*
+        incarnation — proves (:meth:`_readmit`). A resident object whose
+        bytes differ — a reincarnated object number — is replaced, with
+        its verification state dropped.
         """
         key = (cap.port, cap.object)
         entry = self._entries.get(key)
         if entry is not None:
             if entry.data == data:
-                if entry.secret is not None and not verify(cap, entry.secret):
-                    # Reincarnation with identical bytes: the prior
-                    # incarnation's verification state is revoked.
-                    entry.secret = None
-                    entry.verified.clear()
-                self._note_verified(entry, cap)
+                self._readmit(entry, cap)
                 self._entries.move_to_end(key)
                 return True
             self._drop(key, entry)
@@ -245,7 +239,7 @@ class WorkstationCache:
             return False
         self._make_room(len(data))
         entry = _Entry(bytes(data))
-        self._note_verified(entry, cap)
+        entry.learn(cap)
         self._entries[key] = entry
         self._account(len(data))
         return True
@@ -268,11 +262,11 @@ class WorkstationCache:
 
         * exact ``(rights, check)`` equality — free;
         * an owner-shaped side carries its incarnation's secret in the
-          check field (§2.1), so the other side verifies against it
-          directly (one one-way function); two unequal owner-shaped
-          capabilities carry *different* secrets — stale;
-        * both sides restricted: only the resident entry's own
-          evidence (known secret / verified pairs) can link them.
+          check field (§2.1), so the other side is checked by one
+          derivation with that check field as the secret; two unequal
+          owner-shaped capabilities carry *different* secrets — stale;
+        * both sides restricted: both must pass :meth:`_prove`, the
+          resident entry's own evidence.
 
         Unprovable pairs report stale — the safe direction: a spurious
         re-fetch, never a stale read. Returns ``(proven, cost)`` where
@@ -286,77 +280,55 @@ class WorkstationCache:
         if (based_on.rights, based_on.check) == (current.rights, current.check):
             return True, 0.0
         entry = self._entries.get((based_on.port, based_on.object))
-        cost = 0.0
         for owner, other in ((based_on, current), (current, based_on)):
             if owner.rights != ALL_RIGHTS:
                 continue
             if other.rights == ALL_RIGHTS:
                 # Two owner capabilities with different check fields are
                 # two different secrets: distinct incarnations.
-                return False, cost
-            cost += self.derive_cost
-            self.stats.local_verifies.inc()
-            proven = verify(other, owner.check)
+                return False, 0.0
+            proven, cost = self._derive(owner.check, other)
             if (proven and entry is not None
                     and (based_on.rights, based_on.check) in entry.verified):
                 # The check proved the owner capability of an entry
                 # that already trusts based_on: seed the secret so
                 # every future verification for this object is O(1).
-                self._note_verified(entry, owner)
-                self._note_verified(entry, other)
+                entry.learn(owner)
+                entry.learn(other)
             return proven, cost
         if entry is None:
-            return False, cost
+            return False, 0.0
+        cost = 0.0
         for cap in (based_on, current):
-            if (cap.rights, cap.check) in entry.verified:
-                continue
-            if entry.secret is None:
+            proven, spent = self._prove(entry, cap)
+            cost += spent
+            if not proven:
                 return False, cost
-            cost += self.derive_cost
-            self.stats.local_verifies.inc()
-            if not verify(cap, entry.secret):
-                return False, cost
-            entry.verified.add((cap.rights, cap.check))
         return True, cost
 
-    def owner_verified(self, cap: Capability) -> bool:
-        """Whether ``cap`` is an owner capability the cache can vouch
-        for: its object is resident and the capability is proven
-        genuine by the entry's own evidence (it admitted the entry, or
-        its check field equals the known secret). Only such a
-        capability may be restricted locally without asking the
-        server."""
-        if cap.rights != ALL_RIGHTS:
-            return False
+    def restrict(self, cap: Capability,
+                 mask: int) -> Optional[tuple[Capability, float]]:
+        """Restrict an owner capability client-side (§2.1: its check
+        field is the secret, so the restricted check derives locally).
+
+        Returns ``(restricted, cost)``, ``cost`` being the simulated
+        seconds the caller must charge, when the entry vouches for
+        ``cap``: its pair is memoized (learning the secret memoizes the
+        owner's pair, so no derivation could prove an owner capability
+        that is not). The restriction is memoized, so a read under it
+        is a free hit. Otherwise None: the caller asks the server,
+        which raises on forgeries."""
         entry = self._entries.get((cap.port, cap.object))
-        return entry is not None and self._proven(entry, cap)
-
-    def register_verified(self, cap: Capability,
-                          derived: Optional[Capability] = None) -> None:
-        """Record capabilities proven genuine out of band (e.g. a local
-        owner-side restrict): seeds the entry's verification state so a
-        later read under ``derived`` hits without any check-field work.
-
-        The cache never takes the caller's word for it: each capability
-        is registered only if it verifies against the entry's existing
-        evidence (its pair is already known, or it derives from the
-        known secret). An unprovable capability — notably a forged
-        owner-shaped one — is silently ignored, so it can neither
-        overwrite the secret nor mint verified pairs; later lookups
-        under it miss through to the server, the authority."""
-        entry = self._entries.get((cap.port, cap.object))
-        if entry is None or not self._proven(entry, cap):
-            return
-        self._note_verified(entry, cap)
-        if (derived is not None and derived.port == cap.port
-                and derived.object == cap.object
-                and self._proven(entry, derived)):
-            self._note_verified(entry, derived)
-
-    def note_rpc_avoided(self) -> None:
-        """Account one server round trip that local state made
-        unnecessary outside the lookup path (e.g. a local restrict)."""
+        if (cap.rights != ALL_RIGHTS or entry is None
+                or (cap.rights, cap.check) not in entry.verified):
+            return None
+        restricted = restrict_locally(cap, mask)
+        cost = 0.0
+        if restricted is not cap:
+            cost = self._derive_cost
+            entry.learn(restricted)
         self.stats.rpcs_avoided.inc()
+        return restricted, cost
 
     # -------------------------------------------------------- invalidation
 
@@ -373,22 +345,47 @@ class WorkstationCache:
 
     # ----------------------------------------------------------- internals
 
-    def _proven(self, entry: _Entry, cap: Capability) -> bool:
-        """Whether ``cap`` is genuine by the entry's own evidence: its
-        pair is already verified, or it derives from the known secret.
-        Callers must only extend verification state from proven caps."""
+    def _prove(self, entry: _Entry, cap: Capability) -> tuple[bool, float]:
+        """The one proof rule: whether ``cap`` is genuine by the entry's
+        own evidence, and the simulated seconds that cost. A memoized
+        pair costs nothing; otherwise a known secret derives the
+        verifier (:meth:`_derive`), memoized on success; with no secret
+        the capability is unprovable."""
         if (cap.rights, cap.check) in entry.verified:
-            return True
+            return True, 0.0
         if entry.secret is None:
-            return False
-        return verify(cap, entry.secret)
+            return False, 0.0
+        proven, cost = self._derive(entry.secret, cap)
+        if proven:
+            entry.learn(cap)
+        return proven, cost
 
-    def _note_verified(self, entry: _Entry, cap: Capability) -> None:
-        entry.verified.add((cap.rights, cap.check))
-        if cap.rights == ALL_RIGHTS:
-            # The owner capability carries the object's secret itself:
-            # from here on any rights subset verifies locally.
-            entry.secret = cap.check
+    def _derive(self, secret: int, cap: Capability) -> tuple[bool, float]:
+        """One local derivation: whether ``cap``'s check field is the
+        verifier ``secret`` gives its rights — one one-way function,
+        charged and counted."""
+        self.stats.local_verifies.inc()
+        return _verifies(secret, (cap.rights, cap.check)), self._derive_cost
+
+    def _readmit(self, entry: _Entry, cap: Capability) -> None:
+        """Same-bytes re-admission under ``cap``, which the server has
+        just proven for the current incarnation: keep only the evidence
+        ``cap`` proves. These checks charge and count nothing."""
+        pair = (cap.rights, cap.check)
+        if pair in entry.verified:
+            return
+        if entry.secret is not None:
+            if not _verifies(entry.secret, pair):
+                entry.secret = None
+                entry.verified.clear()
+        elif cap.rights == ALL_RIGHTS:
+            entry.verified = {known for known in entry.verified
+                              if _verifies(cap.check, known)}
+        else:
+            # Another pair with cap's rights is another incarnation's;
+            # one with other rights cannot be linked without a secret.
+            entry.verified.clear()
+        entry.learn(cap)
 
     def _make_room(self, needed: int) -> None:
         """Evict entries, LRU first, until ``needed`` (at most the

@@ -25,6 +25,7 @@ from ..capability import (
     mint_owner,
     require,
 )
+from ..core.locks import FileLockTable
 from ..disk import VirtualDisk
 from ..errors import BadRequestError, NoSpaceError, NotFoundError
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
@@ -72,6 +73,8 @@ class LogServer(RpcService):
         self._secrets = SeededStream(0, "logsvc:secrets")
         self._logs: dict[int, _LogState] = {}
         self._free_blocks: list[int] = []
+        # One write lock per log, held by every append.
+        self.locks = FileLockTable(env, owner="logsvc")
 
     @property
     def payload_per_block(self) -> int:
@@ -167,7 +170,11 @@ class LogServer(RpcService):
         """Process: append one record; returns its sequence number.
 
         Cost is one tail-block write (two when a new block is linked) —
-        independent of the log's length.
+        independent of the log's length. Appends to one log hold its
+        write lock from reading the tail to writing it, because the
+        local plane runs beside the serve loop; the lock is requested
+        after the check's CPU time, where an uncontended grant completes
+        in place.
         """
         state = yield from self._open(cap, RIGHT_CREATE)
         if len(record) > self.max_record:
@@ -176,25 +183,28 @@ class LogServer(RpcService):
                 f"{self.max_record}-byte limit"
             )
         needed = 2 + len(record)
-        if state.tail_used + needed > self.payload_per_block:
-            new_block = self._alloc_block()
-            yield self.disk.write(new_block, self._encode_block(b"", 0))
-            # Re-point the old tail's next pointer.
-            tail_records = self._tail_payload(state)
+        with self.locks.writing(cap.object) as lock:
+            yield lock.grant
+            if state.tail_used + needed > self.payload_per_block:
+                new_block = self._alloc_block()
+                yield self.disk.write(new_block, self._encode_block(b"", 0))
+                # Re-point the old tail's next pointer.
+                tail_records = self._tail_payload(state)
+                yield self.disk.write(
+                    state.tail_block,
+                    self._encode_block(tail_records, state.tail_used,
+                                       nxt=new_block),
+                )
+                state.tail_block = new_block
+                state.tail_used = 0
+            start = state.record_count
+            state.records.append(bytes(record))
+            state.record_count += 1
+            state.tail_used += needed
             yield self.disk.write(
                 state.tail_block,
-                self._encode_block(tail_records, state.tail_used, nxt=new_block),
+                self._encode_block(self._tail_payload(state), state.tail_used),
             )
-            state.tail_block = new_block
-            state.tail_used = 0
-        start = state.record_count
-        state.records.append(bytes(record))
-        state.record_count += 1
-        state.tail_used += needed
-        yield self.disk.write(
-            state.tail_block,
-            self._encode_block(self._tail_payload(state), state.tail_used),
-        )
         return start
 
     def read(self, cap: Capability, from_seq: int = 0, limit: int = 1 << 30):

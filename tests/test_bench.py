@@ -732,6 +732,60 @@ def test_kernel_private_state_stays_inside_repro_sim():
     assert not findings, "\n".join(findings)
 
 
+def test_the_workstation_proves_capabilities_in_one_place():
+    """The client plane checks a capability by one rule: no module of
+    ``repro/client/`` but ``workstation.py`` calls ``verify``,
+    ``local_verifier`` or ``restrict`` from ``repro.capability``, and
+    ``workstation.py`` evaluates ``verify``/``local_verifier`` in one
+    function. A second copy of the check is how a dead incarnation's
+    capability came to be served cached bytes."""
+    client = Path(__file__).resolve().parents[1] / "src" / "repro" / "client"
+    watched = {"verify", "local_verifier", "restrict"}
+
+    def calls(node, function="<module>"):
+        """Every call under ``node`` with its innermost enclosing def."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield function, child
+            yield from calls(child, function)
+
+    findings, checkers = [], set()
+    for path in sorted(client.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # Names bound to the watched functions, and to the module itself
+        # (``from .. import capability``, ``import repro.capability``).
+        aliases, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for a in node.names:
+                    if (node.module or "").endswith("capability") \
+                            and a.name in watched:
+                        aliases[a.asname or a.name] = a.name
+                    elif a.name == "capability":
+                        modules.add(a.asname or a.name)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names
+                               if a.name == "repro.capability")
+        for function, call in calls(tree):
+            func = call.func
+            if isinstance(func, ast.Name) and func.id in aliases:
+                name = aliases[func.id]
+            elif (isinstance(func, ast.Attribute) and func.attr in watched
+                  and ast.unparse(func.value) in modules):
+                name = func.attr
+            else:
+                continue
+            if path.name != "workstation.py":
+                findings.append(f"{path.name}:{call.lineno}: {name}")
+            elif name != "restrict":
+                checkers.add(function)
+    assert not findings, "\n".join(findings)
+    assert len(checkers) <= 1, sorted(checkers)
+
+
 def test_core_writes_replicas_through_the_mirror_only():
     """A replica write issued disk by disk has to remember to tell a
     streaming recovery about it, or the copy clobbers it with a stale

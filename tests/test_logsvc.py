@@ -43,6 +43,24 @@ def test_concurrent_creates_get_distinct_logs(env):
         assert run_process(env, logs.read(cap)) == [record]
 
 
+def test_concurrent_appends_that_link_a_block_both_survive_reboot(env):
+    """Regression: two local appends to a full tail both linked a new
+    block. Both returned sequence numbers and RAM held both records, but
+    the disk chain kept one of them and leaked the other's block."""
+    logs = make_log_server(env)
+    cap = run_process(env, logs.create_log())
+    run_process(env, logs.append(cap, bytes(logs.max_record)))  # tail full
+    made = [env.process(logs.append(cap, record))
+            for record in (b"one", b"two")]
+    env.run(until=env.all_of(made))
+    assert [proc.value for proc in made] == [1, 2]
+    free = logs.status()["free_blocks"]
+    reborn = LogServer(env, logs.disk, small_testbed())
+    env.run(until=env.process(reborn.boot()))
+    assert run_process(env, reborn.read(cap, from_seq=1)) == [b"one", b"two"]
+    assert reborn.status()["free_blocks"] == free
+
+
 def test_a_failed_create_leaves_no_log(env):
     logs = make_log_server(env)
     logs.disk.fail()

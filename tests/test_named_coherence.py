@@ -138,10 +138,10 @@ def test_evidence_owner_check_seeds_trusted_entry():
     afterwards (client-side restriction becomes local)."""
     cache = evidence_cache()
     assert cache.admit(READ_CAP, b"payload")
-    assert not cache.owner_verified(OWNER)
+    assert cache.restrict(OWNER, RIGHT_DELETE) is None
     proven, _cost = cache.currency_evidence(READ_CAP, OWNER)
     assert proven
-    assert cache.owner_verified(OWNER)
+    assert cache.restrict(OWNER, RIGHT_DELETE) == (DEL_CAP, 0.0)
 
 
 # ------------------------------------------- lookup_validated regressions

@@ -4,6 +4,8 @@ fixed in the same PR (re-admission double-counting, missing
 restrict/stat delegation, SIZE bypassing recency/counters, and DELETE
 invalidating before the server confirmed)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.capability import (
 from repro.client import (
     BulletClient,
     CachingBulletClient,
+    LocalBulletStub,
     WorkstationCache,
 )
 from repro.errors import (
@@ -461,38 +464,44 @@ def test_delete_retried_under_loss_invalidates_exactly_once(env):
 # --------------------------- trust: only proven capabilities register
 
 
-def test_forged_owner_cannot_poison_cache_via_register():
-    """Regression (review): register_verified() used to take the
+def test_forged_owner_cannot_poison_cache_via_restrict():
+    """Regression (review): the local-restrict path used to take the
     caller's word for an owner-shaped capability, overwriting the
-    entry's secret and minting verified pairs from a forgery. It must
-    refuse anything it cannot prove against its own evidence."""
+    entry's secret and minting verified pairs from a forgery. The cache
+    restricts only an owner capability it can prove against its own
+    evidence."""
     cache = WorkstationCache(64 * KB)
     own = owner(1)
     reader = restrict(own, RIGHT_READ)
     assert cache.admit(reader, b"data")  # secret unknown to the cache
     forged_owner = Capability(port=PORT, object=1, rights=ALL_RIGHTS,
                               check=own.check ^ 0xBAD)
-    forged_reader = restrict(forged_owner, RIGHT_READ)
-    cache.register_verified(forged_owner, forged_reader)
+    assert cache.restrict(forged_owner, RIGHT_READ) is None
     # Neither forged capability hits — they miss through to the server —
     # and the genuine pair that admitted the entry still verifies.
     assert not cache.lookup(forged_owner, RIGHT_READ).hit
-    assert not cache.lookup(forged_reader, RIGHT_READ).hit
+    assert not cache.lookup(restrict(forged_owner, RIGHT_READ),
+                            RIGHT_READ).hit
     assert cache.lookup(reader, RIGHT_READ).hit
+    assert cache.stats.rpcs_avoided.value == 1  # the genuine hit only
 
 
-def test_register_verified_seeds_from_proven_owner():
-    """The legitimate seeding path still works: an owner capability
-    that admitted the entry registers its local restriction, so the
-    later read is a known-pair hit with zero check-field work."""
-    cache = WorkstationCache(64 * KB, cpu=CpuProfile())
+def test_local_restrict_seeds_from_proven_owner():
+    """An owner capability that admitted the entry is restricted
+    locally for one one-way function, and the restriction is memoized,
+    so the later read is a known-pair hit with zero check-field work."""
+    cpu = CpuProfile()
+    cache = WorkstationCache(64 * KB, cpu=cpu)
     own = owner(1)
     assert cache.admit(own, b"data")
-    derived = restrict(own, RIGHT_READ)
-    cache.register_verified(own, derived)
+    derived, cost = cache.restrict(own, RIGHT_READ)
+    assert derived == restrict(own, RIGHT_READ)
+    assert cost == cpu.capability_check
+    assert cache.restrict(own, ALL_RIGHTS) == (own, 0.0)  # nothing to derive
     result = cache.lookup(derived, RIGHT_READ)
     assert result.hit and result.verify_cost == 0.0
     assert cache.stats.local_verifies.value == 0
+    assert cache.stats.rpcs_avoided.value == 3
 
 
 def test_forged_owner_restrict_goes_to_server_and_fails(env, rpc_rig):
@@ -565,3 +574,171 @@ def test_reincarnation_with_identical_bytes_resets_verification():
     assert cache.lookup(fresh, RIGHT_READ).hit
     assert cache.lookup(restrict(fresh, RIGHT_READ), RIGHT_READ).hit
     assert cache.audit() == len(b"same bytes")
+
+
+def test_restricted_readmission_without_secret_keeps_only_its_own_pair():
+    """Regression: with no secret known, a same-bytes re-admission under
+    a restricted capability used to merge its pair into the entry. A
+    pair with the same rights and another check field is another
+    incarnation's, so the dead incarnation's reader kept hitting; one
+    with other rights cannot be linked without the secret. Both are
+    dropped."""
+    cache = WorkstationCache(64 * KB)
+    stale, fresh = owner(1, secret=0x1111), owner(1, secret=0x2222)
+    stale_reader = restrict(stale, RIGHT_READ)
+    assert cache.admit(stale_reader, b"same bytes")
+    assert cache.admit(restrict(fresh, RIGHT_READ), b"same bytes")
+    assert not cache.lookup(stale_reader, RIGHT_READ).hit
+    assert cache.lookup(restrict(fresh, RIGHT_READ), RIGHT_READ).hit
+    # Same incarnation, other rights: unlinkable, so dropped too.
+    both = restrict(fresh, RIGHT_READ | RIGHT_DELETE)
+    assert cache.admit(both, b"same bytes")
+    assert cache.lookup(both, RIGHT_READ).hit
+    assert not cache.lookup(restrict(fresh, RIGHT_READ), RIGHT_READ).hit
+    assert cache.stats.local_verifies.value == 0
+
+
+def test_owner_readmission_keeps_only_the_pairs_it_proves():
+    """A same-bytes re-admission under an owner capability keeps the
+    pairs that verify against its check field (its own incarnation's)
+    and learns the secret; another incarnation's pairs go."""
+    stale, fresh = owner(1, secret=0x1111), owner(1, secret=0x2222)
+    for first, kept in ((restrict(fresh, RIGHT_READ), True),
+                        (restrict(stale, RIGHT_READ), False)):
+        cache = WorkstationCache(64 * KB)
+        assert cache.admit(first, b"same bytes")
+        assert cache.admit(fresh, b"same bytes")
+        assert cache.stats.local_verifies.value == 0  # admission is free
+        assert cache.restrict(fresh, RIGHT_DELETE) is not None
+        assert cache.lookup(first, RIGHT_READ).hit == kept
+
+
+# ------------------------------- attacks against the cache, one table
+
+
+class _Directory:
+    """A directory binding one name to a fixed capability set."""
+
+    def __init__(self, caps):
+        self.caps = caps
+
+    def lookup_set(self, dir_cap, name):
+        return self.caps
+        yield
+
+
+PAYLOAD = b"one incarnation's bytes"
+
+
+def _attack_rig(env, secret_known):
+    """A workstation that cached an object, missed its delete, and
+    cached its same-bytes successor under the same object number —
+    under owner capabilities when ``secret_known``, under server-minted
+    read-only restrictions otherwise."""
+    bullet = make_bullet(env)
+    server = LocalBulletStub(bullet)
+    caching = CachingBulletClient(server, WorkstationCache(
+        64 * KB, cpu=CpuProfile()))
+
+    def fetch_under(own):
+        cap = own if secret_known else run_process(
+            env, server.restrict(own, RIGHT_READ))
+        assert run_process(env, caching.read(cap)) == PAYLOAD
+
+    dead = run_process(env, server.create(PAYLOAD, 1))
+    fetch_under(dead)
+    run_process(env, server.delete(dead))  # by another workstation
+    own = run_process(env, server.create(PAYLOAD, 1))
+    assert own.object == dead.object
+    fetch_under(own)
+    return bullet, caching, dead, own
+
+
+#: Each attack: the capability it presents (owner-shaped where only an
+#: owner capability could be served locally, read-only elsewhere), from
+#: the dead and the current owner capability.
+_ATTACKS = {
+    "forged": lambda dead, own, shape: replace(
+        restrict(own, shape), check=restrict(own, shape).check ^ 1),
+    "dead_incarnation": lambda dead, own, shape: restrict(dead, shape),
+    "lacks_rights": lambda dead, own, shape: restrict(own, RIGHT_DELETE),
+}
+
+#: What each entry point that can answer without the server must do
+#: with each attack: raise what the server raises, or answer as below.
+_OUTCOMES = {
+    "forged": {"read": CapabilityError, "size": CapabilityError,
+               "restrict": CapabilityError, "lookup_validated": "stale"},
+    "dead_incarnation": {"read": CapabilityError, "size": CapabilityError,
+                         "restrict": CapabilityError,
+                         "lookup_validated": "stale"},
+    "lacks_rights": {"read": RightsError, "size": RightsError,
+                     "restrict": "no amplification",
+                     "lookup_validated": "proven lineage"},
+}
+
+
+@pytest.mark.parametrize("secret_known", [True, False],
+                         ids=["secret_known", "secret_unknown"])
+@pytest.mark.parametrize("entry", ["read", "size", "restrict",
+                                   "lookup_validated"])
+@pytest.mark.parametrize("attack", list(_ATTACKS))
+def test_no_attack_is_answered_from_the_cache(env, attack, entry,
+                                              secret_known):
+    """The cache-side twin of the server's capability table: a forged
+    check field, a dead incarnation's capability and a genuine one
+    lacking rights, against every client entry point that can answer
+    without the server, with the object's secret known to the
+    workstation and not. No forged or dead capability is ever served
+    cached bytes or vouched current, and rights never grow."""
+    bullet, caching, dead, own = _attack_rig(env, secret_known)
+    shape = ALL_RIGHTS if entry == "restrict" else RIGHT_READ
+    presented = _ATTACKS[attack](dead, own, shape)
+    outcome = _OUTCOMES[attack][entry]
+    if entry == "lookup_validated":
+        binding = restrict(own, RIGHT_READ)
+        current, cap = run_process(env, caching.lookup_validated(
+            _Directory([binding]), None, "doc", presented))
+        assert cap == binding
+        # A genuine capability lacking rights is the current
+        # incarnation, provably so only by a workstation that knows the
+        # secret; an unprovable pair compares stale (a spurious refetch).
+        assert current == (outcome == "proven lineage" and secret_known)
+    elif entry == "restrict" and outcome == "no amplification":
+        restricted = run_process(env, caching.restrict(
+            presented, RIGHT_READ | RIGHT_DELETE))
+        assert restricted.rights == RIGHT_DELETE
+        assert run_process(env, LocalBulletStub(bullet).stat(restricted))
+    else:
+        operation = getattr(caching, entry)
+        args = (RIGHT_READ,) if entry == "restrict" else ()
+        with pytest.raises(outcome):
+            run_process(env, operation(presented, *args))
+    # Refused means refused: the current incarnation still hits.
+    reads = bullet.stats.reads.value
+    assert run_process(env, caching.read(
+        own if secret_known else restrict(own, RIGHT_READ))) == PAYLOAD
+    assert bullet.stats.reads.value == reads
+
+
+def test_dead_read_only_capability_is_refused_like_the_server_does(rpc_rig):
+    """End to end, over the network: a workstation caches an object
+    under a read-only capability, another deletes it and re-creates the
+    same object number with identical bytes, and the workstation caches
+    the successor under its read-only capability. The server refuses
+    the dead capability; so must the workstation's cache."""
+    bullet, client = rpc_rig
+    env = client.env
+    caching = CachingBulletClient(client, WorkstationCache(64 * KB))
+    old = run_process(env, client.create(b"same bytes", 1))
+    old_reader = run_process(env, client.restrict(old, RIGHT_READ))
+    run_process(env, caching.read(old_reader))
+    run_process(env, client.delete(old))
+    new = run_process(env, client.create(b"same bytes", 1))
+    assert new.object == old.object
+    run_process(env, caching.read(run_process(env,
+                                              client.restrict(new, RIGHT_READ))))
+    with pytest.raises(CapabilityError):
+        run_process(env, client.read(old_reader))
+    with pytest.raises(CapabilityError):
+        run_process(env, caching.read(old_reader))
