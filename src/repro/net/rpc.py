@@ -274,12 +274,9 @@ class RpcTransport:
             )
         attempts = 0
         try:
-            # Marshalling copy. An empty body costs a zero-length
-            # timeout in the reference; skipping it is exact only when
-            # no other event shares this tick (see sim.core).
-            delay = len(request.body) * self.cpu.memcpy_per_byte
-            if delay or not self.env.can_collapse(self.env.now):
-                yield self.env.timeout(delay)
+            # Marshalling copy.
+            yield self.env.timeout(
+                len(request.body) * self.cpu.memcpy_per_byte)
             request.reply_event = Event(self.env)
             if request.txid is None:
                 request.txid = self.new_txid()
@@ -333,9 +330,8 @@ class RpcTransport:
                     )
                 self._retransmits.inc()
             # Client-side copy of the reply body out of the network buffers.
-            delay = len(reply.body) * self.cpu.memcpy_per_byte
-            if delay or not self.env.can_collapse(self.env.now):
-                yield self.env.timeout(delay)
+            yield self.env.timeout(
+                len(reply.body) * self.cpu.memcpy_per_byte)
         finally:
             if self._tracer is not None:
                 self._tracer.end_span(trans_span, "span", "rpc.trans",

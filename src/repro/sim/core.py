@@ -44,6 +44,17 @@ to permute.
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
+* inline charges — a timeout the running process makes is *held* off
+  the heap, its ticket not yet taken. If the process yields it next and
+  nothing can run in ``[now, when it fires]``
+  (:meth:`Environment.can_collapse` of that instant), the kernel moves
+  the clock there and resumes the generator in the same loop: the
+  reference would pop that timeout next with nothing in between. Any
+  other move first pushes it, with the ticket it would have taken when
+  made: every scheduling, a read of :attr:`events_scheduled`, a legality
+  question, a tie hook, a second timeout, and at the latest the end of
+  the resumption it was made in.
+  Every uncontended CPU charge of the stack takes this path.
 * the *guard* — :meth:`Environment.add_source`,
   :meth:`Environment.reguard`, :meth:`Environment.finish_inline`. A
   *virtual source* keeps pending steps the heap never sees: each is
@@ -63,21 +74,25 @@ to permute.
 
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
-while the counts of EXPERIMENTS.md E14 show the benchmark workloads and
-the committed experiments taking it.
+while the counts of EXPERIMENTS.md E14 (E22 for the inline charges) show
+the benchmark workloads and the committed experiments taking it.
 
-"Nothing else can run at the current instant" is three conditions,
+"Nothing else can run in ``[now, end]``" is four conditions,
 centralized in :meth:`Environment.can_collapse`: the next heap entry
-must be *strictly* later (an entry at the same tick always sorts before
-a new push — older eid or interrupt priority — so it would interleave),
+must be *strictly* later than ``end`` (an entry at the same tick always
+sorts before a new push — older eid or interrupt priority — so it would
+interleave),
 no further callbacks of the event being processed right now may be
 pending (the ``_solo`` flag, maintained by the dispatch loop; a second
 callback of the same event runs at the same instant without touching
 the heap, so the heap check alone cannot see it), and the event a
 ``run(until=event)`` is waiting for must not have fired yet (the loop
-ends with this dispatch and ``run``'s caller looks at the world next).
-A pending virtual step counts as a heap entry of its instant: it was
-created before anything pushed from now on.
+ends with this dispatch and ``run``'s caller looks at the world next),
+and ``end`` must not lie past a ``run(until=t)``'s ``t`` (whose caller
+looks at the world then; :meth:`~Environment.step`'s caller looks after
+one dispatch, so under it only ``end == now`` passes). A pending
+virtual step counts as a heap entry of its instant: it was created
+before anything pushed from now on.
 :meth:`~Environment.can_collapse` and
 :meth:`~Environment.try_finish_now` are the whole legality surface, and
 :attr:`~Environment.is_reference` names the switch itself: nothing
@@ -209,8 +224,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0 <= delay < _INF:
+            # NaN fails every comparison: it would sort anywhere in the
+            # heap and, once dispatched, turn the clock into NaN.
+            raise ValueError(f"delay {delay} is not a finite time >= 0")
         # Inlined Event.__init__ + succeed: a Timeout is born triggered,
         # so one attribute block and one heap push is the whole cost.
         self.env = env
@@ -219,7 +236,12 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        env._schedule(self, delay)
+        if env._active is None or env._tie_hook is not None:
+            env._schedule(self, delay)
+        else:
+            # The running process's own charge: held off the heap until
+            # it is yielded (see Environment._hold).
+            env._hold(self, delay)
 
 
 class _Initialize(Event):
@@ -345,6 +367,21 @@ class Process(Event):
                     self._waiting_on = None
                     self.fail(exc)
                     return
+                if (target is env._held_timeout and not target.callbacks
+                        and (self._waiting_on is None
+                             or self._waiting_on.callbacks is None)
+                        and env._clear(env._held_at)):
+                    # Uncontended charge: the reference would pop this
+                    # timeout next, with nothing in between, and resume
+                    # this process from it (see the module docstring).
+                    # An interrupt delivery (the wait left behind still
+                    # pending) never gets here: its caller acts once this
+                    # resumption is over.
+                    env._held_timeout = None
+                    env._now = env._held_at
+                    target.callbacks = None
+                    event = target
+                    continue
                 if not isinstance(target, Event):
                     exc = TypeError(
                         f"process yielded a non-event: {target!r}"
@@ -363,6 +400,11 @@ class Process(Event):
                 return
         finally:
             env._active = None
+            if env._held_timeout is not None:
+                # Yielded to wait on, left behind, or made by a callback
+                # of this process's inline completion: no timeout stays
+                # held past the resumption it was made in.
+                env._flush()
 
 
 class _ConditionBase(Event):
@@ -471,8 +513,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_stop",
-                 "_proc_count", "_tie_hook", "_sources", "_guard",
-                 "_step_seq")
+                 "_deadline", "_held_timeout", "_held_at", "_proc_count",
+                 "_tie_hook", "_sources", "_guard", "_step_seq")
 
     def __init__(self):
         self._now = 0.0
@@ -490,6 +532,13 @@ class Environment:
         # something else *can* observe this instant, so every fast path
         # declines and the rest of the dispatch is the reference's.
         self._stop = _NEVER
+        # The latest instant a collapse may reach: run(until=t)'s t,
+        # -inf inside step() (only zero-length ones), +inf otherwise.
+        self._deadline = _INF
+        # The active process's newest timeout while it is held off the
+        # heap (see _hold), and the instant it fires.
+        self._held_timeout: Optional[Timeout] = None
+        self._held_at = 0.0
         # Scheduling choice-point hook (model checking): consulted when
         # two or more heap entries tie on (time, priority). None — the
         # overwhelmingly common case — is the fast kernel: insertion-
@@ -515,8 +564,11 @@ class Environment:
     @property
     def events_scheduled(self) -> int:
         """Total ordering tickets ever taken — one per event pushed on
-        the heap; a virtual source's steps take none (the events/op and
+        the heap; a virtual source's steps and the timeouts a process
+        runs through inline take none (the events/op and
         events/sec numerator in ``perf/``; monotone, never reset)."""
+        if self._held_timeout is not None:
+            self._flush()
         return self._eid
 
     @property
@@ -553,8 +605,29 @@ class Environment:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+        if self._held_timeout is not None:
+            self._flush()
         self._eid += 1
         heappush(self._heap, (self._now + delay, priority, self._eid, event))
+
+    def _hold(self, timeout: Timeout, delay: float) -> None:
+        """Keep the active process's fresh ``timeout`` off the heap
+        without taking its ticket yet. Every ticket is taken by
+        :meth:`_schedule`, which pushes a held timeout first, so when it
+        is pushed (:meth:`_flush`) it gets the eid it would have taken
+        at construction. If the process yields it next and :meth:`_clear`
+        holds for its instant, it never reaches the heap at all."""
+        if self._held_timeout is not None:
+            self._flush()
+        self._held_timeout = timeout
+        self._held_at = self._now + delay
+
+    def _flush(self) -> None:
+        """Push the held timeout, with the ticket it was made with."""
+        held = self._held_timeout
+        self._held_timeout = None
+        self._eid += 1
+        heappush(self._heap, (self._held_at, 1, self._eid, held))
 
     def add_source(self, source: Any) -> Iterator[int]:
         """Register a *virtual source*: an object whose pending steps
@@ -616,13 +689,23 @@ class Environment:
         remain (they would run at this instant without appearing on the
         heap). Nor may the running ``run(until=event)`` have seen its
         event fire: its caller observes the world as soon as the
-        dispatch in progress ends. Pass ``end == now`` for point-in-time
-        collapses (a zero-delay hop); pass a later ``end`` for
-        closed-form busy segments (network transfers).
+        dispatch in progress ends; nor may ``end`` lie past the running
+        ``run(until=t)``'s ``t``, whose caller looks at the world then
+        (inside :meth:`step` only ``end == now`` passes). Pass
+        ``end == now`` for point-in-time collapses (a zero-delay hop);
+        a later ``end`` is the instant a held timeout fires.
         """
+        if self._held_timeout is not None:
+            self._flush()
+        return self._clear(end)
+
+    def _clear(self, end: float) -> bool:
+        """:meth:`can_collapse` without pushing the held timeout first:
+        the question the held timeout's own collapse asks."""
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
                 and self._guard > end
+                and (end <= self._deadline or end == self._now)
                 and self._stop.callbacks is not None)
 
     def try_finish_now(self, event: Event, value: Any = None) -> bool:
@@ -646,7 +729,8 @@ class Environment:
 
     def set_tie_hook(self, hook: Optional[Callable[[list], int]]) -> None:
         """Install (or clear, with None) the scheduling choice-point
-        hook — the one kernel switch.
+        hook — the one kernel switch. A timeout held off the heap goes
+        onto it first, so the reference kernel never sees one.
 
         With a hook installed this is the *reference kernel*: every
         fast path is off (each zero-delay hop and immediate grant is a
@@ -667,6 +751,8 @@ class Environment:
         the next ``run``/``step`` (until then ties resolve in insertion
         order, which is index 0).
         """
+        if self._held_timeout is not None:
+            self._flush()
         self._tie_hook = hook
 
     def _pop_tied(self, heap: list) -> tuple:
@@ -717,22 +803,27 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event — after the virtual steps that
-        sort before it; one of those resuming a process counts as it."""
+        sort before it; one of those resuming a process counts as it.
+        No collapse moves the clock on from the instant dispatched."""
         heap = self._heap
-        if ((not heap or heap[0][0] >= self._guard)
-                and self._perform_virtual(_INF)):
-            return
-        if not heap:
-            raise RuntimeError("no scheduled events")
-        pop = heappop if self._tie_hook is None else self._pop_tied
-        when, _priority, _eid, event = pop(heap)
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        self._solo = len(callbacks) == 1
-        for callback in callbacks:
-            callback(event)
-        self._solo = True
+        self._deadline = -_INF
+        try:
+            if ((not heap or heap[0][0] >= self._guard)
+                    and self._perform_virtual(_INF)):
+                return
+            if not heap:
+                raise RuntimeError("no scheduled events")
+            pop = heappop if self._tie_hook is None else self._pop_tied
+            when, _priority, _eid, event = pop(heap)
+            self._now = when
+            callbacks = event.callbacks
+            event.callbacks = None
+            self._solo = len(callbacks) == 1
+            for callback in callbacks:
+                callback(event)
+            self._solo = True
+        finally:
+            self._deadline = _INF
         if not event._ok and not event._defused:
             # A failure nobody consumed: surface it rather than letting
             # errors pass silently.
@@ -763,11 +854,14 @@ class Environment:
             stop = until
         elif until is not None:
             deadline = float(until)
+            if deadline != deadline:
+                raise ValueError("until=nan is not a time")
             if deadline < self._now:
                 raise ValueError(
                     f"until={deadline} is in the past (now={self._now})")
         pop = heappop if self._tie_hook is None else self._pop_tied
         self._stop = stop
+        self._deadline = deadline
         try:
             while stop.callbacks is not None:
                 if not heap or heap[0][0] >= self._guard:
@@ -793,6 +887,7 @@ class Environment:
                     raise event._value
         finally:
             self._stop = _NEVER
+            self._deadline = _INF
             self._solo = True
         if stop is not _NEVER:
             if stop.callbacks is not None:

@@ -725,6 +725,8 @@ def test_kernel_private_state_stays_inside_repro_sim():
         and node.attr in ("fast", "_solo", "_tie_hook", "_stop",
                           "_schedule", "_heap", "_eid", "_guard",
                           "_sources", "_step_seq", "_perform_virtual",
+                          "_held_timeout", "_held_at", "_hold", "_flush",
+                          "_clear", "_deadline",
                           "ticket", "schedule_at",
                           "_ok", "_value", "_defused")
         and (path.relative_to(src).as_posix(), node.attr) not in allowed

@@ -311,6 +311,23 @@ def test_read_hits_cache_after_create(env, bullet):
     assert bullet.cache.stats.hits.value >= 1
 
 
+def test_read_hit_on_an_idle_rig_costs_three_events(env):
+    # The server's dispatch, capability check and memcpy and the client's
+    # copy of the reply are charges nothing can overtake on an idle rig,
+    # so none of them is a heap event (with one each, a hit cost seven).
+    # What is left: the client process's start, the request's hand-off
+    # to the server and the reply's hand-off back.
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    bullet = make_bullet(env, transport=rpc, workers=1)
+    client = BulletClient(env, rpc, bullet.port)
+    cap = call(env, client.create(b"x" * 4096, 2))
+    call(env, client.read(cap))
+    env.run()
+    before = env.events_scheduled
+    assert call(env, client.read(cap)) == b"x" * 4096
+    assert env.events_scheduled - before == 3
+
+
 def test_cold_read_loads_from_disk(env):
     bullet = make_bullet(env)
     cap = call(env, bullet.create(b"cold data", p_factor=2))

@@ -7,13 +7,13 @@ off; the hook answers 0, the reference schedule): same clock values,
 same resume order, same values delivered, same tie-breaking at shared
 instants. This suite generates random little concurrent programs —
 timeouts (including zero delays and exact-tie sums), interrupts,
-resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, the
-*caller-obligation* idiom production code spells itself (the
-``can_collapse``-guarded zero-delay skip of ``net/rpc.py``) and runs of
-hops kept off the heap by a toy *virtual source* (the guard protocol of
-``net/ethernet.py``'s medium ledger, without any Ethernet) — runs each
-on both kernels under every form of ``run(until=...)``, and compares
-the full traces.
+resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, lock
+grants, timeouts made and then left behind by something else before
+they are yielded (every way a timeout the kernel holds off the heap
+goes onto it) and runs of hops kept off the heap by a toy *virtual
+source* (the guard protocol of ``net/ethernet.py``'s medium ledger,
+without any Ethernet) — runs each on both kernels under every form of
+``run(until=...)``, and compares the full traces.
 
 Programs follow the kernel's documented fast-path obligation: a
 ``Resource.request()`` is yielded immediately after it is created (the
@@ -30,12 +30,14 @@ from bisect import insort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.locks import FileLockTable
 from repro.sim import Environment, Interrupt, Resource, Store
 
 from conftest import reference_env
 
 N_RESOURCES = 2
 N_STORES = 2
+N_LOCKS = 2
 MAX_WORKERS = 4
 
 #: Dyadic delays: 0.25 + 0.25 == 0.5 exactly, so unrelated timelines
@@ -43,9 +45,14 @@ MAX_WORKERS = 4
 _DELAYS = st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0))
 _DELAY_LISTS = st.lists(_DELAYS, min_size=1, max_size=3)
 
+#: What a worker does between making a timeout and yielding it: each
+#: takes the timeout the fast kernel holds off the heap onto it, or (a
+#: composed one) keeps it from being run inline.
+_HELD_EXITS = st.sampled_from(
+    ("put", "count", "anyof", "second", "lock", "drop"))
+
 _INSTR = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
-    st.tuples(st.just("skip"), _DELAYS),
     st.tuples(st.just("burst"), _DELAY_LISTS),
     st.tuples(st.just("resource"), st.integers(0, N_RESOURCES - 1), _DELAYS),
     st.tuples(st.just("put"), st.integers(0, N_STORES - 1),
@@ -58,6 +65,7 @@ _INSTR = st.one_of(
               _DELAYS),
     st.tuples(st.just("join"), st.integers(0, MAX_WORKERS - 1)),
     st.tuples(st.just("survive"), _DELAYS, _DELAYS),
+    st.tuples(st.just("held"), _HELD_EXITS, _DELAYS, _DELAYS),
 )
 
 _PROGRAM = st.lists(
@@ -126,6 +134,7 @@ def _run_program(program, env, driver):
     """Execute ``program`` on ``env`` under ``driver``; return the trace."""
     resources = [Resource(env) for _ in range(N_RESOURCES)]
     stores = [Store(env) for _ in range(N_STORES)]
+    locks = FileLockTable(env)
     # Two sources, so their steps have to interleave in creation order.
     hops = None if env.is_reference else [HopSource(env), HopSource(env)]
     trace = []
@@ -137,10 +146,6 @@ def _run_program(program, env, driver):
             try:
                 if tag == "timeout":
                     yield env.timeout(instr[1])
-                elif tag == "skip":
-                    # The zero-delay skip exactly as net/rpc.py spells it.
-                    if instr[1] or not env.can_collapse(env.now):
-                        yield env.timeout(instr[1])
                 elif tag == "burst":
                     # The Ethernet's obligation: the reference pays one
                     # heap event per hop; on the fast kernel the hops
@@ -202,6 +207,27 @@ def _run_program(program, env, driver):
                     yield env.timeout(instr[2])
                     trace.append((env.now, wid, step, "slept",
                                   env.now - resumed, instr[2]))
+                elif tag == "held":
+                    way, delay, other = instr[1:]
+                    timer = env.timeout(delay)
+                    if way == "put":
+                        stores[0].put((wid, step, "held"))
+                    elif way == "count":
+                        env.events_scheduled
+                    elif way == "anyof":
+                        # Composed, so yielded with a callback on it.
+                        either = env.any_of([timer, env.event()])
+                        yield timer
+                        yield either
+                    elif way == "second":
+                        yield env.timeout(other)
+                    elif way == "lock":
+                        with locks.writing(wid % N_LOCKS) as lock:
+                            yield lock.grant
+                            trace.append((env.now, wid, step, "locked"))
+                            yield env.timeout(other)
+                    if way != "drop":
+                        yield timer
                 trace.append((env.now, wid, step, "done", tag))
             except Interrupt as exc:
                 trace.append((env.now, wid, step, "interrupted", exc.cause))
@@ -278,17 +304,25 @@ def test_nothing_collapses_once_the_until_event_has_fired():
     _assert_matches_reference([
         [("timeout", 0.0)],
         [("join", 0)],
-        [("join", 1), ("skip", 0.0), ("burst", [0.25])],
+        [("join", 1), ("timeout", 0.0), ("burst", [0.25])],
     ])
 
 
-def test_zero_delay_skip_yields_to_a_same_instant_event():
+def test_zero_delay_timeout_yields_to_a_same_instant_event():
     # Worker 1's timeout shares worker 0's instant and is older, so the
-    # reference runs it before worker 0's zero timeout: the skip is
-    # legal only when the next heap entry is *strictly* later.
+    # reference runs it before worker 0's zero timeout: running that one
+    # inline is legal only when the next heap entry is *strictly* later.
     _assert_matches_reference([
-        [("timeout", 0.25), ("skip", 0.0), ("burst", [0.0, 0.0])],
+        [("timeout", 0.25), ("timeout", 0.0), ("burst", [0.0, 0.0])],
         [("timeout", 0.25)],
+    ])
+
+
+def test_held_timeout_goes_on_the_heap_ahead_of_what_is_scheduled_next():
+    # Worker 1's timeout took its ticket before its put woke worker 0.
+    _assert_matches_reference([
+        [("get", 0)],
+        [("held", "put", 0.0, 0.0)],
     ])
 
 
@@ -298,6 +332,6 @@ def test_collapse_waits_for_the_other_callbacks_of_the_same_event():
     # instant without being on the heap.
     _assert_matches_reference([
         [("timeout", 0.25)],
-        [("join", 0), ("skip", 0.0), ("burst", [0.0, 0.125])],
-        [("join", 0), ("skip", 0.0)],
+        [("join", 0), ("timeout", 0.0), ("burst", [0.0, 0.125])],
+        [("join", 0), ("timeout", 0.0)],
     ])

@@ -852,10 +852,12 @@ def test_uncontended_lock_grant_yields_to_a_completion_of_the_same_instant():
         (_COMPLETION, "rival over")]
 
 
-def test_marshal_skip_yields_to_a_completion_of_the_same_instant():
+def test_zero_length_charge_yields_to_a_completion_of_the_same_instant():
     # The rival's body-less request costs a zero-length marshalling
-    # timeout in the reference, so the sender's second message joins
-    # ahead of it and wins the tie for the medium one preparation later.
+    # timeout, which the kernel may not run inline while the message's
+    # completion is pending at this instant: the sender's second message
+    # joins ahead of it and wins the tie for the medium one preparation
+    # later.
     def on(env):
         eth = Ethernet(env, _tie_profile())
         rpc = RpcTransport(env, eth, CPU)
@@ -925,3 +927,90 @@ def test_interrupt_goes_before_a_ledger_step_of_the_same_instant():
     log, (packets, *_rest, idle) = outcome
     assert log == [(_COMPLETION, "interrupted", "at the completion")]
     assert packets == 0 and idle
+
+
+# A charge is a process's own timeout. The kernel runs the process
+# through it inline only when nothing can come between: each of these
+# has something that does, so the charge has to go through the heap.
+
+
+def _charger_beside_a_message(env, charge):
+    """A 4-byte message on _tie_profile leaves the wire at 0.875; a
+    charger that reaches 0.5 after it joined then charges ``charge``."""
+    eth = Ethernet(env, _tie_profile())
+    log = []
+
+    def sender():
+        yield from eth.send_fragments(4)
+        log.append((env.now, "sent"))
+
+    def charger():
+        yield env.timeout(0.5)
+        yield env.timeout(charge)
+        log.append((env.now, "charged"))
+
+    env.process(sender())
+    env.process(charger())
+    env.run()
+    return log
+
+
+@pytest.mark.parametrize("charge, log", [
+    # Ends exactly at the pending ledger step, made before the charge:
+    # the step goes first.
+    (0.375, [(_COMPLETION, "sent"), (_COMPLETION, "charged")]),
+    # Ends past it: the sender resumes in between.
+    (0.5, [(_COMPLETION, "sent"), (1.0, "charged")]),
+])
+def test_charge_declines_at_or_past_a_pending_ledger_step(charge, log):
+    assert (_charger_beside_a_message(Environment(), charge)
+            == _charger_beside_a_message(reference_env(), charge) == log)
+
+
+def test_charge_declines_when_it_ends_at_a_heap_entrys_instant():
+    # The sleeper's timeout for 1.0 was pushed first: at 1.0 it goes
+    # ahead of the charge the worker makes at 0.5.
+    def on(env):
+        log = []
+
+        def sleeper():
+            yield env.timeout(1.0)
+            log.append((env.now, "slept"))
+
+        def worker():
+            yield env.timeout(0.5)
+            yield env.timeout(0.5)
+            log.append((env.now, "charged"))
+
+        env.process(sleeper())
+        env.process(worker())
+        env.run()
+        return log
+
+    assert on(Environment()) == on(reference_env()) == [
+        (1.0, "slept"), (1.0, "charged")]
+
+
+@pytest.mark.parametrize("stop", ["until", "step"])
+def test_charge_declines_when_it_would_cross_what_the_caller_sees(stop):
+    # run(until=0.5)'s caller looks at the world at 0.5, and step()'s
+    # right after one dispatch: a charge for 1.0 made at 0 stays pending
+    # for both, though nothing else is scheduled.
+    def on(env):
+        log = []
+
+        def worker():
+            yield env.timeout(1.0)
+            log.append((env.now, "charged"))
+
+        env.process(worker())
+        if stop == "until":
+            env.run(until=0.5)
+        else:
+            env.step()
+        seen = (env.now, list(log))
+        env.run()
+        return seen, log
+
+    assert on(Environment()) == on(reference_env()) == (
+        (0.5 if stop == "until" else 0.0, []), [(1.0, "charged")])

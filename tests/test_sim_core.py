@@ -44,6 +44,27 @@ def test_timeout_negative_delay_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_timeout_delay_that_is_not_a_finite_time_rejected(delay):
+    # NaN compares false with everything, so "delay < 0" lets it through:
+    # such a timeout sorts anywhere in the heap and sets the clock to NaN
+    # for the dispatch that pops it.
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(delay)
+
+
+def test_run_until_nan_rejected():
+    # "until < now" is false for NaN too: the run would dispatch
+    # everything and leave the clock at NaN, and every later timeout
+    # with it.
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+
+
 def test_timeouts_fire_in_order():
     env = Environment()
     fired = []
@@ -313,6 +334,75 @@ def test_interrupt_survivor_is_not_resumed_by_the_wait_it_abandoned(make_env):
     v = env.process(victim())
     env.process(attacker(v))
     assert env.run(until=v) == 2.5
+
+
+@pytest.mark.parametrize("make_env", [Environment, reference_env])
+def test_interrupt_survivor_that_ends_at_once_has_left_its_wait(make_env):
+    # The victim survives the interrupt and ends after a charge nothing
+    # can overtake. It stopped waiting on the event it was pulled out of
+    # when the interrupt's delivery ended, so that event's failure has
+    # no observer and surfaces: the charge must not run inside the
+    # delivery, where the victim would end still registered on it.
+    env = make_env()
+    abandoned = env.event()
+
+    def victim():
+        try:
+            yield abandoned
+        except Interrupt:
+            pass
+        yield env.timeout(0.5)
+
+    def attacker(target):
+        yield env.timeout(1.0)
+        target.interrupt()
+        yield env.timeout(1.0)
+        abandoned.fail(ValueError("nobody waits"))
+
+    env.process(attacker(env.process(victim())))
+    with pytest.raises(ValueError, match="nobody waits"):
+        env.run()
+
+
+def test_a_timeout_not_yet_yielded_counts_as_scheduled():
+    # A virtual source orders its steps by the ticket count it reads, and
+    # a closed-form collapse asks can_collapse: to both, a timeout made
+    # and not yet yielded is a heap entry at the instant it fires.
+    env = Environment()
+    seen = []
+
+    def counted():
+        before = env.events_scheduled
+        timer = env.timeout(1.0)
+        seen.append(env.events_scheduled - before)
+        yield timer
+
+    def asked():
+        timer = env.timeout(1.0)
+        seen.append((env.can_collapse(env.now + 0.5),
+                     env.can_collapse(env.now + 1.0)))
+        yield timer
+
+    run_process(env, counted())
+    run_process(env, asked())
+    assert seen == [1, (True, False)] and env.now == 2.0
+
+
+def test_timeout_made_by_a_callback_of_a_completing_process_fires():
+    # The worker completes inline, with nothing else scheduled; its
+    # completion's callback runs inside that resumption and makes a
+    # timeout, which must reach the heap all the same.
+    env = Environment()
+    fired = []
+
+    def worker():
+        yield env.timeout(1.0)
+
+    env.process(worker()).callbacks.append(
+        lambda _done: env.timeout(1.0).callbacks.append(
+            lambda _timeout: fired.append(env.now)))
+    env.run()
+    assert fired == [2.0]
 
 
 def test_interrupt_survivor_may_wait_again_on_the_same_event():
