@@ -187,6 +187,10 @@ class VirtualDisk:
     def read(self, start_block: int, nblocks: int) -> Event:
         """Timed read of ``nblocks`` consecutive blocks; the returned
         event fires with the bytes."""
+        if not nblocks:
+            # Nothing to transfer, so no access to charge; the arm would
+            # still count a seek and move to ``start_block`` for free.
+            raise ValueError("read of zero blocks")
         return self._submit("read", start_block, nblocks, None)
 
     def write(self, start_block: int, data: bytes) -> Event:

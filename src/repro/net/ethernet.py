@@ -53,7 +53,7 @@ class _Transfer(Event):
     made — and among steps by ``seq``, their creation order."""
 
     __slots__ = ("step", "when", "c", "seq", "indices", "pos", "end",
-                 "final", "tail_chunk", "wire", "lost")
+                 "tail_pos", "tail_chunk", "chunk", "wire", "resize", "lost")
 
 
 class EthernetStats(RegistryStats):
@@ -364,12 +364,7 @@ class Ethernet:
     def _pend(self, s: _Transfer, step: int, when: float) -> None:
         """``s``'s next step, made outside :meth:`advance`, is off the
         medium: ``step`` finishes at ``when``."""
-        env = self._fast_env()
-        s.step = step
-        s.when = when
-        s.c = env.events_scheduled
-        s.seq = next(self._seq)
-        _insert(self._off, s)
+        self._pend_off(s, step, when, self._fast_env().events_scheduled)
         self._reguard()
 
     def _reguard(self) -> None:
@@ -395,33 +390,40 @@ class Ethernet:
     def _join(self, nbytes: int, indices) -> _Transfer:
         """A new foreground sender: its first packet is ready one host
         overhead from now."""
-        payload = self._payload
-        total = self.packets_for(nbytes)
+        final = self.packets_for(nbytes) - 1
         xfer = _Transfer(self.env)
         xfer.indices = indices
         xfer.pos = 0
-        xfer.end = (total if indices is None else len(indices)) - 1
-        xfer.final = total - 1
+        xfer.end = final if indices is None else len(indices) - 1
         # Only two distinct fragment sizes exist per message (full
-        # payload and the tail).
-        xfer.tail_chunk = nbytes - payload * (total - 1) if nbytes else 0
+        # payload and the tail), and the tail is one fragment: where it
+        # falls in sending order, if it is sent at all.
+        if indices is None:
+            xfer.tail_pos = final
+        else:
+            xfer.tail_pos = indices.index(final) if final in indices else -1
+        xfer.tail_chunk = nbytes - self._payload * final if nbytes else 0
         xfer.lost = []
-        xfer.wire = self._wire_of(xfer)
+        self._aim(xfer)
         self._pend(xfer, _PREP, self.env.now + self._overhead)
         return xfer
 
-    def _wire_of(self, s: _Transfer) -> float:
-        """Wire occupancy of the fragment ``s`` is up to."""
-        if s.indices is None:
-            if s.pos != s.final:
-                return self._wire_full
-        elif s.indices[s.pos] != s.final:
-            return self._wire_full
-        chunk = s.tail_chunk
-        wire = self._wire_times.get(chunk)
-        if wire is None:
-            wire = self._wire_times[chunk] = self.profile.wire_time(chunk)
-        return wire
+    def _aim(self, s: _Transfer) -> None:
+        """Size the fragment ``s`` is up to (its ``chunk`` and ``wire``),
+        and note at which position the size changes next (``resize``):
+        the tail, or the full-size fragment right after it."""
+        if s.pos == s.tail_pos:
+            chunk = s.tail_chunk
+            wire = self._wire_times.get(chunk)
+            if wire is None:
+                wire = self._wire_times[chunk] = self.profile.wire_time(chunk)
+            s.chunk = chunk
+            s.wire = wire
+            s.resize = s.pos + 1
+        else:
+            s.chunk = self._payload
+            s.wire = self._wire_full
+            s.resize = s.tail_pos if s.tail_pos > s.pos else -1
 
     def advance(self, bound: tuple) -> bool:
         """The kernel's call: perform, in (when, seq) sequence — the
@@ -431,16 +433,28 @@ class Ethernet:
 
         What each step does is the reference's own sequence: counters
         fragment by fragment (``wire_time`` is a float accumulator and
-        does not associate), loss draws at each fragment's end, the next
-        background gap drawn right after the previous packet's counters,
-        fault state read when the reference would read it (it cannot
-        change in here — whatever changes it is a real event). A step
-        made here reads the same ``c``: nothing real is pushed in
-        between.
+        does not associate: it is summed in a local, in the same order),
+        loss draws at each fragment's end, the next background gap drawn
+        right after the previous packet's counters, fault state read
+        when the reference would read it (it cannot change in here —
+        whatever changes it is a real event). A step made here reads the
+        same ``c``: nothing real is pushed in between.
+
+        One pass per packet: a step made here that sorts *strictly*
+        before every other pending step and before the bound's instant
+        (``m``) is the one the loop would take next, so it is performed
+        at once, without a ``seq``, an ``_insert`` or a trip through the
+        loop top. A packet leaving the wire grants the heir, and readies
+        its sender's next packet, queued behind the heir or alone on the
+        wire, in the same pass; the next wire time, when again the
+        earliest thing due, is taken directly. On a tie the step is left
+        pending with a fresh ``seq``, newer than every pending step, as
+        the loop would have made it.
 
         The step that completes a message resumes its sender, which
-        runs arbitrary code: ledger state and the guard are brought up
-        to date first, and the kernel is told (True) to look again.
+        runs arbitrary code: ledger state, counters and the guard are
+        brought up to date first, and the kernel is told (True) to look
+        again.
         """
         env = self._fast_env()
         limit, c_limit, seq_limit = bound
@@ -450,96 +464,189 @@ class Ethernet:
         daemon = self._daemon
         extra = self._fault_extra_latency
         lossy = self._lossy
+        overhead = self._overhead
         stats = self.stats
+        packets = stats.packets.value
+        payload_bytes = stats.payload_bytes.value
+        background_packets = stats.background_packets.value
+        wire_time = stats.wire_time.value
         c = env.events_scheduled
         seq = self._seq
+        # Kept up to date as off changes: a step made now is next iff
+        # it falls strictly before m.
+        m = off[0].when if off and off[0].when < limit else limit
+        s = None  # the holder, when its wire time is known to be next
         while True:
-            s = holder
-            if off:
-                o = off[0]
-                if (s is None or o.when < s.when
-                        or (o.when == s.when and o.seq < s.seq)):
-                    s = o
-            elif s is None:
-                break
-            t = s.when
-            if t >= limit and (
-                    t > limit or (s.c, s.seq) >= (c_limit, seq_limit)):
-                break
-            step = s.step
-            if step == _GRANT:
-                # The packet goes on the wire.
-                s.step = _WIRE
-                s.when = t + s.wire
-                s.c = c
-                s.seq = next(seq)
-                continue
-            if step == _PREP:
-                # Packet ready (or background gap over): claim the medium.
-                del off[0]
-                if holder is None:
+            if s is not None:
+                t = s.when
+                step = _WIRE
+            else:
+                s = holder
+                if off:
+                    o = off[0]
+                    if (s is None or o.when < s.when
+                            or (o.when == s.when and o.seq < s.seq)):
+                        s = o
+                elif s is None:
+                    break
+                t = s.when
+                if t >= limit and (
+                        t > limit or (s.c, s.seq) >= (c_limit, seq_limit)):
+                    break
+                step = s.step
+                if step == _GRANT:
+                    # The packet goes on the wire.
+                    s.step = _WIRE
+                    t = s.when = t + s.wire
+                    if t < m:
+                        continue
+                    s.c = c
+                    s.seq = next(seq)
+                    s = None
+                    continue
+                if step != _WIRE:
+                    del off[0]
+                    m = off[0].when if off and off[0].when < limit else limit
+                if step == _PREP:
+                    # Packet ready (or background gap over): claim the
+                    # medium; granted at once, it goes on the wire.
+                    if holder is not None:
+                        s.step = _QUEUED
+                        queue.append(s)
+                        s = None
+                        continue
                     holder = s
-                    s.step = _GRANT
+                    if t < m:
+                        s.step = _WIRE
+                        t = s.when = t + s.wire
+                        if t < m:
+                            continue
+                    else:
+                        s.step = _GRANT
+                    s.c = c
+                    s.seq = next(seq)
+                    s = None
+                    continue
+            if step != _WIRE:
+                heir = None
+            elif queue:
+                # Off the wire: the medium goes to the next in line.
+                heir = holder = queue.popleft()
+            else:
+                heir = holder = None
+            if s is daemon:
+                # A background packet is through (or the daemon is
+                # starting): draw the gap to the next one.
+                if step == _WIRE:
+                    background_packets += 1
+                    wire_time += s.wire
+                when = t + self._stream.expovariate(self._background_rate)
+            elif extra and step == _WIRE:
+                # Injected latency spike: charged outside the medium so
+                # other hosts still interleave.
+                if heir is not None:
+                    self._pend_grant(heir, t, c)
+                when = t + extra
+                self._pend_off(s, _LATENCY, when, c)
+                if when < m:
+                    m = when
+                s = None
+                continue
+            else:
+                # The fragment is through: traffic counters, then its
+                # loss decision.
+                packets += 1
+                payload_bytes += s.chunk
+                wire_time += s.wire
+                if lossy and self._fragment_lost():
+                    stats.lost_packets.value += 1
+                    s.lost.append(
+                        s.pos if s.indices is None else s.indices[s.pos])
+                if s.pos == s.end:
+                    s.step = _DONE
+                    if heir is not None:
+                        self._pend_grant(heir, t, c)
+                    self._holder = holder
+                    stats.packets.value = packets
+                    stats.payload_bytes.value = payload_bytes
+                    stats.background_packets.value = background_packets
+                    stats.wire_time.value = wire_time
+                    self._reguard()
+                    env.finish_inline(s, s.lost, t)
+                    return True
+                s.pos += 1
+                if s.pos == s.resize:
+                    self._aim(s)
+                when = t + overhead
+            # s's next packet is ready at ``when``. What is made here and
+            # is next anyway is performed at once, in creation order: the
+            # heir's grant at t, then that preparation.
+            if heir is not None:
+                if t < m:
+                    heir.step = _WIRE
+                    wire_end = heir.when = t + heir.wire
+                    if when <= wire_end and when < m:
+                        # Ready before the heir is through (on a tie the
+                        # preparation is the older step): s queues.
+                        s.step = _QUEUED
+                        queue.append(s)
+                        if wire_end < m:
+                            s = heir
+                            continue
+                    else:
+                        self._pend_off(s, _PREP, when, c)
+                        if when < m:
+                            m = when
+                        if wire_end < m:
+                            s = heir
+                            continue
+                    heir.c = c
+                    heir.seq = next(seq)
+                    s = None
+                    continue
+                self._pend_grant(heir, t, c)
+            elif when < m and (holder is None or when < holder.when):
+                if holder is None:
+                    # Alone on the medium: granted at once, on the wire.
+                    holder = s
+                    s.step = _WIRE
+                    t = s.when = when + s.wire
+                    if t < m:
+                        continue
                     s.c = c
                     s.seq = next(seq)
                 else:
                     s.step = _QUEUED
                     queue.append(s)
+                s = None
                 continue
-            if step != _WIRE:
-                del off[0]
-            elif queue:
-                # Off the wire: the medium goes to the next in line.
-                holder = queue.popleft()
-                holder.step = _GRANT
-                holder.when = t
-                holder.c = c
-                holder.seq = next(seq)
-            else:
-                holder = None
-            if s is daemon:
-                # A background packet is through (or the daemon is
-                # starting): draw the gap to the next one.
-                if step == _WIRE:
-                    stats.background_packets.value += 1
-                    stats.wire_time.value += s.wire
-                s.step = _PREP
-                when = t + self._stream.expovariate(self._background_rate)
-            elif step == _WIRE and extra > 0:
-                # Injected latency spike: charged outside the medium so
-                # other hosts still interleave.
-                s.step = _LATENCY
-                when = t + extra
-            else:
-                # The fragment is through: traffic counters, then its
-                # loss decision.
-                index = s.pos if s.indices is None else s.indices[s.pos]
-                stats.packets.value += 1
-                stats.payload_bytes.value += (
-                    s.tail_chunk if index == s.final else self._payload)
-                stats.wire_time.value += s.wire
-                if lossy and self._fragment_lost():
-                    stats.lost_packets.value += 1
-                    s.lost.append(index)
-                if s.pos == s.end:
-                    s.step = _DONE
-                    self._holder = holder
-                    self._reguard()
-                    env.finish_inline(s, s.lost, t)
-                    return True
-                s.pos += 1
-                s.wire = (self._wire_full
-                          if s.indices is None and s.pos != s.final
-                          else self._wire_of(s))
-                s.step = _PREP
-                when = t + self._overhead
-            s.when = when
-            s.c = c
-            s.seq = next(seq)
-            _insert(off, s)
+            self._pend_off(s, _PREP, when, c)
+            if when < m:
+                m = when
+            s = None
         self._holder = holder
+        stats.packets.value = packets
+        stats.payload_bytes.value = payload_bytes
+        stats.background_packets.value = background_packets
+        stats.wire_time.value = wire_time
         self._reguard()
         return False
+
+    def _pend_off(self, s: _Transfer, step: int, when: float, c: int) -> None:
+        """``s``'s next step is off the medium: ``step`` finishes at
+        ``when``, ordered by ``c`` and a fresh ``seq``."""
+        s.step = step
+        s.when = when
+        s.c = c
+        s.seq = next(self._seq)
+        _insert(self._off, s)
+
+    def _pend_grant(self, heir: _Transfer, t: float, c: int) -> None:
+        """The medium is ``heir``'s from ``t``: its grant is pending."""
+        heir.step = _GRANT
+        heir.when = t
+        heir.c = c
+        heir.seq = next(self._seq)
 
     def _abort(self, xfer: _Transfer) -> None:
         """An interrupted sender leaves, exactly as the reference path's
@@ -553,10 +660,7 @@ class Ethernet:
             self._off.remove(xfer)
         elif self._queue:
             heir = self._holder = self._queue.popleft()
-            heir.step = _GRANT
-            heir.when = env.now
-            heir.c = env.events_scheduled
-            heir.seq = next(self._seq)
+            self._pend_grant(heir, env.now, env.events_scheduled)
         else:
             self._holder = None
         xfer.step = _DONE

@@ -189,6 +189,27 @@ def test_write_empty_rejected():
         disk.write(0, b"")
 
 
+def test_empty_read_is_refused_and_leaves_the_arm_where_it_was():
+    # A read of nothing has no access to charge: accepted, it counted a
+    # read and a seek, took 0.0 s and parked the arm on cylinder 50, so
+    # the read there after it paid no seek.
+    env = Environment()
+    disk = make_disk(env)
+    g = disk.geometry
+    far = 50 * g.blocks_per_cylinder
+
+    def proc():
+        with pytest.raises(ValueError, match="zero blocks"):
+            disk.read(far, 0)
+        yield disk.read(far, 1)
+        return env.now
+
+    elapsed = run_process(env, proc())
+    assert (disk.stats.reads.value, disk.stats.seeks.value) == (1, 1)
+    assert elapsed == g.span_time(0, 50, 50, 1)
+    assert elapsed > g.avg_rotational_latency + g.transfer_time(1)
+
+
 def test_read_takes_simulated_time():
     env = Environment()
     disk = make_disk(env)

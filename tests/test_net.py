@@ -422,7 +422,10 @@ _FAULT = st.one_of(
     st.tuples(st.just("latency"), st.sampled_from((0.0, 0.125, 0.25, 0.625))),
 )
 _SCENARIO = st.fixed_dictionaries({
-    "overhead": st.sampled_from((0.125, 0.25, 0.5, 0.625)),
+    # Below the full wire time senders round-robin on the medium (a
+    # packet is ready before the heir is through); above it each sender
+    # finds the medium idle; at it every hand-off ties with a prep.
+    "overhead": st.sampled_from((0.125, 0.25, 0.5, 0.625, 1.0)),
     "background": st.sampled_from((0.0, 0.0, 0.25, 0.5)),
     "steady_loss": st.sampled_from((0.0, 0.0, 0.3)),
     "senders": st.lists(_SENDER, min_size=1, max_size=MAX_SENDERS),
@@ -457,7 +460,8 @@ def _snapshot(eth):
 def _drive_medium(scenario, env):
     """Run ``scenario`` on a segment built on ``env``. Returns
     everything a program can observe: resume instants, lost lists,
-    bit-exact counters read mid-flight and at every ``run()`` boundary,
+    bit-exact counters read mid-flight, by each sender as its message
+    completes and at every ``run()`` boundary,
     and the next draw of both random streams."""
     stream = SeededStream(11, "ethernet")
     fault_stream = SeededStream(12, "faults")
@@ -477,7 +481,8 @@ def _drive_medium(scenario, env):
                         total = eth.packets_for(instr[1])
                         indices = [i for i in indices if i < total]
                     lost = yield from eth.send_fragments(instr[1], indices)
-                    log.append((env.now, wid, step, "sent", tuple(lost)))
+                    log.append((env.now, wid, step, "sent", tuple(lost),
+                                _snapshot(eth)))
                 elif instr[0] == "join":
                     # Only downwards, so every sender terminates.
                     if instr[1] < wid:
@@ -592,7 +597,7 @@ def test_ledger_step_is_ordered_by_the_instant_it_was_created():
         (False, [("wait", 1.25), ("wait", 0.5)]),
     ])
     _assert_no_drift(scenario)
-    at_the_tie = [entry[1:] for entry in _drive_medium(scenario, Environment())
+    at_the_tie = [entry[1:5] for entry in _drive_medium(scenario, Environment())
                   if entry[0] == 1.75]
     assert at_the_tie == [(0, 0, "sent", ()), (0, "done"),
                           (2, 1, "waited"), (2, "done")]
@@ -927,6 +932,199 @@ def test_interrupt_goes_before_a_ledger_step_of_the_same_instant():
     log, (packets, *_rest, idle) = outcome
     assert log == [(_COMPLETION, "interrupted", "at the completion")]
     assert packets == 0 and idle
+
+
+# One pass per packet: the pass that ends a packet grants the heir and
+# readies the sender's next packet at once, and takes the next wire time
+# directly, but only while each of those is strictly the next thing due.
+# On _tie_profile two 16-byte senders round-robin: A is on the wire
+# 0.25-0.875, B 0.875-1.5 while A's next packet is ready at 1.125 and
+# queues, A again 1.5-2.125.
+
+
+class _ScriptedStream:
+    """A stream whose background gaps come from a list, in order: the
+    daemon's packets land on dyadic instants chosen by the test."""
+
+    def __init__(self, gaps):
+        self._gaps = iter(gaps)
+
+    def expovariate(self, rate):
+        return next(self._gaps)
+
+
+@pytest.mark.parametrize("gap", [1.0, 1.125])
+def test_fold_yields_to_a_background_gap_that_ends_before_the_next_prep(gap):
+    # A lone 16-byte sender leaves the wire at 0.875 and would be ready
+    # again at 1.125; the daemon's packet is ready at ``gap`` (on a tie
+    # its step is the older one) and takes the medium first, 0.25 on the
+    # wire.
+    def on(env):
+        eth = Ethernet(env, _tie_profile(background=0.25),
+                       stream=_ScriptedStream([gap, 100.0]),
+                       background_load=True)
+        log = []
+
+        def sender():
+            yield from eth.send_fragments(16)
+            log.append((env.now, _snapshot(eth)))
+
+        env.process(sender())
+        env.run(until=50.0)
+        return log
+
+    log = on(Environment())
+    assert log == on(reference_env())
+    assert [(now, snapshot[3]) for now, snapshot in log] == [
+        (gap + 0.25 + 3 * 0.625 + 2 * 0.25, 1)]
+
+
+@pytest.mark.parametrize("senders, at, pushed_at, seen", [
+    # A's prep at 1.125: a timeout pushed before that step was made (at
+    # 0.875) goes first and sees A still preparing; one pushed after it
+    # sees A queued.
+    (2, 1.125, 0.0, (1, 0)),
+    (2, 1.125, 1.0, (1, 1)),
+    # B's wire end at 1.5, the step taken directly: the same.
+    (2, 1.5, 0.0, (1, 1)),
+    (2, 1.5, 1.25, (2, 0)),
+    # Alone, A is on the wire again 1.125-1.75, also taken directly.
+    (1, 1.75, 0.0, (1, 0)),
+    (1, 1.75, 1.5, (2, 0)),
+])
+def test_fold_yields_to_a_real_event_at_a_folded_steps_instant(
+        senders, at, pushed_at, seen):
+    def on(env):
+        eth = Ethernet(env, _tie_profile())
+        log = []
+
+        def rival():
+            if pushed_at:
+                yield env.timeout(pushed_at)
+            yield env.timeout(at - pushed_at)
+            log.append((env.now, eth.stats.packets.value,
+                        eth.medium_queue_length))
+
+        env.process(rival())
+        for _ in range(senders):
+            env.process(eth.send_fragments(16))
+        env.run()
+        return log, _snapshot(eth)
+
+    outcome = on(Environment())
+    assert outcome == on(reference_env())
+    assert outcome[0] == [(at, *seen)]
+
+
+def test_run_until_inside_back_to_back_packets_reads_as_the_reference():
+    # Two 40-byte senders round-robin from 0.25 to 12.75; every stop
+    # at an eighth of a second lands on or between folded steps.
+    def stops(env):
+        eth = Ethernet(env, _tie_profile())
+        procs = [env.process(eth.send_fragments(40)) for _ in range(2)]
+        seen = []
+        for i in range(1, 113):
+            env.run(until=i * 0.125)
+            seen.append((env.now, _snapshot(eth)))
+        assert not any(proc.is_alive for proc in procs)
+        return seen
+
+    seen = stops(Environment())
+    assert seen == stops(reference_env())
+    queued = {snapshot[5] for _now, snapshot in seen}
+    idle = {snapshot[6] for _now, snapshot in seen}
+    assert queued == {0, 1} and idle == {False, True}
+
+
+def test_a_preparation_left_pending_bounds_the_fold_after_a_latency_spike():
+    # Under a 0.625 latency spike, at 1.5 A's spike ends just as B
+    # leaves the wire to C. A's next packet, ready at 1.75, is left
+    # pending (B's older step at 1.5 goes first) and is then the earliest
+    # thing due: C's wire end at 1.875 may not be taken before it, or A
+    # would find the medium idle instead of queueing behind C.
+    scenario = _scenario(
+        senders=[(True, [("send", 5, None)]), (True, [("send", 4, None)]),
+                 (True, [("send", 2, None)])],
+        faults=[(0.0, ("latency", 0.625))])
+    _assert_no_drift(scenario)
+    sent = [entry[:2] for entry in _drive_medium(scenario, Environment())
+            if len(entry) == 6 and entry[3] == "sent"]
+    assert sent == [(2.125, 1), (2.5, 2), (2.75, 0)]
+
+
+def test_fold_yields_to_the_holders_wire_end_at_the_same_instant():
+    # A leaves the wire at 0.875 into a 0.25 latency spike, lifted at
+    # 1.0, and its next packet is ready at 1.375, just as B's only
+    # fragment leaves the wire. B's wire step is the older one: B hands
+    # the medium to C (queued since 1.0) and finishes before A queues.
+    def on(env):
+        eth = Ethernet(env, _tie_profile())
+        eth.set_fault(extra_latency=0.25)
+        seen = []
+
+        def lift():
+            yield env.timeout(1.0)
+            eth.set_fault(extra_latency=0.0)
+
+        def b():
+            yield from eth.send_fragments(3)
+            seen.append((env.now, eth.medium_queue_length))
+
+        def c():
+            yield env.timeout(0.75)
+            yield from eth.send_fragments(4)
+
+        env.process(eth.send_fragments(8))
+        env.process(b())
+        env.process(c())
+        env.process(lift())
+        env.run()
+        return seen, _snapshot(eth)
+
+    outcome = on(Environment())
+    assert outcome == on(reference_env())
+    assert outcome[0] == [(1.375, 0)]
+
+
+def test_fold_keeps_loss_draws_and_retransmitted_tails_in_reference_order():
+    # 38 bytes are nine full fragments and a 2-byte tail. Loss draws
+    # happen in the pass that ends each fragment, folded or not, and a
+    # retransmission that sends the tail first goes back to full size.
+    scenario = _scenario(steady_loss=0.3, senders=[
+        (True, [("send", 38, None), ("send", 38, [9, 0, 4])]),
+        (True, [("wait", 0.125), ("send", 38, [2, 9, 5])]),
+    ])
+    _assert_no_drift(scenario)
+    lost = [entry[4] for entry in _drive_medium(scenario, Environment())
+            if len(entry) == 6 and entry[3] == "sent"]
+    assert any(lost) and not all(lost)
+
+
+class _IdleSource:
+    """A virtual source with nothing pending, registered for the step
+    counter ``add_source`` hands out."""
+
+    guard = float("inf")
+    head = (guard, 0, 0)
+
+    def advance(self, bound):
+        return False
+
+
+def test_a_lone_megabyte_draws_a_handful_of_ledger_steps():
+    # 722 packets: one step drawn per preparation, grant and wire time
+    # (2 166) when every step went through the loop top; the fold leaves
+    # the join's and little else.
+    def send(env):
+        eth, _ = make_net(env)
+        counter = env.add_source(_IdleSource())
+        before = next(counter)
+        run_process(env, eth.send_fragments(1 * MB))
+        return next(counter) - before - 1, env.now
+
+    draws, now = send(Environment())
+    assert draws <= 3
+    assert now == send(reference_env())[1] == 1.2697503999999917
 
 
 # A charge is a process's own timeout. The kernel runs the process
