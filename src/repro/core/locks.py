@@ -22,7 +22,9 @@ restored explicitly. This module is that mechanism.
 * **Sim-aware**: the grant is a :class:`LockGrant` event to ``yield``.
   An uncontended grant succeeds immediately (zero simulated time), so
   at ``workers=1`` the lock plane is timing-invisible and the
-  paper-faithful figures are unchanged.
+  paper-faithful figures are unchanged. It is a plain ``succeed``: the
+  kernel's held-event rule (``sim/core.py``) runs the holder on without
+  a heap entry when nothing can come between.
 * **Crash-safe**: a holder interrupted mid-operation releases as the
   ``Interrupt`` unwinds its ``with`` block, and a waiter interrupted
   while still queued is cancelled by the same
@@ -31,8 +33,9 @@ restored explicitly. This module is that mechanism.
   the table, so the table's size tracks the set of *contended or held*
   files, not every file ever touched.
 
-Everything is deterministic: grants fire through the event heap, whose
-ties break by insertion order.
+Everything is deterministic: grants are ordered like every other event,
+at the ticket they take when they succeed, ties broken by insertion
+order.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class FileLockTable:
         }
         self._contended = registry.counter(
             "repro_lock_contention_total", server=owner)
-        self._held = registry.gauge("repro_lock_held", server=owner)
+        self._held_gauge = registry.gauge("repro_lock_held", server=owner)
         # Incrementally tracked count of keys with an active holder;
         # always equals len(held_keys()) but costs O(1) per transition
         # instead of a sort of the whole table per admit/release.
@@ -314,12 +317,8 @@ class FileLockTable:
             self._held_count += 1
         self._acquired[grant.mode].inc()
         self._wait_hist.observe(self.env.now - grant.requested_at)
-        self._held.set(self._held_count)
-        # Fresh grants (the uncontended _acquire path) complete in
-        # place; promoted waiters carry a suspended process's callback,
-        # so try_finish_now declines and the grant goes via the heap.
-        if not self.env.try_finish_now(grant, grant):
-            grant.succeed(grant)
+        self._held_gauge.set(self._held_count)
+        grant.succeed(grant)
 
     # ----------------------------------------------------------- transfer
 
@@ -378,7 +377,7 @@ class FileLockTable:
         self._promote(lock)
         if lock.idle:
             del self._locks[grant.key]
-        self._held.set(self._held_count)
+        self._held_gauge.set(self._held_count)
 
     def _promote(self, lock: _FileLock) -> None:
         """Admit waiters from the head of the FIFO queue: either one

@@ -129,7 +129,7 @@ class LocksetChecker:
     """
 
     def __init__(self) -> None:
-        self._held: Dict[SimProcess, Set[LockName]] = {}
+        self._holding: Dict[SimProcess, Set[LockName]] = {}
         self._vars: Dict[VarName, _VarState] = {}
         #: Accesses checked (tests assert the hooks actually fired).
         self.accesses = 0
@@ -137,18 +137,18 @@ class LocksetChecker:
     # ------------------------------------------------------- lock hooks
 
     def on_acquire(self, process: SimProcess, table: str, key: int) -> None:
-        self._held.setdefault(process, set()).add((table, key))
+        self._holding.setdefault(process, set()).add((table, key))
 
     def on_release(self, process: SimProcess, table: str, key: int) -> None:
-        held = self._held.get(process)
+        held = self._holding.get(process)
         if held is not None:
             held.discard((table, key))
             if not held:
-                del self._held[process]
+                del self._holding[process]
 
     def holdings(self, process: SimProcess) -> FrozenSet[LockName]:
         """The locks ``process`` holds right now (sorted-stable set)."""
-        return frozenset(self._held.get(process, ()))
+        return frozenset(self._holding.get(process, ()))
 
     # ----------------------------------------------------- access hooks
 
@@ -163,7 +163,7 @@ class LocksetChecker:
         if process is None:
             return
         self.accesses += 1
-        held = frozenset(self._held.get(process, ()))
+        held = frozenset(self._holding.get(process, ()))
         stamp = (f"{'write' if write else 'read'} by {process.name} "
                  f"at t={now} holding {_render_locks(held)}")
         state = self._vars.get(var)

@@ -36,25 +36,22 @@ selects the fast kernel again. There is no other option: a fast kernel
 with a hook would hide from the hook the very interleavings it exists
 to permute.
 
-* :meth:`Environment.try_finish_now` — completes a freshly created event
-  synchronously instead of routing it through the heap, legal only when
-  the event has no observers (no callbacks) *and* nothing else can run
-  at the current instant, so no other process can interleave. The lock
-  table's uncontended grant (``core/locks.py``) is the one caller.
 * synchronous :class:`Process` completion — when a process terminates
   and nothing else can run at the current instant, its completion
   callbacks run inline instead of via a scheduled event.
-* inline charges — a timeout the running process makes is *held* off
-  the heap, its ticket not yet taken. If the process yields it next and
-  nothing can run in ``[now, when it fires]``
+* held events — a fresh event the running process triggers (a timeout
+  it makes, or an event it succeeds with no callback on it yet) is
+  *held* off the heap, its ticket not yet taken. If the process yields
+  it next and nothing can run in ``[now, when it fires]``
   (:meth:`Environment.can_collapse` of that instant), the kernel moves
   the clock there and resumes the generator in the same loop: the
-  reference would pop that timeout next with nothing in between. Any
+  reference would pop that event next with nothing in between. Any
   other move first pushes it, with the ticket it would have taken when
-  made: every scheduling, a read of :attr:`events_scheduled`, a legality
-  question, a tie hook, a second timeout, and at the latest the end of
-  the resumption it was made in.
-  Every uncontended CPU charge of the stack takes this path.
+  triggered: every scheduling, a read of :attr:`events_scheduled`, a
+  legality question, a tie hook, a second held event, and at the
+  latest the end of the resumption it was made in.
+  Every uncontended CPU charge and lock grant of the stack takes this
+  path.
 * the *guard* — :meth:`Environment.add_source`,
   :meth:`Environment.reguard`, :meth:`Environment.finish_inline`. A
   *virtual source* keeps pending steps the heap never sees: each is
@@ -74,7 +71,7 @@ to permute.
 
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
-while the counts of EXPERIMENTS.md E14 (E22 for the inline charges) show
+while the counts of EXPERIMENTS.md E14 (E22 and E24 for held events) show
 the benchmark workloads and the committed experiments taking it.
 
 "Nothing else can run in ``[now, end]``" is four conditions,
@@ -93,17 +90,9 @@ looks at the world then; :meth:`~Environment.step`'s caller looks after
 one dispatch, so under it only ``end == now`` passes). A pending
 virtual step counts as a heap entry of its instant: it was created
 before anything pushed from now on.
-:meth:`~Environment.can_collapse` and
-:meth:`~Environment.try_finish_now` are the whole legality surface, and
+:meth:`~Environment.can_collapse` is the whole legality surface, and
 :attr:`~Environment.is_reference` names the switch itself: nothing
 outside ``repro.sim`` reads the kernel's private state.
-
-One documented obligation on callers: an event completed through
-:meth:`~Environment.try_finish_now` must be yielded before the caller
-performs any priority-0 scheduling (i.e. :meth:`Process.interrupt`),
-because the reference execution would deliver such an interrupt before
-the caller's resumption. Lock grants are taken as ``with ... as lock:
-yield lock.grant``, so the obligation is structural.
 
 Every fast path is exact: it fires only when the reference execution
 would have performed the identical state transitions in the identical
@@ -198,7 +187,13 @@ class Event:
             raise RuntimeError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        if self.callbacks or env._active is None or env._tie_hook is not None:
+            env._schedule(self)
+        else:
+            # Nobody waits on it yet and the running process triggered
+            # it: held off the heap like its own timeouts (see _hold).
+            env._hold(self, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -367,17 +362,17 @@ class Process(Event):
                     self._waiting_on = None
                     self.fail(exc)
                     return
-                if (target is env._held_timeout and not target.callbacks
+                if (target is env._held and not target.callbacks
                         and (self._waiting_on is None
                              or self._waiting_on.callbacks is None)
                         and env._clear(env._held_at)):
-                    # Uncontended charge: the reference would pop this
-                    # timeout next, with nothing in between, and resume
-                    # this process from it (see the module docstring).
+                    # Uncontended charge or grant: the reference would
+                    # pop this event next, with nothing in between, and
+                    # resume this process from it (module docstring).
                     # An interrupt delivery (the wait left behind still
                     # pending) never gets here: its caller acts once this
                     # resumption is over.
-                    env._held_timeout = None
+                    env._held = None
                     env._now = env._held_at
                     target.callbacks = None
                     event = target
@@ -400,9 +395,9 @@ class Process(Event):
                 return
         finally:
             env._active = None
-            if env._held_timeout is not None:
+            if env._held is not None:
                 # Yielded to wait on, left behind, or made by a callback
-                # of this process's inline completion: no timeout stays
+                # of this process's inline completion: no event stays
                 # held past the resumption it was made in.
                 env._flush()
 
@@ -513,7 +508,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_stop",
-                 "_deadline", "_held_timeout", "_held_at", "_proc_count",
+                 "_deadline", "_held", "_held_at", "_proc_count",
                  "_tie_hook", "_sources", "_guard", "_step_seq")
 
     def __init__(self):
@@ -535,9 +530,9 @@ class Environment:
         # The latest instant a collapse may reach: run(until=t)'s t,
         # -inf inside step() (only zero-length ones), +inf otherwise.
         self._deadline = _INF
-        # The active process's newest timeout while it is held off the
-        # heap (see _hold), and the instant it fires.
-        self._held_timeout: Optional[Timeout] = None
+        # The active process's newest fresh event while it is held off
+        # the heap (see _hold), and the instant it fires.
+        self._held: Optional[Event] = None
         self._held_at = 0.0
         # Scheduling choice-point hook (model checking): consulted when
         # two or more heap entries tie on (time, priority). None — the
@@ -564,10 +559,10 @@ class Environment:
     @property
     def events_scheduled(self) -> int:
         """Total ordering tickets ever taken — one per event pushed on
-        the heap; a virtual source's steps and the timeouts a process
-        runs through inline take none (the events/op and
+        the heap; a virtual source's steps and the held events a
+        process runs through inline take none (the events/op and
         events/sec numerator in ``perf/``; monotone, never reset)."""
-        if self._held_timeout is not None:
+        if self._held is not None:
             self._flush()
         return self._eid
 
@@ -605,27 +600,28 @@ class Environment:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        if self._held_timeout is not None:
+        if self._held is not None:
             self._flush()
         self._eid += 1
         heappush(self._heap, (self._now + delay, priority, self._eid, event))
 
-    def _hold(self, timeout: Timeout, delay: float) -> None:
-        """Keep the active process's fresh ``timeout`` off the heap
-        without taking its ticket yet. Every ticket is taken by
-        :meth:`_schedule`, which pushes a held timeout first, so when it
+    def _hold(self, event: Event, delay: float) -> None:
+        """Keep a fresh event the active process triggered — its own
+        timeout, or one nobody waits on yet — off the heap without
+        taking its ticket yet. Every ticket is taken by
+        :meth:`_schedule`, which pushes a held event first, so when it
         is pushed (:meth:`_flush`) it gets the eid it would have taken
-        at construction. If the process yields it next and :meth:`_clear`
+        when triggered. If the process yields it next and :meth:`_clear`
         holds for its instant, it never reaches the heap at all."""
-        if self._held_timeout is not None:
+        if self._held is not None:
             self._flush()
-        self._held_timeout = timeout
+        self._held = event
         self._held_at = self._now + delay
 
     def _flush(self) -> None:
-        """Push the held timeout, with the ticket it was made with."""
-        held = self._held_timeout
-        self._held_timeout = None
+        """Push the held event, with the ticket it was triggered with."""
+        held = self._held
+        self._held = None
         self._eid += 1
         heappush(self._heap, (self._held_at, 1, self._eid, held))
 
@@ -695,41 +691,22 @@ class Environment:
         ``end == now`` for point-in-time collapses (a zero-delay hop);
         a later ``end`` is the instant a held timeout fires.
         """
-        if self._held_timeout is not None:
+        if self._held is not None:
             self._flush()
         return self._clear(end)
 
     def _clear(self, end: float) -> bool:
-        """:meth:`can_collapse` without pushing the held timeout first:
-        the question the held timeout's own collapse asks."""
+        """:meth:`can_collapse` without pushing the held event first:
+        the question the held event's own collapse asks."""
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
                 and self._guard > end
                 and (end <= self._deadline or end == self._now)
                 and self._stop.callbacks is not None)
 
-    def try_finish_now(self, event: Event, value: Any = None) -> bool:
-        """Fast path: complete a *fresh* event synchronously.
-
-        Returns True when the event was marked processed in place —
-        legal only when nobody registered a callback yet (so no
-        suspended process gets resumed out of turn) and
-        :meth:`can_collapse` holds for the current instant (so the
-        reference execution would pop this event next with no
-        intervening work). Callers fall back to ``event.succeed(value)``
-        on False. Uncontended lock grants use this to skip the heap
-        round-trip.
-        """
-        if not event.callbacks and self.can_collapse(self._now):
-            event._ok = True
-            event._value = value
-            event.callbacks = None
-            return True
-        return False
-
     def set_tie_hook(self, hook: Optional[Callable[[list], int]]) -> None:
         """Install (or clear, with None) the scheduling choice-point
-        hook — the one kernel switch. A timeout held off the heap goes
+        hook — the one kernel switch. An event held off the heap goes
         onto it first, so the reference kernel never sees one.
 
         With a hook installed this is the *reference kernel*: every
@@ -751,7 +728,7 @@ class Environment:
         the next ``run``/``step`` (until then ties resolve in insertion
         order, which is index 0).
         """
-        if self._held_timeout is not None:
+        if self._held is not None:
             self._flush()
         self._tie_hook = hook
 
@@ -796,7 +773,9 @@ class Environment:
             return sources[0].advance(bound)
         while True:
             first, second = sorted(sources, key=_head)[:2]
-            if first.head >= bound:
+            if first.head >= bound or self._guard == _INF:
+                # (An empty source's head, (inf, 0, 0), sorts before the
+                # bound of an unbounded run: it has nothing to perform.)
                 return False
             if first.advance(min(bound, second.head)):
                 return True
@@ -804,15 +783,23 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event — after the virtual steps that
         sort before it; one of those resuming a process counts as it.
-        No collapse moves the clock on from the instant dispatched."""
+        With the heap empty, the virtual steps of the guard's instant
+        are the step, and the clock moves there. No collapse moves the
+        clock on from the instant dispatched."""
         heap = self._heap
         self._deadline = -_INF
         try:
-            if ((not heap or heap[0][0] >= self._guard)
-                    and self._perform_virtual(_INF)):
-                return
             if not heap:
-                raise RuntimeError("no scheduled events")
+                if self._guard == _INF:
+                    raise RuntimeError("no scheduled events")
+                # Only virtual steps are pending, and a daemon's never
+                # run out: this step is the guard's instant.
+                guard = self._guard
+                if not self._perform_virtual(guard):
+                    self._now = guard
+                return
+            if heap[0][0] >= self._guard and self._perform_virtual(_INF):
+                return
             pop = heappop if self._tie_hook is None else self._pop_tied
             when, _priority, _eid, event = pop(heap)
             self._now = when

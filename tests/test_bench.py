@@ -705,14 +705,16 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
 
 
 def test_kernel_private_state_stays_inside_repro_sim():
-    """``can_collapse`` / ``try_finish_now`` are the whole fast-path
-    legality surface and ``add_source`` / ``reguard`` /
-    ``finish_inline`` the whole virtual-source surface: no module
-    outside ``repro/sim/`` reads the kernel's private switches or its
-    guard, reaches into its heap or writes an event's outcome in place,
+    """``can_collapse`` is the whole fast-path legality surface and
+    ``add_source`` / ``reguard`` / ``finish_inline`` the whole
+    virtual-source surface: no module outside ``repro/sim/`` reads the
+    kernel's private switches, its guard or the event it holds off the
+    heap, reaches into its heap or writes an event's outcome in place,
     so no layer can re-derive (and get wrong) when a collapse is legal,
     how events and virtual steps are ordered or what a waiter is resumed
-    with. The deleted analytic-segment calls stay deleted."""
+    with. The deleted analytic-segment calls and ``try_finish_now``
+    (a fresh event completes in place by the held-event rule) stay
+    deleted."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     #: The model checker's state key counts pending events.
     allowed = {("modelcheck/rig.py", "_heap")}
@@ -725,9 +727,9 @@ def test_kernel_private_state_stays_inside_repro_sim():
         and node.attr in ("fast", "_solo", "_tie_hook", "_stop",
                           "_schedule", "_heap", "_eid", "_guard",
                           "_sources", "_step_seq", "_perform_virtual",
-                          "_held_timeout", "_held_at", "_hold", "_flush",
+                          "_held", "_held_at", "_hold", "_flush",
                           "_clear", "_deadline",
-                          "ticket", "schedule_at",
+                          "ticket", "schedule_at", "try_finish_now",
                           "_ok", "_value", "_defused")
         and (path.relative_to(src).as_posix(), node.attr) not in allowed
     ]

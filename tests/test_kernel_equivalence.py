@@ -8,17 +8,12 @@ same resume order, same values delivered, same tie-breaking at shared
 instants. This suite generates random little concurrent programs —
 timeouts (including zero delays and exact-tie sums), interrupts,
 resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, lock
-grants, timeouts made and then left behind by something else before
-they are yielded (every way a timeout the kernel holds off the heap
-goes onto it) and runs of hops kept off the heap by a toy *virtual
-source* (the guard protocol of ``net/ethernet.py``'s medium ledger,
-without any Ethernet) — runs each on both kernels under every form of
-``run(until=...)``, and compares the full traces.
-
-Programs follow the kernel's documented fast-path obligation: a
-``Resource.request()`` is yielded immediately after it is created (the
-inline-grant optimization assumes no side effects are interleaved
-between the request and the wait; see ``sim.core``).
+grants, timeouts and lock grants made and then left behind by something
+else before they are yielded (every way an event the kernel holds off
+the heap goes onto it) and runs of hops kept off the heap by a toy
+*virtual source* (the guard protocol of ``net/ethernet.py``'s medium
+ledger, without any Ethernet) — runs each on both kernels under every
+form of ``run(until=...)``, and compares the full traces.
 
 Delays are dyadic rationals so independent sums collide bit-exactly,
 exercising the ``(time, priority, eid)`` tie-breaking discipline rather
@@ -27,6 +22,7 @@ than dodging it.
 
 from bisect import insort
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +47,11 @@ _DELAY_LISTS = st.lists(_DELAYS, min_size=1, max_size=3)
 _HELD_EXITS = st.sampled_from(
     ("put", "count", "anyof", "second", "lock", "drop"))
 
+#: What a worker does between taking a lock grant and yielding it: the
+#: same held-event rule, on a grant instead of a timeout.
+_GRANT_EXITS = st.sampled_from(
+    ("interrupt", "put", "count", "second", "drop"))
+
 _INSTR = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("burst"), _DELAY_LISTS),
@@ -66,6 +67,8 @@ _INSTR = st.one_of(
     st.tuples(st.just("join"), st.integers(0, MAX_WORKERS - 1)),
     st.tuples(st.just("survive"), _DELAYS, _DELAYS),
     st.tuples(st.just("held"), _HELD_EXITS, _DELAYS, _DELAYS),
+    st.tuples(st.just("grant"), _GRANT_EXITS,
+              st.integers(0, MAX_WORKERS - 1), _DELAYS),
 )
 
 _PROGRAM = st.lists(
@@ -113,13 +116,19 @@ class HopSource:
         return waiter
 
     def abandon(self, waiter):
-        self._steps = [s for s in self._steps if s[4] is not waiter]
-        self._reguard()
+        """The waiter left mid-burst. Its pending hop stays, as the
+        reference's timeout stays on the heap: it resumes nobody, but
+        it still moves the clock when it comes due."""
+        self._steps = [s[:3] + ((), None) if s[4] is waiter else s
+                       for s in self._steps]
 
     def advance(self, bound):
         steps = self._steps
         while steps and steps[0][:3] < bound:
             when, _c, _seq, rest, waiter = steps.pop(0)
+            if waiter is None:
+                self.env.finish_inline(self.env.event(), None, when)
+                continue
             if not rest:
                 self._reguard()
                 self.env.finish_inline(waiter, None, when)
@@ -228,6 +237,26 @@ def _run_program(program, env, driver):
                             yield env.timeout(other)
                     if way != "drop":
                         yield timer
+                elif tag == "grant":
+                    way, other, delay = instr[1:]
+                    with locks.writing(wid % N_LOCKS) as lock:
+                        if way == "interrupt":
+                            target = procs.get(other)
+                            if (target is not None and other != wid
+                                    and target.is_alive):
+                                target.interrupt((wid, step))
+                                trace.append(
+                                    (env.now, wid, step, "sent-interrupt"))
+                        elif way == "put":
+                            stores[0].put((wid, step, "grant"))
+                        elif way == "count":
+                            env.events_scheduled
+                        elif way == "second":
+                            yield env.timeout(delay)
+                        if way != "drop":
+                            yield lock.grant
+                            trace.append((env.now, wid, step, "locked"))
+                            yield env.timeout(delay)
                 trace.append((env.now, wid, step, "done", tag))
             except Interrupt as exc:
                 trace.append((env.now, wid, step, "interrupted", exc.cause))
@@ -261,6 +290,13 @@ def _assert_matches_reference(program):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_PROGRAM)
 def test_fast_kernel_matches_reference(program):
+    _assert_matches_reference(program)
+
+
+@pytest.mark.explore
+@settings(max_examples=10_000, deadline=None)
+@given(_PROGRAM)
+def test_fast_kernel_matches_reference_on_a_larger_budget(program):
     _assert_matches_reference(program)
 
 
@@ -323,6 +359,31 @@ def test_held_timeout_goes_on_the_heap_ahead_of_what_is_scheduled_next():
     _assert_matches_reference([
         [("get", 0)],
         [("held", "put", 0.0, 0.0)],
+    ])
+
+
+def test_an_abandoned_hop_still_moves_the_clock():
+    # Found at the explore budget. Worker 3 is interrupted in its burst;
+    # the reference's pending hop timeout still fires at 0.125, so a
+    # drained run() ends there. On the fast kernel the hop is the last
+    # step of its source and resumes nobody: the multi-source merge used
+    # to spin once both sources were empty.
+    _assert_matches_reference([
+        [("timeout", 0.0)],
+        [("timeout", 0.0)],
+        [("interrupt", 3, 0.0)],
+        [("burst", [0.125])],
+    ])
+
+
+def test_grant_yielded_after_an_interrupt_matches_reference():
+    # Worker 0 takes an uncontended write grant and interrupts worker 1
+    # before yielding it. The reference pushed the grant first, and the
+    # interrupt, at priority 0, is still delivered ahead of it: worker 1
+    # hears of it before worker 0 holds the lock.
+    _assert_matches_reference([
+        [("timeout", 0.125), ("grant", "interrupt", 1, 0.0)],
+        [("timeout", 0.25)],
     ])
 
 

@@ -753,11 +753,29 @@ def test_lone_senders_completion_is_scheduled_work():
     proc = env.process(eth.send_fragments(8 * KB))
     env.step()  # the process starts and joins the ledger
     assert proc.is_alive and not eth.idle
-    env.step()  # every step of the message; the last resumes the sender
-    assert not proc.is_alive and eth.idle
+    steps = 0
+    while proc.is_alive:  # one instant of the ledger per step
+        env.step()
+        steps += 1
+    assert steps > 1 and eth.idle
     assert env.now == pytest.approx(2 * sent)
     with pytest.raises(RuntimeError, match="no scheduled events"):
         env.step()
+
+
+def test_step_returns_when_only_a_daemon_is_pending():
+    # The background daemon's steps never resume a process and never
+    # run out: a step with an empty heap takes the guard's instant and
+    # returns, as the reference's step takes the next heap event.
+    for env in (Environment(), reference_env()):
+        eth = Ethernet(env, EthernetProfile(background_utilization=0.2),
+                       stream=SeededStream(1, "bg"), background_load=True)
+        times = []
+        for _ in range(3):
+            env.step()
+            times.append(env.now)
+        assert times == sorted(times) and 0 < times[-1] < 0.01
+        assert eth.stats.background_packets.value <= 1
 
 
 def test_run_without_until_ends_when_the_ledger_is_empty():

@@ -388,6 +388,28 @@ def test_a_timeout_not_yet_yielded_counts_as_scheduled():
     assert seen == [1, (True, False)] and env.now == 2.0
 
 
+def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
+    # The held-event rule on a plain event, as an uncontended lock grant
+    # takes it: nothing can come between, so the reference would pop it
+    # next and resume this process from it.
+    env = Environment()
+
+    def worker():
+        value = yield env.event().succeed("granted")
+        return value, env.now
+
+    assert run_process(env, worker()) == ("granted", 0.0)
+    assert env.events_scheduled == 1  # the process's start-up
+
+
+def test_event_succeeded_outside_any_process_is_processed():
+    # No resumption ends to push it, so it goes on the heap at once.
+    env = Environment()
+    event = env.event().succeed("done")
+    env.run()
+    assert event.processed and event.value == "done"
+
+
 def test_timeout_made_by_a_callback_of_a_completing_process_fires():
     # The worker completes inline, with nothing else scheduled; its
     # completion's callback runs inside that resumption and makes a
