@@ -59,15 +59,15 @@ class DiskStats(RegistryStats):
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _DiskRequest:
     kind: str                     # "read" or "write"
     start_block: int
     nblocks: int
     data: Optional[bytes]
     completion: Event
-    cylinder: int = 0             # of the first block
-    last_cylinder: int = 0        # of the last block (where the arm ends)
+    cylinder: int                 # of the first block
+    last_cylinder: int            # of the last block (where the arm ends)
 
 
 class VirtualDisk:
@@ -215,14 +215,9 @@ class VirtualDisk:
         self.geometry.check_extent(start_block, nblocks)
         per_cyl = self.geometry.blocks_per_cylinder
         self._queue.push(_DiskRequest(
-            kind=kind,
-            start_block=start_block,
-            nblocks=nblocks,
-            data=data,
-            completion=completion,
-            cylinder=start_block // per_cyl,
-            last_cylinder=(start_block + max(nblocks - 1, 0)) // per_cyl,
-        ))
+            kind, start_block, nblocks, data, completion,
+            start_block // per_cyl,
+            (start_block + max(nblocks - 1, 0)) // per_cyl))
         self._wakeups.put(None)
         return completion
 
@@ -279,8 +274,9 @@ class VirtualDisk:
         # Completion hooks run after the op is accounted, so a
         # write-count fault armed for the Nth write kills the disk
         # with the Nth write durable and nothing after it.
-        for hook in list(self._op_hooks):
-            hook(req.kind)
+        if self._op_hooks:
+            for hook in list(self._op_hooks):
+                hook(req.kind)
 
     # --------------------------------------------------------- raw plane
 

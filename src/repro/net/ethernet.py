@@ -14,6 +14,7 @@ foreground transfers experience realistic queueing jitter — long bursts
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Optional
 
@@ -26,9 +27,10 @@ __all__ = ["Ethernet", "EthernetStats"]
 
 # What a ledger sender's pending step finishes (see Ethernet.advance):
 # the daemon's start-up, a packet's preparation (or a background gap),
-# the medium's grant, a packet's wire time, an injected latency.
+# the medium's grant, a packet's wire time, an injected latency, the
+# hop an interrupted sender abandoned (it only moves the clock).
 # _QUEUED and _DONE senders have no pending step.
-_START, _PREP, _GRANT, _WIRE, _LATENCY, _QUEUED, _DONE = range(7)
+_START, _PREP, _GRANT, _WIRE, _LATENCY, _ABANDONED, _QUEUED, _DONE = range(8)
 
 _INF = float("inf")
 
@@ -343,7 +345,7 @@ class Ethernet:
             return not self._sending
         daemon = self._daemon
         return (self._holder in (None, daemon)
-                and all(s is daemon for s in self._off)
+                and all(s is daemon or s.step == _ABANDONED for s in self._off)
                 and all(s is daemon for s in self._queue))
 
     # ---------------------------------------------------- the medium ledger
@@ -528,6 +530,13 @@ class Ethernet:
                     s = None
                     continue
             if step != _WIRE:
+                if step == _ABANDONED:
+                    # The reference's timeout of a hop nobody waits for
+                    # any more: it fires, resuming nobody.
+                    s.step = _DONE
+                    env.finish_inline(Event(env), None, t)
+                    s = None
+                    continue
                 heir = None
             elif queue:
                 # Off the wire: the medium goes to the next in line.
@@ -652,16 +661,27 @@ class Ethernet:
         """An interrupted sender leaves, exactly as the reference path's
         ``try/finally`` does: queued, it withdraws; on the medium, it
         releases it now and the next in line is granted now; no counters
-        for the unfinished fragment."""
+        for the unfinished fragment.
+
+        The hop it was in the middle of — a preparation, a wire time or
+        an injected latency — stays pending as an abandoned step, as the
+        reference's timeout stays on its heap: it resumes nobody, but it
+        moves the clock when it comes due (so a drained ``run()`` ends
+        there), and until then it holds the guard back."""
         env = self._fast_env()
-        if xfer.step == _QUEUED:
+        step = xfer.step
+        if step == _QUEUED:
             self._queue.remove(xfer)
-        elif xfer is not self._holder:
-            self._off.remove(xfer)
-        elif self._queue:
-            heir = self._holder = self._queue.popleft()
-            self._pend_grant(heir, env.now, env.events_scheduled)
+        elif xfer is self._holder:
+            if self._queue:
+                heir = self._holder = self._queue.popleft()
+                self._pend_grant(heir, env.now, env.events_scheduled)
+            else:
+                self._holder = None
+            if step == _WIRE:
+                insort(self._off, xfer, key=lambda s: (s.when, s.seq))
+        if step in (_PREP, _WIRE, _LATENCY):
+            xfer.step = _ABANDONED
         else:
-            self._holder = None
-        xfer.step = _DONE
+            xfer.step = _DONE
         self._reguard()

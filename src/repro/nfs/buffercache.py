@@ -5,7 +5,9 @@ Block-granularity LRU over the filesystem's logical blocks. Unlike the
 Bullet cache this caches *blocks*, not files — the traditional design
 the paper argues against. Writes can be write-through (synchronous, the
 SunOS NFS data/metadata path) or write-back (delayed, used for
-allocation bitmaps), with an explicit :meth:`sync`.
+allocation bitmaps), with an explicit :meth:`sync`. Only what takes
+disk time is a process: a hit (:meth:`~BufferCache.probe`) and a
+delayed write are plain calls.
 
 A seeded **churn** process models the paper's environment: the NFS
 server was a shared departmental machine on a "normally loaded
@@ -17,7 +19,8 @@ a long transfer's footprint gets partially evicted while it streams.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
 from ..disk import VirtualDisk
 from ..obs import MetricsRegistry, RegistryStats
@@ -63,15 +66,23 @@ class BufferCache:
         self._dirty: set[int] = set()
 
     # ------------------------------------------------------------- reads
+    #
+    # A read is two steps so that a hit costs no generator: ``probe``
+    # answers a hit in place, and only a miss runs the ``load`` process
+    # (``cache.probe(fbn) or (yield from cache.load(fbn))``; a block is
+    # never empty, so ``or`` falls through on a miss alone).
 
-    def read_block(self, fbn: int):
-        """Process: the logical block's bytes; disk read on a miss."""
+    def probe(self, fbn: int) -> Optional[bytes]:
+        """The cached block's bytes, counted as a hit and made the most
+        recently used; None on a miss (not counted: :meth:`load` does)."""
         cached = self._blocks.get(fbn)
         if cached is not None:
             self._blocks.move_to_end(fbn)
             self.stats.hits.inc()
-            yield from ()
-            return cached
+        return cached
+
+    def load(self, fbn: int):
+        """Process: a miss — read the block from disk and admit it."""
         self.stats.misses.inc()
         data = yield self.disk.read(fbn * self.sectors_per_block,
                                     self.sectors_per_block)
@@ -80,22 +91,24 @@ class BufferCache:
 
     # ------------------------------------------------------------- writes
 
-    def write_block(self, fbn: int, data: bytes, sync: bool = True):
-        """Process: install ``data`` as the block's contents.
-
-        ``sync=True`` (write-through) blocks until the disk has it —
-        the NFS v2 stable-write path. ``sync=False`` leaves the block
-        dirty for a later :meth:`sync`.
-        """
+    def write_block(self, fbn: int, data: bytes):
+        """Process: install ``data`` as the block's contents and block
+        until the disk has it (write-through, the NFS v2 stable-write
+        path)."""
         if len(data) != self.fs_block_size:
             data = data + bytes(self.fs_block_size - len(data))
-        self._admit(fbn, bytes(data), dirty=not sync)
-        if sync:
-            self.stats.write_throughs.inc()
-            yield self.disk.write(fbn * self.sectors_per_block, data)
-        else:
-            self.stats.delayed_writes.inc()
-            yield from ()
+        self._admit(fbn, bytes(data), dirty=False)
+        self.stats.write_throughs.inc()
+        yield self.disk.write(fbn * self.sectors_per_block, data)
+
+    def write_delayed(self, first_fbn: int, blocks: Sequence[bytes]) -> None:
+        """Install ``blocks`` (each one whole block of bytes) as the
+        contents of consecutive logical blocks from ``first_fbn``, in
+        order, and leave them dirty for a later :meth:`sync` — no disk
+        time now."""
+        for fbn, data in enumerate(blocks, first_fbn):
+            self._admit(fbn, data, dirty=True)
+        self.stats.delayed_writes.inc(len(blocks))
 
     def sync(self):
         """Process: flush every dirty block to disk."""
@@ -114,17 +127,17 @@ class BufferCache:
             self._blocks.move_to_end(fbn)
         else:
             while len(self._blocks) >= self.capacity_blocks:
-                self._evict_oldest_clean()
+                self._evict_oldest()
             self._blocks[fbn] = data
         if dirty:
             self._dirty.add(fbn)
 
-    def _evict_oldest_clean(self) -> None:
-        """Evict the LRU block; dirty victims are dropped from the dirty
-        set too (their contents are still written by a later sync of the
-        owning operation — the NFS server syncs before replying, so a
-        dirty victim here can only be an allocation bitmap, which the
-        filesystem rewrites in full on sync)."""
+    def _evict_oldest(self) -> None:
+        """Evict the LRU block, dirty or not. A dirty victim leaves the
+        dirty set unwritten, so no later :meth:`sync` writes it. Only
+        allocation bitmaps are left dirty for long (every other write
+        is write-through), so the disk's bitmaps are a hint that
+        :meth:`~repro.nfs.ffs.FFS.mount` does not trust."""
         fbn, _data = self._blocks.popitem(last=False)
         self._dirty.discard(fbn)
         self.stats.evictions.inc()
@@ -148,8 +161,8 @@ class BufferCache:
             yield self.env.timeout(stream.expovariate(churn_per_second))
             if not self._blocks:
                 continue
-            keys = list(self._blocks.keys())
-            victim = keys[stream.randint(0, len(keys) - 1)]
+            index = stream.randint(0, len(self._blocks) - 1)
+            victim = next(islice(self._blocks, index, None))
             if victim in self._dirty:
                 continue  # never lose real dirty data to churn
             del self._blocks[victim]

@@ -115,9 +115,6 @@ class NfsClient:
 
     # ----------------------------------------------------------- syscalls
 
-    def _syscall(self):
-        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
-
     def _walk(self, path: str, stop_before_last: bool = False):
         """Per-component LOOKUP RPCs from the root."""
         parts = [p for p in path.split("/") if p]
@@ -134,14 +131,14 @@ class NfsClient:
 
     def open(self, path: str):
         """Process: open an existing file; returns an fd."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         fh, _ = yield from self._walk(path)
         yield from self._getattr_rpc(fh)  # open-time attribute fetch
         return self._new_fd(fh)
 
     def creat(self, path: str):
         """Process: create (or reuse) a file; returns an fd at offset 0."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         parent, name = yield from self._walk(path, stop_before_last=True)
         try:
             fh = yield from self._lookup_rpc(parent, name)
@@ -152,22 +149,22 @@ class NfsClient:
     def read(self, fd: int, count: int):
         """Process: sequential read of ``count`` bytes in 8 KB RPCs
         (or from the client page cache when caching is enabled)."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         open_file = self._file(fd)
         if self.client_caching:
             return (yield from self._read_cached(open_file, count))
         chunk = self.testbed.nfs.transfer_size
-        out = bytearray()
+        parts = []
         while count > 0:
             span = min(count, chunk)
             data = yield from self._read_rpc(open_file.handle,
                                              open_file.offset, span)
-            out.extend(data)
+            parts.append(data)
             open_file.offset += len(data)
             count -= span
             if len(data) < span:
                 break  # EOF
-        return bytes(out)
+        return b"".join(parts)
 
     def _read_cached(self, open_file: OpenFile, count: int):
         """The SunOS-style path lockf disables: chunk-aligned page cache
@@ -219,15 +216,17 @@ class NfsClient:
 
     def write(self, fd: int, data: bytes):
         """Process: sequential write in synchronous 8 KB RPCs."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         open_file = self._file(fd)
         chunk = self.testbed.nfs.transfer_size
-        view = memoryview(bytes(data))
+        data = bytes(data)
         total = 0
         while total < len(data):
             span = min(len(data) - total, chunk)
+            # A one-chunk write sends ``data`` itself: a slice of bytes
+            # over the whole range is the same object.
             written = yield from self._write_rpc(
-                open_file.handle, open_file.offset, bytes(view[total:total + span])
+                open_file.handle, open_file.offset, data[total:total + span]
             )
             if self.client_caching:
                 # Conservative: invalidate the written range's pages and
@@ -243,31 +242,31 @@ class NfsClient:
 
     def lseek(self, fd: int, offset: int):
         """Process: set the file offset (purely client-side + syscall cost)."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         self._file(fd).offset = offset
         return offset
 
     def close(self, fd: int):
         """Process: close the descriptor (flush is a no-op: every write
         was already synchronous at the server)."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         self._fds.pop(fd, None)
 
     def unlink(self, path: str):
         """Process: remove a file by path."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         parent, name = yield from self._walk(path, stop_before_last=True)
         yield from self._remove_rpc(parent, name)
 
     def mkdir(self, path: str):
         """Process: create a directory by path."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         parent, name = yield from self._walk(path, stop_before_last=True)
         yield from self._mkdir_rpc(parent, name)
 
     def fstat(self, fd: int):
         """Process: attributes of an open file."""
-        yield from self._syscall()
+        yield self.env.timeout(self.testbed.nfs.client_op_overhead)
         return (yield from self._getattr_rpc(self._file(fd).handle))
 
     # ------------------------------------------------------------ helpers

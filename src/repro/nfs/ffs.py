@@ -17,7 +17,8 @@ comparison:
   group switch;
 * synchronous metadata writes (inodes, directories, indirect blocks)
   as the NFS v2 server required; allocation bitmaps are written back
-  lazily and re-synced in bulk.
+  lazily and re-synced in bulk, and mount rebuilds the map from the
+  inodes the way fsck does.
 
 All disk access goes through the :class:`~repro.nfs.buffercache.BufferCache`.
 """
@@ -111,10 +112,14 @@ class FFSInode:
     def decode(cls, data: bytes, offset: int = 0) -> "FFSInode":
         """The inode stored at ``offset`` of ``data`` (an inode-table
         block is decoded in place, without slicing the record out)."""
-        mode, size, generation, mtime_ms, *direct, indirect, dindirect = (
-            _INODE_STRUCT.unpack_from(data, offset))
-        return cls(mode, size, generation, mtime_ms, direct,
-                   indirect, dindirect)
+        f = _INODE_STRUCT.unpack_from(data, offset)
+        return cls(f[0], f[1], f[2], f[3], list(f[4:4 + NDIRECT]), f[-2], f[-1])
+
+
+def _patched(block: bytes, offset: int, part) -> bytes:
+    """``block`` with ``part`` written over it at ``offset``: one copy."""
+    view = memoryview(block)
+    return b"".join((view[:offset], part, view[offset + len(part):]))
 
 
 def encode_directory(entries: dict) -> bytes:
@@ -153,8 +158,13 @@ class FFS:
         self.fs_block_size = fs_block_size
         self.ninodes = ninodes
         self.maxbpg = maxbpg
+        self._inodes_per_block = fs_block_size // FFS_INODE_SIZE
         self.sb: Superblock
         self._bitmap: bytearray  # one byte per data block; RAM-authoritative
+        # The bitmap as the cache was last handed it, one bytes object
+        # per bitmap block, and the blocks allocation has changed since.
+        self._bitmap_blocks: list[bytes] = []
+        self._bitmap_touched: set[int] = set()
         self._free_data_blocks = 0
         self._group_rotor: dict[int, int] = {}
         self._mounted = False
@@ -211,40 +221,98 @@ class FFS:
         self.disk.write_raw(sb.inode_start * spb, bytes(raw))
 
     def mount(self):
-        """Process: read the superblock and the allocation bitmaps."""
+        """Process: read the superblock and the allocation bitmaps, then
+        rebuild the allocation map from the live inodes.
+
+        Bitmaps are delayed writes and nothing syncs them before a
+        crash, so the disk's copy is only a hint. As fsck does, the map
+        is rebuilt from every live inode's block pointers and indirect
+        blocks. The rebuild reads the raw plane, uncharged like
+        :meth:`format`: it takes no simulated time and leaves the cache
+        alone, so mount costs what SunOS's did (the superblock and the
+        bitmap blocks, read through the cache). On a freshly formatted
+        volume the rebuilt map is the one on disk."""
         spb = self.fs_block_size // self.disk.block_size
         raw = yield self.disk.read(0, spb)
         self.sb = Superblock.decode(raw)
-        bitmap = bytearray()
         for b in range(self.sb.bitmap_blocks):
-            data = yield from self.cache.read_block(self.sb.bitmap_start + b)
-            bitmap.extend(data)
-        self._bitmap = bitmap[: self.sb.data_blocks]
+            fbn = self.sb.bitmap_start + b
+            if self.cache.probe(fbn) is None:
+                yield from self.cache.load(fbn)
+        self._bitmap = self._allocation_map()
         self._free_data_blocks = self._bitmap.count(0)
+        self._bitmap_blocks = [self._bitmap_block(b)
+                               for b in range(self.sb.bitmap_blocks)]
+        self._bitmap_touched = set()
         self._group_rotor = {}
         self._mounted = True
+
+    def _allocation_map(self) -> bytearray:
+        """One byte per data block, set for every block a live inode
+        owns on disk."""
+        sb = self.sb
+        used = bytearray(sb.data_blocks)
+        for _inum, fbn in self.owned_blocks():
+            if not sb.data_start <= fbn < sb.data_start + sb.data_blocks:
+                raise ConsistencyError(
+                    f"an inode points at block {fbn}, outside the data area")
+            used[fbn - sb.data_start] = 1
+        return used
+
+    def owned_blocks(self):
+        """``(inum, fbn)`` for every block a live inode owns on disk: its
+        direct blocks, its indirect blocks and the blocks they point at
+        — fsck's walk, over the raw plane (no simulated time, no
+        cache)."""
+        spb = self.fs_block_size // self.disk.block_size
+        pointers = Struct(f">{self.ptrs_per_block}I")
+
+        def pointed(fbn: int) -> list:
+            table = pointers.unpack(self.disk.read_raw(fbn * spb, spb))
+            return [p for p in table if p]
+
+        table = self.disk.read_raw(self.sb.inode_start * spb,
+                                   self.sb.inode_blocks * spb)
+        for inum, (mode, _s, _g, _m, *direct, indirect, dindirect) in (
+                enumerate(_INODE_STRUCT.iter_unpack(table))):
+            if mode == MODE_FREE:
+                continue
+            owned = [fbn for fbn in direct if fbn]
+            if indirect:
+                owned.append(indirect)
+                owned.extend(pointed(indirect))
+            if dindirect:
+                owned.append(dindirect)
+                for inner in pointed(dindirect):
+                    owned.append(inner)
+                    owned.extend(pointed(inner))
+            for fbn in owned:
+                yield inum, fbn
 
     # ------------------------------------------------------------- inodes
 
     def _inode_block(self, inum: int) -> tuple[int, int]:
-        per_block = self.fs_block_size // FFS_INODE_SIZE
-        return (self.sb.inode_start + inum // per_block,
-                (inum % per_block) * FFS_INODE_SIZE)
+        """(fs block, byte offset) of inode ``inum``."""
+        if not 0 < inum < self.ninodes:
+            raise BadRequestError(f"inode number {inum} out of range")
+        block, slot = divmod(inum, self._inodes_per_block)
+        return self.sb.inode_start + block, slot * FFS_INODE_SIZE
 
     def inode_read(self, inum: int):
         """Process: load one inode (through the cache)."""
-        self._check_inum(inum)
         fbn, offset = self._inode_block(inum)
-        raw = yield from self.cache.read_block(fbn)
+        raw = self.cache.probe(fbn) or (yield from self.cache.load(fbn))
         return FFSInode.decode(raw, offset)
 
     def inode_write(self, inum: int, inode: FFSInode, sync: bool = True):
         """Process: store one inode (synchronous metadata by default)."""
-        self._check_inum(inum)
         fbn, offset = self._inode_block(inum)
-        raw = bytearray((yield from self.cache.read_block(fbn)))
-        raw[offset:offset + FFS_INODE_SIZE] = inode.encode()
-        yield from self.cache.write_block(fbn, bytes(raw), sync=sync)
+        raw = self.cache.probe(fbn) or (yield from self.cache.load(fbn))
+        block = _patched(raw, offset, inode.encode())
+        if sync:
+            yield from self.cache.write_block(fbn, block)
+        else:
+            self.cache.write_delayed(fbn, (block,))
 
     def alloc_inode(self, mode: int):
         """Process: claim a free inode; returns (inum, inode)."""
@@ -279,12 +347,13 @@ class FFS:
             # group left off (reset on free), keeping the scan O(1)
             # amortized on big volumes.
             rotor = max(self._group_rotor.get(group, start), start)
-            for rel in range(rotor, end):
-                if self._bitmap[rel] == 0:
-                    self._bitmap[rel] = 1
-                    self._free_data_blocks -= 1
-                    self._group_rotor[group] = rel + 1
-                    return self.sb.data_start + rel
+            rel = self._bitmap.find(0, rotor, end)
+            if rel >= 0:
+                self._bitmap[rel] = 1
+                self._bitmap_touched.add(rel // self.fs_block_size)
+                self._free_data_blocks -= 1
+                self._group_rotor[group] = rel + 1
+                return self.sb.data_start + rel
             self._group_rotor[group] = end
         raise NoSpaceError("filesystem full (bitmap scan found nothing)")
 
@@ -295,6 +364,7 @@ class FFS:
         if self._bitmap[rel] == 0:
             raise ConsistencyError(f"double free of block {fbn}")
         self._bitmap[rel] = 0
+        self._bitmap_touched.add(rel // self.fs_block_size)
         self._free_data_blocks += 1
         # Rewind the owning group's scan rotor so the block is reusable.
         per_group = max(self.sb.data_blocks // _CYLINDER_GROUPS, 1)
@@ -302,12 +372,21 @@ class FFS:
         if self._group_rotor.get(group, 0) > rel:
             self._group_rotor[group] = rel
 
-    def sync_bitmaps(self):
-        """Process: write the RAM bitmap back (delayed writes)."""
-        for b in range(self.sb.bitmap_blocks):
-            chunk = bytes(self._bitmap[b * self.fs_block_size:(b + 1) * self.fs_block_size])
-            yield from self.cache.write_block(self.sb.bitmap_start + b, chunk,
-                                              sync=False)
+    def sync_bitmaps(self) -> None:
+        """Hand the whole RAM bitmap to the cache as delayed writes. Only
+        the blocks allocation touched since the last sync are rebuilt;
+        every other block is the object handed over last time."""
+        for b in self._bitmap_touched:
+            self._bitmap_blocks[b] = self._bitmap_block(b)
+        self._bitmap_touched.clear()
+        self.cache.write_delayed(self.sb.bitmap_start, self._bitmap_blocks)
+
+    def _bitmap_block(self, b: int) -> bytes:
+        """Bitmap block ``b``'s bytes as the disk holds them (the last
+        block zero-padded)."""
+        size = self.fs_block_size
+        chunk = memoryview(self._bitmap)[b * size:(b + 1) * size]
+        return bytes(chunk).ljust(size, b"\0")
 
     @property
     def free_bytes(self) -> int:
@@ -346,28 +425,29 @@ class FFS:
             yield from self.cache.write_block(inode.dindirect,
                                               bytes(self.fs_block_size))
         outer_index = fbi // ppb
-        raw = yield from self.cache.read_block(inode.dindirect)
+        raw = (self.cache.probe(inode.dindirect)
+               or (yield from self.cache.load(inode.dindirect)))
         inner = int.from_bytes(raw[outer_index * 4:outer_index * 4 + 4], "big")
         if inner == 0:
             if not allocate:
                 return 0
             inner = self._alloc_block(inum, NDIRECT + ppb + fbi)
             yield from self.cache.write_block(inner, bytes(self.fs_block_size))
-            patched = bytearray(raw)
-            patched[outer_index * 4:outer_index * 4 + 4] = inner.to_bytes(4, "big")
-            yield from self.cache.write_block(inode.dindirect, bytes(patched))
+            yield from self.cache.write_block(
+                inode.dindirect, _patched(raw, outer_index * 4,
+                                          inner.to_bytes(4, "big")))
         return (yield from self._indirect_slot(inum, inner, fbi % ppb,
                                                NDIRECT + ppb + fbi, allocate))
 
     def _indirect_slot(self, inum: int, indirect_fbn: int, slot: int,
                        logical_fbi: int, allocate: bool):
-        raw = yield from self.cache.read_block(indirect_fbn)
+        raw = (self.cache.probe(indirect_fbn)
+               or (yield from self.cache.load(indirect_fbn)))
         fbn = int.from_bytes(raw[slot * 4:slot * 4 + 4], "big")
         if fbn == 0 and allocate:
             fbn = self._alloc_block(inum, logical_fbi)
-            patched = bytearray(raw)
-            patched[slot * 4:slot * 4 + 4] = fbn.to_bytes(4, "big")
-            yield from self.cache.write_block(indirect_fbn, bytes(patched))
+            yield from self.cache.write_block(
+                indirect_fbn, _patched(raw, slot * 4, fbn.to_bytes(4, "big")))
         return fbn
 
     # ------------------------------------------------------------ file I/O
@@ -380,49 +460,51 @@ class FFS:
         if offset >= inode.size:
             return b""
         count = min(count, inode.size - offset)
-        out = bytearray()
+        parts = []
         while count > 0:
             fbi, within = divmod(offset, self.fs_block_size)
             span = min(count, self.fs_block_size - within)
             fbn = yield from self.bmap(inum, inode, fbi)
             if fbn == 0:
-                out.extend(bytes(span))  # hole
+                parts.append(bytes(span))  # hole
             else:
-                raw = yield from self.cache.read_block(fbn)
-                out.extend(raw[within:within + span])
+                raw = self.cache.probe(fbn) or (yield from self.cache.load(fbn))
+                parts.append(raw[within:within + span])
             offset += span
             count -= span
-        return bytes(out)
+        # One part (a read inside one block) is returned as it is: the
+        # cached block itself when the read covers it whole.
+        return b"".join(parts)
 
-    def write(self, inum: int, offset: int, data: bytes, sync: bool = True):
+    def write(self, inum: int, offset: int, data: bytes):
         """Process: write ``data`` at ``offset``, allocating blocks as
-        needed; the inode is rewritten (synchronously when ``sync``)."""
+        needed; the data and the inode are written through."""
         inode = yield from self.inode_read(inum)
         if inode.mode == MODE_FREE:
             raise NotFoundError(f"inode {inum} is free")
-        cursor = offset
-        remaining = memoryview(bytes(data))
-        while len(remaining) > 0:
-            fbi, within = divmod(cursor, self.fs_block_size)
-            span = min(len(remaining), self.fs_block_size - within)
+        data = bytes(data)
+        view = memoryview(data)
+        done = 0
+        while done < len(data):
+            fbi, within = divmod(offset + done, self.fs_block_size)
+            span = min(len(data) - done, self.fs_block_size - within)
             fbn = yield from self.bmap(inum, inode, fbi, allocate=True)
-            if within == 0 and span == self.fs_block_size:
-                block = bytes(remaining[:span])
+            if span == self.fs_block_size:
+                # A whole block: ``data`` itself when it is one block.
+                block = data[done:done + span]
             else:
-                existing = yield from self.cache.read_block(fbn)
-                patched = bytearray(existing)
-                patched[within:within + span] = remaining[:span]
-                block = bytes(patched)
-            yield from self.cache.write_block(fbn, block, sync=sync)
-            cursor += span
-            remaining = remaining[span:]
-        if cursor > inode.size:
-            inode.size = cursor
+                existing = (self.cache.probe(fbn)
+                            or (yield from self.cache.load(fbn)))
+                block = _patched(existing, within, view[done:done + span])
+            yield from self.cache.write_block(fbn, block)
+            done += span
+        if offset + done > inode.size:
+            inode.size = offset + done
         inode.mtime_ms = int(self.env.now * 1000)
-        yield from self.inode_write(inum, inode, sync=sync)
+        yield from self.inode_write(inum, inode)
         # Allocation bitmaps are delayed writes (FFS wrote them async);
         # they land on disk at the next cache sync.
-        yield from self.sync_bitmaps()
+        self.sync_bitmaps()
         return len(data)
 
     def remove(self, inum: int):
@@ -439,7 +521,8 @@ class FFS:
         if inode.indirect:
             self._free_block(inode.indirect)
         if inode.dindirect:
-            raw = yield from self.cache.read_block(inode.dindirect)
+            raw = (self.cache.probe(inode.dindirect)
+                   or (yield from self.cache.load(inode.dindirect)))
             for i in range(ppb):
                 inner = int.from_bytes(raw[i * 4:i * 4 + 4], "big")
                 if inner:
@@ -447,7 +530,7 @@ class FFS:
             self._free_block(inode.dindirect)
         dead = FFSInode(mode=MODE_FREE, generation=inode.generation)
         yield from self.inode_write(inum, dead)
-        yield from self.sync_bitmaps()
+        self.sync_bitmaps()
 
     # ---------------------------------------------------------- directories
 
@@ -490,10 +573,4 @@ class FFS:
         inode = yield from self.inode_read(dir_inum)
         inode.size = 0  # shrink-then-write keeps stale tails unreadable
         yield from self.inode_write(dir_inum, inode, sync=False)
-        yield from self.write(dir_inum, 0, blob, sync=True)
-
-    # ------------------------------------------------------------- helpers
-
-    def _check_inum(self, inum: int) -> None:
-        if not 1 <= inum < self.ninodes:
-            raise BadRequestError(f"inode number {inum} out of range")
+        yield from self.write(dir_inum, 0, blob)

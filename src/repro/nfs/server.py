@@ -14,7 +14,7 @@ measured against:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..disk import VirtualDisk
 from ..errors import BadRequestError, NotFoundError
@@ -39,21 +39,11 @@ NFS_OPCODES = {
 }
 
 
-class FileHandle(tuple):
+class FileHandle(NamedTuple):
     """An opaque NFS file handle: (inum, generation)."""
 
-    __slots__ = ()
-
-    def __new__(cls, inum: int, generation: int):
-        return super().__new__(cls, (inum, generation))
-
-    @property
-    def inum(self) -> int:
-        return self[0]
-
-    @property
-    def generation(self) -> int:
-        return self[1]
+    inum: int
+    generation: int
 
 
 #: Inodes on the exported volume.
@@ -116,14 +106,6 @@ class NfsServer(RpcService):
 
     # ---------------------------------------------------------- local API
 
-    def _overhead(self):
-        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-
-    def _data_cost(self, nbytes: int):
-        yield self.env.timeout(
-            nbytes * self.testbed.nfs.data_cost_per_byte_server
-        )
-
     def _resolve(self, fh: FileHandle):
         inode = yield from self.fs.inode_read(fh.inum)
         if inode.mode == 0 or inode.generation != fh.generation:
@@ -133,7 +115,7 @@ class NfsServer(RpcService):
     def lookup(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_LOOKUP — name -> file handle."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(dir_fh)
         inum = yield from self.fs.dir_lookup(dir_fh.inum, name)
         inode = yield from self.fs.inode_read(inum)
@@ -142,7 +124,7 @@ class NfsServer(RpcService):
     def getattr(self, fh: FileHandle):
         """Process: NFSPROC_GETATTR — (mode, size)."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         inode = yield from self._resolve(fh)
         return {"mode": inode.mode, "size": inode.size,
                 "mtime_ms": inode.mtime_ms}
@@ -155,10 +137,10 @@ class NfsServer(RpcService):
             raise BadRequestError(
                 f"read of {count} exceeds the {nfs.transfer_size} transfer size"
             )
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fh)
         data = yield from self.fs.read(fh.inum, offset, count)
-        yield from self._data_cost(len(data))
+        yield self.env.timeout(len(data) * nfs.data_cost_per_byte_server)
         return data
 
     def write(self, fh: FileHandle, offset: int, data: bytes):
@@ -170,16 +152,16 @@ class NfsServer(RpcService):
             raise BadRequestError(
                 f"write of {len(data)} exceeds the {nfs.transfer_size} transfer size"
             )
-        yield from self._overhead()
-        yield from self._data_cost(len(data))
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
+        yield self.env.timeout(len(data) * nfs.data_cost_per_byte_server)
         yield from self._resolve(fh)
-        written = yield from self.fs.write(fh.inum, offset, data, sync=True)
+        written = yield from self.fs.write(fh.inum, offset, data)
         return written
 
     def create(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_CREATE — new empty file (sync dir + inode)."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(dir_fh)
         inum, inode = yield from self.fs.alloc_inode(MODE_FILE)
         yield from self.fs.dir_add(dir_fh.inum, name, inum)
@@ -188,7 +170,7 @@ class NfsServer(RpcService):
     def remove(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_REMOVE."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(dir_fh)
         inum = yield from self.fs.dir_remove(dir_fh.inum, name)
         yield from self.fs.remove(inum)
@@ -196,7 +178,7 @@ class NfsServer(RpcService):
     def mkdir(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_MKDIR."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(dir_fh)
         inum, inode = yield from self.fs.alloc_inode(MODE_DIR)
         yield from self.fs.dir_add(dir_fh.inum, name, inum)
@@ -205,7 +187,7 @@ class NfsServer(RpcService):
     def readdir(self, dir_fh: FileHandle):
         """Process: NFSPROC_READDIR — sorted entry names."""
         self._require_booted()
-        yield from self._overhead()
+        yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(dir_fh)
         entries = yield from self.fs.dir_entries(dir_fh.inum)
         return sorted(entries)
@@ -222,12 +204,7 @@ class NfsServer(RpcService):
 
     def _dispatch(self, req: RpcRequest):
         op = req.opcode
-        if op == NFS_OPCODES["LOOKUP"]:
-            fh = yield from self.lookup(FileHandle(*req.args[0]), req.args[1])
-            return RpcReply(args=(tuple(fh),))
-        if op == NFS_OPCODES["GETATTR"]:
-            attrs = yield from self.getattr(FileHandle(*req.args[0]))
-            return RpcReply(args=(attrs,))
+        # The per-block data procedures first: READ is most requests.
         if op == NFS_OPCODES["READ"]:
             fh, offset, count = req.args
             data = yield from self.read(FileHandle(*fh), offset, count)
@@ -236,6 +213,12 @@ class NfsServer(RpcService):
             fh, offset = req.args
             written = yield from self.write(FileHandle(*fh), offset, req.body)
             return RpcReply(args=(written,))
+        if op == NFS_OPCODES["LOOKUP"]:
+            fh = yield from self.lookup(FileHandle(*req.args[0]), req.args[1])
+            return RpcReply(args=(tuple(fh),))
+        if op == NFS_OPCODES["GETATTR"]:
+            attrs = yield from self.getattr(FileHandle(*req.args[0]))
+            return RpcReply(args=(attrs,))
         if op == NFS_OPCODES["CREATE"]:
             fh = yield from self.create(FileHandle(*req.args[0]), req.args[1])
             return RpcReply(args=(tuple(fh),))

@@ -788,6 +788,41 @@ def test_run_without_until_ends_when_the_ledger_is_empty():
     assert env.now >= eth.message_cost_lower_bound(8 * KB)
 
 
+#: Interrupt instants inside a 64 KB message's sixth packet, which is
+#: ready at 9.36 ms and off the wire at 10.56 ms.
+_ABANDONED_HOPS = {"preparing": (0.0090, 0.00936),
+                   "on the wire": (0.0101, 0.01056)}
+
+
+@pytest.mark.parametrize("phase", sorted(_ABANDONED_HOPS))
+@pytest.mark.parametrize("kernel", ["fast", "reference"])
+def test_a_drained_run_ends_where_an_abandoned_hop_would_have(kernel, phase):
+    # The reference's pending timeout of the interrupted hop stays on
+    # its heap and a bare run() ends at its instant; the ledger keeps
+    # the hop as a step that only moves the clock.
+    env = Environment() if kernel == "fast" else reference_env()
+    eth, _ = make_net(env)
+    at, hop_end = _ABANDONED_HOPS[phase]
+
+    def sender():
+        try:
+            yield from eth.send_fragments(64 * KB)
+        except Interrupt:
+            return env.now
+
+    proc = env.process(sender())
+
+    def interrupter():
+        yield env.timeout(at)
+        proc.interrupt()
+
+    env.process(interrupter())
+    env.run()
+    assert proc.value == at
+    assert env.now == pytest.approx(hop_end) and eth.idle
+    assert eth.stats.packets.value == 5
+
+
 @pytest.mark.parametrize("b_bytes, order", [
     (3, [(0.875, "a"), (0.875, "b")]),  # 0.375 + 0.5 on the wire: a tie
     (1, [(0.625, "b"), (0.875, "a")]),  # 0.375 + 0.25: b is through first

@@ -8,6 +8,7 @@ from repro.client.retry import RpcStub
 from repro.disk import VirtualDisk
 from repro.errors import (
     BadRequestError,
+    ConsistencyError,
     ExistsError,
     NoSpaceError,
     NotFoundError,
@@ -28,7 +29,7 @@ from repro.nfs import (
     encode_directory,
 )
 from repro.net import Ethernet, RpcRequest, RpcTransport
-from repro.profiles import CpuProfile, EthernetProfile
+from repro.profiles import CpuProfile, DiskProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB, MB
 
@@ -67,15 +68,24 @@ def nfs_testbed(**nfs_overrides):
 # ----------------------------------------------------------- buffer cache
 
 
+def read_block(env, cache, fbn):
+    """A block read as the filesystem makes it: a hit in place, a miss
+    through the disk."""
+    data = cache.probe(fbn)
+    return data if data is not None else run_process(env, cache.load(fbn))
+
+
 def test_cache_read_miss_then_hit(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     disk.write_raw(16, b"cached block!")
     cache = BufferCache(env, disk, 64 * KB, 8192)
-    data1 = run_process(env, cache.read_block(1))
+    assert cache.probe(1) is None
+    assert cache.stats.misses.value == 0  # the load counts the miss
+    data1 = run_process(env, cache.load(1))
     assert data1[:13] == b"cached block!"
     assert cache.stats.misses.value == 1
     t_before = env.now
-    data2 = run_process(env, cache.read_block(1))
+    data2 = cache.probe(1)
     assert data2 == data1
     assert cache.stats.hits.value == 1
     assert env.now == t_before  # hit costs no disk time
@@ -84,14 +94,14 @@ def test_cache_read_miss_then_hit(env):
 def test_cache_write_through_reaches_disk(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 64 * KB, 8192)
-    run_process(env, cache.write_block(2, b"synchronous", sync=True))
+    run_process(env, cache.write_block(2, b"synchronous"))
     assert disk.read_raw(32, 1)[:11] == b"synchronous"
 
 
 def test_cache_delayed_write_needs_sync(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 64 * KB, 8192)
-    run_process(env, cache.write_block(2, b"lazy", sync=False))
+    cache.write_delayed(2, [b"lazy".ljust(8192, b"\0")])
     assert disk.read_raw(32, 1)[:4] == bytes(4)  # not on disk yet
     run_process(env, cache.sync())
     assert disk.read_raw(32, 1)[:4] == b"lazy"
@@ -101,7 +111,7 @@ def test_cache_lru_eviction(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 2 * 8192, 8192)  # 2 blocks
     for fbn in range(3):
-        run_process(env, cache.read_block(fbn))
+        read_block(env, cache, fbn)
     assert not cache.contains(0)
     assert cache.contains(2)
     assert cache.stats.evictions.value == 1
@@ -117,7 +127,7 @@ def test_cache_churn_evicts_deterministically(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 64 * 8192, 8192)
     for fbn in range(32):
-        run_process(env, cache.read_block(fbn))
+        read_block(env, cache, fbn)
     stream = SeededStream(11, "churn")
     env.process(cache.churn_process(stream, churn_per_second=50.0))
     env.run(until=env.now + 1.0)
@@ -269,6 +279,16 @@ def test_ffs_dir_operations(env):
         run_process(env, fs.dir_lookup(ROOT_INUM, "file.txt"))
 
 
+def test_mount_refuses_an_inode_pointing_outside_the_data_area(env):
+    fs, _cache, disk = make_fs(env)
+    inum, inode = run_process(env, fs.alloc_inode(MODE_FILE))
+    inode.direct[0] = fs.sb.inode_start   # an inode-table block
+    run_process(env, fs.inode_write(inum, inode))
+    fresh = FFS(env, disk, BufferCache(env, disk, 512 * KB, 8192), 128)
+    with pytest.raises(ConsistencyError, match="outside the data area"):
+        run_process(env, fresh.mount())
+
+
 def test_ffs_persistence_across_remount(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     cache = BufferCache(env, disk, 256 * KB, 8192)
@@ -286,6 +306,54 @@ def test_ffs_persistence_across_remount(env):
     assert run_process(env, fs2.dir_lookup(ROOT_INUM, "f")) == inum
     assert run_process(env, fs2.read(inum, 0, 100)) == b"survives remount"
     assert fs2.free_bytes == fs.free_bytes
+
+
+def test_the_nfs_plane_keeps_its_counts(env):
+    """One scripted sequence through the FFS and its cache, with every
+    count pinned: direct and indirect blocks, a single- and a
+    multi-block read, a partial write, a remove, and both bitmap blocks
+    evicted by churn and then synced again."""
+    disk = VirtualDisk(env, DiskProfile(
+        name="pin", capacity_bytes=128 * MB, cylinders=256, heads=8,
+        sectors_per_track=64), name="pin")
+    cache = BufferCache(env, disk, 128 * KB, 8192)   # 16 blocks
+    fs = FFS(env, disk, cache, 64)
+    fs.format()
+    run_process(env, fs.mount())
+    assert fs.sb.bitmap_blocks == 2
+    a, _b, c, d = (run_process(env, fs.alloc_inode(MODE_FILE))[0]
+                   for _ in range(4))
+    big = bytes(range(256)) * 32 * 14   # 12 direct blocks, 2 indirect
+    run_process(env, fs.write(a, 0, big))
+    # Inode 5 allocates in group 5, which the second bitmap block maps.
+    run_process(env, fs.write(d, 0, b"d" * 3000))
+    run_process(env, fs.write(d, 5000, b"e" * 5000))
+    assert run_process(env, fs.read(a, 3 * 8192, 8192)) == big[3 * 8192:4 * 8192]
+    assert (run_process(env, fs.read(a, 100, 13 * 8192))
+            == big[100:100 + 13 * 8192])
+    run_process(env, fs.remove(a))
+    run_process(env, cache.sync())   # the bitmaps are clean: churnable
+    env.process(cache.churn_process(SeededStream(5, "pin-churn"), 2000.0))
+    env.run(until=env.now + 0.02)
+    bitmaps = [fs.sb.bitmap_start + i for i in range(2)]
+    assert not any(cache.contains(fbn) for fbn in bitmaps)
+    run_process(env, fs.write(c, 0, b"c" * 20000))
+    run_process(env, cache.sync())
+
+    stats = cache.stats
+    assert {name: getattr(stats, name).value
+            for name in ("hits", "misses", "delayed_writes", "write_throughs",
+                         "evictions", "churned")} == {
+        "hits": 34, "misses": 23, "delayed_writes": 10, "write_throughs": 32,
+        "evictions": 23, "churned": 23}
+    assert (disk.stats.reads.value, disk.stats.writes.value) == (24, 35)
+    spb = 8192 // disk.block_size
+    on_disk = disk.read_raw(fs.sb.bitmap_start * spb, 2 * spb)
+    allocated = [rel for rel, used in enumerate(on_disk) if used]
+    assert allocated == [8188, 8189, 8190, 10235, 10236]
+    assert allocated == sorted(fbn - fs.sb.data_start
+                               for _inum, fbn in fs.owned_blocks())
+    assert env.now == pytest.approx(1.0730055297507948)
 
 
 # ------------------------------------------------------------- NFS server
@@ -562,3 +630,30 @@ def test_client_over_rpc_plane(env):
 
     assert run_process(env, scenario()) == b"over the wire"
     assert env.now > 0.01  # several RPC round trips of simulated time
+
+
+def test_a_rebooted_server_gives_no_acknowledged_block_away(env):
+    """Bitmaps are delayed writes and nothing syncs them, so the disk's
+    copy is stale when a server loses its RAM. Mount rebuilds the map
+    from the inodes, so a file created after the reboot in the same
+    cylinder group gets fresh blocks instead of the acknowledged
+    file's."""
+    server = make_server(env)
+    durable = run_process(env, server.create(server.root_handle, "durable"))
+    assert durable.inum == 2
+    run_process(env, server.write(durable, 0, b"A" * 8192))
+    # Blow away the RAM and boot a fresh server on the same disk.
+    server2 = NfsServer(env, server.disk, small_testbed())
+    run_process(env, server2.boot())
+    root = server2.root_handle
+    names = (f"later{n}" for n in range(16))
+    while True:
+        later = run_process(env, server2.create(root, next(names)))
+        if later.inum == 10:  # (10 + 0) % 8 == 2: durable's group
+            break
+    run_process(env, server2.write(later, 0, b"B" * 8192))
+    fh = run_process(env, server2.lookup(root, "durable"))
+    assert run_process(env, server2.read(fh, 0, 8192)) == b"A" * 8192
+    owners = {}
+    for inum, fbn in server2.fs.owned_blocks():
+        assert owners.setdefault(fbn, inum) == inum, f"block {fbn} owned twice"
