@@ -524,6 +524,7 @@ class BulletServer(RpcService):
 
     def lives_of(self, inode_number: int) -> int:
         """Remaining lives of a live object (for tests/monitoring)."""
+        self._require_booted()
         inode = self.table.get(inode_number)
         if inode.free:
             raise NotFoundError(f"object {inode_number} does not exist")
@@ -545,6 +546,7 @@ class BulletServer(RpcService):
 
     def stat(self, cap: Capability):
         """Process: std_status for the holder of any valid capability."""
+        self._require_booted()
         yield from self._check(cap, 0)
         return self.status()
 

@@ -309,15 +309,25 @@ class RpcTransport:
                     # endpoint will fail the event on a crash).
                     reply = yield request.reply_event
                     break
+                reply_event = request.reply_event
+                if reply_event.processed and not reply_event.ok:
+                    # Crashed while a retransmission was on the wire.
+                    raise reply_event.value
                 wait = self.retransmit_interval
                 if deadline is not None:
                     wait = min(wait, max(deadline - self.env.now, 0.0))
                 timer = self.env.timeout(wait)
-                yield AnyOf(self.env, [request.reply_event, timer])
-                if request.reply_event.triggered:
-                    if not request.reply_event.ok:
-                        raise request.reply_event.value
-                    reply = request.reply_event.value
+                woken = AnyOf(self.env, [reply_event, timer])
+                if not reply_event.processed:
+                    # AnyOf consumes a crash's failed reply but waits on
+                    # for a success, i.e. the timer: wake at the crash.
+                    reply_event.callbacks.append(
+                        lambda _: woken.triggered or woken.succeed())
+                yield woken
+                if reply_event.triggered:
+                    if not reply_event.ok:
+                        raise reply_event.value
+                    reply = reply_event.value
                     break
                 if deadline is not None and self.env.now >= deadline:
                     raise RpcTimeoutError(

@@ -36,20 +36,17 @@ selects the fast kernel again. There is no other option: a fast kernel
 with a hook would hide from the hook the very interleavings it exists
 to permute.
 
-* synchronous :class:`Process` completion — when a process terminates
-  and nothing else can run at the current instant, its completion
-  callbacks run inline instead of via a scheduled event.
 * held events — a fresh event the running process triggers (a timeout
   it makes, or an event it succeeds with no callback on it yet) is
   *held* off the heap, its ticket not yet taken. If the process yields
   it next and nothing can run in ``[now, when it fires]``
-  (:meth:`Environment.can_collapse` of that instant), the kernel moves
-  the clock there and resumes the generator in the same loop: the
-  reference would pop that event next with nothing in between. Any
-  other move first pushes it, with the ticket it would have taken when
-  triggered: every scheduling, a read of :attr:`events_scheduled`, a
-  legality question, a tie hook, a second held event, and at the
-  latest the end of the resumption it was made in.
+  (``Environment._clear`` of that instant), the kernel moves the clock
+  there and resumes the generator in the same loop: the reference would
+  pop that event next with nothing in between. Any other move first
+  pushes it, with the ticket it would have taken when triggered: every
+  scheduling, a read of :attr:`events_scheduled`, a tie hook, a second
+  held event, and at the latest the end of the resumption it was made
+  in (a process's own completion is always pushed there).
   Every uncontended CPU charge and lock grant of the stack takes this
   path.
 * the *guard* — :meth:`Environment.add_source`,
@@ -72,25 +69,23 @@ to permute.
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
 while the counts of EXPERIMENTS.md E14 (E22 and E24 for held events) show
-the benchmark workloads and the committed experiments taking it.
+the benchmark workloads and the committed experiments taking it, and
+E26 prices what each one saves.
 
-"Nothing else can run in ``[now, end]``" is four conditions,
-centralized in :meth:`Environment.can_collapse`: the next heap entry
-must be *strictly* later than ``end`` (an entry at the same tick always
-sorts before a new push — older eid or interrupt priority — so it would
-interleave),
-no further callbacks of the event being processed right now may be
-pending (the ``_solo`` flag, maintained by the dispatch loop; a second
-callback of the same event runs at the same instant without touching
-the heap, so the heap check alone cannot see it), and the event a
-``run(until=event)`` is waiting for must not have fired yet (the loop
-ends with this dispatch and ``run``'s caller looks at the world next),
-and ``end`` must not lie past a ``run(until=t)``'s ``t`` (whose caller
-looks at the world then; :meth:`~Environment.step`'s caller looks after
-one dispatch, so under it only ``end == now`` passes). A pending
-virtual step counts as a heap entry of its instant: it was created
-before anything pushed from now on.
-:meth:`~Environment.can_collapse` is the whole legality surface, and
+"Nothing else can run in ``[now, end]``" is four conditions, asked in
+one place, ``Environment._clear``: the next heap entry must be
+*strictly* later than ``end`` (an entry at the same tick always sorts
+before a new push — older eid or interrupt priority — so it would
+interleave), no further callbacks of the event being processed right
+now may be pending (the ``_solo`` flag, maintained by the dispatch
+loop; a second callback of the same event runs at the same instant
+without touching the heap, so the heap check alone cannot see it), the
+event a ``run(until=event)`` is waiting for must not have fired yet
+(the loop ends with this dispatch and ``run``'s caller looks at the
+world next), and ``end`` must not lie past a ``run(until=t)``'s ``t``
+(whose caller looks at the world then). A pending virtual step counts
+as a heap entry of its instant: it was created before anything pushed
+from now on. Only the held event asks it, and
 :attr:`~Environment.is_reference` names the switch itself: nothing
 outside ``repro.sim`` reads the kernel's private state.
 
@@ -240,7 +235,7 @@ class Timeout(Event):
 
 
 class _Initialize(Event):
-    """Internal: kicks a newly created process on the next step."""
+    """Internal: kicks a newly created process on the next dispatch."""
 
     __slots__ = ()
 
@@ -345,20 +340,12 @@ class Process(Event):
                         target = gen.throw(event._value)
                 except StopIteration as stop:
                     self._waiting_on = None
-                    if env.can_collapse(env._now):
-                        # Synchronous completion: nothing else can run
-                        # at this instant, so the completion event would
-                        # be the very next thing the heap pops — running
-                        # its callbacks inline is observationally
-                        # identical and saves the push.
-                        env.finish_inline(self, stop.value)
-                    else:
-                        self.succeed(stop.value)
+                    self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     # The process body raised: the process event fails.
                     # If nobody observes it, the failure surfaces from
-                    # Environment.step (errors never pass silently).
+                    # Environment.run (errors never pass silently).
                     self._waiting_on = None
                     self.fail(exc)
                     return
@@ -396,9 +383,9 @@ class Process(Event):
         finally:
             env._active = None
             if env._held is not None:
-                # Yielded to wait on, left behind, or made by a callback
-                # of this process's inline completion: no event stays
-                # held past the resumption it was made in.
+                # Yielded to wait on, left behind, or this process's own
+                # completion: no event stays held past the resumption it
+                # was made in.
                 env._flush()
 
 
@@ -528,7 +515,7 @@ class Environment:
         # declines and the rest of the dispatch is the reference's.
         self._stop = _NEVER
         # The latest instant a collapse may reach: run(until=t)'s t,
-        # -inf inside step() (only zero-length ones), +inf otherwise.
+        # +inf otherwise.
         self._deadline = _INF
         # The active process's newest fresh event while it is held off
         # the heap (see _hold), and the instant it fires.
@@ -571,7 +558,7 @@ class Environment:
         """True while a tie hook is installed, i.e. this is the
         reference kernel. For code that keeps a reference path beside an
         analytic one and has to pick; whether a collapse is *legal* is
-        still :meth:`can_collapse`'s question, never this one's."""
+        the kernel's own question (``_clear``), never this one's."""
         return self._tie_hook is not None
 
     # -- event construction helpers -------------------------------------
@@ -649,8 +636,7 @@ class Environment:
                 guard = source.guard
         self._guard = guard
 
-    def finish_inline(self, event: Event, value: Any = None,
-                      when: Optional[float] = None) -> None:
+    def finish_inline(self, event: Event, value: Any, when: float) -> None:
         """Succeed ``event`` and run its callbacks now, as the tail of
         the dispatch in progress, instead of through the heap.
 
@@ -662,8 +648,7 @@ class Environment:
         caller must do nothing afterwards — the callbacks run arbitrary
         code that has to see everything the caller scheduled.
         """
-        if when is not None:
-            self._now = when
+        self._now = when
         event._ok = True
         event._value = value
         callbacks = event.callbacks
@@ -673,35 +658,24 @@ class Environment:
             callback(event)
         self._solo = True
 
-    def can_collapse(self, end: float) -> bool:
-        """True when no observer can run in the half-open interval
-        [now, end] other than the caller itself.
-
-        This is the legality test for every analytic fast path: the next
-        heap entry and the next virtual step must be *strictly* after
-        ``end`` (a same-tick one goes before anything the caller
-        schedules now), and no
-        further callbacks of the event currently being dispatched may
-        remain (they would run at this instant without appearing on the
-        heap). Nor may the running ``run(until=event)`` have seen its
-        event fire: its caller observes the world as soon as the
-        dispatch in progress ends; nor may ``end`` lie past the running
-        ``run(until=t)``'s ``t``, whose caller looks at the world then
-        (inside :meth:`step` only ``end == now`` passes). Pass
-        ``end == now`` for point-in-time collapses (a zero-delay hop);
-        a later ``end`` is the instant a held timeout fires.
-        """
-        if self._held is not None:
-            self._flush()
-        return self._clear(end)
-
     def _clear(self, end: float) -> bool:
-        """:meth:`can_collapse` without pushing the held event first:
-        the question the held event's own collapse asks."""
+        """True when nothing but the running process can act in
+        ``[now, end]``: the legality test of the held event's collapse,
+        ``end`` the instant it fires.
+
+        The next heap entry and the next virtual step must be *strictly*
+        after ``end`` (a same-tick one goes before anything pushed now),
+        and no further callbacks of the event being dispatched may remain
+        (they would run at this instant without appearing on the heap).
+        Nor may the running ``run(until=event)`` have seen its event
+        fire (its caller observes the world as soon as the dispatch in
+        progress ends), nor may ``end`` lie past the running
+        ``run(until=t)``'s ``t``, whose caller looks at the world then.
+        """
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
                 and self._guard > end
-                and (end <= self._deadline or end == self._now)
+                and end <= self._deadline
                 and self._stop.callbacks is not None)
 
     def set_tie_hook(self, hook: Optional[Callable[[list], int]]) -> None:
@@ -725,8 +699,8 @@ class Environment:
         Fast-path legality reads the hook live, but ``run`` picks its
         pop once per call: a hook installed from inside a callback
         turns the fast paths off at once and starts choosing ties at
-        the next ``run``/``step`` (until then ties resolve in insertion
-        order, which is index 0).
+        the next ``run`` (until then ties resolve in insertion order,
+        which is index 0).
         """
         if self._held is not None:
             self._flush()
@@ -780,42 +754,6 @@ class Environment:
             if first.advance(min(bound, second.head)):
                 return True
 
-    def step(self) -> None:
-        """Process exactly one event — after the virtual steps that
-        sort before it; one of those resuming a process counts as it.
-        With the heap empty, the virtual steps of the guard's instant
-        are the step, and the clock moves there. No collapse moves the
-        clock on from the instant dispatched."""
-        heap = self._heap
-        self._deadline = -_INF
-        try:
-            if not heap:
-                if self._guard == _INF:
-                    raise RuntimeError("no scheduled events")
-                # Only virtual steps are pending, and a daemon's never
-                # run out: this step is the guard's instant.
-                guard = self._guard
-                if not self._perform_virtual(guard):
-                    self._now = guard
-                return
-            if heap[0][0] >= self._guard and self._perform_virtual(_INF):
-                return
-            pop = heappop if self._tie_hook is None else self._pop_tied
-            when, _priority, _eid, event = pop(heap)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._solo = len(callbacks) == 1
-            for callback in callbacks:
-                callback(event)
-            self._solo = True
-        finally:
-            self._deadline = _INF
-        if not event._ok and not event._defused:
-            # A failure nobody consumed: surface it rather than letting
-            # errors pass silently.
-            raise event._value
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -827,10 +765,10 @@ class Environment:
         All three are one loop over ``(stop event, deadline)``: a
         missing stop event is one that never fires, a missing deadline
         is +inf; one comparison of the heap top against the guard picks
-        between the plain pop and the virtual sources' slow path. The
-        loop inlines :meth:`step` — the per-event tuple unpack and
+        between the plain pop and the virtual sources' slow path. It is
+        the kernel's one dispatch body: the per-event tuple unpack and
         callback dispatch is the single hottest path in the whole
-        system, so it pays to keep it free of method-call and property
+        system, so it is kept free of method-call and property
         overhead; which pop serves it (plain ``heappop``, or the
         tie-aware one of the reference kernel) is decided here, once
         per call, not per event.

@@ -705,16 +705,17 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
 
 
 def test_kernel_private_state_stays_inside_repro_sim():
-    """``can_collapse`` is the whole fast-path legality surface and
-    ``add_source`` / ``reguard`` / ``finish_inline`` the whole
-    virtual-source surface: no module outside ``repro/sim/`` reads the
-    kernel's private switches, its guard or the event it holds off the
-    heap, reaches into its heap or writes an event's outcome in place,
-    so no layer can re-derive (and get wrong) when a collapse is legal,
-    how events and virtual steps are ordered or what a waiter is resumed
-    with. The deleted analytic-segment calls and ``try_finish_now``
-    (a fresh event completes in place by the held-event rule) stay
-    deleted."""
+    """``add_source`` / ``reguard`` / ``finish_inline`` are the whole
+    virtual-source surface and no fast-path legality question is public
+    (the held event asks ``_clear`` inside the kernel): no module outside
+    ``repro/sim/`` reads the kernel's private switches, its guard or the
+    event it holds off the heap, reaches into its heap or writes an
+    event's outcome in place, so no layer can re-derive (and get wrong)
+    when a collapse is legal, how events and virtual steps are ordered
+    or what a waiter is resumed with. The deleted analytic-segment
+    calls, ``try_finish_now`` (a fresh event completes in place by the
+    held-event rule) and ``can_collapse`` (its one caller was the
+    deleted synchronous completion) stay deleted."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     #: The model checker's state key counts pending events.
     allowed = {("modelcheck/rig.py", "_heap")}
@@ -730,6 +731,7 @@ def test_kernel_private_state_stays_inside_repro_sim():
                           "_held", "_held_at", "_hold", "_flush",
                           "_clear", "_deadline",
                           "ticket", "schedule_at", "try_finish_now",
+                          "can_collapse",
                           "_ok", "_value", "_defused")
         and (path.relative_to(src).as_posix(), node.attr) not in allowed
     ]

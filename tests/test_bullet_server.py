@@ -311,12 +311,12 @@ def test_read_hits_cache_after_create(env, bullet):
     assert bullet.cache.stats.hits.value >= 1
 
 
-def test_read_hit_on_an_idle_rig_costs_three_events(env):
+def test_read_hit_on_an_idle_rig_costs_four_events(env):
     # The server's dispatch, capability check and memcpy and the client's
     # copy of the reply are charges nothing can overtake on an idle rig,
-    # so none of them is a heap event (with one each, a hit cost seven).
-    # What is left: the client process's start, the request's hand-off
-    # to the server and the reply's hand-off back.
+    # so none of them is a heap event (with one each, a hit cost eight).
+    # What is left: the client process's start and its completion, the
+    # request's hand-off to the server and the reply's hand-off back.
     rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
     bullet = make_bullet(env, transport=rpc, workers=1)
     client = BulletClient(env, rpc, bullet.port)
@@ -325,7 +325,7 @@ def test_read_hit_on_an_idle_rig_costs_three_events(env):
     env.run()
     before = env.events_scheduled
     assert call(env, client.read(cap)) == b"x" * 4096
-    assert env.events_scheduled - before == 3
+    assert env.events_scheduled - before == 4
 
 
 def test_cold_read_loads_from_disk(env):
@@ -585,10 +585,49 @@ def test_render_layout_shows_files_and_holes(env, bullet):
     assert "free" in art
 
 
+#: Every local operation of the server, as a call on ``(server, cap)``:
+#: a process generator, or the operation itself for a synchronous one.
+LOCAL_OPERATIONS = {
+    "create": lambda server, cap: server.create(b"x", p_factor=0),
+    "read": lambda server, cap: server.read(cap),
+    "size": lambda server, cap: server.size(cap),
+    "delete": lambda server, cap: server.delete(cap),
+    "modify": lambda server, cap: server.modify(cap, 0, 0, b"y"),
+    "restrict_cap": lambda server, cap: server.restrict_cap(cap, 0),
+    "touch": lambda server, cap: server.touch(cap),
+    "age_all": lambda server, cap: server.age_all(),
+    "stat": lambda server, cap: server.stat(cap),
+    "evict": lambda server, cap: server.evict(cap.object),
+    "lives_of": lambda server, cap: server.lives_of(cap.object),
+    "status": lambda server, cap: server.status(),
+    "render_layout": lambda server, cap: server.render_layout(),
+}
+
+
 def test_operations_require_boot(env):
+    """Before boot and after a crash every local operation is refused
+    with BadRequestError, before it touches the volume's RAM state: a
+    crashed server checks no capability against the dead incarnation's
+    table and re-fills no verified-capability cache."""
+    def refused(server, cap):
+        for name, operation in LOCAL_OPERATIONS.items():
+            with pytest.raises(BadRequestError, match="not booted"):
+                result = operation(server, cap)
+                if hasattr(result, "send"):
+                    call(env, result)
+            assert not server._verified_caps, name
+
     testbed = small_testbed()
     from repro.disk import MirroredDiskSet, VirtualDisk
     disks = [VirtualDisk(env, testbed.disk, name="x")]
     server = BulletServer(env, MirroredDiskSet(env, disks), testbed)
-    with pytest.raises(BadRequestError):
-        call(env, server.create(b"x", p_factor=0))
+    refused(server, Capability(port=server.port, object=1,
+                               rights=ALL_RIGHTS, check=0))
+
+    server = make_bullet(env)
+    cap = call(env, server.create(b"x" * 100, p_factor=2))
+    call(env, server.read(cap))
+    server.crash()
+    checks = server.stats.cap_checks.value
+    refused(server, cap)
+    assert server.stats.cap_checks.value == checks

@@ -198,9 +198,10 @@ def _run_program(program, env, driver):
                         target.interrupt((wid, step))
                         trace.append((env.now, wid, step, "sent-interrupt"))
                 elif tag == "join":
-                    # Several joiners of one worker are several callbacks
-                    # of one event: the only way the heap check alone
-                    # (without the solo flag) gets a collapse wrong.
+                    # A completion is one heap event on both kernels;
+                    # several joiners of one worker are several callbacks
+                    # of it: the only way the heap check alone (without
+                    # the solo flag) gets a collapse wrong.
                     target = procs.get(instr[1])
                     if target is not None and instr[1] != wid:
                         yield target
@@ -334,8 +335,8 @@ def test_nothing_collapses_once_the_until_event_has_fired():
     # Found by the Ethernet ledger's drift guard. run(until=worker 0)
     # ends with the dispatch in which worker 0's completion fires; the
     # reference runs worker 1 in it (a callback of that event) but not
-    # worker 2, whose turn is one heap hop later. The fast kernel used to
-    # finish worker 1 synchronously and run worker 2 as well, so run()'s
+    # worker 2, whose turn is one heap hop later. The fast kernel once
+    # finished worker 1 synchronously and ran worker 2 as well, so run()'s
     # caller saw the world one step ahead of the reference.
     _assert_matches_reference([
         [("timeout", 0.0)],

@@ -744,38 +744,22 @@ def test_null_rpc_under_sixteen_clients_stays_inside_its_event_budget():
 def test_lone_senders_completion_is_scheduled_work():
     # With one sender and nothing else, the heap is empty while the
     # message is in flight: neither run(until=event)'s deadlock check
-    # nor step()'s "no scheduled events" may take that for the end.
+    # nor run(until=t)'s deadline may take that for the end.
     env = Environment()
     eth, _ = make_net(env)
     assert run_process(env, eth.send_fragments(8 * KB)) == []
     sent = env.now
     assert sent == pytest.approx(eth.message_cost_lower_bound(8 * KB))
     proc = env.process(eth.send_fragments(8 * KB))
-    env.step()  # the process starts and joins the ledger
+    ended = []
+    proc.callbacks.append(lambda _: ended.append(env.now))
+    env.run(until=env.now)  # the process starts and joins the ledger
     assert proc.is_alive and not eth.idle
-    steps = 0
-    while proc.is_alive:  # one instant of the ledger per step
-        env.step()
-        steps += 1
-    assert steps > 1 and eth.idle
-    assert env.now == pytest.approx(2 * sent)
-    with pytest.raises(RuntimeError, match="no scheduled events"):
-        env.step()
-
-
-def test_step_returns_when_only_a_daemon_is_pending():
-    # The background daemon's steps never resume a process and never
-    # run out: a step with an empty heap takes the guard's instant and
-    # returns, as the reference's step takes the next heap event.
-    for env in (Environment(), reference_env()):
-        eth = Ethernet(env, EthernetProfile(background_utilization=0.2),
-                       stream=SeededStream(1, "bg"), background_load=True)
-        times = []
-        for _ in range(3):
-            env.step()
-            times.append(env.now)
-        assert times == sorted(times) and 0 < times[-1] < 0.01
-        assert eth.stats.background_packets.value <= 1
+    env.run(until=env.now + sent / 2)  # mid-message: the ledger only
+    assert proc.is_alive and not eth.idle
+    env.run(until=env.now + sent)
+    assert not proc.is_alive and eth.idle and proc.value == []
+    assert ended == [pytest.approx(2 * sent)]
 
 
 def test_run_without_until_ends_when_the_ledger_is_empty():
@@ -1242,11 +1226,9 @@ def test_charge_declines_when_it_ends_at_a_heap_entrys_instant():
         (1.0, "slept"), (1.0, "charged")]
 
 
-@pytest.mark.parametrize("stop", ["until", "step"])
-def test_charge_declines_when_it_would_cross_what_the_caller_sees(stop):
-    # run(until=0.5)'s caller looks at the world at 0.5, and step()'s
-    # right after one dispatch: a charge for 1.0 made at 0 stays pending
-    # for both, though nothing else is scheduled.
+def test_charge_declines_when_it_would_cross_what_the_caller_sees():
+    # run(until=0.5)'s caller looks at the world at 0.5: a charge for
+    # 1.0 made at 0 stays pending, though nothing else is scheduled.
     def on(env):
         log = []
 
@@ -1255,13 +1237,10 @@ def test_charge_declines_when_it_would_cross_what_the_caller_sees(stop):
             log.append((env.now, "charged"))
 
         env.process(worker())
-        if stop == "until":
-            env.run(until=0.5)
-        else:
-            env.step()
+        env.run(until=0.5)
         seen = (env.now, list(log))
         env.run()
         return seen, log
 
     assert on(Environment()) == on(reference_env()) == (
-        (0.5 if stop == "until" else 0.0, []), [(1.0, "charged")])
+        (0.5, []), [(1.0, "charged")])

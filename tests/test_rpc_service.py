@@ -53,11 +53,17 @@ FIRST_REQUEST = {
 }
 
 
-@pytest.mark.parametrize("which", sorted(FIRST_REQUEST))
-def test_crash_mid_reply_fails_the_client_at_the_crash_instant(env, which):
+@pytest.mark.parametrize("which, timeout", [
+    pytest.param(which, timeout, id=which + ("" if timeout is None
+                                             else "-timeout"))
+    for which in sorted(FIRST_REQUEST) for timeout in (None, 5.0)])
+def test_crash_mid_reply_fails_the_client_at_the_crash_instant(
+        env, which, timeout):
     """A server that dies 1 µs into transmitting a reply sends nothing
     more: the client sees ServerDownError stamped at the crash, never an
-    OK reply after it, and the shared medium is not left held."""
+    OK reply after it, and the shared medium is not left held. A client
+    with a timeout waits on its retransmit timer as well, and hears of
+    the crash at the same instant."""
     site = Site(env)
     server = getattr(site, which)
     sends = []
@@ -78,8 +84,8 @@ def test_crash_mid_reply_fails_the_client_at_the_crash_instant(env, which):
 
     def client():
         try:
-            reply = yield from site.rpc.trans(server.port,
-                                              FIRST_REQUEST[which]())
+            reply = yield from site.rpc.trans(
+                server.port, FIRST_REQUEST[which](), timeout)
         except ServerDownError:
             return "down", env.now
         return reply.status, env.now
@@ -91,6 +97,42 @@ def test_crash_mid_reply_fails_the_client_at_the_crash_instant(env, which):
     assert crashed_at == sends[1][1] + 1e-6
     assert (outcome, when) == ("down", crashed_at)
     assert site.eth.idle and site.eth.medium_queue_length == 0
+
+
+def test_crash_while_a_probe_is_on_the_wire_fails_the_client_as_it_ends(env):
+    """The client's retransmit timer runs out while the server is still
+    on the request, and the server crashes while the probe that follows
+    is on the wire: the client hears of it as the probe ends, not one
+    retransmit interval later."""
+    site = Site(env)
+    site.rpc.retransmit_interval = 1e-4  # well inside the CREATE's service
+    sends = []
+    real_send = site.eth.send_fragments
+
+    def crasher():
+        yield env.timeout(1e-6)
+        site.bullet.crash()
+
+    def spy(nbytes, indices=None):
+        if len(sends) == 2:  # the request has been sent: this is the probe
+            env.process(crasher())
+        sends.append(env.now)
+        lost = yield from real_send(nbytes, indices)
+        sends.append(env.now)
+        return lost
+
+    site.eth.send_fragments = spy
+
+    def client():
+        try:
+            yield from site.rpc.trans(site.bullet.port,
+                                      FIRST_REQUEST["bullet"](), 5.0)
+        except ServerDownError:
+            return env.now
+        return None
+
+    assert run_process(env, client()) == sends[-1]
+    assert len(sends) == 4  # request and probe, each begun and ended
 
 
 def test_every_server_emits_the_same_span_tree(env):

@@ -366,8 +366,9 @@ def test_interrupt_survivor_that_ends_at_once_has_left_its_wait(make_env):
 
 def test_a_timeout_not_yet_yielded_counts_as_scheduled():
     # A virtual source orders its steps by the ticket count it reads, and
-    # a closed-form collapse asks can_collapse: to both, a timeout made
-    # and not yet yielded is a heap entry at the instant it fires.
+    # a held event's collapse asks whether anything else can act first:
+    # to both, a timeout made and not yet yielded is a heap entry at the
+    # instant it fires.
     env = Environment()
     seen = []
 
@@ -377,15 +378,18 @@ def test_a_timeout_not_yet_yielded_counts_as_scheduled():
         seen.append(env.events_scheduled - before)
         yield timer
 
-    def asked():
+    def charged(delay):
         timer = env.timeout(1.0)
-        seen.append((env.can_collapse(env.now + 0.5),
-                     env.can_collapse(env.now + 1.0)))
+        yield env.timeout(delay)  # runs inline only if it fires first
         yield timer
 
     run_process(env, counted())
-    run_process(env, asked())
-    assert seen == [1, (True, False)] and env.now == 2.0
+    for delay in (0.5, 1.0):
+        before = env.events_scheduled
+        run_process(env, charged(delay))
+        seen.append(env.events_scheduled - before)
+    # Start-up, the first timer, completion; plus the tied second timer.
+    assert seen == [1, 3, 4] and env.now == 3.0
 
 
 def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
@@ -399,7 +403,7 @@ def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
         return value, env.now
 
     assert run_process(env, worker()) == ("granted", 0.0)
-    assert env.events_scheduled == 1  # the process's start-up
+    assert env.events_scheduled == 2  # the process's start-up and end
 
 
 def test_event_succeeded_outside_any_process_is_processed():
@@ -557,22 +561,15 @@ def test_pending_virtual_step_is_scheduled_work():
     env = Environment()
     source = HopSource(env)
     first = source.burst([1.0, 1.0])
-    assert not env.can_collapse(1.0) and env.can_collapse(0.5)
     env.run(until=first)  # no deadlock: the heap is empty throughout
     assert env.now == 2.0 and env.events_scheduled == 0
     late = source.burst([1.0])
     env.run(until=2.5)
     assert not late.processed
-    env.step()  # not "no scheduled events"
+    env.run(until=3.0)  # not stopped short by the empty heap
     assert late.processed and env.now == 3.0
     env.run()  # the guard is +inf: ends at once
     assert env.now == 3.0
-
-
-def test_step_without_events_rejected():
-    env = Environment()
-    with pytest.raises(RuntimeError):
-        env.step()
 
 
 def test_active_process_visible_during_resume():
