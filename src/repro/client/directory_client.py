@@ -14,6 +14,7 @@ from typing import Optional
 
 from ..capability import Capability
 from ..directory import DIR_OPCODES
+from ..directory.records import pack_cap_set, pack_changes
 from ..net import RpcRequest, RpcTransport
 from ..sim import SeededStream
 from .retry import RetryPolicy, RpcStub
@@ -79,38 +80,25 @@ class DirectoryClient(RpcStub):
                                       args=(name,))
         return list(reply.caps)
 
-    @staticmethod
-    def _pack_targets(target) -> bytes:
-        caps = (target,) if isinstance(target, Capability) else tuple(target)
-        return b"".join(cap.pack() for cap in caps)
-
     def append(self, dir_cap: Capability, name: str, target):
         """Process: bind ``name`` to a capability or a capability set
         (replicas on several servers)."""
         yield from self._call(dir_cap.port, "APPEND", cap=dir_cap,
-                              args=(name,), body=self._pack_targets(target))
+                              args=(name,), body=pack_cap_set(target))
 
     def replace(self, dir_cap: Capability, name: str, target):
         """Process: atomic rebind; returns the old primary capability."""
         reply = yield from self._call(dir_cap.port, "REPLACE", cap=dir_cap,
                                       args=(name,),
-                                      body=self._pack_targets(target))
+                                      body=pack_cap_set(target))
         return reply.caps[0]
 
     def update_many(self, dir_cap: Capability, changes: dict):
         """Process: atomic multi-entry update. ``changes`` maps names to
         a capability / capability set, or None to remove."""
-        args = []
-        body_parts = []
-        for name, value in changes.items():
-            if value is None:
-                args.append((name, 0))
-            else:
-                caps = (value,) if isinstance(value, Capability) else tuple(value)
-                args.append((name, len(caps)))
-                body_parts.extend(cap.pack() for cap in caps)
+        pairs, body = pack_changes(changes)
         yield from self._call(dir_cap.port, "UPDATE_MANY", cap=dir_cap,
-                              args=tuple(args), body=b"".join(body_parts))
+                              args=pairs, body=body)
 
     def remove_entry(self, dir_cap: Capability, name: str):
         """Process: unbind; returns the removed capability."""

@@ -40,6 +40,7 @@ currency check — name-mediated recovery, the server never notifies.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..capability import Capability
@@ -80,58 +81,53 @@ class CoherenceStats(RegistryStats):
 
 
 class CurrencyPolicy:
-    """When an ``open`` re-checks a name binding against the directory.
+    """When an ``open`` re-checks a name binding against the directory:
+    once the binding is at least ``interval`` simulated seconds old.
 
-    ``always`` re-checks every open; ``after(T)`` re-checks once the
-    binding is at least ``T`` simulated seconds old; ``session`` checks
-    only at bind time. Stronger currency costs more directory RPCs —
-    the trade-off the bench measures.
+    ``always`` (0) re-checks every open; ``after(T)`` re-checks once the
+    binding is ``T`` seconds old; ``session`` (infinity) checks only at
+    bind time. Stronger currency costs more directory RPCs — the
+    trade-off the bench measures.
     """
 
-    ALWAYS = "always"
-    AFTER = "after"
-    SESSION = "session"
+    __slots__ = ("interval",)
 
-    __slots__ = ("kind", "interval")
-
-    def __init__(self, kind: str, interval: float = 0.0):
-        if kind not in (self.ALWAYS, self.AFTER, self.SESSION):
-            raise BadRequestError(f"unknown currency policy {kind!r}")
-        if kind == self.AFTER and interval <= 0.0:
+    def __init__(self, interval: float):
+        if not isinstance(interval, (int, float)) or not interval >= 0.0:
             raise BadRequestError(
-                "check-after policy needs a positive interval"
-            )
-        self.kind = kind
+                f"currency interval must be a number >= 0, not {interval!r}")
         self.interval = interval
 
     @classmethod
     def always(cls) -> "CurrencyPolicy":
         """Check on every open."""
-        return cls(cls.ALWAYS)
+        return cls(0.0)
 
     @classmethod
     def after(cls, interval: float) -> "CurrencyPolicy":
         """Check when the binding is older than ``interval`` sim-seconds."""
-        return cls(cls.AFTER, interval)
+        if not interval > 0.0:
+            raise BadRequestError(
+                "check-after policy needs a positive interval"
+            )
+        return cls(interval)
 
     @classmethod
     def session(cls) -> "CurrencyPolicy":
         """Bind once, never re-check."""
-        return cls(cls.SESSION)
+        return cls(math.inf)
 
     def due(self, now: float, checked_at: float) -> bool:
         """Whether a binding last checked at ``checked_at`` must be
         re-validated at sim-time ``now``."""
-        if self.kind == self.ALWAYS:
-            return True
-        if self.kind == self.SESSION:
-            return False
         return now - checked_at >= self.interval
 
     def __repr__(self) -> str:
-        if self.kind == self.AFTER:
-            return f"CurrencyPolicy.after({self.interval!r})"
-        return f"CurrencyPolicy.{self.kind}()"
+        if self.interval == 0.0:
+            return "CurrencyPolicy.always()"
+        if self.interval == math.inf:
+            return "CurrencyPolicy.session()"
+        return f"CurrencyPolicy.after({self.interval!r})"
 
 
 class _Binding:

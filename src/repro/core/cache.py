@@ -46,9 +46,7 @@ class Rnode:
     age: int            # last-access tick (LRU)
     inserted: int       # insertion tick (FIFO ablation)
     data: bytes         # the file contents (whole and contiguous)
-    # mid-load (reserve/fill window); not evictable
-    busy: bool = field(default=False, init=False)
-    # concurrent transfers copying out of the arena
+    # holders of the arena extent: a load in flight, transfers copying
     pins: int = field(default=0, init=False)
 
 
@@ -164,11 +162,11 @@ class BulletCache:
         if index == 0:
             self.stats.misses.inc()
             return None
-        rnode = self.get_slot(index)
-        if rnode.inode_number != inode_number:
+        rnode = self._rnodes.get(index)
+        if rnode is None or rnode.inode_number != inode_number:
             raise ConsistencyError(
-                f"inode.index out of sync: slot {index} caches inode "
-                f"{rnode.inode_number}, expected {inode_number}"
+                f"inode.index out of sync: slot {index} does not cache "
+                f"inode {inode_number}"
             )
         self.stats.hits.inc()
         return rnode
@@ -176,14 +174,6 @@ class BulletCache:
     def peek(self, inode_number: int) -> Optional[Rnode]:
         """Like :meth:`lookup` but without touching the statistics."""
         return self._by_inode.get(inode_number)
-
-    def get_slot(self, rnode_number: int) -> Rnode:
-        """Resolve an inode's index field to its rnode (paper's path:
-        'the index is used to locate an rnode')."""
-        rnode = self._rnodes.get(rnode_number)
-        if rnode is None:
-            raise BadRequestError(f"no rnode in slot {rnode_number}")
-        return rnode
 
     def touch(self, rnode: Rnode) -> None:
         """Update the age field to mark a recent access."""
@@ -204,14 +194,19 @@ class BulletCache:
 
     # ----------------------------------------------------------- mutation
 
-    def insert(self, inode_number: int, data: bytes) -> Rnode:
-        """Cache a whole file, evicting and compacting as needed.
+    def reserve(self, inode_number: int, size: int) -> Rnode:
+        """Place a file of ``size`` bytes: take an rnode slot, make
+        contiguous room (evicting and compacting as needed) and return
+        the rnode *pinned*, so nothing can evict it before :meth:`fill`
+        supplies the bytes — the paper's read miss: "an rnode is
+        allocated for this file ... Then the file can be read into the
+        RAM cache." A load that fails hands the reservation back:
+        :meth:`unpin`, then :meth:`remove`.
 
         Raises :class:`FileTooBigError` when the file exceeds the cache
         (the server cannot hold it contiguously in memory at all) and
-        :class:`NoSpaceError` when every evictable file is busy.
+        :class:`NoSpaceError` when every evictable file is pinned.
         """
-        size = len(data)
         if size > self.capacity:
             raise FileTooBigError(
                 f"file of {size} bytes exceeds the {self.capacity}-byte cache"
@@ -222,63 +217,42 @@ class BulletCache:
             raise NoSpaceError(
                 "no free rnode slot (every cached file is pinned)"
             )
-        addr = self._make_room(size)
+        number = self._free_slots.pop()
+        try:
+            addr = self._make_room(size)
+        except NoSpaceError:
+            self._free_slots.append(number)
+            raise
         self._tick += 1
-        rnode = Rnode(
-            number=self._free_slots.pop(),
-            inode_number=inode_number,
-            addr=addr,
-            size=size,
-            age=self._tick,
-            inserted=self._tick,
-            data=bytes(data),
-        )
-        self._rnodes[rnode.number] = rnode
+        rnode = Rnode(number=number, inode_number=inode_number, addr=addr,
+                      size=size, age=self._tick, inserted=self._tick,
+                      data=b"")
+        rnode.pins = 1
+        self._rnodes[number] = rnode
         self._by_inode[inode_number] = rnode
-        self.stats.inserted_bytes.inc(size)
-        return rnode
-
-    def reserve(self, inode_number: int, size: int) -> Rnode:
-        """Allocate space for a file about to be loaded from disk.
-
-        The rnode is marked busy (pinned) until :meth:`fill` supplies the
-        bytes, so the in-flight load cannot be evicted from under the
-        disk read — the paper's read-miss path: "an rnode is allocated
-        for this file ... Then the file can be read into the RAM cache."
-        """
-        rnode = self.insert(inode_number, bytes(0))
-        if size > self.capacity:
-            self._release(rnode)
-            raise FileTooBigError(
-                f"file of {size} bytes exceeds the {self.capacity}-byte cache"
-            )
-        if size > 0:
-            try:
-                addr = self._make_room(size)
-            except NoSpaceError:
-                self._release(rnode)
-                raise
-            rnode.addr = addr
-            rnode.size = size
-        rnode.busy = True
         return rnode
 
     def fill(self, rnode: Rnode, data: bytes) -> None:
-        """Complete a :meth:`reserve` with the loaded bytes."""
+        """Complete a :meth:`reserve`: store the bytes and drop its pin."""
         if len(data) != rnode.size:
             raise BadRequestError(
                 f"fill size {len(data)} != reserved size {rnode.size}"
             )
         rnode.data = bytes(data)
-        rnode.busy = False
+        self.unpin(rnode)
         self.stats.inserted_bytes.inc(rnode.size)
+
+    def insert(self, inode_number: int, data: bytes) -> Rnode:
+        """Cache a whole file whose bytes are already at hand (CREATE)."""
+        rnode = self.reserve(inode_number, len(data))
+        self.fill(rnode, data)
+        return rnode
 
     def remove(self, inode_number: int) -> None:
         """Drop a file from the cache (delete path); no-op if absent."""
-        rnode = self._by_inode.pop(inode_number, None)
-        if rnode is None:
-            return
-        self._release(rnode)
+        rnode = self._by_inode.get(inode_number)
+        if rnode is not None:
+            self._release(rnode)
 
     def _release(self, rnode: Rnode) -> None:
         if rnode.pins > 0:
@@ -314,10 +288,8 @@ class BulletCache:
                     raise
 
     def _evict_one(self) -> bool:
-        """Evict the least desirable non-busy file; False if none."""
-        candidates = [
-            r for r in self._rnodes.values() if not r.busy and r.pins == 0
-        ]
+        """Evict the least desirable unpinned file; False if none."""
+        candidates = [r for r in self._rnodes.values() if r.pins == 0]
         if not candidates:
             return False
         if self.policy == "lru":

@@ -345,27 +345,9 @@ class BulletServer(RpcService):
         with self.locks.reading(cap.object) as lock:
             yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_READ)
+            rnode, inode = yield from self._resident(
+                lock, cap, RIGHT_READ, number, inode)
             tracer = self._tracer
-            rnode = self._cached_rnode(number, inode)
-            if rnode is None:
-                # Miss: upgrade to the write lock before touching the
-                # disk, so the extent cannot move (compaction) or be
-                # freed (delete) under the read, and two concurrent
-                # misses cannot both reserve cache space for the file.
-                yield lock.upgrade()
-                inode = self._revalidate(cap, RIGHT_READ)
-                # Re-probe statlessly: this request's miss is already
-                # accounted; another worker may have loaded the file
-                # while we waited for the lock.
-                rnode = self.cache.peek(number)
-            if rnode is None:
-                if tracer is not None:
-                    disk_span = tracer.begin_span(
-                        "span", "server.disk", inode=number, size=inode.size)
-                rnode = yield from self._load_from_disk(number, inode)
-                if tracer is not None:
-                    tracer.end_span(disk_span, "span", "server.disk")
-            self.cache.touch(rnode)
             # Copy from the contiguous cache into the network buffers;
             # pinned so no concurrent miss can evict it mid-copy.
             if tracer is not None:
@@ -420,7 +402,7 @@ class BulletServer(RpcService):
         self.table.release(number)
         if blocks:
             self.disk_free.free(start_block, blocks)
-        self._forget_caps(number)
+        self._verified_caps.forget_object(number)
         self._lives.discard(number)
         inode_block = self.table.block_of_inode(number)
         yield self.mirror.write(
@@ -437,23 +419,16 @@ class BulletServer(RpcService):
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         with self.locks.reading(cap.object) as lock:
             yield lock.grant
-            number, inode = yield from self._check(
-                cap, RIGHT_READ | RIGHT_MODIFY)
+            rights = RIGHT_READ | RIGHT_MODIFY
+            number, inode = yield from self._check(cap, rights)
             if (offset < 0 or delete_bytes < 0
                     or offset + delete_bytes > inode.size):
                 raise BadRequestError(
                     f"modify range [{offset}, {offset + delete_bytes}) "
                     f"outside the {inode.size}-byte file"
                 )
-            rnode = self._cached_rnode(number, inode)
-            if rnode is None:
-                # Same upgrade dance as the READ miss path.
-                yield lock.upgrade()
-                inode = self._revalidate(cap, RIGHT_READ | RIGHT_MODIFY)
-                rnode = self.cache.peek(number)
-            if rnode is None:
-                rnode = yield from self._load_from_disk(number, inode)
-            self.cache.touch(rnode)
+            rnode, _inode = yield from self._resident(
+                lock, cap, rights, number, inode)
             old = rnode.data
             new_data = (old[:offset] + insert_data
                         + old[offset + delete_bytes:])
@@ -610,38 +585,60 @@ class BulletServer(RpcService):
         require(cap, inode.secret, needed_rights)
         return inode
 
-    def _cached_rnode(self, number: int, inode):
-        """Cache probe via the inode's index field. The accounting lives
-        in :meth:`~repro.core.cache.BulletCache.probe_slot` — the cache
-        is the only writer of its hit/miss counters, so the server
-        cannot double count."""
-        return self.cache.probe_slot(number, inode.index)
-
-    def _load_from_disk(self, number: int, inode):
-        """Read-miss path: reserve contiguous cache space (evicting LRU
-        files as needed), then one contiguous disk read."""
-        rnode = self.cache.reserve(number, inode.size)
-        inode.index = rnode.number
-        blocks = self.layout.blocks_for(inode.size)
-        if blocks:
-            data = yield from self.mirror.read_with_failover(
-                inode.start_block, blocks
-            )
+    def _resident(self, lock, cap: Capability, rights: int, number: int,
+                  inode):
+        """The file's rnode, read into the RAM cache on a miss
+        (generator); returns it touched, with the inode as last
+        validated. The paper's read path: "the index field in the inode
+        is inspected to see whether there is a copy of the file in the
+        RAM cache"; on a miss "an rnode is allocated for this file ...
+        Then the file can be read into the RAM cache." The probe does
+        the hit/miss accounting: the cache is its only writer.
+        """
+        cache = self.cache
+        rnode = cache.probe_slot(number, inode.index)
+        if rnode is None:
+            # Miss: upgrade to the write lock before touching the disk,
+            # so the extent cannot move (compaction) or be freed
+            # (delete) under the read, and two concurrent misses cannot
+            # both reserve cache space for the file.
+            yield lock.upgrade()
+            inode = self._revalidate(cap, rights)
+            # Re-probe statlessly: this request's miss is already
+            # accounted; another worker may have loaded the file while
+            # we waited for the lock.
+            rnode = cache.peek(number)
+        if rnode is None:
+            tracer = self._tracer
+            if tracer is not None:
+                disk_span = tracer.begin_span(
+                    "span", "server.disk", inode=number, size=inode.size)
+            rnode = cache.reserve(number, inode.size)
+            inode.index = rnode.number
+            blocks = self.layout.blocks_for(inode.size)
+            try:
+                data = (yield from self.mirror.read_with_failover(
+                    inode.start_block, blocks)) if blocks else b""
+            except BaseException:
+                # A failed load unwinds before the error propagates: the
+                # next probe must miss, not find an empty file.
+                cache.unpin(rnode)
+                cache.remove(number)
+                inode.index = 0
+                raise
             # A block-aligned file comes off the platter as the stored
             # object and the full slice is that object again: the cache
             # and the reply share it with both disks, nothing is copied.
-            self.cache.fill(rnode, data[: inode.size])
-        else:
-            self.cache.fill(rnode, b"")
-        return rnode
+            cache.fill(rnode, data[: inode.size])
+            if tracer is not None:
+                tracer.end_span(disk_span, "span", "server.disk")
+        cache.touch(rnode)
+        return rnode, inode
 
     def _on_evict(self, inode_number: int) -> None:
         """Cache eviction callback: clear the inode's index field."""
         inode = self.table.get(inode_number)
         inode.index = 0
-
-    def _forget_caps(self, number: int) -> None:
-        self._verified_caps.forget_object(number)
 
     # ------------------------------------------------------------ RPC plane
 

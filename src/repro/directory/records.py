@@ -21,10 +21,23 @@ from dataclasses import dataclass, field
 from ..capability import CAP_WIRE_SIZE, Capability, NULL_CAPABILITY
 from ..errors import BadRequestError, ConsistencyError
 
-__all__ = ["DirectoryRows", "SlotRecord", "SLOT_RECORD_SIZE"]
+__all__ = [
+    "DirectoryRows",
+    "SlotRecord",
+    "SLOT_RECORD_SIZE",
+    "pack_cap_set",
+    "unpack_cap_set",
+    "pack_changes",
+    "unpack_changes",
+]
 
 _ROWS_MAGIC = 0xD1EC7000
 _SLOT_MAGIC = 0x510717
+
+
+def _as_set(value) -> tuple:
+    """A capability set as a tuple; a bare capability is a singleton."""
+    return (value,) if isinstance(value, Capability) else tuple(value)
 
 
 def _normalize_rows(rows: dict) -> dict:
@@ -33,16 +46,63 @@ def _normalize_rows(rows: dict) -> dict:
     replicas on several servers."""
     normalized = {}
     for name, value in rows.items():
-        if isinstance(value, Capability):
-            normalized[name] = (value,)
-        else:
-            caps = tuple(value)
-            if not caps or not all(isinstance(c, Capability) for c in caps):
-                raise BadRequestError(
-                    f"entry {name!r} must bind one or more capabilities"
-                )
-            normalized[name] = caps
+        caps = _as_set(value)
+        if not caps or not all(isinstance(c, Capability) for c in caps):
+            raise BadRequestError(
+                f"entry {name!r} must bind one or more capabilities"
+            )
+        normalized[name] = caps
     return normalized
+
+
+def pack_cap_set(value) -> bytes:
+    """The wire form of a capability set (APPEND, REPLACE): its members
+    packed back to back, in order."""
+    return b"".join(cap.pack() for cap in _as_set(value))
+
+
+def unpack_cap_set(body: bytes) -> tuple:
+    """Decode a non-empty :func:`pack_cap_set` body."""
+    if not body or len(body) % CAP_WIRE_SIZE:
+        raise BadRequestError(
+            f"capability-set body must be a multiple of {CAP_WIRE_SIZE} bytes"
+        )
+    return tuple(
+        Capability.unpack(body[i:i + CAP_WIRE_SIZE])
+        for i in range(0, len(body), CAP_WIRE_SIZE)
+    )
+
+
+def pack_changes(changes: dict) -> tuple:
+    """The wire form of an UPDATE_MANY: ``(pairs, body)``, one
+    ``(name, count)`` pair per change in order (count 0 removes the
+    name, as a None value does) and the changed sets packed back to
+    back in the body."""
+    pairs = []
+    parts = []
+    for name, value in changes.items():
+        caps = () if value is None else _as_set(value)
+        pairs.append((name, len(caps)))
+        parts.extend(cap.pack() for cap in caps)
+    return tuple(pairs), b"".join(parts)
+
+
+def unpack_changes(pairs, body: bytes) -> dict:
+    """Decode :func:`pack_changes`: the body must hold exactly the
+    capabilities the counts announce."""
+    counts = [count for _name, count in pairs]
+    if not all(isinstance(count, int) and count >= 0 for count in counts):
+        raise BadRequestError(f"capability counts must be >= 0: {counts}")
+    if len(body) != CAP_WIRE_SIZE * sum(counts):
+        raise BadRequestError(
+            f"{len(body)}-byte body for {sum(counts)} capabilities")
+    changes = {}
+    offset = 0
+    for name, count in pairs:
+        end = offset + count * CAP_WIRE_SIZE
+        changes[name] = unpack_cap_set(body[offset:end]) if count else None
+        offset = end
+    return changes
 
 
 @dataclass

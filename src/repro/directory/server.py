@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..capability import (
-    CAP_WIRE_SIZE,
     Capability,
     RIGHT_CREATE,
     RIGHT_DELETE,
@@ -44,7 +43,7 @@ from ..errors import (
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
 from ..sim import Environment, SeededStream, Tracer
-from .records import DirectoryRows, SlotRecord
+from .records import DirectoryRows, SlotRecord, unpack_cap_set, unpack_changes
 
 __all__ = ["DirectoryServer", "DIR_OPCODES"]
 
@@ -66,18 +65,6 @@ _HEADER_MAGIC = 0xD1650001
 #: Directory slots on a volume: one block each after the header block,
 #: all loaded by boot's single contiguous read.
 MAX_DIRECTORIES = 512
-
-
-def _unpack_cap_set(body: bytes) -> tuple:
-    """Decode one or more packed capabilities from a request body."""
-    if not body or len(body) % CAP_WIRE_SIZE:
-        raise BadRequestError(
-            f"capability-set body must be a multiple of {CAP_WIRE_SIZE} bytes"
-        )
-    return tuple(
-        Capability.unpack(body[i:i + CAP_WIRE_SIZE])
-        for i in range(0, len(body), CAP_WIRE_SIZE)
-    )
 
 
 class DirectoryServer(RpcService):
@@ -441,11 +428,11 @@ class DirectoryServer(RpcService):
             caps = yield from self.lookup_set(req.cap, req.args[0])
             return RpcReply(caps=tuple(caps))
         if op == DIR_OPCODES["APPEND"]:
-            targets = _unpack_cap_set(req.body)
+            targets = unpack_cap_set(req.body)
             yield from self.append(req.cap, req.args[0], targets)
             return RpcReply()
         if op == DIR_OPCODES["REPLACE"]:
-            targets = _unpack_cap_set(req.body)
+            targets = unpack_cap_set(req.body)
             old = yield from self.replace(req.cap, req.args[0], targets)
             return RpcReply(caps=(old,))
         if op == DIR_OPCODES["REMOVE"]:
@@ -464,23 +451,7 @@ class DirectoryServer(RpcService):
             cap = yield from self.lookup_path(req.cap, req.args[0])
             return RpcReply(caps=(cap,))
         if op == DIR_OPCODES["UPDATE_MANY"]:
-            # args: tuple of (name, cap_count) pairs; cap_count 0 means
-            # removal; body: the packed capabilities, in pair order.
-            changes = {}
-            offset = 0
-            for name, count in req.args:
-                if count == 0:
-                    changes[name] = None
-                else:
-                    caps = tuple(
-                        Capability.unpack(
-                            req.body[offset + i * CAP_WIRE_SIZE:
-                                     offset + (i + 1) * CAP_WIRE_SIZE]
-                        )
-                        for i in range(count)
-                    )
-                    offset += count * CAP_WIRE_SIZE
-                    changes[name] = caps
+            changes = unpack_changes(req.args, req.body)
             yield from self.update_many(req.cap, changes)
             return RpcReply()
         raise BadRequestError(f"unknown directory opcode {op}")

@@ -197,22 +197,27 @@ class LogServer(RpcService):
                 )
                 state.tail_block = new_block
                 state.tail_used = 0
+            record = bytes(record)
+            used = state.tail_used + needed
+            payload = (self._tail_payload(state)
+                       + len(record).to_bytes(2, "big") + record)
+            yield self.disk.write(state.tail_block,
+                                  self._encode_block(payload, used))
+            # Published only once durable: a failed write leaves the
+            # record unread, unnumbered and out of the next tail write.
             start = state.record_count
-            state.records.append(bytes(record))
+            state.records.append(record)
             state.record_count += 1
-            state.tail_used += needed
-            yield self.disk.write(
-                state.tail_block,
-                self._encode_block(self._tail_payload(state), state.tail_used),
-            )
+            state.tail_used = used
         return start
 
     def read(self, cap: Capability, from_seq: int = 0, limit: int = 1 << 30):
         """Process: records from ``from_seq`` (served from the RAM copy;
         the disk chain is the durable form)."""
         state = yield from self._open(cap, RIGHT_READ)
-        if from_seq < 0:
-            raise BadRequestError("negative sequence number")
+        if from_seq < 0 or limit < 0:
+            raise BadRequestError(
+                f"negative sequence number or limit ({from_seq}, {limit})")
         return list(state.records[from_seq:from_seq + limit])
 
     def length(self, cap: Capability):

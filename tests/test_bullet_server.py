@@ -22,9 +22,11 @@ from repro.errors import (
     BadRequestError,
     CapabilityError,
     ConsistencyError,
+    DiskIOError,
     FileTooBigError,
     NoSpaceError,
     NotFoundError,
+    ReproError,
     RightsError,
     ServerDownError,
 )
@@ -430,7 +432,7 @@ def test_inode_index_tracks_cache_state(env, bullet):
     cap = call(env, bullet.create(b"indexed", p_factor=1))
     inode = bullet.table.get(cap.object)
     assert inode.index != 0
-    assert bullet.cache.get_slot(inode.index).inode_number == cap.object
+    assert bullet.cache.peek(cap.object).number == inode.index
     # A cache-filling create evicts it; on_evict must clear the index.
     call(env, bullet.create(bytes(2 * MB), p_factor=0))
     assert bullet.table.get(cap.object).index == 0
@@ -439,6 +441,53 @@ def test_inode_index_tracks_cache_state(env, bullet):
     env.run()  # drain background writes first
     assert call(env, bullet.read(cap)) == b"indexed"
     assert bullet.table.get(cap.object).index != 0
+
+
+def test_a_failed_load_leaves_no_reservation_behind(env, bullet):
+    """A cold READ or MODIFY whose extent fails on every replica raises,
+    and the miss unwinds: no rnode, no inode.index, no cache bytes. The
+    next READ goes to disk again instead of counting the abandoned
+    reservation as a hit and returning an empty file."""
+
+    def outcome(gen):
+        try:
+            return (yield from gen)
+        except ReproError as exc:
+            return exc
+
+    payload = bytes(range(256)) * 4 + b"tail" * 19  # 1 100 bytes
+    cap = call(env, bullet.create(payload, p_factor=2))
+    env.run()
+    bullet.evict(cap.object)
+    inode = bullet.table.get(cap.object)
+    extent = (inode.start_block, bullet.layout.blocks_for(inode.size))
+    for disk in bullet.mirror.disks:
+        disk.mark_flaky(*extent)
+    used = bullet.cache.used_bytes
+    # Two concurrent cold readers: the second waits on the first's write
+    # lock and re-probes only after the first's load has failed.
+    procs = [env.process(outcome(bullet.read(cap))) for _ in range(2)]
+    procs.append(env.process(outcome(
+        bullet.modify(cap, 0, 4, b"HEAD", p_factor=2))))
+    env.run()
+    for proc in procs:
+        assert isinstance(proc.value, DiskIOError)
+    assert bullet.table.get(cap.object).index == 0
+    assert bullet.cache.peek(cap.object) is None
+    assert bullet.cache.used_bytes == used
+    bullet.cache.check_invariants()
+
+    for disk in bullet.mirror.disks:
+        disk.clear_flaky(*extent)
+    misses = bullet.cache.stats.misses.value
+    assert call(env, bullet.read(cap)) == payload
+    assert bullet.cache.stats.misses.value == misses + 1
+    bullet.evict(cap.object)
+    derived = call(env, bullet.modify(cap, 0, 4, b"HEAD", p_factor=2))
+    assert call(env, bullet.read(derived)) == b"HEAD" + payload[4:]
+    env.run()
+    assert bullet.cache.used_bytes == used + 2 * len(payload)
+    bullet.cache.check_invariants()
 
 
 def test_file_too_big_for_memory_rejected(env, bullet):

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BulletCache
-from repro.errors import BadRequestError, FileTooBigError, NoSpaceError
+from repro.errors import (
+    BadRequestError,
+    ConsistencyError,
+    FileTooBigError,
+    NoSpaceError,
+)
 
 
 def make_cache(capacity=1000, rnodes=16, **kw):
@@ -54,12 +59,17 @@ def test_double_insert_rejected():
         cache.insert(1, b"b")
 
 
-def test_get_slot_resolves_rnode_number():
+def test_probe_slot_resolves_rnode_number():
     cache = make_cache()
     rnode = cache.insert(1, b"abc")
-    assert cache.get_slot(rnode.number) is rnode
-    with pytest.raises(BadRequestError):
-        cache.get_slot(rnode.number + 1)
+    assert cache.probe_slot(1, rnode.number) is rnode
+    assert cache.probe_slot(2, 0) is None
+    assert (cache.stats.hits.value, cache.stats.misses.value) == (1, 1)
+    with pytest.raises(ConsistencyError):
+        cache.probe_slot(1, rnode.number + 1)  # an empty slot
+    other = cache.insert(2, b"de")
+    with pytest.raises(ConsistencyError):
+        cache.probe_slot(1, other.number)  # another file's slot
 
 
 def test_file_bigger_than_cache_rejected():
@@ -111,13 +121,13 @@ def test_eviction_cascades_until_room():
     cache.check_invariants()
 
 
-def test_busy_rnodes_not_evicted():
+def test_pinned_rnodes_not_evicted():
     cache = make_cache(capacity=100)
     rnode = cache.insert(1, bytes(60))
-    rnode.busy = True
+    cache.pin(rnode)
     with pytest.raises(NoSpaceError):
         cache.insert(2, bytes(60))
-    rnode.busy = False
+    cache.unpin(rnode)
     cache.insert(2, bytes(60))
     assert cache.peek(1) is None
 
@@ -174,10 +184,10 @@ def test_explicit_compact_moves_files_low():
 def test_reserve_and_fill():
     cache = make_cache(capacity=100)
     rnode = cache.reserve(1, 40)
-    assert rnode.busy
+    assert rnode.pins == 1
     assert cache.used_bytes == 40
     cache.fill(rnode, bytes(40))
-    assert not rnode.busy
+    assert rnode.pins == 0
     assert cache.peek(1).data == bytes(40)
     cache.check_invariants()
 
@@ -211,6 +221,39 @@ def test_reserve_evicts_like_insert():
     rnode = cache.reserve(2, 80)
     assert cache.peek(1) is None
     cache.fill(rnode, bytes(80))
+    cache.check_invariants()
+
+
+def test_abandoned_reservation_returns_its_slot_and_bytes():
+    """A load that fails unpins its reservation and removes it: the
+    rnode slot and the arena bytes are free again."""
+    cache = make_cache(capacity=100, rnodes=1)
+    rnode = cache.reserve(1, 60)
+    with pytest.raises(ConsistencyError):
+        cache.remove(1)  # a reservation is pinned until fill or unpin
+    cache.unpin(rnode)
+    cache.remove(1)
+    assert cache.peek(1) is None
+    assert cache.cached_files == 0
+    assert cache.used_bytes == 0
+    cache.check_invariants()
+    cache.fill(cache.reserve(2, 100), bytes(100))  # the one slot, every byte
+    assert cache.stats.evictions.value == 0
+    cache.check_invariants()
+
+
+def test_reserve_never_evicts_itself():
+    """A reservation that only its own eviction could make room for is
+    refused with NoSpaceError and leaves the cache as it was."""
+    cache = make_cache(capacity=1000, rnodes=4)
+    cache.pin(cache.insert(1, bytes(600)))
+    with pytest.raises(NoSpaceError):
+        cache.reserve(2, 600)
+    assert cache.peek(2) is None
+    assert cache.cached_files == 1
+    assert cache.used_bytes == 600
+    cache.check_invariants()
+    cache.fill(cache.reserve(2, 400), bytes(400))  # the slot came back
     cache.check_invariants()
 
 
@@ -264,10 +307,10 @@ def test_cache_invariants_under_random_workload(script):
             assert rnode.data == expected
 
 
-def test_rnode_exhaustion_all_busy_raises():
+def test_rnode_exhaustion_all_pinned_raises():
     cache = make_cache(capacity=1000, rnodes=2)
-    cache.insert(1, b"a").busy = True
-    cache.insert(2, b"b").busy = True
+    cache.pin(cache.insert(1, b"a"))
+    cache.pin(cache.insert(2, b"b"))
     with pytest.raises(NoSpaceError):
         cache.insert(3, b"c")
     cache.check_invariants()
@@ -276,8 +319,6 @@ def test_rnode_exhaustion_all_busy_raises():
 def test_pinned_rnode_is_not_evictable():
     """A pin holds the arena extent across a timed transfer: eviction
     pressure must skip pinned files (and fail if nothing else can go)."""
-    from repro.errors import ConsistencyError
-
     cache = make_cache(capacity=100, rnodes=4)
     rnode = cache.insert(1, b"x" * 60)
     cache.pin(rnode)
@@ -293,8 +334,6 @@ def test_pinned_rnode_is_not_evictable():
 def test_release_while_pinned_is_a_consistency_error():
     """Freeing a file some transfer is still copying is exactly the
     torn-read race the lock plane prevents — fail loudly, never tear."""
-    from repro.errors import ConsistencyError
-
     cache = make_cache()
     rnode = cache.insert(1, b"abc")
     cache.pin(rnode)
@@ -302,7 +341,9 @@ def test_release_while_pinned_is_a_consistency_error():
     cache.unpin(rnode)
     with pytest.raises(ConsistencyError):
         cache.remove(1)
+    assert cache.peek(1) is rnode  # the refused remove changed nothing
     cache.unpin(rnode)
     cache.remove(1)
+    assert cache.cached_files == 0
     with pytest.raises(ConsistencyError):
         cache.unpin(rnode)  # no pins left to drop

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.capability import RIGHT_CREATE, RIGHT_READ, restrict
+from repro.capability import Capability, RIGHT_CREATE, RIGHT_READ, restrict
 from repro.client import BulletClient, DirectoryClient, LocalBulletStub
-from repro.directory import DirectoryServer
+from repro.directory import DIR_OPCODES, DirectoryServer
+from repro.directory.records import (
+    pack_cap_set,
+    pack_changes,
+    unpack_cap_set,
+    unpack_changes,
+)
 from repro.disk import VirtualDisk
-from repro.errors import BadRequestError, NotFoundError, RightsError
-from repro.net import Ethernet, RpcTransport
+from repro.errors import BadRequestError, NotFoundError, RightsError, Status
+from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import run_process
 
@@ -126,3 +132,49 @@ def test_update_many_over_rpc(env):
     }))
     assert run_process(env, names.list_names(root)) == ["pair", "solo"]
     assert run_process(env, names.lookup_set(root, "pair")) == [a, b]
+
+
+def test_update_many_refuses_a_body_its_counts_do_not_cover(env):
+    """Regression: the server decoded only the capabilities the counts
+    announced, so a surplus capability was dropped without a word, and a
+    negative count decoded as an empty set."""
+    eth = Ethernet(env, EthernetProfile())
+    rpc = RpcTransport(env, eth, CpuProfile())
+    bullet = make_bullet(env, transport=rpc)
+    dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
+                           LocalBulletStub(bullet), small_testbed(),
+                           transport=rpc)
+    dirs.format()
+    run_process(env, dirs.boot())
+    root = run_process(env, dirs.create_directory())
+    a = run_process(env, bullet.create(b"a", 1))
+    b = run_process(env, bullet.create(b"b", 1))
+
+    def update_many(pairs, body):
+        return run_process(env, rpc.trans(dirs.port, RpcRequest(
+            opcode=DIR_OPCODES["UPDATE_MANY"], cap=root, args=pairs,
+            body=body)))
+
+    two = a.pack() + b.pack()
+    for pairs, body in ((("a", 1),), two), ((("a", 2),), a.pack()), \
+            ((("a", -1), ("b", 2)), two), ((("a", 0),), a.pack()):
+        assert update_many(pairs, body).status == Status.BAD_REQUEST
+    assert run_process(env, dirs.list_names(root)) == []
+    assert update_many((("a", 2),), two).ok
+    assert list(run_process(env, dirs.lookup_set(root, "a"))) == [a, b]
+
+
+def test_cap_set_codec_round_trips():
+    a = Capability(port=7, object=1, rights=RIGHT_READ, check=11)
+    b = Capability(port=7, object=2, rights=RIGHT_CREATE, check=22)
+    assert unpack_cap_set(pack_cap_set(a)) == (a,)
+    assert unpack_cap_set(pack_cap_set([a, b])) == (a, b)
+    changes = {"gone": None, "pair": (a, b), "solo": b}
+    pairs, body = pack_changes(changes)
+    assert pairs == (("gone", 0), ("pair", 2), ("solo", 1))
+    assert unpack_changes(pairs, body) == {
+        "gone": None, "pair": (a, b), "solo": (b,)}
+    with pytest.raises(BadRequestError):
+        unpack_cap_set(b"")
+    with pytest.raises(BadRequestError):
+        unpack_cap_set(body[:-1])

@@ -358,6 +358,59 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     reborn.disk_free.check_invariants()
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cold_read_storm_over_an_extent_flaky_on_every_replica(seed):
+    """A workers=4 pool serves a storm of cold READs of one file whose
+    extent returns media errors on every replica, so no failover can
+    save a load. Each failed load must unwind its cache reservation:
+    every READ returns the file's bytes or a typed error, never the
+    empty rnode a failed load left behind, and once the window closes
+    the file reads back whole from disk."""
+    world = World(seed, workers=4)
+    env = world.env
+    bullet = world.bullet
+    cap, start, nblocks = _flaky_extent_of(world)
+    payload = world.expected[cap]
+    t0 = env.now
+    plan = FaultPlan()
+    for disk in bullet.mirror.disks:
+        plan.disk_flaky(disk.name, at=t0 + 0.1, start_block=start,
+                        nblocks=nblocks, duration=1.5)
+    ctrl = world.controller(plan).start()
+    bullet.evict(cap.object)
+    outcomes = []
+
+    def reader(index):
+        stream = SeededStream(seed * 100 + index, "storm")
+        yield env.timeout(0.1 + stream.uniform(0.0, 0.05))
+        while env.now < t0 + 2.0:  # through the window and past it
+            try:
+                outcomes.append((yield from world.client.read(cap)))
+            except ReproError as exc:
+                outcomes.append(exc)
+            yield env.timeout(stream.uniform(0.05, 0.3))
+
+    readers = [env.process(reader(index)) for index in range(4)]
+
+    def scenario():
+        for proc in readers:
+            yield proc
+        yield env.timeout(max(t0 + 4.0 - env.now, 0.0))
+        return True
+
+    assert world.run_to_completion(scenario()) is True
+    assert ctrl.firings, "the flaky window never opened"
+    errors = [o for o in outcomes if isinstance(o, ReproError)]
+    assert errors, "no READ went to disk inside the flaky window"
+    for outcome in outcomes:
+        assert isinstance(outcome, ReproError) or outcome == payload, (
+            f"READ returned {len(outcome)} of {len(payload)} bytes")
+    assert outcomes[-1] == payload
+    assert bullet.cache.peek(cap.object).data == payload
+    bullet.cache.check_invariants()
+    world.audit_storage()
+
+
 #: Disk writes after which the server dies while a 64 KB file is being
 #: written; each 8 KB WRITE makes two, the data block then the inode.
 #: 1: the first WRITE's data is on disk, its inode is not; 4: the second

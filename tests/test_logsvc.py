@@ -4,9 +4,17 @@ import pytest
 
 from repro.capability import Capability, RIGHT_CREATE, RIGHT_READ, restrict
 from repro.disk import VirtualDisk
-from repro.errors import BadRequestError, DiskIOError, NotFoundError, RightsError
-from repro.logsvc import LogServer
+from repro.errors import (
+    BadRequestError,
+    DiskIOError,
+    NotFoundError,
+    RightsError,
+    Status,
+)
+from repro.logsvc import LOG_OPCODES, LogServer
 from repro.logsvc.server import MAX_LOGS
+from repro.net import Ethernet, RpcRequest, RpcTransport
+from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, run_process
 
 from conftest import SMALL_DISK, small_testbed
@@ -67,6 +75,46 @@ def test_a_failed_create_leaves_no_log(env):
     with pytest.raises(DiskIOError):
         run_process(env, logs.create_log())
     assert logs.status()["logs"] == 0
+
+
+def test_a_failed_append_publishes_nothing(env):
+    """Regression: append put the record in RAM, numbered it and counted
+    its bytes before the tail write yielded. When the write failed, READ
+    still served the record, and the next append's tail write made the
+    unacknowledged record durable under the next sequence number."""
+    logs = make_log_server(env)
+    cap = run_process(env, logs.create_log())
+    assert run_process(env, logs.append(cap, b"one")) == 0
+    disk = logs.disk
+    disk.mark_flaky(0, disk.total_blocks)
+    with pytest.raises(DiskIOError):
+        run_process(env, logs.append(cap, b"two"))
+    disk.clear_flaky(0, disk.total_blocks)
+    assert run_process(env, logs.read(cap)) == [b"one"]
+    assert run_process(env, logs.length(cap)) == 1
+    assert run_process(env, logs.append(cap, b"three")) == 1
+    reborn = LogServer(env, disk, small_testbed())
+    env.run(until=env.process(reborn.boot()))
+    assert run_process(env, reborn.read(cap)) == [b"one", b"three"]
+
+
+def test_negative_limit_rejected_on_both_planes(env):
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    logs = LogServer(env, VirtualDisk(env, SMALL_DISK, name="logsvc-disk"),
+                     small_testbed(), transport=rpc)
+    logs.format()
+    run_process(env, logs.boot())
+    cap = run_process(env, logs.create_log())
+    for record in (b"a", b"b", b"c"):
+        run_process(env, logs.append(cap, record))
+    with pytest.raises(BadRequestError):
+        run_process(env, logs.read(cap, 0, -1))
+    refused = run_process(env, rpc.trans(logs.port, RpcRequest(
+        opcode=LOG_OPCODES["READ"], cap=cap, args=(0, -1))))
+    assert refused.status == Status.BAD_REQUEST
+    reply = run_process(env, rpc.trans(logs.port, RpcRequest(
+        opcode=LOG_OPCODES["READ"], cap=cap, args=(1, 0))))
+    assert reply.ok and reply.args == (0,)
 
 
 def test_read_from_sequence(env):

@@ -58,10 +58,9 @@ def check_invariants(bullet):
             assert not bullet.disk_free.is_free(inode.start_block, blocks)
     assert used == bullet.disk_free.used_units
     # Every inode.index points at an rnode for that inode, and vice versa.
-    for _number, inode in bullet.table.live_inodes():
-        if inode.index:
-            rnode = bullet.cache.get_slot(inode.index)
-            assert rnode.inode_number == _number
+    for number, inode in bullet.table.live_inodes():
+        rnode = bullet.cache.peek(number)
+        assert inode.index == (rnode.number if rnode is not None else 0)
 
 
 @given(script=st.lists(steps, max_size=40))
