@@ -54,8 +54,8 @@ class _Transfer(Event):
     instant by ``c`` — ``env.events_scheduled`` read when the step was
     made — and among steps by ``seq``, their creation order."""
 
-    __slots__ = ("step", "when", "c", "seq", "indices", "pos", "end",
-                 "tail_pos", "tail_chunk", "chunk", "wire", "resize", "lost")
+    __slots__ = ("step", "when", "c", "seq", "indices", "end", "tail_pos",
+                 "tail_chunk", "chunk", "wire", "stop", "left", "lost")
 
 
 class EthernetStats(RegistryStats):
@@ -144,6 +144,9 @@ class Ethernet:
             # drawn when that is performed, not here.
             daemon = self._daemon = _Transfer(env)
             daemon.indices = daemon.lost = None
+            # Every wire end of the daemon's is a stop (see _aim): it
+            # never takes the full-size foreground path of advance.
+            daemon.left = 0
             daemon.wire = profile.wire_time(profile.background_packet_bytes)
             self._background_rate = (
                 profile.background_utilization / daemon.wire)
@@ -228,7 +231,15 @@ class Ethernet:
         were lost on the wire — the retransmission set. Receivers keep
         fragments, so a message is complete once every index has arrived
         (Amoeba's FLIP did fragment-level recovery the same way).
+        Each index is sent once: a repeated or out-of-range one is a
+        ``ValueError`` before anything joins the medium.
         """
+        final = self.packets_for(nbytes) - 1
+        if indices and (len(set(indices)) != len(indices)
+                        or min(indices) < 0 or max(indices) > final):
+            raise ValueError(
+                f"fragment indices must be distinct and in [0, {final}], "
+                f"got {indices}")
         if self._medium is not None:
             self._sending += 1
             try:
@@ -237,7 +248,7 @@ class Ethernet:
                 self._sending -= 1
         if indices is not None and not indices:
             return []
-        xfer = self._join(nbytes, indices)
+        xfer = self._join(nbytes, final, indices)
         # Crash-safe, like the reference path: a sender interrupted
         # mid-transmission leaves the ledger and gives the medium up.
         try:
@@ -389,13 +400,11 @@ class Ethernet:
                 s = o
         return (_INF, 0, 0) if s is None else (s.when, s.c, s.seq)
 
-    def _join(self, nbytes: int, indices) -> _Transfer:
-        """A new foreground sender: its first packet is ready one host
-        overhead from now."""
-        final = self.packets_for(nbytes) - 1
+    def _join(self, nbytes: int, final: int, indices) -> _Transfer:
+        """A new foreground sender of fragments up to index ``final``:
+        its first packet is ready one host overhead from now."""
         xfer = _Transfer(self.env)
         xfer.indices = indices
-        xfer.pos = 0
         xfer.end = final if indices is None else len(indices) - 1
         # Only two distinct fragment sizes exist per message (full
         # payload and the tail), and the tail is one fragment: where it
@@ -406,26 +415,32 @@ class Ethernet:
             xfer.tail_pos = indices.index(final) if final in indices else -1
         xfer.tail_chunk = nbytes - self._payload * final if nbytes else 0
         xfer.lost = []
-        self._aim(xfer)
+        self._aim(xfer, 0)
         self._pend(xfer, _PREP, self.env.now + self._overhead)
         return xfer
 
-    def _aim(self, s: _Transfer) -> None:
-        """Size the fragment ``s`` is up to (its ``chunk`` and ``wire``),
-        and note at which position the size changes next (``resize``):
-        the tail, or the full-size fragment right after it."""
-        if s.pos == s.tail_pos:
+    def _aim(self, s: _Transfer, pos: int) -> None:
+        """``s`` is up to the fragment at sending position ``pos``: size
+        it (``chunk`` and ``wire``), and note the next position whose
+        wire end :meth:`advance` has to look at (``stop``): the tail,
+        the fragment right before it (the size changes after it), or the
+        message's last. Each fragment before the stop is full-size and
+        leaves a full-size one next; ``left`` counts them down, so ``s``
+        is at position ``stop - left``."""
+        tail = s.tail_pos
+        if pos == tail:
             chunk = s.tail_chunk
             wire = self._wire_times.get(chunk)
             if wire is None:
                 wire = self._wire_times[chunk] = self.profile.wire_time(chunk)
             s.chunk = chunk
             s.wire = wire
-            s.resize = s.pos + 1
+            s.stop = pos
         else:
             s.chunk = self._payload
             s.wire = self._wire_full
-            s.resize = s.tail_pos if s.tail_pos > s.pos else -1
+            s.stop = tail - 1 if pos < tail else s.end
+        s.left = s.stop - pos
 
     def advance(self, bound: tuple) -> bool:
         """The kernel's call: perform, in (when, seq) sequence — the
@@ -435,23 +450,25 @@ class Ethernet:
 
         What each step does is the reference's own sequence: counters
         fragment by fragment (``wire_time`` is a float accumulator and
-        does not associate: it is summed in a local, in the same order),
-        loss draws at each fragment's end, the next background gap drawn
-        right after the previous packet's counters, fault state read
-        when the reference would read it (it cannot change in here —
-        whatever changes it is a real event). A step made here reads the
-        same ``c``: nothing real is pushed in between.
+        does not associate: it is summed in a local, in the same order;
+        the ints of full-size foreground packets are added on the way
+        out), loss draws at each fragment's end, the next background gap
+        drawn right after the previous packet's counters, fault state
+        read when the reference would read it (it cannot change in here
+        — whatever changes it is a real event). A step made here reads
+        the same ``c``: nothing real is pushed in between.
 
-        One pass per packet: a step made here that sorts *strictly*
-        before every other pending step and before the bound's instant
-        (``m``) is the one the loop would take next, so it is performed
-        at once, without a ``seq``, an ``_insert`` or a trip through the
-        loop top. A packet leaving the wire grants the heir, and readies
-        its sender's next packet, queued behind the heir or alone on the
-        wire, in the same pass; the next wire time, when again the
-        earliest thing due, is taken directly. On a tie the step is left
-        pending with a fresh ``seq``, newer than every pending step, as
-        the loop would have made it.
+        One loop per busy stretch (DESIGN.md §10, ledger rule 4): once a
+        wire end is the next step due, the inner loop performs hand-off
+        after hand-off, each only while it is *strictly* the next thing
+        due — before every pending step and before the bound's instant;
+        ``m`` is the earliest of those. The steps it makes and performs
+        at once take no ``seq``; the preparations it makes that are not
+        yet due stay in locals (``p`` at ``pw``, the daemon's gap end
+        ``gw``; on a tie ``p`` is the older) and the holder's ``step``
+        reads ``_QUEUED``. Whatever stops it, those are left pending in
+        creation order — the locals, then the holder's step — and the
+        general loop takes over.
 
         The step that completes a message resumes its sender, which
         runs arbitrary code: ledger state, counters and the guard are
@@ -472,174 +489,341 @@ class Ethernet:
         payload_bytes = stats.payload_bytes.value
         background_packets = stats.background_packets.value
         wire_time = stats.wire_time.value
+        full = 0  # full-size foreground packets through the inner loop
         c = env.events_scheduled
-        seq = self._seq
-        # Kept up to date as off changes: a step made now is next iff
-        # it falls strictly before m.
-        m = off[0].when if off and off[0].when < limit else limit
-        s = None  # the holder, when its wire time is known to be next
+        finished = None
         while True:
-            if s is not None:
-                t = s.when
-                step = _WIRE
-            else:
-                s = holder
-                if off:
-                    o = off[0]
-                    if (s is None or o.when < s.when
-                            or (o.when == s.when and o.seq < s.seq)):
-                        s = o
-                elif s is None:
-                    break
-                t = s.when
-                if t >= limit and (
-                        t > limit or (s.c, s.seq) >= (c_limit, seq_limit)):
-                    break
-                step = s.step
-                if step == _GRANT:
-                    # The packet goes on the wire.
-                    s.step = _WIRE
-                    t = s.when = t + s.wire
-                    if t < m:
-                        continue
-                    s.c = c
-                    s.seq = next(seq)
-                    s = None
+            s = holder
+            if off:
+                o = off[0]
+                if (s is None or o.when < s.when
+                        or (o.when == s.when and o.seq < s.seq)):
+                    s = o
+            elif s is None:
+                break
+            t = s.when
+            if t >= limit and (
+                    t > limit or (s.c, s.seq) >= (c_limit, seq_limit)):
+                break
+            step = s.step
+            if s is not holder:
+                del off[0]
+            m = off[0].when if off and off[0].when < limit else limit
+            if step == _PREP:
+                # Packet ready (or background gap over): claim the
+                # medium; granted at once, it goes on the wire.
+                if holder is not None:
+                    s.step = _QUEUED
+                    queue.append(s)
                     continue
-                if step != _WIRE:
-                    del off[0]
-                    m = off[0].when if off and off[0].when < limit else limit
-                if step == _PREP:
-                    # Packet ready (or background gap over): claim the
-                    # medium; granted at once, it goes on the wire.
-                    if holder is not None:
-                        s.step = _QUEUED
-                        queue.append(s)
-                        s = None
-                        continue
-                    holder = s
-                    if t < m:
-                        s.step = _WIRE
-                        t = s.when = t + s.wire
-                        if t < m:
-                            continue
-                    else:
-                        s.step = _GRANT
-                    s.c = c
-                    s.seq = next(seq)
-                    s = None
+                holder = s
+                if t >= m:
+                    self._pend_medium(s, _GRANT, t, c)
                     continue
-            if step != _WIRE:
-                if step == _ABANDONED:
-                    # The reference's timeout of a hop nobody waits for
-                    # any more: it fires, resuming nobody.
-                    s.step = _DONE
-                    env.finish_inline(Event(env), None, t)
-                    s = None
+                step = _GRANT
+            if step == _GRANT:
+                # The packet goes on the wire.
+                t += s.wire
+                if t >= m:
+                    self._pend_medium(s, _WIRE, t, c)
                     continue
-                heir = None
-            elif queue:
-                # Off the wire: the medium goes to the next in line.
-                heir = holder = queue.popleft()
-            else:
-                heir = holder = None
-            if s is daemon:
-                # A background packet is through (or the daemon is
-                # starting): draw the gap to the next one.
-                if step == _WIRE:
-                    background_packets += 1
-                    wire_time += s.wire
-                when = t + self._stream.expovariate(self._background_rate)
-            elif extra and step == _WIRE:
-                # Injected latency spike: charged outside the medium so
-                # other hosts still interleave.
-                if heir is not None:
-                    self._pend_grant(heir, t, c)
-                when = t + extra
-                self._pend_off(s, _LATENCY, when, c)
-                if when < m:
-                    m = when
-                s = None
+            elif step == _START:
+                # The daemon starts: the gap to its first packet.
+                self._pend_off(s, _PREP, t + self._stream.expovariate(
+                    self._background_rate), c)
                 continue
-            else:
-                # The fragment is through: traffic counters, then its
-                # loss decision.
+            elif step == _LATENCY:
+                # An injected latency spike is over: the fragment is
+                # through, then its next packet is prepared.
                 packets += 1
                 payload_bytes += s.chunk
                 wire_time += s.wire
-                if lossy and self._fragment_lost():
-                    stats.lost_packets.value += 1
-                    s.lost.append(
-                        s.pos if s.indices is None else s.indices[s.pos])
-                if s.pos == s.end:
+                left = s.left
+                pos = s.stop - left
+                if lossy:
+                    self._draw_loss(s, pos)
+                if pos == s.end:
                     s.step = _DONE
-                    if heir is not None:
-                        self._pend_grant(heir, t, c)
-                    self._holder = holder
-                    stats.packets.value = packets
-                    stats.payload_bytes.value = payload_bytes
-                    stats.background_packets.value = background_packets
-                    stats.wire_time.value = wire_time
-                    self._reguard()
-                    env.finish_inline(s, s.lost, t)
-                    return True
-                s.pos += 1
-                if s.pos == s.resize:
-                    self._aim(s)
-                when = t + overhead
-            # s's next packet is ready at ``when``. What is made here and
-            # is next anyway is performed at once, in creation order: the
-            # heir's grant at t, then that preparation.
-            if heir is not None:
-                if t < m:
-                    heir.step = _WIRE
-                    wire_end = heir.when = t + heir.wire
-                    if when <= wire_end and when < m:
-                        # Ready before the heir is through (on a tie the
-                        # preparation is the older step): s queues.
-                        s.step = _QUEUED
-                        queue.append(s)
-                        if wire_end < m:
-                            s = heir
-                            continue
+                    finished = s
+                    break
+                if left:
+                    s.left = left - 1
+                else:
+                    self._aim(s, pos + 1)
+                self._pend_off(s, _PREP, t + overhead, c)
+                continue
+            elif step == _ABANDONED:
+                # The reference's timeout of a hop nobody waits for any
+                # more: it fires, resuming nobody.
+                s.step = _DONE
+                env.finish_inline(Event(env), None, t)
+                continue
+            # The busy stretch: h leaves the wire at t, the next step.
+            h = s
+            h.step = _QUEUED
+            p = None  # a foreground preparation made here, ready at pw
+            pw = gw = _INF  # gw: the daemon's gap end, drawn here
+            m0 = m  # the earliest of the off-medium list and the bound
+            plain = not (lossy or extra)
+            wire_full = self._wire_full
+            while True:
+                left = h.left
+                if left and plain:
+                    full += 1
+                    wire_time += wire_full
+                    h.left = left - 1
+                    lw = t + overhead
+                elif h is daemon:
+                    # A background packet is through: draw the gap to
+                    # the next one.
+                    background_packets += 1
+                    wire_time += h.wire
+                    gw = t + self._stream.expovariate(self._background_rate)
+                    t2 = gw + h.wire
+                    if t2 < m and p is None and not queue:
+                        # Alone on the medium: the gap, the grant and the
+                        # next packet's wire end are each the next step.
+                        gw = _INF
+                        t = t2
+                        continue
+                    if gw < m:
+                        m = gw
+                    lw = _INF
+                elif extra:
+                    # Injected latency spike: charged outside the medium
+                    # so other hosts still interleave. The medium goes
+                    # to the next in line now.
+                    h.step = _LATENCY  # left pending on the way out
+                    holder = queue.popleft() if queue else None
+                    step = _GRANT
+                    break
+                else:
+                    # A stop, or a lossy segment: the fragment is
+                    # through, then its loss decision.
+                    packets += 1
+                    payload_bytes += h.chunk
+                    wire_time += h.wire
+                    pos = h.stop - left
+                    if lossy:
+                        self._draw_loss(h, pos)
+                    if pos == h.end:
+                        h.step = _DONE
+                        finished = h
+                        holder = queue.popleft() if queue else None
+                        step = _GRANT
+                        break
+                    if left:
+                        h.left = left - 1
                     else:
-                        self._pend_off(s, _PREP, when, c)
-                        if when < m:
-                            m = when
-                        if wire_end < m:
-                            s = heir
-                            continue
-                    heir.c = c
-                    heir.seq = next(seq)
-                    s = None
+                        self._aim(h, pos + 1)
+                    lw = t + overhead
+                if queue:
+                    # The medium goes to the next in line, at once: its
+                    # grant is the next step.
+                    heir = queue.popleft()
+                    t2 = t + heir.wire
+                    if lw <= t2 and t2 < m:
+                        # The leaver's next packet is ready before the
+                        # heir is through (on a tie it is the older
+                        # step): it queues, and the heir's wire end is
+                        # the next step.
+                        queue.append(h)
+                        h = heir
+                        t = t2
+                        continue
+                    if t >= m:
+                        # Only the first pass gets here: the general loop
+                        # picked its wire end on m, at the bound's
+                        # instant or older than a step of that instant.
+                        # The heir's grant, made now, is newer: it is
+                        # left pending, then the leaver's next step.
+                        holder = heir
+                        self._pend_medium(heir, _GRANT, t, c)
+                        if h is daemon:
+                            self._pend_off(h, _PREP, gw, c)
+                            gw = _INF
+                        else:
+                            self._pend_off(h, _PREP, lw, c)
+                        break
+                    if heir is daemon and t2 < m and queue and p is None:
+                        # A background packet, through before the
+                        # leaver's next one is ready: its end is the
+                        # next step. Count it, draw the gap to the next
+                        # one and hand the medium on at once.
+                        background_packets += 1
+                        wire_time += heir.wire
+                        gw = t2 + self._stream.expovariate(
+                            self._background_rate)
+                        heir = queue.popleft()
+                        t2 += heir.wire
+                        # The leaver's preparation is older than both
+                        # the gap end and the new heir's wire end.
+                        if lw <= t2 and lw < m and lw <= gw:
+                            queue.append(h)
+                        else:
+                            p = h
+                            pw = lw
+                            if lw < m:
+                                m = lw
+                        if gw < m:
+                            m = gw
+                    elif gw <= t2 and lw <= t2 and t2 < m0 and p is None:
+                        # The background gap ends while the heir is on
+                        # the wire: the daemon and the leaver queue in
+                        # (when, seq) order, the gap end first on a tie
+                        # (the older step).
+                        daemon.step = _QUEUED
+                        if lw < gw:
+                            queue.append(h)
+                            queue.append(daemon)
+                        else:
+                            queue.append(daemon)
+                            queue.append(h)
+                        gw = _INF
+                        m = m0
+                        h = heir
+                        t = t2
+                        continue
+                    elif lw < m and lw <= t2:
+                        queue.append(h)
+                    elif h is not daemon:
+                        # Not ready before the heir is through: pending.
+                        # One foreground preparation is kept in a local,
+                        # and when p and gw tie p is the older: a gw
+                        # older than this one is left pending first.
+                        if p is not None:
+                            self._pend_off(p, _PREP, pw, c)
+                        if lw == gw:
+                            self._pend_off(daemon, _PREP, gw, c)
+                            gw = _INF
+                        m0 = (off[0].when if off and off[0].when < limit
+                              else limit)
+                        p = h
+                        pw = lw
+                        if lw < m:
+                            m = lw
+                    h = heir
+                    t = t2
+                else:
+                    # The medium is free at t: the earliest preparation
+                    # claims it.
+                    t2 = lw + h.wire
+                    if t2 < m and p is None:
+                        # Alone on the medium: the leaver's preparation,
+                        # its grant and its wire end are each the next
+                        # step.
+                        t = t2
+                        continue
+                    if h is not daemon:
+                        if p is not None:
+                            self._pend_off(p, _PREP, pw, c)
+                        if lw == gw:
+                            self._pend_off(daemon, _PREP, gw, c)
+                            gw = _INF
+                        m0 = (off[0].when if off and off[0].when < limit
+                              else limit)
+                        p = h
+                        pw = lw
+                    e = pw if pw <= gw else gw
+                    if e < m0:
+                        if e == pw:
+                            s = p
+                            p = None
+                            pw = _INF
+                        else:
+                            s = daemon
+                            gw = _INF
+                    elif m0 < limit and off[0].step == _PREP:
+                        s = off.pop(0)
+                        e = m0
+                        m0 = (off[0].when if off and off[0].when < limit
+                              else limit)
+                    else:
+                        holder = None
+                        break
+                    s.step = _QUEUED
+                    m = min(m0, pw, gw)
+                    if e >= m:
+                        # Its grant ties with an older step.
+                        holder = s
+                        t = e
+                        step = _GRANT
+                        break
+                    h = s
+                    t = e + s.wire
+                if t < m:
                     continue
-                self._pend_grant(heir, t, c)
-            elif when < m and (holder is None or when < holder.when):
-                if holder is None:
-                    # Alone on the medium: granted at once, on the wire.
-                    holder = s
-                    s.step = _WIRE
-                    t = s.when = when + s.wire
+                if gw <= t and gw < pw and gw < m0:
+                    # The background gap is over while h is on the wire.
+                    daemon.step = _QUEUED
+                    queue.append(daemon)
+                    gw = _INF
+                    m = m0 if m0 < pw else pw
                     if t < m:
                         continue
-                    s.c = c
-                    s.seq = next(seq)
-                else:
-                    s.step = _QUEUED
-                    queue.append(s)
-                s = None
-                continue
-            self._pend_off(s, _PREP, when, c)
-            if when < m:
-                m = when
-            s = None
+                # Preparations due while h is on the wire (older than its
+                # wire end) join the queue, in (when, seq) order.
+                while True:
+                    e = pw if pw <= gw else gw
+                    if e < m0:
+                        if e > t:
+                            break
+                        if e == pw:
+                            queue.append(p)
+                            p = None
+                            pw = _INF
+                        else:
+                            daemon.step = _QUEUED
+                            queue.append(daemon)
+                            gw = _INF
+                    elif m0 <= t and m0 < limit and off[0].step == _PREP:
+                        s = off.pop(0)
+                        s.step = _QUEUED
+                        queue.append(s)
+                        m0 = (off[0].when if off and off[0].when < limit
+                              else limit)
+                    else:
+                        break
+                m = min(m0, pw, gw)
+                if t < m:
+                    continue
+                holder = h
+                step = _WIRE
+                break
+            # Leaving the busy stretch: the preparations kept in locals
+            # are left pending first (they are older than the holder's
+            # step, and on a tie p is the older), then the holder's step,
+            # unless already left pending: its grant or wire end, at t.
+            if p is not None:
+                self._pend_off(p, _PREP, pw, c)
+            if gw < _INF:
+                self._pend_off(daemon, _PREP, gw, c)
+            if holder is not None and holder.step == _QUEUED:
+                self._pend_medium(holder, step, t, c)
+            if finished is not None:
+                break
+            if extra and h.step == _LATENCY:
+                self._pend_off(h, _LATENCY, t + extra, c)
+        if full:
+            packets += full
+            payload_bytes += full * self._payload
         self._holder = holder
         stats.packets.value = packets
         stats.payload_bytes.value = payload_bytes
         stats.background_packets.value = background_packets
         stats.wire_time.value = wire_time
         self._reguard()
-        return False
+        if finished is None:
+            return False
+        env.finish_inline(finished, finished.lost, t)
+        return True
+
+    def _draw_loss(self, s: _Transfer, pos: int) -> None:
+        """``s``'s fragment at sending position ``pos`` is through: its
+        loss decision."""
+        if self._fragment_lost():
+            self.stats.lost_packets.value += 1
+            s.lost.append(pos if s.indices is None else s.indices[pos])
 
     def _pend_off(self, s: _Transfer, step: int, when: float, c: int) -> None:
         """``s``'s next step is off the medium: ``step`` finishes at
@@ -650,12 +834,14 @@ class Ethernet:
         s.seq = next(self._seq)
         _insert(self._off, s)
 
-    def _pend_grant(self, heir: _Transfer, t: float, c: int) -> None:
-        """The medium is ``heir``'s from ``t``: its grant is pending."""
-        heir.step = _GRANT
-        heir.when = t
-        heir.c = c
-        heir.seq = next(self._seq)
+    def _pend_medium(self, s: _Transfer, step: int, when: float,
+                     c: int) -> None:
+        """The medium is ``s``'s: its grant or wire end, ``step``,
+        finishes at ``when``, ordered by ``c`` and a fresh ``seq``."""
+        s.step = step
+        s.when = when
+        s.c = c
+        s.seq = next(self._seq)
 
     def _abort(self, xfer: _Transfer) -> None:
         """An interrupted sender leaves, exactly as the reference path's
@@ -675,7 +861,8 @@ class Ethernet:
         elif xfer is self._holder:
             if self._queue:
                 heir = self._holder = self._queue.popleft()
-                self._pend_grant(heir, env.now, env.events_scheduled)
+                self._pend_medium(heir, _GRANT, env.now,
+                                  env.events_scheduled)
             else:
                 self._holder = None
             if step == _WIRE:

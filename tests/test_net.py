@@ -15,7 +15,7 @@ from repro.errors import (
 )
 from repro.net import (Ethernet, RpcReply, RpcRequest, RpcService,
                        RpcTransport)
-from repro.profiles import CpuProfile, EthernetProfile
+from repro.profiles import DEFAULT_TESTBED, CpuProfile, EthernetProfile
 from repro.sim import Environment, Interrupt, SeededStream, run_process
 from repro.units import KB, MB
 
@@ -145,6 +145,22 @@ def test_stats_count_packets():
     run_process(env, proc())
     assert eth.stats.packets.value == 3
     assert eth.stats.payload_bytes.value == 3 * PROFILE.max_payload
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [5], [-1]])
+@pytest.mark.parametrize("kernel", ["fast", "reference"])
+def test_a_repeated_or_out_of_range_fragment_index_is_refused(
+        kernel, indices):
+    # A 100-byte message is one fragment, index 0. Sent twice, the
+    # ledger used to send the second copy full-size (1 554 payload bytes
+    # where the reference counted 200); an index past the last fragment
+    # or below zero went out on both media as a full 1 454-byte fragment.
+    # Like a negative size, each is refused before anything joins.
+    env = Environment() if kernel == "fast" else reference_env()
+    eth, _ = make_net(env)
+    with pytest.raises(ValueError, match="fragment indices"):
+        run_process(env, eth.send_fragments(100, indices))
+    assert (env.now, eth.stats.packets.value, eth.idle) == (0.0, 0, True)
 
 
 # ------------------------------------------------------------------ rpc
@@ -406,7 +422,10 @@ _DELAYS = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.625, 1.0))
 _INSTANTS = st.sampled_from(tuple(i * 0.125 for i in range(81)))
 
 _SEND = st.tuples(
-    st.just("send"), st.integers(0, 20),
+    st.just("send"),
+    # Up to 6 fragments, or 10 and 16: three to five of those senders
+    # rotate through dozens of hand-offs while the daemon cuts in.
+    st.one_of(st.integers(0, 20), st.sampled_from((40, 64))),
     st.one_of(st.none(),
               st.lists(st.integers(0, 5), max_size=3, unique=True)))
 _SENDER = st.tuples(
@@ -1162,6 +1181,300 @@ def test_a_lone_megabyte_draws_a_handful_of_ledger_steps():
     draws, now = send(Environment())
     assert draws <= 3
     assert now == send(reference_env())[1] == 1.2697503999999917
+
+
+def test_a_busy_medium_draws_a_handful_of_ledger_steps():
+    # Four 512 KB senders from t=0 beside the daemon: 1 444 fragments
+    # handed from sender to sender, 174 background packets cutting in.
+    # When a background packet broke the fold for a few passes, this
+    # drew 739 steps (4.2 per background packet); the busy stretch takes
+    # hand-offs, background packets and gap ends in one loop and draws a
+    # step only for what is still pending when it stops.
+    def send(env):
+        eth = Ethernet(env, DEFAULT_TESTBED.ethernet,
+                       stream=SeededStream(1989, "ether"),
+                       background_load=True)
+        counter = env.add_source(_IdleSource())
+        before = next(counter)
+        log = []
+
+        def sender(i):
+            lost = yield from eth.send_fragments(512 * KB)
+            log.append((env.now, i, lost, _snapshot(eth)))
+
+        for proc in [env.process(sender(i)) for i in range(4)]:
+            env.run(until=proc)
+        return log, next(counter) - before - 1
+
+    log, draws = send(Environment())
+    assert log == send(reference_env())[0]
+    now, _i, _lost, (packets, *_rest) = log[-1]
+    background = log[-1][3][3]
+    assert (now, packets, background) == (1.8213440000000438, 1444, 174)
+    assert draws <= 1.5 * background
+
+
+# The busy stretch by its tie points. On _tie_profile(0.5) with the
+# daemon on, a full fragment is 0.625 s on the wire, a background packet
+# 0.25 s, shorter than a preparation; the gaps come from the test. Two
+# 16-byte senders A and B join at 0: A is on the wire 0.5-1.125, B
+# 1.125-1.75 while A's next packet is ready at 1.625, and so on. A rival
+# reads the medium at an instant from a timeout pushed at another.
+
+
+def _background_scene(env, gaps, senders=((0.0, 16), (0.0, 16)),
+                      rivals=(), overhead=0.5):
+    eth = Ethernet(env, _tie_profile(overhead, background=0.25),
+                   stream=_ScriptedStream(gaps), background_load=True)
+    log = []
+
+    def sender(i, start, size):
+        if start:
+            yield env.timeout(start)
+        yield from eth.send_fragments(size)
+        log.append((env.now, i, _snapshot(eth)))
+
+    def rival(at, pushed_at):
+        if pushed_at:
+            yield env.timeout(pushed_at)
+        yield env.timeout(at - pushed_at)
+        log.append((env.now, "rival", _snapshot(eth)))
+
+    for i, (start, size) in enumerate(senders):
+        env.process(sender(i, start, size))
+    for at, pushed_at in rivals:
+        env.process(rival(at, pushed_at))
+    env.run(until=50.0)
+    return log
+
+
+def _same_scene(*args, **kwargs):
+    log = _background_scene(Environment(), *args, **kwargs)
+    assert log == _background_scene(reference_env(), *args, **kwargs)
+    return log
+
+
+@pytest.mark.parametrize("gaps, at, pushed_at, queued", [
+    # The first gap ends at 1.625, just as A's next packet is ready: the
+    # gap end is the older step (drawn at 0), so the daemon queues ahead
+    # of A and is on the wire 1.75-2.0. A rival pushed before A's
+    # preparation was made (at 1.125) sees the daemon queued and A not
+    # yet; one pushed after it sees both.
+    ([1.625, 100.0], 1.625, 0.0, 1),
+    ([1.625, 100.0], 1.625, 1.0, 1),
+    ([1.625, 100.0], 1.625, 1.25, 2),
+    # The first gap ends at 1.25, so the daemon is on the wire 1.75-2.0
+    # and draws the next gap there, inside the busy stretch: it ends at
+    # 3.125, just as A's next packet is ready (A is on the wire
+    # 2.0-2.625). The gap end, drawn at 2.0, is again the older step.
+    ([1.25, 1.125, 100.0], 3.125, 0.0, 0),
+    ([1.25, 1.125, 100.0], 3.125, 2.25, 1),
+    ([1.25, 1.125, 100.0], 3.125, 3.0, 2),
+    # With no real event at 3.125 the stretch queues both in the pass
+    # that hands the medium to B; the rival sees the daemon's packet
+    # through (3.25-3.5) and A on the wire after it.
+    ([1.25, 1.125, 100.0], 3.625, 0.0, 0),
+])
+def test_a_gap_end_at_the_leavers_preparation_queues_first(
+        gaps, at, pushed_at, queued):
+    log = _same_scene(gaps, rivals=[(at, pushed_at)])
+    snapshot = log[0][2]
+    assert snapshot[5] == queued
+    if at == 3.625:
+        assert snapshot[3] == 2
+    finished = [entry[:2] for entry in log[1:]]
+    assert finished == ([(5.125, 0), (5.75, 1)] if at == 1.625
+                        else [(5.375, 0), (6.0, 1)])
+
+
+@pytest.mark.parametrize("pushed_at, seen", [
+    # (packets through, queue length): a rival pushed before B's wire
+    # end was made (at 1.125) sees A and the daemon queued; one pushed
+    # after it sees B through and the daemon alone behind A.
+    (0.0, (1, 2)), (1.0, (1, 2)), (1.5, (2, 1))])
+def test_a_gap_end_at_the_heirs_wire_end_queues_before_it_leaves(
+        pushed_at, seen):
+    # The gap ends at 1.75, the instant B leaves the wire: the gap end
+    # is older than B's wire end, so the daemon is queued (behind A)
+    # when B hands the medium on.
+    log = _same_scene([1.75, 100.0], rivals=[(1.75, pushed_at)])
+    snapshot = log[0][2]
+    assert (snapshot[0], snapshot[5]) == seen
+    assert [entry[:2] for entry in log[1:]] == [(5.125, 0), (5.75, 1)]
+
+
+@pytest.mark.parametrize("second_gap, at, pushed_at, seen", [
+    # (packets through, queue length). The first gap ends at 1.25, the
+    # second is drawn at 2.0, inside the busy stretch; B is on the wire
+    # 2.625-3.25 and A's next packet is ready at 3.125. A rival whose
+    # timeout was pushed before the step of its instant was made goes
+    # first; one pushed after it sees the step done.
+    # The gap end and A's preparation queue while B is on the wire, and
+    # B's wire end is on the rival's instant.
+    (1.125, 3.25, 0.0, (3, 2)), (1.125, 3.25, 3.0, (4, 1)),
+    # The gap end is on the rival's instant.
+    (1.0, 3.0, 0.0, (3, 0)), (1.0, 3.0, 2.5, (3, 1)),
+    # The gap end queues the daemon behind A, and then B's wire end is
+    # on the rival's instant.
+    (1.1875, 3.25, 0.0, (3, 2)), (1.1875, 3.25, 3.0, (4, 1)),
+])
+def test_the_busy_stretch_yields_to_a_real_event_of_the_same_instant(
+        second_gap, at, pushed_at, seen):
+    log = _same_scene([1.25, second_gap, 100.0], rivals=[(at, pushed_at)])
+    snapshot = log[0][2]
+    assert (snapshot[0], snapshot[5]) == seen
+
+
+@pytest.mark.parametrize("at, pushed_at, queued", [
+    (1.625, 0.0, 0), (1.625, 1.5, 1),
+    # No real event at 1.625: the busy stretch itself picks A.
+    (2.0, 0.0, 1)])
+def test_a_preparation_at_a_gap_end_drawn_after_it_claims_the_medium(
+        at, pushed_at, queued):
+    # A alone beside the daemon, whose first gap ends at 1.0, while A is
+    # on the wire: the daemon goes on at 1.125, and A's next packet is
+    # ready at 1.625. The daemon is through at 1.375 and draws a gap
+    # that ends at 1.625 too: A's preparation is the older step, so A
+    # takes the idle medium and the daemon queues behind it.
+    log = _same_scene([1.0, 0.25, 100.0], senders=((0.0, 16),),
+                      rivals=[(at, pushed_at)])
+    snapshot = log[0][2]
+    assert (snapshot[3], snapshot[5]) == (1, queued)
+    assert log[1][:2] == (4.5, 0)
+
+
+def test_a_gap_end_drawn_before_a_preparation_on_the_bound_goes_first():
+    # The second scene above, with a rival at 3.125 pushed at 0: the
+    # busy stretch stops at that instant with the gap end and A's
+    # preparation both pending, and leaves them pending in the order
+    # they were made. A second rival at 3.625 sees the daemon's packet
+    # through (3.25-3.5) and A on the wire after it.
+    log = _same_scene([1.25, 1.125, 100.0],
+                      rivals=[(3.125, 0.0), (3.625, 0.0)])
+    assert [entry[2][3] for entry in log[:2]] == [1, 2]
+
+
+def test_a_gap_end_drawn_before_a_lone_senders_preparation_goes_first():
+    # A alone beside the daemon: the first gap ends at 1.0, and the
+    # daemon goes on after A's first packet (1.125-1.375); the second
+    # gap, drawn at 1.375, ends at 2.75, just as A (through again at
+    # 2.25) is ready. A rival at 2.75, pushed at 0, stops the ledger
+    # right there. The gap end is the older step: the daemon takes the
+    # idle medium, A queues behind it and finishes at 4.75.
+    log = _same_scene([1.0, 1.375, 100.0], senders=((0.0, 16),),
+                      rivals=[(2.75, 0.0), (3.0, 0.0)])
+    assert [entry[2][5] for entry in log[:2]] == [0, 1]
+    assert log[2][:2] == (4.75, 0)
+
+
+@pytest.mark.parametrize("pushed_at, seen", [(0.0, 1), (1.875, 2)])
+def test_a_lone_daemon_yields_to_a_real_event_at_its_wire_end(
+        pushed_at, seen):
+    # Nobody else on the medium: background packets 1.0-1.25, 1.75-2.0
+    # and 2.5-2.75. A rival at 2.0 pushed before the second packet's
+    # wire end was made (at 1.75) sees one background packet through;
+    # one pushed after it sees two.
+    log = _same_scene([1.0, 0.5, 0.5, 100.0], senders=(),
+                      rivals=[(2.0, pushed_at)])
+    assert log[0][2][3] == seen
+
+
+@pytest.mark.parametrize("pushed_at, seen", [
+    # (background packets through, queue length)
+    (0.0, (0, 2)), (2.0, (0, 2)), (2.25, (1, 2))])
+def test_a_background_heirs_wire_end_at_the_leavers_preparation(
+        pushed_at, seen):
+    # A preparation as long as a background packet, three senders: the
+    # gap ends at 1.0 and the daemon queues behind C; C leaves at 2.125,
+    # and the daemon, on the wire, is through at 2.375 just as C's next
+    # packet is ready. The preparation is the older step: C queues
+    # before the daemon hands the medium to A.
+    log = _same_scene([1.0, 100.0], rivals=[(2.375, pushed_at)],
+                      senders=((0.0, 16), (0.0, 16), (0.0, 16)),
+                      overhead=0.25)
+    snapshot = log[0][2]
+    assert (snapshot[3], snapshot[5]) == seen
+    assert [entry[:2] for entry in log[1:]] == [
+        (6.75, 0), (7.375, 1), (8.0, 2)]
+
+
+def test_a_grant_on_the_bound_is_left_pending():
+    # Found by the drift guard at the explore budget. A's packet is
+    # ready at 0.125, the instant B's first wait ends. A's preparation
+    # is the older and is performed first: A finds the medium idle, but
+    # its grant, made then, is newer than B's wait. So B goes first and
+    # makes its next timeout (0.625) before the grant makes A's wire
+    # end of that same instant: at 0.625 B resumes before A.
+    scenario = _scenario(overhead=0.125, senders=[
+        (False, [("send", 3, None)]),
+        (False, [("wait", 0.125), ("wait", 0.5)])])
+    _assert_no_drift(scenario)
+    log = _drive_medium(scenario, Environment())
+    assert [entry[1:4] for entry in log if entry[0] == 0.625] == [
+        (1, 1, "waited"), (1, "done"), (0, 0, "sent"), (0, "done")]
+
+
+def test_steps_left_pending_on_a_tie_keep_their_creation_order():
+    # Found by the drift guard at the explore budget. A preparation as
+    # long as a full fragment: every hand-off ties with the leaver's
+    # next packet, and the tails are shorter. The observer at 9.125
+    # stops the busy stretch while a preparation kept in a local and
+    # the holder's step are both pending: left pending in the order
+    # they were made, the preparation first, they play out as the
+    # reference's.
+    _assert_no_drift(_scenario(
+        overhead=0.625, observers=[9.125],
+        senders=[(False, [("send", 40, None)]),
+                 (False, [("send", 40, None)]),
+                 (False, [("send", 9, None), ("send", 8, None)])]))
+
+
+def test_a_wire_end_on_the_bound_leaves_the_heirs_grant_pending():
+    # Found by the drift guard at the explore budget. Sender 1's first
+    # fragment leaves the wire at 0.75 and the daemon, queued ahead of
+    # sender 2's empty message, is on until 1.0, when sender 0's wait
+    # ends and its completion is scheduled. The daemon's wire end,
+    # made at 0.75, goes before that completion; the grant it hands to
+    # sender 2 is made after it, so sender 3, joining on the completion,
+    # prepares first: ready at 1.125, it queues before sender 2's wire
+    # end of that instant, and sender 2, finishing, sees it queued.
+    scenario = _scenario(overhead=0.125, background=0.5, senders=[
+        (False, [("wait", 1.0)]),
+        (False, [("send", 40, None)]),
+        (False, [("wait", 0.125), ("send", 0, None)]),
+        (False, [("join", 0), ("send", 0, None)])])
+    _assert_no_drift(scenario)
+    sent = [entry for entry in _drive_medium(scenario, Environment())
+            if len(entry) == 6 and entry[3] == "sent"]
+    assert sent[0][:2] == (1.125, 2) and sent[0][5][5] == 1
+
+
+@pytest.mark.parametrize("deadline, seen", [
+    # (packets, background packets, queue length) at the stop
+    (1.75, (2, 0, 1)), (2.0, (2, 1, 0)), (2.375, (2, 1, 1))])
+def test_the_busy_stretch_stops_at_a_wire_end_on_the_bound(deadline, seen):
+    # The gap ends at 1.25, while B is on the wire: the daemon queues
+    # ahead of A. run(until=t) at B's wire end (1.75), at the daemon's
+    # (2.0) and inside A's next wire time, B queued (2.375): each step
+    # at the stop is performed, as the bound includes its instant, and
+    # nothing after it is.
+    def stops(env):
+        log = []
+        eth = Ethernet(env, _tie_profile(0.5, background=0.25),
+                       stream=_ScriptedStream([1.25, 100.0]),
+                       background_load=True)
+        for _ in range(2):
+            env.process(eth.send_fragments(16))
+        env.run(until=deadline)
+        log.append((env.now, _snapshot(eth)))
+        env.run(until=50.0)
+        log.append((env.now, _snapshot(eth)))
+        return log
+
+    log = stops(Environment())
+    assert log == stops(reference_env())
+    (_now, stopped), (_end, (packets, *_rest)) = log
+    assert (stopped[0], stopped[3], stopped[5]) == seen and packets == 8
 
 
 # A charge is a process's own timeout. The kernel runs the process
