@@ -48,14 +48,14 @@ from ..errors import (
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import Testbed
-from ..sim import Environment, SeededStream, Tracer
+from ..sim import Environment, Interrupt, Tracer
 from .cache import BulletCache
 from .freelist import ExtentFreeList
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
 from .lockset import GuardedMap
-from .recovery import ScanReport, scan_volume
+from .recovery import scan_volume
 
 __all__ = ["BulletServer", "ServerStats", "VerifiedCapCache", "OPCODES"]
 
@@ -142,10 +142,6 @@ class VerifiedCapCache:
         for key in sorted(self._by_object.pop(number, ())):
             del self._order[key]
 
-    def clear(self) -> None:
-        self._order.clear()
-        self._by_object.clear()
-
 
 class BulletServer(RpcService):
     """One Bullet file server instance over a mirrored disk set."""
@@ -169,9 +165,8 @@ class BulletServer(RpcService):
         self.mirror = mirror
         self.testbed = testbed
         self.stats = ServerStats(self.metrics, server=name)
-        self._secrets = SeededStream(master_seed, f"{name}:secrets")
+        self.master_seed = master_seed
         self._alloc_strategy = alloc_strategy
-        self._verified_caps = VerifiedCapCache(testbed.bullet.cap_cache_entries)
         self._inflight_count = 0
         self._inflight = self.metrics.gauge(
             "repro_server_inflight", server=name)
@@ -184,11 +179,11 @@ class BulletServer(RpcService):
         self.layout: VolumeLayout
         self.disk_free: ExtentFreeList
         self.cache: BulletCache
+        self._verified_caps: VerifiedCapCache
         self.locks: FileLockTable
         # Aging clocks, written by concurrent CREATE/TOUCH/AGE/DELETE
         # handlers, each under the inode's write lock.
         self._lives: GuardedMap[int]
-        self.scan_report: ScanReport
 
     # ------------------------------------------------------------- setup
 
@@ -204,24 +199,22 @@ class BulletServer(RpcService):
         "When the file server starts up, it reads the complete inode
         table into the RAM inode table and keeps it there permanently."
         """
-        primary = self.mirror.primary
-        layout = VolumeLayout.for_disk(primary, self.testbed.bullet.inode_count)
+        primary, profile = self.mirror.primary, self.testbed.bullet
+        layout = VolumeLayout.for_disk(primary, profile.inode_count)
         raw = yield primary.read(0, layout.inode_table_blocks)
         self.table = InodeTable.decode(raw, primary.block_size)
         self.layout = layout
-        self.disk_free, self.scan_report = scan_volume(
+        self.disk_free, report = scan_volume(
             self.table, layout, strategy=self._alloc_strategy
         )
-        cache_bytes = (
-            self.testbed.bullet.ram_bytes - self.testbed.bullet.reserved_ram_bytes
-        )
         self.cache = BulletCache(
-            cache_bytes,
-            rnode_count=self.testbed.bullet.rnode_count,
+            profile.ram_bytes - profile.reserved_ram_bytes,
+            rnode_count=profile.rnode_count,
             on_evict=self._on_evict,
             metrics=self.metrics,
             owner=self.name,
         )
+        self._verified_caps = VerifiedCapCache(profile.cap_cache_entries)
         self.disk_free.attach_gauges(
             fragmentation=self.metrics.gauge(
                 "repro_freelist_fragmentation", area=f"{self.name}:disk"),
@@ -233,25 +226,18 @@ class BulletServer(RpcService):
         # Every surviving file starts its aging clock afresh; orphans
         # left by pre-crash clients die after max_lives sweeps.
         self._lives = GuardedMap(f"{self.name}._lives", self.env, {
-            number: self.testbed.bullet.max_lives
+            number: profile.max_lives
             for number, _inode in self.table.live_inodes()
         })
         # The lock plane is volatile per-boot state, like the cache: a
-        # crash drops every hold (RAM is gone) and a reboot starts clean.
+        # reboot starts with no hold.
         self.locks = FileLockTable(self.env, metrics=self.metrics,
                                    owner=self.name)
         self.metrics.gauge("repro_server_workers",
                            server=self.name).set(self.workers)
         self._start_serving()
-        self._trace("bullet", f"{self.name} booted", files=self.scan_report.live_files)
-        return self.scan_report
-
-    def crash(self) -> None:
-        """Stop serving and lose all volatile state (RAM cache, verified-
-        capability cache); a half-performed CREATE leaves whatever it
-        had already written durably on disk."""
-        super().crash()
-        self._verified_caps.clear()
+        self._trace("bullet", f"{self.name} booted", files=report.live_files)
+        return report
 
     # --------------------------------------------------------- local API
 
@@ -271,7 +257,7 @@ class BulletServer(RpcService):
             )
         blocks = self.layout.blocks_for(size)
         start_block = self.disk_free.allocate(blocks) if blocks else 0
-        secret = self._secrets.randint(1, (1 << 48) - 1)
+        secret = self._mint_secret()
         try:
             number = self.table.allocate(secret, start_block, size)
         except ReproError:
@@ -308,7 +294,7 @@ class BulletServer(RpcService):
             # Fork the settle watcher: it owns the write grant from here
             # and accounts any background replica failure (satellite fix:
             # p=0 used to drop those on the floor).
-            settle = self.env.process(
+            settle = self._spawn(
                 self._settle_create(number, lock.grant, writes))
             lock.detach(settle)
             if p_factor > 0:
@@ -324,7 +310,8 @@ class BulletServer(RpcService):
         """Process: watch a CREATE's replica writes to completion, then
         drop the file's write lock. Failures beyond the quorum (all of
         them, at p_factor=0) are counted, traced, and surfaced in
-        :meth:`status` instead of being silently defused."""
+        :meth:`status` instead of being silently defused. A crash stops
+        the replica writes: each disk finishes what it holds, no more."""
         with self.locks.adopt(grant):
             for write in writes:
                 try:
@@ -337,6 +324,11 @@ class BulletServer(RpcService):
                     self._bg_write_failures.inc()
                     self._trace("bullet", "background replica write failed",
                                 inode=number, status=exc.status.name)
+                except Interrupt:
+                    for replica in writes:
+                        if replica.is_alive:
+                            replica.interrupt("server crash")
+                    return
 
     def read(self, cap: Capability):
         """Process: BULLET.READ — returns the whole file contents."""

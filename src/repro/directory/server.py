@@ -42,7 +42,7 @@ from ..errors import (
 )
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
-from ..sim import Environment, SeededStream, Tracer
+from ..sim import Environment, Tracer
 from .records import DirectoryRows, SlotRecord, unpack_cap_set, unpack_changes
 
 __all__ = ["DirectoryServer", "DIR_OPCODES"]
@@ -89,13 +89,8 @@ class DirectoryServer(RpcService):
         self.disk = disk
         self.bullet = bullet_stub
         self.testbed = testbed
-        self._secrets = SeededStream(master_seed, f"{name}:secrets")
-        self._slots: list[SlotRecord] = []
-        self._rows_cache: dict[int, DirectoryRows] = {}
-        self._free_slots: list[int] = []
-        # One write lock per directory, held by every mutation
-        # (see _update).
-        self.locks = FileLockTable(env, owner=name)
+        self.master_seed = master_seed
+        # boot() builds _slots, _free_slots, _rows_cache and locks.
 
     # -------------------------------------------------------------- setup
 
@@ -114,24 +109,19 @@ class DirectoryServer(RpcService):
         header = raw[:8]
         if int.from_bytes(header[:4], "big") != _HEADER_MAGIC:
             raise BadRequestError(f"{self.name}: disk is not a directory volume")
-        self._slots = []
-        self._free_slots = []
-        for slot in range(MAX_DIRECTORIES):
-            record = SlotRecord.decode(raw[(1 + slot) * bs:(1 + slot) * bs + 32])
-            self._slots.append(record)
-            if not record.in_use:
-                self._free_slots.append(slot)
-        self._free_slots.reverse()  # allocate low slots first
-        self._rows_cache.clear()
+        self._slots = [SlotRecord.decode(raw[slot * bs:slot * bs + 32])
+                       for slot in range(1, 1 + MAX_DIRECTORIES)]
+        self._free_slots = [  # popped from the end: low slots first
+            slot for slot in reversed(range(MAX_DIRECTORIES))
+            if not self._slots[slot].in_use]
+        self._rows_cache: dict[int, DirectoryRows] = {}
+        # One write lock per directory, held by every mutation
+        # (see _update).
+        self.locks = FileLockTable(self.env, owner=self.name)
         self._start_serving()
-        self._trace("directory", f"{self.name} booted",
-                    dirs=sum(1 for s in self._slots if s.in_use))
-        return sum(1 for s in self._slots if s.in_use)
-
-    def crash(self) -> None:
-        """Stop serving and drop volatile state (rows cache)."""
-        super().crash()
-        self._rows_cache.clear()
+        dirs = MAX_DIRECTORIES - len(self._free_slots)
+        self._trace("directory", f"{self.name} booted", dirs=dirs)
+        return dirs
 
     # ----------------------------------------------------------- local API
 
@@ -141,7 +131,7 @@ class DirectoryServer(RpcService):
         if not self._free_slots:
             raise BadRequestError("directory table full")
         slot = self._free_slots.pop()
-        secret = self._secrets.randint(1, (1 << 48) - 1)
+        secret = self._mint_secret()
         rows = DirectoryRows(seq=0, rows={})
         version_cap = yield from self.bullet.create(rows.encode(), 1)
         record = SlotRecord(in_use=True, secret=secret, seq=0,

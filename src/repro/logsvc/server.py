@@ -30,7 +30,7 @@ from ..disk import VirtualDisk
 from ..errors import BadRequestError, NoSpaceError, NotFoundError
 from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
 from ..profiles import Testbed
-from ..sim import Environment, SeededStream
+from ..sim import Environment
 
 __all__ = ["LogServer", "LOG_OPCODES"]
 
@@ -70,11 +70,7 @@ class LogServer(RpcService):
                          transport.tracer if transport is not None else None)
         self.disk = disk
         self.testbed = testbed
-        self._secrets = SeededStream(0, "logsvc:secrets")
-        self._logs: dict[int, _LogState] = {}
-        self._free_blocks: list[int] = []
-        # One write lock per log, held by every append.
-        self.locks = FileLockTable(env, owner="logsvc")
+        # boot() builds _logs, _free_blocks and locks.
 
     @property
     def payload_per_block(self) -> int:
@@ -102,7 +98,7 @@ class LogServer(RpcService):
         raw = yield self.disk.read(0, 1 + MAX_LOGS)
         bs = self.disk.block_size
         used_blocks = set(range(0, 1 + MAX_LOGS))
-        self._logs.clear()
+        self._logs: dict[int, _LogState] = {}
         for slot in range(MAX_LOGS):
             record = raw[(1 + slot) * bs:(1 + slot) * bs + 12]
             secret = int.from_bytes(record[0:6], "big")
@@ -116,6 +112,8 @@ class LogServer(RpcService):
             b for b in range(self.disk.total_blocks - 1, area_start - 1, -1)
             if b not in used_blocks
         ]
+        # One write lock per log, held by every append.
+        self.locks = FileLockTable(self.env, owner=self.name)
         self._start_serving()
         return len(self._logs)
 
@@ -151,7 +149,7 @@ class LogServer(RpcService):
         if slot is None:
             raise BadRequestError("log table full")
         first = self._alloc_block()
-        secret = self._secrets.randint(1, (1 << 48) - 1)
+        secret = self._mint_secret()
         # Claimed before the disk writes yield: the local plane runs
         # beside the serve loop, so a concurrent create must not pick
         # the same slot. No capability names the log until this returns.

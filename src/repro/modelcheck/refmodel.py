@@ -110,9 +110,9 @@ class RefModel:
                confirmed: bool = True) -> None:
         """Record a completed CREATE (or MODIFY's fresh file). Reusing a
         *live* (or uncertain) capability is an oracle-integrity error; a
-        *gone* capability may legitimately come back — a reboot reseeds
-        the server's deterministic check generator, so a deleted
-        (object, check) pair can be reissued for a brand-new file."""
+        *gone* one coming back is tolerated: the oracle tracks presence
+        and content, and the reboot tests, not the oracle, pin that no
+        incarnation reissues a deleted (object, check) pair."""
         if cap in self._files or cap in self._uncertain:
             raise ConsistencyError(f"live capability reuse: {cap!r}")
         self._gone.discard(cap)
@@ -175,19 +175,23 @@ class RefModel:
 
     # ------------------------------------------------------------ digest
 
-    def digest(self) -> str:
-        """Replay-stable hash of the oracle state (state-key input)."""
+    def digest(self, aliases: Optional[Dict[int, int]] = None) -> str:
+        """Replay-stable hash of the oracle state (state-key input). A
+        live file's check enters as its alias (order of first appearance
+        across the state key), a dead file's as the alias it shares, or 0."""
+        aliases = {} if aliases is None else aliases
         h = sha256()
         for cap in self.caps():
-            h.update(repr((cap.object, cap.check,
+            alias = aliases.setdefault(cap.check, len(aliases) + 1)
+            h.update(repr((cap.object, alias,
                            self._files[cap],
                            cap in self._confirmed,
                            cap in self._uncertain)).encode())
-        for cap in sorted(self._uncertain, key=lambda c: c.object):
-            if cap not in self._files:
-                h.update(repr(("u", cap.object, cap.check)).encode())
-        for cap in sorted(self._gone, key=lambda c: c.object):
-            h.update(repr(("g", cap.object, cap.check)).encode())
+        for tag, dead in (("u", set(self._uncertain) - set(self._files)),
+                          ("g", self._gone)):
+            for entry in sorted((c.object, aliases.get(c.check, 0))
+                                for c in dead):
+                h.update(repr((tag,) + entry).encode())
         return h.hexdigest()
 
 

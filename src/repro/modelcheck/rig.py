@@ -615,7 +615,9 @@ class CheckRig:
 
     def state_key(self) -> str:
         """Replay-stable digest of the reachable state (see module
-        docstring for what is deliberately excluded)."""
+        docstring for what is deliberately excluded; secrets enter as
+        aliases, DESIGN.md §12c)."""
+        aliases: Dict[int, int] = {}
         h = sha256()
         h.update(repr((
             tuple(self.pc),
@@ -631,8 +633,8 @@ class CheckRig:
             len(self.env._heap),
         )).encode())
         for disk in self.disks:
-            h.update(self._disk_digest(disk))
-        h.update(self.oracle.digest().encode())
+            h.update(self._disk_digest(disk, aliases))
+        h.update(self.oracle.digest(aliases).encode())
         if self.booted:
             for key, lock in sorted(self.server.locks._locks.items()):
                 h.update(repr((key, len(lock.readers),
@@ -645,14 +647,17 @@ class CheckRig:
                                    sha256(rnode.data).hexdigest())).encode())
         return h.hexdigest()
 
-    def _disk_digest(self, disk: VirtualDisk) -> bytes:
-        """Digest of one replica's *reachable* durable state: the inode
-        table plus every live extent (dead blocks are unreachable —
-        nothing the server can do ever reads them)."""
+    def _disk_digest(self, disk: VirtualDisk, aliases: Dict[int, int]) -> bytes:
+        """Digest of one replica's *reachable* durable state: every live
+        inode, its secret aliased, and its extent (dead blocks are
+        unreachable — nothing the server can do ever reads them)."""
         raw = disk.read_raw(0, self.layout.inode_table_blocks)
-        h = sha256(raw)
         table = InodeTable.decode(raw, disk.block_size)
-        for _number, inode in table.live_inodes():
+        h = sha256()
+        for number, inode in table.live_inodes():
+            alias = aliases.setdefault(inode.secret, len(aliases) + 1)
+            h.update(repr((number, alias, inode.start_block,
+                           inode.size)).encode())
             blocks = self.layout.blocks_for(inode.size)
             if blocks:
                 h.update(disk.read_raw(inode.start_block, blocks)[:inode.size])

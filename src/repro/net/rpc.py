@@ -41,7 +41,9 @@ from ..errors import (
 )
 from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from ..profiles import CpuProfile
-from ..sim import AnyOf, Environment, Event, Interrupt, Store, Tracer
+from ..sim import (AnyOf, Environment, Event, Interrupt, SeededStream,
+                   Store, Tracer)
+from ..sim.core import Process
 
 __all__ = ["RpcRequest", "RpcReply", "RpcService", "RpcTransport",
            "ServiceEndpoint"]
@@ -163,10 +165,6 @@ class ServiceEndpoint:
         requests fail at delivery."""
         self.down = True
         owed, self.in_progress = self.in_progress, {}
-        self.replying.clear()
-        self.reply_cache.clear()
-        while self.inbox.try_get() is not None:
-            pass
         for request in owed.values():
             if not request.reply_event.triggered:
                 request.reply_event.fail(
@@ -401,19 +399,18 @@ class RpcService:
     (or raising a :class:`~repro.errors.ReproError`). Everything around
     that is shared: claiming the port, the worker pool, the serve loop
     with its spans and per-op accounting, the error-reply chokepoint,
-    and the crash path.
+    the secret mint and the crash path.
 
-    Crash semantics (DESIGN.md §5c): :meth:`crash` answers every client
-    whose request is queued, in service or mid-reply with
-    :class:`~repro.errors.ServerDownError` at the crash instant, then
-    interrupts every worker wherever it is — waiting for a request,
-    halfway through serving one, or transmitting a reply (the reply runs
-    inside the worker, so nothing is sent after the crash). A reboot
-    registers a fresh endpoint and starts a fresh pool.
+    One reboot model (DESIGN.md §5c): ``boot()`` starts an incarnation
+    and builds all its volatile state, and :meth:`crash` ends it, so a
+    reboot in place and a fresh instance on the same disks are one path.
     """
 
     #: opcode number -> operation name, for span and metric labels.
     OPNAMES: dict = {}
+
+    #: Seeds the secret mint, with the name and the boot instant.
+    master_seed = 0
 
     def __init__(self, env: Environment, name: str,
                  transport: Optional[RpcTransport] = None,
@@ -437,35 +434,57 @@ class RpcService:
         self.metrics = metrics
         self._booted = False
         self._endpoint: Optional[ServiceEndpoint] = None
-        self._serve_procs: list = []
+        self._incarnation: dict[Process, None] = {}  # see _spawn
         # Per-op instrument handles, resolved once per (server, label)
         # so the serve loop pays no registry lookup per request.
         self._op_seconds: dict = {}      # opname -> Histogram
         self._error_counters: dict = {}  # status name -> Counter
 
     def _start_serving(self) -> None:
-        """The tail of every ``boot()``: mark the server booted and, on
-        the RPC plane, claim the port and start the worker pool. All
-        workers block on the same endpoint inbox, which is the admission
-        queue: FIFO hand-off, no dispatcher process. With one worker it
-        is the paper's single-threaded loop (§3: one request is handled
-        at a time)."""
+        """The tail of every ``boot()``: mark the server booted, key the
+        secret mint by the instant (every boot reads the disk, so no two
+        incarnations share one) and, on the RPC plane, claim the port
+        and start the worker pool. All workers block on the endpoint
+        inbox, the admission queue: with one worker it is the paper's
+        single-threaded loop (§3: one request is handled at a time)."""
         self._booted = True
+        self._secrets = SeededStream(
+            self.master_seed, f"{self.name}:secrets@{self.env.now!r}")
         if self.transport is not None:
             self._endpoint = self.transport.register(self.port)
-            self._serve_procs = [self.env.process(self._serve())
-                                 for _ in range(self.workers)]
+            for _ in range(self.workers):
+                self._spawn(self._serve())
+
+    def _mint_secret(self) -> int:
+        """A fresh 48-bit secret for a new object's capabilities."""
+        return self._secrets.randint(1, (1 << 48) - 1)
+
+    def _spawn(self, body) -> Process:
+        """Start the generator ``body`` as a process of the incarnation,
+        which :meth:`crash` interrupts wherever it stands."""
+        proc = self.env.process(self._member(body))
+        self._incarnation[proc] = None
+        return proc
+
+    def _member(self, body):
+        """Process: ``body``, ended quietly by a crash."""
+        try:
+            yield from body
+        except Interrupt:
+            pass  # the crash ended the incarnation
+        finally:
+            self._incarnation.pop(self.env.active_process, None)
 
     def crash(self) -> None:
-        """Stop serving, like a power failure: durable state stays on
-        the disks, a half-performed operation leaves whatever it had
-        already written (the crash-consistency story). Subclasses
-        extend this to drop their volatile state."""
+        """End the incarnation, like a power failure: owed clients get
+        :class:`ServerDownError`, every member process is interrupted,
+        the disks keep what they hold, and RAM is dead until ``boot()``
+        rebuilds it. Stopping a local-plane call is its caller's job."""
         if self._endpoint is not None:
             self._endpoint.crash()
         self._booted = False
-        procs, self._serve_procs = self._serve_procs, []
-        for proc in procs:
+        members, self._incarnation = self._incarnation, {}
+        for proc in members:
             if proc.is_alive and proc is not self.env.active_process:
                 proc.interrupt("server crash")
 
@@ -488,42 +507,39 @@ class RpcService:
     def _serve(self):
         """One worker of the service pool."""
         endpoint = self._endpoint
-        try:
-            while self._booted and endpoint is self._endpoint:
-                req = yield endpoint.getreq()
-                tracer = self._tracer
-                opname = self.OPNAMES.get(req.opcode) or str(req.opcode)
-                op_span = net_span = 0
-                if tracer is not None:
-                    tracer.end_span(req.queue_span, "span", "rpc.queue")
-                    op_span = tracer.begin_span(
-                        "span", "server.op", op=opname, server=self.name)
-                started = self.env.now
-                self._request_began(opname, len(endpoint.inbox))
-                reply = None
+        while self._booted and endpoint is self._endpoint:
+            req = yield endpoint.getreq()
+            tracer = self._tracer
+            opname = self.OPNAMES.get(req.opcode) or str(req.opcode)
+            op_span = net_span = 0
+            if tracer is not None:
+                tracer.end_span(req.queue_span, "span", "rpc.queue")
+                op_span = tracer.begin_span(
+                    "span", "server.op", op=opname, server=self.name)
+            started = self.env.now
+            self._request_began(opname, len(endpoint.inbox))
+            reply = None
+            try:
                 try:
-                    try:
-                        reply = yield from self._dispatch(req)
-                    except ReproError as exc:
-                        reply = self._error_reply(exc)
-                finally:
-                    self._request_ended(reply)
-                hist = self._op_seconds.get(opname)
-                if hist is None:
-                    hist = self._op_seconds[opname] = self.metrics.histogram(
-                        "repro_server_op_seconds", DEFAULT_BUCKETS,
-                        server=self.name, op=opname)
-                hist.observe(self.env.now - started)
-                if tracer is not None:
-                    tracer.end_span(op_span, "span", "server.op",
-                                    status=reply.status)
-                    net_span = tracer.begin_span("span", "server.net",
-                                                 op=opname)
-                yield from endpoint.putrep(req, reply)
-                if tracer is not None:
-                    tracer.end_span(net_span, "span", "server.net")
-        except Interrupt:
-            return
+                    reply = yield from self._dispatch(req)
+                except ReproError as exc:
+                    reply = self._error_reply(exc)
+            finally:
+                self._request_ended(reply)
+            hist = self._op_seconds.get(opname)
+            if hist is None:
+                hist = self._op_seconds[opname] = self.metrics.histogram(
+                    "repro_server_op_seconds", DEFAULT_BUCKETS,
+                    server=self.name, op=opname)
+            hist.observe(self.env.now - started)
+            if tracer is not None:
+                tracer.end_span(op_span, "span", "server.op",
+                                status=reply.status)
+                net_span = tracer.begin_span("span", "server.net",
+                                             op=opname)
+            yield from endpoint.putrep(req, reply)
+            if tracer is not None:
+                tracer.end_span(net_span, "span", "server.net")
 
     def _error_reply(self, exc: ReproError) -> RpcReply:
         """The single error-accounting chokepoint: every error reply any

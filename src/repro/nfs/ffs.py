@@ -159,15 +159,7 @@ class FFS:
         self.ninodes = ninodes
         self.maxbpg = maxbpg
         self._inodes_per_block = fs_block_size // FFS_INODE_SIZE
-        self.sb: Superblock
-        self._bitmap: bytearray  # one byte per data block; RAM-authoritative
-        # The bitmap as the cache was last handed it, one bytes object
-        # per bitmap block, and the blocks allocation has changed since.
-        self._bitmap_blocks: list[bytes] = []
-        self._bitmap_touched: set[int] = set()
-        self._free_data_blocks = 0
-        self._group_rotor: dict[int, int] = {}
-        self._mounted = False
+        # mount() builds the superblock and the allocation state.
 
     # ------------------------------------------------------------ geometry
 
@@ -239,13 +231,14 @@ class FFS:
             fbn = self.sb.bitmap_start + b
             if self.cache.probe(fbn) is None:
                 yield from self.cache.load(fbn)
-        self._bitmap = self._allocation_map()
+        self._bitmap = self._allocation_map()  # RAM-authoritative
         self._free_data_blocks = self._bitmap.count(0)
+        # The bitmap as the cache was last handed it, one bytes object
+        # per bitmap block, and the blocks allocation has changed since.
         self._bitmap_blocks = [self._bitmap_block(b)
                                for b in range(self.sb.bitmap_blocks)]
-        self._bitmap_touched = set()
-        self._group_rotor = {}
-        self._mounted = True
+        self._bitmap_touched: set[int] = set()
+        self._group_rotor: dict[int, int] = {}
 
     def _allocation_map(self) -> bytearray:
         """One byte per data block, set for every block a live inode

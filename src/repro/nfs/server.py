@@ -69,35 +69,37 @@ class NfsServer(RpcService):
         super().__init__(env, "nfs", transport, tracer, metrics)
         self.disk = disk
         self.testbed = testbed
+        self.master_seed = master_seed
         self._op_counters: dict = {}  # opname -> Counter
-        nfs = testbed.nfs
-        self.cache = BufferCache(env, disk, nfs.buffer_cache_bytes,
-                                 nfs.fs_block_size,
-                                 metrics=self.metrics, owner=self.name)
-        self.fs = FFS(env, disk, self.cache, INODES,
-                      fs_block_size=nfs.fs_block_size, maxbpg=nfs.direct_blocks)
         self._churn = background_churn
-        self._churn_stream = SeededStream(master_seed, "nfs:churn")
+        # boot() builds cache and fs.
 
     # -------------------------------------------------------------- setup
 
+    def _filesystem(self, cache):  # cache None: the raw plane, for mkfs
+        nfs = self.testbed.nfs
+        return FFS(self.env, self.disk, cache, INODES,
+                   fs_block_size=nfs.fs_block_size, maxbpg=nfs.direct_blocks)
+
     def format(self) -> None:
         """mkfs the exported volume (untimed setup plane)."""
-        self.fs.format()
+        self._filesystem(None).format()
 
     def boot(self):
-        """Process: mount the volume and start serving."""
+        """Process: mount the volume over an empty buffer cache, start
+        serving and, with background churn, the churn daemon."""
+        nfs = self.testbed.nfs
+        self.cache = BufferCache(self.env, self.disk, nfs.buffer_cache_bytes,
+                                 nfs.fs_block_size,
+                                 metrics=self.metrics, owner=self.name)
+        self.fs = self._filesystem(self.cache)
         yield from self.fs.mount()
         self._start_serving()
         if self._churn:
-            nfs = self.testbed.nfs
             # churn fraction/s of the cache, expressed in blocks/s.
             rate = nfs.background_cache_churn * self.cache.capacity_blocks
-            # Intentional daemon fork: background cache pressure runs for
-            # the whole experiment, detached by design.
-            self.env.process(  # repro: allow(S001)
-                self.cache.churn_process(self._churn_stream, rate)
-            )
+            self._spawn(self.cache.churn_process(
+                SeededStream(self.master_seed, "nfs:churn"), rate))
         return ROOT_INUM
 
     @property

@@ -247,7 +247,7 @@ MUTANTS = {
     # differ from run to run and no artifact holds one.
     "directory-secret-from-global-rng": (
         "directory/server.py",
-        "        secret = self._secrets.randint(1, (1 << 48) - 1)\n",
+        "        secret = self._mint_secret()\n",
         "        import random\n"
         "        secret = random.randint(1, (1 << 48) - 1)\n",
         "D002",
@@ -286,12 +286,13 @@ MUTANTS = {
         'raise AssertionError("request carries no capability")',
         "A001",
     ),
-    # The churn daemon's handle is now kept, so S001 has nothing to say
-    # and the pragma excuses whatever lands on that line next.
+    # The cached reply's resend keeps its handle now, so S001 has
+    # nothing to say and the pragma excuses whatever lands on that line
+    # next.
     "pragma-outlives-the-fork-it-excused": (
-        "nfs/server.py",
+        "net/rpc.py",
         "            self.env.process(  # repro: allow(S001)\n",
-        "            self._churn_proc = self.env.process(  # repro: allow(S001)\n",
+        "            self._resend = self.env.process(  # repro: allow(S001)\n",
         "P001",
     ),
     # Audit mutant #10: the lives table written by a handler that takes

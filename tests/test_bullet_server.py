@@ -657,14 +657,19 @@ def test_operations_require_boot(env):
     """Before boot and after a crash every local operation is refused
     with BadRequestError, before it touches the volume's RAM state: a
     crashed server checks no capability against the dead incarnation's
-    table and re-fills no verified-capability cache."""
+    table and adds nothing to its verified-capability cache (boot()
+    builds that cache, empty, so an unbooted server has none)."""
+    def cached(server):
+        return len(getattr(server, "_verified_caps", ()))
+
     def refused(server, cap):
+        before = cached(server)
         for name, operation in LOCAL_OPERATIONS.items():
             with pytest.raises(BadRequestError, match="not booted"):
                 result = operation(server, cap)
                 if hasattr(result, "send"):
                     call(env, result)
-            assert not server._verified_caps, name
+            assert cached(server) == before, name
 
     testbed = small_testbed()
     from repro.disk import MirroredDiskSet, VirtualDisk

@@ -20,6 +20,7 @@ import pytest
 
 from repro.client import BulletClient, DirectoryClient, LocalBulletStub, RetryPolicy
 from repro.core import BulletServer
+from repro.core.inode import InodeTable
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import ReproError, ServerDownError
@@ -246,6 +247,91 @@ def test_crash_mid_create_recovers_consistently(seed):
     reborn = world.audit_storage()
     # The startup scan repaired/accounted everything it found.
     reborn.disk_free.check_invariants()
+
+
+# ------------------------------------------ a crash ends the incarnation
+#
+# Inode block 0 holds inodes 1-31, so a 32nd file's inode lives in block
+# 1. A 600 000-byte CREATE takes long enough to cross a crash. Had the
+# dead incarnation's replica writes gone on, its inode-block write would
+# land after the next boot's scan, and the boot after that would find
+# two files on one extent.
+
+BIG = 600_000
+
+
+def _a1_world():
+    env = Environment()
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    server = make_bullet(env, transport=rpc)
+    caps = [run_process(env, server.create(bytes([i]) * 100, 2))
+            for i in range(31)]
+    assert server.table.block_of_inode(caps[-1].object) == 0
+    client = BulletClient(env, rpc, server.port)
+
+    def doomed_create():
+        with pytest.raises(ServerDownError):
+            yield from client.create(b"x" * BIG, 2)
+
+    return env, server, caps, env.process(doomed_create())
+
+
+def _survives_the_next_incarnation(env, server, caps):
+    """DELETE file 1, CREATE a file as big as the dead one, reboot: the
+    scan must pass and both survivors read back."""
+    run_process(env, server.delete(caps[0]))
+    cap = run_process(env, server.create(b"y" * BIG, 2))
+    server.crash()
+    run_process(env, server.boot())
+    assert run_process(env, server.read(cap)) == b"y" * BIG
+    assert run_process(env, server.read(caps[1])) == bytes([1]) * 100
+
+
+def test_a_crashed_incarnation_issues_no_write_after_the_crash():
+    env, server, caps, doomed = _a1_world()
+    env.run(until=env.now + 0.9)
+    assert doomed.is_alive
+    server.crash()
+    run_process(env, server.boot())
+    env.run(until=env.now + 2.0)  # long past any write of the dead one
+    assert server.status()["files"] == 31
+    _survives_the_next_incarnation(env, server, caps)
+
+
+def test_a_request_the_disk_already_holds_completes_after_the_crash():
+    """The crash lands while bd0 is writing the inode block and bd1,
+    slowed down, is still writing the data extent. Each disk finishes
+    the request it holds (DESIGN.md §5c): bd0 gets the inode, and the
+    boot's table read, queued behind it, sees a whole file. bd1 never
+    gets the inode block: the dead incarnation issues nothing new."""
+    env, server, caps, doomed = _a1_world()
+    bd0, bd1 = server.mirror.disks
+    bd1.set_slowdown(2.0)
+    writes_at_crash = []
+
+    def crash_soon():
+        yield env.timeout(1e-6)  # bd0 has taken the inode-block write
+        writes_at_crash.extend((bd0.stats.writes.value,
+                                bd1.stats.writes.value))
+        server.crash()
+
+    def after_the_data_extent(kind):
+        bd0.remove_op_hook(after_the_data_extent)
+        env.process(crash_soon())
+
+    bd0.add_op_hook(after_the_data_extent)
+    env.run(until=doomed)
+    run_process(env, server.boot())
+    env.run(until=env.now + 2.0)
+    assert (bd0.stats.writes.value - writes_at_crash[0],
+            bd1.stats.writes.value - writes_at_crash[1]) == (1, 1)
+    number = caps[-1].object + 1
+    assert not server.table.get(number).free
+    layout = server.layout
+    on_bd1 = InodeTable.decode(
+        bd1.read_raw(0, layout.inode_table_blocks), bd1.block_size)
+    assert on_bd1.get(number).free
+    _survives_the_next_incarnation(env, server, caps)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

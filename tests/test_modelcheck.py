@@ -63,8 +63,8 @@ class TestRefModel:
             model.create(cap(1), b"y")
 
     def test_gone_capability_may_be_recycled(self):
-        # A reboot reseeds the server's check generator, so a deleted
-        # (object, check) pair can legitimately be reissued.
+        # The oracle tracks presence and content only: a reissued
+        # deleted (object, check) pair is the reboot tests' concern.
         model = RefModel()
         model.create(cap(1), b"x")
         model.delete(cap(1))

@@ -1,0 +1,183 @@
+"""One reboot model: a crash ends the incarnation, and ``boot()`` builds
+everything the crash loses (DESIGN.md §5c).
+
+* A fresh server on the same disks mints no secret of its
+  predecessor's, so a deleted object's capability is refused once the
+  object number is reused (Bullet, directory, log).
+* Rebooting in place and booting a fresh instance on the same disks
+  reach the same state: tables, free lists, empty caches, no held
+  locks, the same next secret (all four servers).
+* The NFS churn daemon belongs to its incarnation: none runs while the
+  server is down, exactly one after any number of reboots.
+"""
+
+import gc
+import inspect
+
+import pytest
+
+from repro.client import LocalBulletStub
+from repro.core import BulletServer
+from repro.directory import DirectoryServer
+from repro.disk import VirtualDisk
+from repro.errors import CapabilityError
+from repro.logsvc import LogServer
+from repro.nfs import NfsServer
+from repro.nfs.buffercache import BufferCache
+from repro.sim import Environment, run_process
+
+from conftest import SMALL_DISK, make_bullet, small_testbed
+
+
+def _world(kind):
+    """An environment, a booted ``kind`` server, and a constructor of
+    fresh instances on the same disks."""
+    env = Environment()
+    if kind == "bullet":
+        server = make_bullet(env)
+        return env, server, lambda: BulletServer(env, server.mirror,
+                                                 server.testbed)
+    disk = VirtualDisk(env, SMALL_DISK, name=f"{kind}-disk")
+    if kind == "directory":
+        stub = LocalBulletStub(make_bullet(env))
+        build = lambda: DirectoryServer(env, disk, stub, small_testbed())
+    elif kind == "log":
+        build = lambda: LogServer(env, disk, small_testbed())
+    else:
+        build = lambda: NfsServer(env, disk, small_testbed(),
+                                  background_churn=True)
+    server = build()
+    server.format()
+    run_process(env, server.boot())
+    return env, server, build
+
+
+# ------------------------------------------------ no secret is minted twice
+
+def _create(kind, server):
+    if kind == "bullet":
+        return server.create(b"deleted file's bytes", 2)
+    if kind == "directory":
+        return server.create_directory()
+    return server.create_log()
+
+
+def _delete(kind, env, server, cap):
+    if kind == "bullet":
+        run_process(env, server.delete(cap))
+    elif kind == "directory":
+        run_process(env, server.delete_directory(cap))
+    else:
+        server.format()  # mkfs: the log service's one way to drop a log
+
+
+def _use(kind, server, cap):
+    if kind == "bullet":
+        return server.read(cap)
+    if kind == "directory":
+        return server.list_names(cap)
+    return server.read(cap)
+
+
+@pytest.mark.parametrize("kind", ["bullet", "directory", "log"])
+def test_a_fresh_incarnation_refuses_a_deleted_objects_capability(kind):
+    env, server, build = _world(kind)
+    old = run_process(env, _create(kind, server))
+    _delete(kind, env, server, old)
+    server.crash()
+    reborn = build()
+    run_process(env, reborn.boot())
+    new = run_process(env, _create(kind, reborn))
+    assert new.object == old.object
+    with pytest.raises(CapabilityError):
+        run_process(env, _use(kind, reborn, old))
+
+
+# ------------------------------------- in place and fresh are one reboot
+
+def _history(kind, server):
+    """Process: work that leaves every kind of volatile state behind."""
+    if kind == "bullet":
+        kept = yield from server.create(b"k" * 5000, 2)
+        yield from server.read(kept)
+        gone = yield from server.create(b"g" * 3000, 2)
+        yield from server.delete(gone)
+        # P-FACTOR 0: its replica writes are still running at the crash.
+        yield from server.create(b"p" * 70_000, 0)
+    elif kind == "directory":
+        root = yield from server.create_directory()
+        sub = yield from server.create_directory()
+        yield from server.append(root, "sub", sub)
+        gone = yield from server.create_directory()
+        yield from server.delete_directory(gone)
+    elif kind == "log":
+        log = yield from server.create_log()
+        for i in range(40):
+            yield from server.append(log, bytes([i]) * 30)
+        yield from server.create_log()
+    else:
+        root = server.root_handle
+        fh = yield from server.create(root, "f")
+        for block in range(3):
+            yield from server.write(fh, block * 8192, b"w" * 8192)
+        yield from server.read(fh, 0, 8192)
+
+
+def _state(kind, server):
+    """Everything a boot builds, as comparable values."""
+    if kind == "bullet":
+        return ([(n, i.secret, i.start_block, i.size, server.lives_of(n))
+                 for n, i in server.table.live_inodes()],
+                server.disk_free.holes(), server.cache.cached_files,
+                server.cache.used_bytes, len(server._verified_caps),
+                server.locks.held_keys())
+    if kind == "directory":
+        return (server._slots, server._free_slots, server._rows_cache,
+                server.locks.held_keys())
+    if kind == "log":
+        return server._logs, server._free_blocks, server.locks.held_keys()
+    return (bytes(server.fs._bitmap), server.fs.free_bytes,
+            dict(server.cache._blocks), server.cache._dirty)
+
+
+def _next_object(kind, server):
+    if kind == "nfs":
+        return server.create(server.root_handle, "next")
+    return _create(kind, server)
+
+
+@pytest.mark.parametrize("kind", ["bullet", "directory", "log", "nfs"])
+def test_rebooting_in_place_equals_booting_a_fresh_instance(kind):
+    outcomes = []
+    for fresh in (False, True):
+        env, server, build = _world(kind)
+        run_process(env, _history(kind, server))
+        server.crash()
+        if fresh:
+            server = build()
+        run_process(env, server.boot())
+        state = _state(kind, server)
+        outcomes.append((env.now, state,
+                         run_process(env, _next_object(kind, server))))
+    assert outcomes[0] == outcomes[1]
+
+
+# ------------------------------------------------- the NFS churn daemon
+
+def _churn_daemons(env):
+    """The live ``churn_process`` generators in ``env``."""
+    return sum(1 for obj in gc.get_objects()
+               if inspect.isgenerator(obj) and obj.gi_frame is not None
+               and obj.gi_code is BufferCache.churn_process.__code__
+               and obj.gi_frame.f_locals["self"].env is env)
+
+
+def test_the_nfs_churn_daemon_belongs_to_its_incarnation():
+    env, server, _build = _world("nfs")
+    assert _churn_daemons(env) == 1
+    for _ in range(2):
+        server.crash()
+        env.run(until=env.now + 1.0)
+        assert _churn_daemons(env) == 0
+        run_process(env, server.boot())
+        assert _churn_daemons(env) == 1
