@@ -50,7 +50,6 @@ from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import Testbed
 from ..sim import Environment, Interrupt, Tracer
 from .cache import BulletCache
-from .freelist import ExtentFreeList
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
@@ -101,9 +100,7 @@ class VerifiedCapCache:
     "Capabilities can be cached to avoid decryption for each access" —
     but the cache models a slice of finite server RAM, so it is capped
     with LRU eviction, and it is indexed by object number so DELETE
-    invalidates one object's entries without rebuilding the whole set
-    (both fixed here; the old implementation was an unbounded ``set``
-    rebuilt on every delete).
+    invalidates one object's entries without rebuilding the whole set.
     """
 
     def __init__(self, capacity: int):
@@ -174,16 +171,8 @@ class BulletServer(RpcService):
             "repro_server_queue_depth", server=name)
         self._bg_write_failures = self.metrics.counter(
             "repro_background_write_failures_total", server=name)
-        # Set by boot():
-        self.table: InodeTable
-        self.layout: VolumeLayout
-        self.disk_free: ExtentFreeList
-        self.cache: BulletCache
-        self._verified_caps: VerifiedCapCache
-        self.locks: FileLockTable
-        # Aging clocks, written by concurrent CREATE/TOUCH/AGE/DELETE
-        # handlers, each under the inode's write lock.
-        self._lives: GuardedMap[int]
+        # boot() builds table, layout, disk_free, cache, _verified_caps,
+        # locks and _lives (the aging clocks, under the inode locks).
 
     # ------------------------------------------------------------- setup
 
@@ -244,7 +233,7 @@ class BulletServer(RpcService):
     def create(self, data: bytes, p_factor: Optional[int] = None):
         """Process: BULLET.CREATE — store an immutable file, reply per the
         paranoia factor. Returns the owner :class:`Capability`."""
-        self._require_booted()
+        incarnation = self._require_booted()
         cpu = self.testbed.cpu
         yield self.env.timeout(cpu.request_dispatch)
         if p_factor is None:
@@ -281,6 +270,7 @@ class BulletServer(RpcService):
         with self.locks.writing(number) as lock:
             yield lock.grant
             yield self.env.timeout(size * cpu.memcpy_per_byte)
+            self._require_alive(incarnation)
             # Write-through: data extent then inode block, per replica.
             inode_block = self.table.block_of_inode(number)
             extents = [(start_block, data)] if blocks else []
@@ -292,8 +282,7 @@ class BulletServer(RpcService):
             # after taking the lock.
             self._lives[number] = self.testbed.bullet.max_lives
             # Fork the settle watcher: it owns the write grant from here
-            # and accounts any background replica failure (satellite fix:
-            # p=0 used to drop those on the floor).
+            # and accounts any background replica failure.
             settle = self._spawn(
                 self._settle_create(number, lock.grant, writes))
             lock.detach(settle)
@@ -315,10 +304,8 @@ class BulletServer(RpcService):
         with self.locks.adopt(grant):
             for write in writes:
                 try:
-                    # Intentional blocking section: holding the write
-                    # grant until the replica writes settle is the whole
-                    # point of the handoff (no reader may chase the
-                    # extent to disk before it is durable).
+                    # Intentional blocking section: no reader may chase
+                    # the extent to disk before it is durable.
                     yield write
                 except ReproError as exc:
                     self._bg_write_failures.inc()
@@ -376,18 +363,19 @@ class BulletServer(RpcService):
         is still following the extent, and a CREATE's background
         replica writes to it have settled.
         """
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         with self.locks.writing(cap.object) as lock:
             yield lock.grant
             number, inode = yield from self._check(cap, RIGHT_DELETE)
-            yield from self._destroy(number, inode)
+            yield from self._destroy(number, inode, incarnation)
         self.stats.deletes.inc()
         if self._tracer is not None:
             self._trace("bullet", "delete", inode=number)
 
-    def _destroy(self, number: int, inode):
+    def _destroy(self, number: int, inode, incarnation: dict):
         """Free an inode and its extent, write the change through."""
+        self._require_alive(incarnation)
         blocks = self.layout.blocks_for(inode.size)
         start_block = inode.start_block
         self.cache.remove(number)
@@ -465,7 +453,7 @@ class BulletServer(RpcService):
         """Process: std_age — decrement every object's lives; reclaim
         the ones that reach zero (orphans nobody touched for max_lives
         sweeps). Returns the reclaimed inode numbers."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         reclaimed = []
         for number, _inode in list(self.table.live_inodes()):
@@ -484,7 +472,7 @@ class BulletServer(RpcService):
                 self._lives[number] = lives
                 if lives > 0:
                     continue
-                yield from self._destroy(number, inode)
+                yield from self._destroy(number, inode, incarnation)
                 self._trace("bullet", "aged out", inode=number)
                 reclaimed.append(number)
         return reclaimed

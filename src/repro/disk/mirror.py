@@ -174,9 +174,13 @@ class MirroredDiskSet:
 
     @staticmethod
     def _write_extents(disk: VirtualDisk, extents):
-        """Process: one replica's share of :meth:`write_ordered`."""
-        for start_block, data in extents:
-            yield disk.write(start_block, data)
+        """Process: one replica's share of :meth:`write_ordered`; an
+        interrupt (a crash) fails it with :class:`ServerDownError`."""
+        try:
+            for start_block, data in extents:
+                yield disk.write(start_block, data)
+        except Interrupt as stop:
+            raise ServerDownError(f"replica write stopped: {stop.cause}")
 
     def _resync_note(self, start_block: int, nbytes: int,
                      events: Sequence[Event]) -> None:

@@ -43,7 +43,6 @@ from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from ..profiles import CpuProfile
 from ..sim import (AnyOf, Environment, Event, Interrupt, SeededStream,
                    Store, Tracer)
-from ..sim.core import Process
 
 __all__ = ["RpcRequest", "RpcReply", "RpcService", "RpcTransport",
            "ServiceEndpoint"]
@@ -434,7 +433,7 @@ class RpcService:
         self.metrics = metrics
         self._booted = False
         self._endpoint: Optional[ServiceEndpoint] = None
-        self._incarnation: dict[Process, None] = {}  # see _spawn
+        self._incarnation: dict = {}  # process -> None, see _spawn
         # Per-op instrument handles, resolved once per (server, label)
         # so the serve loop pays no registry lookup per request.
         self._op_seconds: dict = {}      # opname -> Histogram
@@ -444,9 +443,8 @@ class RpcService:
         """The tail of every ``boot()``: mark the server booted, key the
         secret mint by the instant (every boot reads the disk, so no two
         incarnations share one) and, on the RPC plane, claim the port
-        and start the worker pool. All workers block on the endpoint
-        inbox, the admission queue: with one worker it is the paper's
-        single-threaded loop (§3: one request is handled at a time)."""
+        and start the workers on the endpoint inbox, the admission
+        queue (one worker: the paper's single-threaded loop, §3)."""
         self._booted = True
         self._secrets = SeededStream(
             self.master_seed, f"{self.name}:secrets@{self.env.now!r}")
@@ -459,9 +457,10 @@ class RpcService:
         """A fresh 48-bit secret for a new object's capabilities."""
         return self._secrets.randint(1, (1 << 48) - 1)
 
-    def _spawn(self, body) -> Process:
+    def _spawn(self, body):
         """Start the generator ``body`` as a process of the incarnation,
         which :meth:`crash` interrupts wherever it stands."""
+        self._require_booted()
         proc = self.env.process(self._member(body))
         self._incarnation[proc] = None
         return proc
@@ -471,7 +470,8 @@ class RpcService:
         try:
             yield from body
         except Interrupt:
-            pass  # the crash ended the incarnation
+            if self.env.active_process in self._incarnation:
+                raise  # not the crash: a member must not end quietly
         finally:
             self._incarnation.pop(self.env.active_process, None)
 
@@ -479,7 +479,7 @@ class RpcService:
         """End the incarnation, like a power failure: owed clients get
         :class:`ServerDownError`, every member process is interrupted,
         the disks keep what they hold, and RAM is dead until ``boot()``
-        rebuilds it. Stopping a local-plane call is its caller's job."""
+        rebuilds it. A local-plane call is its caller's to stop."""
         if self._endpoint is not None:
             self._endpoint.crash()
         self._booted = False
@@ -488,9 +488,17 @@ class RpcService:
             if proc.is_alive and proc is not self.env.active_process:
                 proc.interrupt("server crash")
 
-    def _require_booted(self) -> None:
+    def _require_booted(self) -> dict:
+        """Refuse unless booted; returns the incarnation's token."""
         if not self._booted:
             raise BadRequestError(f"server {self.name} is not booted")
+        return self._incarnation
+
+    def _require_alive(self, incarnation: dict) -> None:
+        """Refuse a local-plane call that outlived ``incarnation`` (a
+        crash replaces the token) before it writes to a disk."""
+        if incarnation is not self._incarnation:
+            raise ServerDownError(f"server {self.name} crashed")
 
     def _dispatch(self, req: RpcRequest):
         """Generator: perform ``req``, return its :class:`RpcReply`."""

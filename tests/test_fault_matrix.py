@@ -334,6 +334,70 @@ def test_a_request_the_disk_already_holds_completes_after_the_crash():
     _survives_the_next_incarnation(env, server, caps)
 
 
+@pytest.mark.parametrize("reboot", [False, True], ids=["down", "rebooted"])
+def test_a_local_call_that_outlives_its_incarnation_writes_nothing(reboot):
+    """A local-plane CREATE runs in its caller's process, which a crash
+    does not stop. Crashed in its memcpy, it must still issue no disk
+    write, also when the server has booted again meanwhile: its free
+    extent and inode number belong to the dead incarnation."""
+    env = Environment()
+    server = make_bullet(env)
+    disks = server.mirror.disks
+
+    def doomed_create():
+        with pytest.raises(ServerDownError):
+            yield from server.create(b"z" * BIG, 2)
+
+    doomed = env.process(doomed_create())
+    env.run(until=env.now + 0.01)  # the 600 000-byte memcpy takes 0.07 s
+    server.crash()
+    if reboot:
+        run_process(env, server.boot())
+    writes = [disk.stats.writes.value for disk in disks]
+    env.run(until=doomed)
+    env.run(until=env.now + 2.0)
+    assert [disk.stats.writes.value for disk in disks] == writes
+    assert not server._incarnation
+
+
+def test_a_bullet_crash_under_a_directory_call_is_an_error_reply():
+    """The directory stores its rows on Bullet through the local plane,
+    so a Bullet crash lands in the directory's own worker while its
+    CREATE waits for a durable replica. The directory client gets an
+    error reply, and the directory serves on once Bullet is back."""
+    env = Environment()
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    bullet = make_bullet(env, transport=rpc)
+    dirs = DirectoryServer(env, VirtualDisk(env, SMALL_DISK, name="dd"),
+                           LocalBulletStub(bullet), small_testbed(),
+                           transport=rpc)
+    dirs.format()
+    run_process(env, dirs.boot())
+    names = DirectoryClient(env, rpc, default_port=dirs.port)
+    bd0 = bullet.mirror.disks[0]
+
+    def crash_soon():
+        yield env.timeout(1e-6)  # bd0 has taken the inode-block write
+        bullet.crash()
+
+    def after_the_data_extent(kind):
+        bd0.remove_op_hook(after_the_data_extent)
+        env.process(crash_soon())
+
+    def refused():
+        with pytest.raises(ServerDownError):
+            yield from names.create_directory()
+
+    bd0.add_op_hook(after_the_data_extent)
+    done = env.process(refused())
+    env.run(until=AnyOf(env, [done, env.timeout(CEILING)]))
+    assert done.triggered, "the directory never answered"
+    assert done.ok
+    run_process(env, bullet.boot())
+    root = run_process(env, names.create_directory())
+    assert run_process(env, names.list_names(root)) == []
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_directory_lookup_retries_through_partition(seed):
     """The directory client shares the retry plane: a lookup issued into
