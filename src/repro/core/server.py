@@ -283,7 +283,7 @@ class BulletServer(RpcService):
             self._lives[number] = self.testbed.bullet.max_lives
             # Fork the settle watcher: it owns the write grant from here
             # and accounts any background replica failure.
-            settle = self._spawn(
+            settle = incarnation.spawn(
                 self._settle_create(number, lock.grant, writes))
             lock.detach(settle)
             if p_factor > 0:
@@ -373,7 +373,7 @@ class BulletServer(RpcService):
         if self._tracer is not None:
             self._trace("bullet", "delete", inode=number)
 
-    def _destroy(self, number: int, inode, incarnation: dict):
+    def _destroy(self, number: int, inode, incarnation):
         """Free an inode and its extent, write the change through."""
         self._require_alive(incarnation)
         blocks = self.layout.blocks_for(inode.size)

@@ -127,16 +127,22 @@ class DirectoryServer(RpcService):
 
     def create_directory(self):
         """Process: a fresh empty directory; returns its owner capability."""
-        self._require_booted()
-        if not self._free_slots:
+        incarnation = self._require_booted()
+        free_slots = self._free_slots
+        if not free_slots:
             raise BadRequestError("directory table full")
-        slot = self._free_slots.pop()
+        slot = free_slots.pop()
         secret = self._mint_secret()
         rows = DirectoryRows(seq=0, rows={})
-        version_cap = yield from self.bullet.create(rows.encode(), 1)
-        record = SlotRecord(in_use=True, secret=secret, seq=0,
-                            version_cap=version_cap)
-        yield self.disk.write(1 + slot, record.encode())
+        try:
+            version_cap = yield from self.bullet.create(rows.encode(), 1)
+            record = SlotRecord(in_use=True, secret=secret, seq=0,
+                                version_cap=version_cap)
+            self._require_alive(incarnation)
+            yield self.disk.write(1 + slot, record.encode())
+        except BaseException:
+            free_slots.append(slot)  # to the incarnation it came from
+            raise
         self._slots[slot] = record
         self._rows_cache[slot] = rows
         if self._tracer is not None:
@@ -237,13 +243,14 @@ class DirectoryServer(RpcService):
     def delete_directory(self, dir_cap: Capability):
         """Process: delete an *empty* directory object (under its write
         lock, as :meth:`_update`)."""
-        yield from self._charge_check()
+        incarnation = yield from self._charge_check()
         with self.locks.writing(dir_cap.object) as lock:
             yield lock.grant
             slot, _record, rows = yield from self._load(dir_cap, RIGHT_DELETE)
             if rows.rows:
                 raise NotEmptyError(f"directory has {len(rows.rows)} entries")
             empty = SlotRecord()
+            self._require_alive(incarnation)
             yield self.disk.write(1 + slot, empty.encode())
             self._slots[slot] = empty
             self._rows_cache.pop(slot, None)
@@ -346,9 +353,10 @@ class DirectoryServer(RpcService):
         return (yield from self._load(dir_cap, needed_rights))
 
     def _charge_check(self):
-        """Process: the CPU time of one capability verification."""
-        self._require_booted()
+        """Process: a capability check's CPU time; returns the incarnation."""
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.capability_check)
+        return incarnation
 
     def _update(self, dir_cap: Capability, needed_rights: int, edit):
         """Process: one read-modify-write of a directory, committed as its
@@ -358,13 +366,13 @@ class DirectoryServer(RpcService):
         because the local plane runs beside the serve loop; it is
         requested after the check's CPU time, where an uncontended grant
         completes in place."""
-        yield from self._charge_check()
+        incarnation = yield from self._charge_check()
         with self.locks.writing(dir_cap.object) as lock:
             yield lock.grant
             slot, record, rows = yield from self._load(dir_cap, needed_rights)
             new_rows = dict(rows.rows)
             result = edit(new_rows)
-            yield from self._commit(slot, record, rows, new_rows)
+            yield from self._commit(incarnation, slot, record, rows, new_rows)
         return result
 
     def _load(self, dir_cap: Capability, needed_rights: int):
@@ -385,8 +393,8 @@ class DirectoryServer(RpcService):
             self._rows_cache[slot] = rows
         return slot, record, rows
 
-    def _commit(self, slot: int, record: SlotRecord, old_rows: DirectoryRows,
-                new_rows: dict):
+    def _commit(self, incarnation, slot: int, record: SlotRecord,
+                old_rows: DirectoryRows, new_rows: dict):
         """Write a new directory version, then the slot record."""
         version = DirectoryRows(
             seq=old_rows.seq + 1,
@@ -396,6 +404,7 @@ class DirectoryServer(RpcService):
         version_cap = yield from self.bullet.create(version.encode(), 1)
         new_record = SlotRecord(in_use=True, secret=record.secret,
                                 seq=version.seq, version_cap=version_cap)
+        self._require_alive(incarnation)
         yield self.disk.write(1 + slot, new_record.encode())
         self._slots[slot] = new_record
         self._rows_cache[slot] = version

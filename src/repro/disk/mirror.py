@@ -126,28 +126,20 @@ class MirroredDiskSet:
                                    "without an error")
         raise last
 
-    def write(self, start_block: int, data: bytes, need: Optional[int] = None) -> Event:
-        """Write ``data`` to every live replica.
-
-        The returned event fires once ``need`` replicas have the data
-        durably (default: all live replicas). ``need=0`` fires
-        immediately — the P-FACTOR 0 case where the reply precedes
-        durability. Writes to the remaining replicas continue in the
-        background either way.
-        """
+    def write(self, start_block: int, data: bytes) -> Event:
+        """Write ``data`` to every live replica; the returned event fires
+        once all of them have it durably (a quorum below all is
+        :meth:`write_ordered`'s ``need``)."""
         live = self.live_disks
         if not live:
             failed = Event(self.env)
             failed.fail(ServerDownError("all disk replicas have failed"))
             return failed
-        if need is None:
-            need = len(live)
-        need = min(need, len(live))
         # Snapshot and pad once: every replica stores this one object.
         data = pad_to_block(data, self.block_size)
         writes = [disk.write(start_block, data) for disk in live]
         self._resync_note(start_block, len(data), writes)
-        return CountOf(self.env, writes, need=need)
+        return CountOf(self.env, writes, need=len(writes))
 
     def write_ordered(self, extents: Sequence[tuple[int, bytes]],
                       need: int) -> tuple[Event, list[Event]]:

@@ -92,10 +92,9 @@ class LogServer(RpcService):
     def boot(self):
         """Process: check the header, load the slots and walk every
         chain to find the tails."""
-        header = yield self.disk.read(0, 1)
-        if int.from_bytes(header[:4], "big") != _HEADER_MAGIC:
-            raise BadRequestError(f"{self.name}: disk is not a log volume")
         raw = yield self.disk.read(0, 1 + MAX_LOGS)
+        if int.from_bytes(raw[:4], "big") != _HEADER_MAGIC:
+            raise BadRequestError(f"{self.name}: disk is not a log volume")
         bs = self.disk.block_size
         used_blocks = set(range(0, 1 + MAX_LOGS))
         self._logs: dict[int, _LogState] = {}
@@ -143,9 +142,11 @@ class LogServer(RpcService):
 
     def create_log(self):
         """Process: a fresh empty log; returns its owner capability."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        slot = next((s for s in range(MAX_LOGS) if s not in self._logs), None)
+        self._require_alive(incarnation)
+        logs, free_blocks = self._logs, self._free_blocks
+        slot = next((s for s in range(MAX_LOGS) if s not in logs), None)
         if slot is None:
             raise BadRequestError("log table full")
         first = self._alloc_block()
@@ -153,14 +154,15 @@ class LogServer(RpcService):
         # Claimed before the disk writes yield: the local plane runs
         # beside the serve loop, so a concurrent create must not pick
         # the same slot. No capability names the log until this returns.
-        self._logs[slot] = _LogState(secret=secret, first_block=first,
-                                     tail_block=first, tail_used=0,
-                                     record_count=0)
+        logs[slot] = _LogState(secret=secret, first_block=first,
+                               tail_block=first, tail_used=0, record_count=0)
         try:
             yield self.disk.write(first, self._encode_block(b"", 0))
+            self._require_alive(incarnation)
             yield self.disk.write(1 + slot, secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
-        except BaseException:
-            del self._logs[slot]  # a failed create leaves no log behind
+        except BaseException:  # undone in the incarnation that did it
+            del logs[slot]
+            free_blocks.append(first)
             raise
         return mint_owner(self.port, slot + 1, secret)
 
@@ -174,6 +176,7 @@ class LogServer(RpcService):
         after the check's CPU time, where an uncontended grant completes
         in place.
         """
+        incarnation = self._require_booted()
         state = yield from self._open(cap, RIGHT_CREATE)
         if len(record) > self.max_record:
             raise BadRequestError(
@@ -184,10 +187,12 @@ class LogServer(RpcService):
         with self.locks.writing(cap.object) as lock:
             yield lock.grant
             if state.tail_used + needed > self.payload_per_block:
+                self._require_alive(incarnation)
                 new_block = self._alloc_block()
                 yield self.disk.write(new_block, self._encode_block(b"", 0))
                 # Re-point the old tail's next pointer.
                 tail_records = self._tail_payload(state)
+                self._require_alive(incarnation)
                 yield self.disk.write(
                     state.tail_block,
                     self._encode_block(tail_records, state.tail_used,
@@ -199,6 +204,7 @@ class LogServer(RpcService):
             used = state.tail_used + needed
             payload = (self._tail_payload(state)
                        + len(record).to_bytes(2, "big") + record)
+            self._require_alive(incarnation)
             yield self.disk.write(state.tail_block,
                                   self._encode_block(payload, used))
             # Published only once durable: a failed write leaves the

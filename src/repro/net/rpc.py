@@ -102,23 +102,27 @@ class RpcReply:
 
 
 class ServiceEndpoint:
-    """A registered server port: an inbox of pending requests, plus the
-    at-most-once bookkeeping (the transactions in progress and a bounded
-    cache of recent replies for duplicate-request resends)."""
+    """One incarnation of a server, everything a crash ends: the inbox,
+    the at-most-once bookkeeping (transactions in progress and a bounded
+    cache of recent replies for resends) and the member processes.
+    Every ``boot()`` makes a fresh one; without a transport, one that no
+    port routes to."""
 
     REPLY_CACHE_SIZE = 256
 
-    def __init__(self, transport: "RpcTransport", port: int):
+    def __init__(self, env: Environment, port: int,
+                 transport: Optional["RpcTransport"]):
+        self.env = env
         self.transport = transport
         self.port = port
-        self.inbox: Store = Store(transport.env)
+        self.inbox: Store = Store(env)
         self.down = False
         #: txid -> request, from delivery until its reply (or a resend
         #: of it) has left the wire: queued, in service or mid-reply.
         #: These are the clients a crash owes an answer.
         self.in_progress: dict[int, RpcRequest] = {}
-        self.replying: set[int] = set()  # replies currently on the wire
         self.reply_cache: "OrderedDict[int, RpcReply]" = OrderedDict()
+        self.members: dict = {}  # process -> None, see spawn
 
     def getreq(self) -> Event:
         """Event firing with the next :class:`RpcRequest`."""
@@ -140,7 +144,6 @@ class ServiceEndpoint:
         self.reply_cache[request.txid] = reply
         while len(self.reply_cache) > self.REPLY_CACHE_SIZE:
             self.reply_cache.popitem(last=False)
-        self.replying.add(request.txid)
         request.reply_missing = None
         yield from self.send_reply(request, reply)
 
@@ -151,17 +154,36 @@ class ServiceEndpoint:
         lost = yield from self.transport.ethernet.send_fragments(
             reply.wire_size, request.reply_missing
         )
-        self.replying.discard(request.txid)
         self.in_progress.pop(request.txid, None)
         request.reply_missing = lost or None
         if not lost and not request.reply_event.triggered:
             request.reply_event.succeed(reply)
 
+    def spawn(self, body):
+        """Start the generator ``body`` as a member process, which
+        :meth:`crash` interrupts wherever it stands."""
+        if self.down:
+            raise ServerDownError(f"port {self.port:#x} crashed")
+        proc = self.env.process(self._member(body))
+        self.members[proc] = None
+        return proc
+
+    def _member(self, body):
+        """Process: ``body``, ended quietly by a crash."""
+        try:
+            yield from body
+        except Interrupt:
+            if not self.down:
+                raise  # not the crash: a member must not end quietly
+        finally:
+            self.members.pop(self.env.active_process, None)
+
     def crash(self) -> None:
-        """Take the service down. Every client whose request was queued,
-        in service or mid-reply gets :class:`ServerDownError` now (a
-        client without a timeout would otherwise wait forever); future
-        requests fail at delivery."""
+        """End the incarnation, like a power failure: every client whose
+        request was queued, in service or mid-reply gets
+        :class:`ServerDownError` now (a client without a timeout would
+        otherwise wait forever), every member process is interrupted,
+        and future requests fail at delivery."""
         self.down = True
         owed, self.in_progress = self.in_progress, {}
         for request in owed.values():
@@ -169,6 +191,10 @@ class ServiceEndpoint:
                 request.reply_event.fail(
                     ServerDownError(f"port {self.port:#x} crashed")
                 )
+        members, self.members = self.members, {}
+        for proc in members:
+            if proc.is_alive and proc is not self.env.active_process:
+                proc.interrupt("server crash")
 
 
 class RpcTransport:
@@ -206,7 +232,7 @@ class RpcTransport:
         """Claim ``port`` for a server; returns its endpoint."""
         if port in self._ports and not self._ports[port].down:
             raise ValueError(f"port {port:#x} already registered")
-        endpoint = ServiceEndpoint(self, port)
+        endpoint = ServiceEndpoint(self.env, port, self)
         self._ports[port] = endpoint
         return endpoint
 
@@ -357,22 +383,14 @@ class RpcTransport:
                     ServerDownError(f"port {endpoint.port:#x} crashed")
                 )
             return
-        if request.txid in endpoint.replying:
-            return  # the reply is on the wire right now; just wait
+        if request.txid in endpoint.in_progress:
+            return  # queued, in service or its reply on the wire: wait
+        endpoint.in_progress[request.txid] = request
         cached = endpoint.reply_cache.get(request.txid)
         if cached is not None:
             # Answered before; the reply (or part of it) was lost.
-            endpoint.replying.add(request.txid)
-            endpoint.in_progress[request.txid] = request
-            # Intentional fork: retransmitting a cached reply happens
-            # behind the server's back; nobody awaits it by design.
-            self.env.process(  # repro: allow(S001)
-                endpoint.send_reply(request, cached)
-            )
+            endpoint.spawn(endpoint.send_reply(request, cached))
             return
-        if request.txid in endpoint.in_progress:
-            return  # duplicate of a transaction still being served
-        endpoint.in_progress[request.txid] = request
         if self._tracer is not None:
             request.queue_span = self._tracer.begin_span(
                 "span", "rpc.queue", port=endpoint.port,
@@ -401,8 +419,8 @@ class RpcService:
     the secret mint and the crash path.
 
     One reboot model (DESIGN.md §5c): ``boot()`` starts an incarnation
-    and builds all its volatile state, and :meth:`crash` ends it, so a
-    reboot in place and a fresh instance on the same disks are one path.
+    (a fresh :class:`ServiceEndpoint`) and builds all its volatile state,
+    :meth:`crash` ends it: a reboot in place and a fresh instance are one.
     """
 
     #: opcode number -> operation name, for span and metric labels.
@@ -431,73 +449,49 @@ class RpcService:
             metrics = (transport.metrics if transport is not None
                        else MetricsRegistry())
         self.metrics = metrics
-        self._booted = False
-        self._endpoint: Optional[ServiceEndpoint] = None
-        self._incarnation: dict = {}  # process -> None, see _spawn
+        self._endpoint: Optional[ServiceEndpoint] = None  # the incarnation
         # Per-op instrument handles, resolved once per (server, label)
         # so the serve loop pays no registry lookup per request.
         self._op_seconds: dict = {}      # opname -> Histogram
         self._error_counters: dict = {}  # status name -> Counter
 
     def _start_serving(self) -> None:
-        """The tail of every ``boot()``: mark the server booted, key the
+        """The tail of every ``boot()``: start the incarnation, key the
         secret mint by the instant (every boot reads the disk, so no two
         incarnations share one) and, on the RPC plane, claim the port
         and start the workers on the endpoint inbox, the admission
         queue (one worker: the paper's single-threaded loop, §3)."""
-        self._booted = True
         self._secrets = SeededStream(
             self.master_seed, f"{self.name}:secrets@{self.env.now!r}")
-        if self.transport is not None:
-            self._endpoint = self.transport.register(self.port)
-            for _ in range(self.workers):
-                self._spawn(self._serve())
+        if self.transport is None:
+            self._endpoint = ServiceEndpoint(self.env, self.port, None)
+            return
+        endpoint = self._endpoint = self.transport.register(self.port)
+        for _ in range(self.workers):
+            endpoint.spawn(self._serve(endpoint))
 
     def _mint_secret(self) -> int:
         """A fresh 48-bit secret for a new object's capabilities."""
         return self._secrets.randint(1, (1 << 48) - 1)
 
-    def _spawn(self, body):
-        """Start the generator ``body`` as a process of the incarnation,
-        which :meth:`crash` interrupts wherever it stands."""
-        self._require_booted()
-        proc = self.env.process(self._member(body))
-        self._incarnation[proc] = None
-        return proc
-
-    def _member(self, body):
-        """Process: ``body``, ended quietly by a crash."""
-        try:
-            yield from body
-        except Interrupt:
-            if self.env.active_process in self._incarnation:
-                raise  # not the crash: a member must not end quietly
-        finally:
-            self._incarnation.pop(self.env.active_process, None)
-
     def crash(self) -> None:
-        """End the incarnation, like a power failure: owed clients get
-        :class:`ServerDownError`, every member process is interrupted,
-        the disks keep what they hold, and RAM is dead until ``boot()``
+        """End the incarnation (:meth:`ServiceEndpoint.crash`): the
+        disks keep what they hold, and RAM is dead until ``boot()``
         rebuilds it. A local-plane call is its caller's to stop."""
         if self._endpoint is not None:
             self._endpoint.crash()
-        self._booted = False
-        members, self._incarnation = self._incarnation, {}
-        for proc in members:
-            if proc.is_alive and proc is not self.env.active_process:
-                proc.interrupt("server crash")
 
-    def _require_booted(self) -> dict:
-        """Refuse unless booted; returns the incarnation's token."""
-        if not self._booted:
+    def _require_booted(self) -> ServiceEndpoint:
+        """Refuse unless booted; returns the incarnation as a token."""
+        endpoint = self._endpoint
+        if endpoint is None or endpoint.down:
             raise BadRequestError(f"server {self.name} is not booted")
-        return self._incarnation
+        return endpoint
 
-    def _require_alive(self, incarnation: dict) -> None:
-        """Refuse a local-plane call that outlived ``incarnation`` (a
-        crash replaces the token) before it writes to a disk."""
-        if incarnation is not self._incarnation:
+    def _require_alive(self, incarnation: ServiceEndpoint) -> None:
+        """Refuse a local-plane call that outlived ``incarnation`` before
+        it writes to a disk."""
+        if incarnation.down:
             raise ServerDownError(f"server {self.name} crashed")
 
     def _dispatch(self, req: RpcRequest):
@@ -512,10 +506,9 @@ class RpcService:
         """Per-request hook: the dispatch is over; ``reply`` is None when
         a crash cut it short."""
 
-    def _serve(self):
-        """One worker of the service pool."""
-        endpoint = self._endpoint
-        while self._booted and endpoint is self._endpoint:
+    def _serve(self, endpoint: ServiceEndpoint):
+        """One worker of ``endpoint``'s service pool."""
+        while not endpoint.down:
             req = yield endpoint.getreq()
             tracer = self._tracer
             opname = self.OPNAMES.get(req.opcode) or str(req.opcode)

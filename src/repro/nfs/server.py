@@ -98,7 +98,7 @@ class NfsServer(RpcService):
         if self._churn:
             # churn fraction/s of the cache, expressed in blocks/s.
             rate = nfs.background_cache_churn * self.cache.capacity_blocks
-            self._spawn(self.cache.churn_process(
+            self._endpoint.spawn(self.cache.churn_process(
                 SeededStream(self.master_seed, "nfs:churn"), rate))
         return ROOT_INUM
 

@@ -286,13 +286,15 @@ MUTANTS = {
         'raise AssertionError("request carries no capability")',
         "A001",
     ),
-    # The cached reply's resend keeps its handle now, so S001 has
+    # The background-traffic daemon keeps its handle now, so S001 has
     # nothing to say and the pragma excuses whatever lands on that line
     # next.
     "pragma-outlives-the-fork-it-excused": (
-        "net/rpc.py",
-        "            self.env.process(  # repro: allow(S001)\n",
-        "            self._resend = self.env.process(  # repro: allow(S001)\n",
+        "net/ethernet.py",
+        "            env.process(self._background_traffic())"
+        "  # repro: allow(S001)\n",
+        "            self._bg = env.process(self._background_traffic())"
+        "  # repro: allow(S001)\n",
         "P001",
     ),
     # Audit mutant #10: the lives table written by a handler that takes

@@ -739,12 +739,13 @@ def test_mirror_write_reaches_all_replicas():
         assert disk.read_raw(3, 1)[:10] == b"replicated"
 
 
-def test_mirror_write_need_zero_returns_immediately():
+def test_mirror_write_ordered_need_zero_returns_immediately():
     env = Environment()
     mirror, disks = make_mirror(env)
 
     def proc():
-        yield mirror.write(0, b"lazy", need=0)
+        durable, _writes = mirror.write_ordered([(0, b"lazy")], 0)
+        yield durable
         return env.now
 
     assert run_process(env, proc()) == 0.0
@@ -753,7 +754,7 @@ def test_mirror_write_need_zero_returns_immediately():
         assert disk.read_raw(0, 1)[:4] == b"lazy"
 
 
-def test_mirror_write_need_one_faster_than_all():
+def test_mirror_write_ordered_need_one_faster_than_all():
     """With one busy replica, waiting for 1 of 2 writes must complete
     before waiting for 2 of 2 would."""
     env = Environment()
@@ -766,7 +767,8 @@ def test_mirror_write_need_one_faster_than_all():
 
     def writer():
         yield env.timeout(1e-9)  # let the hog enqueue first
-        yield mirror.write(0, b"quick", need=1)
+        durable, _writes = mirror.write_ordered([(0, b"quick")], 1)
+        yield durable
         times["one"] = env.now
 
     env.process(hog())

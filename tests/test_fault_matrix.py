@@ -19,13 +19,13 @@ deterministically under both.
 import pytest
 
 from repro.client import BulletClient, DirectoryClient, LocalBulletStub, RetryPolicy
-from repro.core import BulletServer
+from repro.core import OPCODES, BulletServer
 from repro.core.inode import InodeTable
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import ReproError, ServerDownError
 from repro.faults import FaultController, FaultPlan
-from repro.net import Ethernet, RpcTransport
+from repro.net import Ethernet, RpcRequest, RpcTransport
 from repro.nfs import NfsClient, NfsServer
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import AnyOf, Environment, SeededStream, Tracer, run_process
@@ -350,6 +350,7 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(reboot):
 
     doomed = env.process(doomed_create())
     env.run(until=env.now + 0.01)  # the 600 000-byte memcpy takes 0.07 s
+    dead = server._endpoint
     server.crash()
     if reboot:
         run_process(env, server.boot())
@@ -357,7 +358,35 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(reboot):
     env.run(until=doomed)
     env.run(until=env.now + 2.0)
     assert [disk.stats.writes.value for disk in disks] == writes
-    assert not server._incarnation
+    assert not dead.members and not server._endpoint.members
+
+
+def test_a_crash_stops_the_resend_of_a_cached_reply():
+    """A duplicate READ is answered by resending its cached 64 KB reply.
+    The resend is a process of the incarnation, so a crash 5 ms into it
+    fails the client and puts nothing more on the wire."""
+    env = Environment()
+    eth = Ethernet(env, EthernetProfile())
+    rpc = RpcTransport(env, eth, CpuProfile())
+    server = make_bullet(env, transport=rpc)
+    payload = bytes(range(256)) * 256
+    cap = run_process(env, server.create(payload, 2))
+    request = RpcRequest(opcode=OPCODES["READ"], cap=cap)
+    assert run_process(env, rpc.trans(server.port, request)).body == payload
+
+    def duplicate():
+        with pytest.raises(ServerDownError):
+            yield from rpc.trans(server.port, request)  # the same txid
+
+    before = eth.stats.packets.value
+    done = env.process(duplicate())
+    env.run(until=env.now + 0.005)
+    assert eth.stats.packets.value - before > 1  # request, then reply
+    server.crash()
+    packets = eth.stats.packets.value
+    env.run(until=done)
+    env.run(until=env.now + 1.0)
+    assert eth.stats.packets.value == packets
 
 
 def test_a_bullet_crash_under_a_directory_call_is_an_error_reply():

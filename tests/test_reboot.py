@@ -9,6 +9,8 @@ everything the crash loses (DESIGN.md §5c).
   locks, the same next secret (all four servers).
 * The NFS churn daemon belongs to its incarnation: none runs while the
   server is down, exactly one after any number of reboots.
+* A directory or log call that outlives its incarnation writes nothing,
+  and a failed allocation goes back to the free list it came from.
 """
 
 import gc
@@ -20,7 +22,7 @@ from repro.client import LocalBulletStub
 from repro.core import BulletServer
 from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
-from repro.errors import CapabilityError
+from repro.errors import CapabilityError, ReproError, ServerDownError
 from repro.logsvc import LogServer
 from repro.nfs import NfsServer
 from repro.nfs.buffercache import BufferCache
@@ -181,3 +183,65 @@ def test_the_nfs_churn_daemon_belongs_to_its_incarnation():
         assert _churn_daemons(env) == 0
         run_process(env, server.boot())
         assert _churn_daemons(env) == 1
+
+
+# ------------------------------ a call that outlives its incarnation
+
+def test_a_directory_create_crashed_in_its_bullet_create_writes_nothing():
+    """Crashed and rebooted while its Bullet CREATE runs (it takes
+    17 ms), the create refuses instead of writing its slot record into
+    the next incarnation, which keeps every slot free."""
+    env, dirs, _build = _world("directory")
+
+    def doomed():
+        with pytest.raises(ServerDownError):
+            yield from dirs.create_directory()
+
+    done = env.process(doomed())
+    env.run(until=env.now + 0.005)
+    dirs.crash()
+    run_process(env, dirs.boot())
+    writes = dirs.disk.stats.writes.value
+    env.run(until=done)
+    assert dirs.disk.stats.writes.value == writes
+    assert dirs.status()["directories"] == 0
+    assert dirs.status()["free_slots"] == 512
+    root = run_process(env, dirs.create_directory())
+    assert run_process(env, dirs.list_names(root)) == []
+
+
+def test_a_log_append_crashed_in_its_capability_check_writes_nothing():
+    env, logs, _build = _world("log")
+    log = run_process(env, logs.create_log())
+
+    def doomed():
+        with pytest.raises(ServerDownError):
+            yield from logs.append(log, b"late")
+
+    done = env.process(doomed())
+    env.run(until=env.now + logs.testbed.cpu.capability_check / 2)
+    logs.crash()
+    writes = logs.disk.stats.writes.value
+    env.run(until=done)
+    assert logs.disk.stats.writes.value == writes
+
+
+def test_a_directory_create_refused_by_bullet_keeps_its_slot():
+    env, dirs, _build = _world("directory")
+    dirs.bullet.server.crash()
+    with pytest.raises(ReproError):
+        run_process(env, dirs.create_directory())
+    assert dirs.status()["free_slots"] == 512
+
+
+def test_a_log_create_whose_write_fails_keeps_its_first_block():
+    env, logs, _build = _world("log")
+    free = logs.status()["free_blocks"]
+    first = logs._free_blocks[-1]
+    logs.disk.mark_flaky(first, 1)
+    with pytest.raises(ReproError):
+        run_process(env, logs.create_log())
+    assert logs.status() == {"name": "logsvc", "logs": 0, "records": 0,
+                             "free_blocks": free}
+    logs.disk.clear_flaky(first, 1)
+    run_process(env, logs.create_log())
