@@ -188,16 +188,22 @@ class LogServer(RpcService):
             yield lock.grant
             if state.tail_used + needed > self.payload_per_block:
                 self._require_alive(incarnation)
+                free_blocks = self._free_blocks
                 new_block = self._alloc_block()
-                yield self.disk.write(new_block, self._encode_block(b"", 0))
-                # Re-point the old tail's next pointer.
-                tail_records = self._tail_payload(state)
-                self._require_alive(incarnation)
-                yield self.disk.write(
-                    state.tail_block,
-                    self._encode_block(tail_records, state.tail_used,
-                                       nxt=new_block),
-                )
+                try:
+                    yield self.disk.write(new_block,
+                                          self._encode_block(b"", 0))
+                    # Re-point the old tail's next pointer.
+                    tail_records = self._tail_payload(state)
+                    self._require_alive(incarnation)
+                    yield self.disk.write(
+                        state.tail_block,
+                        self._encode_block(tail_records, state.tail_used,
+                                           nxt=new_block),
+                    )
+                except BaseException:  # undone in the incarnation that did it
+                    free_blocks.append(new_block)
+                    raise
                 state.tail_block = new_block
                 state.tail_used = 0
             record = bytes(record)

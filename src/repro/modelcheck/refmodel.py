@@ -109,13 +109,15 @@ class RefModel:
     def create(self, cap: Capability, data: bytes,
                confirmed: bool = True) -> None:
         """Record a completed CREATE (or MODIFY's fresh file). Reusing a
-        *live* (or uncertain) capability is an oracle-integrity error; a
-        *gone* one coming back is tolerated: the oracle tracks presence
-        and content, and the reboot tests, not the oracle, pin that no
-        incarnation reissues a deleted (object, check) pair."""
+        *live* (or uncertain) capability is an oracle-integrity error,
+        and so is a *gone* one coming back: every incarnation mints its
+        own secrets (DESIGN.md §5c), so a reissued deleted (object,
+        check) pair is a server that re-minted a dead file's secret."""
         if cap in self._files or cap in self._uncertain:
             raise ConsistencyError(f"live capability reuse: {cap!r}")
-        self._gone.discard(cap)
+        if cap in self._gone:
+            raise ConsistencyError(
+                f"deleted capability reissued: {cap!r}")
         self._files[cap] = data
         if confirmed:
             self._confirmed.add(cap)

@@ -124,8 +124,15 @@ class Ethernet:
         self._queue: deque = deque()
         self._off: list = []
         self._daemon: Optional[_Transfer] = None
+        # Foreground senders not yet _DONE, abandoned hops included: the
+        # daemon's steps resume nobody, theirs can.
+        self._live = 0
         #: The instant of the earliest pending step (the kernel's view).
         self.guard = _INF
+        #: The instant of the earliest pending step that can resume a
+        #: process: the guard while a foreground sender is on the
+        #: ledger, +inf while only the daemon is.
+        self.wake = _INF
         self._seq = None if env.is_reference else env.add_source(self)
         # The profile is frozen: its per-packet constants, read once.
         self._payload = profile.max_payload
@@ -387,6 +394,7 @@ class Ethernet:
         if holder is not None and holder.when < guard:
             guard = holder.when
         self.guard = guard
+        self.wake = guard if self._live else _INF
         self.env.reguard()
 
     @property
@@ -415,6 +423,7 @@ class Ethernet:
             xfer.tail_pos = indices.index(final) if final in indices else -1
         xfer.tail_chunk = nbytes - self._payload * final if nbytes else 0
         xfer.lost = []
+        self._live += 1
         self._aim(xfer, 0)
         self._pend(xfer, _PREP, self.env.now + self._overhead)
         return xfer
@@ -544,6 +553,7 @@ class Ethernet:
                     self._draw_loss(s, pos)
                 if pos == s.end:
                     s.step = _DONE
+                    self._live -= 1
                     finished = s
                     break
                 if left:
@@ -556,6 +566,7 @@ class Ethernet:
                 # The reference's timeout of a hop nobody waits for any
                 # more: it fires, resuming nobody.
                 s.step = _DONE
+                self._live -= 1
                 env.finish_inline(Event(env), None, t)
                 continue
             # The busy stretch: h leaves the wire at t, the next step.
@@ -608,6 +619,7 @@ class Ethernet:
                         self._draw_loss(h, pos)
                     if pos == h.end:
                         h.step = _DONE
+                        self._live -= 1
                         finished = h
                         holder = queue.popleft() if queue else None
                         step = _GRANT
@@ -871,4 +883,5 @@ class Ethernet:
             xfer.step = _ABANDONED
         else:
             xfer.step = _DONE
+            self._live -= 1
         self._reguard()

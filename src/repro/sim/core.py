@@ -63,8 +63,12 @@ to permute.
   happen only inside real dispatches and the processes a step resumes,
   and a step is performed right before the first real dispatch that
   sorts after it, so ``c`` read then stands where the reference's eid
-  for that step stood. The shared Ethernet's medium ledger
-  (``net/ethernet.py``) is the one source.
+  for that step stood. A source also publishes ``wake``, the earliest
+  instant a pending step of its can resume a process (``_wake`` over
+  all): steps before it are *quiet* — they resume nobody — and a held
+  event collapses past them, the kernel having them performed in place
+  first. The shared Ethernet's medium ledger (``net/ethernet.py``) is
+  the one source; its background daemon's steps are the quiet ones.
 
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
@@ -83,9 +87,14 @@ without touching the heap, so the heap check alone cannot see it), the
 event a ``run(until=event)`` is waiting for must not have fired yet
 (the loop ends with this dispatch and ``run``'s caller looks at the
 world next), and ``end`` must not lie past a ``run(until=t)``'s ``t``
-(whose caller looks at the world then). A pending virtual step counts
-as a heap entry of its instant: it was created before anything pushed
-from now on. Only the held event asks it, and
+(whose caller looks at the world then). The next step that can wake a
+process counts as a heap entry of its instant: it was created before
+anything pushed from now on. A quiet step in ``[now, end]`` does not
+stop the collapse; before the clock moves to ``end`` the kernel has the
+sources perform, in place, the quiet steps the reference dispatches
+ahead of the held event — every one before ``end``, and at ``end`` the
+ones made before the hold — while those made in doing so are newer than
+the held event and stay pending. Only the held event asks it, and
 :attr:`~Environment.is_reference` names the switch itself: nothing
 outside ``repro.sim`` reads the kernel's private state.
 
@@ -360,7 +369,11 @@ class Process(Event):
                     # pending) never gets here: its caller acts once this
                     # resumption is over.
                     env._held = None
-                    env._now = env._held_at
+                    end = env._held_at
+                    if env._guard <= end:
+                        # Quiet steps due first: performed in place.
+                        env._perform_quiet(end)
+                    env._now = end
                     target.callbacks = None
                     event = target
                     continue
@@ -496,7 +509,7 @@ class Environment:
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_stop",
                  "_deadline", "_held", "_held_at", "_proc_count",
-                 "_tie_hook", "_sources", "_guard", "_step_seq")
+                 "_tie_hook", "_sources", "_guard", "_wake", "_step_seq")
 
     def __init__(self):
         self._now = 0.0
@@ -527,11 +540,13 @@ class Environment:
         # order tie-break by plain heappop, fast paths on.
         self._tie_hook: Optional[Callable[[list], int]] = None
         # Virtual sources (see add_source), the creation counter their
-        # steps share, and the guard: the earliest instant any of them
-        # has a step pending, +inf when none has.
+        # steps share, the guard: the earliest instant any of them has a
+        # step pending, and the earliest instant a pending step of
+        # theirs can resume a process; +inf when none has.
         self._sources: list = []
         self._step_seq = count()
         self._guard = _INF
+        self._wake = _INF
 
     @property
     def now(self) -> float:
@@ -547,8 +562,9 @@ class Environment:
     def events_scheduled(self) -> int:
         """Total ordering tickets ever taken — one per event pushed on
         the heap; a virtual source's steps and the held events a
-        process runs through inline take none (the events/op and
-        events/sec numerator in ``perf/``; monotone, never reset)."""
+        process runs through inline, past quiet steps too, take none
+        (the events/op and events/sec numerator in ``perf/``; monotone,
+        never reset)."""
         if self._held is not None:
             self._flush()
         return self._eid
@@ -615,13 +631,16 @@ class Environment:
     def add_source(self, source: Any) -> Iterator[int]:
         """Register a *virtual source*: an object whose pending steps
         the run loop orders against the heap without their ever being
-        on it (see the module docstring). A source has three members:
+        on it (see the module docstring). A source has four members:
         ``guard``, the earliest instant a step of its is pending (+inf
-        when none is; :meth:`reguard` after every change); ``head``,
-        that step's ``(when, c, seq)``; and ``advance(bound)``, which
-        performs in order its steps that sort before the ``(when, c,
-        seq)`` triple ``bound`` and stops early, returning True, right
-        after one that resumed a process through :meth:`finish_inline`.
+        when none is); ``wake``, the earliest instant a pending step of
+        its can resume a process (not before ``guard``; +inf when none
+        can; :meth:`reguard` after a change to either); ``head``, the
+        earliest step's ``(when, c, seq)``; and ``advance(bound)``,
+        which performs in order its steps that sort before the ``(when,
+        c, seq)`` triple ``bound`` and stops early, returning True,
+        right after one that resumed a process through
+        :meth:`finish_inline`.
         Returns the creation counter every source on this kernel draws
         ``seq`` from, so steps of two sources interleave in the order
         they were made."""
@@ -629,12 +648,21 @@ class Environment:
         return self._step_seq
 
     def reguard(self) -> None:
-        """A source's ``guard`` changed: publish the earliest."""
-        guard = _INF
-        for source in self._sources:
+        """A source's ``guard`` or ``wake`` changed: publish the
+        earliest of each."""
+        sources = self._sources
+        if len(sources) == 1:
+            self._guard = sources[0].guard
+            self._wake = sources[0].wake
+            return
+        guard = wake = _INF
+        for source in sources:
             if source.guard < guard:
                 guard = source.guard
+            if source.wake < wake:
+                wake = source.wake
         self._guard = guard
+        self._wake = wake
 
     def finish_inline(self, event: Event, value: Any, when: float) -> None:
         """Succeed ``event`` and run its callbacks now, as the tail of
@@ -663,8 +691,10 @@ class Environment:
         ``[now, end]``: the legality test of the held event's collapse,
         ``end`` the instant it fires.
 
-        The next heap entry and the next virtual step must be *strictly*
-        after ``end`` (a same-tick one goes before anything pushed now),
+        The next heap entry and the next virtual step that can wake a
+        process must be *strictly* after ``end`` (a same-tick one goes
+        before anything pushed now; quiet steps are performed first, see
+        :meth:`_perform_quiet`),
         and no further callbacks of the event being dispatched may remain
         (they would run at this instant without appearing on the heap).
         Nor may the running ``run(until=event)`` have seen its event
@@ -674,7 +704,7 @@ class Environment:
         """
         return (self._tie_hook is None and self._solo
                 and (not self._heap or self._heap[0][0] > end)
-                and self._guard > end
+                and self._wake > end
                 and end <= self._deadline
                 and self._stop.callbacks is not None)
 
@@ -745,6 +775,31 @@ class Environment:
         sources = self._sources
         if len(sources) == 1:
             return sources[0].advance(bound)
+        return self._merge(bound)
+
+    def _perform_quiet(self, end: float) -> None:
+        """Before a collapse moves the clock to ``end``: have the
+        sources perform the steps the reference dispatches ahead of the
+        held event — every one before ``end`` and, at ``end``, those
+        made before the hold. ``_clear`` saw none of them can resume a
+        process. The held event is no longer held, so a step made in
+        here reads the ticket counter as it stood at the hold, and its
+        ``seq``, drawn after the bound's, sorts it after the held event
+        as the reference's would: it stays pending."""
+        bound = (end, self._eid, next(self._step_seq))
+        sources = self._sources
+        if (sources[0].advance(bound) if len(sources) == 1
+                else self._merge(bound)):
+            raise ConsistencyError(
+                "a virtual step performed ahead of a collapse resumed a "
+                "process, though its source's wake was past the collapse")
+
+    def _merge(self, bound: tuple) -> bool:
+        """Have two or more sources perform, in ``(when, seq)`` order,
+        their steps that sort before the ``(when, c, seq)`` triple
+        ``bound``: the one with the least head advances up to the
+        next's. True when a step resumed a process."""
+        sources = self._sources
         while True:
             first, second = sorted(sources, key=_head)[:2]
             if first.head >= bound or self._guard == _INF:

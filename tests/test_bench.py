@@ -727,7 +727,8 @@ def test_kernel_private_state_stays_inside_repro_sim():
         if isinstance(node, ast.Attribute)
         and node.attr in ("fast", "_solo", "_tie_hook", "_stop",
                           "_schedule", "_heap", "_eid", "_guard",
-                          "_sources", "_step_seq", "_perform_virtual",
+                          "_wake", "_sources", "_step_seq",
+                          "_perform_virtual", "_merge", "_perform_quiet",
                           "_held", "_held_at", "_hold", "_flush",
                           "_clear", "_deadline",
                           "ticket", "schedule_at", "try_finish_now",

@@ -10,10 +10,12 @@ timeouts (including zero delays and exact-tie sums), interrupts,
 resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, lock
 grants, timeouts and lock grants made and then left behind by something
 else before they are yielded (every way an event the kernel holds off
-the heap goes onto it) and runs of hops kept off the heap by a toy
+the heap goes onto it), runs of hops kept off the heap by a toy
 *virtual source* (the guard protocol of ``net/ethernet.py``'s medium
-ledger, without any Ethernet) — runs each on both kernels under every
-form of ``run(until=...)``, and compares the full traces.
+ledger, without any Ethernet) and chains of steps that resume nobody
+on a *quiet* one (the ledger's background daemon, which a held event
+collapses past) — runs each on both kernels under every form of
+``run(until=...)``, and compares the full traces.
 
 Delays are dyadic rationals so independent sums collide bit-exactly,
 exercising the ``(time, priority, eid)`` tie-breaking discipline rather
@@ -69,6 +71,7 @@ _INSTR = st.one_of(
     st.tuples(st.just("held"), _HELD_EXITS, _DELAYS, _DELAYS),
     st.tuples(st.just("grant"), _GRANT_EXITS,
               st.integers(0, MAX_WORKERS - 1), _DELAYS),
+    st.tuples(st.just("quiet"), _DELAY_LISTS),
 )
 
 _PROGRAM = st.lists(
@@ -88,11 +91,11 @@ class HopSource:
     chain of hops, each a pending step ``(when, c, seq)`` the heap never
     sees — ``c`` the ticket counter *read* when the step is made, where
     the reference pushes that hop's timeout — and the last hop resumes
-    the waiter."""
+    the waiter, so any pending step may: ``wake`` is the guard."""
 
     def __init__(self, env):
         self.env = env
-        self.guard = float("inf")
+        self.guard = self.wake = float("inf")
         self._steps = []  # (when, c, seq, delays still to go, waiter)
         self._seq = env.add_source(self)
 
@@ -105,7 +108,8 @@ class HopSource:
                              next(self._seq), rest, waiter))
 
     def _reguard(self):
-        self.guard = self._steps[0][0] if self._steps else float("inf")
+        self.guard = self.wake = (self._steps[0][0] if self._steps
+                                  else float("inf"))
         self.env.reguard()
 
     def burst(self, delays):
@@ -139,15 +143,69 @@ class HopSource:
         return False
 
 
+class QuietSource:
+    """A toy virtual source whose steps resume nobody, like the medium
+    ledger's background daemon: ``wake`` is +inf, so a held event
+    collapses past its steps, which the kernel has it perform first.
+
+    A chain is the reference's detached process that sleeps ``delays``
+    one after another and notes each wake-up in the trace: a start-up
+    step where the process's first dispatch stands, then one step per
+    sleep. Each moves the clock, as the reference's dispatch does, so a
+    drained ``run()`` ends where the reference's does."""
+
+    wake = float("inf")
+
+    def __init__(self, env, trace):
+        self.env = env
+        self.guard = float("inf")
+        self._trace = trace
+        self._steps = []  # (when, c, seq, delays still to go, tag, hop)
+        self._seq = env.add_source(self)
+
+    @property
+    def head(self):
+        return self._steps[0][:3] if self._steps else (self.guard, 0, 0)
+
+    def _pend(self, when, rest, tag, hop):
+        insort(self._steps, (when, self.env.events_scheduled,
+                             next(self._seq), rest, tag, hop))
+
+    def chain(self, delays, tag):
+        self._pend(self.env.now, delays, tag, -1)
+        self.guard = self._steps[0][0]
+        self.env.reguard()
+
+    def advance(self, bound):
+        steps = self._steps
+        while steps and steps[0][:3] < bound:
+            when, _c, _seq, rest, tag, hop = steps.pop(0)
+            self.env.finish_inline(self.env.event(), None, when)
+            if hop >= 0:
+                self._trace.append((when,) + tag + ("quiet", hop))
+            if rest:
+                self._pend(when + rest[0], rest[1:], tag, hop + 1)
+        self.guard = steps[0][0] if steps else float("inf")
+        self.env.reguard()
+        return False
+
+
 def _run_program(program, env, driver):
     """Execute ``program`` on ``env`` under ``driver``; return the trace."""
     resources = [Resource(env) for _ in range(N_RESOURCES)]
     stores = [Store(env) for _ in range(N_STORES)]
     locks = FileLockTable(env)
-    # Two sources, so their steps have to interleave in creation order.
+    # Two hop sources, so their steps have to interleave in creation
+    # order, and a quiet one beside them.
     hops = None if env.is_reference else [HopSource(env), HopSource(env)]
     trace = []
+    quiet = None if env.is_reference else QuietSource(env, trace)
     procs = {}
+
+    def chain(tag, delays):
+        for hop, delay in enumerate(delays):
+            yield env.timeout(delay)
+            trace.append((env.now,) + tag + ("quiet", hop))
 
     def worker(wid, instrs):
         for step, instr in enumerate(instrs):
@@ -171,6 +229,13 @@ def _run_program(program, env, driver):
                         finally:
                             if not over.processed:
                                 source.abandon(over)
+                elif tag == "quiet":
+                    # A detached sleeper nobody waits for: a process on
+                    # the reference, a quiet source's chain here.
+                    if quiet is None:
+                        env.process(chain((wid, step), instr[1]))
+                    else:
+                        quiet.chain(instr[1], (wid, step))
                 elif tag == "resource":
                     res = resources[instr[1]]
                     req = res.request()
@@ -386,6 +451,42 @@ def test_grant_yielded_after_an_interrupt_matches_reference():
         [("timeout", 0.125), ("grant", "interrupt", 1, 0.0)],
         [("timeout", 0.25)],
     ])
+
+
+def _quiet_beside_a_sleeper(env, program):
+    """Run ``program`` with ``run()``; return its trace and the tickets
+    it took."""
+    trace = _run_program(program, env, "run")
+    return trace, env.events_scheduled
+
+
+def test_quiet_step_at_the_collapse_instant_made_before_the_hold_goes_first():
+    # The chain's start-up is performed ahead of the zero charge's
+    # collapse and makes its sleep to 0.25 then, before worker 0's
+    # charge to 0.25 is made: the reference dispatches that sleep first,
+    # so the collapse performs it before the worker resumes.
+    program = [[("quiet", [0.25]), ("timeout", 0.0), ("timeout", 0.25)]]
+    trace, tickets = _quiet_beside_a_sleeper(Environment(), program)
+    assert trace == _quiet_beside_a_sleeper(reference_env(), program)[0]
+    assert trace == [
+        (0.0, 0, 0, "done", "quiet"), (0.0, 0, 1, "done", "timeout"),
+        (0.25, 0, 0, "quiet", 0), (0.25, 0, 2, "done", "timeout"),
+        ("end", 0.25)]
+    # The worker's start-up and completion: both charges collapsed.
+    assert tickets == 2
+
+
+def test_quiet_step_made_during_the_collapse_stays_pending():
+    # Worker 0's charge to 0.25 is made before the chain has started;
+    # the collapse performs the start-up, whose sleep to 0.25 is newer
+    # than the charge: the worker resumes first, as on the reference.
+    program = [[("quiet", [0.25]), ("timeout", 0.25)]]
+    trace, tickets = _quiet_beside_a_sleeper(Environment(), program)
+    assert trace == _quiet_beside_a_sleeper(reference_env(), program)[0]
+    assert trace == [
+        (0.0, 0, 0, "done", "quiet"), (0.25, 0, 1, "done", "timeout"),
+        (0.25, 0, 0, "quiet", 0), ("end", 0.25)]
+    assert tickets == 2
 
 
 def test_collapse_waits_for_the_other_callbacks_of_the_same_event():

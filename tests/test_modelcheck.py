@@ -62,14 +62,15 @@ class TestRefModel:
         with pytest.raises(ConsistencyError):
             model.create(cap(1), b"y")
 
-    def test_gone_capability_may_be_recycled(self):
-        # The oracle tracks presence and content only: a reissued
-        # deleted (object, check) pair is the reboot tests' concern.
+    def test_a_reissued_gone_capability_is_refused(self):
+        # Each incarnation mints its own secrets: a deleted (object,
+        # check) pair coming back is a re-minted secret.
         model = RefModel()
         model.create(cap(1), b"x")
         model.delete(cap(1))
-        model.create(cap(1), b"y")
-        assert model.data(cap(1)) == b"y"
+        with pytest.raises(ConsistencyError, match="reissued"):
+            model.create(cap(1), b"y")
+        assert cap(1) not in model and model.absence_plausible(cap(1))
 
     def test_crash_makes_unconfirmed_files_uncertain(self):
         model = RefModel()

@@ -757,6 +757,107 @@ def test_null_rpc_under_sixteen_clients_stays_inside_its_event_budget():
     assert (env.events_scheduled - before) / (16 * calls) <= 3.25
 
 
+# ------------------------------------ collapsing past the background daemon
+#
+# The daemon's steps resume nobody (the ledger's ``wake`` is +inf while
+# it is alone on the segment): a process's own charge collapses past
+# them, the kernel having the ledger perform them first. A foreground
+# sender's steps, and the hop an interrupted one abandoned, keep the
+# charge on the heap.
+
+
+def _sleeper(env, count, delay, tickets):
+    """A process that sleeps ``count`` times ``delay`` and notes the
+    tickets taken across each sleep."""
+    def sleeps():
+        for _ in range(count):
+            before = env.events_scheduled
+            yield env.timeout(delay)
+            tickets.append(env.events_scheduled - before)
+    return env.process(sleeps())
+
+
+def _sleeps_beside(env, before_sleeping=None):
+    """200 sleeps of 2 ms on a segment with background load, after
+    ``before_sleeping(env, eth)``; the tickets of each and what the
+    segment shows when they are over."""
+    eth, _ = make_net(env, background=True, seed=1989)
+    if before_sleeping is not None:
+        before_sleeping(env, eth)
+    tickets = []
+    env.run(until=_sleeper(env, 200, 0.002, tickets))
+    return tickets, (env.now, _snapshot(eth))
+
+
+def test_a_lone_sleeper_beside_the_daemon_takes_no_ticket():
+    tickets, seen = _sleeps_beside(Environment())
+    assert tickets == [0] * 200
+    assert seen == _sleeps_beside(reference_env())[1]
+    background_packets = seen[1][3]
+    assert background_packets > 50
+
+
+def test_sleeps_take_tickets_while_a_foreground_transfer_is_live():
+    # 128 KB beside the daemon is on the segment for 81 sleeps: every
+    # sleep till then crosses a step of the sender's, which may resume
+    # it, and goes through the heap; after it, none does.
+    def send(env, eth):
+        env.process(eth.send_fragments(128 * KB))
+
+    tickets, seen = _sleeps_beside(Environment(), send)
+    assert seen == _sleeps_beside(reference_env(), send)[1]
+    busy = tickets.index(0)
+    assert busy == 81 and all(tickets[:busy]) and not any(tickets[busy:])
+
+
+def test_a_sleep_across_an_abandoned_hop_takes_a_ticket():
+    # The sender is interrupted 9 ms into a 64 KB message. The hop it
+    # abandoned resumes nobody but moves the clock when it comes due
+    # (the reference's timeout fires there), so it holds the first sleep
+    # on the heap like a live sender's step; the segment already reads
+    # idle, and the sleeps after it collapse.
+    def interrupted(env, eth):
+        def sender():
+            try:
+                yield from eth.send_fragments(64 * KB)
+            except Interrupt:
+                pass
+
+        proc = env.process(sender())
+        env.run(until=0.009)
+        proc.interrupt()
+        env.run(until=proc)
+        assert eth.idle
+
+    tickets, seen = _sleeps_beside(Environment(), interrupted)
+    assert seen == _sleeps_beside(reference_env(), interrupted)[1]
+    assert tickets == [1] + [0] * 199
+
+
+def test_a_sender_interrupted_in_the_queue_leaves_nothing_to_wake():
+    # B queues behind A's first packet at 0.56 ms. Interrupted there it
+    # withdraws with no hop pending, so once A is through the sleeps
+    # collapse past the daemon again.
+    def queued(env, eth):
+        first = env.process(eth.send_fragments(64 * KB))
+
+        def sender():
+            try:
+                yield from eth.send_fragments(64 * KB)
+            except Interrupt:
+                pass
+
+        proc = env.process(sender())
+        env.run(until=0.001)
+        assert eth.medium_queue_length == 1
+        proc.interrupt()
+        env.run(until=first)
+
+    tickets, seen = _sleeps_beside(Environment(), queued)
+    assert seen == _sleeps_beside(reference_env(), queued)[1]
+    assert tickets == [0] * 200
+
+
 # ---------------------------------- pending virtual work is scheduled work
 
 
@@ -1160,7 +1261,7 @@ class _IdleSource:
     """A virtual source with nothing pending, registered for the step
     counter ``add_source`` hands out."""
 
-    guard = float("inf")
+    guard = wake = float("inf")
     head = (guard, 0, 0)
 
     def advance(self, bound):

@@ -245,3 +245,25 @@ def test_a_log_create_whose_write_fails_keeps_its_first_block():
                              "free_blocks": free}
     logs.disk.clear_flaky(first, 1)
     run_process(env, logs.create_log())
+
+
+@pytest.mark.parametrize("failing", ["new block", "old tail"])
+def test_a_log_append_whose_new_block_fails_keeps_the_block(failing):
+    """The first block is full, so the append takes a new one: when the
+    write that initialises it or the write that links it fails, the
+    block goes back to the free list and the log is as before."""
+    env, logs, _build = _world("log")
+    log = run_process(env, logs.create_log())
+    full = b"x" * logs.max_record
+    run_process(env, logs.append(log, full))
+    status = logs.status()
+    block = (logs._free_blocks[-1] if failing == "new block"
+             else logs._logs[log.object - 1].tail_block)
+    logs.disk.mark_flaky(block, 1)
+    with pytest.raises(ReproError):
+        run_process(env, logs.append(log, b"refused"))
+    assert logs.status() == status
+    logs.disk.clear_flaky(block, 1)
+    assert run_process(env, logs.append(log, b"next")) == 1
+    assert run_process(env, logs.read(log)) == [full, b"next"]
+    assert logs.status()["free_blocks"] == status["free_blocks"] - 1
