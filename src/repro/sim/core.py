@@ -650,13 +650,8 @@ class Environment:
     def reguard(self) -> None:
         """A source's ``guard`` or ``wake`` changed: publish the
         earliest of each."""
-        sources = self._sources
-        if len(sources) == 1:
-            self._guard = sources[0].guard
-            self._wake = sources[0].wake
-            return
         guard = wake = _INF
-        for source in sources:
+        for source in self._sources:
             if source.guard < guard:
                 guard = source.guard
             if source.wake < wake:
