@@ -42,13 +42,21 @@ abandonable. Files whose destination is partly occupied (a concurrent
 CREATE won the blocks), whose bounce cannot find staging, or whose copy
 errors mid-hop are skipped and left in place (or at staging) —
 compaction is best-effort under load, correct always.
+
+A pass belongs to the incarnation it starts in: it takes the server's
+incarnation token first, works on that incarnation's inode table, free
+map and lock table throughout, and refuses each write once a crash has
+ended it. The :class:`ServerDownError` ends the pass; nothing it would
+have written reaches a disk, and the next incarnation's tables are never
+touched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConsistencyError, NoSpaceError, ReproError
+from ..errors import (ConsistencyError, NoSpaceError, ReproError,
+                      ServerDownError)
 from .server import BulletServer
 
 __all__ = ["CompactionReport", "compact_disk"]
@@ -68,29 +76,50 @@ class CompactionReport:
     largest_hole_after: int = field(default=0, init=False)
 
 
+class _Pass:
+    """One pass's view of the volume: the incarnation it started in,
+    that incarnation's tables, and its one way to write."""
+
+    def __init__(self, server: BulletServer):
+        self.server = server
+        self.token = server._require_booted()
+        self.table = server.table
+        self.disk_free = server.disk_free
+        self.locks = server.locks
+
+    def write(self, block: int, data: bytes):
+        """``mirror.write``, refused once the pass's incarnation is down."""
+        self.server._require_alive(self.token)
+        return self.server.mirror.write(block, data)
+
+
 def compact_disk(server: BulletServer):
     """Process: one full compaction pass over ``server``'s volume.
 
     Safe to run online, concurrently with a serving worker pool: each
-    file moves under its write lock with copy-then-flip ordering.
+    file moves under its write lock with copy-then-flip ordering. Raises
+    :class:`ServerDownError` at its next write once the incarnation it
+    started in has crashed.
     """
     env = server.env
     layout = server.layout
+    work = _Pass(server)
+    disk_free = work.disk_free
     report = CompactionReport(
-        fragmentation_before=server.disk_free.external_fragmentation(),
-        largest_hole_before=server.disk_free.largest_hole,
+        fragmentation_before=disk_free.external_fragmentation(),
+        largest_hole_before=disk_free.largest_hole,
     )
     started = env.now
-    live = sorted(server.table.live_inodes(),
+    live = sorted(work.table.live_inodes(),
                   key=lambda item: item[1].start_block)
     cursor = layout.data_start
     for number, _snapshot_inode in live:
-        with server.locks.writing(number) as lock:
+        with work.locks.writing(number) as lock:
             yield lock.grant
             # Revalidate under the lock: the file may have been deleted
             # (or its number reincarnated at a new address) while the
             # pass worked through earlier files.
-            inode = server.table.get(number)
+            inode = work.table.get(number)
             if inode.free:
                 continue
             blocks = layout.blocks_for(inode.size)
@@ -103,8 +132,10 @@ def compact_disk(server: BulletServer):
                 cursor = max(cursor, start + blocks)
                 continue
             try:
-                moved = yield from _relocate(server, number, inode,
+                moved = yield from _relocate(work, number, inode,
                                              start, cursor, blocks)
+            except ServerDownError:
+                raise  # the incarnation is over, and with it the pass
             except ReproError as exc:
                 # A replica erroring mid-hop (media fault, disk death)
                 # aborts that file's move, not the pass: the hop has
@@ -119,17 +150,17 @@ def compact_disk(server: BulletServer):
             else:
                 report.files_skipped += 1
                 cursor = start + blocks
-    server.disk_free.check_invariants()
+    disk_free.check_invariants()
     report.duration = env.now - started
-    report.fragmentation_after = server.disk_free.external_fragmentation()
-    report.largest_hole_after = server.disk_free.largest_hole
+    report.fragmentation_after = disk_free.external_fragmentation()
+    report.largest_hole_after = disk_free.largest_hole
     server._trace("bullet", "compaction",
                   moved=report.files_moved, blocks=report.blocks_moved,
                   skipped=report.files_skipped)
     return report
 
 
-def _relocate(server: BulletServer, number: int, inode, start: int,
+def _relocate(work: _Pass, number: int, inode, start: int,
               cursor: int, blocks: int):
     """Process: bring one file to ``cursor`` (``cursor < start``).
     A slide of at least the file's own length is one disjoint hop; a
@@ -142,22 +173,22 @@ def _relocate(server: BulletServer, number: int, inode, start: int,
         # disjoint free extent (the coalescing tail, usually). No
         # staging room means the file stays put this pass.
         try:
-            staging = server.disk_free.allocate(blocks)
+            staging = work.disk_free.allocate(blocks)
         except NoSpaceError:
             return False
-        yield from _copy_flip(server, number, inode, start, staging, blocks)
+        yield from _copy_flip(work, number, inode, start, staging, blocks)
         start = staging  # hop two below moves staging -> cursor
-    if not server.disk_free.is_free(cursor, blocks):
+    if not work.disk_free.is_free(cursor, blocks):
         # A concurrent CREATE owns part of the destination: skip the
         # move. (Single-threaded passes never hit this — the snapshot
         # cannot go stale.)
         return False
-    server.disk_free.allocate_at(cursor, blocks)
-    yield from _copy_flip(server, number, inode, start, cursor, blocks)
+    work.disk_free.allocate_at(cursor, blocks)
+    yield from _copy_flip(work, number, inode, start, cursor, blocks)
     return True
 
 
-def _copy_flip(server: BulletServer, number: int, inode, src: int,
+def _copy_flip(work: _Pass, number: int, inode, src: int,
                dst: int, blocks: int):
     """Process: one abandonable hop from ``src`` to a *disjoint*,
     already-claimed ``dst``. Unwinds the claim and re-raises if a
@@ -168,24 +199,23 @@ def _copy_flip(server: BulletServer, number: int, inode, src: int,
             "overlaps; a mid-copy failure would tear the only copy"
         )
     try:
-        data = yield from server.mirror.read_with_failover(src, blocks)
+        data = yield from work.server.mirror.read_with_failover(src, blocks)
         # Copy: the relocated extent becomes durable on every live
         # replica while the old extent and the on-disk inode still
         # describe the old location — an abort here loses nothing.
-        yield server.mirror.write(dst, data)
+        yield work.write(dst, data)
     except ReproError:
-        server.disk_free.free(dst, blocks)
+        work.disk_free.free(dst, blocks)
         raise
     # Flip: repoint the RAM inode and write the inode block through
     # while the old extent is still allocated (so a crash between the
     # two leaves whichever inode version is on disk pointing at an
     # extent nobody has reused), then return the vacated blocks.
     inode.start_block = dst
-    inode_block = server.table.block_of_inode(number)
+    inode_block = work.table.block_of_inode(number)
     try:
-        yield server.mirror.write(
-            inode_block, server.table.encode_block(inode_block))
+        yield work.write(inode_block, work.table.encode_block(inode_block))
     finally:
         # Even if the write-through errored, RAM state (inode + free
         # map) must stay self-consistent: the file now lives at dst.
-        server.disk_free.free(src, blocks)
+        work.disk_free.free(src, blocks)

@@ -37,18 +37,22 @@ with a hook would hide from the hook the very interleavings it exists
 to permute.
 
 * held events — a fresh event the running process triggers (a timeout
-  it makes, or an event it succeeds with no callback on it yet) is
-  *held* off the heap, its ticket not yet taken. If the process yields
-  it next and nothing can run in ``[now, when it fires]``
-  (``Environment._clear`` of that instant), the kernel moves the clock
-  there and resumes the generator in the same loop: the reference would
-  pop that event next with nothing in between. Any other move first
-  pushes it, with the ticket it would have taken when triggered: every
-  scheduling, a read of :attr:`events_scheduled`, a tie hook, a second
-  held event, and at the latest the end of the resumption it was made
-  in (a process's own completion is always pushed there).
-  Every uncontended CPU charge and lock grant of the stack takes this
-  path.
+  it makes, or an event it succeeds: a lock grant, a hand-off to a
+  process that already waits on it, its own completion) is *held* off
+  the heap, its ticket not yet taken, until the run loop next looks at
+  it. If the process yields it next and nothing can run in ``[now, when
+  it fires]`` (``Environment._clear`` of that instant), the kernel moves
+  the clock there and resumes the generator in the same loop: the
+  reference would pop that event next with nothing in between. Any
+  other move first pushes it, with the ticket it would have taken when
+  triggered: every scheduling, a read of :attr:`events_scheduled`, a
+  tie hook, a second held event. So an event still held when the run
+  loop regains control is newer than everything pending; if ``_clear``
+  of its instant holds, nothing sorts before it, and the loop dispatches
+  it from the hold as the reference's next pop. Otherwise the loop
+  pushes it and pops the heap, and ``run()`` pushes it on its way out.
+  Every uncontended CPU charge and lock grant of the stack, and every
+  hand-off that is the next thing due, takes this path.
 * the *guard* — :meth:`Environment.add_source`,
   :meth:`Environment.reguard`, :meth:`Environment.finish_inline`. A
   *virtual source* keeps pending steps the heap never sees: each is
@@ -192,11 +196,11 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        if self.callbacks or env._active is None or env._tie_hook is not None:
+        if env._active is None or env._tie_hook is not None:
             env._schedule(self)
         else:
-            # Nobody waits on it yet and the running process triggered
-            # it: held off the heap like its own timeouts (see _hold).
+            # The running process triggered it: held off the heap like
+            # its own timeouts (see _hold).
             env._hold(self, 0.0)
         return self
 
@@ -394,12 +398,9 @@ class Process(Event):
                 target.callbacks.append(self._resume)
                 return
         finally:
+            # An event still held stays held: the run loop looks at it
+            # next (Environment.run).
             env._active = None
-            if env._held is not None:
-                # Yielded to wait on, left behind, or this process's own
-                # completion: no event stays held past the resumption it
-                # was made in.
-                env._flush()
 
 
 class _ConditionBase(Event):
@@ -561,10 +562,11 @@ class Environment:
     @property
     def events_scheduled(self) -> int:
         """Total ordering tickets ever taken — one per event pushed on
-        the heap; a virtual source's steps and the held events a
-        process runs through inline, past quiet steps too, take none
-        (the events/op and events/sec numerator in ``perf/``; monotone,
-        never reset)."""
+        the heap; a virtual source's steps and the held events that
+        never reach it take none: those a process runs through inline
+        and those the run loop dispatches from the hold, past quiet
+        steps too (the events/op and events/sec numerator in ``perf/``;
+        monotone, never reset). Reading it pushes a held event."""
         if self._held is not None:
             self._flush()
         return self._eid
@@ -610,12 +612,13 @@ class Environment:
 
     def _hold(self, event: Event, delay: float) -> None:
         """Keep a fresh event the active process triggered — its own
-        timeout, or one nobody waits on yet — off the heap without
-        taking its ticket yet. Every ticket is taken by
-        :meth:`_schedule`, which pushes a held event first, so when it
-        is pushed (:meth:`_flush`) it gets the eid it would have taken
-        when triggered. If the process yields it next and :meth:`_clear`
-        holds for its instant, it never reaches the heap at all."""
+        timeout, or any event it succeeds — off the heap without taking
+        its ticket yet. Every ticket is taken by :meth:`_schedule`,
+        which pushes a held event first, so when it is pushed
+        (:meth:`_flush`) it gets the eid it would have taken when
+        triggered. It never reaches the heap at all when :meth:`_clear`
+        holds for its instant as the process yields it next, or as the
+        run loop next looks at it (:meth:`run`)."""
         if self._held is not None:
             self._flush()
         self._held = event
@@ -683,8 +686,9 @@ class Environment:
 
     def _clear(self, end: float) -> bool:
         """True when nothing but the running process can act in
-        ``[now, end]``: the legality test of the held event's collapse,
-        ``end`` the instant it fires.
+        ``[now, end]``: the legality test of the held event, ``end`` the
+        instant it fires — for its collapse into the process that yields
+        it, and for its dispatch from the hold by the run loop.
 
         The next heap entry and the next virtual step that can wake a
         process must be *strictly* after ``end`` (a same-tick one goes
@@ -696,10 +700,13 @@ class Environment:
         fire (its caller observes the world as soon as the dispatch in
         progress ends), nor may ``end`` lie past the running
         ``run(until=t)``'s ``t``, whose caller looks at the world then.
+        Only a held event asks, and there is none on the reference
+        kernel: a tie hook pushes it, and nothing is held under one.
         """
-        return (self._tie_hook is None and self._solo
-                and (not self._heap or self._heap[0][0] > end)
+        heap = self._heap
+        return ((not heap or heap[0][0] > end)
                 and self._wake > end
+                and self._solo
                 and end <= self._deadline
                 and self._stop.callbacks is not None)
 
@@ -773,14 +780,15 @@ class Environment:
         return self._merge(bound)
 
     def _perform_quiet(self, end: float) -> None:
-        """Before a collapse moves the clock to ``end``: have the
-        sources perform the steps the reference dispatches ahead of the
-        held event — every one before ``end`` and, at ``end``, those
-        made before the hold. ``_clear`` saw none of them can resume a
-        process. The held event is no longer held, so a step made in
-        here reads the ticket counter as it stood at the hold, and its
-        ``seq``, drawn after the bound's, sorts it after the held event
-        as the reference's would: it stays pending."""
+        """Before a held event's collapse, or its dispatch from the
+        hold, moves the clock to ``end``: have the sources perform the
+        steps the reference dispatches ahead of the held event — every
+        one before ``end`` and, at ``end``, those made before the hold.
+        ``_clear`` saw none of them can resume a process. The held event
+        is no longer held, so a step made in here reads the ticket
+        counter as it stood at the hold, and its ``seq``, drawn after
+        the bound's, sorts it after the held event as the reference's
+        would: it stays pending."""
         bound = (end, self._eid, next(self._step_seq))
         sources = self._sources
         if (sources[0].advance(bound) if len(sources) == 1
@@ -814,11 +822,15 @@ class Environment:
 
         All three are one loop over ``(stop event, deadline)``: a
         missing stop event is one that never fires, a missing deadline
-        is +inf; one comparison of the heap top against the guard picks
-        between the plain pop and the virtual sources' slow path. It is
-        the kernel's one dispatch body: the per-event tuple unpack and
-        callback dispatch is the single hottest path in the whole
-        system, so it is kept free of method-call and property
+        is +inf. The next event has two sources: a held event for which
+        ``_clear`` holds is dispatched from the hold (quiet steps due
+        first performed in place, as a collapse does); otherwise the
+        held event, if any, is pushed and one comparison of the heap top
+        against the guard picks between the plain pop and the virtual
+        sources' slow path. Whatever is still held when the loop ends is
+        pushed. It is the kernel's one dispatch body: the per-event
+        tuple unpack and callback dispatch is the single hottest path in
+        the whole system, so it is kept free of method-call and property
         overhead; which pop serves it (plain ``heappop``, or the
         tie-aware one of the reference kernel) is decided here, once
         per call, not per event.
@@ -839,14 +851,27 @@ class Environment:
         self._deadline = deadline
         try:
             while stop.callbacks is not None:
-                if not heap or heap[0][0] >= self._guard:
-                    if self._perform_virtual(deadline):
-                        continue
-                    if not heap:
+                if self._held is None or not self._clear(self._held_at):
+                    if self._held is not None:
+                        self._flush()
+                    if not heap or heap[0][0] >= self._guard:
+                        if self._perform_virtual(deadline):
+                            continue
+                        if not heap:
+                            break
+                    if heap[0][0] > deadline:
                         break
-                if heap[0][0] > deadline:
-                    break
-                when, _priority, _eid, event = pop(heap)
+                    when, _priority, _eid, event = pop(heap)
+                else:
+                    # Newer than everything pending and nothing sorts
+                    # before it: the reference's next pop, taken from
+                    # the hold slot (module docstring).
+                    event = self._held
+                    self._held = None
+                    when = self._held_at
+                    if self._guard <= when:
+                        # Quiet steps due first: performed in place.
+                        self._perform_quiet(when)
                 self._now = when
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -861,6 +886,8 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
+            if self._held is not None:
+                self._flush()
             self._stop = _NEVER
             self._deadline = _INF
             self._solo = True

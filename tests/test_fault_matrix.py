@@ -361,6 +361,57 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(reboot):
     assert not dead.members and not server._endpoint.members
 
 
+#: Crash points of an online compaction pass over six 32 KB survivors
+#: (ms into the pass, and whether the boot comes at once or 50 ms
+#: later). Before the pass was bound to its incarnation, each left a
+#: volume the last boot refused (an extent overlapping another file) or
+#: an acknowledged file that read back wrong.
+_COMPACTION_CRASHES = [(2, False), (60, False), (136, False), (214, False),
+                       (378, False), (10, True), (40, True), (86, True),
+                       (246, True), (328, True)]
+
+
+@pytest.mark.parametrize("crash_ms, late", _COMPACTION_CRASHES)
+def test_a_compaction_pass_that_outlives_its_incarnation_writes_nothing(
+        crash_ms, late):
+    """The pass is still moving files when the server crashes. It must
+    end at its next write with ServerDownError, and never move a file in
+    the next incarnation's tables: files created after the reboot and
+    every survivor read back after one more crash and boot."""
+    from repro.core import compact_disk
+
+    env = Environment()
+    server = make_bullet(env)
+    size = 32 * 1024
+    caps = [run_process(env, server.create(bytes([n]) * size, 1))
+            for n in range(12)]
+    for cap in caps[::2]:
+        run_process(env, server.delete(cap))
+    kept = {cap: bytes([n]) * size for n, cap in enumerate(caps) if n % 2}
+    ended = []
+
+    def compaction():
+        with pytest.raises(ServerDownError):
+            yield from compact_disk(server)
+        ended.append(env.now)
+
+    env.process(compaction())
+    env.run(until=env.now + crash_ms / 1000)
+    server.crash()
+    if late:
+        env.run(until=env.now + 0.05)
+    run_process(env, server.boot())
+    for n in range(3):
+        data = bytes([100 + n]) * size
+        kept[run_process(env, server.create(data, 1))] = data
+    env.run(until=env.now + 10.0)
+    assert ended
+    server.crash()
+    run_process(env, server.boot())
+    for cap, data in kept.items():
+        assert run_process(env, server.read(cap)) == data
+
+
 def test_a_crash_stops_the_resend_of_a_cached_reply():
     """A duplicate READ is answered by resending its cached 64 KB reply.
     The resend is a process of the incarnation, so a crash 5 ms into it

@@ -9,9 +9,10 @@ instants. This suite generates random little concurrent programs —
 timeouts (including zero delays and exact-tie sums), interrupts,
 resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, lock
 grants, timeouts and lock grants made and then left behind by something
-else before they are yielded (every way an event the kernel holds off
-the heap goes onto it), runs of hops kept off the heap by a toy
-*virtual source* (the guard protocol of ``net/ethernet.py``'s medium
+else before they are yielded, hand-offs to a waiting worker followed by
+each way out of the hold (every way an event the kernel holds off the
+heap goes onto it, or is dispatched from the hold), runs of hops kept
+off the heap by a toy *virtual source* (the guard protocol of ``net/ethernet.py``'s medium
 ledger, without any Ethernet) and chains of steps that resume nobody
 on a *quiet* one (the ledger's background daemon, which a held event
 collapses past) — runs each on both kernels under every form of
@@ -54,6 +55,12 @@ _HELD_EXITS = st.sampled_from(
 _GRANT_EXITS = st.sampled_from(
     ("interrupt", "put", "count", "second", "drop"))
 
+#: What a worker does after succeeding an event another worker waits
+#: on: the hand-off is held until the run loop looks at it, unless one
+#: of these pushes it first.
+_SIGNAL_EXITS = st.sampled_from(
+    ("nothing", "timeout", "put", "interrupt", "second"))
+
 _INSTR = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("burst"), _DELAY_LISTS),
@@ -72,6 +79,7 @@ _INSTR = st.one_of(
     st.tuples(st.just("grant"), _GRANT_EXITS,
               st.integers(0, MAX_WORKERS - 1), _DELAYS),
     st.tuples(st.just("quiet"), _DELAY_LISTS),
+    st.tuples(st.just("signal"), _SIGNAL_EXITS),
 )
 
 _PROGRAM = st.lists(
@@ -200,6 +208,7 @@ def _run_program(program, env, driver):
     hops = None if env.is_reference else [HopSource(env), HopSource(env)]
     trace = []
     quiet = None if env.is_reference else QuietSource(env, trace)
+    signals = []  # (event, the worker waiting on it), oldest first
     procs = {}
 
     def chain(tag, delays):
@@ -303,6 +312,33 @@ def _run_program(program, env, driver):
                             yield env.timeout(other)
                     if way != "drop":
                         yield timer
+                elif tag == "signal":
+                    # A rendezvous: the first worker here waits; the next
+                    # succeeds its event — a hand-off to a process that
+                    # already waits — and then leaves by ``way``.
+                    if not signals:
+                        signal = env.event()
+                        signals.append((signal, wid))
+                        value = yield signal
+                        trace.append((env.now, wid, step, "signalled", value))
+                    else:
+                        signal, waiter = signals.pop(0)
+                        signal.succeed((wid, step))
+                        way = instr[1]
+                        if way == "timeout":
+                            yield env.timeout(0.0)
+                        elif way == "put":
+                            stores[0].put((wid, step, "signal"))
+                        elif way == "interrupt":
+                            # At priority 0 it reaches the waiter first.
+                            target = procs[waiter]
+                            if target.is_alive:
+                                target.interrupt((wid, step))
+                                trace.append(
+                                    (env.now, wid, step, "sent-interrupt"))
+                        elif way == "second" and signals:
+                            signal, _waiter = signals.pop(0)
+                            signal.succeed((wid, step, "second"))
                 elif tag == "grant":
                     way, other, delay = instr[1:]
                     with locks.writing(wid % N_LOCKS) as lock:
@@ -453,10 +489,12 @@ def test_grant_yielded_after_an_interrupt_matches_reference():
     ])
 
 
-def _quiet_beside_a_sleeper(env, program):
-    """Run ``program`` with ``run()``; return its trace and the tickets
-    it took."""
-    trace = _run_program(program, env, "run")
+def _tickets_beside_the_reference(program, driver="run"):
+    """Run ``program`` on both kernels; return the fast kernel's trace,
+    once it is known to be the reference's, and the tickets it took."""
+    env = Environment()
+    trace = _run_program(program, env, driver)
+    assert trace == _run_program(program, reference_env(), driver)
     return trace, env.events_scheduled
 
 
@@ -466,14 +504,14 @@ def test_quiet_step_at_the_collapse_instant_made_before_the_hold_goes_first():
     # charge to 0.25 is made: the reference dispatches that sleep first,
     # so the collapse performs it before the worker resumes.
     program = [[("quiet", [0.25]), ("timeout", 0.0), ("timeout", 0.25)]]
-    trace, tickets = _quiet_beside_a_sleeper(Environment(), program)
-    assert trace == _quiet_beside_a_sleeper(reference_env(), program)[0]
+    trace, tickets = _tickets_beside_the_reference(program)
     assert trace == [
         (0.0, 0, 0, "done", "quiet"), (0.0, 0, 1, "done", "timeout"),
         (0.25, 0, 0, "quiet", 0), (0.25, 0, 2, "done", "timeout"),
         ("end", 0.25)]
-    # The worker's start-up and completion: both charges collapsed.
-    assert tickets == 2
+    # The worker's start-up: both charges collapsed, and its completion
+    # was dispatched from the hold.
+    assert tickets == 1
 
 
 def test_quiet_step_made_during_the_collapse_stays_pending():
@@ -481,12 +519,11 @@ def test_quiet_step_made_during_the_collapse_stays_pending():
     # the collapse performs the start-up, whose sleep to 0.25 is newer
     # than the charge: the worker resumes first, as on the reference.
     program = [[("quiet", [0.25]), ("timeout", 0.25)]]
-    trace, tickets = _quiet_beside_a_sleeper(Environment(), program)
-    assert trace == _quiet_beside_a_sleeper(reference_env(), program)[0]
+    trace, tickets = _tickets_beside_the_reference(program)
     assert trace == [
         (0.0, 0, 0, "done", "quiet"), (0.25, 0, 1, "done", "timeout"),
         (0.25, 0, 0, "quiet", 0), ("end", 0.25)]
-    assert tickets == 2
+    assert tickets == 1
 
 
 def test_collapse_waits_for_the_other_callbacks_of_the_same_event():
@@ -498,3 +535,129 @@ def test_collapse_waits_for_the_other_callbacks_of_the_same_event():
         [("join", 0), ("timeout", 0.0), ("burst", [0.0, 0.125])],
         [("join", 0), ("timeout", 0.0)],
     ])
+
+
+def test_a_put_to_a_waiting_getter_takes_no_ticket_on_an_idle_kernel():
+    # Worker 1's put succeeds the event worker 0 waits on; worker 1 then
+    # waits for good, and nothing else is due: the run loop dispatches
+    # the hand-off from the hold, then worker 0's completion.
+    trace, tickets = _tickets_beside_the_reference([
+        [("get", 0)],
+        [("put", 0, 7), ("get", 1)],
+    ])
+    assert trace == [(0.0, 1, 0, "done", "put"), (0.0, 0, 0, "got", (1, 0, 7)),
+                     (0.0, 0, 0, "done", "get"), ("end", 0.0)]
+    assert tickets == 2  # the two start-ups
+
+
+def test_a_same_instant_heap_entry_pushed_before_the_hand_off_goes_first():
+    # Worker 2's timeout to 0.25 is on the heap when worker 1's put,
+    # at 0.25, hands worker 0 its item: worker 2 resumes first.
+    trace, tickets = _tickets_beside_the_reference([
+        [("get", 0)],
+        [("timeout", 0.25), ("put", 0, 1), ("get", 1)],
+        [("timeout", 0.25), ("get", 1)],
+    ])
+    assert trace[1:4] == [(0.25, 1, 1, "done", "put"),
+                          (0.25, 2, 0, "done", "timeout"),
+                          (0.25, 0, 0, "got", (1, 1, 1))]
+    # Start-ups, both timeouts, the hand-off; worker 0's completion,
+    # alone at the end, is dispatched from the hold.
+    assert tickets == 6
+
+
+def test_an_interrupt_scheduled_after_a_hand_off_goes_first():
+    # Worker 1 hands worker 0 a signal, then interrupts it: the hand-off
+    # is pushed first, with its ticket, yet the interrupt (priority 0)
+    # reaches worker 0 before it. At 0.5 worker 1 hands worker 0 a
+    # second signal and waits for good: that one takes no ticket.
+    trace, tickets = _tickets_beside_the_reference([
+        [("signal", "nothing"), ("timeout", 0.25), ("signal", "nothing")],
+        [("signal", "interrupt"), ("timeout", 0.5), ("signal", "nothing"),
+         ("get", 1)],
+    ])
+    assert trace[:3] == [(0.0, 1, 0, "sent-interrupt"),
+                         (0.0, 1, 0, "done", "signal"),
+                         (0.0, 0, 0, "interrupted", (1, 0))]
+    assert trace[-4:-1] == [(0.5, 1, 2, "done", "signal"),
+                            (0.5, 0, 2, "signalled", (1, 2)),
+                            (0.5, 0, 2, "done", "signal")]
+    # Start-ups, the first hand-off, the interrupt, both timeouts.
+    assert tickets == 6
+
+
+def test_a_virtual_step_at_the_hand_off_instant_blocks_it_unless_quiet():
+    # Worker 2 makes a step due at 0.25 at 0.125, after worker 1's timeout
+    # to 0.25 took its ticket and before worker 1's put at 0.25 hands
+    # worker 0 its item. The reference dispatches the step first. A step
+    # that can wake a process keeps the hand-off on the heap; a quiet
+    # one is performed in place and the hand-off dispatched from the
+    # hold.
+    tickets = {}
+    for step, last in (("waking", ("burst", [0.125])),
+                       ("quiet", ("quiet", [0.125]))):
+        trace, tickets[step] = _tickets_beside_the_reference([
+            [("get", 0)],
+            [("timeout", 0.25), ("put", 0, 1), ("get", 1)],
+            [("timeout", 0.125), last],
+        ])
+        assert trace[-4:-1] == [
+            (0.25, 2, 1) + (("done", "burst") if step == "waking"
+                            else ("quiet", 0)),
+            (0.25, 0, 0, "got", (1, 1, 1)), (0.25, 0, 0, "done", "get")]
+    # Both: start-ups and three timeouts. Waking: the hand-off and the
+    # completions of workers 2 and 0 too.
+    assert tickets == {"waking": 7, "quiet": 4}
+
+
+def test_a_hand_off_made_by_the_second_callback_of_a_dispatch():
+    # Workers 1 and 2 join worker 0, whose completion is dispatched from
+    # the hold with both callbacks. The first hands worker 3 an item;
+    # the second, while that hand-off is held, hands worker 4 a signal
+    # (the hand-off is pushed first) and interrupts it (pushed next).
+    trace, tickets = _tickets_beside_the_reference([
+        [("timeout", 0.25)],
+        [("join", 0), ("put", 0, 1), ("get", 1)],
+        [("join", 0), ("signal", "interrupt")],
+        [("get", 0)],
+        [("signal", "nothing")],
+    ])
+    assert trace[1:] == [(0.25, 1, 0, "done", "join"),
+                         (0.25, 1, 1, "done", "put"),
+                         (0.25, 2, 0, "done", "join"),
+                         (0.25, 2, 1, "sent-interrupt"),
+                         (0.25, 2, 1, "done", "signal"),
+                         (0.25, 4, 0, "interrupted", (2, 1)),
+                         (0.25, 3, 0, "got", (1, 1, 1)),
+                         (0.25, 3, 0, "done", "get"),
+                         ("end", 0.25)]
+    assert tickets == 12
+
+
+def test_a_hand_off_held_when_run_until_event_returns_is_pushed():
+    # run(until=worker 0) ends with the dispatch of worker 0's
+    # completion, in which worker 1 hands worker 2 its item. The loop
+    # does not look at the hold again: run() pushes the hand-off on the
+    # way out, with its ticket, and the next run() dispatches it.
+    trace, tickets = _tickets_beside_the_reference([
+        [("timeout", 0.25)],
+        [("join", 0), ("put", 0, 1), ("get", 1)],
+        [("get", 0)],
+    ], "event")
+    assert trace[2:5] == [(0.25, 1, 1, "done", "put"),
+                          ("returned", 0, 0.25),
+                          (0.25, 2, 0, "got", (1, 1, 1))]
+    # Start-ups, the timeout, the hand-off; worker 0's completion (the
+    # until event) and worker 2's are dispatched from the hold.
+    assert tickets == 5
+
+
+def test_a_held_any_of_timer_past_run_until_t_waits_for_it():
+    # Worker 0's timer to 1.0 is composed into an any_of, so it is held
+    # with a callback on it when worker 0 waits. run(until=0.375) stops
+    # before it; it fires in run(until=1.0).
+    trace, tickets = _tickets_beside_the_reference(
+        [[("anyof", [1.0])]], "deadlines")
+    assert trace == [("stopped", 0.375), (1.0, 0, 0, "done", "anyof"),
+                     ("stopped", 1.0), ("end", 1.0)]
+    assert tickets == 3  # start-up, the timer, the any_of

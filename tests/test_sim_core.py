@@ -388,8 +388,9 @@ def test_a_timeout_not_yet_yielded_counts_as_scheduled():
         before = env.events_scheduled
         run_process(env, charged(delay))
         seen.append(env.events_scheduled - before)
-    # Start-up, the first timer, completion; plus the tied second timer.
-    assert seen == [1, 3, 4] and env.now == 3.0
+    # Start-up and the first timer; plus the tied second timer. The
+    # completion is the next thing due when it is made: no ticket.
+    assert seen == [1, 2, 3] and env.now == 3.0
 
 
 def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
@@ -403,7 +404,8 @@ def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
         return value, env.now
 
     assert run_process(env, worker()) == ("granted", 0.0)
-    assert env.events_scheduled == 2  # the process's start-up and end
+    # The process's start-up; its end is dispatched from the hold.
+    assert env.events_scheduled == 1
 
 
 def test_event_succeeded_outside_any_process_is_processed():
