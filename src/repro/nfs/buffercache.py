@@ -9,24 +9,32 @@ allocation bitmaps), with an explicit :meth:`sync`. Only what takes
 disk time is a process: a hit (:meth:`~BufferCache.probe`) and a
 delayed write are plain calls.
 
-A seeded **churn** process models the paper's environment: the NFS
+A seeded **churn** daemon models the paper's environment: the NFS
 server was a shared departmental machine on a "normally loaded
 Ethernet", so other clients' traffic steadily recycles cache blocks.
 This is what produces claim C4 (1 MB transfers slower than 64 KB ones):
 a long transfer's footprint gets partially evicted while it streams.
+The daemon belongs to the server's incarnation
+(:meth:`BufferCache.start_churn`); on the fast kernel it is a virtual
+source, off the heap.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..disk import VirtualDisk
 from ..obs import MetricsRegistry, RegistryStats
 from ..sim import Environment, SeededStream
 
+if TYPE_CHECKING:
+    from ..net import ServiceEndpoint
+
 __all__ = ["BufferCache", "BufferCacheStats"]
+
+_INF = float("inf")
 
 
 class BufferCacheStats(RegistryStats):
@@ -64,6 +72,8 @@ class BufferCache:
         self.stats = BufferCacheStats(metrics, cache=owner)
         self._blocks: OrderedDict[int, bytes] = OrderedDict()
         self._dirty: set[int] = set()
+        # The churn daemon's model, picked once (see _Churn).
+        self._reference = env.is_reference
 
     # ------------------------------------------------------------- reads
     #
@@ -151,19 +161,109 @@ class BufferCache:
 
     # -------------------------------------------------------- background
 
-    def churn_process(self, stream: SeededStream, churn_per_second: float):
-        """Process: evict random cached blocks at the given mean rate —
-        the competing traffic on a shared server. Deterministic via the
-        seeded stream."""
-        if churn_per_second <= 0:
+    def start_churn(self, endpoint: "ServiceEndpoint", stream: SeededStream,
+                    churn_per_second: float) -> None:
+        """Start the competing traffic of a shared server: evict random
+        cached blocks at the given mean rate, deterministically from the
+        seeded stream, until ``endpoint``'s incarnation crashes. No
+        traffic (a rate of zero) starts nothing."""
+        if churn_per_second > 0:
+            _Churn(self, endpoint, stream, churn_per_second)
+
+
+class _Churn:
+    """The churn daemon of one incarnation. It is modelled twice, and a
+    daemon uses one model for life, picked by the kernel switch as it
+    stood when the cache was built (DESIGN.md §10), as ``Ethernet``
+    picks its medium. On the reference kernel the daemon is a member
+    process of the incarnation, which a crash interrupts, and each tick
+    is a timeout on the heap. On the fast kernel it is a *quiet* virtual
+    source (``Environment.add_source``) with one pending step, which
+    resumes nobody: a held event collapses past it. Both models perform
+    a step with the same method, :meth:`_step`."""
+
+    #: No step of the daemon's resumes a process.
+    wake = _INF
+
+    def __init__(self, cache: BufferCache, endpoint: "ServiceEndpoint",
+                 stream: SeededStream, rate: float):
+        self._cache = cache
+        self._endpoint = endpoint
+        self._stream = stream
+        self._rate = rate
+        # The first step is the start-up: it draws the first gap.
+        self._started = False
+        env = cache.env
+        if cache._reference:
+            endpoint.spawn(self._process())
             return
+        self._seq = env.add_source(self)
+        # The start-up stands where the process's start-up event would.
+        self.guard = env.now
+        self._c = env.events_scheduled
+        self._s = next(self._seq)
+        env.reguard()
+
+    def _step(self) -> float:
+        """Perform the pending step — the start-up, or a tick: a random
+        cached block leaves, unless it is dirty (churn never loses real
+        dirty data) — and draw the gap to the next tick."""
+        if self._started:
+            blocks = self._cache._blocks
+            if blocks:
+                index = self._stream.randint(0, len(blocks) - 1)
+                victim = next(islice(blocks, index, None))
+                if victim not in self._cache._dirty:
+                    del blocks[victim]
+                    self._cache.stats.churned.inc()
+        else:
+            self._started = True
+        return self._stream.expovariate(self._rate)
+
+    def _process(self):
+        """The reference kernel's daemon: each step a timeout."""
+        timeout = self._cache.env.timeout
         while True:
-            yield self.env.timeout(stream.expovariate(churn_per_second))
-            if not self._blocks:
-                continue
-            index = stream.randint(0, len(self._blocks) - 1)
-            victim = next(islice(self._blocks, index, None))
-            if victim in self._dirty:
-                continue  # never lose real dirty data to churn
-            del self._blocks[victim]
-            self.stats.churned.inc()
+            yield timeout(self._step())
+
+    # ------------------------------------------ the fast kernel's source
+
+    @property
+    def head(self) -> tuple:
+        """``(when, c, seq)`` of the pending step: ``c`` the ticket
+        counter read where the reference pushes the step's event."""
+        return (self.guard, self._c, self._s)
+
+    def advance(self, bound: tuple) -> bool:
+        """The kernel's call: perform, in order, the steps that sort
+        before the ``(when, c, seq)`` triple ``bound`` — the start-up,
+        then tick after tick, each making the next. A step made here
+        reads the same ``c``: nothing real is pushed in between. The
+        step of a crashed incarnation's daemon is the reference's
+        timeout that outlived the interrupted process: it evicts nothing
+        and resumes nobody, it only moves the clock, and the source
+        leaves the kernel."""
+        limit, c_limit, seq_limit = bound
+        when = self.guard
+        if when > limit or (when == limit
+                            and (self._c, self._s) >= (c_limit, seq_limit)):
+            return False
+        env = self._cache.env
+        if self._endpoint.down:
+            self.guard = _INF
+            env.remove_source(self)
+            env.finish_inline(env.event(), None, when)
+            return False
+        c = env.events_scheduled
+        seq = self._seq
+        while True:
+            when += self._step()
+            s = next(seq)
+            if when > limit or (when == limit
+                                and (c, s) >= (c_limit, seq_limit)):
+                break
+        self.guard = when
+        self._c = c
+        self._s = s
+        env.reguard()
+        return False

@@ -98,8 +98,9 @@ class NfsServer(RpcService):
         if self._churn:
             # churn fraction/s of the cache, expressed in blocks/s.
             rate = nfs.background_cache_churn * self.cache.capacity_blocks
-            self._endpoint.spawn(self.cache.churn_process(
-                SeededStream(self.master_seed, "nfs:churn"), rate))
+            self.cache.start_churn(
+                self._endpoint, SeededStream(self.master_seed, "nfs:churn"),
+                rate)
         return ROOT_INUM
 
     @property

@@ -54,7 +54,8 @@ to permute.
   Every uncontended CPU charge and lock grant of the stack, and every
   hand-off that is the next thing due, takes this path.
 * the *guard* — :meth:`Environment.add_source`,
-  :meth:`Environment.reguard`, :meth:`Environment.finish_inline`. A
+  :meth:`Environment.remove_source`, :meth:`Environment.reguard`,
+  :meth:`Environment.finish_inline`. A
   *virtual source* keeps pending steps the heap never sees: each is
   ``(when, c, seq)``, ``c`` the value of :attr:`events_scheduled`
   *read* when the step is created and ``seq`` from the kernel-wide
@@ -71,8 +72,11 @@ to permute.
   instant a pending step of its can resume a process (``_wake`` over
   all): steps before it are *quiet* — they resume nobody — and a held
   event collapses past them, the kernel having them performed in place
-  first. The shared Ethernet's medium ledger (``net/ethernet.py``) is
-  the one source; its background daemon's steps are the quiet ones.
+  first. A source with nothing left to do leaves the kernel. Two
+  kinds exist: the shared Ethernet's medium ledger
+  (``net/ethernet.py``), whose background daemon's steps are quiet, and
+  the NFS buffer cache's churn daemon (``nfs/buffercache.py``), quiet
+  throughout, which leaves once its incarnation has crashed.
 
 Which paths exist is decided by measured traffic, not by what can be
 proved exact: each one is an exactness proof to keep, so it stays only
@@ -145,6 +149,7 @@ class Interrupt(Exception):
 _PENDING = object()
 
 _INF = float("inf")
+_guard_of = attrgetter("guard")
 _head = attrgetter("head")
 
 
@@ -364,23 +369,30 @@ class Process(Event):
                     return
                 if (target is env._held and not target.callbacks
                         and (self._waiting_on is None
-                             or self._waiting_on.callbacks is None)
-                        and env._clear(env._held_at)):
-                    # Uncontended charge or grant: the reference would
-                    # pop this event next, with nothing in between, and
-                    # resume this process from it (module docstring).
+                             or self._waiting_on.callbacks is None)):
                     # An interrupt delivery (the wait left behind still
                     # pending) never gets here: its caller acts once this
                     # resumption is over.
-                    env._held = None
-                    end = env._held_at
-                    if env._guard <= end:
-                        # Quiet steps due first: performed in place.
-                        env._perform_quiet(end)
-                    env._now = end
-                    target.callbacks = None
-                    event = target
-                    continue
+                    if env._clear(env._held_at):
+                        # Uncontended charge or grant: the reference
+                        # would pop this event next, with nothing in
+                        # between, and resume this process from it
+                        # (module docstring).
+                        env._held = None
+                        end = env._held_at
+                        if env._guard <= end:
+                            # Quiet steps due first: performed in place.
+                            env._perform_quiet(end)
+                        env._now = end
+                        target.callbacks = None
+                        event = target
+                        continue
+                    if env._solo:
+                        # Refused with no other callback of this
+                        # dispatch pending: nothing _clear reads moves
+                        # before the run loop looks, so it would be
+                        # refused there too. Pushed now, same ticket.
+                        env._flush()
                 if not isinstance(target, Event):
                     exc = TypeError(
                         f"process yielded a non-event: {target!r}"
@@ -643,12 +655,19 @@ class Environment:
         which performs in order its steps that sort before the ``(when,
         c, seq)`` triple ``bound`` and stops early, returning True,
         right after one that resumed a process through
-        :meth:`finish_inline`.
+        :meth:`finish_inline`. A step changes no other source's steps
+        but through a process it resumes.
         Returns the creation counter every source on this kernel draws
         ``seq`` from, so steps of two sources interleave in the order
         they were made."""
         self._sources.append(source)
         return self._step_seq
+
+    def remove_source(self, source: Any) -> None:
+        """A source with no step pending, that will make none, leaves
+        the kernel (from inside its own ``advance``, or between runs)."""
+        self._sources.remove(source)
+        self.reguard()
 
     def reguard(self) -> None:
         """A source's ``guard`` or ``wake`` changed: publish the
@@ -800,16 +819,44 @@ class Environment:
     def _merge(self, bound: tuple) -> bool:
         """Have two or more sources perform, in ``(when, seq)`` order,
         their steps that sort before the ``(when, c, seq)`` triple
-        ``bound``: the one with the least head advances up to the
-        next's. True when a step resumed a process."""
+        ``bound``. Only a source with a step pending by the bound's
+        instant takes part. A lone one advances to the bound at once
+        (another's steps change only through a process a step resumes,
+        which ends the call); of two or more, the one with the earliest
+        guard advances up to the next one's guard or, when the guards
+        tie, the one with the lesser head up to the other's. True when
+        a step resumed a process."""
+        limit = bound[0]
         sources = self._sources
         while True:
-            first, second = sorted(sources, key=_head)[:2]
-            if first.head >= bound or self._guard == _INF:
-                # (An empty source's head, (inf, 0, 0), sorts before the
-                # bound of an unbounded run: it has nothing to perform.)
+            if len(sources) == 2:
+                # The NFS baseline's pair: one comparison orders it, at
+                # a third of a keyed sort's host time (EXPERIMENTS E30).
+                first, second = sources
+                if second.guard < first.guard:
+                    first, second = second, first
+            elif len(sources) > 2:
+                first, second = sorted(sources, key=_guard_of)[:2]
+            else:
+                # The others left the kernel.
+                return sources[0].advance(bound)
+            guard = second.guard
+            if guard > limit:
+                return first.advance(bound)
+            if first.guard < guard:
+                # Every step before the other's instant goes first
+                # (this bound sorts before any real one of that instant).
+                until = (guard, -1, -1)
+            elif guard == _INF:
+                # (Every source is empty: an unbounded run's bound.)
                 return False
-            if first.advance(min(bound, second.head)):
+            else:
+                # Tied on an instant: creation order decides.
+                first, second = sorted(sources, key=_head)[:2]
+                if first.head >= bound:
+                    return False
+                until = min(bound, second.head)
+            if first.advance(until):
                 return True
 
     def run(self, until: Any = None) -> Any:

@@ -705,8 +705,10 @@ def test_no_module_is_kept_alive_by_tests_and_examples_alone():
 
 
 def test_kernel_private_state_stays_inside_repro_sim():
-    """``add_source`` / ``reguard`` / ``finish_inline`` are the whole
-    virtual-source surface and no fast-path legality question is public
+    """``add_source`` / ``remove_source`` / ``reguard`` /
+    ``finish_inline`` are the whole virtual-source surface (the merge
+    order of two or more sources, ``_guard_of`` and ``_head``, is the
+    kernel's) and no fast-path legality question is public
     (the held event asks ``_clear`` inside the kernel): no module outside
     ``repro/sim/`` reads the kernel's private switches, its guard or the
     event it holds off the heap, reaches into its heap or writes an
@@ -729,6 +731,8 @@ def test_kernel_private_state_stays_inside_repro_sim():
                           "_schedule", "_heap", "_eid", "_guard",
                           "_wake", "_sources", "_step_seq",
                           "_perform_virtual", "_merge", "_perform_quiet",
+                          "_guard_of", "_head", "_pop_tied", "_now",
+                          "_active", "_proc_count",
                           "_held", "_held_at", "_hold", "_flush",
                           "_clear", "_deadline",
                           "ticket", "schedule_at", "try_finish_now",

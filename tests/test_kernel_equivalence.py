@@ -14,8 +14,10 @@ each way out of the hold (every way an event the kernel holds off the
 heap goes onto it, or is dispatched from the hold), runs of hops kept
 off the heap by a toy *virtual source* (the guard protocol of ``net/ethernet.py``'s medium
 ledger, without any Ethernet) and chains of steps that resume nobody
-on a *quiet* one (the ledger's background daemon, which a held event
-collapses past) — runs each on both kernels under every form of
+on a *quiet* one (the ledger's background daemon and the NFS cache's
+churn daemon, which a held event collapses past; it leaves the kernel
+after its last step, as a crashed churn daemon does, and joins it again
+with the next chain) — runs each on both kernels under every form of
 ``run(until=...)``, and compares the full traces.
 
 Delays are dyadic rationals so independent sums collide bit-exactly,
@@ -153,14 +155,17 @@ class HopSource:
 
 class QuietSource:
     """A toy virtual source whose steps resume nobody, like the medium
-    ledger's background daemon: ``wake`` is +inf, so a held event
-    collapses past its steps, which the kernel has it perform first.
+    ledger's background daemon and the NFS cache's churn daemon:
+    ``wake`` is +inf, so a held event collapses past its steps, which
+    the kernel has it perform first.
 
     A chain is the reference's detached process that sleeps ``delays``
     one after another and notes each wake-up in the trace: a start-up
     step where the process's first dispatch stands, then one step per
     sleep. Each moves the clock, as the reference's dispatch does, so a
-    drained ``run()`` ends where the reference's does."""
+    drained ``run()`` ends where the reference's does. Like a crashed
+    churn daemon's, the source leaves the kernel after its last step,
+    and joins it again with the next chain."""
 
     wake = float("inf")
 
@@ -169,7 +174,7 @@ class QuietSource:
         self.guard = float("inf")
         self._trace = trace
         self._steps = []  # (when, c, seq, delays still to go, tag, hop)
-        self._seq = env.add_source(self)
+        self._seq = None  # the kernel's creation counter while joined
 
     @property
     def head(self):
@@ -180,6 +185,8 @@ class QuietSource:
                              next(self._seq), rest, tag, hop))
 
     def chain(self, delays, tag):
+        if self._seq is None:
+            self._seq = self.env.add_source(self)
         self._pend(self.env.now, delays, tag, -1)
         self.guard = self._steps[0][0]
         self.env.reguard()
@@ -193,8 +200,13 @@ class QuietSource:
                 self._trace.append((when,) + tag + ("quiet", hop))
             if rest:
                 self._pend(when + rest[0], rest[1:], tag, hop + 1)
-        self.guard = steps[0][0] if steps else float("inf")
-        self.env.reguard()
+        if steps:
+            self.guard = steps[0][0]
+            self.env.reguard()
+        else:
+            self.guard = float("inf")
+            self._seq = None
+            self.env.remove_source(self)
         return False
 
 
@@ -661,3 +673,118 @@ def test_a_held_any_of_timer_past_run_until_t_waits_for_it():
     assert trace == [("stopped", 0.375), (1.0, 0, 0, "done", "anyof"),
                      ("stopped", 1.0), ("end", 1.0)]
     assert tickets == 3  # start-up, the timer, the any_of
+
+
+def test_of_two_sources_only_the_one_due_before_the_bound_advances():
+    # Worker 0's burst keeps a hop source pending until 1.0; worker 1's
+    # chain makes a quiet step at 0.25 and its charge to 0.5 collapses
+    # past it: of the two sources with a step pending only the quiet one
+    # has one due before the collapse's end, and it performs it alone.
+    trace, tickets = _tickets_beside_the_reference([
+        [("burst", [1.0])],
+        [("quiet", [0.25]), ("timeout", 0.5)],
+    ])
+    assert trace == [(0.0, 1, 0, "done", "quiet"), (0.25, 1, 0, "quiet", 0),
+                     (0.5, 1, 1, "done", "timeout"),
+                     (1.0, 0, 0, "done", "burst"), ("end", 1.0)]
+    assert tickets == 2  # the start-ups
+
+
+@pytest.mark.parametrize("hop,beside,quiet_first", [
+    ([("burst", [0.25])], [], False),
+    ([("timeout", 0.125), ("burst", [0.125])], [], True),
+    ([("burst", [0.125, 0.125])], [], True),
+    ([("burst", [0.125, 0.125])], [[("timeout", 0.25)]], True),
+], ids=["hop_older", "hop_newer", "hop_newer_by_its_chain",
+        "hop_newer_by_its_chain_beside_a_heap_entry"])
+def test_steps_of_two_sources_due_at_one_instant_go_in_creation_order(
+        hop, beside, quiet_first):
+    # Worker 0's chain makes its step to 0.25 when its start-up is
+    # performed, after worker 1 started. Worker 1's hop to 0.25 is made
+    # at its start (older: it goes first), at 0.125, or at 0.125 by the
+    # hop before it (newer: second, though its source was due first),
+    # also when a heap entry at 0.25 bounds the merge: the hop source is
+    # due first, and must stop before the quiet step.
+    trace, _tickets = _tickets_beside_the_reference(
+        [[("quiet", [0.25])], hop] + beside)
+    quiet, burst = ((0.25, 0, 0, "quiet", 0),
+                    (0.25, 1, len(hop) - 1, "done", "burst"))
+    at = trace.index(quiet)
+    assert trace[at - 1 if not quiet_first else at + 1] == burst
+
+
+def test_a_source_leaves_the_kernel_after_its_last_step():
+    # The quiet chain's last step leaves the source with nothing pending:
+    # it leaves the kernel, still moving the clock of the drained run,
+    # and joins it again with worker 1's chain.
+    trace, tickets = _tickets_beside_the_reference([
+        [("quiet", [0.25])],
+        [("timeout", 0.5), ("quiet", [0.125])],
+    ])
+    assert trace == [(0.0, 0, 0, "done", "quiet"), (0.25, 0, 0, "quiet", 0),
+                     (0.5, 1, 0, "done", "timeout"),
+                     (0.5, 1, 1, "done", "quiet"), (0.625, 1, 1, "quiet", 0),
+                     ("end", 0.625)]
+    # The start-ups, worker 0's completion and worker 1's charge, both
+    # made while the other start-up was pending at 0.
+    assert tickets == 4
+    env = Environment()
+    quiet = QuietSource(env, [])
+    quiet.chain([0.25], ())
+    quiet.chain([0.125, 0.5], ())
+    assert env._sources == [quiet]
+    env.run(until=0.5)
+    assert env._sources == [quiet]
+    env.run()
+    assert env._sources == [] and env.now == 0.625
+    # Beside a second source, within one merge: the chain's steps come
+    # first and its source leaves, then the hop source alone performs
+    # the rest.
+    env, steps = Environment(), []
+    hop, quiet = HopSource(env), QuietSource(env, steps)
+    over = hop.burst([1.0])
+    quiet.chain([0.25], ())
+    env.run(until=over)
+    assert (steps, env.now, env._sources) == ([(0.25, "quiet", 0)], 1.0,
+                                              [hop])
+
+
+def test_a_charge_refused_beside_a_pending_callback_waits_in_the_hold():
+    # Workers 1 and 2 join worker 0. Worker 1, the first callback of its
+    # completion, makes a charge to 0.375 that _clear refuses while
+    # worker 2's callback is pending; worker 2 then waits for good, and
+    # the run loop dispatches the charge from the hold.
+    trace, tickets = _tickets_beside_the_reference([
+        [("timeout", 0.125)],
+        [("join", 0), ("timeout", 0.25)],
+        [("join", 0), ("get", 0)],
+    ])
+    assert trace == [(0.125, 0, 0, "done", "timeout"),
+                     (0.125, 1, 0, "done", "join"),
+                     (0.125, 2, 0, "done", "join"),
+                     (0.375, 1, 1, "done", "timeout"), ("end", 0.375)]
+    # The start-ups and worker 0's charge, refused beside the pending
+    # start-ups; the rest from the hold.
+    assert tickets == 4
+
+
+def test_a_charge_refused_with_nothing_else_pending_is_asked_about_once(
+        monkeypatch):
+    # Each worker's charge is refused by a heap entry at or before its
+    # end and pushed where _clear refused it: the run loop does not ask
+    # again (it asks only of the two completions, which it dispatches
+    # from the hold).
+    asked = []
+    clear = Environment._clear
+
+    def counted(env, end):
+        asked.append(end)
+        return clear(env, end)
+
+    monkeypatch.setattr(Environment, "_clear", counted)
+    trace, tickets = _tickets_beside_the_reference(
+        [[("timeout", 0.25)], [("timeout", 0.5)]])
+    assert trace == [(0.25, 0, 0, "done", "timeout"),
+                     (0.5, 1, 0, "done", "timeout"), ("end", 0.5)]
+    assert tickets == 4
+    assert asked == [0.25, 0.5, 0.25, 0.5]

@@ -28,12 +28,12 @@ from repro.nfs import (
     decode_directory,
     encode_directory,
 )
-from repro.net import Ethernet, RpcRequest, RpcTransport
+from repro.net import Ethernet, RpcRequest, RpcTransport, ServiceEndpoint
 from repro.profiles import CpuProfile, DiskProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB, MB
 
-from conftest import SMALL_DISK, small_testbed
+from conftest import SMALL_DISK, reference_env, small_testbed
 
 
 def make_fs(env, cache_bytes=512 * KB, fs_block=8192):
@@ -123,16 +123,172 @@ def test_cache_rejects_misaligned_block_size(env):
         BufferCache(env, disk, 64 * KB, 1000)
 
 
-def test_cache_churn_evicts_deterministically(env):
-    disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 64 * 8192, 8192)
-    for fbn in range(32):
-        read_block(env, cache, fbn)
-    stream = SeededStream(11, "churn")
-    env.process(cache.churn_process(stream, churn_per_second=50.0))
-    env.run(until=env.now + 1.0)
-    assert cache.stats.churned.value > 10
-    assert cache.cached_blocks < 32
+def _kernels():
+    """A fresh fast kernel and a fresh reference kernel."""
+    return Environment(), reference_env()
+
+
+def test_cache_churn_evicts_deterministically():
+    outcomes = []
+    for env in _kernels():
+        disk = VirtualDisk(env, SMALL_DISK, name="d")
+        cache = BufferCache(env, disk, 64 * 8192, 8192)
+        for fbn in range(32):
+            read_block(env, cache, fbn)
+        cache.start_churn(ServiceEndpoint(env, 0, None),
+                          SeededStream(11, "churn"), churn_per_second=50.0)
+        env.run(until=env.now + 1.0)
+        assert cache.stats.churned.value > 10
+        assert cache.cached_blocks < 32
+        outcomes.append(([fbn for fbn in range(32) if cache.contains(fbn)],
+                         cache.stats.churned.value, env.now))
+    assert outcomes[0] == outcomes[1]
+
+
+class _ScriptedChurn:
+    """A churn stream whose gaps come from a list, in order, so the
+    ticks land on instants the test chooses; every victim pick is the
+    least recently used block."""
+
+    def __init__(self, gaps):
+        self._gaps = iter(gaps)
+
+    def expovariate(self, rate):
+        return next(self._gaps)
+
+    def randint(self, low, high):
+        return low
+
+
+def _churn_beside_the_reference(program):
+    """Run ``program(env, cache, endpoint, note)`` on both kernels over
+    a cache holding six clean blocks; ``note(tag)`` records the clock
+    (and, for reading, the time since the daemon started), the blocks
+    still cached and the churn count. Returns the fast kernel's record,
+    once it is known to be the reference's, without the clock."""
+    records = []
+    for env in _kernels():
+        disk = VirtualDisk(env, SMALL_DISK, name="d")
+        cache = BufferCache(env, disk, 8 * 8192, 8192)
+        for fbn in range(6):
+            read_block(env, cache, fbn)
+        record = []
+
+        def note(tag):
+            record.append((tag, env.now, round(env.now - start, 9),
+                           [fbn for fbn in range(6) if cache.contains(fbn)],
+                           cache.stats.churned.value))
+
+        start = env.now
+        program(env, cache, ServiceEndpoint(env, 0, None), note)
+        records.append(record)
+    assert records[0] == records[1]
+    return [entry[:1] + entry[2:] for entry in records[0]]
+
+
+def _after(env, delay, note, tag):
+    """A real event ``delay`` from now, made outside any process (so it
+    is on the heap on both kernels), that notes ``tag`` when it fires."""
+    env.timeout(delay).callbacks.append(lambda _event: note(tag))
+
+
+def test_a_churn_tick_tied_with_a_real_event_made_before_it_goes_second():
+    def program(env, cache, endpoint, note):
+        _after(env, 0.25, note, "event")
+        cache.start_churn(endpoint, _ScriptedChurn([0.25, 100.0]), 1.0)
+        env.run(until=env.now + 1.0)
+        note("end")
+
+    assert _churn_beside_the_reference(program) == [
+        ("event", 0.25, [0, 1, 2, 3, 4, 5], 0),
+        ("end", 1.0, [1, 2, 3, 4, 5], 1)]
+
+
+def test_a_churn_tick_tied_with_a_real_event_made_after_it_goes_first():
+    def program(env, cache, endpoint, note):
+        cache.start_churn(endpoint, _ScriptedChurn([0.25, 100.0]), 1.0)
+        env.run(until=env.now)  # the start-up: the first tick is made
+        _after(env, 0.25, note, "event")
+        env.run(until=env.now + 1.0)
+        note("end")
+
+    assert _churn_beside_the_reference(program) == [
+        ("event", 0.25, [1, 2, 3, 4, 5], 1),
+        ("end", 1.0, [1, 2, 3, 4, 5], 1)]
+
+
+def test_a_churn_tick_at_a_collapse_end_goes_by_when_it_was_made():
+    # Worker "early" holds its charge to the tick's instant before the
+    # daemon's start-up makes that tick: on the fast kernel the start-up
+    # is performed inside the collapse and the tick, newer than the
+    # charge, stays pending. Worker "late" holds it after the tick was
+    # made: the collapse performs the tick in place first.
+    def program(env, cache, endpoint, note):
+        def worker(tag):
+            yield env.timeout(0.25)
+            note(tag)
+
+        env.process(worker("early"))
+        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+                          1.0)
+        env.run(until=env.now + 0.125)
+
+        def late():
+            yield env.timeout(0.125)
+            note("late")
+
+        env.process(late())
+        env.run(until=env.now + 1.0)
+
+    assert _churn_beside_the_reference(program) == [
+        ("early", 0.25, [0, 1, 2, 3, 4, 5], 0),
+        ("late", 0.25, [1, 2, 3, 4, 5], 1)]
+
+
+def test_a_churn_tick_on_run_until_t_is_performed_by_that_run():
+    def program(env, cache, endpoint, note):
+        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+                          1.0)
+        env.run(until=env.now + 0.25)
+        note("t")
+        env.run(until=env.now + 0.25)
+        note("t2")
+
+    assert _churn_beside_the_reference(program) == [
+        ("t", 0.25, [1, 2, 3, 4, 5], 1),
+        ("t2", 0.5, [2, 3, 4, 5], 2)]
+
+
+@pytest.mark.parametrize("crash_first", [True, False],
+                         ids=["crash_first", "tick_first"])
+def test_a_churn_tick_at_the_crash_instant_ends_with_the_incarnation(
+        crash_first):
+    # A crash made before the tick (its worker's charge is older) leaves
+    # the tick nothing to evict; one made after it crashes behind the
+    # eviction. Either way no later tick evicts or counts, and the tick
+    # pending at the crash still moves a drained run()'s clock.
+    def program(env, cache, endpoint, note):
+        def crasher():
+            yield env.timeout(0.25)
+            endpoint.crash()
+            note("crash")
+
+        if crash_first:
+            env.process(crasher())
+        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+                          1.0)
+        if not crash_first:
+            env.process(crasher())
+        env.run()
+        note("drained")
+        if not env.is_reference:
+            assert env._sources == []
+
+    evicted = [] if crash_first else [0]
+    cached = [fbn for fbn in range(6) if fbn not in evicted]
+    assert _churn_beside_the_reference(program) == [
+        ("crash", 0.25, cached, len(evicted)),
+        ("drained", 0.25 if crash_first else 0.5, cached, len(evicted))]
 
 
 # -------------------------------------------------------------------- FFS
@@ -308,11 +464,16 @@ def test_ffs_persistence_across_remount(env):
     assert fs2.free_bytes == fs.free_bytes
 
 
-def test_the_nfs_plane_keeps_its_counts(env):
+def test_the_nfs_plane_keeps_its_counts():
     """One scripted sequence through the FFS and its cache, with every
-    count pinned: direct and indirect blocks, a single- and a
-    multi-block read, a partial write, a remove, and both bitmap blocks
-    evicted by churn and then synced again."""
+    count pinned, on both kernels: direct and indirect blocks, a single-
+    and a multi-block read, a partial write, a remove, and both bitmap
+    blocks evicted by churn and then synced again."""
+    for env in _kernels():
+        _pinned_nfs_plane(env)
+
+
+def _pinned_nfs_plane(env):
     disk = VirtualDisk(env, DiskProfile(
         name="pin", capacity_bytes=128 * MB, cylinders=256, heads=8,
         sectors_per_track=64), name="pin")
@@ -333,7 +494,8 @@ def test_the_nfs_plane_keeps_its_counts(env):
             == big[100:100 + 13 * 8192])
     run_process(env, fs.remove(a))
     run_process(env, cache.sync())   # the bitmaps are clean: churnable
-    env.process(cache.churn_process(SeededStream(5, "pin-churn"), 2000.0))
+    cache.start_churn(ServiceEndpoint(env, 0, None),
+                      SeededStream(5, "pin-churn"), 2000.0)
     env.run(until=env.now + 0.02)
     bitmaps = [fs.sb.bitmap_start + i for i in range(2)]
     assert not any(cache.contains(fbn) for fbn in bitmaps)

@@ -25,16 +25,17 @@ from repro.disk import VirtualDisk
 from repro.errors import CapabilityError, ReproError, ServerDownError
 from repro.logsvc import LogServer
 from repro.nfs import NfsServer
-from repro.nfs.buffercache import BufferCache
+from repro.nfs.buffercache import _Churn
 from repro.sim import Environment, run_process
 
-from conftest import SMALL_DISK, make_bullet, small_testbed
+from conftest import SMALL_DISK, make_bullet, reference_env, small_testbed
 
 
-def _world(kind):
-    """An environment, a booted ``kind`` server, and a constructor of
-    fresh instances on the same disks."""
-    env = Environment()
+def _world(kind, env=None):
+    """An environment (a fresh fast kernel unless given), a booted
+    ``kind`` server, and a constructor of fresh instances on the same
+    disks."""
+    env = Environment() if env is None else env
     if kind == "bullet":
         server = make_bullet(env)
         return env, server, lambda: BulletServer(env, server.mirror,
@@ -167,22 +168,26 @@ def test_rebooting_in_place_equals_booting_a_fresh_instance(kind):
 # ------------------------------------------------- the NFS churn daemon
 
 def _churn_daemons(env):
-    """The live ``churn_process`` generators in ``env``."""
-    return sum(1 for obj in gc.get_objects()
-               if inspect.isgenerator(obj) and obj.gi_frame is not None
-               and obj.gi_code is BufferCache.churn_process.__code__
-               and obj.gi_frame.f_locals["self"].env is env)
+    """The live churn daemons in ``env``: the reference kernel's daemon
+    processes, the fast kernel's registered virtual sources."""
+    if env.is_reference:
+        return sum(1 for obj in gc.get_objects()
+                   if inspect.isgenerator(obj) and obj.gi_frame is not None
+                   and obj.gi_code is _Churn._process.__code__
+                   and obj.gi_frame.f_locals["self"]._cache.env is env)
+    return sum(isinstance(source, _Churn) for source in env._sources)
 
 
 def test_the_nfs_churn_daemon_belongs_to_its_incarnation():
-    env, server, _build = _world("nfs")
-    assert _churn_daemons(env) == 1
-    for _ in range(2):
-        server.crash()
-        env.run(until=env.now + 1.0)
-        assert _churn_daemons(env) == 0
-        run_process(env, server.boot())
+    for kernel in (Environment(), reference_env()):
+        env, server, _build = _world("nfs", kernel)
         assert _churn_daemons(env) == 1
+        for _ in range(2):
+            server.crash()
+            env.run(until=env.now + 1.0)
+            assert _churn_daemons(env) == 0
+            run_process(env, server.boot())
+            assert _churn_daemons(env) == 1
 
 
 # ------------------------------ a call that outlives its incarnation
