@@ -27,13 +27,9 @@ S001   unyielded-process       generator process / env.process(...) as a bare
                                statement
 C001   missing-rights-check    opcode handler never reaches require(...)
 A001   assert-as-validation    assert / AssertionError in library code
-P001   stale-pragma            (``--strict-pragmas``) an allow() pragma that
-                               suppressed nothing
 =====  ======================  =================================================
 
-Per-line suppression: append ``# repro: allow(<rule>[, <rule>...])`` to
-the offending line (or put it on a comment line directly above) together
-with a justification.
+There is no suppression: a finding is a bug in the code or in the rule.
 
 Programmatic use::
 
@@ -49,7 +45,6 @@ from .framework import (
     FileContext,
     Finding,
     Rule,
-    Suppressions,
     all_rules,
     register,
     rule_ids,
@@ -65,7 +60,6 @@ __all__ = [
     "ParseError",
     "ProjectIndex",
     "Rule",
-    "Suppressions",
     "all_rules",
     "analyze_paths",
     "collect_files",

@@ -5,7 +5,6 @@ Usage::
     python -m repro.analysis src/repro             # lint the tree
     python -m repro.analysis --format json src     # machine-readable
     python -m repro.analysis --select D001,S001 f.py
-    python -m repro.analysis --strict-pragmas src/repro
     python -m repro.analysis --list-rules
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
@@ -39,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--select", default="",
                         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--strict-pragmas", action="store_true",
-                        help="also report stale `# repro: allow(...)` "
-                             "pragmas (P001)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -60,8 +56,7 @@ def main(argv: list) -> int:
         return 2
     select = tuple(part.strip() for part in args.select.split(",") if part.strip())
     try:
-        result = analyze_paths(args.paths, Config(select=select),
-                               strict_pragmas=args.strict_pragmas)
+        result = analyze_paths(args.paths, Config(select=select))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""The analysis driver: collect files, index, run rules, filter pragmas.
+"""The analysis driver: collect files, index, run rules.
 
 This is the programmatic face of the linter; the CLI in
 :mod:`repro.analysis.cli` and the test suite both call
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..errors import BadRequestError
-from .framework import Config, FileContext, Finding, Suppressions, all_rules
+from .framework import Config, FileContext, all_rules
 from .index import ProjectIndex
 
 __all__ = ["AnalysisResult", "ParseError", "analyze_paths", "collect_files",
@@ -89,15 +89,8 @@ def module_name_for(path: str) -> str:
 
 
 def analyze_paths(paths: Iterable[str],
-                  config: Optional[Config] = None,
-                  strict_pragmas: bool = False) -> AnalysisResult:
-    """Run every (selected) rule over the given files/directories.
-
-    With ``strict_pragmas``, every ``# repro: allow(...)`` entry that
-    suppressed nothing during the run is itself reported as a P001
-    finding (judged only for the rule ids that actually ran, plus ids
-    that are not registered rules at all).
-    """
+                  config: Optional[Config] = None) -> AnalysisResult:
+    """Run every (selected) rule over the given files/directories."""
     config = config or Config()
     result = AnalysisResult()
     parsed = []
@@ -113,29 +106,17 @@ def analyze_paths(paths: Iterable[str],
                            message=f"syntax error: {exc.msg}")
             )
             continue
-        parsed.append((posix, module_name_for(posix), tree, source.splitlines()))
+        parsed.append((posix, module_name_for(posix), tree))
 
     index = ProjectIndex.build(
-        (path, module, tree) for path, module, tree, _lines in parsed)
+        (path, module, tree) for path, module, tree in parsed)
     rules = all_rules(config.select)
     result.rules_run = [rule.id for rule in rules]
-    judged = [rule_id for rule_id in result.rules_run if rule_id != "P001"]
-    for path, module, tree, lines in parsed:
-        ctx = FileContext(path=path, module=module, tree=tree, lines=lines,
-                          index=index, config=config)
-        suppressions = Suppressions(lines)
+    for path, module, tree in parsed:
+        ctx = FileContext(path=path, module=module, tree=tree, index=index,
+                          config=config)
         for rule in rules:
-            result.findings.extend(suppressions.filter(rule.check(ctx)))
-        if strict_pragmas:
-            stale = [
-                Finding(
-                    rule="P001", path=path, line=line, col=1,
-                    message=(f"stale pragma: allow({rule_id}) suppressed "
-                             "nothing in this run"),
-                )
-                for line, rule_id in suppressions.unused(judged)
-            ]
-            result.findings.extend(suppressions.filter(stale))
+            result.findings.extend(rule.check(ctx))
         result.files_checked += 1
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result

@@ -18,21 +18,14 @@ Pieces:
   :class:`FileContext`.
 * ``register``/``all_rules`` — the rule registry; the CLI and tests
   enumerate rules through it.
-* :class:`Suppressions` — per-line ``# repro: allow(<rule>[, <rule>...])``
-  pragmas. A pragma on its own line applies to the next code line, so
-  multi-line statements can be suppressed too.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..errors import BadRequestError
 
@@ -44,7 +37,6 @@ __all__ = [
     "FileContext",
     "Finding",
     "Rule",
-    "Suppressions",
     "all_rules",
     "register",
     "rule_ids",
@@ -112,94 +104,6 @@ class Config:
         return any(fnmatch.fnmatch(path, pat) for pat in patterns)
 
 
-_PRAGMA = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")
-_PRAGMA_ONLY_LINE = re.compile(r"^\s*#")
-
-
-class Suppressions:
-    """Per-line suppression pragmas parsed from one file's source.
-
-    ``# repro: allow(D001)`` at the end of a line suppresses D001 findings
-    reported on that line. A comment-only pragma line suppresses the
-    following line instead, for statements too long to annotate inline.
-    Several rules may be listed: ``# repro: allow(S001, D002)``.
-
-    Pragmas are found by tokenizing the source, so only real ``#``
-    comments count — a pragma *mentioned* inside a docstring or string
-    literal is prose, not a suppression (and is never reported stale).
-    Each pragma entry records whether it suppressed anything;
-    :meth:`unused` reports the stale ones for ``--strict-pragmas``.
-    """
-
-    def __init__(self, source_lines: Iterable[str]):
-        lines = list(source_lines)
-        self._by_line: Dict[int, Set[str]] = {}
-        #: (effective line, rule) -> line the pragma comment sits on.
-        self._declared: Dict[Tuple[int, str], int] = {}
-        self._used: Set[Tuple[int, str]] = set()
-        for comment_line, text in self._comments(lines):
-            match = _PRAGMA.search(text)
-            if match is None:
-                continue
-            rules = {
-                part.strip()
-                for part in match.group(1).replace(",", " ").split()
-                if part.strip()
-            }
-            if not rules:
-                continue
-            target = comment_line
-            if _PRAGMA_ONLY_LINE.match(lines[comment_line - 1]):
-                target = comment_line + 1
-            self._by_line.setdefault(target, set()).update(rules)
-            for rule in rules:
-                self._declared.setdefault((target, rule), comment_line)
-
-    @staticmethod
-    def _comments(lines: List[str]) -> Iterator[Tuple[int, str]]:
-        """(lineno, text) of every real comment token in the source."""
-        source = "".join(
-            line if line.endswith("\n") else line + "\n" for line in lines
-        )
-        try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-                if tok.type == tokenize.COMMENT:
-                    yield tok.start[0], tok.string
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            # Unterminated constructs etc.: fall back to the lexical scan
-            # (over-matching beats dropping real suppressions).
-            for number, text in enumerate(lines, start=1):
-                if "#" in text:
-                    yield number, text
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        if finding.rule in self._by_line.get(finding.line, ()):
-            self._used.add((finding.line, finding.rule))
-            return True
-        return False
-
-    def filter(self, findings: Iterable[Finding]) -> list:
-        return [f for f in findings if not self.is_suppressed(f)]
-
-    def unused(self, judged_rules: Iterable[str]) -> List[Tuple[int, str]]:
-        """(pragma line, rule id) for every stale pragma entry.
-
-        An entry is stale when it suppressed no finding during the run.
-        Only rules in ``judged_rules`` (the ids that actually ran) are
-        judged — except ids that are not registered rules at all, which
-        can never suppress anything and are always reported.
-        """
-        judged = set(judged_rules)
-        known = set(_REGISTRY)
-        stale = []
-        for (line, rule), comment_line in self._declared.items():
-            if (line, rule) in self._used:
-                continue
-            if rule in judged or rule not in known:
-                stale.append((comment_line, rule))
-        return sorted(stale)
-
-
 @dataclass
 class FileContext:
     """Everything a rule needs to inspect one file."""
@@ -207,7 +111,6 @@ class FileContext:
     path: str                 # POSIX-style path, as given to the analyzer
     module: str               # dotted module name ("repro.core.server")
     tree: ast.Module
-    lines: list
     index: "ProjectIndex"
     config: Config = field(default_factory=Config)
 
@@ -273,27 +176,3 @@ def all_rules(select: Optional[Iterable[str]] = None) -> list:
 
 def rule_ids() -> list:
     return sorted(_REGISTRY)
-
-
-@register
-class StalePragmaRule(Rule):
-    """P001 — stale suppression pragma (``--strict-pragmas``).
-
-    The engine emits these itself after running the real rules (a pragma
-    is stale only relative to a whole run), so :meth:`check` yields
-    nothing; the class exists to give the findings a catalogue entry,
-    a ``--select`` handle, and a suppression id of their own.
-    """
-
-    id = "P001"
-    title = "suppression pragma no longer suppresses anything"
-    rationale = (
-        "A stale `# repro: allow(...)` is a latent hole: the code it "
-        "excused has moved or been fixed, and the pragma now silently "
-        "licenses the next regression on that line. Turning "
-        "processes into `yield from` helpers left several behind; "
-        "--strict-pragmas keeps the set honest."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())

@@ -11,9 +11,6 @@ Importing this package registers every rule with the framework registry:
   check.
 * A001 ``assert-as-validation`` — library validation must survive
   ``python -O``.
-
-(P001 ``stale pragma`` is registered by the framework itself and driven
-by the engine's ``--strict-pragmas`` pass.)
 """
 
 from . import asserts, caps, determinism, simproc  # noqa: F401  (registration)

@@ -15,9 +15,9 @@ appear as a bare expression statement:
   generator object is created and dropped; the operation *never runs*;
 * ``env.process(...)`` — the process runs, but as an unobserved fork the
   caller does not wait for, so its simulated time never reaches the
-  caller (and its failures surface from nowhere). Intentional background
-  daemons (serve loops, churn) must carry an explicit
-  ``# repro: allow(S001)`` pragma explaining themselves.
+  caller (and its failures surface from nowhere). A background daemon
+  keeps its handle (or joins its incarnation through
+  ``ServiceEndpoint.spawn``), so it is never a bare statement.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class UnyieldedProcess(Rule):
                     ctx, node,
                     "un-awaited env.process(...): the forked process's "
                     "timing and failures detach from the caller; use "
-                    "`yield env.process(...)` (or pragma an intentional "
-                    "daemon)",
+                    "`yield env.process(...)` (or keep a daemon's "
+                    "handle)",
                 )
                 continue
             ref = call_ref(call)

@@ -44,11 +44,11 @@ errors mid-hop are skipped and left in place (or at staging) —
 compaction is best-effort under load, correct always.
 
 A pass belongs to the incarnation it starts in: it takes the server's
-incarnation token first, works on that incarnation's inode table, free
-map and lock table throughout, and refuses each write once a crash has
-ended it. The :class:`ServerDownError` ends the pass; nothing it would
-have written reaches a disk, and the next incarnation's tables are never
-touched.
+incarnation first, works on that incarnation's inode table, free map
+and lock table throughout, and writes through the incarnation, which
+refuses once a crash has ended it. The :class:`ServerDownError` ends
+the pass; nothing it would have written reaches a disk, and the next
+incarnation's tables are never touched.
 """
 
 from __future__ import annotations
@@ -78,19 +78,14 @@ class CompactionReport:
 
 class _Pass:
     """One pass's view of the volume: the incarnation it started in,
-    that incarnation's tables, and its one way to write."""
+    through which it writes, and that incarnation's tables."""
 
     def __init__(self, server: BulletServer):
         self.server = server
-        self.token = server._require_booted()
+        self.incarnation = server._require_booted()
         self.table = server.table
         self.disk_free = server.disk_free
         self.locks = server.locks
-
-    def write(self, block: int, data: bytes):
-        """``mirror.write``, refused once the pass's incarnation is down."""
-        self.server._require_alive(self.token)
-        return self.server.mirror.write(block, data)
 
 
 def compact_disk(server: BulletServer):
@@ -203,7 +198,7 @@ def _copy_flip(work: _Pass, number: int, inode, src: int,
         # Copy: the relocated extent becomes durable on every live
         # replica while the old extent and the on-disk inode still
         # describe the old location — an abort here loses nothing.
-        yield work.write(dst, data)
+        yield work.incarnation.write(work.server.mirror, dst, data)
     except ReproError:
         work.disk_free.free(dst, blocks)
         raise
@@ -214,7 +209,8 @@ def _copy_flip(work: _Pass, number: int, inode, src: int,
     inode.start_block = dst
     inode_block = work.table.block_of_inode(number)
     try:
-        yield work.write(inode_block, work.table.encode_block(inode_block))
+        yield work.incarnation.write(work.server.mirror, inode_block,
+                                     work.table.encode_block(inode_block))
     finally:
         # Even if the write-through errored, RAM state (inode + free
         # map) must stay self-consistent: the file now lives at dst.

@@ -224,7 +224,7 @@ class BulletServer(RpcService):
                                    owner=self.name)
         self.metrics.gauge("repro_server_workers",
                            server=self.name).set(self.workers)
-        self._start_serving()
+        self._start_serving(self._incarnation())
         self._trace("bullet", f"{self.name} booted", files=report.live_files)
         return report
 
@@ -245,6 +245,9 @@ class BulletServer(RpcService):
                 f"{size}-byte file exceeds the server's {self.cache.capacity}-byte memory"
             )
         blocks = self.layout.blocks_for(size)
+        # A local call may have outlived its incarnation during the
+        # dispatch: refuse before allocating from a later one's tables.
+        incarnation.require_up()
         start_block = self.disk_free.allocate(blocks) if blocks else 0
         secret = self._mint_secret()
         try:
@@ -270,13 +273,13 @@ class BulletServer(RpcService):
         with self.locks.writing(number) as lock:
             yield lock.grant
             yield self.env.timeout(size * cpu.memcpy_per_byte)
-            self._require_alive(incarnation)
             # Write-through: data extent then inode block, per replica.
             inode_block = self.table.block_of_inode(number)
             extents = [(start_block, data)] if blocks else []
             extents.append(
                 (inode_block, self.table.encode_block(inode_block)))
-            durable, writes = self.mirror.write_ordered(extents, p_factor)
+            durable, writes = incarnation.write_ordered(
+                self.mirror, extents, p_factor)
             # Start the aging clock while this handler still owns the
             # write grant: a TOUCH or AGE sweep can only see the entry
             # after taking the lock.
@@ -374,8 +377,9 @@ class BulletServer(RpcService):
             self._trace("bullet", "delete", inode=number)
 
     def _destroy(self, number: int, inode, incarnation):
-        """Free an inode and its extent, write the change through."""
-        self._require_alive(incarnation)
+        """Free an inode and its extent, write the change through; a
+        dead ``incarnation`` refuses before it frees anything."""
+        incarnation.require_up()
         blocks = self.layout.blocks_for(inode.size)
         start_block = inode.start_block
         self.cache.remove(number)
@@ -385,8 +389,8 @@ class BulletServer(RpcService):
         self._verified_caps.forget_object(number)
         self._lives.discard(number)
         inode_block = self.table.block_of_inode(number)
-        yield self.mirror.write(
-            inode_block, self.table.encode_block(inode_block))
+        yield incarnation.write(
+            self.mirror, inode_block, self.table.encode_block(inode_block))
 
     def modify(self, cap: Capability, offset: int, delete_bytes: int,
                insert_data: bytes, p_factor: Optional[int] = None):
@@ -454,17 +458,22 @@ class BulletServer(RpcService):
         the ones that reach zero (orphans nobody touched for max_lives
         sweeps). Returns the reclaimed inode numbers."""
         incarnation = self._require_booted()
+        # The sweep walks this incarnation's inode table and lock table,
+        # as a compaction pass does, and stops at its first step after
+        # a crash.
+        table, locks = self.table, self.locks
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         reclaimed = []
-        for number, _inode in list(self.table.live_inodes()):
+        for number, _inode in list(table.live_inodes()):
             # Decrement *under* the object's write lock: the lives table
             # is lock-guarded state, and folding the decrement into the
             # reclaim grant closes the window where a concurrent touch
             # could resurrect an object between the two passes without
             # being seen (uncontended, the grant costs no sim time).
-            with self.locks.writing(number) as lock:
+            with locks.writing(number) as lock:
                 yield lock.grant
-                inode = self.table.get(number)
+                incarnation.require_up()
+                inode = table.get(number)
                 if inode.free:
                     continue  # a concurrent delete beat us to it
                 lives = self._lives.get(

@@ -118,7 +118,7 @@ class DirectoryServer(RpcService):
         # One write lock per directory, held by every mutation
         # (see _update).
         self.locks = FileLockTable(self.env, owner=self.name)
-        self._start_serving()
+        self._start_serving(self._incarnation())
         dirs = MAX_DIRECTORIES - len(self._free_slots)
         self._trace("directory", f"{self.name} booted", dirs=dirs)
         return dirs
@@ -138,8 +138,7 @@ class DirectoryServer(RpcService):
             version_cap = yield from self.bullet.create(rows.encode(), 1)
             record = SlotRecord(in_use=True, secret=secret, seq=0,
                                 version_cap=version_cap)
-            self._require_alive(incarnation)
-            yield self.disk.write(1 + slot, record.encode())
+            yield incarnation.write(self.disk, 1 + slot, record.encode())
         except BaseException:
             free_slots.append(slot)  # to the incarnation it came from
             raise
@@ -250,8 +249,7 @@ class DirectoryServer(RpcService):
             if rows.rows:
                 raise NotEmptyError(f"directory has {len(rows.rows)} entries")
             empty = SlotRecord()
-            self._require_alive(incarnation)
-            yield self.disk.write(1 + slot, empty.encode())
+            yield incarnation.write(self.disk, 1 + slot, empty.encode())
             self._slots[slot] = empty
             self._rows_cache.pop(slot, None)
             self._free_slots.append(slot)
@@ -404,8 +402,7 @@ class DirectoryServer(RpcService):
         version_cap = yield from self.bullet.create(version.encode(), 1)
         new_record = SlotRecord(in_use=True, secret=record.secret,
                                 seq=version.seq, version_cap=version_cap)
-        self._require_alive(incarnation)
-        yield self.disk.write(1 + slot, new_record.encode())
+        yield incarnation.write(self.disk, 1 + slot, new_record.encode())
         self._slots[slot] = new_record
         self._rows_cache[slot] = version
 

@@ -113,7 +113,7 @@ class LogServer(RpcService):
         ]
         # One write lock per log, held by every append.
         self.locks = FileLockTable(self.env, owner=self.name)
-        self._start_serving()
+        self._start_serving(self._incarnation())
         return len(self._logs)
 
     def _walk_chain(self, secret: int, first: int, used_blocks: set):
@@ -144,7 +144,7 @@ class LogServer(RpcService):
         """Process: a fresh empty log; returns its owner capability."""
         incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        self._require_alive(incarnation)
+        incarnation.require_up()  # the slot and block are this one's
         logs, free_blocks = self._logs, self._free_blocks
         slot = next((s for s in range(MAX_LOGS) if s not in logs), None)
         if slot is None:
@@ -157,9 +157,11 @@ class LogServer(RpcService):
         logs[slot] = _LogState(secret=secret, first_block=first,
                                tail_block=first, tail_used=0, record_count=0)
         try:
-            yield self.disk.write(first, self._encode_block(b"", 0))
-            self._require_alive(incarnation)
-            yield self.disk.write(1 + slot, secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
+            yield incarnation.write(self.disk, first,
+                                    self._encode_block(b"", 0))
+            yield incarnation.write(
+                self.disk, 1 + slot,
+                secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
         except BaseException:  # undone in the incarnation that did it
             del logs[slot]
             free_blocks.append(first)
@@ -187,17 +189,16 @@ class LogServer(RpcService):
         with self.locks.writing(cap.object) as lock:
             yield lock.grant
             if state.tail_used + needed > self.payload_per_block:
-                self._require_alive(incarnation)
+                incarnation.require_up()  # the new block is this one's
                 free_blocks = self._free_blocks
                 new_block = self._alloc_block()
                 try:
-                    yield self.disk.write(new_block,
-                                          self._encode_block(b"", 0))
+                    yield incarnation.write(self.disk, new_block,
+                                            self._encode_block(b"", 0))
                     # Re-point the old tail's next pointer.
                     tail_records = self._tail_payload(state)
-                    self._require_alive(incarnation)
-                    yield self.disk.write(
-                        state.tail_block,
+                    yield incarnation.write(
+                        self.disk, state.tail_block,
                         self._encode_block(tail_records, state.tail_used,
                                            nxt=new_block),
                     )
@@ -210,9 +211,8 @@ class LogServer(RpcService):
             used = state.tail_used + needed
             payload = (self._tail_payload(state)
                        + len(record).to_bytes(2, "big") + record)
-            self._require_alive(incarnation)
-            yield self.disk.write(state.tail_block,
-                                  self._encode_block(payload, used))
+            yield incarnation.write(self.disk, state.tail_block,
+                                    self._encode_block(payload, used))
             # Published only once durable: a failed write leaves the
             # record unread, unnumbered and out of the next tail write.
             start = state.record_count

@@ -142,9 +142,9 @@ class Ethernet:
         self._sending = 0  # reference path: send_fragments calls in flight
         self._background_rate = 0.0  # packets per second
         if background_load and self._medium is not None:
-            # Intentional daemon fork: seeded background traffic competes
-            # for the medium for the whole experiment, detached by design.
-            env.process(self._background_traffic())  # repro: allow(S001)
+            # The reference path's daemon: seeded background traffic
+            # competes for the medium for the whole experiment.
+            self._background = env.process(self._background_traffic())
         elif background_load and profile.background_utilization > 0:
             # The same daemon as a ledger sender. Its first step stands
             # where the process's start-up event would: the first gap is

@@ -159,11 +159,31 @@ class ServiceEndpoint:
         if not lost and not request.reply_event.triggered:
             request.reply_event.succeed(reply)
 
+    def require_up(self) -> None:
+        """The one refusal of a dead incarnation: once :meth:`crash` has
+        run, it starts nothing and writes nothing."""
+        if self.down:
+            raise ServerDownError(f"port {self.port:#x} crashed")
+
+    def write(self, target, block: int, data: bytes) -> Event:
+        """``target.write(block, data)`` for this incarnation, where
+        ``target`` is a disk or a mirror: the target's own event, or
+        :class:`ServerDownError` once the incarnation is down. Every
+        timed disk write of a server goes through here or through
+        :meth:`write_ordered`."""
+        self.require_up()
+        return target.write(block, data)
+
+    def write_ordered(self, mirror, extents, need: int) -> tuple:
+        """``mirror.write_ordered(extents, need)`` (CREATE's ordered,
+        per-replica form) behind the same refusal as :meth:`write`."""
+        self.require_up()
+        return mirror.write_ordered(extents, need)
+
     def spawn(self, body):
         """Start the generator ``body`` as a member process, which
         :meth:`crash` interrupts wherever it stands."""
-        if self.down:
-            raise ServerDownError(f"port {self.port:#x} crashed")
+        self.require_up()
         proc = self.env.process(self._member(body))
         self.members[proc] = None
         return proc
@@ -228,11 +248,11 @@ class RpcTransport:
         (see :mod:`repro.net.gateway`)."""
         self._routes.append(gateway)
 
-    def register(self, port: int) -> ServiceEndpoint:
-        """Claim ``port`` for a server; returns its endpoint."""
+    def register(self, endpoint: ServiceEndpoint) -> ServiceEndpoint:
+        """Route ``endpoint``'s port to it; returns the endpoint."""
+        port = endpoint.port
         if port in self._ports and not self._ports[port].down:
             raise ValueError(f"port {port:#x} already registered")
-        endpoint = ServiceEndpoint(self.env, port, self)
         self._ports[port] = endpoint
         return endpoint
 
@@ -455,18 +475,24 @@ class RpcService:
         self._op_seconds: dict = {}      # opname -> Histogram
         self._error_counters: dict = {}  # status name -> Counter
 
-    def _start_serving(self) -> None:
-        """The tail of every ``boot()``: start the incarnation, key the
-        secret mint by the instant (every boot reads the disk, so no two
-        incarnations share one) and, on the RPC plane, claim the port
-        and start the workers on the endpoint inbox, the admission
-        queue (one worker: the paper's single-threaded loop, §3)."""
+    def _incarnation(self) -> ServiceEndpoint:
+        """A fresh incarnation, not yet serving: ``boot()`` builds its
+        volatile state, then hands it to :meth:`_start_serving`."""
+        return ServiceEndpoint(self.env, self.port, self.transport)
+
+    def _start_serving(self, endpoint: ServiceEndpoint) -> None:
+        """The tail of every ``boot()``: make ``endpoint`` the current
+        incarnation, key the secret mint by the instant (every boot
+        reads the disk, so no two incarnations share one) and, on the
+        RPC plane, claim the port and start the workers on the endpoint
+        inbox, the admission queue (one worker: the paper's
+        single-threaded loop, §3)."""
         self._secrets = SeededStream(
             self.master_seed, f"{self.name}:secrets@{self.env.now!r}")
+        self._endpoint = endpoint
         if self.transport is None:
-            self._endpoint = ServiceEndpoint(self.env, self.port, None)
             return
-        endpoint = self._endpoint = self.transport.register(self.port)
+        self.transport.register(endpoint)
         for _ in range(self.workers):
             endpoint.spawn(self._serve(endpoint))
 
@@ -487,12 +513,6 @@ class RpcService:
         if endpoint is None or endpoint.down:
             raise BadRequestError(f"server {self.name} is not booted")
         return endpoint
-
-    def _require_alive(self, incarnation: ServiceEndpoint) -> None:
-        """Refuse a local-plane call that outlived ``incarnation`` before
-        it writes to a disk."""
-        if incarnation.down:
-            raise ServerDownError(f"server {self.name} crashed")
 
     def _dispatch(self, req: RpcRequest):
         """Generator: perform ``req``, return its :class:`RpcReply`."""

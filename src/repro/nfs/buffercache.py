@@ -14,9 +14,13 @@ server was a shared departmental machine on a "normally loaded
 Ethernet", so other clients' traffic steadily recycles cache blocks.
 This is what produces claim C4 (1 MB transfers slower than 64 KB ones):
 a long transfer's footprint gets partially evicted while it streams.
-The daemon belongs to the server's incarnation
-(:meth:`BufferCache.start_churn`); on the fast kernel it is a virtual
-source, off the heap.
+
+A cache belongs to one incarnation of its server, which ``boot()``
+hands it at construction: every disk write it makes goes through that
+incarnation's :meth:`~repro.net.ServiceEndpoint.write`, so a handler
+that outlives the incarnation writes nothing, and the churn daemon
+(:meth:`BufferCache.start_churn`) ends with it. On the fast kernel the
+daemon is a virtual source, off the heap.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..disk import VirtualDisk
 from ..obs import MetricsRegistry, RegistryStats
-from ..sim import Environment, SeededStream
+from ..sim import SeededStream
 
 if TYPE_CHECKING:
     from ..net import ServiceEndpoint
@@ -53,9 +57,9 @@ class BufferCacheStats(RegistryStats):
 
 
 class BufferCache:
-    """An LRU block cache in front of one disk."""
+    """An LRU block cache in front of one disk, for one incarnation."""
 
-    def __init__(self, env: Environment, disk: VirtualDisk,
+    def __init__(self, incarnation: "ServiceEndpoint", disk: VirtualDisk,
                  capacity_bytes: int, fs_block_size: int,
                  metrics: Optional[MetricsRegistry] = None,
                  owner: str = "nfs"):
@@ -64,7 +68,8 @@ class BufferCache:
                 f"fs block size {fs_block_size} not a multiple of the disk "
                 f"sector size {disk.block_size}"
             )
-        self.env = env
+        self.env = incarnation.env
+        self.incarnation = incarnation
         self.disk = disk
         self.fs_block_size = fs_block_size
         self.capacity_blocks = max(capacity_bytes // fs_block_size, 1)
@@ -73,7 +78,7 @@ class BufferCache:
         self._blocks: OrderedDict[int, bytes] = OrderedDict()
         self._dirty: set[int] = set()
         # The churn daemon's model, picked once (see _Churn).
-        self._reference = env.is_reference
+        self._reference = self.env.is_reference
 
     # ------------------------------------------------------------- reads
     #
@@ -109,7 +114,8 @@ class BufferCache:
             data = data + bytes(self.fs_block_size - len(data))
         self._admit(fbn, bytes(data), dirty=False)
         self.stats.write_throughs.inc()
-        yield self.disk.write(fbn * self.sectors_per_block, data)
+        yield self.incarnation.write(
+            self.disk, fbn * self.sectors_per_block, data)
 
     def write_delayed(self, first_fbn: int, blocks: Sequence[bytes]) -> None:
         """Install ``blocks`` (each one whole block of bytes) as the
@@ -127,7 +133,8 @@ class BufferCache:
         for fbn in dirty:
             data = self._blocks.get(fbn)
             if data is not None:
-                yield self.disk.write(fbn * self.sectors_per_block, data)
+                yield self.incarnation.write(
+                    self.disk, fbn * self.sectors_per_block, data)
 
     # ---------------------------------------------------------- internals
 
@@ -161,14 +168,14 @@ class BufferCache:
 
     # -------------------------------------------------------- background
 
-    def start_churn(self, endpoint: "ServiceEndpoint", stream: SeededStream,
+    def start_churn(self, stream: SeededStream,
                     churn_per_second: float) -> None:
         """Start the competing traffic of a shared server: evict random
         cached blocks at the given mean rate, deterministically from the
-        seeded stream, until ``endpoint``'s incarnation crashes. No
+        seeded stream, until the cache's incarnation crashes. No
         traffic (a rate of zero) starts nothing."""
         if churn_per_second > 0:
-            _Churn(self, endpoint, stream, churn_per_second)
+            _Churn(self, stream, churn_per_second)
 
 
 class _Churn:
@@ -185,17 +192,16 @@ class _Churn:
     #: No step of the daemon's resumes a process.
     wake = _INF
 
-    def __init__(self, cache: BufferCache, endpoint: "ServiceEndpoint",
-                 stream: SeededStream, rate: float):
+    def __init__(self, cache: BufferCache, stream: SeededStream,
+                 rate: float):
         self._cache = cache
-        self._endpoint = endpoint
         self._stream = stream
         self._rate = rate
         # The first step is the start-up: it draws the first gap.
         self._started = False
         env = cache.env
         if cache._reference:
-            endpoint.spawn(self._process())
+            cache.incarnation.spawn(self._process())
             return
         self._seq = env.add_source(self)
         # The start-up stands where the process's start-up event would.
@@ -249,7 +255,7 @@ class _Churn:
                             and (self._c, self._s) >= (c_limit, seq_limit)):
             return False
         env = self._cache.env
-        if self._endpoint.down:
+        if self._cache.incarnation.down:
             self.guard = _INF
             env.remove_source(self)
             env.finish_inline(env.event(), None, when)

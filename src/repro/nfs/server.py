@@ -86,21 +86,22 @@ class NfsServer(RpcService):
         self._filesystem(None).format()
 
     def boot(self):
-        """Process: mount the volume over an empty buffer cache, start
-        serving and, with background churn, the churn daemon."""
+        """Process: mount the volume over an empty buffer cache of the
+        new incarnation, start serving and, with background churn, the
+        churn daemon."""
         nfs = self.testbed.nfs
-        self.cache = BufferCache(self.env, self.disk, nfs.buffer_cache_bytes,
-                                 nfs.fs_block_size,
+        incarnation = self._incarnation()
+        self.cache = BufferCache(incarnation, self.disk,
+                                 nfs.buffer_cache_bytes, nfs.fs_block_size,
                                  metrics=self.metrics, owner=self.name)
         self.fs = self._filesystem(self.cache)
         yield from self.fs.mount()
-        self._start_serving()
+        self._start_serving(incarnation)
         if self._churn:
             # churn fraction/s of the cache, expressed in blocks/s.
             rate = nfs.background_cache_churn * self.cache.capacity_blocks
             self.cache.start_churn(
-                self._endpoint, SeededStream(self.master_seed, "nfs:churn"),
-                rate)
+                SeededStream(self.master_seed, "nfs:churn"), rate)
         return ROOT_INUM
 
     @property
@@ -108,48 +109,59 @@ class NfsServer(RpcService):
         return FileHandle(ROOT_INUM, 1)
 
     # ---------------------------------------------------------- local API
+    #
+    # A handler takes the volume with the incarnation at entry and works
+    # on it throughout: a local call that outlives its incarnation reads
+    # and writes through the dead one's buffer cache, whose writes the
+    # dead incarnation refuses, never through the next one's.
 
-    def _resolve(self, fh: FileHandle):
-        inode = yield from self.fs.inode_read(fh.inum)
+    def _mounted(self) -> FFS:
+        """The current incarnation's volume; refuses unless booted."""
+        self._require_booted()
+        return self.fs
+
+    @staticmethod
+    def _resolve(fs: FFS, fh: FileHandle):
+        inode = yield from fs.inode_read(fh.inum)
         if inode.mode == 0 or inode.generation != fh.generation:
             raise NotFoundError(f"stale file handle {tuple(fh)}")
         return inode
 
     def lookup(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_LOOKUP — name -> file handle."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(dir_fh)
-        inum = yield from self.fs.dir_lookup(dir_fh.inum, name)
-        inode = yield from self.fs.inode_read(inum)
+        yield from self._resolve(fs, dir_fh)
+        inum = yield from fs.dir_lookup(dir_fh.inum, name)
+        inode = yield from fs.inode_read(inum)
         return FileHandle(inum, inode.generation)
 
     def getattr(self, fh: FileHandle):
         """Process: NFSPROC_GETATTR — (mode, size)."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        inode = yield from self._resolve(fh)
+        inode = yield from self._resolve(fs, fh)
         return {"mode": inode.mode, "size": inode.size,
                 "mtime_ms": inode.mtime_ms}
 
     def read(self, fh: FileHandle, offset: int, count: int):
         """Process: NFSPROC_READ — at most one transfer unit of data."""
-        self._require_booted()
+        fs = self._mounted()
         nfs = self.testbed.nfs
         if count > nfs.transfer_size:
             raise BadRequestError(
                 f"read of {count} exceeds the {nfs.transfer_size} transfer size"
             )
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(fh)
-        data = yield from self.fs.read(fh.inum, offset, count)
+        yield from self._resolve(fs, fh)
+        data = yield from fs.read(fh.inum, offset, count)
         yield self.env.timeout(len(data) * nfs.data_cost_per_byte_server)
         return data
 
     def write(self, fh: FileHandle, offset: int, data: bytes):
         """Process: NFSPROC_WRITE — synchronous (data + inode on disk
         before the reply), as NFS v2 demands."""
-        self._require_booted()
+        fs = self._mounted()
         nfs = self.testbed.nfs
         if len(data) > nfs.transfer_size:
             raise BadRequestError(
@@ -157,42 +169,42 @@ class NfsServer(RpcService):
             )
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield self.env.timeout(len(data) * nfs.data_cost_per_byte_server)
-        yield from self._resolve(fh)
-        written = yield from self.fs.write(fh.inum, offset, data)
+        yield from self._resolve(fs, fh)
+        written = yield from fs.write(fh.inum, offset, data)
         return written
 
     def create(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_CREATE — new empty file (sync dir + inode)."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(dir_fh)
-        inum, inode = yield from self.fs.alloc_inode(MODE_FILE)
-        yield from self.fs.dir_add(dir_fh.inum, name, inum)
+        yield from self._resolve(fs, dir_fh)
+        inum, inode = yield from fs.alloc_inode(MODE_FILE)
+        yield from fs.dir_add(dir_fh.inum, name, inum)
         return FileHandle(inum, inode.generation)
 
     def remove(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_REMOVE."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(dir_fh)
-        inum = yield from self.fs.dir_remove(dir_fh.inum, name)
-        yield from self.fs.remove(inum)
+        yield from self._resolve(fs, dir_fh)
+        inum = yield from fs.dir_remove(dir_fh.inum, name)
+        yield from fs.remove(inum)
 
     def mkdir(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_MKDIR."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(dir_fh)
-        inum, inode = yield from self.fs.alloc_inode(MODE_DIR)
-        yield from self.fs.dir_add(dir_fh.inum, name, inum)
+        yield from self._resolve(fs, dir_fh)
+        inum, inode = yield from fs.alloc_inode(MODE_DIR)
+        yield from fs.dir_add(dir_fh.inum, name, inum)
         return FileHandle(inum, inode.generation)
 
     def readdir(self, dir_fh: FileHandle):
         """Process: NFSPROC_READDIR — sorted entry names."""
-        self._require_booted()
+        fs = self._mounted()
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
-        yield from self._resolve(dir_fh)
-        entries = yield from self.fs.dir_entries(dir_fh.inum)
+        yield from self._resolve(fs, dir_fh)
+        entries = yield from fs.dir_entries(dir_fh.inum)
         return sorted(entries)
 
     # ------------------------------------------------------------ RPC plane

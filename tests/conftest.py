@@ -12,6 +12,8 @@ import pytest
 from repro.disk import MirroredDiskSet, VirtualDisk
 from repro.profiles import BulletProfile, DiskProfile, Testbed
 from repro.core import BulletServer
+from repro.net import ServiceEndpoint
+from repro.nfs import BufferCache
 from repro.sim import Environment
 from repro.units import MB
 
@@ -79,6 +81,14 @@ def make_bullet(env: Environment, n_disks: int = 2, testbed: Testbed = None,
     server.format()
     env.run(until=env.process(server.boot()))
     return server
+
+
+def standalone_cache(env: Environment, disk: VirtualDisk,
+                     capacity_bytes: int, fs_block_size: int) -> BufferCache:
+    """An NFS buffer cache built by hand, for an incarnation that no
+    port routes to."""
+    return BufferCache(ServiceEndpoint(env, 0, None), disk, capacity_bytes,
+                       fs_block_size)
 
 
 @pytest.fixture(autouse=True)

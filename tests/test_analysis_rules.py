@@ -3,8 +3,8 @@
 
 Every rule gets a positive test (the bad fixture yields exactly the
 expected findings, at the expected lines, with no cross-rule noise) and
-a negative test (the good fixture is clean). Suppression pragmas,
-config allowlists, scoping, and rule selection are covered separately.
+a negative test (the good fixture is clean). Config allowlists,
+scoping, and rule selection are covered separately.
 """
 
 import os
@@ -20,9 +20,8 @@ from repro.errors import BadRequestError
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 
-#: Every registered rule. P001 (stale-pragma) has no fixture pair: it
-#: only runs under --strict-pragmas and is covered separately below.
-ALL_RULES = ("D001", "D002", "D003", "S001", "C001", "A001", "P001")
+#: Every registered rule.
+ALL_RULES = ("D001", "D002", "D003", "S001", "C001", "A001")
 
 #: rule -> (bad fixture, expected finding lines, good fixture)
 CASES = {
@@ -72,42 +71,6 @@ def test_findings_carry_rendered_location():
     rendered = result.findings[0].render()
     assert "a001_bad.py:5:" in rendered
     assert "A001" in rendered
-
-
-# ---------------------------------------------------------- suppression
-
-def test_suppression_pragmas_silence_findings():
-    assert run(FIXTURES / "suppressed.py").clean
-
-
-def test_suppression_same_line_and_next_line(tmp_path):
-    source = (
-        "import time\n"
-        "\n"
-        "def stamp():\n"
-        "    a = time.time()  # repro: allow(D001)\n"
-        "    # repro: allow(D001)\n"
-        "    b = time.time()\n"
-        "    c = time.time()\n"
-        "    return a, b, c\n"
-    )
-    path = tmp_path / "pragmas.py"
-    path.write_text(source)
-    result = run(path)
-    # Only the unpragma'd read on line 7 survives.
-    assert [(f.rule, f.line) for f in result.findings] == [("D001", 7)]
-
-
-def test_suppression_is_per_rule(tmp_path):
-    path = tmp_path / "wrong_rule.py"
-    path.write_text(
-        "import time\n"
-        "\n"
-        "def stamp():\n"
-        "    return time.time()  # repro: allow(S001)\n"
-    )
-    result = run(path)
-    assert [(f.rule, f.line) for f in result.findings] == [("D001", 4)]
 
 
 # ------------------------------------------------- allowlists and scope
@@ -161,44 +124,8 @@ def test_findings_sorted_by_path_then_line():
     result = analyze_paths([str(FIXTURES)])
     keys = [(f.path, f.line, f.col, f.rule) for f in result.findings]
     assert keys == sorted(keys)
-    # The whole fixture tree has findings from every fixture-backed rule
-    # (P001 stays silent without --strict-pragmas).
+    # The whole fixture tree has findings from every rule.
     assert {f.rule for f in result.findings} == set(CASES)
-
-
-# --------------------------------------------------- strict pragma mode
-
-def test_strict_pragmas_flags_stale_pragma(tmp_path):
-    path = tmp_path / "stale.py"
-    path.write_text(
-        "def fine():\n"
-        "    return 1  # repro: allow(D001)\n"
-    )
-    result = analyze_paths([str(path)], strict_pragmas=True)
-    assert [(f.rule, f.line) for f in result.findings] == [("P001", 2)]
-    assert "allow(D001)" in result.findings[0].message
-
-
-def test_strict_pragmas_keeps_used_pragma(tmp_path):
-    path = tmp_path / "used.py"
-    path.write_text(
-        "import time\n"
-        "\n"
-        "def stamp():\n"
-        "    return time.time()  # repro: allow(D001)\n"
-    )
-    assert analyze_paths([str(path)], strict_pragmas=True).clean
-
-
-def test_strict_pragmas_ignores_docstring_mentions(tmp_path):
-    path = tmp_path / "doc.py"
-    path.write_text(
-        '"""Suppress with ``# repro: allow(D001)`` on the line."""\n'
-        "\n"
-        "def fine():\n"
-        "    return 1\n"
-    )
-    assert analyze_paths([str(path)], strict_pragmas=True).clean
 
 
 # ------------------------------------------------ kill matrix (DESIGN §11)
@@ -273,9 +200,9 @@ MUTANTS = {
     # number holds) and no longer checks the handle's generation.
     "nfs-write-inlines-the-inode-read": (
         "nfs/server.py",
-        "        yield from self._resolve(fh)\n"
+        "        yield from self._resolve(fs, fh)\n"
         "        written = yield from",
-        "        yield from self.fs.inode_read(fh.inum)\n"
+        "        yield from fs.inode_read(fh.inum)\n"
         "        written = yield from",
         "C001",
     ),
@@ -285,17 +212,6 @@ MUTANTS = {
         'raise BadRequestError("request carries no capability")',
         'raise AssertionError("request carries no capability")',
         "A001",
-    ),
-    # The background-traffic daemon keeps its handle now, so S001 has
-    # nothing to say and the pragma excuses whatever lands on that line
-    # next.
-    "pragma-outlives-the-fork-it-excused": (
-        "net/ethernet.py",
-        "            env.process(self._background_traffic())"
-        "  # repro: allow(S001)\n",
-        "            self._bg = env.process(self._background_traffic())"
-        "  # repro: allow(S001)\n",
-        "P001",
     ),
     # Audit mutant #10: the lives table written by a handler that takes
     # no lock. The table reports its own writes, so the lockset checker
@@ -355,9 +271,7 @@ def test_committed_mutant_is_killed_by_the_layer_that_owns_it(name, tmp_path):
     if catcher in rule_ids():
         mutated.parent.mkdir(parents=True)
         mutated.write_text(source.replace(needle, replacement))
-        # Stale pragmas are only judged under --strict-pragmas.
-        result = analyze_paths([str(mutated)],
-                               strict_pragmas=catcher == "P001")
+        result = run(mutated)
         assert {f.rule for f in result.findings} == {catcher}
         # Sole static catcher: every other rule passes the mutant.
         others = tuple(r for r in rule_ids() if r != catcher)

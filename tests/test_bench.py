@@ -811,3 +811,77 @@ def test_core_writes_replicas_through_the_mirror_only():
         if "live_disks" in line or "resync_note" in line
     ]
     assert not findings, "\n".join(findings)
+
+
+#: The server packages whose handlers write durable state.
+_DURABLE_PACKAGES = ("core", "directory", "logsvc", "nfs")
+
+#: What the write guard leaves alone, each row with its reason.
+_WRITE_GUARD_EXEMPT = {
+    "write_raw": "not watched: the untimed raw plane (format, mkfs) "
+                 "writes a volume before any incarnation boots on it",
+    "disk/mirror.py": "not read: the mirror fans one write out to its "
+                      "replicas; it is what an incarnation writes "
+                      "through, not a handler",
+    "nfs/ffs.py: self.write": "FFS.write, a file write: its blocks "
+                              "reach the disk through the buffer "
+                              "cache, which writes through its "
+                              "incarnation",
+    "nfs/server.py: fs.write": "the WRITE handler calling FFS.write",
+    "nfs/server.py: self.write": "the dispatcher calling the WRITE "
+                                 "handler",
+}
+
+
+def _writes_around_the_incarnation(sources):
+    """``path:line: call`` for every ``.write(...)`` or
+    ``.write_ordered(...)`` call in ``sources`` (path relative to
+    ``src/repro`` -> text) that is not made on an incarnation."""
+    findings = []
+    for relative, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("write", "write_ordered")):
+                continue
+            receiver = ast.unparse(node.func.value)
+            call = f"{relative}: {receiver}.{node.func.attr}"
+            if receiver.split(".")[-1] == "incarnation" \
+                    or call in _WRITE_GUARD_EXEMPT:
+                continue
+            findings.append(f"{relative}:{node.lineno}: "
+                            f"{receiver}.{node.func.attr}")
+    return findings
+
+
+def _durable_sources():
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    return {path.relative_to(src).as_posix(): path.read_text()
+            for package in _DURABLE_PACKAGES
+            for path in sorted((src / package).glob("*.py"))}
+
+
+def test_every_durable_write_goes_through_its_incarnation():
+    """A dead incarnation issues no new disk request because it has one
+    door: ``ServiceEndpoint.write`` / ``write_ordered``, which refuse
+    once it is down. No module of the server packages calls a disk's or
+    mirror's ``write`` / ``write_ordered`` itself; the table above says
+    what is left alone and why. A write past the door is how a local
+    call that outlived its incarnation came to write (bugs A1, A3 and
+    the NFS local-plane WRITE)."""
+    findings = _writes_around_the_incarnation(_durable_sources())
+    assert not findings, "\n".join(findings)
+
+
+def test_the_write_guard_catches_a_direct_disk_write_in_a_log_append():
+    """The guard's mutant: ``LogServer.append`` writing its tail block
+    with ``self.disk.write`` again, past the incarnation."""
+    sources = _durable_sources()
+    source = sources["logsvc/server.py"]
+    needle = "yield incarnation.write(self.disk, state.tail_block,\n"
+    assert source.count(needle) == 1, "mutation target moved"
+    line = source[:source.index(needle)].count("\n") + 1
+    sources["logsvc/server.py"] = source.replace(
+        needle, "yield self.disk.write(state.tail_block,\n")
+    assert _writes_around_the_incarnation(sources) == [
+        f"logsvc/server.py:{line}: self.disk.write"]

@@ -334,31 +334,84 @@ def test_a_request_the_disk_already_holds_completes_after_the_crash():
     _survives_the_next_incarnation(env, server, caps)
 
 
-@pytest.mark.parametrize("reboot", [False, True], ids=["down", "rebooted"])
-def test_a_local_call_that_outlives_its_incarnation_writes_nothing(reboot):
-    """A local-plane CREATE runs in its caller's process, which a crash
-    does not stop. Crashed in its memcpy, it must still issue no disk
-    write, also when the server has booted again meanwhile: its free
-    extent and inode number belong to the dead incarnation."""
+def _bullet_local_call(op):
+    """A Bullet server holding one 600 000-byte file, and a local-plane
+    ``op`` with the instant to crash it at: a CREATE in its memcpy, a
+    DELETE in its capability check, an AGE sweep waiting for the write
+    lock that a READ holds through its memcpy."""
     env = Environment()
     server = make_bullet(env)
-    disks = server.mirror.disks
+    kept = b"k" * BIG
+    cap = run_process(env, server.create(kept, 2))
+    cpu = server.testbed.cpu
+    if op == "create":
+        call, crash_after = server.create(b"z" * BIG, 2), 0.01
+    elif op == "delete":
+        call = server.delete(cap)
+        crash_after = cpu.request_dispatch + cpu.capability_check / 2
+    else:
+        env.process(server.read(cap))
+        call, crash_after = server.age_all(), 0.01
+    return (env, server, server.mirror.disks, call, crash_after,
+            lambda: run_process(env, server.read(cap)) == kept)
 
-    def doomed_create():
+
+def _nfs_local_call(_op):
+    """An NFS server holding one 8 KB file, and a local-plane WRITE over
+    it crashed 0.5 ms into its charge."""
+    env = Environment()
+    disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
+    server = NfsServer(env, disk, small_testbed())
+    server.format()
+    run_process(env, server.boot())
+    fh = run_process(env, server.create(server.root_handle, "f"))
+    kept = bytes(range(256)) * 32
+    run_process(env, server.write(fh, 0, kept))
+    return (env, server, [disk], server.write(fh, 0, b"w" * len(kept)),
+            0.0005, lambda: run_process(env, server.read(fh, 0, 8192)) == kept)
+
+
+_LOCAL_CALLS = {"create": _bullet_local_call, "delete": _bullet_local_call,
+                "age": _bullet_local_call, "nfs_write": _nfs_local_call}
+
+
+#: Every call, left down or rebooted. CREATE's rows keep their old ids,
+#: ``down`` and ``rebooted``.
+_LOCAL_CALL_CASES = [
+    pytest.param(op, reboot, id=("" if op == "create" else f"{op}-")
+                 + ("rebooted" if reboot else "down"))
+    for op in _LOCAL_CALLS for reboot in (False, True)]
+
+
+@pytest.mark.parametrize("op, reboot", _LOCAL_CALL_CASES)
+def test_a_local_call_that_outlives_its_incarnation_writes_nothing(
+        op, reboot):
+    """A local-plane call runs in its caller's process, which a crash
+    does not stop. Crashed mid-call, it must still issue no disk write
+    and fail with ServerDownError, also when the server has booted
+    again meanwhile: the free extent, inode, lives or buffer cache it
+    would write from belong to the dead incarnation, and the next
+    incarnation reads the file back as it was."""
+    env, server, disks, call, crash_after, reads_back = _LOCAL_CALLS[op](op)
+
+    def doomed():
         with pytest.raises(ServerDownError):
-            yield from server.create(b"z" * BIG, 2)
+            yield from call
 
-    doomed = env.process(doomed_create())
-    env.run(until=env.now + 0.01)  # the 600 000-byte memcpy takes 0.07 s
+    proc = env.process(doomed())
+    env.run(until=env.now + crash_after)
+    assert proc.is_alive
     dead = server._endpoint
     server.crash()
+    writes = [disk.stats.writes.value for disk in disks]
     if reboot:
         run_process(env, server.boot())
-    writes = [disk.stats.writes.value for disk in disks]
-    env.run(until=doomed)
+    env.run(until=proc)
     env.run(until=env.now + 2.0)
     assert [disk.stats.writes.value for disk in disks] == writes
     assert not dead.members and not server._endpoint.members
+    if reboot:
+        assert reads_back()
 
 
 #: Crash points of an online compaction pass over six 32 KB survivors

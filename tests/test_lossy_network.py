@@ -6,7 +6,8 @@ from dataclasses import replace
 
 from repro.client import BulletClient
 from repro.errors import RpcTimeoutError
-from repro.net import Ethernet, RpcReply, RpcRequest, RpcTransport
+from repro.net import (Ethernet, RpcReply, RpcRequest, RpcTransport,
+                       ServiceEndpoint)
 from repro.profiles import CpuProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB
@@ -24,7 +25,7 @@ def make_lossy_net(env, loss, seed=21):
 
 def counting_server(env, rpc, port=100):
     """Echo server that counts how many times it *executed* a request."""
-    endpoint = rpc.register(port)
+    endpoint = rpc.register(ServiceEndpoint(env, port, rpc))
     executions = []
 
     def loop():

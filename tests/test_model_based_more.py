@@ -10,11 +10,12 @@ from repro.directory import DirectoryServer
 from repro.disk import VirtualDisk
 from repro.errors import ExistsError, NoSpaceError, NotFoundError
 from repro.modelcheck import RefDirectory
-from repro.nfs import FFS, BufferCache, MODE_FILE
+from repro.nfs import FFS, MODE_FILE
 from repro.sim import Environment, run_process
 from repro.units import KB
 
-from conftest import SMALL_DISK, make_bullet, small_testbed
+from conftest import (SMALL_DISK, make_bullet, small_testbed,
+                      standalone_cache)
 
 
 # ------------------------------------------------------------- directory
@@ -113,7 +114,7 @@ def test_ffs_file_matches_bytearray_model(script):
     indirect-block paths."""
     env = Environment()
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 256 * KB, 8192)
+    cache = standalone_cache(env, disk, 256 * KB, 8192)
     fs = FFS(env, disk, cache, 16)
     fs.format()
     run_process(env, fs.mount())
@@ -137,7 +138,7 @@ def test_ffs_file_matches_bytearray_model(script):
     assert inode.size == len(model)
     assert run_process(env, fs.read(inum, 0, len(model) + 1)) == bytes(model)
     run_process(env, cache.sync())
-    fs2 = FFS(env, disk, BufferCache(env, disk, 256 * KB, 8192), 16)
+    fs2 = FFS(env, disk, standalone_cache(env, disk, 256 * KB, 8192), 16)
     run_process(env, fs2.mount())
     assert run_process(env, fs2.read(inum, 0, len(model) + 1)) == bytes(model)
 
@@ -148,7 +149,7 @@ def test_ffs_double_indirect_file(env):
     single covers 16.09 MB) — force the double-indirect path with a
     write at a high offset into a sparse file."""
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 512 * KB, 8192)
+    cache = standalone_cache(env, disk, 512 * KB, 8192)
     fs = FFS(env, disk, cache, 16)
     fs.format()
     run_process(env, fs.mount())

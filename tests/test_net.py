@@ -14,7 +14,7 @@ from repro.errors import (
     Status,
 )
 from repro.net import (Ethernet, RpcReply, RpcRequest, RpcService,
-                       RpcTransport)
+                       RpcTransport, ServiceEndpoint)
 from repro.profiles import DEFAULT_TESTBED, CpuProfile, EthernetProfile
 from repro.sim import Environment, Interrupt, SeededStream, run_process
 from repro.units import KB, MB
@@ -172,7 +172,7 @@ OP_FAIL = 2
 
 def echo_server(env, rpc, port):
     """A server echoing request bodies; OP_FAIL raises NotFoundError."""
-    endpoint = rpc.register(port)
+    endpoint = rpc.register(ServiceEndpoint(env, port, rpc))
 
     def loop():
         while True:
@@ -266,7 +266,8 @@ def test_trans_to_unknown_port_raises_server_down():
 def test_trans_timeout_on_silent_server():
     env = Environment()
     _, rpc = make_net(env)
-    rpc.register(100)  # registered but nobody serves the inbox
+    # Registered, but nobody serves the inbox.
+    rpc.register(ServiceEndpoint(env, 100, rpc))
 
     def client():
         try:
@@ -280,7 +281,7 @@ def test_trans_timeout_on_silent_server():
 def test_crash_fails_pending_requests():
     env = Environment()
     _, rpc = make_net(env)
-    endpoint = rpc.register(100)
+    endpoint = rpc.register(ServiceEndpoint(env, 100, rpc))
 
     def crasher():
         yield env.timeout(0.01)
@@ -301,7 +302,7 @@ def test_crash_fails_requests_already_in_service():
     client has no timeout and would otherwise wait forever."""
     env = Environment()
     _, rpc = make_net(env)
-    endpoint = rpc.register(100)
+    endpoint = rpc.register(ServiceEndpoint(env, 100, rpc))
 
     def server():
         yield endpoint.getreq()
@@ -322,17 +323,17 @@ def test_crash_fails_requests_already_in_service():
 def test_crashed_port_can_be_reregistered():
     env = Environment()
     _, rpc = make_net(env)
-    endpoint = rpc.register(100)
+    endpoint = rpc.register(ServiceEndpoint(env, 100, rpc))
     endpoint.crash()
-    rpc.register(100)  # must not raise
+    rpc.register(ServiceEndpoint(env, 100, rpc))  # must not raise
 
 
 def test_double_register_rejected():
     env = Environment()
     _, rpc = make_net(env)
-    rpc.register(100)
+    rpc.register(ServiceEndpoint(env, 100, rpc))
     with pytest.raises(ValueError):
-        rpc.register(100)
+        rpc.register(ServiceEndpoint(env, 100, rpc))
 
 
 def test_large_reply_dominates_latency():
@@ -341,7 +342,7 @@ def test_large_reply_dominates_latency():
     env = Environment()
     _, rpc = make_net(env)
     port = 100
-    endpoint = rpc.register(port)
+    endpoint = rpc.register(ServiceEndpoint(env, port, rpc))
 
     def server():
         while True:
@@ -371,7 +372,7 @@ def test_large_reply_dominates_latency():
 def test_requests_served_in_order():
     env = Environment()
     _, rpc = make_net(env)
-    endpoint = rpc.register(100)
+    endpoint = rpc.register(ServiceEndpoint(env, 100, rpc))
     served = []
 
     def server():
@@ -743,7 +744,7 @@ def test_null_rpc_under_sixteen_clients_stays_inside_its_event_budget():
     env = Environment()
     _eth, rpc = make_net(env)
     service = _NullService(env, "null", transport=rpc, workers=4)
-    service._start_serving()
+    service._start_serving(service._incarnation())
     calls = 50
 
     def client():
@@ -1023,7 +1024,7 @@ def test_zero_length_charge_yields_to_a_completion_of_the_same_instant():
     def on(env):
         eth = Ethernet(env, _tie_profile())
         rpc = RpcTransport(env, eth, CPU)
-        endpoint = rpc.register(7)
+        endpoint = rpc.register(ServiceEndpoint(env, 7, rpc))
 
         def server():
             req = yield endpoint.getreq()

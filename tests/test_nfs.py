@@ -33,12 +33,13 @@ from repro.profiles import CpuProfile, DiskProfile, EthernetProfile
 from repro.sim import Environment, SeededStream, run_process
 from repro.units import KB, MB
 
-from conftest import SMALL_DISK, reference_env, small_testbed
+from conftest import (SMALL_DISK, reference_env, small_testbed,
+                      standalone_cache)
 
 
 def make_fs(env, cache_bytes=512 * KB, fs_block=8192):
     disk = VirtualDisk(env, SMALL_DISK, name="nfsdisk")
-    cache = BufferCache(env, disk, cache_bytes, fs_block)
+    cache = standalone_cache(env, disk, cache_bytes, fs_block)
     fs = FFS(env, disk, cache, 128, fs_block_size=fs_block)
     fs.format()
     run_process(env, fs.mount())
@@ -78,7 +79,7 @@ def read_block(env, cache, fbn):
 def test_cache_read_miss_then_hit(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     disk.write_raw(16, b"cached block!")
-    cache = BufferCache(env, disk, 64 * KB, 8192)
+    cache = standalone_cache(env, disk, 64 * KB, 8192)
     assert cache.probe(1) is None
     assert cache.stats.misses.value == 0  # the load counts the miss
     data1 = run_process(env, cache.load(1))
@@ -93,14 +94,14 @@ def test_cache_read_miss_then_hit(env):
 
 def test_cache_write_through_reaches_disk(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 64 * KB, 8192)
+    cache = standalone_cache(env, disk, 64 * KB, 8192)
     run_process(env, cache.write_block(2, b"synchronous"))
     assert disk.read_raw(32, 1)[:11] == b"synchronous"
 
 
 def test_cache_delayed_write_needs_sync(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 64 * KB, 8192)
+    cache = standalone_cache(env, disk, 64 * KB, 8192)
     cache.write_delayed(2, [b"lazy".ljust(8192, b"\0")])
     assert disk.read_raw(32, 1)[:4] == bytes(4)  # not on disk yet
     run_process(env, cache.sync())
@@ -109,7 +110,7 @@ def test_cache_delayed_write_needs_sync(env):
 
 def test_cache_lru_eviction(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 2 * 8192, 8192)  # 2 blocks
+    cache = standalone_cache(env, disk, 2 * 8192, 8192)  # 2 blocks
     for fbn in range(3):
         read_block(env, cache, fbn)
     assert not cache.contains(0)
@@ -120,7 +121,7 @@ def test_cache_lru_eviction(env):
 def test_cache_rejects_misaligned_block_size(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
     with pytest.raises(ValueError):
-        BufferCache(env, disk, 64 * KB, 1000)
+        standalone_cache(env, disk, 64 * KB, 1000)
 
 
 def _kernels():
@@ -132,11 +133,10 @@ def test_cache_churn_evicts_deterministically():
     outcomes = []
     for env in _kernels():
         disk = VirtualDisk(env, SMALL_DISK, name="d")
-        cache = BufferCache(env, disk, 64 * 8192, 8192)
+        cache = standalone_cache(env, disk, 64 * 8192, 8192)
         for fbn in range(32):
             read_block(env, cache, fbn)
-        cache.start_churn(ServiceEndpoint(env, 0, None),
-                          SeededStream(11, "churn"), churn_per_second=50.0)
+        cache.start_churn(SeededStream(11, "churn"), churn_per_second=50.0)
         env.run(until=env.now + 1.0)
         assert cache.stats.churned.value > 10
         assert cache.cached_blocks < 32
@@ -169,7 +169,8 @@ def _churn_beside_the_reference(program):
     records = []
     for env in _kernels():
         disk = VirtualDisk(env, SMALL_DISK, name="d")
-        cache = BufferCache(env, disk, 8 * 8192, 8192)
+        endpoint = ServiceEndpoint(env, 0, None)
+        cache = BufferCache(endpoint, disk, 8 * 8192, 8192)
         for fbn in range(6):
             read_block(env, cache, fbn)
         record = []
@@ -180,7 +181,7 @@ def _churn_beside_the_reference(program):
                            cache.stats.churned.value))
 
         start = env.now
-        program(env, cache, ServiceEndpoint(env, 0, None), note)
+        program(env, cache, endpoint, note)
         records.append(record)
     assert records[0] == records[1]
     return [entry[:1] + entry[2:] for entry in records[0]]
@@ -195,7 +196,7 @@ def _after(env, delay, note, tag):
 def test_a_churn_tick_tied_with_a_real_event_made_before_it_goes_second():
     def program(env, cache, endpoint, note):
         _after(env, 0.25, note, "event")
-        cache.start_churn(endpoint, _ScriptedChurn([0.25, 100.0]), 1.0)
+        cache.start_churn(_ScriptedChurn([0.25, 100.0]), 1.0)
         env.run(until=env.now + 1.0)
         note("end")
 
@@ -206,7 +207,7 @@ def test_a_churn_tick_tied_with_a_real_event_made_before_it_goes_second():
 
 def test_a_churn_tick_tied_with_a_real_event_made_after_it_goes_first():
     def program(env, cache, endpoint, note):
-        cache.start_churn(endpoint, _ScriptedChurn([0.25, 100.0]), 1.0)
+        cache.start_churn(_ScriptedChurn([0.25, 100.0]), 1.0)
         env.run(until=env.now)  # the start-up: the first tick is made
         _after(env, 0.25, note, "event")
         env.run(until=env.now + 1.0)
@@ -229,7 +230,7 @@ def test_a_churn_tick_at_a_collapse_end_goes_by_when_it_was_made():
             note(tag)
 
         env.process(worker("early"))
-        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+        cache.start_churn(_ScriptedChurn([0.25, 0.25, 100.0]),
                           1.0)
         env.run(until=env.now + 0.125)
 
@@ -247,7 +248,7 @@ def test_a_churn_tick_at_a_collapse_end_goes_by_when_it_was_made():
 
 def test_a_churn_tick_on_run_until_t_is_performed_by_that_run():
     def program(env, cache, endpoint, note):
-        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+        cache.start_churn(_ScriptedChurn([0.25, 0.25, 100.0]),
                           1.0)
         env.run(until=env.now + 0.25)
         note("t")
@@ -275,7 +276,7 @@ def test_a_churn_tick_at_the_crash_instant_ends_with_the_incarnation(
 
         if crash_first:
             env.process(crasher())
-        cache.start_churn(endpoint, _ScriptedChurn([0.25, 0.25, 100.0]),
+        cache.start_churn(_ScriptedChurn([0.25, 0.25, 100.0]),
                           1.0)
         if not crash_first:
             env.process(crasher())
@@ -413,7 +414,7 @@ def test_ffs_remove_frees_everything(env):
 
 def test_ffs_inode_exhaustion(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 256 * KB, 8192)
+    cache = standalone_cache(env, disk, 256 * KB, 8192)
     fs = FFS(env, disk, cache, 4)
     fs.format()
     run_process(env, fs.mount())
@@ -440,14 +441,14 @@ def test_mount_refuses_an_inode_pointing_outside_the_data_area(env):
     inum, inode = run_process(env, fs.alloc_inode(MODE_FILE))
     inode.direct[0] = fs.sb.inode_start   # an inode-table block
     run_process(env, fs.inode_write(inum, inode))
-    fresh = FFS(env, disk, BufferCache(env, disk, 512 * KB, 8192), 128)
+    fresh = FFS(env, disk, standalone_cache(env, disk, 512 * KB, 8192), 128)
     with pytest.raises(ConsistencyError, match="outside the data area"):
         run_process(env, fresh.mount())
 
 
 def test_ffs_persistence_across_remount(env):
     disk = VirtualDisk(env, SMALL_DISK, name="d")
-    cache = BufferCache(env, disk, 256 * KB, 8192)
+    cache = standalone_cache(env, disk, 256 * KB, 8192)
     fs = FFS(env, disk, cache, 1024)
     fs.format()
     run_process(env, fs.mount())
@@ -456,7 +457,7 @@ def test_ffs_persistence_across_remount(env):
     run_process(env, fs.dir_add(ROOT_INUM, "f", inum))
     run_process(env, cache.sync())
     # Fresh cache + FFS over the same disk.
-    cache2 = BufferCache(env, disk, 256 * KB, 8192)
+    cache2 = standalone_cache(env, disk, 256 * KB, 8192)
     fs2 = FFS(env, disk, cache2, 1024)
     run_process(env, fs2.mount())
     assert run_process(env, fs2.dir_lookup(ROOT_INUM, "f")) == inum
@@ -477,7 +478,7 @@ def _pinned_nfs_plane(env):
     disk = VirtualDisk(env, DiskProfile(
         name="pin", capacity_bytes=128 * MB, cylinders=256, heads=8,
         sectors_per_track=64), name="pin")
-    cache = BufferCache(env, disk, 128 * KB, 8192)   # 16 blocks
+    cache = standalone_cache(env, disk, 128 * KB, 8192)   # 16 blocks
     fs = FFS(env, disk, cache, 64)
     fs.format()
     run_process(env, fs.mount())
@@ -494,8 +495,7 @@ def _pinned_nfs_plane(env):
             == big[100:100 + 13 * 8192])
     run_process(env, fs.remove(a))
     run_process(env, cache.sync())   # the bitmaps are clean: churnable
-    cache.start_churn(ServiceEndpoint(env, 0, None),
-                      SeededStream(5, "pin-churn"), 2000.0)
+    cache.start_churn(SeededStream(5, "pin-churn"), 2000.0)
     env.run(until=env.now + 0.02)
     bitmaps = [fs.sb.bitmap_start + i for i in range(2)]
     assert not any(cache.contains(fbn) for fbn in bitmaps)
