@@ -388,7 +388,7 @@ def main():
           f"{run_process(env, tree.contains(snapshot, b'emp007'))}")
 
     # --- Garbage collection of unreachable node versions --------------------
-    files_before = bullet.table.live_count
+    files_before = bullet.incarnation.table.live_count
     for _ in range(DEFAULT_TESTBED.bullet.max_lives + 1):
         current = root
         run_process(env, gc_sweep(
@@ -396,7 +396,7 @@ def main():
             include_history=False,
             extra_collectors=[lambda: tree.collect_caps(current)],
         ))
-    files_after = bullet.table.live_count
+    files_after = bullet.incarnation.table.live_count
     print(f"\nGC: {files_before} node files -> {files_after} "
           f"(old snapshots' exclusive nodes reclaimed; "
           f"live tree: {run_process(env, tree.node_count(root))} nodes)")

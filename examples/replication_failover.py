@@ -91,7 +91,7 @@ def main():
     # Full redundancy: P-FACTOR=2 creates work again.
     cap = run_process(env, client.create(b"fully replicated again", 2))
     for disk in disks:
-        inode = server.table.get(cap.object)
+        inode = server.incarnation.table.get(cap.object)
         raw = disk.read_raw(inode.start_block, 1)
         assert raw.startswith(b"fully replicated again")
     print("  verified: new file present on both disks")

@@ -44,7 +44,7 @@ def ablation_contiguity() -> str:
     identical disks and only the server-side disk path is measured
     (local planes, cold caches), so the layout effect is isolated."""
     rig = make_rig(seed=SEED, background_load=False, nfs_churn=False)
-    env, fs = rig.env, rig.nfs.fs
+    env, fs = rig.env, rig.nfs.incarnation.fs
     results = {}
     for size in CONTIGUITY_SIZES:
         # Bullet: contiguous extent, cold cache -> one disk access.
@@ -55,7 +55,7 @@ def ablation_contiguity() -> str:
         # with an empty buffer cache -> per-block disk accesses.
         inum, _inode = run_process(env, fs.alloc_inode(MODE_FILE))
         run_process(env, fs.write(inum, 0, bytes(size)))
-        rig.nfs.cache._blocks.clear()
+        rig.nfs.incarnation.cache._blocks.clear()
         scattered, _ = timed(env, fs.read(inum, 0, size))
         results[size] = (contiguous, scattered)
     ratios = [scattered / contiguous
@@ -211,16 +211,17 @@ def _churn_until_fragmented(env, server, stream) -> dict:
         victim = live.pop(stream.randint(0, len(live) - 1))
         run_process(env, server.delete(victim))
 
+    disk_free, layout = server.incarnation.disk_free, server.incarnation.layout
     while True:
-        free_bytes = server.disk_free.free_units * server.layout.block_size
-        largest = server.disk_free.largest_hole * server.layout.block_size
+        free_bytes = disk_free.free_units * layout.block_size
+        largest = disk_free.largest_hole * layout.block_size
         if (free_bytes >= FRAGMENTATION_TARGET
                 and largest < FRAGMENTATION_TARGET):
             return {
                 "files": len(live),
                 "free_bytes": free_bytes,
                 "largest_hole": largest,
-                "fragmentation": server.disk_free.external_fragmentation(),
+                "fragmentation": disk_free.external_fragmentation(),
             }
         size = int(stream.lognormal_bounded(24 * KB, 1.2, 1 * KB, 256 * KB))
         if (free_bytes < FRAGMENTATION_TARGET
@@ -756,7 +757,7 @@ def _replay_with_cache(cache_bytes: int, trace) -> tuple:
                    background_load=False)
     read_time = replay_bullet(rig, trace, 1)["read"]
     reads = sum(op.kind == "read" for op in trace)
-    return rig.bullet.cache.stats.hit_rate, read_time / reads
+    return rig.bullet.incarnation.cache.stats.hit_rate, read_time / reads
 
 
 def ablation_cache_size() -> str:

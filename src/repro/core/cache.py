@@ -99,7 +99,8 @@ class BulletCache:
         self.on_evict = on_evict
         self._arena: ExtentFreeList = ExtentFreeList(
             0, capacity_bytes, strategy="first_fit")
-        self._attach_arena_gauges(owner)
+        self._area = f"{owner}:cache"  # the arena's gauges
+        self._arena.attach_gauges(self.stats.registry, self._area)
         # Shared by every handler in the worker pool and *not* protected
         # by the file locks (CREATE inserts before it holds any grant).
         # What protects them: no method here yields, so each probe and
@@ -111,19 +112,6 @@ class BulletCache:
         self._by_inode: dict[int, Rnode] = {}
         self._free_slots = list(range(rnode_count, 0, -1))
         self._tick = 0
-
-    def _attach_arena_gauges(self, owner: str) -> None:
-        """Publish the arena's fragmentation state as registry gauges
-        (re-attached after :meth:`compact` rebuilds the arena)."""
-        registry = self.stats.registry
-        self._arena.attach_gauges(
-            fragmentation=registry.gauge(
-                "repro_freelist_fragmentation", area=f"{owner}:cache"),
-            free_units=registry.gauge(
-                "repro_freelist_free_units", area=f"{owner}:cache"),
-            largest_hole=registry.gauge(
-                "repro_freelist_largest_hole", area=f"{owner}:cache"),
-        )
 
     # ------------------------------------------------------------ queries
 
@@ -310,9 +298,8 @@ class BulletCache:
             (r for r in self._rnodes.values() if r.size > 0),
             key=lambda r: r.addr,
         )
-        gauges = self._arena.detach_gauges()
         self._arena = ExtentFreeList(0, self.capacity, strategy="first_fit")
-        self._arena.attach_gauges(*gauges)
+        self._arena.attach_gauges(self.stats.registry, self._area)
         moved = 0
         cursor = 0
         for rnode in rnodes:

@@ -18,16 +18,11 @@ Every move is **copy-then-flip** under the file's write lock:
    in RAM, write the updated inode block through to every replica, and
    return the vacated blocks to the free map.
 
-The pre-fix ordering repointed the inode and mutated the free map
-*before* the data writes landed, so any READ cache-miss interleaving
-with the move window followed ``start_block`` to unwritten blocks, and
-any concurrent CREATE could allocate the prematurely freed old extent —
-the exact overlap corruption §3's startup scan exists to catch. The bug
-was latent while ``_serve`` was single-threaded; with ``workers>1`` (or
-compaction running online during service) it is load-bearing, which is
-why the write lock and the flip ordering now make it structurally
-impossible: a reader either sees the old extent (still intact) or
-blocks on the lock until the new extent is durable.
+Repointing the inode or freeing the old extent before the data lands
+would let a READ miss follow ``start_block`` to unwritten blocks and a
+concurrent CREATE reuse the old extent (the overlap §3's startup scan
+exists to catch). Under the write lock and this ordering a reader
+either sees the old extent, still intact, or waits for the new one.
 
 A copy's destination must be *disjoint* from its source: sliding a
 file left by less than its own length would overwrite the source in
@@ -43,12 +38,8 @@ CREATE won the blocks), whose bounce cannot find staging, or whose copy
 errors mid-hop are skipped and left in place (or at staging) —
 compaction is best-effort under load, correct always.
 
-A pass belongs to the incarnation it starts in: it takes the server's
-incarnation first, works on that incarnation's inode table, free map
-and lock table throughout, and writes through the incarnation, which
-refuses once a crash has ended it. The :class:`ServerDownError` ends
-the pass; nothing it would have written reaches a disk, and the next
-incarnation's tables are never touched.
+A pass works on the incarnation it starts in, like every handler
+(DESIGN.md §5c).
 """
 
 from __future__ import annotations
@@ -57,7 +48,7 @@ from dataclasses import dataclass, field
 
 from ..errors import (ConsistencyError, NoSpaceError, ReproError,
                       ServerDownError)
-from .server import BulletServer
+from .server import BulletIncarnation, BulletServer
 
 __all__ = ["CompactionReport", "compact_disk"]
 
@@ -76,45 +67,33 @@ class CompactionReport:
     largest_hole_after: int = field(default=0, init=False)
 
 
-class _Pass:
-    """One pass's view of the volume: the incarnation it started in,
-    through which it writes, and that incarnation's tables."""
-
-    def __init__(self, server: BulletServer):
-        self.server = server
-        self.incarnation = server._require_booted()
-        self.table = server.table
-        self.disk_free = server.disk_free
-        self.locks = server.locks
-
-
 def compact_disk(server: BulletServer):
     """Process: one full compaction pass over ``server``'s volume.
 
     Safe to run online, concurrently with a serving worker pool: each
     file moves under its write lock with copy-then-flip ordering. Raises
-    :class:`ServerDownError` at its next write once the incarnation it
+    :class:`ServerDownError` at its next step once the incarnation it
     started in has crashed.
     """
     env = server.env
-    layout = server.layout
-    work = _Pass(server)
-    disk_free = work.disk_free
+    incarnation = server._require_booted()
+    layout, disk_free = incarnation.layout, incarnation.disk_free
     report = CompactionReport(
         fragmentation_before=disk_free.external_fragmentation(),
         largest_hole_before=disk_free.largest_hole,
     )
     started = env.now
-    live = sorted(work.table.live_inodes(),
+    live = sorted(incarnation.table.live_inodes(),
                   key=lambda item: item[1].start_block)
     cursor = layout.data_start
     for number, _snapshot_inode in live:
-        with work.locks.writing(number) as lock:
+        with incarnation.locks.writing(number) as lock:
             yield lock.grant
+            incarnation.require_up()  # DESIGN.md §5c
             # Revalidate under the lock: the file may have been deleted
             # (or its number reincarnated at a new address) while the
             # pass worked through earlier files.
-            inode = work.table.get(number)
+            inode = incarnation.table.get(number)
             if inode.free:
                 continue
             blocks = layout.blocks_for(inode.size)
@@ -127,8 +106,9 @@ def compact_disk(server: BulletServer):
                 cursor = max(cursor, start + blocks)
                 continue
             try:
-                moved = yield from _relocate(work, number, inode,
-                                             start, cursor, blocks)
+                moved = yield from _relocate(incarnation, server.mirror,
+                                             number, inode, start, cursor,
+                                             blocks)
             except ServerDownError:
                 raise  # the incarnation is over, and with it the pass
             except ReproError as exc:
@@ -155,8 +135,8 @@ def compact_disk(server: BulletServer):
     return report
 
 
-def _relocate(work: _Pass, number: int, inode, start: int,
-              cursor: int, blocks: int):
+def _relocate(incarnation: BulletIncarnation, mirror, number: int, inode,
+              start: int, cursor: int, blocks: int):
     """Process: bring one file to ``cursor`` (``cursor < start``).
     A slide of at least the file's own length is one disjoint hop; a
     shorter slide bounces through a disjoint staging extent. Returns
@@ -168,23 +148,25 @@ def _relocate(work: _Pass, number: int, inode, start: int,
         # disjoint free extent (the coalescing tail, usually). No
         # staging room means the file stays put this pass.
         try:
-            staging = work.disk_free.allocate(blocks)
+            staging = incarnation.disk_free.allocate(blocks)
         except NoSpaceError:
             return False
-        yield from _copy_flip(work, number, inode, start, staging, blocks)
+        yield from _copy_flip(incarnation, mirror, number, inode, start,
+                              staging, blocks)
         start = staging  # hop two below moves staging -> cursor
-    if not work.disk_free.is_free(cursor, blocks):
+    if not incarnation.disk_free.is_free(cursor, blocks):
         # A concurrent CREATE owns part of the destination: skip the
         # move. (Single-threaded passes never hit this — the snapshot
         # cannot go stale.)
         return False
-    work.disk_free.allocate_at(cursor, blocks)
-    yield from _copy_flip(work, number, inode, start, cursor, blocks)
+    incarnation.disk_free.allocate_at(cursor, blocks)
+    yield from _copy_flip(incarnation, mirror, number, inode, start, cursor,
+                          blocks)
     return True
 
 
-def _copy_flip(work: _Pass, number: int, inode, src: int,
-               dst: int, blocks: int):
+def _copy_flip(incarnation: BulletIncarnation, mirror, number: int, inode,
+               src: int, dst: int, blocks: int):
     """Process: one abandonable hop from ``src`` to a *disjoint*,
     already-claimed ``dst``. Unwinds the claim and re-raises if a
     replica errors before the flip."""
@@ -194,24 +176,25 @@ def _copy_flip(work: _Pass, number: int, inode, src: int,
             "overlaps; a mid-copy failure would tear the only copy"
         )
     try:
-        data = yield from work.server.mirror.read_with_failover(src, blocks)
+        data = yield from mirror.read_with_failover(src, blocks)
         # Copy: the relocated extent becomes durable on every live
         # replica while the old extent and the on-disk inode still
         # describe the old location — an abort here loses nothing.
-        yield work.incarnation.write(work.server.mirror, dst, data)
+        yield incarnation.write(mirror, dst, data)
     except ReproError:
-        work.disk_free.free(dst, blocks)
+        incarnation.disk_free.free(dst, blocks)
         raise
     # Flip: repoint the RAM inode and write the inode block through
     # while the old extent is still allocated (so a crash between the
     # two leaves whichever inode version is on disk pointing at an
     # extent nobody has reused), then return the vacated blocks.
     inode.start_block = dst
-    inode_block = work.table.block_of_inode(number)
+    table = incarnation.table
+    inode_block = table.block_of_inode(number)
     try:
-        yield work.incarnation.write(work.server.mirror, inode_block,
-                                     work.table.encode_block(inode_block))
+        yield incarnation.write(mirror, inode_block,
+                                table.encode_block(inode_block))
     finally:
         # Even if the write-through errored, RAM state (inode + free
         # map) must stay self-consistent: the file now lives at dst.
-        work.disk_free.free(src, blocks)
+        incarnation.disk_free.free(src, blocks)

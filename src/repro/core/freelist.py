@@ -56,9 +56,7 @@ class ExtentFreeList:
         # cooperative kernel.
         self._starts: list[int] = [area_start] if area_size else []
         self._lengths: list[int] = [area_size] if area_size else []
-        # Observability gauges (repro.obs), published after every
-        # mutation once attached.
-        self._gauges: Optional[tuple] = None
+        self._gauges: Optional[tuple] = None  # see attach_gauges
 
     # ------------------------------------------------------------ queries
 
@@ -93,29 +91,21 @@ class ExtentFreeList:
 
     # ------------------------------------------------------ observability
 
-    def attach_gauges(self, fragmentation=None, free_units=None,
-                      largest_hole=None) -> None:
-        """Bind registry gauges (see :mod:`repro.obs`) that track this
-        area's fragmentation state; they are updated eagerly after every
-        allocate/free, so a snapshot at any sim time is current."""
-        self._gauges = (fragmentation, free_units, largest_hole)
+    def attach_gauges(self, registry, area: str) -> None:
+        """Track this area's fragmentation state in ``registry``'s
+        ``repro_freelist_*{area=...}`` gauges (see :mod:`repro.obs`);
+        they are updated eagerly after every allocate/free, so a
+        snapshot at any sim time is current."""
+        self._gauges = tuple(
+            registry.gauge(f"repro_freelist_{name}", area=area)
+            for name in ("fragmentation", "free_units", "largest_hole"))
         self._publish()
 
-    def detach_gauges(self) -> tuple:
-        """Unbind and return the gauges (for arena rebuilds)."""
-        gauges = self._gauges or (None, None, None)
-        self._gauges = None
-        return gauges
-
     def _publish(self) -> None:
-        if self._gauges is None:
-            return
-        fragmentation, free_units, largest_hole = self._gauges
-        if fragmentation is not None:
+        if self._gauges is not None:
+            fragmentation, free_units, largest_hole = self._gauges
             fragmentation.set(self.external_fragmentation())
-        if free_units is not None:
             free_units.set(self.free_units)
-        if largest_hole is not None:
             largest_hole.set(self.largest_hole)
 
     def is_free(self, start: int, length: int) -> bool:

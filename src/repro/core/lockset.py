@@ -57,7 +57,7 @@ __all__ = [
 LockName = Tuple[str, int]
 
 #: A checked variable's identity: (field label, instance key) — e.g.
-#: ("bullet._lives", inode_number). Per-element granularity, so
+#: ("bullet.lives", inode_number). Per-element granularity, so
 #: independent inodes do not pollute each other's candidate sets.
 VarName = Tuple[str, int]
 

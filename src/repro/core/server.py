@@ -45,11 +45,13 @@ from ..errors import (
     NotFoundError,
     ReproError,
 )
-from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
+from ..net import (RpcReply, RpcRequest, RpcService, RpcTransport,
+                   ServiceEndpoint)
 from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import Testbed
 from ..sim import Environment, Interrupt, Tracer
 from .cache import BulletCache
+from .freelist import ExtentFreeList
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
@@ -140,7 +142,23 @@ class VerifiedCapCache:
             del self._order[key]
 
 
-class BulletServer(RpcService):
+class BulletIncarnation(ServiceEndpoint):
+    """One life of a Bullet server: the endpoint and its RAM tables."""
+
+    table: InodeTable
+    layout: VolumeLayout
+    disk_free: ExtentFreeList
+    cache: BulletCache
+    verified_caps: VerifiedCapCache
+    lives: GuardedMap  # the aging clocks, under the inode locks
+    locks: FileLockTable
+
+    def on_evict(self, inode_number: int) -> None:
+        """Cache eviction callback: clear the inode's index field."""
+        self.table.get(inode_number).index = 0
+
+
+class BulletServer(RpcService[BulletIncarnation]):
     """One Bullet file server instance over a mirrored disk set."""
 
     OPNAMES = {number: name for name, number in OPCODES.items()}
@@ -171,8 +189,6 @@ class BulletServer(RpcService):
             "repro_server_queue_depth", server=name)
         self._bg_write_failures = self.metrics.counter(
             "repro_background_write_failures_total", server=name)
-        # boot() builds table, layout, disk_free, cache, _verified_caps,
-        # locks and _lives (the aging clocks, under the inode locks).
 
     # ------------------------------------------------------------- setup
 
@@ -191,40 +207,32 @@ class BulletServer(RpcService):
         primary, profile = self.mirror.primary, self.testbed.bullet
         layout = VolumeLayout.for_disk(primary, profile.inode_count)
         raw = yield primary.read(0, layout.inode_table_blocks)
-        self.table = InodeTable.decode(raw, primary.block_size)
-        self.layout = layout
-        self.disk_free, report = scan_volume(
-            self.table, layout, strategy=self._alloc_strategy
+        incarnation = BulletIncarnation(self.env, self.port, self.transport)
+        incarnation.layout = layout
+        incarnation.table = table = InodeTable.decode(raw, primary.block_size)
+        incarnation.disk_free, report = scan_volume(
+            table, layout, strategy=self._alloc_strategy
         )
-        self.cache = BulletCache(
+        incarnation.cache = BulletCache(
             profile.ram_bytes - profile.reserved_ram_bytes,
             rnode_count=profile.rnode_count,
-            on_evict=self._on_evict,
+            on_evict=incarnation.on_evict,
             metrics=self.metrics,
             owner=self.name,
         )
-        self._verified_caps = VerifiedCapCache(profile.cap_cache_entries)
-        self.disk_free.attach_gauges(
-            fragmentation=self.metrics.gauge(
-                "repro_freelist_fragmentation", area=f"{self.name}:disk"),
-            free_units=self.metrics.gauge(
-                "repro_freelist_free_units", area=f"{self.name}:disk"),
-            largest_hole=self.metrics.gauge(
-                "repro_freelist_largest_hole", area=f"{self.name}:disk"),
-        )
+        incarnation.verified_caps = VerifiedCapCache(profile.cap_cache_entries)
+        incarnation.disk_free.attach_gauges(self.metrics, f"{self.name}:disk")
         # Every surviving file starts its aging clock afresh; orphans
         # left by pre-crash clients die after max_lives sweeps.
-        self._lives = GuardedMap(f"{self.name}._lives", self.env, {
+        incarnation.lives = GuardedMap(f"{self.name}.lives", self.env, {
             number: profile.max_lives
-            for number, _inode in self.table.live_inodes()
+            for number, _inode in table.live_inodes()
         })
-        # The lock plane is volatile per-boot state, like the cache: a
-        # reboot starts with no hold.
-        self.locks = FileLockTable(self.env, metrics=self.metrics,
-                                   owner=self.name)
+        incarnation.locks = FileLockTable(self.env, metrics=self.metrics,
+                                          owner=self.name)
         self.metrics.gauge("repro_server_workers",
                            server=self.name).set(self.workers)
-        self._start_serving(self._incarnation())
+        self._start_serving(incarnation)
         self._trace("bullet", f"{self.name} booted", files=report.live_files)
         return report
 
@@ -233,61 +241,64 @@ class BulletServer(RpcService):
     def create(self, data: bytes, p_factor: Optional[int] = None):
         """Process: BULLET.CREATE — store an immutable file, reply per the
         paranoia factor. Returns the owner :class:`Capability`."""
-        incarnation = self._require_booted()
+        return (yield from self._create(self._require_booted(), data,
+                                        p_factor))
+
+    def _create(self, incarnation: BulletIncarnation, data: bytes,
+                p_factor: Optional[int]):
         cpu = self.testbed.cpu
         yield self.env.timeout(cpu.request_dispatch)
         if p_factor is None:
             p_factor = self.testbed.bullet.default_p_factor
         self.mirror.check_p_factor(p_factor)
         size = len(data)
-        if size > self.cache.capacity:
+        cache, table = incarnation.cache, incarnation.table
+        if size > cache.capacity:
             raise FileTooBigError(
-                f"{size}-byte file exceeds the server's {self.cache.capacity}-byte memory"
+                f"{size}-byte file exceeds the server's {cache.capacity}-byte memory"
             )
-        blocks = self.layout.blocks_for(size)
-        # A local call may have outlived its incarnation during the
-        # dispatch: refuse before allocating from a later one's tables.
-        incarnation.require_up()
-        start_block = self.disk_free.allocate(blocks) if blocks else 0
-        secret = self._mint_secret()
+        blocks = incarnation.layout.blocks_for(size)
+        incarnation.require_up()  # shared gauges: DESIGN.md §5c
+        disk_free = incarnation.disk_free
+        start_block = disk_free.allocate(blocks) if blocks else 0
+        secret = incarnation.mint_secret()
         try:
-            number = self.table.allocate(secret, start_block, size)
+            number = table.allocate(secret, start_block, size)
         except ReproError:
             if blocks:
-                self.disk_free.free(start_block, blocks)
+                disk_free.free(start_block, blocks)
             raise
         # Copy the file into the contiguous RAM cache.
         try:
-            rnode = self.cache.insert(number, data)
+            rnode = cache.insert(number, data)
         except ReproError:
-            self.table.release(number)
+            table.release(number)
             if blocks:
-                self.disk_free.free(start_block, blocks)
+                disk_free.free(start_block, blocks)
             raise
-        self.table.get(number).index = rnode.number
+        table.get(number).index = rnode.number
         # Hold the new file's write lock until *every* replica write has
         # settled: no reader can chase the extent to disk, no compaction
         # can move it, and no delete can free it while background
         # replica writes are still in flight (at p_factor=0 the client
         # holds a capability long before the data is durable anywhere).
-        with self.locks.writing(number) as lock:
+        with incarnation.locks.writing(number) as lock:
             yield lock.grant
             yield self.env.timeout(size * cpu.memcpy_per_byte)
             # Write-through: data extent then inode block, per replica.
-            inode_block = self.table.block_of_inode(number)
+            inode_block = table.block_of_inode(number)
             extents = [(start_block, data)] if blocks else []
-            extents.append(
-                (inode_block, self.table.encode_block(inode_block)))
+            extents.append((inode_block, table.encode_block(inode_block)))
             durable, writes = incarnation.write_ordered(
                 self.mirror, extents, p_factor)
             # Start the aging clock while this handler still owns the
             # write grant: a TOUCH or AGE sweep can only see the entry
             # after taking the lock.
-            self._lives[number] = self.testbed.bullet.max_lives
+            incarnation.lives[number] = self.testbed.bullet.max_lives
             # Fork the settle watcher: it owns the write grant from here
             # and accounts any background replica failure.
             settle = incarnation.spawn(
-                self._settle_create(number, lock.grant, writes))
+                self._settle_create(incarnation, number, lock.grant, writes))
             lock.detach(settle)
             if p_factor > 0:
                 yield durable
@@ -298,13 +309,14 @@ class BulletServer(RpcService):
                         p=p_factor)
         return mint_owner(self.port, number, secret)
 
-    def _settle_create(self, number: int, grant, writes):
+    def _settle_create(self, incarnation: BulletIncarnation, number: int,
+                       grant, writes):
         """Process: watch a CREATE's replica writes to completion, then
         drop the file's write lock. Failures beyond the quorum (all of
         them, at p_factor=0) are counted, traced, and surfaced in
         :meth:`status` instead of being silently defused. A crash stops
         the replica writes: each disk finishes what it holds, no more."""
-        with self.locks.adopt(grant):
+        with incarnation.locks.adopt(grant):
             for write in writes:
                 try:
                     # Intentional blocking section: no reader may chase
@@ -322,25 +334,26 @@ class BulletServer(RpcService):
 
     def read(self, cap: Capability):
         """Process: BULLET.READ — returns the whole file contents."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        with self.locks.reading(cap.object) as lock:
+        with incarnation.locks.reading(cap.object) as lock:
             yield lock.grant
-            number, inode = yield from self._check(cap, RIGHT_READ)
+            number, inode = yield from self._check(incarnation, cap,
+                                                   RIGHT_READ)
             rnode, inode = yield from self._resident(
-                lock, cap, RIGHT_READ, number, inode)
+                incarnation, lock, cap, RIGHT_READ, number, inode)
             tracer = self._tracer
             # Copy from the contiguous cache into the network buffers;
             # pinned so no concurrent miss can evict it mid-copy.
             if tracer is not None:
                 cache_span = tracer.begin_span(
                     "span", "server.cache", inode=number, size=inode.size)
-            self.cache.pin(rnode)
+            incarnation.cache.pin(rnode)
             try:
                 yield self.env.timeout(
                     inode.size * self.testbed.cpu.memcpy_per_byte)
             finally:
-                self.cache.unpin(rnode)
+                incarnation.cache.unpin(rnode)
             if tracer is not None:
                 tracer.end_span(cache_span, "span", "server.cache")
             self.stats.reads.inc()
@@ -349,11 +362,12 @@ class BulletServer(RpcService):
 
     def size(self, cap: Capability):
         """Process: BULLET.SIZE — the file's size in bytes."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        with self.locks.reading(cap.object) as lock:
+        with incarnation.locks.reading(cap.object) as lock:
             yield lock.grant
-            _number, inode = yield from self._check(cap, RIGHT_READ)
+            _number, inode = yield from self._check(incarnation, cap,
+                                                    RIGHT_READ)
             self.stats.sizes.inc()
             return inode.size
 
@@ -368,29 +382,30 @@ class BulletServer(RpcService):
         """
         incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        with self.locks.writing(cap.object) as lock:
+        with incarnation.locks.writing(cap.object) as lock:
             yield lock.grant
-            number, inode = yield from self._check(cap, RIGHT_DELETE)
-            yield from self._destroy(number, inode, incarnation)
+            number, inode = yield from self._check(incarnation, cap,
+                                                   RIGHT_DELETE)
+            yield from self._destroy(incarnation, number, inode)
         self.stats.deletes.inc()
         if self._tracer is not None:
             self._trace("bullet", "delete", inode=number)
 
-    def _destroy(self, number: int, inode, incarnation):
+    def _destroy(self, incarnation: BulletIncarnation, number: int, inode):
         """Free an inode and its extent, write the change through; a
         dead ``incarnation`` refuses before it frees anything."""
         incarnation.require_up()
-        blocks = self.layout.blocks_for(inode.size)
+        blocks = incarnation.layout.blocks_for(inode.size)
         start_block = inode.start_block
-        self.cache.remove(number)
-        self.table.release(number)
+        incarnation.cache.remove(number)
+        incarnation.table.release(number)
         if blocks:
-            self.disk_free.free(start_block, blocks)
-        self._verified_caps.forget_object(number)
-        self._lives.discard(number)
-        inode_block = self.table.block_of_inode(number)
-        yield incarnation.write(
-            self.mirror, inode_block, self.table.encode_block(inode_block))
+            incarnation.disk_free.free(start_block, blocks)
+        incarnation.verified_caps.forget_object(number)
+        incarnation.lives.discard(number)
+        inode_block = incarnation.table.block_of_inode(number)
+        yield incarnation.write(self.mirror, inode_block,
+                                incarnation.table.encode_block(inode_block))
 
     def modify(self, cap: Capability, offset: int, delete_bytes: int,
                insert_data: bytes, p_factor: Optional[int] = None):
@@ -399,12 +414,12 @@ class BulletServer(RpcService):
         modification it is not necessary any longer to transfer the whole
         file". Returns the new file's owner capability; the original is
         untouched."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        with self.locks.reading(cap.object) as lock:
+        with incarnation.locks.reading(cap.object) as lock:
             yield lock.grant
             rights = RIGHT_READ | RIGHT_MODIFY
-            number, inode = yield from self._check(cap, rights)
+            number, inode = yield from self._check(incarnation, cap, rights)
             if (offset < 0 or delete_bytes < 0
                     or offset + delete_bytes > inode.size):
                 raise BadRequestError(
@@ -412,13 +427,13 @@ class BulletServer(RpcService):
                     f"outside the {inode.size}-byte file"
                 )
             rnode, _inode = yield from self._resident(
-                lock, cap, rights, number, inode)
+                incarnation, lock, cap, rights, number, inode)
             old = rnode.data
             new_data = (old[:offset] + insert_data
                         + old[offset + delete_bytes:])
         # The source bytes are composed; the derived CREATE below runs
         # without any hold on the source file.
-        new_cap = yield from self.create(new_data, p_factor)
+        new_cap = yield from self._create(incarnation, new_data, p_factor)
         self.stats.modifies.inc()
         self.stats.bytes_modified.inc(len(new_data))
         return new_cap
@@ -426,9 +441,9 @@ class BulletServer(RpcService):
     def restrict_cap(self, cap: Capability, mask: int):
         """Process: server-side rights restriction of a verified
         capability (any capability, unlike the client-local restrict)."""
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        number, inode = yield from self._check(cap, 0)
+        number, inode = yield from self._check(incarnation, cap, 0)
         new_rights, new_check = server_restrict(cap.rights, inode.secret, mask)
         self.stats.restricts.inc()
         return Capability(port=self.port, object=number,
@@ -440,17 +455,17 @@ class BulletServer(RpcService):
         The directory service's GC daemon touches every capability it
         can reach, so reachable files never age out.
         """
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         # The lives table is lock-guarded state: take the write lock so
         # a touch cannot interleave with a concurrent AGE sweep's
         # decrement-and-reclaim on the same object (uncontended, the
         # grant costs no simulated time).
-        with self.locks.writing(cap.object) as lock:
+        with incarnation.locks.writing(cap.object) as lock:
             yield lock.grant
-            number, _inode = yield from self._check(cap, 0)
+            number, _inode = yield from self._check(incarnation, cap, 0)
             lives = self.testbed.bullet.max_lives
-            self._lives[number] = lives
+            incarnation.lives[number] = lives
             return lives
 
     def age_all(self):
@@ -458,91 +473,93 @@ class BulletServer(RpcService):
         the ones that reach zero (orphans nobody touched for max_lives
         sweeps). Returns the reclaimed inode numbers."""
         incarnation = self._require_booted()
-        # The sweep walks this incarnation's inode table and lock table,
-        # as a compaction pass does, and stops at its first step after
-        # a crash.
-        table, locks = self.table, self.locks
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
         reclaimed = []
-        for number, _inode in list(table.live_inodes()):
+        for number, _inode in list(incarnation.table.live_inodes()):
             # Decrement *under* the object's write lock: the lives table
             # is lock-guarded state, and folding the decrement into the
             # reclaim grant closes the window where a concurrent touch
             # could resurrect an object between the two passes without
             # being seen (uncontended, the grant costs no sim time).
-            with locks.writing(number) as lock:
+            with incarnation.locks.writing(number) as lock:
                 yield lock.grant
-                incarnation.require_up()
-                inode = table.get(number)
+                incarnation.require_up()  # DESIGN.md §5c
+                inode = incarnation.table.get(number)
                 if inode.free:
                     continue  # a concurrent delete beat us to it
-                lives = self._lives.get(
+                lives = incarnation.lives.get(
                     number, self.testbed.bullet.max_lives) - 1
-                self._lives[number] = lives
+                incarnation.lives[number] = lives
                 if lives > 0:
                     continue
-                yield from self._destroy(number, inode, incarnation)
+                yield from self._destroy(incarnation, number, inode)
                 self._trace("bullet", "aged out", inode=number)
                 reclaimed.append(number)
         return reclaimed
 
     def lives_of(self, inode_number: int) -> int:
         """Remaining lives of a live object (for tests/monitoring)."""
-        self._require_booted()
-        inode = self.table.get(inode_number)
+        incarnation = self._require_booted()
+        inode = incarnation.table.get(inode_number)
         if inode.free:
             raise NotFoundError(f"object {inode_number} does not exist")
-        return self._lives.get(inode_number, self.testbed.bullet.max_lives)
+        return incarnation.lives.get(inode_number,
+                                     self.testbed.bullet.max_lives)
 
     def evict(self, inode_number: int) -> None:
         """Administratively drop a file from the RAM cache (keeps the
         inode.index invariant). Benchmarks use this to measure cold
         reads."""
-        self._require_booted()
+        incarnation = self._require_booted()
         # Admin/bench path, deliberately lock-free: it runs synchronously
         # between measured phases, never inside the serve pool, and the
         # cache itself refuses to drop a pinned rnode. Taking the write
         # lock here would perturb the benchmark's lock metrics.
-        self.cache.remove(inode_number)
-        inode = self.table.get(inode_number)
+        incarnation.cache.remove(inode_number)
+        inode = incarnation.table.get(inode_number)
         if not inode.free:
             inode.index = 0
 
     def stat(self, cap: Capability):
         """Process: std_status for the holder of any valid capability."""
-        self._require_booted()
-        yield from self._check(cap, 0)
-        return self.status()
+        incarnation = self._require_booted()
+        yield from self._check(incarnation, cap, 0)
+        return self._status(incarnation)
 
     def status(self) -> dict:
         """std_status: live counters and space accounting (synchronous)."""
-        self._require_booted()
+        return self._status(self._require_booted())
+
+    def _status(self, incarnation: BulletIncarnation) -> dict:
+        table, disk_free = incarnation.table, incarnation.disk_free
+        cache = incarnation.cache
         return {
             "name": self.name,
-            "files": self.table.live_count,
-            "free_inodes": self.table.free_count,
-            "disk_free_blocks": self.disk_free.free_units,
-            "disk_largest_hole": self.disk_free.largest_hole,
-            "disk_fragmentation": self.disk_free.external_fragmentation(),
-            "cache_used_bytes": self.cache.used_bytes,
-            "cache_free_bytes": self.cache.free_bytes,
-            "cache_hit_rate": self.cache.stats.hit_rate,
+            "files": table.live_count,
+            "free_inodes": table.free_count,
+            "disk_free_blocks": disk_free.free_units,
+            "disk_largest_hole": disk_free.largest_hole,
+            "disk_fragmentation": disk_free.external_fragmentation(),
+            "cache_used_bytes": cache.used_bytes,
+            "cache_free_bytes": cache.free_bytes,
+            "cache_hit_rate": cache.stats.hit_rate,
             "replicas_live": self.mirror.replica_count,
             "workers": self.workers,
             "requests_inflight": self._inflight_count,
             "background_write_failures": self._bg_write_failures.value,
-            "verified_caps_cached": len(self._verified_caps),
+            "verified_caps_cached": len(incarnation.verified_caps),
             **self.stats.snapshot(),
         }
 
     def render_layout(self) -> str:
         """The Fig. 1 picture for the current volume state."""
-        self._require_booted()
-        return render_layout(self.table, self.disk_free)
+        incarnation = self._require_booted()
+        return render_layout(incarnation.table, incarnation.disk_free)
 
     # ----------------------------------------------------- internal paths
 
-    def _check(self, cap: Capability, needed_rights: int):
+    def _check(self, incarnation: BulletIncarnation, cap: Capability,
+               needed_rights: int):
         """Verify a capability and resolve its inode (generator).
 
         Charges the one-way-function cost, or the cheap cached-check cost
@@ -552,30 +569,32 @@ class BulletServer(RpcService):
         cpu = self.testbed.cpu
         key = (cap.object, cap.rights, cap.check)
         self.stats.cap_checks.inc()
-        if self._verified_caps.hit(key):
+        if incarnation.verified_caps.hit(key):
             self.stats.cap_check_cache_hits.inc()
             yield self.env.timeout(cpu.capability_check_cached)
         else:
             yield self.env.timeout(cpu.capability_check)
-        inode = self._revalidate(cap, needed_rights)
-        self._verified_caps.add(key)
+        inode = self._revalidate(incarnation, cap, needed_rights)
+        incarnation.verified_caps.add(key)
         return cap.object, inode
 
-    def _revalidate(self, cap: Capability, needed_rights: int):
+    def _revalidate(self, incarnation: BulletIncarnation, cap: Capability,
+                    needed_rights: int):
         """The untimed tail of :meth:`_check`: resolve the capability
-        against current RAM state. Re-run after a lock upgrade — the
-        file may have been deleted (or its inode number reincarnated)
-        while this worker waited for the write lock."""
-        if not 1 <= cap.object < len(self.table):
+        against the incarnation's RAM state. Re-run after a lock upgrade
+        — the file may have been deleted (or its inode number
+        reincarnated) while this worker waited for the write lock."""
+        table = incarnation.table
+        if not 1 <= cap.object < len(table):
             raise NotFoundError(f"object {cap.object} out of range")
-        inode = self.table.get(cap.object)
+        inode = table.get(cap.object)
         if inode.free:
             raise NotFoundError(f"object {cap.object} does not exist")
         require(cap, inode.secret, needed_rights)
         return inode
 
-    def _resident(self, lock, cap: Capability, rights: int, number: int,
-                  inode):
+    def _resident(self, incarnation: BulletIncarnation, lock,
+                  cap: Capability, rights: int, number: int, inode):
         """The file's rnode, read into the RAM cache on a miss
         (generator); returns it touched, with the inode as last
         validated. The paper's read path: "the index field in the inode
@@ -584,7 +603,7 @@ class BulletServer(RpcService):
         Then the file can be read into the RAM cache." The probe does
         the hit/miss accounting: the cache is its only writer.
         """
-        cache = self.cache
+        cache = incarnation.cache
         rnode = cache.probe_slot(number, inode.index)
         if rnode is None:
             # Miss: upgrade to the write lock before touching the disk,
@@ -592,19 +611,20 @@ class BulletServer(RpcService):
             # (delete) under the read, and two concurrent misses cannot
             # both reserve cache space for the file.
             yield lock.upgrade()
-            inode = self._revalidate(cap, rights)
+            inode = self._revalidate(incarnation, cap, rights)
             # Re-probe statlessly: this request's miss is already
             # accounted; another worker may have loaded the file while
             # we waited for the lock.
             rnode = cache.peek(number)
         if rnode is None:
+            incarnation.require_up()  # shared gauges: DESIGN.md §5c
             tracer = self._tracer
             if tracer is not None:
                 disk_span = tracer.begin_span(
                     "span", "server.disk", inode=number, size=inode.size)
             rnode = cache.reserve(number, inode.size)
             inode.index = rnode.number
-            blocks = self.layout.blocks_for(inode.size)
+            blocks = incarnation.layout.blocks_for(inode.size)
             try:
                 data = (yield from self.mirror.read_with_failover(
                     inode.start_block, blocks)) if blocks else b""
@@ -623,11 +643,6 @@ class BulletServer(RpcService):
                 tracer.end_span(disk_span, "span", "server.disk")
         cache.touch(rnode)
         return rnode, inode
-
-    def _on_evict(self, inode_number: int) -> None:
-        """Cache eviction callback: clear the inode's index field."""
-        inode = self.table.get(inode_number)
-        inode.index = 0
 
     # ------------------------------------------------------------ RPC plane
 

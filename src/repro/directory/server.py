@@ -40,7 +40,8 @@ from ..errors import (
     NotEmptyError,
     NotFoundError,
 )
-from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
+from ..net import (RpcReply, RpcRequest, RpcService, RpcTransport,
+                   ServiceEndpoint)
 from ..profiles import Testbed
 from ..sim import Environment, Tracer
 from .records import DirectoryRows, SlotRecord, unpack_cap_set, unpack_changes
@@ -67,7 +68,16 @@ _HEADER_MAGIC = 0xD1650001
 MAX_DIRECTORIES = 512
 
 
-class DirectoryServer(RpcService):
+class DirectoryIncarnation(ServiceEndpoint):
+    """One life of a directory server: the endpoint and its RAM tables."""
+
+    slots: list[SlotRecord]
+    free_slots: list[int]  # popped from the end: low slots first
+    rows_cache: dict[int, DirectoryRows]
+    locks: FileLockTable  # one write lock per directory, see _update
+
+
+class DirectoryServer(RpcService[DirectoryIncarnation]):
     """A directory server backed by a private disk (or a mirrored set of
     them, for the same availability story as the Bullet server) plus a
     Bullet stub for row storage."""
@@ -90,7 +100,6 @@ class DirectoryServer(RpcService):
         self.bullet = bullet_stub
         self.testbed = testbed
         self.master_seed = master_seed
-        # boot() builds _slots, _free_slots, _rows_cache and locks.
 
     # -------------------------------------------------------------- setup
 
@@ -109,17 +118,17 @@ class DirectoryServer(RpcService):
         header = raw[:8]
         if int.from_bytes(header[:4], "big") != _HEADER_MAGIC:
             raise BadRequestError(f"{self.name}: disk is not a directory volume")
-        self._slots = [SlotRecord.decode(raw[slot * bs:slot * bs + 32])
-                       for slot in range(1, 1 + MAX_DIRECTORIES)]
-        self._free_slots = [  # popped from the end: low slots first
+        incarnation = DirectoryIncarnation(self.env, self.port, self.transport)
+        incarnation.slots = slots = [
+            SlotRecord.decode(raw[slot * bs:slot * bs + 32])
+            for slot in range(1, 1 + MAX_DIRECTORIES)]
+        incarnation.free_slots = [
             slot for slot in reversed(range(MAX_DIRECTORIES))
-            if not self._slots[slot].in_use]
-        self._rows_cache: dict[int, DirectoryRows] = {}
-        # One write lock per directory, held by every mutation
-        # (see _update).
-        self.locks = FileLockTable(self.env, owner=self.name)
-        self._start_serving(self._incarnation())
-        dirs = MAX_DIRECTORIES - len(self._free_slots)
+            if not slots[slot].in_use]
+        incarnation.rows_cache = {}
+        incarnation.locks = FileLockTable(self.env, owner=self.name)
+        self._start_serving(incarnation)
+        dirs = MAX_DIRECTORIES - len(incarnation.free_slots)
         self._trace("directory", f"{self.name} booted", dirs=dirs)
         return dirs
 
@@ -128,11 +137,10 @@ class DirectoryServer(RpcService):
     def create_directory(self):
         """Process: a fresh empty directory; returns its owner capability."""
         incarnation = self._require_booted()
-        free_slots = self._free_slots
-        if not free_slots:
+        if not incarnation.free_slots:
             raise BadRequestError("directory table full")
-        slot = free_slots.pop()
-        secret = self._mint_secret()
+        slot = incarnation.free_slots.pop()
+        secret = incarnation.mint_secret()
         rows = DirectoryRows(seq=0, rows={})
         try:
             version_cap = yield from self.bullet.create(rows.encode(), 1)
@@ -140,10 +148,10 @@ class DirectoryServer(RpcService):
                                 version_cap=version_cap)
             yield incarnation.write(self.disk, 1 + slot, record.encode())
         except BaseException:
-            free_slots.append(slot)  # to the incarnation it came from
+            incarnation.free_slots.append(slot)
             raise
-        self._slots[slot] = record
-        self._rows_cache[slot] = rows
+        incarnation.slots[slot] = record
+        incarnation.rows_cache[slot] = rows
         if self._tracer is not None:
             self._trace("directory", "create_directory", slot=slot)
         return mint_owner(self.port, slot + 1, secret)
@@ -243,16 +251,17 @@ class DirectoryServer(RpcService):
         """Process: delete an *empty* directory object (under its write
         lock, as :meth:`_update`)."""
         incarnation = yield from self._charge_check()
-        with self.locks.writing(dir_cap.object) as lock:
+        with incarnation.locks.writing(dir_cap.object) as lock:
             yield lock.grant
-            slot, _record, rows = yield from self._load(dir_cap, RIGHT_DELETE)
+            slot, _record, rows = yield from self._load(
+                incarnation, dir_cap, RIGHT_DELETE)
             if rows.rows:
                 raise NotEmptyError(f"directory has {len(rows.rows)} entries")
             empty = SlotRecord()
             yield incarnation.write(self.disk, 1 + slot, empty.encode())
-            self._slots[slot] = empty
-            self._rows_cache.pop(slot, None)
-            self._free_slots.append(slot)
+            incarnation.slots[slot] = empty
+            incarnation.rows_cache.pop(slot, None)
+            incarnation.free_slots.append(slot)
 
     def lookup_path(self, root_cap: Capability, path: str):
         """Process: walk a ``/``-separated path from ``root_cap``.
@@ -308,13 +317,13 @@ class DirectoryServer(RpcService):
 
     def status(self) -> dict:
         """std_status: live counters (synchronous)."""
-        self._require_booted()
-        in_use = sum(1 for s in self._slots if s.in_use)
+        incarnation = self._require_booted()
+        in_use = sum(1 for s in incarnation.slots if s.in_use)
         return {
             "name": self.name,
             "directories": in_use,
-            "free_slots": len(self._free_slots),
-            "rows_cached": len(self._rows_cache),
+            "free_slots": len(incarnation.free_slots),
+            "rows_cached": len(incarnation.rows_cache),
         }
 
     def reachable_caps(self, include_history: bool = True):
@@ -326,9 +335,9 @@ class DirectoryServer(RpcService):
         entry, and (optionally) the whole version-chain of each
         directory, so retained history is never collected.
         """
-        self._require_booted()
+        incarnation = self._require_booted()
         caps: list[Capability] = []
-        for slot, record in enumerate(self._slots):
+        for slot, record in enumerate(incarnation.slots):
             if not record.in_use:
                 continue
             dir_cap = mint_owner(self.port, slot + 1, record.secret)
@@ -345,10 +354,9 @@ class DirectoryServer(RpcService):
     # ----------------------------------------------------------- internals
 
     def _open(self, dir_cap: Capability, needed_rights: int):
-        """Process: verify a directory capability and load its current
-        rows."""
-        yield from self._charge_check()
-        return (yield from self._load(dir_cap, needed_rights))
+        """Process: check ``dir_cap`` and load its current rows."""
+        incarnation = yield from self._charge_check()
+        return (yield from self._load(incarnation, dir_cap, needed_rights))
 
     def _charge_check(self):
         """Process: a capability check's CPU time; returns the incarnation."""
@@ -365,34 +373,36 @@ class DirectoryServer(RpcService):
         requested after the check's CPU time, where an uncontended grant
         completes in place."""
         incarnation = yield from self._charge_check()
-        with self.locks.writing(dir_cap.object) as lock:
+        with incarnation.locks.writing(dir_cap.object) as lock:
             yield lock.grant
-            slot, record, rows = yield from self._load(dir_cap, needed_rights)
+            slot, record, rows = yield from self._load(
+                incarnation, dir_cap, needed_rights)
             new_rows = dict(rows.rows)
             result = edit(new_rows)
             yield from self._commit(incarnation, slot, record, rows, new_rows)
         return result
 
-    def _load(self, dir_cap: Capability, needed_rights: int):
+    def _load(self, incarnation: DirectoryIncarnation, dir_cap: Capability,
+              needed_rights: int):
         """Process: check ``dir_cap`` against its slot and return the
         slot, its record and its current rows (read from the Bullet
         server on a rows-cache miss)."""
         slot = dir_cap.object - 1
         if not 0 <= slot < MAX_DIRECTORIES:
             raise NotFoundError(f"directory object {dir_cap.object} out of range")
-        record = self._slots[slot]
+        record = incarnation.slots[slot]
         if not record.in_use:
             raise NotFoundError(f"directory object {dir_cap.object} does not exist")
         require(dir_cap, record.secret, needed_rights)
-        rows = self._rows_cache.get(slot)
+        rows = incarnation.rows_cache.get(slot)
         if rows is None:
             raw = yield from self.bullet.read(record.version_cap)
             rows = DirectoryRows.decode(raw)
-            self._rows_cache[slot] = rows
+            incarnation.rows_cache[slot] = rows
         return slot, record, rows
 
-    def _commit(self, incarnation, slot: int, record: SlotRecord,
-                old_rows: DirectoryRows, new_rows: dict):
+    def _commit(self, incarnation: DirectoryIncarnation, slot: int,
+                record: SlotRecord, old_rows: DirectoryRows, new_rows: dict):
         """Write a new directory version, then the slot record."""
         version = DirectoryRows(
             seq=old_rows.seq + 1,
@@ -403,8 +413,8 @@ class DirectoryServer(RpcService):
         new_record = SlotRecord(in_use=True, secret=record.secret,
                                 seq=version.seq, version_cap=version_cap)
         yield incarnation.write(self.disk, 1 + slot, new_record.encode())
-        self._slots[slot] = new_record
-        self._rows_cache[slot] = version
+        incarnation.slots[slot] = new_record
+        incarnation.rows_cache[slot] = version
 
     @staticmethod
     def _check_name(name: str) -> None:

@@ -28,7 +28,8 @@ from ..capability import (
 from ..core.locks import FileLockTable
 from ..disk import VirtualDisk
 from ..errors import BadRequestError, NoSpaceError, NotFoundError
-from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
+from ..net import (RpcReply, RpcRequest, RpcService, RpcTransport,
+                   ServiceEndpoint)
 from ..profiles import Testbed
 from ..sim import Environment
 
@@ -58,7 +59,20 @@ class _LogState:
     records: list = field(default_factory=list)  # RAM copy for fast reads
 
 
-class LogServer(RpcService):
+class LogIncarnation(ServiceEndpoint):
+    """One life of a log server: the endpoint and its RAM tables."""
+
+    logs: dict[int, _LogState]
+    free_blocks: list[int]
+    locks: FileLockTable  # one write lock per log, held by every append
+
+    def alloc_block(self) -> int:
+        if not self.free_blocks:
+            raise NoSpaceError("log disk full")
+        return self.free_blocks.pop()
+
+
+class LogServer(RpcService[LogIncarnation]):
     """An append-optimized log store on one private disk, serving as
     ``logsvc``; it traces into its transport's tracer."""
 
@@ -70,7 +84,6 @@ class LogServer(RpcService):
                          transport.tracer if transport is not None else None)
         self.disk = disk
         self.testbed = testbed
-        # boot() builds _logs, _free_blocks and locks.
 
     @property
     def payload_per_block(self) -> int:
@@ -97,7 +110,8 @@ class LogServer(RpcService):
             raise BadRequestError(f"{self.name}: disk is not a log volume")
         bs = self.disk.block_size
         used_blocks = set(range(0, 1 + MAX_LOGS))
-        self._logs: dict[int, _LogState] = {}
+        incarnation = LogIncarnation(self.env, self.port, self.transport)
+        incarnation.logs = {}
         for slot in range(MAX_LOGS):
             record = raw[(1 + slot) * bs:(1 + slot) * bs + 12]
             secret = int.from_bytes(record[0:6], "big")
@@ -105,16 +119,15 @@ class LogServer(RpcService):
             if secret == 0:
                 continue
             state = yield from self._walk_chain(secret, first, used_blocks)
-            self._logs[slot] = state
+            incarnation.logs[slot] = state
         area_start = 1 + MAX_LOGS
-        self._free_blocks = [
+        incarnation.free_blocks = [
             b for b in range(self.disk.total_blocks - 1, area_start - 1, -1)
             if b not in used_blocks
         ]
-        # One write lock per log, held by every append.
-        self.locks = FileLockTable(self.env, owner=self.name)
-        self._start_serving(self._incarnation())
-        return len(self._logs)
+        incarnation.locks = FileLockTable(self.env, owner=self.name)
+        self._start_serving(incarnation)
+        return len(incarnation.logs)
 
     def _walk_chain(self, secret: int, first: int, used_blocks: set):
         records = []
@@ -144,13 +157,12 @@ class LogServer(RpcService):
         """Process: a fresh empty log; returns its owner capability."""
         incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.request_dispatch)
-        incarnation.require_up()  # the slot and block are this one's
-        logs, free_blocks = self._logs, self._free_blocks
+        logs = incarnation.logs
         slot = next((s for s in range(MAX_LOGS) if s not in logs), None)
         if slot is None:
             raise BadRequestError("log table full")
-        first = self._alloc_block()
-        secret = self._mint_secret()
+        first = incarnation.alloc_block()
+        secret = incarnation.mint_secret()
         # Claimed before the disk writes yield: the local plane runs
         # beside the serve loop, so a concurrent create must not pick
         # the same slot. No capability names the log until this returns.
@@ -162,9 +174,9 @@ class LogServer(RpcService):
             yield incarnation.write(
                 self.disk, 1 + slot,
                 secret.to_bytes(6, "big") + first.to_bytes(4, "big"))
-        except BaseException:  # undone in the incarnation that did it
+        except BaseException:
             del logs[slot]
-            free_blocks.append(first)
+            incarnation.free_blocks.append(first)
             raise
         return mint_owner(self.port, slot + 1, secret)
 
@@ -178,20 +190,17 @@ class LogServer(RpcService):
         after the check's CPU time, where an uncontended grant completes
         in place.
         """
-        incarnation = self._require_booted()
-        state = yield from self._open(cap, RIGHT_CREATE)
+        incarnation, state = yield from self._open(cap, RIGHT_CREATE)
         if len(record) > self.max_record:
             raise BadRequestError(
                 f"record of {len(record)} bytes exceeds the "
                 f"{self.max_record}-byte limit"
             )
         needed = 2 + len(record)
-        with self.locks.writing(cap.object) as lock:
+        with incarnation.locks.writing(cap.object) as lock:
             yield lock.grant
             if state.tail_used + needed > self.payload_per_block:
-                incarnation.require_up()  # the new block is this one's
-                free_blocks = self._free_blocks
-                new_block = self._alloc_block()
+                new_block = incarnation.alloc_block()
                 try:
                     yield incarnation.write(self.disk, new_block,
                                             self._encode_block(b"", 0))
@@ -202,8 +211,8 @@ class LogServer(RpcService):
                         self._encode_block(tail_records, state.tail_used,
                                            nxt=new_block),
                     )
-                except BaseException:  # undone in the incarnation that did it
-                    free_blocks.append(new_block)
+                except BaseException:
+                    incarnation.free_blocks.append(new_block)
                     raise
                 state.tail_block = new_block
                 state.tail_used = 0
@@ -224,7 +233,7 @@ class LogServer(RpcService):
     def read(self, cap: Capability, from_seq: int = 0, limit: int = 1 << 30):
         """Process: records from ``from_seq`` (served from the RAM copy;
         the disk chain is the durable form)."""
-        state = yield from self._open(cap, RIGHT_READ)
+        _incarnation, state = yield from self._open(cap, RIGHT_READ)
         if from_seq < 0 or limit < 0:
             raise BadRequestError(
                 f"negative sequence number or limit ({from_seq}, {limit})")
@@ -232,30 +241,30 @@ class LogServer(RpcService):
 
     def length(self, cap: Capability):
         """Process: number of records in the log."""
-        state = yield from self._open(cap, RIGHT_READ)
+        _incarnation, state = yield from self._open(cap, RIGHT_READ)
         return state.record_count
 
     def status(self) -> dict:
         """std_status: live counters (synchronous)."""
-        self._require_booted()
+        incarnation = self._require_booted()
         return {
             "name": self.name,
-            "logs": len(self._logs),
-            "records": sum(s.record_count for s in self._logs.values()),
-            "free_blocks": len(self._free_blocks),
+            "logs": len(incarnation.logs),
+            "records": sum(s.record_count for s in incarnation.logs.values()),
+            "free_blocks": len(incarnation.free_blocks),
         }
 
     # ----------------------------------------------------------- internals
 
     def _open(self, cap: Capability, needed_rights: int):
-        self._require_booted()
+        incarnation = self._require_booted()
         yield self.env.timeout(self.testbed.cpu.capability_check)
         slot = cap.object - 1
-        state = self._logs.get(slot)
+        state = incarnation.logs.get(slot)
         if state is None:
             raise NotFoundError(f"log object {cap.object} does not exist")
         require(cap, state.secret, needed_rights)
-        return state
+        return incarnation, state
 
     def _tail_payload(self, state: _LogState) -> bytes:
         """Re-encode the records living in the tail block."""
@@ -278,11 +287,6 @@ class LogServer(RpcService):
             + bytes(4)
         )
         return header + payload + bytes(self.payload_per_block - len(payload))
-
-    def _alloc_block(self) -> int:
-        if not self._free_blocks:
-            raise NoSpaceError("log disk full")
-        return self._free_blocks.pop()
 
     # ------------------------------------------------------------ RPC plane
 

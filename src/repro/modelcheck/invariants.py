@@ -85,6 +85,6 @@ def check_lock_plane(rig: "CheckRig") -> None:
     if not rig.booted:
         return
     try:
-        rig.server.locks.check_invariants()
+        rig.server.incarnation.locks.check_invariants()
     except (ConsistencyError, ReproError) as exc:
         raise InvariantViolation("locks", str(exc)) from exc

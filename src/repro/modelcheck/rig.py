@@ -246,7 +246,7 @@ class CheckRig:
                                    name="bullet")
         self.server.format()
         env.run(until=env.process(self.server.boot()))
-        self.layout = self.server.layout
+        self.layout = self.server.incarnation.layout
         # A generous client timeout (no retry policy): a call caught by
         # a crash must surface as an error, not hang the stepper or get
         # silently re-executed.
@@ -357,7 +357,7 @@ class CheckRig:
             # released — the canonical lock-plane bug. The key is
             # unused so no client op wedges on it; the leak is caught
             # by the leaked-grant check at quiesced leaves.
-            self.server.locks.reading(
+            self.server.incarnation.locks.reading(
                 self.testbed.bullet.inode_count - 1).__enter__()
         elif label == "inject:corrupt":
             self.injected.append("corrupt")
@@ -394,7 +394,7 @@ class CheckRig:
         for cap, data in self.oracle.confirmed_files():
             if not data:
                 continue
-            rnode = self.server.cache.peek(cap.object)
+            rnode = self.server.incarnation.cache.peek(cap.object)
             if rnode is not None and rnode.data:
                 return rnode
         return None
@@ -580,7 +580,7 @@ class CheckRig:
         self.check_invariants()
         if not self.booted:
             return
-        held = self.server.locks.held_keys()
+        held = self.server.incarnation.locks.held_keys()
         if held:
             raise InvariantViolation(
                 "locks", f"grants leaked at quiescence: inodes {held}")
@@ -636,12 +636,13 @@ class CheckRig:
             h.update(self._disk_digest(disk, aliases))
         h.update(self.oracle.digest(aliases).encode())
         if self.booted:
-            for key, lock in sorted(self.server.locks._locks.items()):
+            incarnation = self.server.incarnation
+            for key, lock in sorted(incarnation.locks._locks.items()):
                 h.update(repr((key, len(lock.readers),
                                lock.writer is not None,
                                len(lock.queue))).encode())
-            for number, _inode in self.server.table.live_inodes():
-                rnode = self.server.cache.peek(number)
+            for number, _inode in incarnation.table.live_inodes():
+                rnode = incarnation.cache.peek(number)
                 if rnode is not None:
                     h.update(repr((number,
                                    sha256(rnode.data).hexdigest())).encode())

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generic, Optional, TypeVar
 
 from ..capability import CAP_WIRE_SIZE, Capability, port_for_name
 from ..errors import (
@@ -103,12 +103,14 @@ class RpcReply:
 
 class ServiceEndpoint:
     """One incarnation of a server, everything a crash ends: the inbox,
-    the at-most-once bookkeeping (transactions in progress and a bounded
-    cache of recent replies for resends) and the member processes.
-    Every ``boot()`` makes a fresh one; without a transport, one that no
-    port routes to."""
+    the at-most-once bookkeeping (transactions in progress, a bounded
+    cache of recent replies for resends), the member processes, the
+    secret mint and the RAM tables its service's subclass declares. Every
+    ``boot()`` makes a fresh one; without a transport, none routes to it."""
 
     REPLY_CACHE_SIZE = 256
+
+    secrets: SeededStream  # the mint, keyed when serving starts
 
     def __init__(self, env: Environment, port: int,
                  transport: Optional["RpcTransport"]):
@@ -123,6 +125,10 @@ class ServiceEndpoint:
         self.in_progress: dict[int, RpcRequest] = {}
         self.reply_cache: "OrderedDict[int, RpcReply]" = OrderedDict()
         self.members: dict = {}  # process -> None, see spawn
+
+    def mint_secret(self) -> int:
+        """A fresh 48-bit secret for a new object's capabilities."""
+        return self.secrets.randint(1, (1 << 48) - 1)
 
     def getreq(self) -> Event:
         """Event firing with the next :class:`RpcRequest`."""
@@ -428,7 +434,10 @@ class RpcTransport:
             self._tracer.emit(category, message, **fields)
 
 
-class RpcService:
+Incarnation = TypeVar("Incarnation", bound=ServiceEndpoint)
+
+
+class RpcService(Generic[Incarnation]):
     """The server half of the RPC plane, once, for every service.
 
     A service is an opcode table (:attr:`OPNAMES`) and a ``_dispatch``
@@ -438,8 +447,8 @@ class RpcService:
     with its spans and per-op accounting, the error-reply chokepoint,
     the secret mint and the crash path.
 
-    One reboot model (DESIGN.md §5c): ``boot()`` starts an incarnation
-    (a fresh :class:`ServiceEndpoint`) and builds all its volatile state,
+    One reboot model (DESIGN.md §5c): ``boot()`` builds an incarnation
+    (the service's :class:`ServiceEndpoint`) with all its volatile state,
     :meth:`crash` ends it: a reboot in place and a fresh instance are one.
     """
 
@@ -469,25 +478,20 @@ class RpcService:
             metrics = (transport.metrics if transport is not None
                        else MetricsRegistry())
         self.metrics = metrics
-        self._endpoint: Optional[ServiceEndpoint] = None  # the incarnation
+        self._endpoint: Optional[Incarnation] = None  # the current incarnation
         # Per-op instrument handles, resolved once per (server, label)
         # so the serve loop pays no registry lookup per request.
         self._op_seconds: dict = {}      # opname -> Histogram
         self._error_counters: dict = {}  # status name -> Counter
 
-    def _incarnation(self) -> ServiceEndpoint:
-        """A fresh incarnation, not yet serving: ``boot()`` builds its
-        volatile state, then hands it to :meth:`_start_serving`."""
-        return ServiceEndpoint(self.env, self.port, self.transport)
-
-    def _start_serving(self, endpoint: ServiceEndpoint) -> None:
-        """The tail of every ``boot()``: make ``endpoint`` the current
-        incarnation, key the secret mint by the instant (every boot
-        reads the disk, so no two incarnations share one) and, on the
-        RPC plane, claim the port and start the workers on the endpoint
-        inbox, the admission queue (one worker: the paper's
-        single-threaded loop, §3)."""
-        self._secrets = SeededStream(
+    def _start_serving(self, endpoint: Incarnation) -> None:
+        """The tail of every ``boot()``, which builds ``endpoint`` and
+        its tables: make it the current incarnation, key its secret mint
+        by the instant (every boot reads the disk, so no two
+        incarnations share one) and, on the RPC plane, claim the port
+        and start the workers on the endpoint inbox, the admission queue
+        (one worker: the paper's single-threaded loop, §3)."""
+        endpoint.secrets = SeededStream(
             self.master_seed, f"{self.name}:secrets@{self.env.now!r}")
         self._endpoint = endpoint
         if self.transport is None:
@@ -496,10 +500,6 @@ class RpcService:
         for _ in range(self.workers):
             endpoint.spawn(self._serve(endpoint))
 
-    def _mint_secret(self) -> int:
-        """A fresh 48-bit secret for a new object's capabilities."""
-        return self._secrets.randint(1, (1 << 48) - 1)
-
     def crash(self) -> None:
         """End the incarnation (:meth:`ServiceEndpoint.crash`): the
         disks keep what they hold, and RAM is dead until ``boot()``
@@ -507,8 +507,16 @@ class RpcService:
         if self._endpoint is not None:
             self._endpoint.crash()
 
-    def _require_booted(self) -> ServiceEndpoint:
-        """Refuse unless booted; returns the incarnation as a token."""
+    @property
+    def incarnation(self) -> Incarnation:
+        """The current incarnation, down or not: the observers' view."""
+        if self._endpoint is None:
+            raise BadRequestError(f"server {self.name} has never booted")
+        return self._endpoint
+
+    def _require_booted(self) -> Incarnation:
+        """Refuse unless booted; returns the incarnation, which the
+        calling handler works on throughout."""
         endpoint = self._endpoint
         if endpoint is None or endpoint.down:
             raise BadRequestError(f"server {self.name} is not booted")

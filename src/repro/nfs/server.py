@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional
 
 from ..disk import VirtualDisk
 from ..errors import BadRequestError, NotFoundError
-from ..net import RpcReply, RpcRequest, RpcService, RpcTransport
+from ..net import (RpcReply, RpcRequest, RpcService, RpcTransport,
+                   ServiceEndpoint)
 from ..obs import MetricsRegistry
 from ..profiles import Testbed
 from ..sim import Environment, SeededStream, Tracer
@@ -50,7 +51,14 @@ class FileHandle(NamedTuple):
 INODES = 1024
 
 
-class NfsServer(RpcService):
+class NfsIncarnation(ServiceEndpoint):
+    """One life of an NFS server: the endpoint, buffer cache and volume."""
+
+    cache: BufferCache
+    fs: FFS
+
+
+class NfsServer(RpcService[NfsIncarnation]):
     """One NFS server exporting a single FFS volume."""
 
     OPNAMES = {number: name for name, number in NFS_OPCODES.items()}
@@ -72,7 +80,6 @@ class NfsServer(RpcService):
         self.master_seed = master_seed
         self._op_counters: dict = {}  # opname -> Counter
         self._churn = background_churn
-        # boot() builds cache and fs.
 
     # -------------------------------------------------------------- setup
 
@@ -90,17 +97,17 @@ class NfsServer(RpcService):
         new incarnation, start serving and, with background churn, the
         churn daemon."""
         nfs = self.testbed.nfs
-        incarnation = self._incarnation()
-        self.cache = BufferCache(incarnation, self.disk,
-                                 nfs.buffer_cache_bytes, nfs.fs_block_size,
-                                 metrics=self.metrics, owner=self.name)
-        self.fs = self._filesystem(self.cache)
-        yield from self.fs.mount()
+        incarnation = NfsIncarnation(self.env, self.port, self.transport)
+        incarnation.cache = cache = BufferCache(
+            incarnation, self.disk, nfs.buffer_cache_bytes,
+            nfs.fs_block_size, metrics=self.metrics, owner=self.name)
+        incarnation.fs = self._filesystem(cache)
+        yield from incarnation.fs.mount()
         self._start_serving(incarnation)
         if self._churn:
             # churn fraction/s of the cache, expressed in blocks/s.
-            rate = nfs.background_cache_churn * self.cache.capacity_blocks
-            self.cache.start_churn(
+            rate = nfs.background_cache_churn * cache.capacity_blocks
+            cache.start_churn(
                 SeededStream(self.master_seed, "nfs:churn"), rate)
         return ROOT_INUM
 
@@ -110,15 +117,8 @@ class NfsServer(RpcService):
 
     # ---------------------------------------------------------- local API
     #
-    # A handler takes the volume with the incarnation at entry and works
-    # on it throughout: a local call that outlives its incarnation reads
-    # and writes through the dead one's buffer cache, whose writes the
-    # dead incarnation refuses, never through the next one's.
-
-    def _mounted(self) -> FFS:
-        """The current incarnation's volume; refuses unless booted."""
-        self._require_booted()
-        return self.fs
+    # A handler works on the volume of the incarnation it took at entry
+    # (DESIGN.md §5c).
 
     @staticmethod
     def _resolve(fs: FFS, fh: FileHandle):
@@ -129,7 +129,7 @@ class NfsServer(RpcService):
 
     def lookup(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_LOOKUP — name -> file handle."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fs, dir_fh)
         inum = yield from fs.dir_lookup(dir_fh.inum, name)
@@ -138,7 +138,7 @@ class NfsServer(RpcService):
 
     def getattr(self, fh: FileHandle):
         """Process: NFSPROC_GETATTR — (mode, size)."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         inode = yield from self._resolve(fs, fh)
         return {"mode": inode.mode, "size": inode.size,
@@ -146,7 +146,7 @@ class NfsServer(RpcService):
 
     def read(self, fh: FileHandle, offset: int, count: int):
         """Process: NFSPROC_READ — at most one transfer unit of data."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         nfs = self.testbed.nfs
         if count > nfs.transfer_size:
             raise BadRequestError(
@@ -161,7 +161,7 @@ class NfsServer(RpcService):
     def write(self, fh: FileHandle, offset: int, data: bytes):
         """Process: NFSPROC_WRITE — synchronous (data + inode on disk
         before the reply), as NFS v2 demands."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         nfs = self.testbed.nfs
         if len(data) > nfs.transfer_size:
             raise BadRequestError(
@@ -175,7 +175,7 @@ class NfsServer(RpcService):
 
     def create(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_CREATE — new empty file (sync dir + inode)."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fs, dir_fh)
         inum, inode = yield from fs.alloc_inode(MODE_FILE)
@@ -184,7 +184,7 @@ class NfsServer(RpcService):
 
     def remove(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_REMOVE."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fs, dir_fh)
         inum = yield from fs.dir_remove(dir_fh.inum, name)
@@ -192,7 +192,7 @@ class NfsServer(RpcService):
 
     def mkdir(self, dir_fh: FileHandle, name: str):
         """Process: NFSPROC_MKDIR."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fs, dir_fh)
         inum, inode = yield from fs.alloc_inode(MODE_DIR)
@@ -201,7 +201,7 @@ class NfsServer(RpcService):
 
     def readdir(self, dir_fh: FileHandle):
         """Process: NFSPROC_READDIR — sorted entry names."""
-        fs = self._mounted()
+        fs = self._require_booted().fs
         yield self.env.timeout(self.testbed.nfs.server_op_overhead)
         yield from self._resolve(fs, dir_fh)
         entries = yield from fs.dir_entries(dir_fh.inum)

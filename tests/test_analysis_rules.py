@@ -174,7 +174,7 @@ MUTANTS = {
     # differ from run to run and no artifact holds one.
     "directory-secret-from-global-rng": (
         "directory/server.py",
-        "        secret = self._mint_secret()\n",
+        "        secret = incarnation.mint_secret()\n",
         "        import random\n"
         "        secret = random.randint(1, (1 << 48) - 1)\n",
         "D002",
@@ -220,14 +220,16 @@ MUTANTS = {
         "core/server.py",
         "        self.stats.restricts.inc()\n",
         "        self.stats.restricts.inc()\n"
-        "        self._lives[number] = self.testbed.bullet.max_lives\n",
-        "RaceReport: lockset violation on bullet._lives",
+        "        incarnation.lives[number] = self.testbed.bullet.max_lives\n",
+        "RaceReport: lockset violation on bullet.lives",
     ),
     # Audit mutant #7: an unbounded wait under a write grant.
     "delete-blocks-under-write-grant": (
         "core/server.py",
-        "            number, inode = yield from self._check(cap, RIGHT_DELETE)\n",
-        "            number, inode = yield from self._check(cap, RIGHT_DELETE)\n"
+        "            number, inode = yield from self._check(incarnation, cap,\n"
+        "                                                   RIGHT_DELETE)\n",
+        "            number, inode = yield from self._check(incarnation, cap,\n"
+        "                                                   RIGHT_DELETE)\n"
         "            from ..sim.resources import Store\n"
         "            yield Store(self.env).get()\n",
         "deadlock: event will never fire",
@@ -235,12 +237,12 @@ MUTANTS = {
     # Audit mutant #9: TOUCH writes the lives table without its lock.
     "touch-without-its-lock": (
         "core/server.py",
-        "        with self.locks.writing(cap.object) as lock:\n"
+        "        with incarnation.locks.writing(cap.object) as lock:\n"
         "            yield lock.grant\n"
-        "            number, _inode = yield from self._check(cap, 0)\n",
+        "            number, _inode = yield from self._check(incarnation, cap, 0)\n",
         "        if True:\n"
-        "            number, _inode = yield from self._check(cap, 0)\n",
-        "RaceReport: lockset violation on bullet._lives",
+        "            number, _inode = yield from self._check(incarnation, cap, 0)\n",
+        "RaceReport: lockset violation on bullet.lives",
     ),
 }
 

@@ -271,6 +271,8 @@ _EXEMPT_OPTIONS = {
 
 
 def _base_name(node):
+    if isinstance(node, ast.Subscript):  # a generic base: RpcService[E]
+        node = node.value
     return getattr(node, "id", getattr(node, "attr", None))
 
 
@@ -885,3 +887,54 @@ def test_the_write_guard_catches_a_direct_disk_write_in_a_log_append():
         needle, "yield self.disk.write(state.tail_block,\n")
     assert _writes_around_the_incarnation(sources) == [
         f"logsvc/server.py:{line}: self.disk.write"]
+
+
+def _boots_storing_on_self(sources):
+    """``path:line: self.name`` for every attribute a ``boot()`` in
+    ``sources`` (path relative to ``src/repro`` -> text) assigns on
+    ``self``."""
+    findings = []
+    for relative, source in sorted(sources.items()):
+        for boot in ast.walk(ast.parse(source)):
+            if not (isinstance(boot, ast.FunctionDef)
+                    and boot.name == "boot"):
+                continue
+            for node in ast.walk(boot):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (isinstance(leaf, ast.Attribute)
+                                and isinstance(leaf.value, ast.Name)
+                                and leaf.value.id == "self"):
+                            findings.append(f"{relative}:{leaf.lineno}: "
+                                            f"self.{leaf.attr}")
+    return findings
+
+
+def test_no_boot_stores_volatile_state_on_its_server():
+    """Everything a crash ends lives on the incarnation ``boot()``
+    builds: no ``boot()`` of the server packages assigns an attribute
+    on ``self``, where the next boot would overwrite it under a handler
+    that outlived its incarnation (the stale READ that wrote a dead
+    cache's rnode number into the next incarnation's inode)."""
+    findings = _boots_storing_on_self(_durable_sources())
+    assert not findings, "\n".join(findings)
+
+
+def test_the_boot_guard_catches_a_table_stored_on_the_server():
+    """The guard's mutant: ``BulletServer.boot`` storing ``self.table``
+    again."""
+    sources = _durable_sources()
+    source = sources["core/server.py"]
+    needle = "        incarnation.table = table = InodeTable.decode("
+    assert source.count(needle) == 1, "mutation target moved"
+    line = source[:source.index(needle)].count("\n") + 1
+    sources["core/server.py"] = source.replace(
+        needle, "        self.table = table = InodeTable.decode(")
+    assert _boots_storing_on_self(sources) == [
+        f"core/server.py:{line}: self.table"]

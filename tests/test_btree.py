@@ -223,7 +223,7 @@ def test_gc_reclaims_superseded_nodes_keeps_live_tree(env):
     run_process(env, dirs.append(names, "db", root))
 
     live_nodes = run_process(env, tree.node_count(root))
-    files_before = bullet.table.live_count
+    files_before = bullet.incarnation.table.live_count
     assert files_before > live_nodes  # superseded versions still around
 
     current_root = root
@@ -233,6 +233,6 @@ def test_gc_reclaims_superseded_nodes_keeps_live_tree(env):
             extra_collectors=[lambda: tree.collect_caps(current_root)],
         ))
     # Exactly the live tree (+ directory version files) remains.
-    assert bullet.table.live_count < files_before
+    assert bullet.incarnation.table.live_count < files_before
     pairs = run_process(env, tree.items(current_root))
     assert len(pairs) == 30

@@ -79,11 +79,11 @@ def test_delete_removes_file(env, bullet):
 
 
 def test_delete_frees_disk_space(env, bullet):
-    before = bullet.disk_free.free_units
+    before = bullet.incarnation.disk_free.free_units
     cap = call(env, bullet.create(bytes(10 * KB), p_factor=2))
-    assert bullet.disk_free.free_units < before
+    assert bullet.incarnation.disk_free.free_units < before
     call(env, bullet.delete(cap))
-    assert bullet.disk_free.free_units == before
+    assert bullet.incarnation.disk_free.free_units == before
 
 
 def test_files_are_immutable_reads_stable(env, bullet):
@@ -104,9 +104,9 @@ def test_many_files_distinct(env, bullet):
 def test_write_through_data_on_both_disks(env, bullet):
     payload = b"replicated payload" * 100
     cap = call(env, bullet.create(payload, p_factor=2))
-    inode = bullet.table.get(cap.object)
+    inode = bullet.incarnation.table.get(cap.object)
     for disk in bullet.mirror.disks:
-        raw = disk.read_raw(inode.start_block, bullet.layout.blocks_for(inode.size))
+        raw = disk.read_raw(inode.start_block, bullet.incarnation.layout.blocks_for(inode.size))
         assert raw[: len(payload)] == payload
 
 
@@ -225,7 +225,7 @@ def test_every_capability_taking_operation_checks_it(
                 call(env, operation(presented, *args))
     # Refused means refused: the object is as its owner left it.
     assert call(env, bullet.read(owner)) == b"payload"
-    assert bullet.table.live_count == 1
+    assert bullet.incarnation.table.live_count == 1
 
 
 # -------------------------------------------------------------- P-FACTOR
@@ -239,9 +239,9 @@ def test_p_factor_zero_returns_before_disk_write(env, bullet):
     # The reply arrived before any disk write completed.
     assert [d.stats.writes.value for d in bullet.mirror.disks] == writes_before
     env.run()  # drain background writes
-    inode = bullet.table.get(cap.object)
+    inode = bullet.incarnation.table.get(cap.object)
     raw = bullet.mirror.disks[0].read_raw(
-        inode.start_block, bullet.layout.blocks_for(inode.size))
+        inode.start_block, bullet.incarnation.layout.blocks_for(inode.size))
     assert raw[: 64 * KB] == bytes(64 * KB)
 
 
@@ -286,7 +286,7 @@ def test_p_factor_zero_file_lost_on_immediate_crash(env):
         disk.repair()
     rebooted = BulletServer(env, bullet.mirror, bullet.testbed, name="bullet2")
     env.run(until=env.process(rebooted.boot()))
-    inode = rebooted.table.get(cap.object)
+    inode = rebooted.incarnation.table.get(cap.object)
     assert inode.free  # the file never reached any disk
 
 
@@ -310,7 +310,7 @@ def test_read_hits_cache_after_create(env, bullet):
     disk_reads_before = bullet.mirror.disks[0].stats.reads.value
     call(env, bullet.read(cap))
     assert bullet.mirror.disks[0].stats.reads.value == disk_reads_before
-    assert bullet.cache.stats.hits.value >= 1
+    assert bullet.incarnation.cache.stats.hits.value >= 1
 
 
 def test_read_hit_on_an_idle_rig_costs_one_event(env):
@@ -368,10 +368,10 @@ def test_cache_eviction_keeps_serving(env):
     bullet = make_bullet(env)  # 2 MB cache
     caps = [call(env, bullet.create(bytes([i]) * (512 * KB), p_factor=1))
             for i in range(8)]
-    assert bullet.cache.stats.evictions.value > 0
+    assert bullet.incarnation.cache.stats.evictions.value > 0
     for i, cap in enumerate(caps):
         assert call(env, bullet.read(cap)) == bytes([i]) * (512 * KB)
-    bullet.cache.check_invariants()
+    bullet.incarnation.cache.check_invariants()
 
 
 def _payload(tag: int, size: int) -> bytes:
@@ -384,28 +384,28 @@ def test_block_aligned_file_is_one_object_from_create_to_reply(env, bullet):
     # reference, which is safe because bytes cannot change.
     payload = _payload(1, 1 * MB)
     cap = call(env, bullet.create(payload, p_factor=2))
-    inode = bullet.table.get(cap.object)
-    blocks = bullet.layout.blocks_for(inode.size)
+    inode = bullet.incarnation.table.get(cap.object)
+    blocks = bullet.incarnation.layout.blocks_for(inode.size)
     for disk in bullet.mirror.disks:
         assert disk.read_raw(inode.start_block, blocks) is payload
-    assert bullet.cache.peek(cap.object).data is payload
+    assert bullet.incarnation.cache.peek(cap.object).data is payload
     assert call(env, bullet.read(cap)) is payload
     # The miss path hands the platter's object to the cache and the reply.
     bullet.evict(cap.object)
     assert call(env, bullet.read(cap)) is payload
-    assert bullet.cache.peek(cap.object).data is payload
+    assert bullet.incarnation.cache.peek(cap.object).data is payload
 
 
 def test_unaligned_file_is_padded_once_for_both_replicas(env, bullet):
     payload = _payload(2, 1 * MB + 100)
     cap = call(env, bullet.create(payload, p_factor=2))
-    inode = bullet.table.get(cap.object)
-    blocks = bullet.layout.blocks_for(inode.size)
+    inode = bullet.incarnation.table.get(cap.object)
+    blocks = bullet.incarnation.layout.blocks_for(inode.size)
     first, second = (disk.read_raw(inode.start_block, blocks)
                      for disk in bullet.mirror.disks)
     assert first is second
     assert first == payload + bytes(412)
-    assert bullet.cache.peek(cap.object).data is payload
+    assert bullet.incarnation.cache.peek(cap.object).data is payload
     bullet.evict(cap.object)
     assert call(env, bullet.read(cap)) == payload
 
@@ -420,10 +420,10 @@ def test_whole_file_path_copies_no_payload(env, bullet):
         payloads = [_payload(tag, 1 * MB) for tag in range(8)]
         caps = [call(env, bullet.create(data, p_factor=2))
                 for data in payloads]
-        misses = bullet.cache.stats.misses.value
+        misses = bullet.incarnation.cache.stats.misses.value
         for data, cap in zip(payloads, caps):  # LRU over 2 MB: all miss
             assert call(env, bullet.read(cap)) == data
-        assert bullet.cache.stats.misses.value == misses + 8
+        assert bullet.incarnation.cache.stats.misses.value == misses + 8
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,17 +432,17 @@ def test_whole_file_path_copies_no_payload(env, bullet):
 
 def test_inode_index_tracks_cache_state(env, bullet):
     cap = call(env, bullet.create(b"indexed", p_factor=1))
-    inode = bullet.table.get(cap.object)
+    inode = bullet.incarnation.table.get(cap.object)
     assert inode.index != 0
-    assert bullet.cache.peek(cap.object).number == inode.index
+    assert bullet.incarnation.cache.peek(cap.object).number == inode.index
     # A cache-filling create evicts it; on_evict must clear the index.
     call(env, bullet.create(bytes(2 * MB), p_factor=0))
-    assert bullet.table.get(cap.object).index == 0
-    assert bullet.cache.peek(cap.object) is None
+    assert bullet.incarnation.table.get(cap.object).index == 0
+    assert bullet.incarnation.cache.peek(cap.object) is None
     # A subsequent read reloads it from disk and restores the index.
     env.run()  # drain background writes first
     assert call(env, bullet.read(cap)) == b"indexed"
-    assert bullet.table.get(cap.object).index != 0
+    assert bullet.incarnation.table.get(cap.object).index != 0
 
 
 def test_a_failed_load_leaves_no_reservation_behind(env, bullet):
@@ -461,11 +461,11 @@ def test_a_failed_load_leaves_no_reservation_behind(env, bullet):
     cap = call(env, bullet.create(payload, p_factor=2))
     env.run()
     bullet.evict(cap.object)
-    inode = bullet.table.get(cap.object)
-    extent = (inode.start_block, bullet.layout.blocks_for(inode.size))
+    inode = bullet.incarnation.table.get(cap.object)
+    extent = (inode.start_block, bullet.incarnation.layout.blocks_for(inode.size))
     for disk in bullet.mirror.disks:
         disk.mark_flaky(*extent)
-    used = bullet.cache.used_bytes
+    used = bullet.incarnation.cache.used_bytes
     # Two concurrent cold readers: the second waits on the first's write
     # lock and re-probes only after the first's load has failed.
     procs = [env.process(outcome(bullet.read(cap))) for _ in range(2)]
@@ -474,22 +474,22 @@ def test_a_failed_load_leaves_no_reservation_behind(env, bullet):
     env.run()
     for proc in procs:
         assert isinstance(proc.value, DiskIOError)
-    assert bullet.table.get(cap.object).index == 0
-    assert bullet.cache.peek(cap.object) is None
-    assert bullet.cache.used_bytes == used
-    bullet.cache.check_invariants()
+    assert bullet.incarnation.table.get(cap.object).index == 0
+    assert bullet.incarnation.cache.peek(cap.object) is None
+    assert bullet.incarnation.cache.used_bytes == used
+    bullet.incarnation.cache.check_invariants()
 
     for disk in bullet.mirror.disks:
         disk.clear_flaky(*extent)
-    misses = bullet.cache.stats.misses.value
+    misses = bullet.incarnation.cache.stats.misses.value
     assert call(env, bullet.read(cap)) == payload
-    assert bullet.cache.stats.misses.value == misses + 1
+    assert bullet.incarnation.cache.stats.misses.value == misses + 1
     bullet.evict(cap.object)
     derived = call(env, bullet.modify(cap, 0, 4, b"HEAD", p_factor=2))
     assert call(env, bullet.read(derived)) == b"HEAD" + payload[4:]
     env.run()
-    assert bullet.cache.used_bytes == used + 2 * len(payload)
-    bullet.cache.check_invariants()
+    assert bullet.incarnation.cache.used_bytes == used + 2 * len(payload)
+    bullet.incarnation.cache.check_invariants()
 
 
 def test_file_too_big_for_memory_rejected(env, bullet):
@@ -545,7 +545,7 @@ def test_modify_requires_modify_right(env, bullet):
 
 def test_disk_exhaustion_raises_no_space(env):
     bullet = make_bullet(env)
-    data_bytes = bullet.disk_free.free_units * bullet.layout.block_size
+    data_bytes = bullet.incarnation.disk_free.free_units * bullet.incarnation.layout.block_size
     chunk = 1 * MB
     caps = []
     with pytest.raises(NoSpaceError):
@@ -554,8 +554,8 @@ def test_disk_exhaustion_raises_no_space(env):
     # Failure must not corrupt accounting: delete everything, space returns.
     for cap in caps:
         call(env, bullet.delete(cap))
-    assert bullet.disk_free.free_units == data_bytes // bullet.layout.block_size
-    bullet.disk_free.check_invariants()
+    assert bullet.incarnation.disk_free.free_units == data_bytes // bullet.incarnation.layout.block_size
+    bullet.incarnation.disk_free.check_invariants()
 
 
 def test_inode_exhaustion(env):
@@ -576,12 +576,12 @@ def test_reboot_preserves_files_and_free_space(env):
     caps = [call(env, bullet.create(f"persistent {i}".encode() * 50, p_factor=2))
             for i in range(5)]
     call(env, bullet.delete(caps[2]))
-    free_before = bullet.disk_free.free_units
+    free_before = bullet.incarnation.disk_free.free_units
     bullet.crash()
     rebooted = BulletServer(env, bullet.mirror, bullet.testbed, name="bullet2")
     report = env.run(until=env.process(rebooted.boot()))
     assert report.live_files == 4
-    assert rebooted.disk_free.free_units == free_before
+    assert rebooted.incarnation.disk_free.free_units == free_before
     for i, cap in enumerate(caps):
         if i == 2:
             continue
@@ -594,24 +594,24 @@ def test_scan_detects_overlapping_files(env, bullet):
     call(env, bullet.create(bytes(4 * KB), p_factor=1))
     call(env, bullet.create(bytes(4 * KB), p_factor=1))
     # Corrupt: make inode 2 overlap inode 1's extent.
-    bullet.table.get(2).start_block = bullet.table.get(1).start_block
+    bullet.incarnation.table.get(2).start_block = bullet.incarnation.table.get(1).start_block
     with pytest.raises(ConsistencyError):
-        scan_volume(bullet.table, bullet.layout)
+        scan_volume(bullet.incarnation.table, bullet.incarnation.layout)
 
 
 def test_scan_detects_extent_outside_data_area(env, bullet):
     call(env, bullet.create(bytes(4 * KB), p_factor=1))
-    bullet.table.get(1).start_block = 0  # inside the inode table!
+    bullet.incarnation.table.get(1).start_block = 0  # inside the inode table!
     with pytest.raises(ConsistencyError):
-        scan_volume(bullet.table, bullet.layout)
+        scan_volume(bullet.incarnation.table, bullet.incarnation.layout)
 
 
 def test_disk_failover_during_reads(env):
     """Primary dies mid-workload; reads continue from the replica."""
     bullet = make_bullet(env)
     cap = call(env, bullet.create(bytes(512 * KB), p_factor=2))
-    bullet.cache.remove(cap.object)
-    bullet.table.get(cap.object).index = 0
+    bullet.incarnation.cache.remove(cap.object)
+    bullet.incarnation.table.get(cap.object).index = 0
     bullet.mirror.disks[0].fail("primary died")
     assert call(env, bullet.read(cap)) == bytes(512 * KB)
 

@@ -27,16 +27,16 @@ def compact(env, bullet):
     """One full pass; whatever it moved or skipped, no file's lock may
     still be held afterwards."""
     report = run_process(env, compact_disk(bullet))
-    assert bullet.locks.held_keys() == []
+    assert bullet.incarnation.locks.held_keys() == []
     return report
 
 
 def test_compaction_coalesces_free_space(env):
     bullet = make_bullet(env)
     survivors = churn(env, bullet)
-    assert bullet.disk_free.hole_count > 1
+    assert bullet.incarnation.disk_free.hole_count > 1
     report = compact(env, bullet)
-    assert bullet.disk_free.hole_count == 1
+    assert bullet.incarnation.disk_free.hole_count == 1
     assert report.files_moved > 0
     assert report.fragmentation_after <= report.fragmentation_before
     assert report.largest_hole_after >= report.largest_hole_before
@@ -57,17 +57,17 @@ def test_compaction_bounces_a_short_slide_through_staging(env):
     copied in one hop (source and destination overlap): it goes through
     a staging extent, and both hops must really run."""
     bullet = make_bullet(env)
-    free_before = bullet.disk_free.free_units
+    free_before = bullet.incarnation.disk_free.free_units
     small = run_process(env, bullet.create(b"s" * 8 * KB, p_factor=1))
     expected = b"B" * 64 * KB
     big = run_process(env, bullet.create(expected, p_factor=1))
     run_process(env, bullet.delete(small))
     report = compact(env, bullet)
     assert report.files_moved == 1
-    assert bullet.disk_free.hole_count == 1
+    assert bullet.incarnation.disk_free.hole_count == 1
     # Neither the old extent nor the staging extent leaked.
-    blocks = bullet.layout.blocks_for(len(expected))
-    assert bullet.disk_free.free_units == free_before - blocks
+    blocks = bullet.incarnation.layout.blocks_for(len(expected))
+    assert bullet.incarnation.disk_free.free_units == free_before - blocks
     bullet.evict(big.object)
     assert run_process(env, bullet.read(big)) == expected
 
@@ -77,8 +77,8 @@ def test_compaction_updates_both_replicas(env):
     survivors = churn(env, bullet, n=6)
     compact(env, bullet)
     _i, cap, expected = survivors[0]
-    inode = bullet.table.get(cap.object)
-    blocks = bullet.layout.blocks_for(inode.size)
+    inode = bullet.incarnation.table.get(cap.object)
+    blocks = bullet.incarnation.layout.blocks_for(inode.size)
     for disk in bullet.mirror.disks:
         raw = disk.read_raw(inode.start_block, blocks)
         assert raw[: len(expected)] == expected
@@ -95,17 +95,17 @@ def test_compaction_enables_large_allocation(env):
     # An 8 MB disk the workload can actually fill.
     tiny_disk = replace(SMALL_DISK, capacity_bytes=8 * MB, cylinders=32)
     bullet = make_bullet(env, testbed=small_testbed(disk=tiny_disk))
-    block = bullet.layout.block_size
+    block = bullet.incarnation.layout.block_size
     # Fill the whole data area with 8 equal files, delete every other one.
-    chunk_blocks = bullet.disk_free.free_units // 8
+    chunk_blocks = bullet.incarnation.disk_free.free_units // 8
     caps = [run_process(env, bullet.create(bytes(chunk_blocks * block), p_factor=0))
             for i in range(8)]
     env.run()
     for cap in caps[::2]:
         run_process(env, bullet.delete(cap))
-    big = bullet.disk_free.free_units * block  # total free, but split
-    request = min(big, bullet.cache.capacity)
-    assert bullet.disk_free.largest_hole * block < request
+    big = bullet.incarnation.disk_free.free_units * block  # total free, but split
+    request = min(big, bullet.incarnation.cache.capacity)
+    assert bullet.incarnation.disk_free.largest_hole * block < request
     with pytest.raises(NoSpaceError, match="fragmented"):
         run_process(env, bullet.create(bytes(request), p_factor=0))
     compact(env, bullet)
@@ -139,4 +139,4 @@ def test_compaction_survives_reboot_scan(env):
     rebooted = BulletServer(env, bullet.mirror, bullet.testbed, name="reboot")
     report = env.run(until=env.process(rebooted.boot()))
     assert report.live_files == len(survivors)
-    assert rebooted.disk_free.hole_count == 1
+    assert rebooted.incarnation.disk_free.hole_count == 1

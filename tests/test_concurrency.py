@@ -29,15 +29,15 @@ def make_rpc_world(env, inode_count=2048, **server_kwargs):
 
 
 def check_bullet_invariants(bullet):
-    bullet.disk_free.check_invariants()
-    bullet.cache.check_invariants()
+    bullet.incarnation.disk_free.check_invariants()
+    bullet.incarnation.cache.check_invariants()
     used = 0
-    for number, inode in bullet.table.live_inodes():
-        blocks = bullet.layout.blocks_for(inode.size)
+    for number, inode in bullet.incarnation.table.live_inodes():
+        blocks = bullet.incarnation.layout.blocks_for(inode.size)
         used += blocks
         if blocks:
-            assert not bullet.disk_free.is_free(inode.start_block, blocks)
-    assert used == bullet.disk_free.used_units
+            assert not bullet.incarnation.disk_free.is_free(inode.start_block, blocks)
+    assert used == bullet.incarnation.disk_free.used_units
 
 
 def test_many_clients_mixed_ops_preserve_invariants(env):
@@ -77,7 +77,7 @@ def test_many_clients_mixed_ops_preserve_invariants(env):
     env.run()
     assert not errors, errors
     check_bullet_invariants(bullet)
-    assert bullet.table.live_count == len(surviving)
+    assert bullet.incarnation.table.live_count == len(surviving)
 
     # Durability: reboot purely from disk; every surviving file intact.
     bullet.crash()
@@ -140,7 +140,7 @@ def test_cache_thrash_under_parallel_load(env):
         env.process(reader(index))
     env.run()
     assert len(done) == 6
-    assert bullet.cache.stats.evictions.value > 0
+    assert bullet.incarnation.cache.stats.evictions.value > 0
     check_bullet_invariants(bullet)
 
 

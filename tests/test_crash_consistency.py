@@ -26,7 +26,7 @@ def test_crash_between_data_and_inode_write_leaves_no_file(env):
     """Kill both disks after the data write but before the inode write:
     on reboot the file must not exist and no blocks may be leaked."""
     bullet = make_bullet(env)
-    free_before = bullet.disk_free.free_units
+    free_before = bullet.incarnation.disk_free.free_units
     for disk in bullet.mirror.disks:
         # The data extent of a 16 KB file is one write; fail before the
         # second (inode) write completes.
@@ -42,7 +42,7 @@ def test_crash_between_data_and_inode_write_leaves_no_file(env):
     # No inode reached the disk => no file, and the scan-derived free
     # list gives all blocks back (nothing leaked).
     assert report.live_files == 0
-    assert reborn.disk_free.free_units == free_before
+    assert reborn.incarnation.disk_free.free_units == free_before
 
 
 def test_partial_replica_failure_creates_reclaimable_orphan(env):
@@ -65,7 +65,7 @@ def test_partial_replica_failure_creates_reclaimable_orphan(env):
 
     # The file exists server-side (inode allocated) but nobody holds a
     # capability and no directory references it: an orphan.
-    live = list(bullet.table.live_inodes())
+    live = list(bullet.incarnation.table.live_inodes())
     assert len(live) == 1
     orphan_number = live[0][0]
 
@@ -74,8 +74,8 @@ def test_partial_replica_failure_creates_reclaimable_orphan(env):
         report = run_process(env, gc_sweep(bullet, [dirs]))
         reclaimed.extend(report.reclaimed)
     assert orphan_number in reclaimed
-    assert bullet.table.live_count == 0
-    bullet.disk_free.check_invariants()
+    assert bullet.incarnation.table.live_count == 0
+    bullet.incarnation.disk_free.check_invariants()
 
 
 def test_delete_write_through_survives_crash(env):

@@ -306,10 +306,10 @@ def test_prune_history_deletes_old_versions(env):
     cap = call(env, bullet.create(b"x", p_factor=1))
     for i in range(5):
         call(env, dirs.append(root, f"n{i}", cap))
-    files_before = bullet.table.live_count
+    files_before = bullet.incarnation.table.live_count
     deleted = call(env, dirs.prune_history(root, keep=1))
     assert deleted == 5
-    assert bullet.table.live_count == files_before - 5
+    assert bullet.incarnation.table.live_count == files_before - 5
     # The current version still works.
     assert len(call(env, dirs.list_names(root))) == 5
 

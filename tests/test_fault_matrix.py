@@ -100,8 +100,8 @@ def _flaky_extent_of(world: World):
     """The on-disk extent of one pre-created file (so a flaky window is
     guaranteed to cover blocks a read will touch)."""
     cap = next(iter(world.expected))
-    inode = world.bullet.table.get(cap.object)
-    nblocks = world.bullet.layout.blocks_for(inode.size)
+    inode = world.bullet.incarnation.table.get(cap.object)
+    nblocks = world.bullet.incarnation.layout.blocks_for(inode.size)
     return cap, inode.start_block, nblocks
 
 
@@ -201,7 +201,7 @@ def test_create_retry_is_deduplicated_by_txid(seed):
     world.controller(
         FaultPlan().net_loss(at=t0 + 0.05, duration=1.5, probability=0.6)
     ).start()
-    live_before = world.bullet.table.live_count
+    live_before = world.bullet.incarnation.table.live_count
 
     def scenario():
         yield env.timeout(0.1)
@@ -212,7 +212,7 @@ def test_create_retry_is_deduplicated_by_txid(seed):
         return True
 
     assert world.run_to_completion(scenario()) is True
-    assert world.bullet.table.live_count == live_before + 1
+    assert world.bullet.incarnation.table.live_count == live_before + 1
     world.audit_storage()
 
 
@@ -246,7 +246,7 @@ def test_crash_mid_create_recovers_consistently(seed):
     assert world.run_to_completion(scenario()) is True
     reborn = world.audit_storage()
     # The startup scan repaired/accounted everything it found.
-    reborn.disk_free.check_invariants()
+    reborn.incarnation.disk_free.check_invariants()
 
 
 # ------------------------------------------ a crash ends the incarnation
@@ -266,7 +266,7 @@ def _a1_world():
     server = make_bullet(env, transport=rpc)
     caps = [run_process(env, server.create(bytes([i]) * 100, 2))
             for i in range(31)]
-    assert server.table.block_of_inode(caps[-1].object) == 0
+    assert server.incarnation.table.block_of_inode(caps[-1].object) == 0
     client = BulletClient(env, rpc, server.port)
 
     def doomed_create():
@@ -326,8 +326,8 @@ def test_a_request_the_disk_already_holds_completes_after_the_crash():
     assert (bd0.stats.writes.value - writes_at_crash[0],
             bd1.stats.writes.value - writes_at_crash[1]) == (1, 1)
     number = caps[-1].object + 1
-    assert not server.table.get(number).free
-    layout = server.layout
+    assert not server.incarnation.table.get(number).free
+    layout = server.incarnation.layout
     on_bd1 = InodeTable.decode(
         bd1.read_raw(0, layout.inode_table_blocks), bd1.block_size)
     assert on_bd1.get(number).free
@@ -337,8 +337,9 @@ def test_a_request_the_disk_already_holds_completes_after_the_crash():
 def _bullet_local_call(op):
     """A Bullet server holding one 600 000-byte file, and a local-plane
     ``op`` with the instant to crash it at: a CREATE in its memcpy, a
-    DELETE in its capability check, an AGE sweep waiting for the write
-    lock that a READ holds through its memcpy."""
+    DELETE in its capability check, a DELETE or an AGE sweep waiting for
+    the write lock that a READ holds through its memcpy (so that a
+    reboot is done before it checks anything)."""
     env = Environment()
     server = make_bullet(env)
     kept = b"k" * BIG
@@ -351,7 +352,8 @@ def _bullet_local_call(op):
         crash_after = cpu.request_dispatch + cpu.capability_check / 2
     else:
         env.process(server.read(cap))
-        call, crash_after = server.age_all(), 0.01
+        call = server.delete(cap) if op == "queued_delete" else server.age_all()
+        crash_after = 0.01
     return (env, server, server.mirror.disks, call, crash_after,
             lambda: run_process(env, server.read(cap)) == kept)
 
@@ -372,6 +374,7 @@ def _nfs_local_call(_op):
 
 
 _LOCAL_CALLS = {"create": _bullet_local_call, "delete": _bullet_local_call,
+                "queued_delete": _bullet_local_call,
                 "age": _bullet_local_call, "nfs_write": _nfs_local_call}
 
 
@@ -389,9 +392,10 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(
     """A local-plane call runs in its caller's process, which a crash
     does not stop. Crashed mid-call, it must still issue no disk write
     and fail with ServerDownError, also when the server has booted
-    again meanwhile: the free extent, inode, lives or buffer cache it
-    would write from belong to the dead incarnation, and the next
-    incarnation reads the file back as it was."""
+    again meanwhile: the free extent, inode, lives, verified
+    capabilities or buffer cache it would change belong to the dead
+    incarnation, and the next incarnation reads the file back as it
+    was."""
     env, server, disks, call, crash_after, reads_back = _LOCAL_CALLS[op](op)
 
     def doomed():
@@ -401,7 +405,7 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(
     proc = env.process(doomed())
     env.run(until=env.now + crash_after)
     assert proc.is_alive
-    dead = server._endpoint
+    dead = server.incarnation
     server.crash()
     writes = [disk.stats.writes.value for disk in disks]
     if reboot:
@@ -409,9 +413,57 @@ def test_a_local_call_that_outlives_its_incarnation_writes_nothing(
     env.run(until=proc)
     env.run(until=env.now + 2.0)
     assert [disk.stats.writes.value for disk in disks] == writes
-    assert not dead.members and not server._endpoint.members
+    assert not dead.members and not server.incarnation.members
     if reboot:
+        if isinstance(server, BulletServer):  # it verified nothing here
+            assert len(server.incarnation.verified_caps) == 0
         assert reads_back()
+
+
+@pytest.mark.parametrize("reboot", [False, True], ids=["down", "rebooted"])
+def test_a_read_that_outlives_its_incarnation_leaves_the_next_one_alone(
+        reboot):
+    """A local READ of an evicted 8 KB file queues its lock upgrade
+    behind a reader that holds the file for 200 ms, and the server
+    crashes 10 ms in. The READ works on the incarnation it started in
+    and refuses before it reserves cache space, so the next
+    incarnation's inode keeps ``index == 0`` and its own READ loads the
+    file. Revalidated against the next incarnation's table, the stale
+    READ used to write the dead cache's rnode number into it, and the
+    live server's next READ failed with a ConsistencyError."""
+    env = Environment()
+    server = make_bullet(env)
+    data = bytes(range(256)) * 32
+    cap = run_process(env, server.create(data, 1))
+    server.evict(cap.object)
+
+    def holder():
+        with server.incarnation.locks.reading(cap.object) as lock:
+            yield lock.grant
+            yield env.timeout(0.2)
+
+    outcome = []
+
+    def stale_read():
+        try:
+            outcome.append((yield from server.read(cap)))
+        except ServerDownError as exc:
+            outcome.append(exc)
+
+    env.process(holder())
+    proc = env.process(stale_read())
+    env.run(until=env.now + 0.01)
+    assert proc.is_alive
+    server.crash()
+    if reboot:
+        run_process(env, server.boot())
+    env.run(until=proc)
+    if not reboot:
+        run_process(env, server.boot())
+    index = server.incarnation.table.get(cap.object).index
+    assert run_process(env, server.read(cap)) == data
+    assert index == 0
+    assert isinstance(outcome[0], ServerDownError)
 
 
 #: Crash points of an online compaction pass over six 32 KB survivors
@@ -629,7 +681,7 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     assert world.run_to_completion(scenario()) is True
     assert len(done) == 4, "a client hung or died mid-stress"
     assert ctrl.firings, "the flaky window never opened"
-    bullet.disk_free.check_invariants()
+    bullet.incarnation.disk_free.check_invariants()
 
     # Reboot purely from disk: a consistent volume (the scan raises on
     # any bad inode), every byte back.
@@ -638,7 +690,7 @@ def test_stress_worker_pool_flaky_disk_online_compaction(seed):
     env.run(until=env.process(reborn.boot()))
     for cap, payload in world.expected.items():
         assert run_process(env, reborn.read(cap)) == payload
-    reborn.disk_free.check_invariants()
+    reborn.incarnation.disk_free.check_invariants()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -689,8 +741,8 @@ def test_cold_read_storm_over_an_extent_flaky_on_every_replica(seed):
         assert isinstance(outcome, ReproError) or outcome == payload, (
             f"READ returned {len(outcome)} of {len(payload)} bytes")
     assert outcomes[-1] == payload
-    assert bullet.cache.peek(cap.object).data == payload
-    bullet.cache.check_invariants()
+    assert bullet.incarnation.cache.peek(cap.object).data == payload
+    bullet.incarnation.cache.check_invariants()
     world.audit_storage()
 
 
@@ -769,7 +821,7 @@ def test_nfs_server_killed_mid_write_reboots_with_every_acknowledged_file(
     for path, payload in acknowledged.items():
         assert call(read_file(path, len(payload))) == payload, path
     owners = {}
-    for inum, fbn in reborn.fs.owned_blocks():
+    for inum, fbn in reborn.incarnation.fs.owned_blocks():
         assert owners.setdefault(fbn, inum) == inum, (
             f"block {fbn} owned by inodes {owners[fbn]} and {inum}")
 

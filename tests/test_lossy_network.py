@@ -146,7 +146,7 @@ def test_bullet_ops_end_to_end_on_lossy_network():
 
     caps = run_process(env, scenario())
     assert bullet.stats.creates.value == 20
-    assert bullet.table.live_count == 20
+    assert bullet.incarnation.table.live_count == 20
     assert eth.stats.lost_packets.value > 0
 
 

@@ -47,19 +47,19 @@ steps = st.builds(
 
 
 def check_invariants(bullet):
-    bullet.disk_free.check_invariants()
-    bullet.cache.check_invariants()
+    bullet.incarnation.disk_free.check_invariants()
+    bullet.incarnation.cache.check_invariants()
     # Accounting: every live inode's extent is allocated, totals match.
     used = 0
-    for _number, inode in bullet.table.live_inodes():
-        blocks = bullet.layout.blocks_for(inode.size)
+    for _number, inode in bullet.incarnation.table.live_inodes():
+        blocks = bullet.incarnation.layout.blocks_for(inode.size)
         used += blocks
         if blocks:
-            assert not bullet.disk_free.is_free(inode.start_block, blocks)
-    assert used == bullet.disk_free.used_units
+            assert not bullet.incarnation.disk_free.is_free(inode.start_block, blocks)
+    assert used == bullet.incarnation.disk_free.used_units
     # Every inode.index points at an rnode for that inode, and vice versa.
-    for number, inode in bullet.table.live_inodes():
-        rnode = bullet.cache.peek(number)
+    for number, inode in bullet.incarnation.table.live_inodes():
+        rnode = bullet.incarnation.cache.peek(number)
         assert inode.index == (rnode.number if rnode is not None else 0)
 
 
@@ -118,7 +118,7 @@ def test_bullet_server_matches_reference_model(script):
     reborn = BulletServer(env, bullet.mirror, bullet.testbed, name="bullet")
     report = env.run(until=env.process(reborn.boot()))
     assert report.live_files == len(model)
-    assert reborn.disk_free.free_units == bullet.disk_free.free_units
+    assert reborn.incarnation.disk_free.free_units == bullet.incarnation.disk_free.free_units
     for cap, expected in model.items():
         assert run_process(env, reborn.read(cap)) == expected
     check_invariants(reborn)

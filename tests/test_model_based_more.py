@@ -178,7 +178,7 @@ def test_three_way_mirror_p_factor_three(env):
                          testbed=small_testbed(default_p_factor=3))
     cap = run_process(env, bullet.create(b"thrice", 3))
     for disk in bullet.mirror.disks:
-        inode = bullet.table.get(cap.object)
+        inode = bullet.incarnation.table.get(cap.object)
         assert disk.read_raw(inode.start_block, 1)[:6] == b"thrice"
     bullet.mirror.disks[0].fail("one")
     bullet.mirror.disks[1].fail("two")

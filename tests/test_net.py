@@ -744,7 +744,7 @@ def test_null_rpc_under_sixteen_clients_stays_inside_its_event_budget():
     env = Environment()
     _eth, rpc = make_net(env)
     service = _NullService(env, "null", transport=rpc, workers=4)
-    service._start_serving(service._incarnation())
+    service._start_serving(ServiceEndpoint(env, service.port, rpc))
     calls = 50
 
     def client():

@@ -817,5 +817,5 @@ def test_a_rebooted_server_gives_no_acknowledged_block_away(env):
     fh = run_process(env, server2.lookup(root, "durable"))
     assert run_process(env, server2.read(fh, 0, 8192)) == b"A" * 8192
     owners = {}
-    for inum, fbn in server2.fs.owned_blocks():
+    for inum, fbn in server2.incarnation.fs.owned_blocks():
         assert owners.setdefault(fbn, inum) == inum, f"block {fbn} owned twice"

@@ -55,7 +55,7 @@ def test_cached_reread_is_local(env):
     payload = bytes(range(256)) * 64  # 16 KB
     write_file(env, client, "/f", payload)
     assert read_file(env, client, "/f", len(payload)) == payload
-    reads_at_server = server.fs.cache.stats  # server-side state
+    reads_at_server = server.incarnation.fs.cache.stats  # server-side state
     misses_before = client.cache_misses
     t0 = env.now
     assert read_file(env, client, "/f", len(payload)) == payload

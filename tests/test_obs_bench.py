@@ -32,7 +32,7 @@ from conftest import SMALL_DISK, make_bullet, reference_env, small_testbed
 def test_cache_is_the_single_counting_authority(env, bullet):
     """The PR 4 bugfix: the server's inode.index probe delegates to the
     cache, so a request can never be counted twice."""
-    stats = bullet.cache.stats
+    stats = bullet.incarnation.cache.stats
     cap = run_process(env, bullet.create(b"x" * 1024, 1))
     assert stats.lookups.value == 0  # create inserts; it does not probe
     run_process(env, bullet.read(cap))
@@ -59,7 +59,7 @@ def test_conservation_and_status_hit_rate_match_registry(env, bullet):
     hits = reg.value("repro_cache_hits_total", cache="bullet")
     misses = reg.value("repro_cache_misses_total", cache="bullet")
     assert hits + misses == lookups
-    assert lookups == bullet.cache.stats.lookups.value
+    assert lookups == bullet.incarnation.cache.stats.lookups.value
     status = bullet.status()
     assert status["cache_hit_rate"] == pytest.approx(hits / (hits + misses))
     # std_status reads the very same registry counters.
@@ -177,7 +177,7 @@ def test_make_rig_shares_one_registry():
     assert rig.bullet.metrics is reg
     assert rig.nfs.metrics is reg
     assert rig.rpc.metrics is reg
-    assert rig.bullet.cache.stats.registry is reg
+    assert rig.bullet.incarnation.cache.stats.registry is reg
     # Disks and the segment registered their instruments there too.
     assert reg.find("repro_disk_writes_total", disk="bullet-d0") is not None
     assert reg.find("repro_ethernet_packets_total",
@@ -189,17 +189,17 @@ def test_make_rig_shares_one_registry():
 def test_freelist_gauges_track_the_arena(env, bullet):
     reg = bullet.metrics
     disk_free = reg.find("repro_freelist_free_units", area="bullet:disk")
-    assert disk_free.value == bullet.disk_free.free_units
+    assert disk_free.value == bullet.incarnation.disk_free.free_units
     run_process(env, bullet.create(bytes(8 * KB), 1))
-    assert disk_free.value == bullet.disk_free.free_units
+    assert disk_free.value == bullet.incarnation.disk_free.free_units
     frag = reg.find("repro_freelist_fragmentation", area="bullet:disk")
-    assert frag.value == bullet.disk_free.external_fragmentation()
+    assert frag.value == bullet.incarnation.disk_free.external_fragmentation()
     # The cache arena's gauges survive a compaction (arena rebuild).
     cache_free = reg.find("repro_freelist_free_units", area="bullet:cache")
-    assert cache_free.value == bullet.cache.free_bytes
-    bullet.cache.compact()
+    assert cache_free.value == bullet.incarnation.cache.free_bytes
+    bullet.incarnation.cache.compact()
     run_process(env, bullet.create(bytes(4 * KB), 1))
-    assert cache_free.value == bullet.cache.free_bytes
+    assert cache_free.value == bullet.incarnation.cache.free_bytes
 
 
 def test_retransmit_counter_lives_in_the_registry(env):

@@ -130,17 +130,17 @@ def _state(kind, server):
     """Everything a boot builds, as comparable values."""
     if kind == "bullet":
         return ([(n, i.secret, i.start_block, i.size, server.lives_of(n))
-                 for n, i in server.table.live_inodes()],
-                server.disk_free.holes(), server.cache.cached_files,
-                server.cache.used_bytes, len(server._verified_caps),
-                server.locks.held_keys())
+                 for n, i in server.incarnation.table.live_inodes()],
+                server.incarnation.disk_free.holes(), server.incarnation.cache.cached_files,
+                server.incarnation.cache.used_bytes, len(server.incarnation.verified_caps),
+                server.incarnation.locks.held_keys())
     if kind == "directory":
-        return (server._slots, server._free_slots, server._rows_cache,
-                server.locks.held_keys())
+        return (server.incarnation.slots, server.incarnation.free_slots, server.incarnation.rows_cache,
+                server.incarnation.locks.held_keys())
     if kind == "log":
-        return server._logs, server._free_blocks, server.locks.held_keys()
-    return (bytes(server.fs._bitmap), server.fs.free_bytes,
-            dict(server.cache._blocks), server.cache._dirty)
+        return server.incarnation.logs, server.incarnation.free_blocks, server.incarnation.locks.held_keys()
+    return (bytes(server.incarnation.fs._bitmap), server.incarnation.fs.free_bytes,
+            dict(server.incarnation.cache._blocks), server.incarnation.cache._dirty)
 
 
 def _next_object(kind, server):
@@ -242,7 +242,7 @@ def test_a_directory_create_refused_by_bullet_keeps_its_slot():
 def test_a_log_create_whose_write_fails_keeps_its_first_block():
     env, logs, _build = _world("log")
     free = logs.status()["free_blocks"]
-    first = logs._free_blocks[-1]
+    first = logs.incarnation.free_blocks[-1]
     logs.disk.mark_flaky(first, 1)
     with pytest.raises(ReproError):
         run_process(env, logs.create_log())
@@ -262,8 +262,8 @@ def test_a_log_append_whose_new_block_fails_keeps_the_block(failing):
     full = b"x" * logs.max_record
     run_process(env, logs.append(log, full))
     status = logs.status()
-    block = (logs._free_blocks[-1] if failing == "new block"
-             else logs._logs[log.object - 1].tail_block)
+    block = (logs.incarnation.free_blocks[-1] if failing == "new block"
+             else logs.incarnation.logs[log.object - 1].tail_block)
     logs.disk.mark_flaky(block, 1)
     with pytest.raises(ReproError):
         run_process(env, logs.append(log, b"refused"))
