@@ -113,6 +113,10 @@ class BulletCache:
         self._free_slots = list(range(rnode_count, 0, -1))
         self._tick = 0
 
+    def detach_gauges(self) -> None:
+        """Publish the arena no more (its incarnation is over)."""
+        self._arena.detach_gauges()
+
     # ------------------------------------------------------------ queries
 
     @property

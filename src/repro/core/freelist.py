@@ -101,6 +101,10 @@ class ExtentFreeList:
             for name in ("fragmentation", "free_units", "largest_hole"))
         self._publish()
 
+    def detach_gauges(self) -> None:
+        """Publish no more: the gauges go on with a later free list."""
+        self._gauges = None
+
     def _publish(self) -> None:
         if self._gauges is not None:
             fragmentation, free_units, largest_hole = self._gauges
@@ -153,18 +157,12 @@ class ExtentFreeList:
         """Claim a specific extent (startup scan replaying live inodes)."""
         if length <= 0:
             raise BadRequestError(f"allocation length must be positive: {length}")
-        i = bisect.bisect_right(self._starts, start) - 1
-        if i < 0 or not (
-            self._starts[i] <= start
-            and start + length <= self._starts[i] + self._lengths[i]
-        ):
+        if not self.is_free(start, length):
             raise ConsistencyError(
-                f"extent [{start}, {start + length}) is not free"
-            )
-        hole_start = self._starts[i]
-        hole_len = self._lengths[i]
-        del self._starts[i]
-        del self._lengths[i]
+                f"extent [{start}, {start + length}) is not free")
+        i = bisect.bisect_right(self._starts, start) - 1
+        hole_start = self._starts.pop(i)
+        hole_len = self._lengths.pop(i)
         right_start = start + length
         right_len = hole_start + hole_len - right_start
         if right_len > 0:
@@ -187,20 +185,16 @@ class ExtentFreeList:
             )
         i = bisect.bisect_left(self._starts, start)
         # Overlap checks against both neighbours.
-        if i > 0 and self._starts[i - 1] + self._lengths[i - 1] > start:
-            raise ConsistencyError(
-                f"double free: [{start}, {start + length}) overlaps a hole"
-            )
-        if i < len(self._starts) and start + length > self._starts[i]:
+        if (i > 0 and self._starts[i - 1] + self._lengths[i - 1] > start
+                or i < len(self._starts) and start + length > self._starts[i]):
             raise ConsistencyError(
                 f"double free: [{start}, {start + length}) overlaps a hole"
             )
         merge_left = i > 0 and self._starts[i - 1] + self._lengths[i - 1] == start
         merge_right = i < len(self._starts) and start + length == self._starts[i]
         if merge_left and merge_right:
-            self._lengths[i - 1] += length + self._lengths[i]
+            self._lengths[i - 1] += length + self._lengths.pop(i)
             del self._starts[i]
-            del self._lengths[i]
         elif merge_left:
             self._lengths[i - 1] += length
         elif merge_right:

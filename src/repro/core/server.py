@@ -157,6 +157,12 @@ class BulletIncarnation(ServiceEndpoint):
         """Cache eviction callback: clear the inode's index field."""
         self.table.get(inode_number).index = 0
 
+    def crash(self) -> None:
+        """End this life; its free maps publish no more (DESIGN.md §5c)."""
+        super().crash()
+        self.disk_free.detach_gauges()
+        self.cache.detach_gauges()
+
 
 class BulletServer(RpcService[BulletIncarnation]):
     """One Bullet file server instance over a mirrored disk set."""
@@ -258,21 +264,18 @@ class BulletServer(RpcService[BulletIncarnation]):
                 f"{size}-byte file exceeds the server's {cache.capacity}-byte memory"
             )
         blocks = incarnation.layout.blocks_for(size)
-        incarnation.require_up()  # shared gauges: DESIGN.md §5c
+        incarnation.require_up()  # shared counters: DESIGN.md §5c
         disk_free = incarnation.disk_free
         start_block = disk_free.allocate(blocks) if blocks else 0
         secret = incarnation.mint_secret()
+        number = 0  # no inode is number 0
         try:
             number = table.allocate(secret, start_block, size)
-        except ReproError:
-            if blocks:
-                disk_free.free(start_block, blocks)
-            raise
-        # Copy the file into the contiguous RAM cache.
-        try:
+            # Copy the file into the contiguous RAM cache.
             rnode = cache.insert(number, data)
         except ReproError:
-            table.release(number)
+            if number:
+                table.release(number)
             if blocks:
                 disk_free.free(start_block, blocks)
             raise
@@ -393,8 +396,7 @@ class BulletServer(RpcService[BulletIncarnation]):
 
     def _destroy(self, incarnation: BulletIncarnation, number: int, inode):
         """Free an inode and its extent, write the change through; a
-        dead ``incarnation`` refuses before it frees anything."""
-        incarnation.require_up()
+        dead ``incarnation`` frees in its own tables, then refuses."""
         blocks = incarnation.layout.blocks_for(inode.size)
         start_block = inode.start_block
         incarnation.cache.remove(number)
@@ -617,7 +619,7 @@ class BulletServer(RpcService[BulletIncarnation]):
             # we waited for the lock.
             rnode = cache.peek(number)
         if rnode is None:
-            incarnation.require_up()  # shared gauges: DESIGN.md §5c
+            incarnation.require_up()  # shared counters: DESIGN.md §5c
             tracer = self._tracer
             if tracer is not None:
                 disk_span = tracer.begin_span(

@@ -662,7 +662,7 @@ def test_operations_require_boot(env):
     table and adds nothing to its verified-capability cache (boot()
     builds that cache, empty, so an unbooted server has none)."""
     def cached(server):
-        return len(getattr(server, "_verified_caps", ()))
+        return len(getattr(server._endpoint, "verified_caps", ()))
 
     def refused(server, cap):
         before = cached(server)
@@ -684,6 +684,7 @@ def test_operations_require_boot(env):
     cap = call(env, server.create(b"x" * 100, p_factor=2))
     call(env, server.read(cap))
     server.crash()
+    assert cached(server) == 1      # the READ's check, on the dead one
     checks = server.stats.cap_checks.value
     refused(server, cap)
     assert server.stats.cap_checks.value == checks

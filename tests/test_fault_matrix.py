@@ -481,7 +481,8 @@ def test_a_compaction_pass_that_outlives_its_incarnation_writes_nothing(
         crash_ms, late):
     """The pass is still moving files when the server crashes. It must
     end at its next write with ServerDownError, and never move a file in
-    the next incarnation's tables: files created after the reboot and
+    the next incarnation's tables: the disk gauges show the next
+    incarnation's free map, and files created after the reboot and
     every survivor read back after one more crash and boot."""
     from repro.core import compact_disk
 
@@ -500,12 +501,20 @@ def test_a_compaction_pass_that_outlives_its_incarnation_writes_nothing(
             yield from compact_disk(server)
         ended.append(env.now)
 
-    env.process(compaction())
+    sweep = env.process(compaction())
     env.run(until=env.now + crash_ms / 1000)
     server.crash()
     if late:
         env.run(until=env.now + 0.05)
     run_process(env, server.boot())
+    if sweep.is_alive:
+        env.run(until=sweep)
+    gauges = [server.metrics.find(f"repro_freelist_{name}",
+                                  area="bullet:disk").value
+              for name in ("fragmentation", "free_units", "largest_hole")]
+    disk_free = server.incarnation.disk_free  # the gauges show this one
+    assert gauges == [disk_free.external_fragmentation(),
+                      disk_free.free_units, disk_free.largest_hole]
     for n in range(3):
         data = bytes([100 + n]) * size
         kept[run_process(env, server.create(data, 1))] = data

@@ -202,6 +202,29 @@ def test_freelist_gauges_track_the_arena(env, bullet):
     assert cache_free.value == bullet.incarnation.cache.free_bytes
 
 
+def test_a_dead_incarnation_leaves_the_freelist_gauges_to_the_next(
+        env, bullet):
+    """A crash unbinds the dead incarnation's free maps from the
+    ``repro_freelist_*`` gauges: the undo paths a stale handler can still
+    run on them (compaction freeing its claim, a failed load removing
+    its rnode) leave the gauges to the next one."""
+    cap = run_process(env, bullet.create(bytes(8 * KB), 1))
+    dead = bullet.incarnation
+    inode = dead.table.get(cap.object)
+    bullet.crash()
+    run_process(env, bullet.boot())
+
+    def gauges():
+        return [bullet.metrics.find(f"repro_freelist_{name}", area=area).value
+                for area in ("bullet:disk", "bullet:cache")
+                for name in ("fragmentation", "free_units", "largest_hole")]
+
+    live = gauges()
+    dead.disk_free.free(inode.start_block, dead.layout.blocks_for(inode.size))
+    dead.cache.remove(cap.object)
+    assert gauges() == live
+
+
 def test_retransmit_counter_lives_in_the_registry(env):
     eth = Ethernet(env, EthernetProfile())
     rpc = RpcTransport(env, eth, CpuProfile())
