@@ -156,8 +156,8 @@ class WorkstationCache:
         #: Simulated cost of one local one-way-function evaluation.
         self._derive_cost = cpu.capability_check if cpu is not None else 0.0
         self.stats = WorkstationCacheStats(self.metrics, workstation=name)
-        self._bytes_gauge = self.metrics.gauge(
-            "repro_client_cache_bytes", workstation=name)
+        self.metrics.gauge("repro_client_cache_bytes", self,
+                           lambda cache: cache._used, workstation=name)
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
         self._used = 0
 
@@ -241,7 +241,7 @@ class WorkstationCache:
         entry = _Entry(bytes(data))
         entry.learn(cap)
         self._entries[key] = entry
-        self._account(len(data))
+        self._used += len(data)
         return True
 
     def currency_evidence(self, based_on: Capability,
@@ -392,13 +392,9 @@ class WorkstationCache:
         whole budget) fits."""
         while self._used + needed > self.capacity:
             _key, entry = self._entries.popitem(last=False)
-            self._account(-len(entry.data))
+            self._used -= len(entry.data)
             self.stats.evictions.inc()
 
     def _drop(self, key: tuple[int, int], entry: _Entry) -> None:
         del self._entries[key]
-        self._account(-len(entry.data))
-
-    def _account(self, delta: int) -> None:
-        self._used += delta
-        self._bytes_gauge.set(self._used)
+        self._used -= len(entry.data)

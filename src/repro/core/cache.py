@@ -30,7 +30,7 @@ from ..errors import (
     NoSpaceError,
 )
 from ..obs import MetricsRegistry, RegistryStats
-from .freelist import ExtentFreeList
+from .freelist import ExtentFreeList, bind_gauges
 
 __all__ = ["Rnode", "BulletCache", "CacheStats"]
 
@@ -99,8 +99,8 @@ class BulletCache:
         self.on_evict = on_evict
         self._arena: ExtentFreeList = ExtentFreeList(
             0, capacity_bytes, strategy="first_fit")
-        self._area = f"{owner}:cache"  # the arena's gauges
-        self._arena.attach_gauges(self.stats.registry, self._area)
+        bind_gauges(self.stats.registry, f"{owner}:cache", self,
+                    lambda cache: cache._arena)
         # Shared by every handler in the worker pool and *not* protected
         # by the file locks (CREATE inserts before it holds any grant).
         # What protects them: no method here yields, so each probe and
@@ -112,10 +112,6 @@ class BulletCache:
         self._by_inode: dict[int, Rnode] = {}
         self._free_slots = list(range(rnode_count, 0, -1))
         self._tick = 0
-
-    def detach_gauges(self) -> None:
-        """Publish the arena no more (its incarnation is over)."""
-        self._arena.detach_gauges()
 
     # ------------------------------------------------------------ queries
 
@@ -303,7 +299,6 @@ class BulletCache:
             key=lambda r: r.addr,
         )
         self._arena = ExtentFreeList(0, self.capacity, strategy="first_fit")
-        self._arena.attach_gauges(self.stats.registry, self._area)
         moved = 0
         cursor = 0
         for rnode in rnodes:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..errors import BadRequestError, ConsistencyError, NoSpaceError
 
-__all__ = ["Extent", "ExtentFreeList"]
+__all__ = ["Extent", "ExtentFreeList", "bind_gauges"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class ExtentFreeList:
         # cooperative kernel.
         self._starts: list[int] = [area_start] if area_size else []
         self._lengths: list[int] = [area_size] if area_size else []
-        self._gauges: Optional[tuple] = None  # see attach_gauges
 
     # ------------------------------------------------------------ queries
 
@@ -88,29 +87,6 @@ class ExtentFreeList:
         if free == 0:
             return 0.0
         return 1.0 - self.largest_hole / free
-
-    # ------------------------------------------------------ observability
-
-    def attach_gauges(self, registry, area: str) -> None:
-        """Track this area's fragmentation state in ``registry``'s
-        ``repro_freelist_*{area=...}`` gauges (see :mod:`repro.obs`);
-        they are updated eagerly after every allocate/free, so a
-        snapshot at any sim time is current."""
-        self._gauges = tuple(
-            registry.gauge(f"repro_freelist_{name}", area=area)
-            for name in ("fragmentation", "free_units", "largest_hole"))
-        self._publish()
-
-    def detach_gauges(self) -> None:
-        """Publish no more: the gauges go on with a later free list."""
-        self._gauges = None
-
-    def _publish(self) -> None:
-        if self._gauges is not None:
-            fragmentation, free_units, largest_hole = self._gauges
-            fragmentation.set(self.external_fragmentation())
-            free_units.set(self.free_units)
-            largest_hole.set(self.largest_hole)
 
     def is_free(self, start: int, length: int) -> bool:
         """True when [start, start+length) lies entirely inside a hole."""
@@ -150,7 +126,6 @@ class ExtentFreeList:
         else:
             self._starts[index] += length
             self._lengths[index] -= length
-        self._publish()
         return start
 
     def allocate_at(self, start: int, length: int) -> None:
@@ -172,7 +147,6 @@ class ExtentFreeList:
         if left_len > 0:
             self._starts.insert(i, hole_start)
             self._lengths.insert(i, left_len)
-        self._publish()
 
     def free(self, start: int, length: int) -> None:
         """Return [start, start+length) to the free list, coalescing with
@@ -203,7 +177,6 @@ class ExtentFreeList:
         else:
             self._starts.insert(i, start)
             self._lengths.insert(i, length)
-        self._publish()
 
     def _pick_hole(self, length: int) -> Optional[int]:
         if self.strategy == "first_fit":
@@ -236,3 +209,16 @@ class ExtentFreeList:
                 if start == prev_end:
                     raise ConsistencyError("adjacent holes not coalesced")
             prev_end = start + length
+
+
+def bind_gauges(registry, area: str, owner: object,
+                current: Callable[[Any], ExtentFreeList]) -> None:
+    """Bind ``registry``'s ``repro_freelist_*{area=...}`` gauges (see
+    :mod:`repro.obs`) to read the free list ``current(owner)`` returns
+    when someone looks: the §3 fragmentation trade-off as a time
+    series."""
+    for name, read in (
+            ("fragmentation", lambda o: current(o).external_fragmentation()),
+            ("free_units", lambda o: current(o).free_units),
+            ("largest_hole", lambda o: current(o).largest_hole)):
+        registry.gauge(f"repro_freelist_{name}", owner, read, area=area)

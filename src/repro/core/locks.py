@@ -169,11 +169,8 @@ class FileLockTable:
         }
         self._contended = registry.counter(
             "repro_lock_contention_total", server=owner)
-        self._held_gauge = registry.gauge("repro_lock_held", server=owner)
-        # Incrementally tracked count of keys with an active holder;
-        # always equals len(held_keys()) but costs O(1) per transition
-        # instead of a sort of the whole table per admit/release.
-        self._held_count = 0
+        registry.gauge("repro_lock_held", self,
+                       lambda table: len(table.held_keys()), server=owner)
 
     # ------------------------------------------------------------ queries
 
@@ -203,12 +200,10 @@ class FileLockTable:
         * mode tags are well-formed and every grant is filed under its
           own key;
         * idle locks were reaped (``release`` drops empty entries);
-        * ``_held_count`` matches the actual number of held keys;
         * every queued grant with an owner has a waits-for entry, and
           the waits-for graph over queued owners is acyclic (grants are
           admitted in FIFO order, so a cycle would wait forever).
         """
-        held = 0
         for key, lock in self._locks.items():
             if lock.idle:
                 raise ConsistencyError(
@@ -217,8 +212,6 @@ class FileLockTable:
                 raise ConsistencyError(
                     f"inode {key} has {len(lock.readers)} reader(s) and a "
                     f"writer held simultaneously")
-            if lock.readers or lock.writer is not None:
-                held += 1
             holders: List[LockGrant] = list(lock.readers)
             if lock.writer is not None:
                 holders.append(lock.writer)
@@ -248,10 +241,6 @@ class FileLockTable:
                     raise ConsistencyError(
                         f"queued grant on inode {key} missing from the "
                         f"waits-for map")
-        if held != self._held_count:
-            raise ConsistencyError(
-                f"held-key count drifted: tracked {self._held_count}, "
-                f"actual {held}")
         for proc in sorted(self._waiting, key=lambda p: p._serial):
             cycle = self._find_cycle(proc)
             if cycle is not None:
@@ -308,16 +297,12 @@ class FileLockTable:
             checker = active_checker()
             if checker is not None:
                 checker.on_acquire(grant.owner, self._name, grant.key)
-        was_held = bool(lock.readers) or lock.writer is not None
         if grant.mode == READ:
             lock.readers.add(grant)
         else:
             lock.writer = grant
-        if not was_held:
-            self._held_count += 1
         self._acquired[grant.mode].inc()
         self._wait_hist.observe(self.env.now - grant.requested_at)
-        self._held_gauge.set(self._held_count)
         grant.succeed(grant)
 
     # ----------------------------------------------------------- transfer
@@ -355,11 +340,8 @@ class FileLockTable:
         was_held = True
         if grant in lock.readers:
             lock.readers.discard(grant)
-            if not lock.readers and lock.writer is None:
-                self._held_count -= 1
         elif lock.writer is grant:
             lock.writer = None
-            self._held_count -= 1
         else:
             was_held = False
             try:
@@ -377,7 +359,6 @@ class FileLockTable:
         self._promote(lock)
         if lock.idle:
             del self._locks[grant.key]
-        self._held_gauge.set(self._held_count)
 
     def _promote(self, lock: _FileLock) -> None:
         """Admit waiters from the head of the FIFO queue: either one

@@ -51,7 +51,7 @@ from ..obs import MetricsRegistry, RegistryStats
 from ..profiles import Testbed
 from ..sim import Environment, Interrupt, Tracer
 from .cache import BulletCache
-from .freelist import ExtentFreeList
+from .freelist import ExtentFreeList, bind_gauges
 from .inode import InodeTable
 from .layout import VolumeLayout, format_volume, render_layout
 from .locks import FileLockTable
@@ -157,12 +157,6 @@ class BulletIncarnation(ServiceEndpoint):
         """Cache eviction callback: clear the inode's index field."""
         self.table.get(inode_number).index = 0
 
-    def crash(self) -> None:
-        """End this life; its free maps publish no more (DESIGN.md §5c)."""
-        super().crash()
-        self.disk_free.detach_gauges()
-        self.cache.detach_gauges()
-
 
 class BulletServer(RpcService[BulletIncarnation]):
     """One Bullet file server instance over a mirrored disk set."""
@@ -189,10 +183,11 @@ class BulletServer(RpcService[BulletIncarnation]):
         self.master_seed = master_seed
         self._alloc_strategy = alloc_strategy
         self._inflight_count = 0
-        self._inflight = self.metrics.gauge(
-            "repro_server_inflight", server=name)
-        self._queue_depth = self.metrics.gauge(
-            "repro_server_queue_depth", server=name)
+        self.metrics.gauge("repro_server_inflight", self,
+                           lambda server: server._inflight_count,
+                           server=name)
+        self.metrics.gauge("repro_server_workers", self,
+                           lambda server: server.workers, server=name)
         self._bg_write_failures = self.metrics.counter(
             "repro_background_write_failures_total", server=name)
 
@@ -227,7 +222,12 @@ class BulletServer(RpcService[BulletIncarnation]):
             owner=self.name,
         )
         incarnation.verified_caps = VerifiedCapCache(profile.cap_cache_entries)
-        incarnation.disk_free.attach_gauges(self.metrics, f"{self.name}:disk")
+        # This incarnation's gauges: each reads the incarnation that
+        # booted last (DESIGN.md §5c).
+        bind_gauges(self.metrics, f"{self.name}:disk", incarnation,
+                    lambda inc: inc.disk_free)
+        self.metrics.gauge("repro_server_queue_depth", incarnation,
+                           lambda inc: len(inc.inbox), server=self.name)
         # Every surviving file starts its aging clock afresh; orphans
         # left by pre-crash clients die after max_lives sweeps.
         incarnation.lives = GuardedMap(f"{self.name}.lives", self.env, {
@@ -236,8 +236,6 @@ class BulletServer(RpcService[BulletIncarnation]):
         })
         incarnation.locks = FileLockTable(self.env, metrics=self.metrics,
                                           owner=self.name)
-        self.metrics.gauge("repro_server_workers",
-                           server=self.name).set(self.workers)
         self._start_serving(incarnation)
         self._trace("bullet", f"{self.name} booted", files=report.live_files)
         return report
@@ -648,14 +646,11 @@ class BulletServer(RpcService[BulletIncarnation]):
 
     # ------------------------------------------------------------ RPC plane
 
-    def _request_began(self, opname: str, queued: int) -> None:
-        self._queue_depth.set(queued)
+    def _request_began(self, opname: str) -> None:
         self._inflight_count += 1
-        self._inflight.set(self._inflight_count)
 
     def _request_ended(self, reply: Optional[RpcReply]) -> None:
         self._inflight_count -= 1
-        self._inflight.set(self._inflight_count)
         if reply is not None and not reply.ok:
             # Replies only go bad through the shared error chokepoint,
             # so this stays level with repro_server_error_replies_total.

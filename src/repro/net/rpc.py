@@ -526,9 +526,9 @@ class RpcService(Generic[Incarnation]):
         """Generator: perform ``req``, return its :class:`RpcReply`."""
         raise NotImplementedError
 
-    def _request_began(self, opname: str, queued: int) -> None:
+    def _request_began(self, opname: str) -> None:
         """Per-request hook: a worker took a request off the admission
-        queue, leaving ``queued`` behind it."""
+        queue."""
 
     def _request_ended(self, reply: Optional[RpcReply]) -> None:
         """Per-request hook: the dispatch is over; ``reply`` is None when
@@ -546,7 +546,7 @@ class RpcService(Generic[Incarnation]):
                 op_span = tracer.begin_span(
                     "span", "server.op", op=opname, server=self.name)
             started = self.env.now
-            self._request_began(opname, len(endpoint.inbox))
+            self._request_began(opname)
             reply = None
             try:
                 try:

@@ -209,7 +209,7 @@ class NfsServer(RpcService[NfsIncarnation]):
 
     # ------------------------------------------------------------ RPC plane
 
-    def _request_began(self, opname: str, queued: int) -> None:
+    def _request_began(self, opname: str) -> None:
         ctr = self._op_counters.get(opname)
         if ctr is None:
             ctr = self._op_counters[opname] = self.metrics.counter(

@@ -8,7 +8,10 @@ observe itself:
   all sim-time based (no wall clock, analyzer-clean). One registry per
   testbed is the single accounting authority; the per-component stats
   objects (``ServerStats``, ``CacheStats``, ``DiskStats``...) are
-  bundles of its counters (:class:`RegistryStats`).
+  bundles of its counters (:class:`RegistryStats`). A gauge is a
+  reading: it reads the state it reports off its owner, held weakly,
+  whenever someone looks (the table built last rebinds it), so nothing
+  publishes to it.
 * :meth:`MetricsRegistry.snapshot` — the registry as plain data,
   byte-identical across same-seed runs once rendered as canonical JSON.
 * :func:`pair_spans` — request-scoped span reconstruction; spans flow

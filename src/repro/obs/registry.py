@@ -14,6 +14,9 @@ Determinism rules:
 * **Deterministic export.** Collection order is sorted by
   ``(name, labels)``; two same-seed runs render byte-identical text and
   JSON (the runtime half of the analyzer's D001/D002 contract).
+* **Gauges read, nobody sets them.** A :class:`Gauge` reads its owner
+  whenever its value is asked for, so it is current at any sim time and
+  only the newest binding is ever read.
 * **Monotonic counters.** :meth:`Counter.inc` rejects negative deltas,
   so conservation invariants (``hits + misses == lookups``) are checked
   against values that can only have been accumulated, never rewound.
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from typing import Optional
+import weakref
+from typing import Any, Callable, Optional
 
 from ..errors import BadRequestError, ConsistencyError
 
@@ -91,21 +95,37 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (fragmentation, free bytes...)."""
+    """A reading of live state (fragmentation, free bytes...): ``value``
+    is ``read(owner)``, so the gauge is current whenever someone looks
+    and nothing ever publishes to it.
+
+    The owner is held weakly: a registry observes its tables and does
+    not keep them alive (a registry kept after its testbed is dropped
+    would otherwise keep every table it reads). A gauge whose owner is
+    gone refuses to read, so a caller that snapshots a registry later
+    keeps its testbed too.
+    """
 
     kind = "gauge"
 
-    __slots__ = ("value",)
+    __slots__ = ("owner", "read")
 
-    def __init__(self, name: str, labels: tuple):
+    def __init__(self, name: str, labels: tuple, owner: object,
+                 read: Callable[[Any], object]):
         super().__init__(name, labels)
-        self.value = 0
+        self.bind(owner, read)
 
-    def set(self, value) -> None:
-        self.value = value
+    def bind(self, owner: object, read: Callable[[Any], object]) -> None:
+        self.owner = weakref.ref(owner)
+        self.read = read
 
-    def inc(self, amount=1) -> None:
-        self.value += amount
+    @property
+    def value(self):
+        owner = self.owner()
+        if owner is None:
+            raise BadRequestError(
+                f"gauge {self.key} outlived the table it reads")
+        return self.read(owner)
 
 
 class Histogram(Metric):
@@ -163,9 +183,14 @@ class MetricsRegistry:
         """The counter named ``name`` with exactly ``labels``."""
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        """The gauge named ``name`` with exactly ``labels``."""
-        return self._get(Gauge, name, labels)
+    def gauge(self, name: str, owner: object, read: Callable[[Any], object],
+              **labels) -> Gauge:
+        """The gauge named ``name`` with exactly ``labels``, reading
+        ``read(owner)``; registering it again rebinds it, so the newest
+        owner (the table built last) owns the gauge."""
+        gauge = self._get(Gauge, name, labels, owner=owner, read=read)
+        gauge.bind(owner, read)
+        return gauge
 
     def histogram(self, name: str, buckets: tuple, **labels) -> Histogram:
         """The histogram named ``name``; ``buckets`` must agree with any

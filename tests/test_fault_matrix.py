@@ -466,6 +466,90 @@ def test_a_read_that_outlives_its_incarnation_leaves_the_next_one_alone(
     assert isinstance(outcome[0], ServerDownError)
 
 
+def _dead_free_maps(env, server):
+    """The undo paths a stale handler can still run on a dead
+    incarnation's free maps after the reboot: compaction handing back
+    its claim, a failed load removing its rnode."""
+    cap = run_process(env, server.create(bytes(8 * 1024), 1))
+    dead = server.incarnation
+    inode = dead.table.get(cap.object)
+    server.crash()
+    run_process(env, server.boot())
+
+    def last_moves():
+        dead.disk_free.free(inode.start_block,
+                            dead.layout.blocks_for(inode.size))
+        dead.cache.remove(cap.object)
+
+    def truth():
+        live = server.incarnation
+        return {area: (f.external_fragmentation(), f.free_units,
+                       f.largest_hole)
+                for area, f in (("bullet:disk", live.disk_free),
+                                ("bullet:cache", live.cache._arena))}
+
+    def readings():
+        return {area: tuple(server.metrics.value(f"repro_freelist_{name}",
+                                                 area=area)
+                            for name in ("fragmentation", "free_units",
+                                         "largest_hole"))
+                for area in ("bullet:disk", "bullet:cache")}
+
+    return last_moves, truth, readings
+
+
+def _dead_lock_table(env, server):
+    """A READ of an evicted file queues its lock upgrade behind a reader
+    that holds it for 200 ms, the server crashes 10 ms in and reboots,
+    and a live reader then holds one grant in the next table: the dead
+    grants are given back after the reboot."""
+    cap = run_process(env, server.create(bytes(8 * 1024), 1))
+    server.evict(cap.object)
+
+    def holder(locks, seconds):
+        with locks.reading(cap.object) as lock:
+            yield lock.grant
+            yield env.timeout(seconds)
+
+    def stale_read():
+        with pytest.raises(ServerDownError):
+            yield from server.read(cap)
+
+    env.process(holder(server.incarnation.locks, 0.2))
+    stale = env.process(stale_read())
+    env.run(until=env.now + 0.01)
+    server.crash()
+    run_process(env, server.boot())
+    env.process(holder(server.incarnation.locks, 1.0))
+    env.run(until=env.now + 0.001)
+
+    def truth():
+        return len(server.incarnation.locks.held_keys())
+
+    def readings():
+        return server.metrics.value("repro_lock_held", server=server.name)
+
+    assert truth() == 1
+    return (lambda: env.run(until=stale)), truth, readings
+
+
+@pytest.mark.parametrize("dead", [_dead_free_maps, _dead_lock_table],
+                         ids=["free_maps", "lock_table"])
+def test_a_dead_incarnation_moves_no_gauge(dead):
+    """Every gauge reads the incarnation that booted last, so what a
+    stale handler still does to a dead incarnation's tables after the
+    reboot moves no gauge: before and after those last moves, each
+    gauge shows the live incarnation's table. A lock table used to
+    publish its count on every grant and release, so a dead grant given
+    back set ``repro_lock_held`` to the dead table's count."""
+    env = Environment()
+    server = make_bullet(env)
+    last_moves, truth, readings = dead(env, server)
+    assert readings() == truth()
+    last_moves()
+    assert readings() == truth()
+
+
 #: Crash points of an online compaction pass over six 32 KB survivors
 #: (ms into the pass, and whether the boot comes at once or 50 ms
 #: later). Before the pass was bound to its incarnation, each left a

@@ -32,13 +32,34 @@ def test_counter_monotonic():
     assert c.value == 42
 
 
+class _Level:
+    def __init__(self, value):
+        self.value = value
+
+
 def test_gauge_moves_both_ways():
+    """A gauge reads its owner whenever someone looks; registering it
+    again rebinds it, so the old owner no longer reaches it; and it
+    holds its owner weakly."""
     reg = MetricsRegistry()
-    g = reg.gauge("repro_level")
-    g.set(10)
-    g.inc(5)
-    g.inc(-3)
+    level = _Level(10)
+    g = reg.gauge("repro_level", level, lambda owner: owner.value)
+    assert g.value == 10
+    level.value += 5
+    assert g.value == 15
+    level.value -= 3
     assert g.value == 12
+    assert reg.value("repro_level") == 12
+    assert reg.snapshot()["gauges"] == {"repro_level": 12}
+    newer = _Level(7)
+    assert reg.gauge("repro_level", newer, lambda owner: owner.value) is g
+    level.value = 99
+    assert g.value == 7
+    newer.value = 8
+    assert reg.value("repro_level") == 8
+    del newer
+    with pytest.raises(BadRequestError):
+        g.value
 
 
 def test_histogram_bucket_placement():
@@ -79,7 +100,7 @@ def test_kind_conflict_and_bad_names():
     reg = MetricsRegistry()
     reg.counter("repro_thing_total")
     with pytest.raises(ConsistencyError):
-        reg.gauge("repro_thing_total")
+        reg.gauge("repro_thing_total", _Level(0), lambda owner: owner.value)
     with pytest.raises(BadRequestError):
         reg.counter("0bad")
     with pytest.raises(BadRequestError):
@@ -99,10 +120,13 @@ def test_value_find_total():
 # ------------------------------------------------------------ snapshots
 
 
+_FRAG = _Level(0.25)
+
+
 def _sample_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("repro_ops_total", server="s1").inc(3)
-    reg.gauge("repro_frag", area="s1:disk").set(0.25)
+    reg.gauge("repro_frag", _FRAG, lambda owner: owner.value, area="s1:disk")
     h = reg.histogram("repro_lat_seconds", buckets=(0.01, 0.1))
     h.observe(0.05)
     return reg
@@ -114,7 +138,7 @@ def test_render_deterministic_across_builds():
     b = MetricsRegistry()
     h = b.histogram("repro_lat_seconds", buckets=(0.01, 0.1))
     h.observe(0.05)
-    b.gauge("repro_frag", area="s1:disk").set(0.25)
+    b.gauge("repro_frag", _FRAG, lambda owner: owner.value, area="s1:disk")
     b.counter("repro_ops_total", server="s1").inc(3)
     assert canonical_json(a.snapshot()) == canonical_json(b.snapshot())
 

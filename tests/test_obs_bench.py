@@ -3,7 +3,9 @@ bugfixes (cache double count, error chokepoint, MODIFY bytes), the
 shared-registry wiring, request spans end-to-end, and the bench plane
 (every experiment in the table reproduces its committed artifact)."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from repro.capability import Capability
 from repro.bench.experiments import (EXPERIMENTS, artifact_path,
                                      canonical_json, check, write)
-from repro.client import BulletClient
+from repro.client import BulletClient, WorkstationCache
 from repro.disk import VirtualDisk
 from repro.errors import (BadRequestError, ConsistencyError, NotFoundError,
                           Status)
@@ -194,7 +196,8 @@ def test_freelist_gauges_track_the_arena(env, bullet):
     assert disk_free.value == bullet.incarnation.disk_free.free_units
     frag = reg.find("repro_freelist_fragmentation", area="bullet:disk")
     assert frag.value == bullet.incarnation.disk_free.external_fragmentation()
-    # The cache arena's gauges survive a compaction (arena rebuild).
+    # The cache arena's gauges read whichever arena is current, also
+    # after a compaction rebuilds it.
     cache_free = reg.find("repro_freelist_free_units", area="bullet:cache")
     assert cache_free.value == bullet.incarnation.cache.free_bytes
     bullet.incarnation.cache.compact()
@@ -202,27 +205,27 @@ def test_freelist_gauges_track_the_arena(env, bullet):
     assert cache_free.value == bullet.incarnation.cache.free_bytes
 
 
-def test_a_dead_incarnation_leaves_the_freelist_gauges_to_the_next(
-        env, bullet):
-    """A crash unbinds the dead incarnation's free maps from the
-    ``repro_freelist_*`` gauges: the undo paths a stale handler can still
-    run on them (compaction freeing its claim, a failed load removing
-    its rnode) leave the gauges to the next one."""
-    cap = run_process(env, bullet.create(bytes(8 * KB), 1))
-    dead = bullet.incarnation
-    inode = dead.table.get(cap.object)
-    bullet.crash()
-    run_process(env, bullet.boot())
+def test_the_registry_keeps_no_table_alive():
+    """A registry can outlive its testbed (perf keeps one pass's
+    recorder, and with it the registry, after the rig is dropped), so
+    its gauges hold the tables they read weakly: dropping the rig frees
+    the server's tables and the workstation cache, and the registry's
+    gauges then refuse to read."""
+    from repro.bench import make_rig
 
-    def gauges():
-        return [bullet.metrics.find(f"repro_freelist_{name}", area=area).value
-                for area in ("bullet:disk", "bullet:cache")
-                for name in ("fragmentation", "free_units", "largest_hole")]
-
-    live = gauges()
-    dead.disk_free.free(inode.start_block, dead.layout.blocks_for(inode.size))
-    dead.cache.remove(cap.object)
-    assert gauges() == live
+    rig = make_rig(background_load=False, nfs_churn=False)
+    run_process(rig.env, rig.bullet.create(bytes(8 * KB), 1))
+    registry = rig.metrics
+    live = rig.bullet.incarnation
+    workstation = WorkstationCache(8 * KB, metrics=registry)
+    tables = [weakref.ref(table) for table in (
+        rig.bullet, live, live.cache, live.locks, workstation)]
+    assert registry.snapshot()["gauges"]
+    del rig, live, workstation
+    gc.collect()
+    assert [table() for table in tables] == [None] * len(tables)
+    with pytest.raises(BadRequestError):
+        registry.snapshot()
 
 
 def test_retransmit_counter_lives_in_the_registry(env):
@@ -245,13 +248,14 @@ def _seeded_workload(seed: int):
     bullet.evict(caps[3].object)
     run_process(env, bullet.read(caps[3]))
     run_process(env, bullet.delete(caps[0]))
-    return bullet.metrics
+    return bullet
 
 
 def test_same_seed_runs_export_byte_identically():
     a = _seeded_workload(1989)
     b = _seeded_workload(1989)
-    assert canonical_json(a.snapshot()) == canonical_json(b.snapshot())
+    assert (canonical_json(a.metrics.snapshot())
+            == canonical_json(b.metrics.snapshot()))
 
 
 # ------------------------------------------------------ bench plane

@@ -128,8 +128,9 @@ def test_oversized_file_rejected():
 
 def test_bytes_gauge_tracks_usage():
     cache = WorkstationCache(8 * KB, name="ws-gauge")
-    gauge = cache.metrics.gauge("repro_client_cache_bytes",
-                                workstation="ws-gauge")
+    gauge = cache.metrics.find("repro_client_cache_bytes",
+                               workstation="ws-gauge")
+    assert gauge.value == 0
     cache.admit(owner(1), b"a" * KB)
     assert gauge.value == KB
     cache.invalidate(owner(1))
