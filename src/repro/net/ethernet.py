@@ -395,7 +395,7 @@ class Ethernet:
             guard = holder.when
         self.guard = guard
         self.wake = guard if self._live else _INF
-        self.env.reguard()
+        self.env.reguard(self)
 
     @property
     def head(self) -> tuple:

@@ -208,7 +208,7 @@ class _Churn:
         self.guard = env.now
         self._c = env.events_scheduled
         self._s = next(self._seq)
-        env.reguard()
+        env.reguard(self)
 
     def _step(self) -> float:
         """Perform the pending step — the start-up, or a tick: a random
@@ -271,5 +271,5 @@ class _Churn:
         self.guard = when
         self._c = c
         self._s = s
-        env.reguard()
+        env.reguard(self)
         return False

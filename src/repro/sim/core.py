@@ -40,19 +40,24 @@ to permute.
   it makes, or an event it succeeds: a lock grant, a hand-off to a
   process that already waits on it, its own completion) is *held* off
   the heap, its ticket not yet taken, until the run loop next looks at
-  it. If the process yields it next and nothing can run in ``[now, when
-  it fires]`` (``Environment._clear`` of that instant), the kernel moves
-  the clock there and resumes the generator in the same loop: the
-  reference would pop that event next with nothing in between. Any
-  other move first pushes it, with the ticket it would have taken when
+  it. The kernel holds two: the newest and the one before it. If the
+  process yields the newest next, the older one is not due by then, and
+  nothing can run in ``[now, when it fires]`` (``Environment._clear`` of
+  that instant), the kernel moves the clock there and resumes the
+  generator in the same loop: the reference would pop that event next
+  with nothing in between. Any other move first pushes the held events,
+  oldest first, each with the ticket it would have taken when
   triggered: every scheduling, a read of :attr:`events_scheduled`, a
-  tie hook, a second held event. So an event still held when the run
-  loop regains control is newer than everything pending; if ``_clear``
-  of its instant holds, nothing sorts before it, and the loop dispatches
-  it from the hold as the reference's next pop. Otherwise the loop
-  pushes it and pops the heap, and ``run()`` pushes it on its way out.
-  Every uncontended CPU charge and lock grant of the stack, and every
-  hand-off that is the next thing due, takes this path.
+  tie hook; a third held event pushes the oldest alone. So the events
+  still held when the run loop regains control are newer than
+  everything pending; if ``_clear`` holds for the instant of the
+  earlier one (the older on a tie), nothing sorts before it, and the
+  loop dispatches it from the hold as the reference's next pop.
+  Otherwise the loop pushes both and pops the heap, and ``run()``
+  pushes them on its way out. Every uncontended CPU charge and lock
+  grant of the stack, and every hand-off that is the next thing due,
+  takes this path; so does a server's reply beside the next request it
+  takes from its inbox at once.
 * the *guard* — :meth:`Environment.add_source`,
   :meth:`Environment.remove_source`, :meth:`Environment.reguard`,
   :meth:`Environment.finish_inline`. A
@@ -373,26 +378,36 @@ class Process(Event):
                     # An interrupt delivery (the wait left behind still
                     # pending) never gets here: its caller acts once this
                     # resumption is over.
-                    if env._clear(env._held_at):
-                        # Uncontended charge or grant: the reference
-                        # would pop this event next, with nothing in
-                        # between, and resume this process from it
-                        # (module docstring).
-                        env._held = None
-                        end = env._held_at
-                        if env._guard <= end:
-                            # Quiet steps due first: performed in place.
-                            env._perform_quiet(end)
-                        env._now = end
-                        target.callbacks = None
-                        event = target
-                        continue
-                    if env._solo:
-                        # Refused with no other callback of this
-                        # dispatch pending: nothing _clear reads moves
-                        # before the run loop looks, so it would be
-                        # refused there too. Pushed now, same ticket.
-                        env._flush()
+                    end = env._held_at
+                    prev = env._prev
+                    if prev is None or env._prev_at > end:
+                        if env._clear(end):
+                            # Uncontended charge or grant: the reference
+                            # would pop this event next, with nothing in
+                            # between, and resume this process from it
+                            # (module docstring).
+                            env._held = prev
+                            if prev is not None:
+                                env._held_at = env._prev_at
+                                env._prev = None
+                            if env._guard <= end:
+                                # Quiet steps due first: performed in
+                                # place.
+                                env._perform_quiet(end)
+                            env._now = end
+                            target.callbacks = None
+                            event = target
+                            continue
+                        if env._solo:
+                            # Refused with no other callback of this
+                            # dispatch pending: nothing _clear reads
+                            # moves before the run loop looks, so it
+                            # would be refused there too. Pushed now,
+                            # same tickets.
+                            env._flush()
+                    # Otherwise the older held event fires first (on a
+                    # tie too: its ticket is older), and nothing is
+                    # pushed: the run loop looks at it first.
                 if not isinstance(target, Event):
                     exc = TypeError(
                         f"process yielded a non-event: {target!r}"
@@ -521,7 +536,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_eid", "_active", "_solo", "_stop",
-                 "_deadline", "_held", "_held_at", "_proc_count",
+                 "_deadline", "_held", "_held_at", "_prev", "_prev_at",
+                 "_proc_count",
                  "_tie_hook", "_sources", "_guard", "_wake", "_step_seq")
 
     def __init__(self):
@@ -543,10 +559,13 @@ class Environment:
         # The latest instant a collapse may reach: run(until=t)'s t,
         # +inf otherwise.
         self._deadline = _INF
-        # The active process's newest fresh event while it is held off
-        # the heap (see _hold), and the instant it fires.
+        # The two fresh events held off the heap (see _hold), each with
+        # the instant it fires: the newest, and the one held before it.
+        # The older slot is empty whenever the newest is.
         self._held: Optional[Event] = None
         self._held_at = 0.0
+        self._prev: Optional[Event] = None
+        self._prev_at = 0.0
         # Scheduling choice-point hook (model checking): consulted when
         # two or more heap entries tie on (time, priority). None — the
         # overwhelmingly common case — is the fast kernel: insertion-
@@ -578,7 +597,9 @@ class Environment:
         never reach it take none: those a process runs through inline
         and those the run loop dispatches from the hold, past quiet
         steps too (the events/op and events/sec numerator in ``perf/``;
-        monotone, never reset). Reading it pushes a held event."""
+        monotone, never reset). Reading it pushes the held events, so a
+        virtual source's ``c`` counts each of them as the heap entry it
+        would have been."""
         if self._held is not None:
             self._flush()
         return self._eid
@@ -625,19 +646,33 @@ class Environment:
     def _hold(self, event: Event, delay: float) -> None:
         """Keep a fresh event the active process triggered — its own
         timeout, or any event it succeeds — off the heap without taking
-        its ticket yet. Every ticket is taken by :meth:`_schedule`,
-        which pushes a held event first, so when it is pushed
-        (:meth:`_flush`) it gets the eid it would have taken when
-        triggered. It never reaches the heap at all when :meth:`_clear`
-        holds for its instant as the process yields it next, or as the
-        run loop next looks at it (:meth:`run`)."""
-        if self._held is not None:
-            self._flush()
+        its ticket yet. Two are kept, the newest in ``_held`` and the
+        one before it in ``_prev``; a third pushes the oldest. Every
+        ticket is taken by :meth:`_schedule`, which pushes the held
+        events first (:meth:`_flush`), so each gets the eid it would
+        have taken when triggered. A held event never reaches the heap
+        at all when :meth:`_clear` holds for its instant, and the other
+        one is not due by then, as the process yields it next, or as
+        the run loop next looks at it (:meth:`run`)."""
+        held = self._held
+        if held is not None:
+            if self._prev is not None:
+                self._eid += 1
+                heappush(self._heap,
+                         (self._prev_at, 1, self._eid, self._prev))
+            self._prev = held
+            self._prev_at = self._held_at
         self._held = event
         self._held_at = self._now + delay
 
     def _flush(self) -> None:
-        """Push the held event, with the ticket it was triggered with."""
+        """Push the held events, oldest first, each with the ticket it
+        was triggered with."""
+        prev = self._prev
+        if prev is not None:
+            self._prev = None
+            self._eid += 1
+            heappush(self._heap, (self._prev_at, 1, self._eid, prev))
         held = self._held
         self._held = None
         self._eid += 1
@@ -666,18 +701,25 @@ class Environment:
     def remove_source(self, source: Any) -> None:
         """A source with no step pending, that will make none, leaves
         the kernel (from inside its own ``advance``, or between runs)."""
-        self._sources.remove(source)
-        self.reguard()
+        sources = self._sources
+        sources.remove(source)
+        if sources:
+            self.reguard(sources[0])
+        else:
+            self._guard = self._wake = _INF
 
-    def reguard(self) -> None:
-        """A source's ``guard`` or ``wake`` changed: publish the
-        earliest of each."""
-        guard = wake = _INF
-        for source in self._sources:
-            if source.guard < guard:
-                guard = source.guard
-            if source.wake < wake:
-                wake = source.wake
+    def reguard(self, source: Any) -> None:
+        """``source``, a registered source, changed its ``guard`` or
+        ``wake``: publish the earliest of each. The caller's own are
+        read once and compared with the other sources' only: alone, it
+        is copied."""
+        guard, wake = source.guard, source.wake
+        for other in self._sources:
+            if other is not source:
+                if other.guard < guard:
+                    guard = other.guard
+                if other.wake < wake:
+                    wake = other.wake
         self._guard = guard
         self._wake = wake
 
@@ -720,7 +762,9 @@ class Environment:
         progress ends), nor may ``end`` lie past the running
         ``run(until=t)``'s ``t``, whose caller looks at the world then.
         Only a held event asks, and there is none on the reference
-        kernel: a tie hook pushes it, and nothing is held under one.
+        kernel: a tie hook pushes the held events, and nothing is held
+        under one. (Whether the other held event comes first is its
+        callers' question.)
         """
         heap = self._heap
         return ((not heap or heap[0][0] > end)
@@ -731,7 +775,7 @@ class Environment:
 
     def set_tie_hook(self, hook: Optional[Callable[[list], int]]) -> None:
         """Install (or clear, with None) the scheduling choice-point
-        hook — the one kernel switch. An event held off the heap goes
+        hook — the one kernel switch. The events held off the heap go
         onto it first, so the reference kernel never sees one.
 
         With a hook installed this is the *reference kernel*: every
@@ -803,11 +847,12 @@ class Environment:
         hold, moves the clock to ``end``: have the sources perform the
         steps the reference dispatches ahead of the held event — every
         one before ``end`` and, at ``end``, those made before the hold.
-        ``_clear`` saw none of them can resume a process. The held event
-        is no longer held, so a step made in here reads the ticket
-        counter as it stood at the hold, and its ``seq``, drawn after
-        the bound's, sorts it after the held event as the reference's
-        would: it stays pending."""
+        ``_clear`` saw none of them can resume a process. The event is
+        no longer held, so a step made in here reads the ticket counter
+        as it stood at the hold, plus the other held event if there is
+        one (the read pushes it), and its ``seq``, drawn after the
+        bound's, sorts it after the event as the reference's would: it
+        stays pending."""
         bound = (end, self._eid, next(self._step_seq))
         sources = self._sources
         if (sources[0].advance(bound) if len(sources) == 1
@@ -869,10 +914,11 @@ class Environment:
 
         All three are one loop over ``(stop event, deadline)``: a
         missing stop event is one that never fires, a missing deadline
-        is +inf. The next event has two sources: a held event for which
-        ``_clear`` holds is dispatched from the hold (quiet steps due
-        first performed in place, as a collapse does); otherwise the
-        held event, if any, is pushed and one comparison of the heap top
+        is +inf. The next event has two sources: the earlier of the held
+        events (the older on a tie) is dispatched from the hold when
+        ``_clear`` holds for its instant (quiet steps due first
+        performed in place, as a collapse does); otherwise the held
+        events, if any, are pushed and one comparison of the heap top
         against the guard picks between the plain pop and the virtual
         sources' slow path. Whatever is still held when the loop ends is
         pushed. It is the kernel's one dispatch body: the per-event
@@ -898,9 +944,33 @@ class Environment:
         self._deadline = deadline
         try:
             while stop.callbacks is not None:
-                if self._held is None or not self._clear(self._held_at):
-                    if self._held is not None:
+                event = self._held
+                if event is not None:
+                    when = self._held_at
+                    prev = self._prev
+                    if prev is not None and self._prev_at <= when:
+                        # The older one sorts first, on a tie too.
+                        event = prev
+                        when = self._prev_at
+                    if self._clear(when):
+                        # Newer than everything pending and nothing
+                        # sorts before it: the reference's next pop,
+                        # taken from the hold (module docstring).
+                        if prev is None:
+                            self._held = None
+                        elif event is prev:
+                            self._prev = None
+                        else:
+                            self._held = prev
+                            self._held_at = self._prev_at
+                            self._prev = None
+                        if self._guard <= when:
+                            # Quiet steps due first: performed in place.
+                            self._perform_quiet(when)
+                    else:
                         self._flush()
+                        event = None
+                if event is None:
                     if not heap or heap[0][0] >= self._guard:
                         if self._perform_virtual(deadline):
                             continue
@@ -909,16 +979,6 @@ class Environment:
                     if heap[0][0] > deadline:
                         break
                     when, _priority, _eid, event = pop(heap)
-                else:
-                    # Newer than everything pending and nothing sorts
-                    # before it: the reference's next pop, taken from
-                    # the hold slot (module docstring).
-                    event = self._held
-                    self._held = None
-                    when = self._held_at
-                    if self._guard <= when:
-                        # Quiet steps due first: performed in place.
-                        self._perform_quiet(when)
                 self._now = when
                 callbacks = event.callbacks
                 event.callbacks = None

@@ -735,7 +735,8 @@ def test_kernel_private_state_stays_inside_repro_sim():
                           "_perform_virtual", "_merge", "_perform_quiet",
                           "_guard_of", "_head", "_pop_tied", "_now",
                           "_active", "_proc_count",
-                          "_held", "_held_at", "_hold", "_flush",
+                          "_held", "_held_at", "_prev", "_prev_at",
+                          "_hold", "_flush",
                           "_clear", "_deadline",
                           "ticket", "schedule_at", "try_finish_now",
                           "can_collapse",

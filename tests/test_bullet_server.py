@@ -332,6 +332,39 @@ def test_read_hit_on_an_idle_rig_costs_one_event(env):
     assert env.events_scheduled - before == 1
 
 
+def test_queued_reads_on_one_worker_keep_reply_and_next_request_off_the_heap(
+        env):
+    # Two clients read a cached file three times each through one
+    # worker, so every reply but the last finds the other client's
+    # request queued. The worker hands the reply over, takes that request
+    # from its inbox at once and yields it: two fresh events, one in each
+    # of the kernel's hold slots, and the run loop dispatches both from
+    # there, the reply first. With one slot the get pushed the reply and
+    # then itself (26 tickets here). What is left: the two start-ups,
+    # one request handed to a worker busy with the other, and the seven
+    # charges (client marshalling, server dispatch and memcpy) that the
+    # other client's turn overtakes.
+    rpc = RpcTransport(env, Ethernet(env, EthernetProfile()), CpuProfile())
+    bullet = make_bullet(env, transport=rpc, workers=1)
+    clients = [BulletClient(env, rpc, bullet.port) for _ in range(2)]
+    cap = call(env, clients[0].create(b"x" * 4096, 2))
+    call(env, clients[0].read(cap))
+    env.run()
+    done = []
+
+    def reader(client):
+        for _ in range(3):
+            assert (yield from client.read(cap)) == b"x" * 4096
+            done.append(env.now)
+
+    before = env.events_scheduled
+    for client in clients:
+        env.process(reader(client))
+    env.run()
+    assert len(done) == 6
+    assert env.events_scheduled - before == 10
+
+
 def test_cold_read_loads_from_disk(env):
     bullet = make_bullet(env)
     cap = call(env, bullet.create(b"cold data", p_factor=2))

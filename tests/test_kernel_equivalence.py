@@ -11,7 +11,9 @@ resources, stores, joins, ``AllOf``/``AnyOf``/``CountOf``, lock
 grants, timeouts and lock grants made and then left behind by something
 else before they are yielded, hand-offs to a waiting worker followed by
 each way out of the hold (every way an event the kernel holds off the
-heap goes onto it, or is dispatched from the hold), runs of hops kept
+heap goes onto it, or is dispatched from the hold), three fresh events
+made before the worker yields (the third pushes the oldest of the two
+the kernel holds), runs of hops kept
 off the heap by a toy *virtual source* (the guard protocol of ``net/ethernet.py``'s medium
 ledger, without any Ethernet) and chains of steps that resume nobody
 on a *quiet* one (the ledger's background daemon and the NFS cache's
@@ -25,7 +27,12 @@ exercising the ``(time, priority, eid)`` tie-breaking discipline rather
 than dodging it.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 from bisect import insort
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,9 +55,11 @@ _DELAY_LISTS = st.lists(_DELAYS, min_size=1, max_size=3)
 
 #: What a worker does between making a timeout and yielding it: each
 #: takes the timeout the fast kernel holds off the heap onto it, or (a
-#: composed one) keeps it from being run inline.
+#: composed one) keeps it from being run inline. "signal" hands a
+#: waiting worker its signal and then yields a second timeout: three
+#: fresh events before the first yield.
 _HELD_EXITS = st.sampled_from(
-    ("put", "count", "anyof", "second", "lock", "drop"))
+    ("put", "count", "anyof", "second", "signal", "lock", "drop"))
 
 #: What a worker does between taking a lock grant and yielding it: the
 #: same held-event rule, on a grant instead of a timeout.
@@ -120,7 +129,7 @@ class HopSource:
     def _reguard(self):
         self.guard = self.wake = (self._steps[0][0] if self._steps
                                   else float("inf"))
-        self.env.reguard()
+        self.env.reguard(self)
 
     def burst(self, delays):
         """An event that fires when the last of ``delays`` is over."""
@@ -189,7 +198,7 @@ class QuietSource:
             self._seq = self.env.add_source(self)
         self._pend(self.env.now, delays, tag, -1)
         self.guard = self._steps[0][0]
-        self.env.reguard()
+        self.env.reguard(self)
 
     def advance(self, bound):
         steps = self._steps
@@ -202,7 +211,7 @@ class QuietSource:
                 self._pend(when + rest[0], rest[1:], tag, hop + 1)
         if steps:
             self.guard = steps[0][0]
-            self.env.reguard()
+            self.env.reguard(self)
         else:
             self.guard = float("inf")
             self._seq = None
@@ -316,6 +325,11 @@ def _run_program(program, env, driver):
                         yield timer
                         yield either
                     elif way == "second":
+                        yield env.timeout(other)
+                    elif way == "signal":
+                        if signals:
+                            signal, _waiter = signals.pop(0)
+                            signal.succeed((wid, step, "held"))
                         yield env.timeout(other)
                     elif way == "lock":
                         with locks.writing(wid % N_LOCKS) as lock:
@@ -664,6 +678,71 @@ def test_a_hand_off_held_when_run_until_event_returns_is_pushed():
     assert tickets == 5
 
 
+def test_a_hand_off_then_a_satisfied_get_leave_the_hold_in_order():
+    # Worker 1 hands worker 0 its signal, then gets the item it put
+    # itself: the hand-off and the satisfied get are both held, one in
+    # each slot, and the run loop dispatches them from the hold in the
+    # reference's order, the hand-off first.
+    trace, tickets = _tickets_beside_the_reference([
+        [("signal", "nothing")],
+        [("put", 0, 7), ("signal", "nothing"), ("get", 0)],
+    ])
+    assert trace[1:5] == [(0.0, 1, 1, "done", "signal"),
+                          (0.0, 0, 0, "signalled", (1, 1)),
+                          (0.0, 0, 0, "done", "signal"),
+                          (0.0, 1, 2, "got", (1, 0, 7))]
+    assert tickets == 2  # the start-ups
+
+
+def test_a_charge_tied_with_the_older_held_event_does_not_collapse():
+    # Worker 1 hands worker 0 its signal and yields a zero charge: the
+    # charge would collapse, but the hand-off in the older slot fires at
+    # its instant and its ticket is older, so worker 0 runs first.
+    # Nothing is pushed: the run loop dispatches both from the hold.
+    trace, tickets = _tickets_beside_the_reference([
+        [("signal", "nothing")],
+        [("signal", "timeout")],
+    ])
+    assert trace == [(0.0, 0, 0, "signalled", (1, 0)),
+                     (0.0, 0, 0, "done", "signal"),
+                     (0.0, 1, 0, "done", "signal"), ("end", 0.0)]
+    assert tickets == 2  # the start-ups
+
+
+def test_an_older_held_event_tied_with_a_heap_entry_goes_after_it():
+    # At 0.25 worker 1 hands worker 0 its signal and yields a zero
+    # charge; worker 2's timeout to 0.25 is on the heap with an older
+    # ticket. The run loop pushes both held events, oldest first, and
+    # worker 2 resumes before the hand-off, which goes before the charge.
+    trace, tickets = _tickets_beside_the_reference([
+        [("signal", "nothing")],
+        [("timeout", 0.25), ("signal", "timeout")],
+        [("timeout", 0.25)],
+    ])
+    assert trace[1:5] == [(0.25, 2, 0, "done", "timeout"),
+                          (0.25, 0, 0, "signalled", (1, 1)),
+                          (0.25, 0, 0, "done", "signal"),
+                          (0.25, 1, 1, "done", "signal")]
+    # Start-ups, both timeouts, the hand-off, the charge and the three
+    # completions, each made while a heap entry was due at its instant.
+    assert tickets == 10
+
+
+def test_a_third_fresh_event_pushes_the_oldest_with_its_ticket():
+    # Worker 1 makes a timer to 0.5, hands worker 0 its signal and
+    # yields a zero charge: the third fresh event pushes the timer, with
+    # the ticket it took when made. The hand-off and the charge stay
+    # held and are dispatched from the hold, the hand-off first.
+    trace, tickets = _tickets_beside_the_reference([
+        [("signal", "nothing")],
+        [("held", "signal", 0.5, 0.0)],
+    ])
+    assert trace == [(0.0, 0, 0, "signalled", (1, 0, "held")),
+                     (0.0, 0, 0, "done", "signal"),
+                     (0.5, 1, 0, "done", "held"), ("end", 0.5)]
+    assert tickets == 3  # the start-ups and the timer
+
+
 def test_a_held_any_of_timer_past_run_until_t_waits_for_it():
     # Worker 0's timer to 1.0 is composed into an any_of, so it is held
     # with a callback on it when worker 0 waits. run(until=0.375) stops
@@ -788,3 +867,60 @@ def test_a_charge_refused_with_nothing_else_pending_is_asked_about_once(
                      (0.5, 1, 0, "done", "timeout"), ("end", 0.5)]
     assert tickets == 4
     assert asked == [0.25, 0.5, 0.25, 0.5]
+
+
+#: The hold's committed mutants (DESIGN.md §11a): name -> (the text in
+#: ``sim/core.py``, its mutation, the tier-1 test that must kill it).
+#: Each plants one wrong order between the two held events.
+_FLUSH = """\
+        prev = self._prev
+        if prev is not None:
+            self._prev = None
+            self._eid += 1
+            heappush(self._heap, (self._prev_at, 1, self._eid, prev))
+        held = self._held
+        self._held = None
+        self._eid += 1
+        heappush(self._heap, (self._held_at, 1, self._eid, held))
+"""
+HOLD_MUTANTS = {
+    # A held event collapses though the older one fires at its instant.
+    "collapse-ties-with-the-older-event": (
+        "if prev is None or env._prev_at > end:",
+        "if prev is None or env._prev_at >= end:",
+        "test_contended_resource_with_ties_matches_reference",
+    ),
+    # The run loop dispatches the newer of two tied held events first.
+    "loop-takes-the-newer-on-a-tie": (
+        "if prev is not None and self._prev_at <= when:",
+        "if prev is not None and self._prev_at < when:",
+        "test_held_timeout_goes_on_the_heap_ahead_of_what_is_scheduled_next",
+    ),
+    # A push of both held events gives the newer the older ticket.
+    "flush-pushes-the-newer-first": (
+        _FLUSH,
+        _FLUSH[_FLUSH.index("        held"):] + _FLUSH[:_FLUSH.index(
+            "        held")],
+        "test_an_older_held_event_tied_with_a_heap_entry_goes_after_it",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLD_MUTANTS))
+def test_committed_hold_mutant_is_killed_by_its_test(name, tmp_path):
+    needle, mutation, killer = HOLD_MUTANTS[name]
+    src = Path(__file__).resolve().parents[1] / "src"
+    core = src / "repro" / "sim" / "core.py"
+    source = core.read_text()
+    assert source.count(needle) == 1, f"{name}: mutation target moved"
+    shutil.copytree(src / "repro", tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "repro" / "sim" / "core.py").write_text(
+        source.replace(needle, mutation))
+    test = f"{Path(__file__).name}::{killer}"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=Path(__file__).parent, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)}, timeout=300)
+    assert done.returncode == 1 and f"FAILED {test}" in done.stdout, (
+        done.stdout + done.stderr)

@@ -368,29 +368,64 @@ def test_a_timeout_not_yet_yielded_counts_as_scheduled():
     # A virtual source orders its steps by the ticket count it reads, and
     # a held event's collapse asks whether anything else can act first:
     # to both, a timeout made and not yet yielded is a heap entry at the
-    # instant it fires.
+    # instant it fires. A charge that ends before it runs first; one that
+    # ends with it runs after it (its ticket is older), on both kernels.
+    def run(env):
+        seen, order = [], []
+
+        def counted():
+            before = env.events_scheduled
+            timer = env.timeout(1.0)
+            seen.append(env.events_scheduled - before)
+            yield timer
+
+        def charged(delay):
+            timer = env.timeout(1.0)
+            timer.callbacks.append(
+                lambda _timer: order.append(("timer", env.now)))
+            yield env.timeout(delay)
+            order.append(("charge", env.now))
+            yield timer
+
+        run_process(env, counted())
+        for delay in (0.5, 1.0):
+            before = env.events_scheduled
+            run_process(env, charged(delay))
+            seen.append(env.events_scheduled - before)
+        return seen, order, env.now
+
+    seen, order, now = run(Environment())
+    assert (order, now) == run(reference_env())[1:]
+    assert order == [("charge", 1.5), ("timer", 2.0),
+                     ("timer", 3.0), ("charge", 3.0)] and now == 3.0
+    # The count read while the timer is held includes it. Then each
+    # run's start-up alone: the timer and the charge both stay in the
+    # hold's two slots, and the run loop dispatches the tied pair from
+    # there, the timer first.
+    assert seen == [1, 1, 1]
+
+
+def test_a_third_fresh_event_pushes_only_the_oldest():
+    # The kernel holds two fresh events off the heap; a third pushes the
+    # oldest, with the ticket it would have taken when made. The other
+    # two are each the next thing due when yielded and never reach it.
     env = Environment()
-    seen = []
+    woke = []
 
-    def counted():
-        before = env.events_scheduled
-        timer = env.timeout(1.0)
-        seen.append(env.events_scheduled - before)
-        yield timer
+    def sleeper():
+        last = env.timeout(0.5)
+        middle = env.timeout(0.25)
+        yield env.timeout(0.125)  # the third: ``last`` is pushed
+        woke.append(env.now)
+        yield middle
+        woke.append(env.now)
+        yield last
+        woke.append(env.now)
 
-    def charged(delay):
-        timer = env.timeout(1.0)
-        yield env.timeout(delay)  # runs inline only if it fires first
-        yield timer
-
-    run_process(env, counted())
-    for delay in (0.5, 1.0):
-        before = env.events_scheduled
-        run_process(env, charged(delay))
-        seen.append(env.events_scheduled - before)
-    # Start-up and the first timer; plus the tied second timer. The
-    # completion is the next thing due when it is made: no ticket.
-    assert seen == [1, 2, 3] and env.now == 3.0
+    run_process(env, sleeper())
+    assert woke == [0.125, 0.25, 0.5]
+    # The start-up and the oldest timeout.
+    assert env.events_scheduled == 2
 
 
 def test_an_event_the_process_succeeds_and_yields_at_once_takes_no_ticket():
